@@ -34,25 +34,15 @@ the calendar flush plus lazily-read stats sources — asserting bit-identical
 results and recording the metering cost next to the tracing cost, with an
 extra 1-in-8 sampled-timer row (``MetricsRegistry(timer_sample_every=8)``).
 
-The **calendar-bookkeeping** section isolates what PR 8 vectorizes: a
-churn workload (every flush re-rates the whole active set through a
-zero-cost provider) driven through the scalar and the structure-of-arrays
-:class:`~repro.network.fluid.TransferCalendar`, recording us/event,
-retimes/event and heap ops/event per path.  The 256-host rung runs
-everywhere with a conservative 2× regression assert (budget-gated like the
-ladder via ``REPRO_LADDER_BUDGET_S``); the 1024-host rung — the tentpole's
-≥3× acceptance — climbs with ``REPRO_LADDER_MAX_HOSTS``.
-
 The **scale-ladder** sections climb the same synthetic skeleton to 256,
 1024 and 4096 hosts (plus a LINPACK prediction and a small campaign
 variant), recording one trajectory record per rung — the repository's
 first ≥1k-host benchmark records.  The 256-host rung runs everywhere; the
 heavier rungs are opt-in via ``REPRO_LADDER_MAX_HOSTS`` (CI runs the small
 rung on every push with a wall-clock budget from
-``REPRO_LADDER_BUDGET_S``).  The **vectorized-core** section measures the
-numpy pricing paths of this PR directly: array water-filling vs the scalar
-freeze loop at 4096 flows, and batched component pricing vs the per-
-component loop — both asserted bit-exact, with the speedups recorded.
+``REPRO_LADDER_BUDGET_S``).  The **array water-filling** section measures
+the emulator's numpy solver against the scalar freeze loop at 4096 flows,
+asserted bit-exact, with the speedup recorded.
 
 All wall-clock comparisons here are best-of-N (the work counters are
 deterministic, the timings are not; N repeats stop a loaded runner from
@@ -68,7 +58,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import GigabitEthernetModel
-from repro.network.fluid import FluidTransferSimulator, Transfer, TransferCalendar
+from repro.network.fluid import FluidTransferSimulator, Transfer
 from repro.simulator.providers import ModelRateProvider
 
 NUM_HOSTS = 64
@@ -170,7 +160,6 @@ def test_incremental_engine_scales(emit):
         "iterations": ITERATIONS,
         "transfers": len(synthetic_workload()),
         "repeats": REPEATS,
-        "vectorized": True,
         "full": {"wall_clock_s": round(full_time, 4), **full_stats},
         "incremental": {"wall_clock_s": round(inc_time, 4), **inc_stats},
         "eval_ratio": round(eval_ratio, 2),
@@ -413,7 +402,6 @@ def test_scale_ladder_synthetic(emit, num_hosts):
         "iterations": LADDER_ITERATIONS,
         "transfers": len(workload),
         "repeats": REPEATS,
-        "vectorized": True,
         "wall_clock_s": round(best, 4),
         "us_per_transfer": round(per_transfer_us, 2),
         **stats,
@@ -458,7 +446,6 @@ def test_scale_ladder_linpack(emit, num_ranks):
         "workload": "linpack",
         "num_hosts": num_ranks,
         "problem_size": problem_size,
-        "vectorized": True,
         "wall_clock_s": round(elapsed, 4),
         "predicted_makespan_s": round(report.total_time, 4),
         **provider.stats.snapshot(),
@@ -501,7 +488,6 @@ def test_scale_ladder_campaign(emit):
         "workload": "campaign",
         "num_hosts": 256,
         "scenarios": len(store),
-        "vectorized": True,
         "wall_clock_s": round(elapsed, 4),
     }
     emit("scale_ladder_campaign", "\n".join(lines), record=record,
@@ -509,7 +495,7 @@ def test_scale_ladder_campaign(emit):
     _ladder_budget(elapsed, record)
 
 
-# ---------------------------------------------------------- vectorized core
+# ------------------------------------------------------ array water-filling
 def test_vectorized_water_filling_microbench(emit):
     """Array vs scalar water-filling on a 4096-flow / 1024-host instance."""
     import random
@@ -570,310 +556,6 @@ def test_vectorized_water_filling_microbench(emit):
     # this size (observed ~14x; a loaded runner cannot invert an order of
     # magnitude)
     assert speedup >= 3.0, record
-
-
-def test_vectorized_batch_pricing_microbench(emit):
-    """Batched component pricing vs the per-component scalar loop."""
-    from repro.core.graph import Communication, CommunicationGraph, ConflictRule
-
-    model = GigabitEthernetModel()
-    graph = CommunicationGraph(name="batch-bench")
-    name = 0
-    num_components = 1024
-    for component in range(num_components):
-        sink = 4 * component
-        for member in range(1, 4):
-            graph.add(Communication(name=f"c{name}", src=sink + member,
-                                    dst=sink, size=1_000_000))
-            name += 1
-    selections = [list(names) for names
-                  in graph.conflict_components(ConflictRule.ENDPOINT)]
-    assert len(selections) == num_components
-
-    timings = {}
-    scalar = batched = None
-    for mode in ("scalar", "batch"):
-        best = float("inf")
-        for _ in range(REPEATS):
-            started = time.perf_counter()
-            if mode == "scalar":
-                scalar = [model.component_penalties(graph, names)
-                          for names in selections]
-            else:
-                batched = model.penalties_batch(graph, selections)
-            best = min(best, time.perf_counter() - started)
-        timings[mode] = best
-    assert batched == scalar
-    speedup = (timings["scalar"] / timings["batch"]
-               if timings["batch"] > 0 else float("inf"))
-
-    lines = [
-        f"vectorized batch pricing: {num_components} conflict components, "
-        f"{len(graph)} communications, gigabit-ethernet model",
-        "",
-        f"{'path':<12s}{'wall clock':>14s}",
-        f"{'scalar':<12s}{timings['scalar']:>12.4f} s",
-        f"{'batch':<12s}{timings['batch']:>12.4f} s",
-        "",
-        f"speedup: {speedup:.1f}x   (penalties bit-identical)",
-    ]
-    record = {
-        "benchmark": "bench_scale_engine/vectorized_batch_pricing",
-        "components": num_components,
-        "communications": len(graph),
-        "repeats": REPEATS,
-        "scalar_s": round(timings["scalar"], 4),
-        "batch_s": round(timings["batch"], 4),
-        "speedup": round(speedup, 2),
-    }
-    emit("vectorized_batch_pricing", "\n".join(lines), record=record,
-         bench_json=BENCH_JSON)
-
-
-# ----------------------------------------------------- calendar bookkeeping
-class ChurnProvider:
-    """Cheap deterministic delta provider with bottleneck-local re-pricing.
-
-    Models the rate-update profile an incremental allocator produces: every
-    flush returns a rate for the *whole* tracked set (the dense delta
-    contract the shipped providers follow), but only the flights sharing
-    the perturbed bottleneck — one of ``GROUPS`` hash groups per call,
-    plus any new arrivals — come back with a *changed* value.  The
-    calendar must discover that subset itself: the scalar path compares
-    flight by flight in Python, the vectorized path in one array compare —
-    exactly the asymmetry PR 8's tentpole targets.  Pricing cost is near
-    zero next to the calendar's own work (swap-remove churn, one
-    vectorized rate-table recompute), so the bench isolates bookkeeping:
-    value compare, integrate-at-old-rate, re-time, heap maintenance and
-    compaction.  Implements both sides of the delta contract: ``update``
-    returns the rate dict (the scalar pipeline), ``update_arrays`` the
-    ``(tids, float64-rates)`` pair the vectorized calendar probes for —
-    identical values, identical order.
-    """
-
-    #: one group is re-priced per call; 16 keeps the changed fraction at a
-    #: bottleneck-local ~6% (coprime rate cycle below: repeat visits to the
-    #: same group always produce a *different* value)
-    GROUPS = 16
-
-    def __init__(self):
-        from repro._numpy import np
-
-        self.calls = 0
-        self.tracked = []                       # position-indexed tids
-        self.pos = {}                           # tid -> position
-        self.base = np.zeros(16, dtype=np.float64)    # static per-tid term
-        self.mod16 = np.zeros(16, dtype=np.int64)     # tid % GROUPS
-        self.slots = np.zeros(16, dtype=np.intp)      # calendar slot handles
-        self.version = np.zeros(self.GROUPS, dtype=np.int64)
-
-    def _apply(self, added, removed, added_slots=None):
-        from repro._numpy import np
-
-        self.calls += 1
-        tracked, pos = self.tracked, self.pos
-        base, mod16, slots = self.base, self.mod16, self.slots
-        for tid in removed:
-            i = pos.pop(tid)
-            last = len(tracked) - 1
-            if i != last:
-                last_tid = tracked[last]
-                tracked[i] = last_tid
-                pos[last_tid] = i
-                base[i] = base[last]
-                mod16[i] = mod16[last]
-                slots[i] = slots[last]
-            tracked.pop()
-        for j, transfer in enumerate(added):
-            tid = transfer.transfer_id
-            n = len(tracked)
-            if n == len(base):
-                self.base = base = np.concatenate([base, np.zeros(n)])
-                self.mod16 = mod16 = np.concatenate(
-                    [mod16, np.zeros(n, dtype=np.int64)])
-                self.slots = slots = np.concatenate(
-                    [slots, np.zeros(n, dtype=np.intp)])
-            pos[tid] = n
-            tracked.append(tid)
-            base[n] = 1e6 * (1.0 + 0.03 * (tid % 13))
-            mod16[n] = tid % self.GROUPS
-            if added_slots is not None:
-                slots[n] = added_slots[j]
-        # one bottleneck group re-prices per call; the rate table comes out
-        # of one vectorized add over the cached static term — flights of
-        # untouched groups land on the exact same float64 value, so only
-        # the perturbed group (and new arrivals) reads as changed.  7 is
-        # coprime with GROUPS: repeat visits never collide.
-        self.version[self.calls % self.GROUPS] += 1
-        n = len(tracked)
-        return base[:n] + 1e4 * (self.version[mod16[:n]] % 7)
-
-    def update(self, added, removed):
-        rates = self._apply(added, removed)
-        # materialize the dict the scalar contract requires, in tracked
-        # order (same order as the array handoffs, so entry sequence
-        # numbers — and therefore pop order — match between the paths)
-        return dict(zip(self.tracked, rates.tolist()))
-
-    def update_arrays(self, added, removed):
-        # identical float64 values, no dict round-trip
-        return list(self.tracked), self._apply(added, removed)
-
-    def update_slots(self, added, added_slots, removed):
-        # slot-handle handoff: rates come back already slot-aligned
-        rates = self._apply(added, removed, added_slots)
-        return list(self.tracked), self.slots[:len(self.tracked)], rates
-
-    def reset(self):
-        from repro._numpy import np
-
-        self.tracked = []
-        self.pos = {}
-        self.base = np.zeros(16, dtype=np.float64)
-        self.mod16 = np.zeros(16, dtype=np.int64)
-        self.slots = np.zeros(16, dtype=np.intp)
-        self.version = np.zeros(self.GROUPS, dtype=np.int64)
-
-
-CAL_BOOKKEEPING_ROUNDS = 50
-#: best-of count for the bookkeeping section: the timed region is short
-#: (milliseconds), so a couple of extra repeats buy a stable minimum
-CAL_REPEATS = 5
-#: heap-strategy counters — legitimately differ between the two paths
-CAL_STRATEGY_COUNTERS = ("bulk_merges", "bulk_entries", "handoff_tier_slots",
-                         "handoff_tier_arrays", "handoff_tier_dict")
-
-
-def run_calendar_bookkeeping(num_flights: int, vectorized: bool,
-                             repeats: int = CAL_REPEATS):
-    """Best-of-``repeats`` churn run of one calendar path.
-
-    ``num_flights`` concurrent transfers; every one of the
-    ``CAL_BOOKKEEPING_ROUNDS`` rounds cancels the oldest flight, starts a
-    replacement and flushes.  Each delta returns a rate for the *whole*
-    tracked set (the dense contract), of which one bottleneck group
-    (~``1/ChurnProvider.GROUPS``) plus the new arrival come back
-    value-changed — the calendar must compare the full set and re-time
-    exactly the changed subset every event.
-    """
-    assert num_flights >= CAL_BOOKKEEPING_ROUNDS
-    best = float("inf")
-    stats = done = None
-    for _ in range(repeats):
-        provider = ChurnProvider()
-        calendar = TransferCalendar(provider, delta=True,
-                                    vectorized=vectorized)
-        for i in range(num_flights):
-            calendar.activate(
-                Transfer(i, i % 64, (i + 1) % 64, 1e12), now=0.0)
-        calendar.flush(0.0)  # initial bulk rating, outside the timed churn
-        started = time.perf_counter()
-        for round_no in range(CAL_BOOKKEEPING_ROUNDS):
-            now = 0.001 * (round_no + 1)
-            calendar.cancel(round_no, now)
-            calendar.activate(
-                Transfer(num_flights + round_no, round_no % 64,
-                         (round_no + 1) % 64, 1e12), now=now)
-            calendar.flush(now)
-            calendar.pop_due(now)
-        best = min(best, time.perf_counter() - started)
-        done = [t.transfer_id for t in calendar.pop_due(1e9)]
-        snapshot = calendar.stats.snapshot()
-        assert stats is None or stats == snapshot  # counters are deterministic
-        stats = snapshot
-    return done, best, stats
-
-
-@pytest.mark.parametrize("num_hosts", [256, 1024],
-                         ids=lambda n: f"bookkeeping_{n}")
-def test_calendar_bookkeeping(emit, num_hosts):
-    """Calendar-bookkeeping section: SoA flight state vs the scalar path.
-
-    One flight per host; every flush re-prices the whole set and re-times
-    the bottleneck-local changed subset.  The vectorized calendar must
-    produce identical completions and identical work counters (minus the
-    heap-insertion strategy counters, which only it increments) at a
-    fraction of the bookkeeping time per event.  The 256-host rung runs
-    everywhere under the ``REPRO_LADDER_BUDGET_S`` budget convention; the
-    1024-host rung — the tentpole's ≥3× acceptance — is opt-in via
-    ``REPRO_LADDER_MAX_HOSTS`` like the other heavy rungs.
-    """
-    _ladder_skip(num_hosts)
-    scalar_done, scalar_time, scalar_stats = run_calendar_bookkeeping(
-        num_hosts, vectorized=False)
-    array_done, array_time, array_stats = run_calendar_bookkeeping(
-        num_hosts, vectorized=True)
-
-    # optimisation, not approximation: identical completions and identical
-    # bookkeeping decisions
-    assert array_done == scalar_done
-    comparable = {k: v for k, v in scalar_stats.items()
-                  if k not in CAL_STRATEGY_COUNTERS}
-    assert {k: v for k, v in array_stats.items()
-            if k not in CAL_STRATEGY_COUNTERS} == comparable
-
-    flushes = max(1, array_stats["flushes"])
-    retimed = max(1, array_stats["retimed"])
-    heap_pops = array_stats["stale_entries"] + array_stats["completions"]
-    speedup = scalar_time / array_time if array_time > 0 else float("inf")
-    slot_fraction = array_stats["handoff_tier_slots"] / flushes
-    # CI guard: the fastest tier must actually carry the steady state — the
-    # vectorized run may not quietly downgrade to array/dict handoffs
-    assert slot_fraction >= 0.9, array_stats
-
-    lines = [
-        f"calendar bookkeeping: {num_hosts} flights, "
-        f"{CAL_BOOKKEEPING_ROUNDS} churn rounds "
-        f"(dense re-pricing, ~1/{ChurnProvider.GROUPS} value-changed)",
-        "",
-        f"{'path':<12s}{'wall clock':>13s}{'us/event':>11s}{'us/retime':>11s}",
-        (f"{'scalar':<12s}{scalar_time:>11.4f} s"
-         f"{scalar_time / flushes * 1e6:>11.1f}"
-         f"{scalar_time / retimed * 1e6:>11.2f}"),
-        (f"{'array':<12s}{array_time:>11.4f} s"
-         f"{array_time / flushes * 1e6:>11.1f}"
-         f"{array_time / retimed * 1e6:>11.2f}"),
-        "",
-        (f"retimes/event: {retimed / flushes:.1f}   "
-         f"heap pushes/event: {retimed / flushes:.1f}   "
-         f"heap pops/event: {heap_pops / flushes:.1f}   "
-         f"bulk merges: {array_stats['bulk_merges']}   "
-         f"slot-tier flushes: {slot_fraction:.0%}"),
-        f"bookkeeping speedup: {speedup:.1f}x   (completions and work "
-        "counters identical)",
-    ]
-    record = {
-        "benchmark": "bench_scale_engine/calendar_bookkeeping",
-        "num_hosts": num_hosts,
-        "flights": num_hosts,
-        "rounds": CAL_BOOKKEEPING_ROUNDS,
-        "reprice_groups": ChurnProvider.GROUPS,
-        "repeats": CAL_REPEATS,
-        "scalar_s": round(scalar_time, 4),
-        "array_s": round(array_time, 4),
-        "scalar_us_per_event": round(scalar_time / flushes * 1e6, 2),
-        "array_us_per_event": round(array_time / flushes * 1e6, 2),
-        "retimes_per_event": round(retimed / flushes, 2),
-        "heap_pops_per_event": round(heap_pops / flushes, 2),
-        "bulk_merges": array_stats["bulk_merges"],
-        "bulk_entries": array_stats["bulk_entries"],
-        "compactions": array_stats["compactions"],
-        "handoff_tier_slots": array_stats["handoff_tier_slots"],
-        "handoff_tier_arrays": array_stats["handoff_tier_arrays"],
-        "handoff_tier_dict": array_stats["handoff_tier_dict"],
-        "slot_tier_fraction": round(slot_fraction, 4),
-        "speedup": round(speedup, 2),
-    }
-    emit(f"calendar_bookkeeping_{num_hosts}", "\n".join(lines), record=record,
-         bench_json=BENCH_JSON)
-    _ladder_budget(scalar_time + array_time, record)
-
-    # acceptance: ≥3× lower bookkeeping time per event at the 1k rung (the
-    # tentpole target, opt-in like the other heavy rungs); the always-on
-    # 256 rung — where fixed numpy dispatch overhead eats most of the win
-    # (typically ~1.6×) — keeps a conservative regression bound a loaded
-    # CI runner cannot invert
-    assert speedup >= (3.0 if num_hosts >= 1024 else 1.25), record
 
 
 # ------------------------------------------------------------ timeline drain

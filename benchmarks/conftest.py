@@ -20,19 +20,32 @@ from pathlib import Path
 
 import pytest
 
+from repro.campaign.persistence import atomic_write
+
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
 def append_bench_record(bench_json: Path, record: dict) -> None:
-    """Append one result record to a cross-PR perf trajectory file."""
+    """Append one result record to a cross-PR perf trajectory file.
+
+    The file is rewritten atomically.  A trajectory that does not parse as a
+    JSON list raises instead of being replaced, so a damaged history keeps
+    its bytes for inspection rather than silently restarting from empty.
+    """
     history = []
     if bench_json.exists():
         try:
             history = json.loads(bench_json.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            history = []
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"{bench_json} is not valid JSON ({exc}); refusing to "
+                "overwrite the trajectory") from exc
+        if not isinstance(history, list):
+            raise ValueError(f"{bench_json} does not hold a JSON list of "
+                             "records; refusing to overwrite it")
     history.append(record)
-    bench_json.write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
+    with atomic_write(bench_json) as handle:
+        handle.write(json.dumps(history, indent=2) + "\n")
 
 
 @pytest.fixture(scope="session")

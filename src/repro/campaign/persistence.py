@@ -23,19 +23,45 @@ records the failure in :attr:`PersistentPenaltyCache.load_error`.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Hashable, Optional, Tuple, Union
+from typing import IO, Any, Dict, Hashable, Iterator, Optional, Tuple, Union
 
 from ..core.incremental import PenaltyCache
 from ..exceptions import GraphError
 
-__all__ = ["canonical_key", "PersistentPenaltyCache"]
+__all__ = ["atomic_write", "canonical_key", "PersistentPenaltyCache"]
 
 _FORMAT_VERSION = 1
+
+
+@contextlib.contextmanager
+def atomic_write(path: Union[str, Path], newline: Optional[str] = None) -> Iterator[IO[str]]:
+    """Write a text file so that readers only ever see a complete version.
+
+    Yields a handle on a temporary file in ``path``'s directory; a clean exit
+    renames it over ``path`` in one ``os.replace``, an exception removes it
+    and re-raises, leaving any previous ``path`` byte for byte intact.
+    ``newline`` is passed to :func:`open` (``""`` for the csv module).
+    """
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=str(target.parent),
+                                    prefix=target.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline=newline) as handle:
+            yield handle
+        os.replace(tmp_name, target)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
 
 def _canonical(value: Any) -> Any:
@@ -169,18 +195,7 @@ class PersistentPenaltyCache(PenaltyCache):
                               for (src, dst), value in sorted(mapping.items())],
             })
         payload = {"version": _FORMAT_VERSION, "entries": entries}
-        target.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=str(target.parent),
-                                        prefix=target.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-                handle.write("\n")
-            os.replace(tmp_name, target)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        with atomic_write(target) as handle:
+            json.dump(payload, handle)
+            handle.write("\n")
         return len(entries)

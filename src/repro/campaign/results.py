@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Union
 
 from ..analysis import render_table
+from .persistence import atomic_write
 
 __all__ = ["ScenarioResult", "CampaignResultStore"]
 
@@ -124,8 +125,9 @@ class CampaignResultStore:
         }
 
     def to_json(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n",
-                              encoding="utf-8")
+        """Write :meth:`to_dict` as JSON, atomically (see :func:`atomic_write`)."""
+        with atomic_write(path) as handle:
+            handle.write(json.dumps(self.to_dict(), indent=2) + "\n")
 
     @classmethod
     def from_json(cls, path: Union[str, Path]) -> "CampaignResultStore":
@@ -137,7 +139,8 @@ class CampaignResultStore:
         )
 
     def to_csv(self, path: Union[str, Path]) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
+        """Write :meth:`rows` as CSV, atomically (see :func:`atomic_write`)."""
+        with atomic_write(path, newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=list(_ROW_COLUMNS))
             writer.writeheader()
             writer.writerows(self.rows())

@@ -4,7 +4,7 @@
 gate: each :class:`Checker` encodes one convention the codebase relies on
 but Python itself cannot enforce — the trace-kind registry staying in sync
 with its documentation, the ``repro._numpy`` import guard, the
-"disabled path is one pointer test" emission contract, the three-tier
+"disabled path is one pointer test" emission contract, the
 ``RateProvider`` delta contract, the vectorized-parity manifest and the
 benchmark emit discipline.  The checkers operate on plain :mod:`ast` trees
 (per-file ``visit`` hooks plus a cross-file ``finalize``), so the gate runs

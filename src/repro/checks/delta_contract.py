@@ -1,35 +1,22 @@
-"""RC04 — structural shape of the three-tier ``RateProvider`` delta contract.
+"""RC04 — structural shape of the ``RateProvider`` delta contract.
 
-The calendar probes providers for ``update`` → ``update_arrays`` →
-``update_slots`` (fastest available wins; see the
-:mod:`repro.network.fluid` docstring).  Three structural rules keep a
-provider from quietly landing outside the contract:
+A provider speaks one delta entry point, ``update(added, removed)``, plus
+the full-set ``rates(active)`` shim (see the :mod:`repro.network.fluid`
+docstring).  Two structural rules keep a provider from quietly landing
+outside the contract:
 
-* **slots-implies-arrays** — a class speaking the slot tier must also speak
-  the array tier: when a rate-scale hook is installed the calendar skips
-  ``update_slots`` and falls back to ``update_arrays``; a provider without
-  it silently drops to the dict tier and the "no hash gather" claim is
-  void.  (Deliberate single-tier *test* providers suppress with a
-  rationale.)
-* **slots-invariant-methods** — a class speaking the slot tier must also
-  maintain the slot-map invariant method set: ``update`` (the calendar's
-  stall retry re-registers handles through the departure+arrival cycle,
-  and a scale window downgrades to the dict tier mid-run) and ``reset``
-  (the :meth:`~repro.network.fluid.TransferCalendar.reprice` that ends a
-  scale window re-seeds every handle through reset + full re-add).
-  Without both, a slot provider's handle bookkeeping cannot survive those
-  calendar paths.
 * **rates-is-a-shim** — a class defining both ``update`` and ``rates`` must
   route ``rates`` through ``update`` (directly or via helpers reachable by
   ``self.``-calls): two independent pricing paths are exactly the drift the
-  delta contract forbids, since the tiers must stay bit-exact.
+  delta contract forbids, since the delta and full-query calendar modes
+  must stay bit-exact.
 * **reset-is-zero-arg** — ``reset()`` takes no arguments beyond ``self``:
   the calendar and the campaign runner call it blind between runs.
 
 Class bodies are resolved through same-file base classes (simple-name
-inheritance), so tiered test hierarchies are judged on their effective
-method set.  ``Protocol`` definitions are skipped — they declare the
-contract, they don't implement it.
+inheritance), so provider hierarchies are judged on their effective method
+set.  ``Protocol`` definitions are skipped — they declare the contract,
+they don't implement it.
 """
 
 from __future__ import annotations
@@ -41,8 +28,7 @@ from .base import Checker, CheckContext, ParsedModule, dotted_name
 
 __all__ = ["DeltaContractChecker"]
 
-_CONTRACT_METHODS = frozenset({"update", "update_arrays", "update_slots",
-                               "rates"})
+_CONTRACT_METHODS = frozenset({"update", "rates"})
 
 
 def _method_defs(cls: ast.ClassDef) -> Dict[str, ast.FunctionDef]:
@@ -87,10 +73,8 @@ def _extra_parameters(func: ast.FunctionDef) -> List[str]:
 class DeltaContractChecker(Checker):
     code = "RC04"
     name = "delta-contract"
-    description = ("RateProvider structure: update_slots implies "
-                   "update_arrays and the slot-map invariant methods "
-                   "(update/reset); rates() must be a shim over update(); "
-                   "reset() must be zero-arg")
+    description = ("RateProvider structure: rates() must be a shim over "
+                   "update(); reset() must be zero-arg")
 
     def visit_module(self, ctx: CheckContext, module: ParsedModule) -> None:
         classes: Dict[str, ast.ClassDef] = {
@@ -128,27 +112,6 @@ class DeltaContractChecker(Checker):
     def _check_class(self, ctx: CheckContext, module: ParsedModule,
                      cls: ast.ClassDef, own: Dict[str, ast.FunctionDef],
                      effective: Dict[str, ast.FunctionDef]) -> None:
-        if "update_slots" in effective and "update_arrays" not in effective:
-            anchor = own.get("update_slots")
-            ctx.report(module,
-                       anchor.lineno if anchor is not None else cls.lineno,
-                       self.code,
-                       f"class {cls.name!r} defines update_slots() without "
-                       "update_arrays(): with a rate-scale hook installed "
-                       "the calendar skips the slot tier and needs the "
-                       "array tier to fall back to")
-        if "update_slots" in effective:
-            missing = [m for m in ("update", "reset") if m not in effective]
-            if missing:
-                anchor = own.get("update_slots")
-                ctx.report(module,
-                           anchor.lineno if anchor is not None else cls.lineno,
-                           self.code,
-                           f"class {cls.name!r} defines update_slots() "
-                           "without the slot-map invariant method set "
-                           f"(missing: {', '.join(missing)}); stall retries "
-                           "and the reprice ending a rate-scale window "
-                           "re-seed slot handles through update()/reset()")
         if "update" in effective and "rates" in effective:
             if not self._reaches_update(effective):
                 anchor = own.get("rates") or own.get("update")

@@ -1,7 +1,7 @@
 """RC05 — every ``vectorized`` toggle is named in the parity manifest.
 
 Every batch path in the codebase ships behind a ``vectorized`` toggle that
-is property-tested bit-exact against its scalar twin (PRs 6/8).  The
+is property-tested bit-exact against its scalar twin.  The
 manifest (``src/repro/checks/parity_manifest.json``) is the checked-in map
 from toggle module to its scalar-vs-array property-test file; this rule
 makes the pairing mechanical:
@@ -37,9 +37,9 @@ def module_toggle_line(tree: ast.Module) -> Optional[int]:
     """First line defining a ``vectorized`` toggle, or None.
 
     A toggle is a function/method parameter named ``vectorized`` or a
-    class-body assignment to a name starting with ``vectorized`` (covers
-    ``EngineConfig.vectorized_calendar``).  Local variables inside function
-    bodies do not count — they are plumbing, not a public toggle.
+    class-body assignment to a name starting with ``vectorized`` (a config
+    field such as ``vectorized_solver: bool``).  Local variables inside
+    function bodies do not count — they are plumbing, not a public toggle.
     """
     best: Optional[int] = None
     for node in ast.walk(tree):

@@ -27,11 +27,9 @@ reproduce that comparison, this module implements the baselines:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .._numpy import np
 from ..exceptions import ModelError
-from .ethernet_model import split_batch, structural_arrays
 from .graph import Communication, CommunicationGraph, ConflictRule
 from .penalty import ContentionModel, LinearCostModel
 
@@ -57,12 +55,6 @@ class NoContentionModel(ContentionModel):
         graph.validate()
         return {comm.name: 1.0 for comm in graph}
 
-    def penalties_batch(
-        self, graph: CommunicationGraph, components: Iterable[Iterable[str]]
-    ) -> List[Dict[str, float]]:
-        return [{name: 1.0 for name in names} for names in components]
-
-
 class FairShareModel(ContentionModel):
     """Ideal max-min fair sharing of the end-point NICs.
 
@@ -87,20 +79,6 @@ class FairShareModel(ContentionModel):
             else:
                 result[comm.name] = float(max(1, graph.delta_o(comm), graph.delta_i(comm)))
         return result
-
-    def penalties_batch(
-        self, graph: CommunicationGraph, components: Iterable[Iterable[str]]
-    ) -> List[Dict[str, float]]:
-        results, inter, owner = split_batch(graph, components)
-        if inter:
-            arrays = structural_arrays(inter)
-            penalties = np.maximum(
-                1, np.maximum(arrays["delta_o"], arrays["delta_i"])
-            ).astype(np.float64).tolist()
-            for (which, name), value in zip(owner, penalties):
-                results[which][name] = value
-        return results
-
 
 PathProvider = Callable[[Communication], Sequence[Tuple[int, int]]]
 
@@ -160,26 +138,6 @@ class KimLeeModel(ContentionModel):
             else:
                 result[comm.name] = float(max(usage[seg] for seg in segs))
         return result
-
-    def penalties_batch(
-        self, graph: CommunicationGraph, components: Iterable[Iterable[str]]
-    ) -> List[Dict[str, float]]:
-        if self.path_provider is not None:
-            # switch-level segments have no locality promise: scalar path
-            return super().penalties_batch(graph, components)
-        # endpoint-NIC segments only: the sharing-conflict maximum is the
-        # larger of the TX usage at the source and the RX usage at the
-        # destination, i.e. max(Δo, Δi)
-        results, inter, owner = split_batch(graph, components)
-        if inter:
-            arrays = structural_arrays(inter)
-            penalties = np.maximum(
-                arrays["delta_o"], arrays["delta_i"]
-            ).astype(np.float64).tolist()
-            for (which, name), value in zip(owner, penalties):
-                results[which][name] = value
-        return results
-
 
 @dataclass(frozen=True)
 class LogPCostModel:
@@ -284,11 +242,6 @@ class LogGPContentionAdapter(ContentionModel):
     def penalties(self, graph: CommunicationGraph) -> Dict[str, float]:
         graph.validate()
         return {comm.name: 1.0 for comm in graph}
-
-    def penalties_batch(
-        self, graph: CommunicationGraph, components: Iterable[Iterable[str]]
-    ) -> List[Dict[str, float]]:
-        return [{name: 1.0 for name in names} for names in components]
 
     def predict_times_loggp(self, graph: CommunicationGraph) -> Dict[str, float]:
         """Predicted durations using the wrapped LogP/LogGP cost directly."""

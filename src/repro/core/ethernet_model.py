@@ -36,127 +36,13 @@ card.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Mapping
 
-from .._numpy import np
 from ..exceptions import ModelError
 from .graph import Communication, CommunicationGraph, ConflictRule
 from .penalty import ContentionModel
 
 __all__ = ["EthernetParameters", "GigabitEthernetModel"]
-
-
-def structural_arrays(comms: Sequence[Communication]) -> Dict[str, "np.ndarray"]:
-    """Vectorized Δ degrees and Definition-1 memberships of ``comms``.
-
-    ``comms`` must be the inter-node communications of a selection closed
-    under endpoint sharing (a union of ENDPOINT — or coarser — conflict
-    components): the degree of a node is then the same whether counted in
-    the selection or in the full graph.  Returns arrays aligned with
-    ``comms``:
-
-    * ``delta_o`` / ``delta_i`` — out-degree of the source / in-degree of
-      the destination (``Δo(i)`` / ``Δi(i)``);
-    * ``in_cmo`` / ``card_o`` — membership in the strongly-slowed outgoing
-      set ``C^m_o`` of the source node, and that set's cardinality (same for
-      ``in_cmi`` / ``card_i`` on the destination side);
-    * ``rev_src`` / ``fwd_dst`` — in-degree of the source / out-degree of
-      the destination (the InfiniBand cross-term counts; only meaningful
-      when the selection is closed under the ``ANY_NODE`` rule).
-    """
-    n = len(comms)
-    src = np.empty(n, dtype=np.int64)
-    dst = np.empty(n, dtype=np.int64)
-    index_of: Dict[object, int] = {}
-    for k, comm in enumerate(comms):
-        src[k] = index_of.setdefault(comm.src, len(index_of))
-        dst[k] = index_of.setdefault(comm.dst, len(index_of))
-    num_nodes = len(index_of)
-    out_deg = np.bincount(src, minlength=num_nodes)
-    in_deg = np.bincount(dst, minlength=num_nodes)
-    delta_o = out_deg[src]
-    delta_i = in_deg[dst]
-    # C^m_o: among the communications leaving one source node, those whose
-    # destination in-degree Δi is maximal (Definition 1 of the paper)
-    max_di_at_src = np.zeros(num_nodes, dtype=np.int64)
-    np.maximum.at(max_di_at_src, src, delta_i)
-    in_cmo = delta_i == max_di_at_src[src]
-    card_o = np.bincount(src[in_cmo], minlength=num_nodes)[src]
-    max_do_at_dst = np.zeros(num_nodes, dtype=np.int64)
-    np.maximum.at(max_do_at_dst, dst, delta_o)
-    in_cmi = delta_o == max_do_at_dst[dst]
-    card_i = np.bincount(dst[in_cmi], minlength=num_nodes)[dst]
-    return {
-        "delta_o": delta_o,
-        "delta_i": delta_i,
-        "in_cmo": in_cmo,
-        "card_o": card_o,
-        "in_cmi": in_cmi,
-        "card_i": card_i,
-        "rev_src": in_deg[src],
-        "fwd_dst": out_deg[dst],
-    }
-
-
-def po_pi_arrays(
-    arrays: Mapping[str, "np.ndarray"], params: "EthernetParameters"
-) -> Tuple["np.ndarray", "np.ndarray"]:
-    """``p_o`` / ``p_i`` arrays from :func:`structural_arrays` output.
-
-    Replicates the scalar :meth:`GigabitEthernetModel.outgoing_penalty`
-    arithmetic operation for operation (same association order), so the
-    results are bit-identical to the scalar path.  Neither array carries the
-    final ``max(1, ·)`` clamp — the InfiniBand model applies its cross
-    terms to the unclamped values.
-    """
-    delta_o = arrays["delta_o"].astype(np.float64)
-    delta_i = arrays["delta_i"].astype(np.float64)
-    card_o = arrays["card_o"].astype(np.float64)
-    card_i = arrays["card_i"].astype(np.float64)
-    po = np.where(
-        arrays["delta_o"] <= 1,
-        1.0,
-        np.where(
-            arrays["in_cmo"],
-            (delta_o * params.beta) * (1.0 + params.gamma_o * (delta_o - card_o)),
-            (delta_o * params.beta) * (1.0 - params.gamma_o / card_o),
-        ),
-    )
-    pi = np.where(
-        arrays["delta_i"] <= 1,
-        1.0,
-        np.where(
-            arrays["in_cmi"],
-            (delta_i * params.beta) * (1.0 + params.gamma_i * (delta_i - card_i)),
-            (delta_i * params.beta) * (1.0 - params.gamma_i / card_i),
-        ),
-    )
-    return po, pi
-
-
-def split_batch(
-    graph: CommunicationGraph, components: Iterable[Iterable[str]]
-) -> Tuple[List[Dict[str, float]], List[Communication], List[Tuple[int, str]]]:
-    """Partition a batch of selections into result dicts and inter-node work.
-
-    Intra-node communications are priced 1.0 immediately; the returned
-    ``inter`` list (with its ``(selection index, name)`` owner per entry) is
-    what the array formulations operate on.
-    """
-    results: List[Dict[str, float]] = []
-    inter: List[Communication] = []
-    owner: List[Tuple[int, str]] = []
-    for which, names in enumerate(components):
-        result: Dict[str, float] = {}
-        results.append(result)
-        for name in names:
-            comm = graph[name]
-            if comm.is_intra_node:
-                result[name] = 1.0
-            else:
-                inter.append(comm)
-                owner.append((which, name))
-    return results, inter, owner
 
 
 @dataclass(frozen=True)
@@ -238,19 +124,6 @@ class GigabitEthernetModel(ContentionModel):
     def penalties(self, graph: CommunicationGraph) -> Dict[str, float]:
         graph.validate()
         return {comm.name: self.communication_penalty(graph, comm) for comm in graph}
-
-    def penalties_batch(
-        self, graph: CommunicationGraph, components: Iterable[Iterable[str]]
-    ) -> List[Dict[str, float]]:
-        """Numpy batch path: degree counts and penalties of every selection
-        in one array dispatch (bit-exact with :meth:`component_penalties`)."""
-        results, inter, owner = split_batch(graph, components)
-        if inter:
-            po, pi = po_pi_arrays(structural_arrays(inter), self.parameters)
-            penalties = np.maximum(1.0, np.maximum(po, pi)).tolist()
-            for (which, name), value in zip(owner, penalties):
-                results[which][name] = value
-        return results
 
     def details(self, graph: CommunicationGraph) -> Dict[str, Mapping[str, float]]:
         """Per-communication diagnostics: Δ degrees, p_o/p_i, memberships, cards."""

@@ -31,17 +31,10 @@ result of an isomorphic component — the penalties are bit-identical to a
 full recomputation (property-tested in
 ``tests/property/test_incremental_properties.py``).
 
-Batched pricing: with ``vectorized=True`` (the default) the engine gathers
-every dirty component that missed the cache and prices the whole set in one
-:meth:`~repro.core.penalty.ContentionModel.penalties_batch` call — the
-analytic models compute the λ/γ degree counts and penalties of all
-selections as numpy array operations instead of a Python loop per
-communication.  The batch path replicates the scalar arithmetic operation
-for operation (int degree counts convert to float64 exactly, and the
-association order of every product matches the scalar expressions), so the
-penalties are **bit-identical** to ``vectorized=False``;
-``tests/property/test_vectorized_pricing.py`` cross-checks the two paths
-over random delta sequences on every shipped model.
+Pricing runs one :meth:`~repro.core.penalty.ContentionModel.component_penalties`
+call per dirty component that missed the cache, in sorted component order,
+or — when a ``map_fn`` is given — fans the misses of one refresh out through
+it (dirty components are independent, so the penalties are identical).
 """
 
 from __future__ import annotations
@@ -53,7 +46,6 @@ from time import perf_counter
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
-from .._numpy import np
 from ..exceptions import GraphError
 from .graph import Communication, CommunicationGraph
 from .penalty import ContentionModel, LinearCostModel, PenaltyPrediction
@@ -238,15 +230,10 @@ class IncrementalPenaltyEngine:
         component evaluations of one :meth:`penalties` call are fanned out
         through it — dirty conflict components are independent by
         construction, so the results are identical to serial evaluation.
-        Two isomorphic components dirtied in the same batch are then both
+        Two isomorphic components dirtied in the same refresh are then both
         evaluated (serially the second is a cache hit), so the work counters
         may differ from the serial ones even though the penalties are
         bit-exact.
-    vectorized:
-        When True (default), cache-miss components of one refresh are priced
-        in a single :meth:`~repro.core.penalty.ContentionModel.penalties_batch`
-        call (numpy array operations on the analytic models); ``False``
-        forces the scalar per-component path.  Both are bit-exact.
     """
 
     def __init__(
@@ -255,11 +242,9 @@ class IncrementalPenaltyEngine:
         cache: Optional[PenaltyCache] = None,
         name: str = "in-flight",
         map_fn: Optional[Callable] = None,
-        vectorized: bool = True,
     ) -> None:
         self.model = model
         self.map_fn = map_fn
-        self.vectorized = bool(vectorized)
         self.rule = model.component_rule
         if cache is None and model.structural_penalties:
             cache = PenaltyCache()
@@ -278,11 +263,6 @@ class IncrementalPenaltyEngine:
         #: intra-node arrivals since the last refresh (priced 1.0 on add, but
         #: still "re-priced" as far as the delta contract is concerned)
         self._fresh_intra: Set[str] = set()
-        #: opaque caller handles stored at add() time, returned alongside the
-        #: re-priced set by refresh_handles() — the slot-tier rate providers
-        #: stash (tid, slot, is_intra) here so no per-flush hash gather is
-        #: needed to translate names back into calendar slots
-        self._handles: Dict[str, object] = {}
         #: repro.obs phase timer around dirty-component pricing; installed by
         #: set_metrics(), one pointer test per refresh when absent
         self._pricing_timer = None
@@ -291,8 +271,8 @@ class IncrementalPenaltyEngine:
         """Install the ``pricing.dirty_s`` phase timer from a metrics registry.
 
         Observability hook of the :mod:`repro.obs` layer: every dirty-set
-        evaluation (whatever dispatch path it takes — scalar, batched or
-        parallel) is timed.  Pass ``None`` to uninstall.
+        evaluation (serial or through ``map_fn``) is timed.  Pass ``None``
+        to uninstall.
         """
         self._pricing_timer = (registry.timer("pricing.dirty_s")
                                if registry is not None else None)
@@ -318,17 +298,10 @@ class IncrementalPenaltyEngine:
         return self._members.pop(comp_id)
 
     # ------------------------------------------------------------------ delta
-    def add(self, comm: Communication, handle: object = None) -> None:
-        """Apply one flow arrival.
-
-        ``handle`` is an opaque caller token stored under ``comm.name`` and
-        handed back by :meth:`refresh_handles` whenever the flow is
-        re-priced (slot-tier providers pass ``(tid, slot, is_intra)``).
-        """
+    def add(self, comm: Communication) -> None:
+        """Apply one flow arrival."""
         self.graph.add(comm)
         self.stats.events += 1
-        if handle is not None:
-            self._handles[comm.name] = handle
         if comm.is_intra_node:
             # per the ContentionModel.penalties contract, intra-node
             # communications are always penalty 1.0 (they never use the NIC)
@@ -350,7 +323,6 @@ class IncrementalPenaltyEngine:
         comm = self.graph.remove(name)
         self.stats.events += 1
         self._penalties.pop(name, None)
-        self._handles.pop(name, None)
         if comm.is_intra_node:
             self._fresh_intra.discard(name)
             return
@@ -432,49 +404,6 @@ class IncrementalPenaltyEngine:
         self._fresh_intra.clear()
         return {name: self._penalties[name] for name in repriced}
 
-    def refresh_arrays(self) -> Tuple[List[str], "np.ndarray"]:
-        """:meth:`refresh` with an array payload: ``(names, penalties)``.
-
-        The changed-set handoff of the batched rate path: the same re-priced
-        set, in the same iteration order as the dict :meth:`refresh` builds
-        (downstream batching relies on that order for bit-exact seq
-        assignment), as a name list plus a float64 penalty array — no
-        intermediate dict.
-        """
-        repriced: Set[str] = set(self._fresh_intra)
-        for comp_id in self._dirty:
-            repriced.update(self._members[comp_id])
-        self._price_dirty()
-        self._fresh_intra.clear()
-        names = list(repriced)
-        penalties = self._penalties
-        values = np.fromiter((penalties[name] for name in names),
-                             dtype=np.float64, count=len(names))
-        return names, values
-
-    def refresh_handles(self) -> Tuple[List[object], "np.ndarray"]:
-        """:meth:`refresh_arrays` keyed by stored handles: ``(handles, penalties)``.
-
-        Same re-priced set, same iteration order, but the name list is
-        replaced by the opaque handles registered at :meth:`add` time — the
-        slot-tier handoff, where the caller already encoded everything it
-        needs (tid, slot, intra flag) in the handle and no name→tid→slot
-        hash gathers happen per flush.  Every member of the re-priced set
-        must have been added with a handle.
-        """
-        repriced: Set[str] = set(self._fresh_intra)
-        for comp_id in self._dirty:
-            repriced.update(self._members[comp_id])
-        self._price_dirty()
-        self._fresh_intra.clear()
-        names = list(repriced)
-        handles_of = self._handles
-        handles = [handles_of[name] for name in names]
-        penalties = self._penalties
-        values = np.fromiter((penalties[name] for name in names),
-                             dtype=np.float64, count=len(names))
-        return handles, values
-
     def _price_dirty(self) -> None:
         """Evaluate every dirty component (through the cache) and clear the set."""
         timer = self._pricing_timer
@@ -489,9 +418,6 @@ class IncrementalPenaltyEngine:
     def _price_dirty_impl(self) -> None:
         if self.map_fn is not None and self.rule is not None:
             self._price_dirty_parallel()
-            return
-        if self.vectorized:
-            self._price_dirty_batched()
             return
         for comp_id in sorted(self._dirty):
             names = sorted(self._members[comp_id])
@@ -517,43 +443,6 @@ class IncrementalPenaltyEngine:
                 self._penalties[name] = evaluated[name]
         self._dirty.clear()
 
-    def _price_dirty_batched(self) -> None:
-        """Vectorized :meth:`_price_dirty`: every cache miss in one batch call.
-
-        Like the ``map_fn`` parallel path, two isomorphic components dirtied
-        in the same refresh are both evaluated (serially the second is a
-        cache hit), so the work counters may differ from the serial ones
-        even though the penalties are bit-exact.
-        """
-        pending: List[Tuple[List[str], Optional[Hashable], Optional[Dict[str, Tuple[int, int]]]]] = []
-        for comp_id in sorted(self._dirty):
-            names = sorted(self._members[comp_id])
-            if self.cache is not None:
-                component_key, endpoint_ranks = self.graph.canonical_component(names)
-                key = (self._model_key, component_key)
-                cached = self.cache.get(key)
-                if cached is not None:
-                    self.stats.cache_hits += 1
-                    for name in names:
-                        self._penalties[name] = cached[endpoint_ranks[name]]
-                    continue
-                self.stats.cache_misses += 1
-                pending.append((names, key, endpoint_ranks))
-            else:
-                pending.append((names, None, None))
-        if pending:
-            evaluations = self.model.penalties_batch(
-                self.graph, [names for names, _, _ in pending]
-            )
-            for (names, key, endpoint_ranks), evaluated in zip(pending, evaluations):
-                self.stats.component_evaluations += 1
-                self.stats.comm_evaluations += len(names)
-                if key is not None and self.cache is not None:
-                    self.cache.store(key, endpoint_ranks, evaluated)
-                for name in names:
-                    self._penalties[name] = evaluated[name]
-        self._dirty.clear()
-
     def _price_dirty_parallel(self) -> None:
         """Batch variant of :meth:`_price_dirty` that fans misses out via ``map_fn``."""
         hits: List[Tuple[List[str], Dict[Tuple[int, int], float], Dict[str, Tuple[int, int]]]] = []
@@ -572,15 +461,11 @@ class IncrementalPenaltyEngine:
                 pending.append((names, None, None))
         if len(pending) > 1:
             jobs = [
-                (self.model, self.graph.subgraph(names), tuple(names), self.vectorized)
+                (self.model, self.graph.subgraph(names), tuple(names))
                 for names, _, _ in pending
             ]
             evaluations = list(self.map_fn(_evaluate_component, jobs))
-        elif self.vectorized:  # nothing to parallelize: skip the pool round-trip
-            evaluations = self.model.penalties_batch(
-                self.graph, [names for names, _, _ in pending]
-            )
-        else:
+        else:  # nothing to parallelize: skip the pool round-trip
             evaluations = [
                 self.model.component_penalties(self.graph, names)
                 for names, _, _ in pending
@@ -616,7 +501,6 @@ class IncrementalPenaltyEngine:
         self._dirty.clear()
         self._penalties.clear()
         self._fresh_intra.clear()
-        self._handles.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -628,16 +512,11 @@ class IncrementalPenaltyEngine:
 def _evaluate_component(job: Tuple) -> Dict[str, float]:
     """Evaluate one conflict component (module-level so process pools can pickle it).
 
-    ``job`` is ``(model, component_subgraph, names[, vectorized])``; for a
-    component-local model, pricing the component's subgraph is exactly
-    equivalent to pricing it inside the full graph.  With ``vectorized``
-    true the worker goes through the model's batch path (bit-exact either
-    way).
+    ``job`` is ``(model, component_subgraph, names)``; for a component-local
+    model, pricing the component's subgraph is exactly equivalent to pricing
+    it inside the full graph.
     """
-    model, graph, names = job[:3]
-    vectorized = job[3] if len(job) > 3 else False
-    if vectorized:
-        return model.penalties_batch(graph, [list(names)])[0]
+    model, graph, names = job
     return model.component_penalties(graph, list(names))
 
 
@@ -647,7 +526,6 @@ def cached_penalties(
     cache: Optional[PenaltyCache] = None,
     map_fn: Optional[Callable] = None,
     stats: Optional[EngineStats] = None,
-    vectorized: bool = True,
 ) -> Dict[str, float]:
     """Penalties of a static graph through the component/cache machinery.
 
@@ -655,12 +533,10 @@ def cached_penalties(
     holding a fixed :class:`CommunicationGraph` (experiment sweeps, campaign
     scenarios): the graph is partitioned into conflict components under the
     model's rule, isomorphic components are served from ``cache``, and the
-    cache misses are evaluated — all in one
-    :meth:`~repro.core.penalty.ContentionModel.penalties_batch` dispatch
-    when ``vectorized`` (the default), or in parallel through ``map_fn``
-    when given.  Bit-exact with ``model.penalties(graph)`` for every
-    shipped model (component locality, snapshot replay and the batch array
-    path are all exact).
+    cache misses are evaluated one component at a time, or in parallel
+    through ``map_fn`` when given.  Bit-exact with ``model.penalties(graph)``
+    for every shipped model (component locality and snapshot replay are both
+    exact).
     """
     if stats is None:
         stats = EngineStats()
@@ -699,14 +575,10 @@ def cached_penalties(
     if pending:
         if map_fn is not None and rule is not None and len(pending) > 1:
             jobs = [
-                (model, graph.subgraph(names), tuple(names), vectorized)
+                (model, graph.subgraph(names), tuple(names))
                 for names, _, _ in pending
             ]
             evaluations = list(map_fn(_evaluate_component, jobs))
-        elif vectorized:
-            evaluations = model.penalties_batch(
-                graph, [list(names) for names, _, _ in pending]
-            )
         else:
             evaluations = [model.component_penalties(graph, list(names)) for names, _, _ in pending]
         for (names, key, endpoint_ranks), evaluated in zip(pending, evaluations):
@@ -728,7 +600,6 @@ def cached_predict(
     cache: Optional[PenaltyCache] = None,
     map_fn: Optional[Callable] = None,
     stats: Optional[EngineStats] = None,
-    vectorized: bool = True,
 ) -> PenaltyPrediction:
     """Cache-aware counterpart of :meth:`ContentionModel.predict`.
 
@@ -736,8 +607,7 @@ def cached_predict(
     diagnostics are skipped (they bypass the component cache and none of the
     sweep consumers read them).
     """
-    pens = cached_penalties(model, graph, cache=cache, map_fn=map_fn, stats=stats,
-                            vectorized=vectorized)
+    pens = cached_penalties(model, graph, cache=cache, map_fn=map_fn, stats=stats)
     times: Dict[str, float] = {}
     if cost_model is not None:
         for comm in graph:

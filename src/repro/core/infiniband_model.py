@@ -38,17 +38,10 @@ against any measured or emulated penalty set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping
+from typing import Dict, Mapping
 
-from .._numpy import np
 from ..exceptions import ModelError
-from .ethernet_model import (
-    EthernetParameters,
-    GigabitEthernetModel,
-    po_pi_arrays,
-    split_batch,
-    structural_arrays,
-)
+from .ethernet_model import EthernetParameters, GigabitEthernetModel
 from .graph import Communication, CommunicationGraph, ConflictRule
 from .penalty import ContentionModel
 
@@ -124,27 +117,6 @@ class InfinibandModel(ContentionModel):
     def penalties(self, graph: CommunicationGraph) -> Dict[str, float]:
         graph.validate()
         return {comm.name: self.communication_penalty(graph, comm) for comm in graph}
-
-    def penalties_batch(
-        self, graph: CommunicationGraph, components: Iterable[Iterable[str]]
-    ) -> List[Dict[str, float]]:
-        """Numpy batch path: the Ethernet base arrays plus the λ cross terms
-        (bit-exact with :meth:`component_penalties`).  The ANY_NODE closure
-        of the selections guarantees the ``rev_src``/``fwd_dst`` counts match
-        the whole-graph degrees."""
-        results, inter, owner = split_batch(graph, components)
-        if inter:
-            params = self.parameters
-            arrays = structural_arrays(inter)
-            po, pi = po_pi_arrays(arrays, self._base.parameters)
-            rev = arrays["rev_src"]
-            fwd = arrays["fwd_dst"].astype(np.float64)
-            po_prime = po * (1.0 + params.lambda_o * np.maximum(0, rev - 1).astype(np.float64))
-            pi_prime = pi * (1.0 + params.lambda_i * fwd)
-            penalties = np.maximum(1.0, np.maximum(po_prime, pi_prime)).tolist()
-            for (which, name), value in zip(owner, penalties):
-                results[which][name] = value
-        return results
 
     def details(self, graph: CommunicationGraph) -> Dict[str, Mapping[str, float]]:
         result: Dict[str, Mapping[str, float]] = {}

@@ -33,7 +33,7 @@ Bron–Kerbosch search with pivoting inside each component.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 from ..exceptions import ModelError
 from .graph import CommunicationGraph, ConflictRule
@@ -147,37 +147,6 @@ def _analyse_component(
     return sets, emission, adjusted, penalties
 
 
-def _selection_adjacency(
-    graph: CommunicationGraph, names: Sequence[str], rule: str
-) -> Dict[str, FrozenSet[str]]:
-    """Conflict adjacency restricted to a selection of inter-node comms.
-
-    Equivalent to ``graph.subgraph(names).conflict_adjacency(rule)`` without
-    materialising the subgraph: the selection's endpoint groups are rebuilt
-    locally from the named communications.
-    """
-    groups: Dict[Hashable, List[str]] = {}
-    if rule == ConflictRule.ENDPOINT:
-        for name in names:
-            comm = graph[name]
-            groups.setdefault(("s", comm.src), []).append(name)
-            groups.setdefault(("d", comm.dst), []).append(name)
-    else:  # ANY_NODE: sharing any endpoint
-        for name in names:
-            comm = graph[name]
-            groups.setdefault(comm.src, []).append(name)
-            if comm.dst != comm.src:
-                groups.setdefault(comm.dst, []).append(name)
-    adjacency: Dict[str, set] = {name: set() for name in names}
-    for members in groups.values():
-        for member in members:
-            adjacency[member].update(members)
-    return {
-        name: frozenset(neighbours - {name})
-        for name, neighbours in adjacency.items()
-    }
-
-
 class MyrinetModel(ContentionModel):
     """Descriptive Stop & Go state-set model for Myrinet 2000 (§V.B)."""
 
@@ -281,55 +250,6 @@ class MyrinetModel(ContentionModel):
     # -------------------------------------------------------------- interface
     def penalties(self, graph: CommunicationGraph) -> Dict[str, float]:
         return self.analyse(graph).penalties
-
-    def penalties_batch(
-        self, graph: CommunicationGraph, components: Iterable[Iterable[str]]
-    ) -> List[Dict[str, float]]:
-        """Batch path without per-selection subgraph copies.
-
-        The state-set enumeration itself stays combinatorial (Bron–Kerbosch
-        is not an array operation), but each selection's conflict adjacency
-        is rebuilt locally from the parent graph instead of materialising
-        and re-indexing a subgraph per component.  Bit-exact with
-        :meth:`component_penalties`.
-        """
-        if self.component_rule is None:
-            return super().penalties_batch(graph, components)
-        results: List[Dict[str, float]] = []
-        for names in components:
-            names = list(names)
-            result: Dict[str, float] = {}
-            inter: List[str] = []
-            for name in names:
-                if graph[name].is_intra_node:
-                    result[name] = 1.0
-                else:
-                    inter.append(name)
-            adjacency = _selection_adjacency(graph, inter, self.conflict_rule)
-            seen: set = set()
-            for start in inter:
-                if start in seen:
-                    continue
-                seen.add(start)
-                component = [start]
-                stack = [start]
-                while stack:
-                    for neighbour in adjacency[stack.pop()]:
-                        if neighbour not in seen:
-                            seen.add(neighbour)
-                            component.append(neighbour)
-                            stack.append(neighbour)
-                if len(component) > self.max_component_size:
-                    raise ModelError(
-                        f"conflict component of size {len(component)} exceeds the "
-                        f"enumeration cap ({self.max_component_size}); split the phase "
-                        "or raise max_component_size"
-                    )
-                _, _, _, penalties = _analyse_component(graph, component, adjacency)
-                for name, penalty in penalties.items():
-                    result[name] = max(1.0, penalty)
-            results.append(result)
-        return results
 
     def details(self, graph: CommunicationGraph) -> Dict[str, Mapping[str, float]]:
         analysis = self.analyse(graph)

@@ -206,24 +206,6 @@ class ContentionModel(abc.ABC):
             return {n: full[n] for n in names}
         return self.penalties(graph.subgraph(names))
 
-    def penalties_batch(
-        self, graph: CommunicationGraph, components: Iterable[Iterable[str]]
-    ) -> list:
-        """Price several component selections of ``graph`` in one call.
-
-        Each entry of ``components`` follows the :meth:`component_penalties`
-        contract (a union of conflict components under
-        :attr:`component_rule`, plus any intra-node communications); the
-        result is one penalty dict per entry, in order.  The base
-        implementation loops :meth:`component_penalties`; the analytic
-        models override it with a numpy formulation that computes the degree
-        counts and penalties of *all* selections as array operations — the
-        incremental engine uses it to price a whole dirty set in one
-        dispatch.  Overrides must be bit-exact with the scalar path
-        (``tests/property/test_vectorized_pricing.py`` cross-checks them).
-        """
-        return [self.component_penalties(graph, names) for names in components]
-
     def penalty(self, graph: CommunicationGraph, comm: Communication | str) -> float:
         """Penalty of a single communication (convenience wrapper)."""
         name = comm if isinstance(comm, str) else comm.name

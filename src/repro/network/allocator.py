@@ -64,7 +64,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 from .._numpy import np
 from ..core.incremental import PenaltyCache
 from ..exceptions import SimulationError
-from .fluid import SlotMap, Transfer
+from .fluid import Transfer
 from .sharing import FlowSpec, max_min_allocation, water_fill_arrays
 from .technologies import NetworkTechnology
 from .topology import CrossbarTopology, Topology
@@ -132,16 +132,17 @@ class EmulatorRateProvider:
         #: tracked active set, for the delta contract (:meth:`update`)
         self._active: Dict[Hashable, Transfer] = {}
         #: incremental incidence state for the array solver: per transfer the
-        #: resource key tuple plus the keys' integer slots, a dense slot map
-        #: over every referenced resource (slots are persistent — resources
-        #: of departed transfers keep theirs for reuse), the per-slot base
-        #: capacity array, and per-host directional counts over the whole
-        #: tracked set.  Integer slots give the solver's per-call resource
-        #: index int keys instead of tuple keys (cheaper hashing per entry).
+        #: resource key tuple plus the keys' integer slots, the slot of every
+        #: referenced resource (slots are persistent and never released —
+        #: resources of departed transfers keep theirs for reuse, so a new
+        #: resource's slot is the index's length), the per-slot base capacity
+        #: array, and per-host directional counts over the whole tracked
+        #: set.  Integer slots give the solver's per-call resource index int
+        #: keys instead of tuple keys (cheaper hashing per entry).
         self._resources_of_tid: Dict[
             Hashable, Tuple[Tuple[Hashable, ...], Tuple[int, ...]]
         ] = {}
-        self._res_slots = SlotMap()
+        self._res_slots: Dict[Hashable, int] = {}
         self._res_caps = np.zeros(0, dtype=np.float64)
         self._counts: Dict[int, Dict[str, int]] = {}
         #: incremental endpoint multiset: pair per transfer, transfers per
@@ -272,7 +273,7 @@ class EmulatorRateProvider:
         slots = self._res_slots
         slot = slots.get(resource)
         if slot is None:
-            slot = slots.acquire(resource)
+            slot = slots[resource] = len(slots)
             caps = self._res_caps
             if slot >= len(caps):
                 grown = np.zeros(max(16, 2 * len(caps), slot + 1),
@@ -454,15 +455,12 @@ class EmulatorRateProvider:
         self._resources_of_tid = {}
         self._counts = {}
 
-    def _track(self, transfer: Transfer,
-               slot: Optional[int] = None) -> Tuple[int, int]:
+    def _track(self, transfer: Transfer) -> Tuple[int, int]:
         tid = transfer.transfer_id
         pair = (transfer.src, transfer.dst)
         self._active[tid] = transfer
         self._pair_of_tid[tid] = pair
-        # the bucket value is the transfer's calendar flight slot (slot tier
-        # only; None on the dict/array tiers, which never read the values)
-        self._tids_of_pair.setdefault(pair, {})[tid] = slot
+        self._tids_of_pair.setdefault(pair, {})[tid] = None
         bisect.insort(self._sorted_pairs, pair)
         resources = self._resources_for(transfer)
         self._resources_of_tid[tid] = (
@@ -530,47 +528,6 @@ class EmulatorRateProvider:
             return {}
         return self._allocate(changed_pairs, added_tids)
 
-    def update_arrays(
-        self, added: Sequence[Transfer], removed: Sequence[Hashable]
-    ):
-        """:meth:`update` with an array payload: ``(tids, rates)``.
-
-        Same re-priced membership in the same order as the dict tier — the
-        per-pair value diff already walks the changed set once, so the array
-        tier is a zero-copy re-shape of its result, not a second path.
-        """
-        changed = self.update(added, removed)
-        rates = np.fromiter(changed.values(), dtype=np.float64,
-                            count=len(changed))
-        return list(changed.keys()), rates
-
-    def update_slots(
-        self, added: Sequence[Transfer], added_slots: Sequence[int],
-        removed: Sequence[Hashable]
-    ):
-        """:meth:`update_arrays` with slot handles: ``(tids, slots, rates)``.
-
-        The caller's flight slots ride the endpoint-pair buckets (stored as
-        the bucket values at :meth:`_track` time), so the warm-started
-        water-fill's changed-value diff comes back slot-aligned — the
-        calendar applies it by direct array indexing with zero per-flush
-        hash gathers.  Membership, order and float64 values are identical
-        to the dict and array tiers.
-        """
-        self._validate_delta(added, removed)
-        changed_pairs: List[Tuple[int, int]] = []
-        for tid in removed:
-            changed_pairs.append(self._untrack(tid))
-        added_tids: List[Hashable] = []
-        for transfer, slot in zip(added, added_slots):
-            changed_pairs.append(self._track(transfer, slot))
-            added_tids.append(transfer.transfer_id)
-        if not self._active:
-            self._last_by_pair = {}
-            self._primed = True
-            return [], np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64)
-        return self._allocate_slots(changed_pairs, added_tids)
-
     def _validate_delta(
         self, added: Sequence[Transfer], removed: Sequence[Hashable]
     ) -> None:
@@ -620,13 +577,7 @@ class EmulatorRateProvider:
     def _changed_pair_set(
         self, by_pair: Dict[Tuple[int, int], float]
     ) -> Set[Tuple[int, int]]:
-        """Pairs whose rate differs from the value-diff baseline.
-
-        Constructed identically on every tier (same elements, same insertion
-        history), so its iteration order — and with it the downstream
-        changed-set order the calendar's seq assignment relies on — is
-        tier-independent.
-        """
+        """Pairs whose rate differs from the value-diff baseline."""
         previous = self._last_by_pair
         if previous is None:
             return set(by_pair)
@@ -670,65 +621,6 @@ class EmulatorRateProvider:
         self._last_by_pair = by_pair
         self._primed = True
         return changed
-
-    def _allocate_slots(
-        self,
-        changed_pairs: Sequence[Tuple[int, int]],
-        added_tids: Sequence[Hashable],
-    ):
-        """Slot-aligned :meth:`_allocate`: parallel ``(tids, slots, rates)``.
-
-        Walks the same changed-pair set in the same order, but reads each
-        transfer's flight slot out of the endpoint buckets while walking —
-        no per-tid hash gather happens afterwards.
-        """
-        tids: List[Hashable] = []
-        slot_list: List[int] = []
-        rate_list: List[float] = []
-        by_pair, raw = self._price_situation(changed_pairs)
-        if by_pair is None:
-            # rare fallback: per-transfer diff, slots read from the buckets
-            tids_of_pair = self._tids_of_pair
-            pair_of_tid = self._pair_of_tid
-            for tid, rate in raw.items():
-                if self._rates_by_tid.get(tid) != rate:
-                    tids.append(tid)
-                    slot_list.append(tids_of_pair[pair_of_tid[tid]][tid])
-                    rate_list.append(rate)
-                    self._rates_by_tid[tid] = rate
-            emitted = set(tids)
-            for tid in added_tids:
-                if tid not in emitted:
-                    tids.append(tid)
-                    slot_list.append(tids_of_pair[pair_of_tid[tid]][tid])
-                    rate_list.append(raw[tid])
-            self._last_by_pair = None
-            self._primed = True
-            return (tids, np.asarray(slot_list, dtype=np.intp),
-                    np.asarray(rate_list, dtype=np.float64))
-
-        changed_pair_set = self._changed_pair_set(by_pair)
-        for pair in changed_pair_set:
-            rate = by_pair[pair]
-            for tid, slot in self._tids_of_pair.get(pair, {}).items():
-                tids.append(tid)
-                slot_list.append(slot)
-                rate_list.append(rate)
-                self._rates_by_tid[tid] = rate
-        for tid in added_tids:
-            # an added tid is in the emitted set iff its pair's bucket was
-            # walked above (every bucket member of a changed pair is emitted)
-            pair = self._pair_of_tid[tid]
-            if pair not in changed_pair_set:
-                rate = by_pair[pair]
-                tids.append(tid)
-                slot_list.append(self._tids_of_pair[pair][tid])
-                rate_list.append(rate)
-                self._rates_by_tid[tid] = rate
-        self._last_by_pair = by_pair
-        self._primed = True
-        return (tids, np.asarray(slot_list, dtype=np.intp),
-                np.asarray(rate_list, dtype=np.float64))
 
     def rates(self, active: Sequence[Transfer]) -> Dict[Hashable, float]:
         """Instantaneous rate of every active transfer, in bytes per second.

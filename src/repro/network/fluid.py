@@ -19,60 +19,38 @@ arrival/departure.
 
 Delta recomputation contract
 ----------------------------
-Rate providers expose two entry points:
+A rate provider has one delta entry point and one full-set shim:
 
-* ``rates(active)`` — the historical full-set call: the rate (bytes/s) of
-  every transfer in ``active``.  The rates returned for a given active set
-  must not depend on *when* the provider was previously queried, only on
-  the set itself — any conforming provider can cache aggressively.
-* ``update(added, removed) -> changed`` — the delta call: apply the flow
-  arrivals (``added``, :class:`Transfer` objects) and departures
-  (``removed``, transfer ids) and return the rates of exactly the transfers
-  that were **re-priced** — every added transfer plus any incumbent whose
-  rate may have changed (for the model-side provider that is the membership
-  of the conflict components dirtied by the delta, straight out of
+* ``update(added, removed) -> {tid: rate}`` — apply the flow arrivals
+  (``added``, :class:`Transfer` objects) and departures (``removed``,
+  transfer ids) and return the rates of exactly the transfers that were
+  **re-priced** — every added transfer plus any incumbent whose rate may
+  have changed (for the model-side provider that is the membership of the
+  conflict components dirtied by the delta, straight out of
   :class:`repro.core.incremental.IncrementalPenaltyEngine`; for the
   emulator it is the value-diff of the re-solved allocation).  Transfers
   absent from the returned mapping are guaranteed to keep their previous
   rate, which is what lets the calendar leave their predicted completion
   untouched.  Providers may also expose ``reset()`` to drop the tracked
   active set between independent runs (memo caches survive a reset).
+* ``rates(active)`` — the historical full-set call: the rate (bytes/s) of
+  every transfer in ``active``.  The rates returned for a given active set
+  must not depend on *when* the provider was previously queried, only on
+  the set itself — any conforming provider can cache aggressively.  On a
+  delta provider it is a shim over ``update``.
 
-Providers can additionally opt into two faster *array* variants of the
-delta call — same semantics, cheaper handoff; the calendar probes for
-them at construction and uses the fastest one available when running
-vectorized and untraced:
+Both built-in providers (:class:`repro.simulator.providers.ModelRateProvider`
+and :class:`repro.network.allocator.EmulatorRateProvider`) implement the
+contract.  The calendar hands every flush to ``update`` in delta mode and
+to ``rates`` in full-query mode (``delta=False``, the reference the property
+tests compare against), and applies the returned mapping through one
+per-flight loop either way — tracing, metering and rate scaling add records
+or a multiplier, never a different code path.
 
-* ``update_arrays(added, removed) -> (tids, rates)`` — the changed set as
-  a parallel id list + float64 ndarray instead of a dict, so the
-  vectorized apply consumes the provider's arrays without building (and
-  immediately unpacking) a mapping.
-* ``update_slots(added, added_slots, removed) -> (tids, slots, rates)`` —
-  the slot-handle tier: at flush the calendar passes each arrival's
-  structure-of-arrays *slot index* alongside the :class:`Transfer`; the
-  provider stores the handles and returns every subsequent changed set
-  already slot-aligned (intp ndarray), eliminating the per-flush
-  tid→slot hash gather entirely.  Returned slots are authoritative —
-  the provider must report only transfers it was handed and not yet
-  removed.  When a rate-scale hook is installed the calendar skips this
-  tier (scaling needs the per-id path), falling back to
-  ``update_arrays`` or ``update``; the :meth:`TransferCalendar.reprice`
-  that accompanies clearing the scale re-seeds the handles and re-enters
-  the slot tier.  Stall retries and reprices ride the same tier as
-  ordinary flushes, so a slot-tier provider's handle bookkeeping stays
-  consistent through the departure+arrival retry cycle.
-
-Both built-in providers speak all three tiers
-(:class:`repro.simulator.providers.ModelRateProvider` threads slot handles
-through the incremental pricing engine's component bookkeeping;
-:class:`repro.network.allocator.EmulatorRateProvider` stores them in its
-endpoint-pair buckets).  All three tiers are bit-exact with one another:
-they must report the same transfers in the same order with identical
-float64 values, which the calendar turns into identical epoch bumps, seq
-numbers and heap entries.  Which tier served each flush is counted in
-``CalendarStats.handoff_tier_slots``/``_arrays``/``_dict``.  The full tier
-contract, including slot-map ownership rules, is documented in
-``docs/delta-handoff.md``.
+Simulation cost therefore scales with *state changes* (how many transfers
+each arrival/departure re-prices) rather than with the size of the active
+set: per event the provider prices one dirtied conflict component and the
+calendar re-times only the transfers inside it.
 
 Calendar invariants
 -------------------
@@ -107,11 +85,10 @@ epoch)`` entries.
   Compacted-away entries count into ``CalendarStats.stale_entries`` exactly
   as if they had surfaced and been discarded; ``CalendarStats.compactions``
   counts the rebuilds.  Compaction is checked once after every applied
-  changed set (scalar and array paths alike), after every drift re-timing
-  in the pop loop and after every :meth:`cancel` (a cancel-heavy workload
-  grows only stale entries, so re-timings alone would never trigger it),
-  so the heap stays ``max(COMPACT_MIN_HEAP, 2 × active)``-bounded after
-  every mutating call, and all paths compact at the same program points.
+  changed set, after every drift re-timing in the pop loop and after every
+  :meth:`cancel` (a cancel-heavy workload grows only stale entries, so
+  re-timings alone would never trigger it), so the heap stays
+  ``max(COMPACT_MIN_HEAP, 2 × active)``-bounded after every mutating call.
 * **Zero-rate flights**: a flight whose applied rate is ``<= 0`` gets no
   calendar entry (nothing to predict).  The calendar tracks these in a
   *stalled* set; in delta mode every subsequent :meth:`flush` re-rates them
@@ -144,57 +121,6 @@ foreground ones.  Two hooks exist for injectors:
 
 With no injectors installed (no scale hook, no reprice calls) every code
 path is bit-for-bit identical to the pre-injection calendar.
-
-Array formulation (``vectorized=True``)
----------------------------------------
-The scalar calendar keeps one ``_Flight`` object per transfer and walks a
-Python loop per changed rate.  With ``vectorized=True`` (the default) the
-same state lives in dense **structure-of-arrays** storage
-(:class:`_FlightArrays`): parallel numpy arrays ``remaining`` / ``rate`` /
-``last_update`` (float64), ``epoch`` (int64) and ``rated`` (bool), indexed
-by an integer *slot* per in-flight transfer.  A :class:`SlotMap` maintains
-the tid↔slot mapping — the same dense-slot-plus-free-list discipline the
-emulator allocator uses for its incidence arrays.  Slot-map invariants:
-
-* every active tid owns exactly one slot; ``SlotMap.slot_of`` preserves
-  *activation order* (so full-set provider queries, missing-rate scans and
-  :meth:`reprice` enumerate transfers in the same order as the scalar
-  ``_flights`` dict);
-* released slots go to a free-list and are reused LIFO; array cells of
-  free slots are garbage and are never read (liveness is defined by
-  ``slot_of`` membership, not by array contents);
-* arrays grow by doubling and never shrink — the slot high-water mark
-  bounds their length.
-
-On that substrate a flush applies the provider's changed set in one numpy
-batch: gather old rates by slot, mask the entries whose rate *value*
-actually changed, integrate ``remaining -= rate · dt`` and predict
-``now + remaining / rate`` for the whole changed set elementwise, then
-insert the fresh heap entries either one ``heappush`` at a time or — when
-the batch has at least :attr:`~TransferCalendar.BULK_HEAPIFY_MIN` entries
-and is at least a quarter of the current heap size — by a single
-list-extend + ``heapify`` rebuild (O(heap) once beats O(k·log heap) pushes
-precisely in that regime).  Compaction under the array path evaluates the
-epoch-liveness mask with one vectorized compare instead of a per-entry
-attribute walk.
-
-The batch is **bit-exact** with the scalar loop: numpy float64 elementwise
-arithmetic performs the same IEEE-754 operations in the same per-flight
-order, heap entries carry unique ``(completion, seq)`` keys so the pop
-stream is a pure function of the entry *set* (never of the heap's internal
-arrangement), and seq numbers are drawn in the same changed-set order.
-Tracing never changes the strategy: the batch emits
-``calendar.stall``/``calendar.retime`` records per flight in changed order
-— the exact interleaving the scalar loop produces — and every path checks
-compaction once per apply (not per push), so traced, untraced, scalar and
-array runs see the same heap evolution and report the same stats.
-Property-tested across vectorized×delta × both provider families in
-``tests/property/test_vectorized_calendar.py``.
-
-Simulation cost therefore scales with *state changes* (how many transfers
-each arrival/departure re-prices) rather than with the size of the active
-set: per event the provider prices one dirtied conflict component and the
-calendar re-times only the transfers inside it.
 
 Calendar trace events
 ---------------------
@@ -245,7 +171,6 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from time import perf_counter
 from typing import (
     Callable,
@@ -259,7 +184,6 @@ from typing import (
     Tuple,
 )
 
-from .._numpy import np
 from ..exceptions import SimulationError
 from ..trace.records import SnapshotBase, TraceRecord, emit_inject_apply
 from ..trace.sinks import TraceSink, active_sink
@@ -271,65 +195,10 @@ __all__ = [
     "DeltaRateProvider",
     "CalendarStats",
     "CalendarStatsSnapshot",
-    "SlotMap",
     "TransferCalendar",
     "RateScaleRegistry",
     "FluidTransferSimulator",
 ]
-
-
-class SlotMap:
-    """Dense integer slots for hashable keys, with LIFO free-list reuse.
-
-    The tid↔slot discipline shared by the vectorized calendar's
-    structure-of-arrays flight store and the emulator allocator's persistent
-    resource index: keys acquire the lowest-overhead available slot (a freed
-    one if any, else the high-water mark), so parallel arrays indexed by
-    slot stay dense and bounded by the peak live-set size.
-
-    ``slot_of`` is the public key → slot mapping; its iteration order is
-    *acquisition order* of the currently live keys (a plain insertion-ordered
-    dict), which callers rely on to enumerate keys deterministically.
-    """
-
-    __slots__ = ("slot_of", "_free", "capacity")
-
-    def __init__(self) -> None:
-        self.slot_of: Dict[Hashable, int] = {}
-        self._free: List[int] = []
-        #: slot high-water mark — parallel arrays must hold at least this many cells
-        self.capacity = 0
-
-    def __len__(self) -> int:
-        return len(self.slot_of)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self.slot_of
-
-    def get(self, key: Hashable, default: Optional[int] = None) -> Optional[int]:
-        return self.slot_of.get(key, default)
-
-    def acquire(self, key: Hashable) -> int:
-        """Assign a slot to ``key`` (which must not currently hold one)."""
-        free = self._free
-        if free:
-            slot = free.pop()
-        else:
-            slot = self.capacity
-            self.capacity += 1
-        self.slot_of[key] = slot
-        return slot
-
-    def release(self, key: Hashable) -> int:
-        """Return ``key``'s slot to the free-list; raises ``KeyError`` if absent."""
-        slot = self.slot_of.pop(key)
-        self._free.append(slot)
-        return slot
-
-    def clear(self) -> None:
-        self.slot_of.clear()
-        self._free.clear()
-        self.capacity = 0
 
 
 @dataclass
@@ -410,11 +279,6 @@ class CalendarStatsSnapshot(SnapshotBase):
     compactions: int = 0
     cancelled: int = 0
     stall_retries: int = 0
-    bulk_merges: int = 0
-    bulk_entries: int = 0
-    handoff_tier_slots: int = 0
-    handoff_tier_arrays: int = 0
-    handoff_tier_dict: int = 0
 
 
 @dataclass
@@ -442,15 +306,6 @@ class CalendarStats:
     cancelled: int = 0
     #: forced re-rates of zero-rated flights through the delta API
     stall_retries: int = 0
-    #: bulk heapify-merges of batched re-timings (array path only)
-    bulk_merges: int = 0
-    #: heap entries inserted through bulk merges (⊆ ``retimed``)
-    bulk_entries: int = 0
-    #: flushes served by each provider handoff tier (slots/arrays/dict);
-    #: strategy counters — they differ between scalar and vectorized runs
-    handoff_tier_slots: int = 0
-    handoff_tier_arrays: int = 0
-    handoff_tier_dict: int = 0
 
     def freeze(self) -> CalendarStatsSnapshot:
         """Typed immutable snapshot of the current counter values."""
@@ -465,11 +320,6 @@ class CalendarStats:
             compactions=self.compactions,
             cancelled=self.cancelled,
             stall_retries=self.stall_retries,
-            bulk_merges=self.bulk_merges,
-            bulk_entries=self.bulk_entries,
-            handoff_tier_slots=self.handoff_tier_slots,
-            handoff_tier_arrays=self.handoff_tier_arrays,
-            handoff_tier_dict=self.handoff_tier_dict,
         )
 
     def snapshot(self) -> Dict[str, int]:
@@ -489,72 +339,6 @@ class _Flight:
         self.rated = False
         self.last_update = now
         self.epoch = 0
-
-
-class _FlightArrays:
-    """Structure-of-arrays flight store of the vectorized calendar.
-
-    The same per-flight fields as :class:`_Flight`, as dense slot-indexed
-    numpy arrays (see the module docstring's array-formulation section for
-    the invariants).  ``transfer`` is a parallel Python list (the only
-    per-flight object field); ``unrated`` counts live flights whose rate has
-    never been applied, so the delta-mode missing-rate scan can be skipped
-    entirely in the steady state.
-    """
-
-    __slots__ = ("slots", "transfer", "remaining", "rate", "last_update",
-                 "epoch", "rated", "unrated")
-
-    #: initial array capacity (doubles on growth)
-    GROW_MIN = 16
-
-    def __init__(self) -> None:
-        self.slots = SlotMap()
-        self.transfer: List[Optional[Transfer]] = []
-        self.remaining = np.zeros(0, dtype=np.float64)
-        self.rate = np.zeros(0, dtype=np.float64)
-        self.last_update = np.zeros(0, dtype=np.float64)
-        self.epoch = np.zeros(0, dtype=np.int64)
-        self.rated = np.zeros(0, dtype=bool)
-        self.unrated = 0
-
-    def _grow(self, needed: int) -> None:
-        cap = max(self.GROW_MIN, 2 * len(self.transfer))
-        while cap < needed:
-            cap *= 2
-        pad = cap - len(self.transfer)
-        self.transfer.extend([None] * pad)
-        self.remaining = np.concatenate([self.remaining, np.zeros(pad)])
-        self.rate = np.concatenate([self.rate, np.zeros(pad)])
-        self.last_update = np.concatenate([self.last_update, np.zeros(pad)])
-        self.epoch = np.concatenate([self.epoch, np.zeros(pad, dtype=np.int64)])
-        self.rated = np.concatenate([self.rated, np.zeros(pad, dtype=bool)])
-
-    def add(self, tid: Hashable, transfer: Transfer, remaining: float,
-            now: float) -> int:
-        slot = self.slots.acquire(tid)
-        if slot >= len(self.transfer):
-            self._grow(slot + 1)
-        self.transfer[slot] = transfer
-        self.remaining[slot] = remaining
-        self.rate[slot] = 0.0
-        self.last_update[slot] = now
-        self.epoch[slot] = 0
-        self.rated[slot] = False
-        self.unrated += 1
-        return slot
-
-    def remove(self, tid: Hashable) -> int:
-        slot = self.slots.release(tid)
-        self.transfer[slot] = None
-        if not self.rated[slot]:
-            self.unrated -= 1
-        return slot
-
-    def transfers(self) -> List[Transfer]:
-        """Live transfers in activation order (the scalar ``_flights`` order)."""
-        transfer = self.transfer
-        return [transfer[slot] for slot in self.slots.slot_of.values()]
 
 
 class TransferCalendar:
@@ -593,25 +377,12 @@ class TransferCalendar:
         sampled when the registry sets
         :attr:`~repro.obs.MetricsRegistry.timer_sample_every`).  Mirrors
         the trace contract: ``None`` costs one pointer test per flush.
-    vectorized:
-        When True (default), flight state lives in the structure-of-arrays
-        store and batched rate applications run through numpy — bit-exact
-        with the scalar path (see the module docstring's array-formulation
-        section).  ``False`` keeps the historical per-``_Flight``-object
-        path (the verification twin the property tests compare against).
     """
 
     EPSILON = 1e-12
     EPSILON_BYTES = 1e-6
     #: heaps smaller than this are never compacted (compaction is O(heap))
     COMPACT_MIN_HEAP = 64
-    #: batched re-timings below this count use per-entry ``heappush``; at or
-    #: above it (and when the batch is ≥ ¼ of the heap) a single
-    #: extend+``heapify`` rebuild is cheaper — identical pop stream either way
-    BULK_HEAPIFY_MIN = 8
-    #: changed sets below this size take the per-flight loop (array dispatch
-    #: overhead beats the win on tiny batches); never depends on tracing
-    BATCH_MIN = 4
     #: ``calendar.stall_retry`` payloads name at most this many ids
     STALL_RETRY_TRACE_IDS = 8
 
@@ -622,7 +393,6 @@ class TransferCalendar:
         missing_rate: str = "error",
         trace: Optional[TraceSink] = None,
         metrics=None,
-        vectorized: bool = True,
     ) -> None:
         if missing_rate not in ("error", "zero"):
             raise SimulationError(f"unknown missing_rate policy {missing_rate!r}")
@@ -634,21 +404,10 @@ class TransferCalendar:
         self.provider = rate_provider
         self.delta = has_update if delta is None else bool(delta)
         self.missing_rate = missing_rate
-        self.vectorized = bool(vectorized)
         self._trace = active_sink(trace)
         self._flush_timer = metrics.timer("calendar.flush_s") if metrics is not None else None
         self.stats = CalendarStats()
         self._flights: Dict[Hashable, _Flight] = {}
-        #: structure-of-arrays flight store; ``None`` on the scalar path
-        self._arr: Optional[_FlightArrays] = _FlightArrays() if self.vectorized else None
-        #: array-handoff delta entry point of the provider, when it has one
-        update_arrays = getattr(rate_provider, "update_arrays", None)
-        self._update_arrays = update_arrays if callable(update_arrays) else None
-        #: slot-handle handoff (the fastest tier): the provider keeps the
-        #: slot index the calendar assigned at activation and returns rates
-        #: already slot-aligned — no per-flush hash gather at all
-        update_slots = getattr(rate_provider, "update_slots", None)
-        self._update_slots = update_slots if callable(update_slots) else None
         self._heap: List[Tuple[float, int, Hashable, int]] = []
         self._seq = itertools.count()
         self._pending_added: Dict[Hashable, Transfer] = {}
@@ -661,38 +420,25 @@ class TransferCalendar:
     # --------------------------------------------------------------- queries
     @property
     def active_count(self) -> int:
-        if self._arr is not None:
-            return len(self._arr.slots)
         return len(self._flights)
 
     def remaining(self, tid: Hashable) -> float:
         """Remaining bytes as of the flight's last integration point."""
-        if self._arr is not None:
-            return float(self._arr.remaining[self._arr.slots.slot_of[tid]])
         return self._flights[tid].remaining
 
     def is_active(self, tid: Hashable) -> bool:
-        if self._arr is not None:
-            return tid in self._arr.slots
         return tid in self._flights
 
     def stalled_ids(self) -> Tuple[Hashable, ...]:
         """Ids of flights currently zero-rated (no calendar entry), in order."""
         return tuple(self._stalled)
 
-    def _live_epoch(self, tid: Hashable) -> Optional[int]:
-        """Current epoch of a live flight, or ``None`` when departed."""
-        if self._arr is not None:
-            slot = self._arr.slots.slot_of.get(tid)
-            return None if slot is None else int(self._arr.epoch[slot])
-        flight = self._flights.get(tid)
-        return None if flight is None else flight.epoch
-
     def next_time(self) -> Optional[float]:
         """Earliest valid predicted completion, or ``None``."""
         while self._heap:
             time, _, tid, epoch = self._heap[0]
-            if self._live_epoch(tid) != epoch:
+            flight = self._flights.get(tid)
+            if flight is None or flight.epoch != epoch:
                 heapq.heappop(self._heap)
                 self.stats.stale_entries += 1
                 continue
@@ -703,15 +449,9 @@ class TransferCalendar:
     def activate(self, transfer: Transfer, now: float) -> None:
         """A transfer starts progressing at ``now`` (joins the next flush)."""
         tid = transfer.transfer_id
-        arr = self._arr
-        if arr is not None:
-            if tid in arr.slots:
-                raise SimulationError(f"transfer {tid!r} is already active")
-            arr.add(tid, transfer, float(transfer.size), now)
-        else:
-            if tid in self._flights:
-                raise SimulationError(f"transfer {tid!r} is already active")
-            self._flights[tid] = _Flight(transfer, float(transfer.size), now)
+        if tid in self._flights:
+            raise SimulationError(f"transfer {tid!r} is already active")
+        self._flights[tid] = _Flight(transfer, float(transfer.size), now)
         self._pending_added[tid] = transfer
         self.stats.activations += 1
         if self._trace is not None:
@@ -729,22 +469,10 @@ class TransferCalendar:
         compaction is checked here too, so a cancel-heavy workload (which
         creates stale entries without ever re-timing) keeps the heap bound.
         """
-        arr = self._arr
-        if arr is not None:
-            slot = arr.slots.slot_of.get(tid)
-            if slot is None:
-                raise SimulationError(f"cannot cancel unknown transfer {tid!r}")
-            self._integrate_slot(slot, now)
-            remaining = float(arr.remaining[slot])
-            transfer = arr.transfer[slot]
-            arr.remove(tid)
-        else:
-            flight = self._flights.pop(tid, None)
-            if flight is None:
-                raise SimulationError(f"cannot cancel unknown transfer {tid!r}")
-            self._integrate(flight, now)
-            remaining = flight.remaining
-            transfer = flight.transfer
+        flight = self._flights.pop(tid, None)
+        if flight is None:
+            raise SimulationError(f"cannot cancel unknown transfer {tid!r}")
+        self._integrate(flight, now)
         if tid in self._pending_added:
             del self._pending_added[tid]  # the provider never saw it
         else:
@@ -753,10 +481,10 @@ class TransferCalendar:
         self.stats.cancelled += 1
         if self._trace is not None:
             self._trace.emit(TraceRecord(now, "calendar.cancel", tid, {
-                "remaining": remaining,
+                "remaining": flight.remaining,
             }))
         self._maybe_compact(now)
-        return transfer
+        return flight.transfer
 
     def set_rate_scale(self, scale: Optional[Callable[[Transfer], float]]) -> None:
         """Install (or clear) a post-provider rate multiplier.
@@ -765,11 +493,6 @@ class TransferCalendar:
         installed function must be pure and may only change together with a
         :meth:`reprice` call — otherwise already-applied rates would keep the
         old scale.  ``None`` restores the unscaled (bit-exact) path.
-
-        While a scale is installed, flushes skip the slot tier (scaling
-        needs the per-id path); the :meth:`reprice` that accompanies
-        clearing the scale re-seeds the provider's slot handles, so the
-        downgrade lasts exactly as long as the scale window.
         """
         self._rate_scale = scale
 
@@ -783,8 +506,7 @@ class TransferCalendar:
     def _retime(self, tid: Hashable, flight: _Flight, now: float) -> None:
         # compaction is NOT checked here: every caller checks it once after
         # its whole batch of re-timings (end of _apply_changed, the pop_due
-        # drift branch, cancel), so the scalar and batched-array paths
-        # compact at the same program points with the same heap contents
+        # drift branch, cancel)
         flight.epoch += 1
         if flight.rated and flight.rate > 0.0:
             completion = now + flight.remaining / flight.rate
@@ -796,103 +518,19 @@ class TransferCalendar:
                     "completion": completion,
                 }))
 
-    # ------------------------------------------------- array-path primitives
-    def _integrate_slot(self, slot: int, now: float) -> None:
-        # the scalar _integrate over the SoA store: same operations on the
-        # same float64 values, so the stored bytes are bit-identical
-        arr = self._arr
-        if arr.rated[slot]:
-            rate = arr.rate[slot]
-            if rate > 0.0:
-                dt = now - arr.last_update[slot]
-                if dt > 0.0:
-                    arr.remaining[slot] = arr.remaining[slot] - rate * dt
-        arr.last_update[slot] = now
-
-    def _retime_slot(self, tid: Hashable, slot: int, now: float) -> None:
-        arr = self._arr
-        epoch = int(arr.epoch[slot]) + 1
-        arr.epoch[slot] = epoch
-        if arr.rated[slot]:
-            rate = arr.rate[slot]
-            if rate > 0.0:
-                # heap entries hold Python floats/ints (never numpy scalars:
-                # they would leak into results and JSON trace payloads)
-                completion = float(now + arr.remaining[slot] / rate)
-                heapq.heappush(self._heap, (completion, next(self._seq), tid, epoch))
-                self.stats.retimed += 1
-                if self._trace is not None:
-                    self._trace.emit(TraceRecord(now, "calendar.retime", tid, {
-                        "rate": float(rate),
-                        "remaining": float(arr.remaining[slot]),
-                        "completion": completion,
-                    }))
-
-    def _apply_rate_slot(self, tid: Hashable, slot: int, rate: float,
-                         now: float) -> None:
-        # the scalar _apply_rate over the SoA store (same order of effects,
-        # including the stall-trace-before-value-compare interleaving)
-        arr = self._arr
-        if self._rate_scale is not None:
-            rate = rate * self._rate_scale(arr.transfer[slot])
-        if rate <= 0.0:
-            if self._trace is not None and tid not in self._stalled:
-                self._trace.emit(TraceRecord(now, "calendar.stall", tid,
-                                             {"rate": float(rate)}))
-            self._stalled[tid] = None
-        else:
-            self._stalled.pop(tid, None)
-        if arr.rated[slot] and rate == arr.rate[slot]:
-            return  # value unchanged: the calendar entry stays valid
-        self._integrate_slot(slot, now)
-        arr.rate[slot] = rate
-        if not arr.rated[slot]:
-            arr.rated[slot] = True
-            arr.unrated -= 1
-        self._retime_slot(tid, slot, now)
-
-    def _maybe_compact(self, now: float, fresh: int = 0) -> None:
+    def _maybe_compact(self, now: float) -> None:
         # every flight owns at most one live entry, so heap > 2*flights means
         # the stale entries hold the majority: rebuild in place (amortized
-        # O(1) per push — the heap must double through pushes to re-trigger).
-        # ``fresh`` > 0 means _apply_batch just appended that many known-live
-        # entries WITHOUT sifting (deferred bulk merge): whatever happens,
-        # this call restores the heap invariant — either the compaction
-        # rebuild heapifies anyway (skipping the fresh tail in its liveness
-        # scan), or the no-compaction exit heapifies the merged heap.
-        arr = self._arr
-        active = len(arr.slots) if arr is not None else len(self._flights)
+        # O(1) per push — the heap must double through pushes to re-trigger)
         heap = self._heap
         if (len(heap) < self.COMPACT_MIN_HEAP
-                or len(heap) <= 2 * active):
-            if fresh:
-                heapq.heapify(heap)
+                or len(heap) <= 2 * len(self._flights)):
             return
-        if arr is not None:
-            # vectorized epoch-liveness mask: gather each entry's slot (−1
-            # when the flight departed) and compare stored vs entry epochs
-            # in one array op; the per-entry extraction runs entirely at
-            # C level (map/itemgetter feeding fromiter, compress selecting
-            # the survivors in heap order)
-            scan = heap[:len(heap) - fresh] if fresh else heap
-            n = len(scan)
-            get = arr.slots.slot_of.get
-            slots = np.fromiter(
-                map(get, map(itemgetter(2), scan), itertools.repeat(-1)),
-                dtype=np.intp, count=n)
-            epochs = np.fromiter(map(itemgetter(3), scan),
-                                 dtype=np.int64, count=n)
-            valid = slots >= 0
-            alive = valid & (arr.epoch[np.where(valid, slots, 0)] == epochs)
-            live = list(itertools.compress(scan, alive.tolist()))
-            if fresh:
-                live.extend(heap[len(heap) - fresh:])
-        else:
-            live = []
-            for entry in heap:
-                flight = self._flights.get(entry[2])
-                if flight is not None and flight.epoch == entry[3]:
-                    live.append(entry)
+        live = []
+        for entry in heap:
+            flight = self._flights.get(entry[2])
+            if flight is not None and flight.epoch == entry[3]:
+                live.append(entry)
         self.stats.stale_entries += len(heap) - len(live)
         heapq.heapify(live)
         dropped = len(heap) - len(live)
@@ -932,76 +570,32 @@ class TransferCalendar:
                 return
             added_count = len(self._pending_added)
             removed_count = len(self._pending_removed)
-            added = list(self._pending_added.values())
-            removed = list(self._pending_removed)
-            use_slots = (self._update_slots is not None
-                         and self._rate_scale is None)
-            if (self._arr is not None and self._trace is None
-                    and (use_slots or self._update_arrays is not None)):
-                slots = None
-                if use_slots:
-                    # slot-handle handoff: each arrival carries the slot
-                    # index the store assigned at activation; the provider
-                    # mirrors the add/remove stream and hands rates back
-                    # already slot-aligned (intp + float64 ndarrays) — the
-                    # steady state runs without a single tid hash lookup
-                    slot_of = self._arr.slots.slot_of
-                    added_slots = [slot_of[t.transfer_id] for t in added]
-                    tids, slots, rates = self._update_slots(
-                        added, added_slots, removed)
-                else:
-                    # array handoff: the provider returns (ids,
-                    # rates-ndarray) directly — no intermediate dict on the
-                    # batch path
-                    tids, rates = self._update_arrays(added, removed)
-                self._pending_added.clear()
-                self._pending_removed.clear()
-                self.stats.flushes += 1
-                if slots is not None:
-                    self.stats.handoff_tier_slots += 1
-                else:
-                    self.stats.handoff_tier_arrays += 1
-                self.stats.rate_updates += len(tids)
-                self.stats.active_at_flush += len(self._arr.slots)
-                self._apply_changed_array(tids, rates, now, None, slots=slots)
-                if self._stalled:
-                    self._retry_stalled(now)
-                return
-            changed: Mapping[Hashable, float] = self.provider.update(added, removed)
-            self._pending_added.clear()
-            self._pending_removed.clear()
+            changed: Mapping[Hashable, float] = self.provider.update(
+                list(self._pending_added.values()), list(self._pending_removed))
         else:
-            if not self.active_count:
+            if not self._flights:
                 self._pending_added.clear()
                 self._pending_removed.clear()
                 return
             added_count = len(self._pending_added)
             removed_count = len(self._pending_removed)
-            if self._arr is not None:
-                active = self._arr.transfers()
-            else:
-                active = [flight.transfer for flight in self._flights.values()]
-            changed = self.provider.rates(active)
-            self._pending_added.clear()
-            self._pending_removed.clear()
+            changed = self.provider.rates(
+                [flight.transfer for flight in self._flights.values()])
+        self._pending_added.clear()
+        self._pending_removed.clear()
         self.stats.flushes += 1
-        self.stats.handoff_tier_dict += 1
         self.stats.rate_updates += len(changed)
-        self.stats.active_at_flush += self.active_count
+        self.stats.active_at_flush += len(self._flights)
         if self._trace is not None:
             self._trace.emit(TraceRecord(now, "calendar.flush", None, {
                 "added": added_count, "removed": removed_count,
-                "changed": len(changed), "active": self.active_count,
+                "changed": len(changed), "active": len(self._flights),
             }))
         self._apply_changed(changed, now)
         if self.delta and self._stalled:
             self._retry_stalled(now)
 
     def _apply_changed(self, changed: Mapping[Hashable, float], now: float) -> None:
-        if self._arr is not None:
-            self._apply_changed_array(list(changed.keys()),
-                                      list(changed.values()), now, changed)
-            return
         for tid, rate in changed.items():
             flight = self._flights.get(tid)
             if flight is None:
@@ -1024,275 +618,6 @@ class TransferCalendar:
                 self._apply_rate(tid, self._flights[tid], 0.0, now)
         self._maybe_compact(now)
 
-    def _apply_changed_array(self, tids: Sequence[Hashable], rates,
-                             now: float, full_keys, slots=None) -> None:
-        """Apply a changed set on the array path.
-
-        ``rates`` is a float sequence or ndarray aligned with ``tids``;
-        ``full_keys`` is the changed-id container for the full-query missing
-        scan (``None`` in delta mode, where absence means "unchanged").
-        ``slots``, when given, is the slot-handle handoff's intp ndarray
-        aligned with ``tids`` — authoritative (no unknown-id filtering), so
-        the whole gather is skipped.  Tiny batches run the per-flight loop;
-        the rest takes the numpy batch.  The choice never depends on
-        tracing — the batch emits the same record stream as the loop — so
-        traced and untraced runs do identical bookkeeping and report
-        identical stats.
-        """
-        arr = self._arr
-        fresh = 0
-        if len(tids) < self.BATCH_MIN:
-            if slots is not None:
-                for tid, slot, rate in zip(tids, slots.tolist(), rates):
-                    if rate < 0:
-                        raise SimulationError(
-                            f"negative rate for transfer {tid!r}")
-                    self._apply_rate_slot(tid, slot, float(rate), now)
-            else:
-                slot_of = arr.slots.slot_of
-                for tid, rate in zip(tids, rates):
-                    slot = slot_of.get(tid)
-                    if slot is None:
-                        continue  # a full-map shim may echo ids the caller never activated
-                    if rate < 0:
-                        raise SimulationError(f"negative rate for transfer {tid!r}")
-                    self._apply_rate_slot(tid, slot, float(rate), now)
-        else:
-            fresh = self._apply_batch(tids, rates, now, slots=slots)
-        if full_keys is None or self.delta:
-            missing = ([tid for tid, slot in arr.slots.slot_of.items()
-                        if not arr.rated[slot]] if arr.unrated else [])
-        else:
-            missing = [tid for tid in arr.slots.slot_of if tid not in full_keys]
-        if missing:
-            if fresh:
-                # restore the heap invariant before raising or re-rating
-                # (the missing scan itself never touches the heap)
-                heapq.heapify(self._heap)
-                fresh = 0
-            if self.missing_rate == "error":
-                raise SimulationError(f"rate provider returned no rate for {missing!r}")
-            slot_of = arr.slots.slot_of
-            for tid in missing:
-                self._apply_rate_slot(tid, slot_of[tid], 0.0, now)
-        self._maybe_compact(now, fresh=fresh)
-
-    def _apply_batch(self, tids: Sequence[Hashable], rates, now: float,
-                     slots=None) -> int:
-        """One numpy dispatch over the whole changed set.
-
-        Performs, for every flight whose rate value changed: integrate at
-        the old rate, store the new rate, bump the epoch, and predict the
-        new completion — all elementwise, in the same per-flight operation
-        order as the scalar loop (so the stored float64 state is
-        bit-identical).  Fresh heap entries are heappushed individually or,
-        above the bulk threshold, appended *unsifted* — the returned count
-        tells the caller how many tail entries await the deferred heapify
-        that ``_maybe_compact`` performs (returns 0 when the heap invariant
-        already holds).  The pop stream is identical either way because
-        entries carry unique ``(completion, seq)`` keys.  When traced,
-        ``calendar.stall`` / ``calendar.retime`` records are emitted per
-        flight in changed order — the exact interleaving the scalar loop
-        produces.  Unlike the scalar loop, a negative rate is rejected
-        before *any* of the batch is applied (conforming providers never
-        return one).  When the slot-handle handoff supplies ``slots``, the
-        tid→slot gather is skipped entirely; the handles are authoritative
-        (an unknown-id filter would be meaningless — the provider mirrors
-        the calendar's own add/remove stream).
-        """
-        arr = self._arr
-        slot_of = arr.slots.slot_of
-        scale = self._rate_scale
-        if slots is not None:
-            # slot-handle handoff: the provider already aligned everything
-            # by slot — no gather, no unknown-id filter, no list conversion
-            kept_tids = tids if isinstance(tids, list) else list(tids)
-            k = len(kept_tids)
-            if not k:
-                return 0
-            slots = np.asarray(slots, dtype=np.intp)
-            rate_new = np.asarray(rates, dtype=np.float64)
-            mn = rate_new.min()  # one reduce covers negativity + stall gates
-            if mn < 0.0:
-                tid = kept_tids[int(np.argmax(rate_new < 0.0))]
-                raise SimulationError(f"negative rate for transfer {tid!r}")
-        elif scale is None:
-            # common path: C-level slot gather, then one vectorized
-            # negativity check over the whole batch
-            slot_list = list(map(slot_of.get, tids))
-            if None in slot_list:
-                # a full-map shim may echo unknown ids: filter them out
-                kept_tids, kept_slots, kept_rates = [], [], []
-                for tid, slot, rate in zip(tids, slot_list, rates):
-                    if slot is not None:
-                        kept_tids.append(tid)
-                        kept_slots.append(slot)
-                        kept_rates.append(rate)
-                slot_list, rates = kept_slots, kept_rates
-            else:
-                kept_tids = tids if isinstance(tids, list) else list(tids)
-            k = len(kept_tids)
-            if not k:
-                return 0
-            slots = np.array(slot_list, dtype=np.intp)
-            rate_new = np.asarray(rates, dtype=np.float64)
-            mn = rate_new.min()
-            if mn < 0.0:
-                tid = kept_tids[int(np.argmax(rate_new < 0.0))]
-                raise SimulationError(f"negative rate for transfer {tid!r}")
-        else:
-            kept_tids, slot_list, rate_list = [], [], []
-            transfer = arr.transfer
-            for tid, rate in zip(tids, rates):
-                slot = slot_of.get(tid)
-                if slot is None:
-                    continue
-                if rate < 0:  # validate the raw rate, like the scalar loop
-                    raise SimulationError(f"negative rate for transfer {tid!r}")
-                kept_tids.append(tid)
-                slot_list.append(slot)
-                rate_list.append(rate * scale(transfer[slot]))
-            k = len(kept_tids)
-            if not k:
-                return 0
-            slots = np.fromiter(slot_list, dtype=np.intp, count=k)
-            rate_new = np.fromiter(rate_list, dtype=np.float64, count=k)
-            mn = rate_new.min()  # scaled negatives stall, like the loop path
-        # stall-set bookkeeping, in changed order (skipped entirely in the
-        # common all-positive, nothing-stalled case — a single float
-        # compare); when traced, capture which flights are *newly* stalled
-        # — the scalar loop emits a stall record exactly for those, before
-        # its value compare
-        trace = self._trace
-        stall_new: Optional[List[int]] = None
-        if self._stalled or mn <= 0.0:
-            nonpos = rate_new <= 0.0
-            stalled = self._stalled
-            if trace is not None:
-                stall_new = []
-                for i, tid in enumerate(kept_tids):
-                    if nonpos[i]:
-                        if tid not in stalled:
-                            stall_new.append(i)
-                        stalled[tid] = None
-                    else:
-                        stalled.pop(tid, None)
-            else:
-                for i, tid in enumerate(kept_tids):
-                    if nonpos[i]:
-                        stalled[tid] = None
-                    else:
-                        stalled.pop(tid, None)
-        old_rate = arr.rate[slots]
-        if arr.unrated and mn <= 0.0:
-            # a zero rate may land on an unrated flight whose stored rate is
-            # still the initial 0.0 — the only case where "value unchanged"
-            # and "never rated" can disagree, so take the masked form
-            old_rated = arr.rated[slots]
-            ci = np.nonzero(~(old_rated & (old_rate == rate_new)))[0]
-        else:
-            # unrated flights store rate 0.0, so with every new rate
-            # positive (or nothing unrated) the plain value compare selects
-            # the exact same changed set — no full-width rated gather
-            old_rated = None
-            ci = np.nonzero(old_rate != rate_new)[0]
-        if not ci.size:
-            if trace is not None and stall_new:
-                for i in stall_new:
-                    trace.emit(TraceRecord(now, "calendar.stall", kept_tids[i],
-                                           {"rate": float(rate_new[i])}))
-            return 0
-        cs = slots[ci]
-        c_rate_old = old_rate[ci]
-        c_rate_new = rate_new[ci]
-        # integrate at the old rate up to now (only where the old rate was
-        # progressing and time actually advanced — the masked elements keep
-        # their remaining untouched, and no arithmetic runs on them, so
-        # inf/0-rate flights raise no spurious fp warnings; unrated flights
-        # store rate 0.0, so the rate test alone excludes them)
-        rem = arr.remaining[cs]
-        dt = now - arr.last_update[cs]
-        integrate = (c_rate_old > 0.0) & (dt > 0.0)
-        ni = np.count_nonzero(integrate)
-        if ni == rem.size:
-            # steady state: every changed flight was progressing — same
-            # elementwise subtraction, no index indirection
-            rem -= c_rate_old * dt
-        elif ni:
-            ii = np.nonzero(integrate)[0]
-            rem[ii] = rem[ii] - c_rate_old[ii] * dt[ii]
-        arr.remaining[cs] = rem
-        arr.last_update[cs] = now
-        arr.rate[cs] = c_rate_new
-        if arr.unrated:
-            # never-rated bookkeeping on the changed subset only (every
-            # unrated flight of the batch is in ci: its stored 0.0 never
-            # equals a positive new rate, and the zero-rate case took the
-            # masked form above)
-            c_rated_old = old_rated[ci] if old_rated is not None \
-                else arr.rated[cs]
-            arr.rated[cs] = True
-            newly_rated = int(ci.size - np.count_nonzero(c_rated_old))
-            if newly_rated:
-                arr.unrated -= newly_rated
-        epochs = arr.epoch[cs] + 1
-        arr.epoch[cs] = epochs
-        positive = c_rate_new > 0.0
-        if np.count_nonzero(positive) == positive.size:
-            pi = None  # steady state: every changed rate is positive
-            completions = (now + rem / c_rate_new).tolist()
-            entry_epochs = epochs.tolist()
-            batch_index = ci.tolist()
-        else:
-            pi = np.nonzero(positive)[0]
-            completions = (now + rem[pi] / c_rate_new[pi]).tolist()
-            entry_epochs = epochs[pi].tolist()
-            batch_index = ci[pi].tolist()
-        m = len(batch_index)
-        if m > 1:
-            entry_tids = itemgetter(*batch_index)(kept_tids)
-        else:
-            entry_tids = [kept_tids[batch_index[0]]] if m else []
-        # C-level tuple assembly, consumed exactly once below (extend or the
-        # push loop); islice consumes exactly the m sequence numbers the
-        # scalar loop's per-entry next() would
-        entries = zip(completions, itertools.islice(self._seq, m),
-                      entry_tids, entry_epochs)
-        if trace is not None and (m or stall_new):
-            # replay the scalar loop's record interleaving: per flight in
-            # changed order, a stall record (if newly stalled) then a retime
-            # record (if the value changed to a positive rate)
-            retime_j = {bi: j for j, bi in enumerate(batch_index)}
-            retime_rates = (c_rate_new if pi is None else c_rate_new[pi]).tolist()
-            retime_rems = (rem if pi is None else rem[pi]).tolist()
-            stall_set = set(stall_new) if stall_new else ()
-            for i, tid in enumerate(kept_tids):
-                if i in stall_set:
-                    trace.emit(TraceRecord(now, "calendar.stall", tid,
-                                           {"rate": float(rate_new[i])}))
-                j = retime_j.get(i)
-                if j is not None:
-                    trace.emit(TraceRecord(now, "calendar.retime", tid, {
-                        "rate": retime_rates[j],
-                        "remaining": retime_rems[j],
-                        "completion": completions[j],
-                    }))
-        if m:
-            self.stats.retimed += m
-            heap = self._heap
-            if m >= self.BULK_HEAPIFY_MIN and 4 * m >= len(heap):
-                # deferred bulk merge: append without sifting and let the
-                # caller's _maybe_compact restore the invariant — one
-                # heapify total instead of merge-heapify + compact-heapify
-                heap.extend(entries)
-                self.stats.bulk_merges += 1
-                self.stats.bulk_entries += m
-                return m
-            push = heapq.heappush
-            for entry in entries:
-                push(heap, entry)
-        return 0
-
     def _retry_stalled(self, now: float) -> None:
         """Force zero-rated flights back through the delta API.
 
@@ -1303,31 +628,10 @@ class TransferCalendar:
         otherwise only resurface when an unrelated delta touched their
         component).
         """
-        arr = self._arr
-        if arr is not None:
-            slot_of = arr.slots.slot_of
-            retry = [tid for tid in self._stalled if tid in slot_of]
-            transfer = arr.transfer
-            transfers = [transfer[slot_of[tid]] for tid in retry]
-        else:
-            retry = [tid for tid in self._stalled if tid in self._flights]
-            transfers = [self._flights[tid].transfer for tid in retry]
+        retry = [tid for tid in self._stalled if tid in self._flights]
         if not retry:
             return
-        if (arr is not None and self._trace is None
-                and self._update_slots is not None
-                and self._rate_scale is None):
-            # slot-tier retry: the departure+arrival cycle must re-register
-            # each flight's slot handle with the provider (a dict-tier
-            # re-add would strand the handle and break later slot flushes);
-            # the flight keeps its store slot, only the provider re-tracks
-            added_slots = [slot_of[tid] for tid in retry]
-            tids, slots, rates = self._update_slots(
-                transfers, added_slots, list(retry))
-            self.stats.stall_retries += len(retry)
-            self.stats.rate_updates += len(tids)
-            self._apply_changed_array(tids, rates, now, None, slots=slots)
-            return
+        transfers = [self._flights[tid].transfer for tid in retry]
         changed = self.provider.update(transfers, list(retry))
         self.stats.stall_retries += len(retry)
         self.stats.rate_updates += len(changed)
@@ -1349,20 +653,11 @@ class TransferCalendar:
         this resets the provider's tracked set and re-adds the whole active
         set in one delta; in full-query mode a plain re-query suffices.  Any
         pending delta is flushed first.
-
-        The full re-add goes through the same tier dispatch as
-        :meth:`flush`: once a rate-scale window ends (``set_rate_scale(None)``
-        followed by this call), the reset+re-add re-seeds the provider's
-        slot handles and subsequent flushes re-enter the slot tier instead
-        of staying permanently downgraded.
         """
         self.flush(now)
-        if not self.active_count:
+        if not self._flights:
             return
-        if self._arr is not None:
-            transfers = self._arr.transfers()
-        else:
-            transfers = [flight.transfer for flight in self._flights.values()]
+        transfers = [flight.transfer for flight in self._flights.values()]
         if self.delta:
             reset = getattr(self.provider, "reset", None)
             if not callable(reset):
@@ -1370,37 +665,15 @@ class TransferCalendar:
                     "reprice() on a delta provider requires a reset() method"
                 )
             reset()
-            use_slots = (self._update_slots is not None
-                         and self._rate_scale is None)
-            if (self._arr is not None and self._trace is None
-                    and (use_slots or self._update_arrays is not None)):
-                slots = None
-                if use_slots:
-                    # re-seed every flight's slot handle with the freshly
-                    # reset provider, so the slot tier resumes immediately
-                    slot_of = self._arr.slots.slot_of
-                    added_slots = [slot_of[t.transfer_id] for t in transfers]
-                    tids, slots, rates = self._update_slots(
-                        transfers, added_slots, [])
-                    self.stats.handoff_tier_slots += 1
-                else:
-                    tids, rates = self._update_arrays(transfers, [])
-                    self.stats.handoff_tier_arrays += 1
-                self.stats.flushes += 1
-                self.stats.rate_updates += len(tids)
-                self.stats.active_at_flush += self.active_count
-                self._apply_changed_array(tids, rates, now, None, slots=slots)
-                return
             changed: Mapping[Hashable, float] = self.provider.update(transfers, [])
         else:
             changed = self.provider.rates(transfers)
         self.stats.flushes += 1
-        self.stats.handoff_tier_dict += 1
         self.stats.rate_updates += len(changed)
-        self.stats.active_at_flush += self.active_count
+        self.stats.active_at_flush += len(self._flights)
         if self._trace is not None:
             self._trace.emit(TraceRecord(now, "calendar.reprice", None, {
-                "active": self.active_count, "changed": len(changed),
+                "active": len(self._flights), "changed": len(changed),
             }))
         self._apply_changed(changed, now)
 
@@ -1429,8 +702,6 @@ class TransferCalendar:
         of the next flush; the list preserves entry order (callers that need
         a different completion order sort it themselves).
         """
-        if self._arr is not None:
-            return self._pop_due_array(now)
         done: List[Transfer] = []
         while self._heap:
             time, _, tid, epoch = self._heap[0]
@@ -1460,69 +731,6 @@ class TransferCalendar:
             self.stats.completions += 1
             if self._trace is not None:
                 self._trace.emit(TraceRecord(now, "calendar.complete", tid, {}))
-        return done
-
-    def _pop_due_array(self, now: float) -> List[Transfer]:
-        # the scalar pop loop over the SoA store; Python-float arithmetic on
-        # values read out of the arrays (exact conversions both ways), so the
-        # negligibility decisions match the scalar path bit for bit.  Every
-        # invariant quantity is hoisted out of the loop (the stale-skip runs
-        # thousands of iterations per call on churn-heavy workloads, where
-        # attribute lookups and call frames dominate); _integrate_slot is
-        # inlined with the identical numpy-scalar arithmetic
-        arr = self._arr
-        slot_of = arr.slots.slot_of
-        heap = self._heap
-        heappop = heapq.heappop
-        epoch_arr = arr.epoch
-        remaining_arr = arr.remaining
-        rate_arr = arr.rate
-        last_update_arr = arr.last_update
-        rated_arr = arr.rated
-        horizon = now + self.EPSILON
-        eps_bytes = max(self.EPSILON, self.EPSILON_BYTES)
-        clock_resolution = max(abs(now), 1.0) * 1e-12
-        stale = 0
-        done: List[Transfer] = []
-        while heap:
-            entry = heap[0]
-            tid = entry[2]
-            slot = slot_of.get(tid)
-            if slot is None or epoch_arr[slot] != entry[3]:
-                heappop(heap)
-                stale += 1
-                continue
-            if entry[0] > horizon:
-                break
-            heappop(heap)
-            if rated_arr[slot]:
-                rate = rate_arr[slot]
-                if rate > 0.0:
-                    dt = now - last_update_arr[slot]
-                    if dt > 0.0:
-                        remaining_arr[slot] = remaining_arr[slot] - rate * dt
-            last_update_arr[slot] = now
-            remaining = float(remaining_arr[slot])
-            rate = float(rate_arr[slot])
-            negligible = (
-                remaining <= eps_bytes
-                or (rate > 0.0 and remaining / rate <= clock_resolution)
-            )
-            if not negligible:
-                self._retime_slot(tid, slot, now)  # fp drift: try again later
-                self._maybe_compact(now)
-                heap = self._heap  # compaction rebuilds the heap in place
-                continue
-            transfer = arr.transfer[slot]
-            arr.remove(tid)
-            self._stalled.pop(tid, None)
-            self._pending_removed.append(tid)
-            done.append(transfer)
-            self.stats.completions += 1
-            if self._trace is not None:
-                self._trace.emit(TraceRecord(now, "calendar.complete", tid, {}))
-        if stale:
-            self.stats.stale_entries += stale
         return done
 
 
@@ -1667,10 +875,6 @@ class FluidTransferSimulator:
         (:meth:`~repro.simulator.providers.ModelRateProvider.
         register_metrics`) and the calendar counters join as the
         ``calendar`` source.  ``None`` is the bit-exact unmetered path.
-    vectorized:
-        Forwarded to :class:`TransferCalendar` — True (default) runs the
-        structure-of-arrays calendar, ``False`` the scalar verification
-        twin.  Bit-exact either way.
     """
 
     #: bytes below which a transfer is considered finished (numerical guard)
@@ -1680,8 +884,7 @@ class FluidTransferSimulator:
                  delta: Optional[bool] = None,
                  injectors: Sequence = (),
                  trace: Optional[TraceSink] = None,
-                 metrics=None,
-                 vectorized: bool = True) -> None:
+                 metrics=None) -> None:
         if latency < 0:
             raise SimulationError(f"latency must be non-negative, got {latency}")
         self.rate_provider = rate_provider
@@ -1690,7 +893,6 @@ class FluidTransferSimulator:
         self.injectors = tuple(injectors)
         self.trace = active_sink(trace)
         self.metrics = metrics
-        self.vectorized = bool(vectorized)
         #: calendar work counters of the most recent :meth:`run`
         self.last_calendar_stats: Optional[CalendarStatsSnapshot] = None
 
@@ -1709,8 +911,7 @@ class FluidTransferSimulator:
         trace = self.trace
         calendar = TransferCalendar(self.rate_provider, delta=self.delta,
                                     missing_rate="error", trace=trace,
-                                    metrics=self.metrics,
-                                    vectorized=self.vectorized)
+                                    metrics=self.metrics)
         if self.metrics is not None:
             self.metrics.register_source("calendar", calendar.stats.snapshot)
             register = getattr(self.rate_provider, "register_metrics", None)

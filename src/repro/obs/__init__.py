@@ -13,7 +13,7 @@ See :mod:`repro.obs.registry` for the design.  Quick tour::
 Attaching ``metrics`` lights up the whole stack: the engine registers its
 loop and calendar counters as sources, the rate provider registers its
 pricing stats and installs phase timers around the hot phases (calendar
-flush, batched pricing, water-fill), and — when a trace sink is attached
+flush, dirty-component pricing, water-fill), and — when a trace sink is attached
 too — periodic ``metrics.sample`` records are emitted every
 :attr:`~repro.simulator.engine.EngineConfig.metrics_sample_every` steps.
 """

@@ -139,7 +139,7 @@ class Histogram:
 class PhaseTimer(Histogram):
     """A histogram of phase durations in seconds.
 
-    The profiling hook around the hot phases (calendar flush, batched
+    The profiling hook around the hot phases (calendar flush, dirty-component
     pricing, water-fill).  Hot sites call :meth:`observe` with a
     ``perf_counter`` delta directly — the context-manager form
     (:meth:`time`) is for coarse phases where ``with`` overhead is noise.

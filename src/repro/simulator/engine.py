@@ -105,10 +105,6 @@ class EngineConfig:
     #: re-queries the full active set every step — same results, O(active)
     #: per-step work (kept for verification and benchmarking)
     delta_rates: bool = True
-    #: structure-of-arrays calendar bookkeeping (see
-    #: :class:`~repro.network.fluid.TransferCalendar`'s ``vectorized``);
-    #: ``False`` keeps the scalar per-flight path — bit-exact either way
-    vectorized_calendar: bool = True
     #: interference injectors (:mod:`repro.simulator.interference`) whose
     #: events ride the timeline heap; empty = bit-exact clean-fabric run
     injectors: Tuple = ()
@@ -972,7 +968,6 @@ class ExecutionEngine:
             missing_rate="zero",
             trace=self._trace,
             metrics=self._metrics,
-            vectorized=self.config.vectorized_calendar,
         )
         if self._metrics is not None:
             metrics = self._metrics

@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from typing import Dict, Hashable, List, Sequence
 
-from .._numpy import np
 from ..core.graph import Communication, CommunicationGraph
 from ..core.incremental import EngineStats, IncrementalPenaltyEngine, PenaltyCache
 from ..core.penalty import ContentionModel
@@ -74,13 +73,6 @@ class ModelRateProvider:
         Optional ``map``-compatible callable handed to the incremental
         engine; cache-miss component evaluations of one delta are fanned
         out through it (bit-exact with serial evaluation).
-    vectorized:
-        Passed to the incremental engine: when True (default), cache-miss
-        components of one delta are priced through the model's numpy batch
-        path (:meth:`~repro.core.penalty.ContentionModel.penalties_batch`)
-        instead of a Python loop per component.  Bit-exact with the scalar
-        path.  Ignored in full-recompute mode, which keeps the historical
-        scalar whole-graph evaluation.
     """
 
     def __init__(
@@ -90,17 +82,14 @@ class ModelRateProvider:
         incremental: bool = True,
         cache: PenaltyCache | None = None,
         map_fn=None,
-        vectorized: bool = True,
     ) -> None:
         if isinstance(technology, str):
             technology = get_technology(technology)
         self.model = model
         self.technology = technology
         self.incremental = bool(incremental)
-        self.vectorized = bool(vectorized)
         self._engine: IncrementalPenaltyEngine | None = (
-            IncrementalPenaltyEngine(model, cache=cache, map_fn=map_fn,
-                                     vectorized=self.vectorized)
+            IncrementalPenaltyEngine(model, cache=cache, map_fn=map_fn)
             if self.incremental else None
         )
         # in full-recompute mode the stats only count communication
@@ -111,9 +100,6 @@ class ModelRateProvider:
         self._tid_of: Dict[str, Hashable] = {}
         self._rates: Dict[Hashable, float] = {}
         self._full_penalties: Dict[str, float] = {}
-        #: slot handles of the tracked set (full-recompute slot tier only;
-        #: the incremental engine stores handles itself, keyed by name)
-        self._slot_of: Dict[Hashable, int] = {}
 
     @property
     def stats(self) -> EngineStats:
@@ -176,18 +162,11 @@ class ModelRateProvider:
         self._tid_of.clear()
         self._rates.clear()
         self._full_penalties.clear()
-        self._slot_of.clear()
 
     def _apply_delta(
-        self, added: Sequence[Transfer], removed: Sequence[Hashable],
-        added_slots: Sequence[int] | None = None,
+        self, added: Sequence[Transfer], removed: Sequence[Hashable]
     ) -> None:
-        """Validate the whole delta, then apply it to the tracked set.
-
-        ``added_slots`` (slot tier only) is parallel to ``added``; each
-        arrival's ``(tid, slot, is_intra)`` handle is registered with the
-        incremental engine so re-priced sets come back slot-aligned.
-        """
+        """Validate the whole delta, then apply it to the tracked set."""
         departing = set()
         for tid in removed:
             if tid not in self._active or tid in departing:
@@ -205,14 +184,12 @@ class ModelRateProvider:
             self._rates.pop(tid, None)
             if self._engine is not None:
                 self._engine.remove(str(tid))
-        for index, transfer in enumerate(added):
+        for transfer in added:
             tid = transfer.transfer_id
             self._active[tid] = transfer
             self._tid_of[str(tid)] = tid
             if self._engine is not None:
-                handle = (None if added_slots is None else
-                          (tid, added_slots[index], transfer.is_intra_node))
-                self._engine.add(self._communication(transfer), handle)
+                self._engine.add(self._communication(transfer))
 
     def update(
         self, added: Sequence[Transfer], removed: Sequence[Hashable]
@@ -250,89 +227,6 @@ class ModelRateProvider:
             self._full_penalties = {}
         self._rates.update(changed)
         return changed
-
-    def update_arrays(
-        self, added: Sequence[Transfer], removed: Sequence[Hashable]
-    ):
-        """:meth:`update` with an array payload: ``(tids, rates)``.
-
-        The batched handoff the vectorized
-        :class:`~repro.network.fluid.TransferCalendar` probes for: the same
-        re-priced set in the same order as :meth:`update` would report
-        (downstream seq assignment relies on that), as an id list plus a
-        float64 rate array — penalties converted to rates in one vectorized
-        dispatch with no intermediate dict.  The tracked ``_rates`` stay
-        dict-of-Python-floats either way, so mixing array and dict calls is
-        safe.
-        """
-        if self._engine is None:
-            changed = self.update(added, removed)
-            rates = np.fromiter(changed.values(), dtype=np.float64,
-                                count=len(changed))
-            return list(changed.keys()), rates
-        self._apply_delta(added, removed)
-        names, penalties = self._engine.refresh_arrays()
-        tids = [self._tid_of[name] for name in names]
-        if not tids:
-            return tids, np.empty(0, dtype=np.float64)
-        active = self._active
-        intra = np.fromiter((active[tid].is_intra_node for tid in tids),
-                            dtype=bool, count=len(tids))
-        # elementwise max + one division: identical IEEE-754 operations to
-        # the scalar _rate_of, so each rate is bit-identical
-        penalties = np.maximum(1.0, penalties)
-        bandwidth = np.where(intra, self.technology.memory_bandwidth,
-                             self.technology.single_stream_bandwidth)
-        rates = bandwidth / penalties
-        self._rates.update(zip(tids, rates.tolist()))
-        return tids, rates
-
-    def update_slots(
-        self, added: Sequence[Transfer], added_slots: Sequence[int],
-        removed: Sequence[Hashable]
-    ):
-        """:meth:`update_arrays` with slot handles: ``(tids, slots, rates)``.
-
-        The fastest calendar handoff: the caller passes each arrival's flight
-        slot alongside the transfer, the handles ride the incremental
-        engine's component bookkeeping, and the re-priced set comes back as
-        parallel (tid, slot, rate) sequences — the calendar applies them by
-        direct array indexing with zero per-flush hash gathers.  Same
-        re-priced membership, same order, bit-identical float64 rates as the
-        dict and array tiers.
-        """
-        if self._engine is None:
-            # full-recompute mode: update() validates and re-prices the whole
-            # active set; slots are tracked provider-side and gathered once
-            changed = self.update(added, removed)
-            slot_of = self._slot_of
-            for tid in removed:
-                slot_of.pop(tid, None)
-            for transfer, slot in zip(added, added_slots):
-                slot_of[transfer.transfer_id] = slot
-            tids = list(changed.keys())
-            slots = np.fromiter((slot_of[tid] for tid in tids),
-                                dtype=np.intp, count=len(tids))
-            rates = np.fromiter(changed.values(), dtype=np.float64,
-                                count=len(tids))
-            return tids, slots, rates
-        self._apply_delta(added, removed, added_slots)
-        handles, penalties = self._engine.refresh_handles()
-        if not handles:
-            return [], np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64)
-        count = len(handles)
-        tids = [handle[0] for handle in handles]
-        slots = np.fromiter((handle[1] for handle in handles),
-                            dtype=np.intp, count=count)
-        intra = np.fromiter((handle[2] for handle in handles),
-                            dtype=bool, count=count)
-        # identical IEEE-754 operations to update_arrays/_rate_of
-        penalties = np.maximum(1.0, penalties)
-        bandwidth = np.where(intra, self.technology.memory_bandwidth,
-                             self.technology.single_stream_bandwidth)
-        rates = bandwidth / penalties
-        self._rates.update(zip(tids, rates.tolist()))
-        return tids, slots, rates
 
     def _sync(self, active: Sequence[Transfer]) -> None:
         """Diff ``active`` against the tracked set and apply the delta."""

@@ -1,12 +1,4 @@
-"""Seeded RC04 violations: three contract-shape breakages."""
-
-
-class SlotsWithoutArrays:
-    def update(self, added, removed):
-        return {}
-
-    def update_slots(self, added_slots, removed):
-        return (), (), ()
+"""Seeded RC04 violations: two contract-shape breakages."""
 
 
 class DriftingRates:

@@ -1,15 +1,9 @@
-"""Clean twin: a full three-tier provider with a conforming shim."""
+"""Clean twin: a delta provider with a conforming shim."""
 
 
-class TieredProvider:
+class DeltaProvider:
     def update(self, added, removed):
         return {}
-
-    def update_arrays(self, added, removed):
-        return (), ()
-
-    def update_slots(self, added_slots, removed):
-        return (), (), ()
 
     def rates(self, active):
         # the shim reaches update() transitively, through _sync()
@@ -22,8 +16,9 @@ class TieredProvider:
         pass
 
 
-class InheritedArrays(TieredProvider):
-    """update_slots is fine here: update_arrays comes from the base class."""
+class InheritedShim(DeltaProvider):
+    """rates() is judged on the effective method set: update() comes from
+    the base class."""
 
-    def update_slots(self, added_slots, removed):
-        return (), (), ()
+    def rates(self, active):
+        return self._sync(active)

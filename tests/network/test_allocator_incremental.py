@@ -141,3 +141,58 @@ class TestUnifiedRateCache:
         provider.rates(active)
         provider.rates(active)
         assert provider.cache_hits == 0
+
+
+class TestResourceIndex:
+    """The array solver's resource index: one persistent slot per capacity
+    resource, handed out in first-reference order and never released."""
+
+    @staticmethod
+    def assert_dense_and_priced(provider):
+        slots = provider._res_slots
+        assert sorted(slots.values()) == list(range(len(slots)))
+        for resource, slot in slots.items():
+            assert provider._res_caps[slot] == provider.topology.resource_capacity(resource)
+
+    def test_departures_keep_slots_and_returning_resources_reuse_them(self):
+        topology = FatTreeTopology(num_hosts=8, technology=ETH,
+                                   hosts_per_edge=4, uplinks_per_edge=1)
+        provider = EmulatorRateProvider(ETH, topology, cache_size=0)
+        first = provider.update([Transfer(0, 0, 4, 20 * MB),
+                                 Transfer(1, 1, 2, 20 * MB)], [])
+        index = dict(provider._res_slots)
+        self.assert_dense_and_priced(provider)
+        provider.update([], [0, 1])
+        assert provider._res_slots == index  # departures release nothing
+        again = provider.update([Transfer(2, 0, 4, 20 * MB),
+                                 Transfer(3, 1, 2, 20 * MB)], [])
+        assert provider._res_slots == index  # same resources, same slots
+        assert again[2] == pytest.approx(first[0], rel=1e-9)
+        assert again[3] == pytest.approx(first[1], rel=1e-9)
+        # the reverse direction crosses the other edge's uplink: new slots
+        # are appended, the old ones keep their numbers
+        provider.update([Transfer(4, 5, 3, 20 * MB)], [])
+        assert len(provider._res_slots) > len(index)
+        assert {r: provider._res_slots[r] for r in index} == index
+        self.assert_dense_and_priced(provider)
+
+    def test_invalidate_rereads_capacities_after_reconfiguration(self):
+        topology = FatTreeTopology(num_hosts=8, technology=ETH,
+                                   hosts_per_edge=4, uplinks_per_edge=2)
+        provider = EmulatorRateProvider(ETH, topology, cache_size=0,
+                                        warm_start=False)
+        # four flows share edge 0's uplink
+        active = [Transfer(i, i, 4 + i, 20 * MB) for i in range(4)]
+        before = provider.update(active, [])
+        topology.uplinks_per_edge = 1  # halve the uplink in place
+        provider.invalidate_cache()
+        self.assert_dense_and_priced(provider)
+        after = provider.rates(active)
+        reference = EmulatorRateProvider(
+            ETH, FatTreeTopology(num_hosts=8, technology=ETH, hosts_per_edge=4,
+                                 uplinks_per_edge=1),
+            cache_size=0, warm_start=False,
+        ).rates(active)
+        assert after == reference
+        assert all(after[tid] < before[tid] for tid in before)
+

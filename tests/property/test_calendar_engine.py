@@ -8,7 +8,10 @@ full active set every step (``delta_rates=False``, the historical
 behaviour).  The two must produce **identical** ``EventRecord`` streams and
 finish times for any application, placement and technology, under every
 provider (incremental model, full-recompute model, calibrated emulator) —
-the delta path is an optimisation, never an approximation.
+the delta path is an optimisation, never an approximation.  The same holds
+under interference (background flows entering and leaving the rate set, a
+link-degradation window re-pricing every incumbent) and for the standalone
+fluid simulator, and a traced run is reproducible record for record.
 """
 
 from __future__ import annotations
@@ -20,13 +23,26 @@ from hypothesis import HealthCheck, given, settings
 from repro.cluster import custom_cluster, make_placement
 from repro.core import GigabitEthernetModel, MyrinetModel
 from repro.network.allocator import EmulatorRateProvider
+from repro.network.fluid import FluidTransferSimulator, Transfer
 from repro.network.topology import CrossbarTopology
-from repro.simulator import ANY_SOURCE, Application, EngineConfig, Simulator
+from repro.simulator import (
+    ANY_SOURCE,
+    Application,
+    BackgroundTrafficInjector,
+    EngineConfig,
+    LinkDegradationInjector,
+    Simulator,
+)
 from repro.simulator.providers import ModelRateProvider
+from repro.trace import MemoryTraceSink, assert_traces_equal
 from repro.units import KiB, MB
 
 common_settings = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+# loaded runs simulate the injected flows too: fewer examples per case
+loaded_settings = settings(
+    max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
 # one round = an anti-deadlock matching: every task is endpoint of at most
@@ -75,11 +91,38 @@ def build_application(spec) -> Application:
     return app
 
 
-def run_engine(app, cluster, provider, policy, seed, delta: bool):
-    sim = Simulator(cluster, provider, config=EngineConfig(delta_rates=delta))
+def run_engine(app, cluster, provider, policy, seed, delta: bool,
+               injectors=(), trace=None):
+    sim = Simulator(cluster, provider,
+                    config=EngineConfig(delta_rates=delta, injectors=injectors),
+                    trace=trace)
     placement = make_placement(policy, cluster, app.num_tasks, seed=seed)
     report = sim.run(app, placement=placement)
     return report.records, report.finish_time_per_task
+
+
+PROVIDER_KINDS = ("model", "emulator")
+LOADS = ("background", "degradation")
+
+
+def make_provider(kind, cluster):
+    if kind == "model":
+        return ModelRateProvider(GigabitEthernetModel(), cluster.technology)
+    topology = CrossbarTopology(num_hosts=cluster.num_nodes,
+                                technology=cluster.technology)
+    return EmulatorRateProvider(cluster.technology, topology)
+
+
+def make_load(load, seed):
+    """Fresh injectors for one run: seeded background flows, or two
+    overlapping degradation windows whose edges fall while early messages
+    are in flight (compute phases last multiples of 12.5 ms, a 2 MB message
+    takes ~17 ms)."""
+    if load == "background":
+        return (BackgroundTrafficInjector(rate=200.0, size=1 * MB, seed=seed,
+                                          max_flows=6),)
+    return (LinkDegradationInjector(0.5, start=0.002, until=0.02),
+            LinkDegradationInjector(0.25, start=0.014, until=0.04, hosts=(1, 2)))
 
 
 class TestCalendarEngineBitExact:
@@ -127,6 +170,82 @@ class TestCalendarEngineBitExact:
                 app, cluster, provider, spec["policy"], spec["seed"], delta
             )
         assert outcomes[True] == outcomes[False]
+
+
+class TestLoadedEngineBitExact:
+    @pytest.mark.parametrize("load", LOADS)
+    @pytest.mark.parametrize("kind", PROVIDER_KINDS)
+    @loaded_settings
+    @given(spec=workload_strategy)
+    def test_delta_and_full_requery_identical(self, kind, load, spec):
+        """Background flows join and leave the provider's rate set between
+        foreground events, and both edges of a degradation window re-price
+        every incumbent (provider reset + re-add): the delta-fed run still
+        matches the full re-query run exactly."""
+        cluster = custom_cluster(num_nodes=3, cores_per_node=2, technology="ethernet")
+        app = build_application(spec)
+        outcomes = {}
+        for delta in (True, False):
+            outcomes[delta] = run_engine(
+                app, cluster, make_provider(kind, cluster), spec["policy"],
+                spec["seed"], delta, injectors=make_load(load, spec["seed"]),
+            )
+        assert outcomes[True] == outcomes[False]
+
+    @loaded_settings
+    @given(spec=workload_strategy, kind=st.sampled_from(PROVIDER_KINDS),
+           load=st.sampled_from(LOADS))
+    def test_traced_runs_reproduce_record_for_record(self, spec, kind, load):
+        """Two traced runs of one loaded workload emit the same trace —
+        flush, stall and retime interleaving included — so a trace diff of
+        two runs only ever shows a real change."""
+        cluster = custom_cluster(num_nodes=3, cores_per_node=2, technology="ethernet")
+        app = build_application(spec)
+        sinks, outcomes = [], []
+        for _ in range(2):
+            sink = MemoryTraceSink()
+            outcomes.append(run_engine(
+                app, cluster, make_provider(kind, cluster), spec["policy"],
+                spec["seed"], True, injectors=make_load(load, spec["seed"]),
+                trace=sink,
+            ))
+            sinks.append(sink)
+        assert outcomes[0] == outcomes[1]
+        assert sinks[0].emitted > 0
+        assert_traces_equal(sinks[0].log(), sinks[1].log(),
+                            label_a="first", label_b="second")
+
+
+class TestFluidSimulatorBitExact:
+    @pytest.mark.parametrize("loaded", [False, True], ids=["clean", "loaded"])
+    @pytest.mark.parametrize("kind", PROVIDER_KINDS)
+    @common_settings
+    @given(
+        entries=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 40)),
+            min_size=1, max_size=12,
+        ),
+    )
+    def test_delta_and_full_requery_identical(self, kind, loaded, entries):
+        """The standalone fluid loop: staggered arrivals (intra-node ones
+        included), optionally under background traffic, complete at the
+        same instants whether the calendar is fed deltas or re-queries."""
+        transfers = [
+            Transfer(i, src, dst, 100_000.0 * ticks, start_time=0.001 * i)
+            for i, (src, dst, ticks) in enumerate(entries)
+        ]
+        cluster = custom_cluster(num_nodes=4, cores_per_node=1, technology="ethernet")
+        results = {}
+        for delta in (None, False):
+            injectors = ()
+            if loaded:
+                injectors = (BackgroundTrafficInjector(
+                    rate=2000.0, size=200_000.0, seed=len(entries), max_flows=4),)
+            sim = FluidTransferSimulator(make_provider(kind, cluster),
+                                         delta=delta, injectors=injectors)
+            results[delta] = sim.run(transfers)
+        assert results[None] == results[False]
+        assert set(results[None]) == {t.transfer_id for t in transfers}
 
 
 class TestRatesOnlyProviderCompatibility:

@@ -6,7 +6,9 @@ from the ``update`` returns (apply changed entries, drop removed ids) must
 equal — bit for bit — what a cold provider reports for the final active
 set, and at every intermediate step the shim ``rates()`` of the same
 provider must agree with the accumulated state.  Both shipped providers
-(contention model and calibrated emulator) are covered.
+(contention model and calibrated emulator) are covered, and a model
+provider replaying every situation from a warm shared cache must report the
+stream a memo-less one prices afresh.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.core import GigabitEthernetModel, InfinibandModel, MyrinetModel
+from repro.core import GigabitEthernetModel, InfinibandModel, MyrinetModel, PenaltyCache
 from repro.network.allocator import EmulatorRateProvider
 from repro.network.fluid import Transfer
 from repro.network.technologies import get_technology
@@ -58,6 +60,8 @@ def check_provider_sequence(provider, cold_factory, steps):
     accumulated = {}
     for added, removed, live in deltas(steps):
         changed = provider.update(added, removed)
+        # rates reach heap entries and JSON trace payloads: plain floats only
+        assert all(type(rate) is float for rate in changed.values())
         for tid in removed:
             accumulated.pop(tid, None)
         accumulated.update(changed)
@@ -101,6 +105,26 @@ class TestModelProviderDeltaContract:
                 accumulated.pop(tid, None)
             accumulated.update(changed)
             assert shim_provider.rates(list(live.values())) == accumulated
+
+    @pytest.mark.parametrize("factory", MODEL_FACTORIES, ids=lambda f: f().name)
+    @common_settings
+    @given(steps=sequence_strategy)
+    def test_memo_replayed_stream_equals_fresh_pricing(self, factory, steps):
+        """A provider served from a cache warmed on the same sequence with
+        every host shifted (isomorphic situations, other endpoints) reports,
+        delta by delta, exactly what a memo-less provider prices afresh."""
+        cache = PenaltyCache()
+        warmer = ModelRateProvider(factory(), "ethernet", cache=cache)
+        for added, removed, _live in deltas(steps):
+            warmer.update([Transfer(t.transfer_id, t.src + 10, t.dst + 10, t.size)
+                           for t in added], removed)
+        replayed = ModelRateProvider(factory(), "ethernet", cache=cache)
+        fresh = ModelRateProvider(factory(), "ethernet",
+                                  cache=PenaltyCache(max_entries=0))
+        for added, removed, _live in deltas(steps):
+            assert replayed.update(added, removed) == fresh.update(added, removed)
+        assert replayed.stats.component_evaluations == 0
+        assert replayed.stats.cache_hits == fresh.stats.component_evaluations
 
 
 class TestEmulatorProviderDeltaContract:

@@ -21,7 +21,8 @@ from repro.core import (
     MyrinetModel,
     NoContentionModel,
 )
-from repro.core.graph import Communication, CommunicationGraph
+from repro.core.baselines import LogGPContentionAdapter, LogGPCostModel
+from repro.core.graph import Communication, CommunicationGraph, ConflictRule
 from repro.network.fluid import Transfer
 from repro.simulator.providers import ModelRateProvider
 
@@ -45,6 +46,13 @@ sequence_strategy = st.lists(step_strategy, min_size=1, max_size=40)
 
 common_settings = settings(
     max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+# small host universe so endpoint conflicts are common; intra-node pairs
+# (src == dst) are produced regularly
+graph_strategy = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 10**7)),
+    min_size=0, max_size=24,
 )
 
 
@@ -126,3 +134,55 @@ class TestIncrementalEqualsFullRecompute:
                 engine.model.component_rule
             )
             assert engine.components == sorted(batch)
+
+
+PRICED_FACTORIES = MODEL_FACTORIES + [
+    lambda: LogGPContentionAdapter(LogGPCostModel(L=5e-6, o=1e-6, g=2e-6, G=1e-8)),
+]
+
+
+def build_graph(triples) -> CommunicationGraph:
+    graph = CommunicationGraph(name="component-prop")
+    for index, (src, dst, size) in enumerate(triples):
+        graph.add(Communication(name=f"c{index}", src=src, dst=dst, size=size))
+    return graph
+
+
+class TestComponentPricingEqualsWholeGraph:
+    @pytest.mark.parametrize("factory", PRICED_FACTORIES, ids=lambda f: f().name)
+    @common_settings
+    @given(triples=graph_strategy)
+    def test_components_merge_to_the_whole_graph_penalties(self, factory, triples):
+        """Pricing each conflict component (plus the intra-node set) on its
+        own — what the incremental engine does per dirty component — merges
+        to exactly the whole-graph penalties, as Python floats."""
+        model = factory()
+        graph = build_graph(triples)
+        rule = model.component_rule or ConflictRule.ENDPOINT
+        selections = [list(names) for names in graph.conflict_components(rule)]
+        intra = [comm.name for comm in graph if comm.is_intra_node]
+        if intra:
+            selections.append(intra)
+        merged = {}
+        for names in selections:
+            merged.update(model.component_penalties(graph, names))
+        assert merged == model.penalties(graph)
+        # the trace layer JSON-serialises penalties: no numpy scalars allowed
+        assert all(type(value) is float for value in merged.values())
+
+    @pytest.mark.parametrize("factory", PRICED_FACTORIES, ids=lambda f: f().name)
+    @common_settings
+    @given(triples=graph_strategy, keep=st.integers(0, 1))
+    def test_component_subset_prices_alone_in_any_order(self, factory, triples, keep):
+        """A dirty set is any sub-collection of conflict components, priced
+        in the engine's order rather than the graph's: every other component,
+        taken last to first, prices exactly as inside the whole graph and
+        reports its own members only."""
+        model = factory()
+        graph = build_graph(triples)
+        whole = model.penalties(graph)
+        rule = model.component_rule or ConflictRule.ENDPOINT
+        subset = graph.conflict_components(rule)[keep::2]
+        for names in reversed(subset):
+            priced = model.component_penalties(graph, list(names))
+            assert priced == {name: whole[name] for name in names}

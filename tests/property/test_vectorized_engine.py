@@ -1,12 +1,11 @@
-"""Application-level bit-exactness of the vectorized pricing core.
+"""Application-level bit-exactness of the emulator's array water-filling.
 
-The unit-level suites pin ``penalties_batch`` and the array water-filling;
-this one closes the acceptance loop end to end: simulating a random MPI
-application with the vectorized providers must produce **identical**
-per-rank event streams and finish times as the scalar providers — for the
-contention-model side and the calibrated emulator side, under both engine
-loops (delta-fed calendar and full re-query), on a clean crossbar and on an
-oversubscribed fat tree whose fabric links bind.
+The unit-level suites pin the array solver against the scalar freeze loop;
+this one closes the loop end to end: simulating a random MPI application
+with the array-solving emulator provider must produce **identical**
+per-rank event streams and finish times as the scalar one — under both
+engine loops (delta-fed calendar and full re-query), on a clean crossbar
+and on an oversubscribed fat tree whose fabric links bind.
 """
 
 from __future__ import annotations
@@ -15,11 +14,9 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from repro.cluster import custom_cluster, make_placement
-from repro.core import GigabitEthernetModel, MyrinetModel
 from repro.network.allocator import EmulatorRateProvider
 from repro.network.topology import CrossbarTopology, FatTreeTopology
 from repro.simulator import ANY_SOURCE, Application, EngineConfig, Simulator
-from repro.simulator.providers import ModelRateProvider
 from repro.units import KiB, MB
 
 common_settings = settings(
@@ -76,37 +73,6 @@ def run_engine(app, cluster, provider, policy, seed, delta: bool):
 
 
 class TestVectorizedEngineBitExact:
-    @common_settings
-    @given(spec=workload_strategy)
-    def test_model_provider_vectorized_scalar_identical(self, spec):
-        cluster = custom_cluster(num_nodes=3, cores_per_node=2, technology="ethernet")
-        app = build_application(spec)
-        outcomes = []
-        for delta in (True, False):
-            for vectorized in (True, False):
-                provider = ModelRateProvider(
-                    GigabitEthernetModel(), "ethernet", vectorized=vectorized
-                )
-                outcomes.append(run_engine(
-                    app, cluster, provider, spec["policy"], spec["seed"], delta
-                ))
-        assert all(outcome == outcomes[0] for outcome in outcomes[1:])
-
-    @common_settings
-    @given(spec=workload_strategy)
-    def test_myrinet_model_provider_vectorized_scalar_identical(self, spec):
-        cluster = custom_cluster(num_nodes=4, cores_per_node=2, technology="myrinet")
-        app = build_application(spec)
-        outcomes = []
-        for vectorized in (True, False):
-            provider = ModelRateProvider(
-                MyrinetModel(), "myrinet", vectorized=vectorized
-            )
-            outcomes.append(run_engine(
-                app, cluster, provider, spec["policy"], spec["seed"], True
-            ))
-        assert outcomes[0] == outcomes[1]
-
     @common_settings
     @given(spec=workload_strategy)
     def test_emulator_provider_vectorized_scalar_identical(self, spec):

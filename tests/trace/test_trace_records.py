@@ -129,7 +129,7 @@ class TestSnapshots:
         assert snap["flushes"] == 3
         assert snap.get("rate_updates") == 7
         assert dict(**snap) == stats.snapshot()
-        assert "flushes" in snap and len(snap) == 15
+        assert "flushes" in snap and len(snap) == 10
         with pytest.raises(KeyError):
             snap["no_such_counter"]
 
