@@ -34,17 +34,26 @@ the calendar flush plus lazily-read stats sources — asserting bit-identical
 results and recording the metering cost next to the tracing cost, with an
 extra 1-in-8 sampled-timer row (``MetricsRegistry(timer_sample_every=8)``).
 
+Both overhead sections run their modes interleaved, one run of each mode
+per round, and record the min and median of every mode plus the spread
+(interquartile range) of the uninstrumented runs.  Overheads compare
+medians and are never clamped; one whose median difference lies inside
+that spread is recorded as below noise (a ``*_below_noise`` flag in the
+record, "below noise" in the text).
+
 The **scale-ladder** sections climb the same synthetic skeleton to 256,
-1024 and 4096 hosts (plus a LINPACK prediction and a small campaign
+1024 and 4096 hosts (plus a LINPACK prediction at 256/1024/4096 ranks,
+recording engine steps and wall clock per step, and a small campaign
 variant), recording one trajectory record per rung — the repository's
 first ≥1k-host benchmark records.  The 256-host rung runs everywhere; the
 heavier rungs are opt-in via ``REPRO_LADDER_MAX_HOSTS`` (CI runs the small
 rung on every push with a wall-clock budget from
-``REPRO_LADDER_BUDGET_S``).  The **array water-filling** section measures
-the emulator's numpy solver against the scalar freeze loop at 4096 flows,
-asserted bit-exact, with the speedup recorded.
+``REPRO_LADDER_BUDGET_S``, and the LINPACK rungs up to 4096 ranks).  The
+**array water-filling** section measures the emulator's numpy solver
+against the scalar freeze loop at 4096 flows, asserted bit-exact, with the
+speedup recorded.
 
-All wall-clock comparisons here are best-of-N (the work counters are
+The other wall-clock comparisons here are best-of-N (the work counters are
 deterministic, the timings are not; N repeats stop a loaded runner from
 inverting a comparison).
 """
@@ -52,6 +61,7 @@ inverting a comparison).
 from __future__ import annotations
 
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -240,41 +250,85 @@ def test_engine_event_calendar_scales(emit):
     assert work_ratio >= 5.0, record
 
 
-def run_traced(trace_path=None, null_sink=False, repeats=5):
-    """Best-of-``repeats`` run of the scale workload under one sink mode.
+#: rounds of the interleaved overhead sections (every mode runs once a round)
+OVERHEAD_REPEATS = 9
+
+
+def interleave(runners, repeats: int = OVERHEAD_REPEATS):
+    """Time every runner ``repeats`` times, round-robin across the runners.
+
+    Each round runs every mode once, so a slow stretch of a shared host
+    lands on all modes alike instead of on whichever mode's block of
+    repeats it hits.  A runner returns ``(elapsed_s, outcome)``; the result
+    maps its name to its list of times and to its list of outcomes.
+    """
+    times = {name: [] for name in runners}
+    outcomes = {name: [] for name in runners}
+    for _ in range(repeats):
+        for name, run in runners.items():
+            elapsed, outcome = run()
+            times[name].append(elapsed)
+            outcomes[name].append(outcome)
+    return times, outcomes
+
+
+def overhead_row(times, base, noise_s):
+    """Min, median, relative overhead and below-noise flag of one mode.
+
+    The overhead compares medians; it is *below noise* when the median
+    difference lies within ``noise_s``, the spread of the baseline's own
+    repeats (see :func:`spread`).  It is never clamped: noise reads negative.
+    """
+    median = statistics.median(times)
+    base_median = statistics.median(base)
+    return {
+        "min_s": min(times),
+        "median_s": median,
+        "delta_s": median - base_median,
+        "overhead": median / base_median - 1.0,
+        "below_noise": abs(median - base_median) <= noise_s,
+    }
+
+
+def spread(times) -> float:
+    """Interquartile range of one mode's repeats (robust to one slow run)."""
+    q1, _, q3 = statistics.quantiles(times, n=4)
+    return q3 - q1
+
+
+def noise_note(row) -> str:
+    return " (below noise)" if row["below_noise"] else ""
+
+
+def traced_once(mode: str, trace_path):
+    """One run of the scale workload under one sink mode.
 
     Returns the in-run wall clock (the instrumentation perturbation — what
-    the paper's 0.7 % measures) and the close/write-out time separately:
-    the JSONL sink buffers MPE-style during the run and serialises at
-    close, exactly like MPE dumps its log at finalize.
+    the paper's 0.7 % measures) and, as the outcome, the results, the
+    close/write-out time and the record count: the JSONL sink buffers
+    MPE-style during the run and serialises at close, exactly like MPE
+    dumps its log at finalize.
     """
     from repro.trace import JsonlTraceSink, NullTraceSink
 
+    if mode == "jsonl":
+        sink = JsonlTraceSink(trace_path)
+    elif mode == "null":
+        sink = NullTraceSink()
+    else:
+        sink = None
     workload = synthetic_workload()
-    best = float("inf")
+    provider = ModelRateProvider(GigabitEthernetModel(), "ethernet")
+    simulator = FluidTransferSimulator(provider, trace=sink)
+    started = time.perf_counter()
+    results = simulator.run(workload)
+    elapsed = time.perf_counter() - started
     close_time = 0.0
-    results = None
-    emitted = 0
-    for _ in range(repeats):
-        if trace_path is not None:
-            sink = JsonlTraceSink(trace_path)
-        elif null_sink:
-            sink = NullTraceSink()
-        else:
-            sink = None
-        provider = ModelRateProvider(GigabitEthernetModel(), "ethernet")
-        simulator = FluidTransferSimulator(provider, trace=sink)
-        started = time.perf_counter()
-        results = simulator.run(workload)
-        elapsed = time.perf_counter() - started
-        if sink is not None:
-            close_started = time.perf_counter()
-            sink.close()
-            if elapsed < best:
-                close_time = time.perf_counter() - close_started
-            emitted = getattr(sink, "emitted", 0)
-        best = min(best, elapsed)
-    return results, best, close_time, emitted
+    if sink is not None:
+        close_started = time.perf_counter()
+        sink.close()
+        close_time = time.perf_counter() - close_started
+    return elapsed, (results, close_time, getattr(sink, "emitted", 0))
 
 
 def test_tracing_overhead(emit, tmp_path):
@@ -283,35 +337,52 @@ def test_tracing_overhead(emit, tmp_path):
     On this worst-case micro-scenario (7.5 records per transfer over a
     fully-memoized ~18 ms base run) that per-record cost shows up as
     roughly 10-25 % wall-clock; the tracked quantities are the recorded
-    percentage and `jsonl_us_per_record`.
+    percentage and `jsonl_us_per_record`.  The three modes run
+    interleaved; a quantity within the spread of the untraced repeats is
+    recorded as below noise.
     """
-    base_results, base_time, _, _ = run_traced()
-    null_results, null_time, _, _ = run_traced(null_sink=True)
     trace_path = tmp_path / "scale-engine.jsonl"
-    jsonl_results, jsonl_time, close_time, emitted = run_traced(
-        trace_path=trace_path)
+    times, outcomes = interleave({
+        mode: (lambda mode=mode: traced_once(mode, trace_path))
+        for mode in ("none", "null", "jsonl")
+    })
+    base_results = outcomes["none"][-1][0]
+    emitted = outcomes["jsonl"][-1][2]
 
     # observability, not physics: identical completion records in all modes
-    assert null_results == base_results
-    assert jsonl_results == base_results
+    assert all(outcome[0] == base_results
+               for mode in ("null", "jsonl") for outcome in outcomes[mode])
     assert emitted > len(synthetic_workload())  # the trace saw the run
 
-    null_overhead = null_time / base_time - 1.0
-    jsonl_overhead = jsonl_time / base_time - 1.0
-    per_record_us = max(0.0, jsonl_time - base_time) / max(1, emitted) * 1e6
+    base = times["none"]
+    noise_s = spread(base)
+    untraced = overhead_row(base, base, noise_s)
+    null = overhead_row(times["null"], base, noise_s)
+    jsonl = overhead_row(times["jsonl"], base, noise_s)
+    null_overhead = null["overhead"]
+    jsonl_overhead = jsonl["overhead"]
+    per_record_us = jsonl["delta_s"] / max(1, emitted) * 1e6
+    close_time = statistics.median(outcome[1] for outcome in outcomes["jsonl"])
     trace_bytes = trace_path.stat().st_size
 
     lines = [
         f"tracing overhead: {NUM_HOSTS} hosts, {len(synthetic_workload())} "
-        f"transfers, {emitted} trace records ({trace_bytes} bytes)",
+        f"transfers, {emitted} trace records ({trace_bytes} bytes); "
+        f"{OVERHEAD_REPEATS} interleaved rounds",
         "",
-        f"{'sink':<12s}{'in-run':>12s}{'overhead':>10s}{'write-out':>12s}",
-        f"{'none':<12s}{base_time:>10.4f} s{'-':>10s}{'-':>12s}",
-        f"{'null':<12s}{null_time:>10.4f} s{null_overhead:>9.1%}{'-':>12s}",
-        (f"{'jsonl':<12s}{jsonl_time:>10.4f} s{jsonl_overhead:>9.1%}"
-         f"{close_time:>10.4f} s"),
+        f"{'sink':<8s}{'min':>10s}{'median':>10s}{'overhead':>10s}{'write-out':>12s}",
+        f"{'none':<8s}{untraced['min_s']:>8.4f} s{untraced['median_s']:>8.4f} s"
+        f"{'-':>10s}{'-':>12s}",
+        f"{'null':<8s}{null['min_s']:>8.4f} s{null['median_s']:>8.4f} s"
+        f"{null_overhead:>9.1%}{'-':>12s}{noise_note(null)}",
+        f"{'jsonl':<8s}{jsonl['min_s']:>8.4f} s{jsonl['median_s']:>8.4f} s"
+        f"{jsonl_overhead:>9.1%}{close_time:>10.4f} s{noise_note(jsonl)}",
         "",
-        f"in-run emission cost: {per_record_us:.2f} us/record "
+        f"untraced spread (interquartile range of {OVERHEAD_REPEATS}): "
+        f"{noise_s:.4f} s; "
+        "overheads compare medians and are not clamped",
+        f"in-run emission cost: {per_record_us:.2f} us/record"
+        f"{noise_note(jsonl)} "
         f"({emitted / max(1, len(synthetic_workload())):.1f} records/transfer "
         "on this worst-case micro-scenario)",
         "in-run overhead is the instrumentation perturbation (the paper's "
@@ -325,12 +396,20 @@ def test_tracing_overhead(emit, tmp_path):
         "transfers": len(synthetic_workload()),
         "trace_records": emitted,
         "trace_bytes": trace_bytes,
-        "untraced_s": round(base_time, 4),
-        "null_sink_s": round(null_time, 4),
-        "jsonl_sink_s": round(jsonl_time, 4),
+        "repeats": OVERHEAD_REPEATS,
+        "interleaved": True,
+        "untraced_s": round(untraced["median_s"], 4),
+        "untraced_min_s": round(untraced["min_s"], 4),
+        "untraced_spread_s": round(noise_s, 4),
+        "null_sink_s": round(null["median_s"], 4),
+        "null_sink_min_s": round(null["min_s"], 4),
+        "jsonl_sink_s": round(jsonl["median_s"], 4),
+        "jsonl_sink_min_s": round(jsonl["min_s"], 4),
         "jsonl_close_s": round(close_time, 4),
         "null_overhead_pct": round(100 * null_overhead, 2),
+        "null_below_noise": null["below_noise"],
         "jsonl_overhead_pct": round(100 * jsonl_overhead, 2),
+        "jsonl_below_noise": jsonl["below_noise"],
         "jsonl_us_per_record": round(per_record_us, 3),
     }
     emit("tracing_overhead", "\n".join(lines), record=record,
@@ -411,10 +490,15 @@ def test_scale_ladder_synthetic(emit, num_hosts):
     _ladder_budget(best, record)
 
 
-@pytest.mark.parametrize("num_ranks", [256, 1024],
+@pytest.mark.parametrize("num_ranks", LADDER_RUNGS,
                          ids=lambda n: f"ladder_linpack_{n}")
 def test_scale_ladder_linpack(emit, num_ranks):
-    """LINPACK prediction rung: a real application skeleton at ≥1k ranks."""
+    """LINPACK prediction rung: a real application skeleton at ≥1k ranks.
+
+    Records the engine's steps and the wall clock per step: with the ready
+    queue a step costs about the same at every rung, so a per-step scan
+    over all ranks returning shows up as µs/step growing with the rung.
+    """
     _ladder_skip(num_ranks)
     from repro.cluster import custom_cluster
     from repro.simulator import Simulator
@@ -431,6 +515,8 @@ def test_scale_ladder_linpack(emit, num_ranks):
     report = simulator.run(app, placement="RRN")
     elapsed = time.perf_counter() - started
     assert report.total_time > 0
+    steps = simulator.last_engine_stats.steps
+    us_per_step = elapsed / max(1, steps) * 1e6
 
     lines = [
         f"scale ladder (LINPACK): {num_ranks} ranks on {num_ranks} hosts, "
@@ -438,6 +524,7 @@ def test_scale_ladder_linpack(emit, num_ranks):
         "",
         f"wall clock: {elapsed:.3f} s   predicted makespan: "
         f"{report.total_time:.3f} s",
+        f"engine steps: {steps}   wall clock per step: {us_per_step:.1f} us",
         f"comm evaluations: {provider.stats.comm_evaluations}   "
         f"cache hits: {provider.stats.cache_hits}",
     ]
@@ -448,6 +535,8 @@ def test_scale_ladder_linpack(emit, num_ranks):
         "problem_size": problem_size,
         "wall_clock_s": round(elapsed, 4),
         "predicted_makespan_s": round(report.total_time, 4),
+        "steps": steps,
+        "us_per_step": round(us_per_step, 2),
         **provider.stats.snapshot(),
     }
     emit(f"scale_ladder_linpack_{num_ranks}", "\n".join(lines), record=record,
@@ -632,29 +721,24 @@ def test_timeline_drain_microbench(emit):
 
 
 # --------------------------------------------------------- metrics overhead
-def run_metered(metered: bool, repeats: int = 5, sample_every: int = 1):
-    """Best-of-``repeats`` run of the scale workload with/without a registry.
+def metered_once(metered: bool, sample_every: int = 1):
+    """One run of the scale workload with or without a registry.
 
-    A fresh :class:`~repro.obs.MetricsRegistry` per repeat (timer moments
-    are per-run); the snapshot comes from the last repeat — its counter
-    values are deterministic, only the timer durations jitter.
+    A fresh :class:`~repro.obs.MetricsRegistry` per run (timer moments are
+    per-run); the outcome is the results and the registry snapshot — its
+    counter values are deterministic, only the timer durations jitter.
     """
     from repro.obs import MetricsRegistry
 
+    metrics = (MetricsRegistry(timer_sample_every=sample_every)
+               if metered else None)
     workload = synthetic_workload()
-    best = float("inf")
-    results = snapshot = None
-    for _ in range(repeats):
-        metrics = (MetricsRegistry(timer_sample_every=sample_every)
-                   if metered else None)
-        provider = ModelRateProvider(GigabitEthernetModel(), "ethernet")
-        simulator = FluidTransferSimulator(provider, metrics=metrics)
-        started = time.perf_counter()
-        results = simulator.run(workload)
-        best = min(best, time.perf_counter() - started)
-        if metrics is not None:
-            snapshot = metrics.snapshot()
-    return results, best, snapshot
+    provider = ModelRateProvider(GigabitEthernetModel(), "ethernet")
+    simulator = FluidTransferSimulator(provider, metrics=metrics)
+    started = time.perf_counter()
+    results = simulator.run(workload)
+    elapsed = time.perf_counter() - started
+    return elapsed, (results, metrics.snapshot() if metrics is not None else None)
 
 
 def test_metrics_overhead(emit):
@@ -665,16 +749,21 @@ def test_metrics_overhead(emit):
     stats surfaces are registered as lazy sources (zero per-event cost).
     The results must stay bit-identical; the recorded quantity is the
     relative wall-clock overhead of metering the same worst-case
-    micro-scenario the tracing-overhead section uses.
+    micro-scenario the tracing-overhead section uses, measured like it:
+    interleaved modes, medians, below-noise flags.
     """
-    base_results, base_time, _ = run_metered(metered=False)
-    metered_results, metered_time, snapshot = run_metered(metered=True)
-    sampled_results, sampled_time, sampled_snap = run_metered(
-        metered=True, sample_every=8)
+    times, outcomes = interleave({
+        "none": lambda: metered_once(False),
+        "attached": lambda: metered_once(True),
+        "sampled": lambda: metered_once(True, sample_every=8),
+    })
+    base_results = outcomes["none"][-1][0]
+    snapshot = outcomes["attached"][-1][1]
+    sampled_snap = outcomes["sampled"][-1][1]
 
     # observability, not physics: identical completion records
-    assert metered_results == base_results
-    assert sampled_results == base_results
+    assert all(outcome[0] == base_results
+               for mode in ("attached", "sampled") for outcome in outcomes[mode])
     # the registry actually observed the run it did not perturb
     assert snapshot["calendar.flushes"] > 0
     assert snapshot["calendar.flush_s.count"] > 0
@@ -683,21 +772,33 @@ def test_metrics_overhead(emit):
     assert (sampled_snap["calendar.flush_s.count"]
             == int(snapshot["calendar.flush_s.count"]) // 8)
 
-    overhead = metered_time / base_time - 1.0
-    sampled_overhead = sampled_time / base_time - 1.0
+    base = times["none"]
+    noise_s = spread(base)
+    unmetered = overhead_row(base, base, noise_s)
+    metered = overhead_row(times["attached"], base, noise_s)
+    sampled = overhead_row(times["sampled"], base, noise_s)
+    overhead = metered["overhead"]
+    sampled_overhead = sampled["overhead"]
     flushes = int(snapshot["calendar.flush_s.count"])
-    per_flush_us = max(0.0, metered_time - base_time) / max(1, flushes) * 1e6
+    per_flush_us = metered["delta_s"] / max(1, flushes) * 1e6
 
     lines = [
         f"metrics overhead: {NUM_HOSTS} hosts, {len(synthetic_workload())} "
-        f"transfers, {flushes} timed flushes",
+        f"transfers, {flushes} timed flushes; {OVERHEAD_REPEATS} interleaved "
+        "rounds",
         "",
-        f"{'registry':<14s}{'in-run':>12s}{'overhead':>10s}",
-        f"{'none':<14s}{base_time:>10.4f} s{'-':>10s}",
-        f"{'attached':<14s}{metered_time:>10.4f} s{overhead:>9.1%}",
-        f"{'sampled 1/8':<14s}{sampled_time:>10.4f} s{sampled_overhead:>9.1%}",
+        f"{'registry':<14s}{'min':>10s}{'median':>10s}{'overhead':>10s}",
+        f"{'none':<14s}{unmetered['min_s']:>8.4f} s{unmetered['median_s']:>8.4f} s"
+        f"{'-':>10s}",
+        f"{'attached':<14s}{metered['min_s']:>8.4f} s{metered['median_s']:>8.4f} s"
+        f"{overhead:>9.1%}{noise_note(metered)}",
+        f"{'sampled 1/8':<14s}{sampled['min_s']:>8.4f} s{sampled['median_s']:>8.4f} s"
+        f"{sampled_overhead:>9.1%}{noise_note(sampled)}",
         "",
-        f"timer cost: {per_flush_us:.2f} us/flush "
+        f"unmetered spread (interquartile range of {OVERHEAD_REPEATS}): "
+        f"{noise_s:.4f} s; "
+        "overheads compare medians and are not clamped",
+        f"timer cost: {per_flush_us:.2f} us/flush{noise_note(metered)} "
         f"(flush time recorded: {snapshot['calendar.flush_s.total']:.4f} s); "
         f"1-in-8 sampling timed {int(sampled_snap['calendar.flush_s.count'])} "
         "flushes",
@@ -707,13 +808,21 @@ def test_metrics_overhead(emit):
         "num_hosts": NUM_HOSTS,
         "transfers": len(synthetic_workload()),
         "timed_flushes": flushes,
-        "unmetered_s": round(base_time, 4),
-        "metered_s": round(metered_time, 4),
-        "sampled_s": round(sampled_time, 4),
+        "repeats": OVERHEAD_REPEATS,
+        "interleaved": True,
+        "unmetered_s": round(unmetered["median_s"], 4),
+        "unmetered_min_s": round(unmetered["min_s"], 4),
+        "unmetered_spread_s": round(noise_s, 4),
+        "metered_s": round(metered["median_s"], 4),
+        "metered_min_s": round(metered["min_s"], 4),
+        "sampled_s": round(sampled["median_s"], 4),
+        "sampled_min_s": round(sampled["min_s"], 4),
         "timer_sample_every": 8,
         "sampled_timed_flushes": int(sampled_snap["calendar.flush_s.count"]),
         "metrics_overhead_pct": round(100 * overhead, 2),
+        "metrics_below_noise": metered["below_noise"],
         "sampled_overhead_pct": round(100 * sampled_overhead, 2),
+        "sampled_below_noise": sampled["below_noise"],
         "us_per_flush": round(per_flush_us, 3),
         "flush_s_total": round(snapshot["calendar.flush_s.total"], 5),
     }

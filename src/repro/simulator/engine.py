@@ -37,6 +37,23 @@ and unclaimed in-flight transfers — is indexed by ``(src, dst, tag)`` with
 ``MPI_ANY_SOURCE`` wildcard buckets, preserving the posted-order
 tie-breaking of the historical linear scans.
 
+Ready queue: no per-step work walks the task list.  Every transition to
+READY (send, receive and compute completion, barrier release) goes through
+``_make_ready``, which queues the rank in one of two rank-ordered heaps.
+The sweep advances tasks in passes of ascending rank, repeated until a
+pass finds nothing ready — the visit order of the historical scan over
+every task.  While rank ``r`` is being advanced, a rank ``q > r`` that
+becomes READY joins the current pass and a rank ``q <= r`` (``r`` itself
+included) joins the next one; between sweeps every rank joins the current
+pass.  The order in which ranks are advanced decides message matching
+(``MPI_ANY_SOURCE``, eager arrivals) and record order, so this invariant is
+what keeps the engine bit-exact with the scan (property-tested against it
+in ``tests/property/test_ready_queue.py``).  The same transitions keep two
+counters: ``_alive`` (tasks not DONE) ends the run and releases a barrier
+when every alive task waits at it, and ``_computing`` (COMPUTING tasks)
+detects the injector-run deadlock.  Only error reports still list the
+tasks.
+
 Interference injection: :attr:`EngineConfig.injectors` carries
 :mod:`repro.simulator.interference` injectors whose events ride the same
 timeline heap as computes and readiness transitions.  Injected background
@@ -114,8 +131,9 @@ class EngineConfig:
     trace: Optional[TraceSink] = field(default=None, compare=False, repr=False)
     #: optional :class:`repro.obs.MetricsRegistry`; attaching one registers
     #: the engine/calendar/provider stats as live sources and times the hot
-    #: phases (calendar flush, dirty pricing, water-fill).  ``None`` =
-    #: unmetered, bit-exact (one pointer test per site, like ``trace``)
+    #: phases (ready-task sweep, due-event drain, calendar flush, dirty
+    #: pricing, water-fill).  ``None`` = unmetered, bit-exact (one pointer
+    #: test per site, like ``trace``)
     metrics: Optional[object] = field(default=None, compare=False, repr=False)
     #: emit one ``metrics.sample`` trace record every this many steps (needs
     #: both ``metrics`` and ``trace`` attached); 0 disables sampling.  The
@@ -480,6 +498,16 @@ class ExecutionEngine:
             )
         self.num_tasks = len(iterators)
         self.tasks = [_TaskState(rank=r, program=it) for r, it in enumerate(iterators)]
+        # ready queue (see the module docstring): every task starts READY, in
+        # the current pass; an ascending list is already a valid heap
+        self._ready_now: List[int] = list(range(self.num_tasks))
+        self._ready_next: List[int] = []
+        #: rank being advanced by the sweep; -1 between sweeps
+        self._ready_cursor = -1
+        #: tasks not DONE
+        self._alive = self.num_tasks
+        #: tasks in COMPUTING
+        self._computing = 0
 
         self.application_name = application_name
         self.model_name = model_name
@@ -513,6 +541,9 @@ class ExecutionEngine:
         #: pointer test per sweep when unmetered, PhaseTimer.due()-sampled
         #: when metered (same contract as the calendar's flush timer)
         self._drain_timer = (self._metrics.timer("timeline.drain_s")
+                             if self._metrics is not None else None)
+        #: same contract around the ready-task sweep
+        self._ready_timer = (self._metrics.timer("engine.ready_s")
                              if self._metrics is not None else None)
         # sampling needs both a sink (to emit through) and a registry (to
         # snapshot); the untraced/unmetered paths keep a single falsy test
@@ -569,9 +600,24 @@ class ExecutionEngine:
             task.resume_value = None
         return event
 
+    def _make_ready(self, task: _TaskState, resume_value: dict) -> None:
+        """Mark a blocked task READY and queue it for the ready-task sweep.
+
+        Ranks above the one being advanced join the current pass, the others
+        the next pass (between sweeps the cursor is -1: the current pass).
+        """
+        task.status = _Status.READY
+        task.resume_value = resume_value
+        rank = task.rank
+        heapq.heappush(
+            self._ready_now if rank > self._ready_cursor else self._ready_next,
+            rank,
+        )
+
     def _finish_task(self, task: _TaskState) -> None:
         task.status = _Status.DONE
         task.finish_time = self.now
+        self._alive -= 1
         if self._trace is not None:
             self._trace.emit(TraceRecord(self.now, "task.state", task.rank,
                                          {"status": "done"}))
@@ -592,6 +638,7 @@ class ExecutionEngine:
                 # start while the window is open (see NodeSlowdownInjector)
                 duration = duration / self._compute_scale(task.rank)
             task.status = _Status.COMPUTING
+            self._computing += 1
             task.compute_until = self.now + duration
             self._timeline_pending.append(
                 (task.compute_until, next(self._timeline_seq), _COMPUTE, task.rank)
@@ -709,16 +756,14 @@ class ExecutionEngine:
         penalty = duration / base if base > 0 else 1.0
         self._record(send.rank, "send", send.posted, completion, size=send.size,
                      peer=send.dst, label=send.label, penalty=max(penalty, 0.0))
-        task.status = _Status.READY
-        task.resume_value = {"kind": "send", "dst": send.dst, "duration": duration}
+        self._make_ready(task, {"kind": "send", "dst": send.dst, "duration": duration})
 
     def _complete_recv(self, task: _TaskState, recv: _RecvRequest, send: _SendRequest,
                        completion: float) -> None:
         self._record(recv.rank, "recv", recv.posted, completion, size=send.size,
                      peer=send.rank, label=recv.label)
-        task.status = _Status.READY
-        task.resume_value = {"kind": "recv", "source": send.rank, "size": send.size,
-                             "duration": completion - recv.posted}
+        self._make_ready(task, {"kind": "recv", "source": send.rank, "size": send.size,
+                                "duration": completion - recv.posted})
 
     def _complete_transfer(self, tid: int) -> None:
         flight = self.in_flight.pop(tid)
@@ -732,36 +777,60 @@ class ExecutionEngine:
                               flight.send)
 
     def _maybe_release_barrier(self) -> None:
-        alive = [t for t in self.tasks if t.status is not _Status.DONE]
-        if alive and all(t.status is _Status.BARRIER for t in alive):
-            for task in alive:
-                start = self.barrier_waiting.pop(task.rank)
-                label = ""
-                if isinstance(task.current_event, BarrierEvent):
-                    label = task.current_event.label
-                self._record(task.rank, "barrier", start, self.now, label=label)
-                task.status = _Status.READY
-                task.resume_value = {"kind": "barrier"}
+        """Release the barrier, in rank order, once every alive task waits at it."""
+        waiting = self.barrier_waiting
+        if not waiting or len(waiting) != self._alive:
+            return
+        for rank in sorted(waiting):
+            start = waiting.pop(rank)
+            task = self.tasks[rank]
+            label = ""
+            if isinstance(task.current_event, BarrierEvent):
+                label = task.current_event.label
+            self._record(rank, "barrier", start, self.now, label=label)
+            self._make_ready(task, {"kind": "barrier"})
 
     # ------------------------------------------------------------------- run
     def _process_ready_tasks(self) -> bool:
-        """Advance every READY task until all are blocked; True if anything ran."""
-        progressed = False
-        made_progress = True
-        while made_progress:
-            made_progress = False
-            for task in self.tasks:
-                if task.status is not _Status.READY:
-                    continue
-                event = self._advance_program(task)
-                if event is None:
-                    self._finish_task(task)
-                    self._maybe_release_barrier()
-                else:
-                    self._start_event(task, event)
-                progressed = True
-                made_progress = True
+        # one attribute read and a None test when unmetered; when metered,
+        # two local perf_counter calls, optionally 1-in-N sampled through
+        # PhaseTimer.due() (same shape as _complete_due_events)
+        timer = self._ready_timer
+        if timer is None or not timer.due():
+            return self._process_ready_tasks_impl()
+        counter = perf_counter
+        start = counter()
+        progressed = self._process_ready_tasks_impl()
+        timer.observe(counter() - start)
         return progressed
+
+    def _process_ready_tasks_impl(self) -> bool:
+        """Advance every READY task until all are blocked; True if anything ran.
+
+        Pops the current pass in rank order; when it empties, the next pass
+        (ranks made READY at or below the cursor) becomes current.
+        """
+        current = self._ready_now
+        if not current:
+            return False
+        tasks = self.tasks
+        pop = heapq.heappop
+        while current:
+            rank = pop(current)
+            self._ready_cursor = rank
+            task = tasks[rank]
+            event = self._advance_program(task)
+            if event is None:
+                self._finish_task(task)
+                self._maybe_release_barrier()
+            else:
+                self._start_event(task, event)
+            if not current:
+                # pass complete: the next one starts again from rank 0
+                self._ready_now, self._ready_next = self._ready_next, current
+                current = self._ready_now
+                self._ready_cursor = -1
+        return True
 
     def _merge_timeline(self) -> None:
         """Fold the sweep's buffered entries into the timeline heap.
@@ -792,23 +861,19 @@ class ExecutionEngine:
     def _next_horizon(self) -> float:
         """Earliest calendar entry (timeline or predicted completion)."""
         self._merge_timeline()
-        if self.config.injectors and not self.in_flight:
+        if (self.config.injectors and not self.in_flight and self._alive
+                and not self._computing):
             # only injector runs need this extra check: _INJECT/background
             # entries keep the timeline non-empty, yet with no transfer in
             # flight and nobody computing they can never unblock a task.
-            # (Injector-free runs reach the empty-`times` branch below
-            # instead, so their hot loop pays nothing here.)
-            alive = [task for task in self.tasks
-                     if task.status is not _Status.DONE]
-            if alive and not any(
-                task.status is _Status.COMPUTING for task in alive
-            ):
-                blocked = [(task.rank, task.status.value) for task in alive]
-                raise DeadlockError(
-                    f"no task can make progress at t={self.now:.6f}s; "
-                    f"blocked tasks: {blocked}",
-                    blocked_tasks=[rank for rank, _ in blocked],
-                )
+            # (Injector-free runs reach the empty-`times` branch below.)
+            blocked = [(task.rank, task.status.value) for task in self.tasks
+                       if task.status is not _Status.DONE]
+            raise DeadlockError(
+                f"no task can make progress at t={self.now:.6f}s; "
+                f"blocked tasks: {blocked}",
+                blocked_tasks=[rank for rank, _ in blocked],
+            )
         times: List[float] = []
         if self._timeline:
             times.append(self._timeline[0][0])
@@ -910,8 +975,8 @@ class ExecutionEngine:
             event = task.current_event
             label = event.label if isinstance(event, ComputeEvent) else ""
             self._record(rank, "compute", task.current_start, self.now, label=label)
-            task.status = _Status.READY
-            task.resume_value = {"kind": "compute"}
+            self._computing -= 1
+            self._make_ready(task, {"kind": "compute"})
 
         foreground: List[Transfer] = []
         for transfer in finished:
@@ -977,6 +1042,9 @@ class ExecutionEngine:
                 "steps": stats.steps,
                 "injected_events": stats.injected_events,
                 "background_flows": stats.background_flows,
+                "timeline_bulk_merges": stats.timeline_bulk_merges,
+                "timeline_bulk_drains": stats.timeline_bulk_drains,
+                "timeline_bulk_drained": stats.timeline_bulk_drained,
             })
             metrics.register_source("calendar", self._calendar.stats.snapshot)
             register = getattr(self.rate_provider, "register_metrics", None)
@@ -1027,7 +1095,7 @@ class ExecutionEngine:
 
             self._process_ready_tasks()
 
-            if all(task.status is _Status.DONE for task in self.tasks):
+            if not self._alive:
                 break
 
             # push the flow delta of this step (new sends, completed

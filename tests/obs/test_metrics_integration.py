@@ -9,6 +9,9 @@ provider families.  Metrics are observability, never physics.
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -117,6 +120,7 @@ class TestMetricsBitExact:
         # the registry actually observed the run it did not perturb
         snap = registry.snapshot()
         assert snap["engine.steps"] == plain[2]["steps"]
+        assert snap["engine.ready_s.count"] == plain[2]["iterations"]
         assert snap["calendar.flush_s.count"] > 0
         if spec["provider"] == "model":
             assert any(key.startswith("pricing.") for key in snap)
@@ -183,6 +187,51 @@ class TestDrainTimer:
         dense_count = dense.snapshot()["timeline.drain_s.count"]
         sparse_count = sparse.snapshot()["timeline.drain_s.count"]
         assert 0 < sparse_count < dense_count
+
+
+class TestReadySweepTimer:
+    """The ready-task sweep has its own phase timer, gated like the drain's
+    (``test_metering_is_bit_exact_in_the_engine`` checks one observation
+    per main-loop iteration)."""
+
+    def test_ready_timer_honours_sample_every(self):
+        spec = TestDrainTimer.SPEC
+        cluster = custom_cluster(num_nodes=4, cores_per_node=1,
+                                 technology="ethernet")
+        app = build_application(spec)
+        plain = run_engine(spec, app, cluster)
+        sparse = MetricsRegistry(timer_sample_every=7)
+        assert run_engine(spec, app, cluster, metrics=sparse) == plain
+        snap = sparse.snapshot()
+        assert snap["engine.ready_s.sample_every"] == 7
+        assert snap["engine.ready_s.count"] == plain[2]["iterations"] // 7
+
+
+class TestDocumentedEngineMetrics:
+    DOC = Path(__file__).resolve().parents[2] / "docs" / "trace-format.md"
+
+    def documented(self):
+        """``engine.*`` / ``timeline.*`` names in the doc's metrics section."""
+        text = self.DOC.read_text(encoding="utf-8")
+        section = text[text.index("### Observability"):text.index("## Tooling")]
+        return set(re.findall(r"`((?:engine|timeline)\.[a-z_]+)(?:\.\*)?`",
+                              section))
+
+    def test_documented_keys_are_in_the_snapshot(self):
+        """Every engine source value and timer the metrics section names
+        appears in a metered run's snapshot (timers by their ``.count``)."""
+        names = self.documented()
+        assert {"engine.timeline_bulk_merges", "engine.ready_s",
+                "timeline.drain_s"} <= names
+        spec = TestDrainTimer.SPEC
+        cluster = custom_cluster(num_nodes=4, cores_per_node=1,
+                                 technology="ethernet")
+        registry = MetricsRegistry()
+        run_engine(spec, build_application(spec), cluster, metrics=registry)
+        snap = registry.snapshot()
+        missing = sorted(name for name in names
+                         if name not in snap and f"{name}.count" not in snap)
+        assert not missing, missing
 
 
 class TestMetricsConfig:
