@@ -49,9 +49,10 @@ first ≥1k-host benchmark records.  The 256-host rung runs everywhere; the
 heavier rungs are opt-in via ``REPRO_LADDER_MAX_HOSTS`` (CI runs the small
 rung on every push with a wall-clock budget from
 ``REPRO_LADDER_BUDGET_S``, and the LINPACK rungs up to 4096 ranks).  The
-**array water-filling** section measures the emulator's numpy solver
-against the scalar freeze loop at 4096 flows, asserted bit-exact, with the
-speedup recorded.
+**water-filling** section times the emulator's unit-weight solver against
+the reference freeze loop at ~40 flows (the loaded fat-tree emulator
+workload's solve size) and at 4096 flows, asserted bit-exact, with the
+speedups recorded.
 
 The other wall-clock comparisons here are best-of-N (the work counters are
 deterministic, the timings are not; N repeats stop a loaded runner from
@@ -584,14 +585,14 @@ def test_scale_ladder_campaign(emit):
     _ladder_budget(elapsed, record)
 
 
-# ------------------------------------------------------ array water-filling
-def test_vectorized_water_filling_microbench(emit):
-    """Array vs scalar water-filling on a 4096-flow / 1024-host instance."""
+# ------------------------------------------------------------ water-filling
+def _water_filling_instance(num_hosts: int, num_flows: int):
+    """Random tx/rx flows at the single-stream cap, their solver input and
+    the reference's capacity map (built before any timing starts)."""
     import random
 
-    from repro.network.sharing import FlowSpec, weighted_max_min_allocation
+    from repro.network.sharing import FlowSpec
 
-    num_hosts, num_flows = 1024, 4096
     rng = random.Random(0)
     flows = []
     for index in range(num_flows):
@@ -605,46 +606,77 @@ def test_vectorized_water_filling_microbench(emit):
     for host in range(num_hosts):
         capacities[("tx", host)] = 1.19e8
         capacities[("rx", host)] = 1.19e8
+    resource_flows = {}
+    for flow in flows:
+        for resource in flow.resources:
+            resource_flows.setdefault(resource, set()).add(flow.flow_id)
+    solver_input = (
+        {flow.flow_id: flow.cap for flow in flows},
+        {flow.flow_id: flow.resources for flow in flows},
+        resource_flows,
+        {resource: capacities[resource] for resource in resource_flows},
+    )
+    return flows, capacities, solver_input
 
-    timings = {}
-    rates = {}
-    for vectorized in (False, True):
-        best = float("inf")
-        for _ in range(REPEATS):
-            started = time.perf_counter()
-            rates[vectorized] = weighted_max_min_allocation(
-                flows, capacities, vectorized=vectorized)
-            best = min(best, time.perf_counter() - started)
-        timings[vectorized] = best
-    # bit-exactness is the contract, not a tolerance
-    assert rates[True] == rates[False]
-    speedup = timings[False] / timings[True] if timings[True] > 0 else float("inf")
+
+def test_water_filling_microbench(emit):
+    """Emulator solver vs the reference loop at ~40 and 4096 flows."""
+    from repro.network.sharing import water_fill_arrays, weighted_max_min_allocation
+
+    rows = []
+    for num_hosts, num_flows, calls in ((16, 40, 200), (1024, 4096, 1)):
+        flows, capacities, solver_input = _water_filling_instance(num_hosts, num_flows)
+        runners = {
+            "reference": lambda: weighted_max_min_allocation(flows, capacities),
+            "solver": lambda: water_fill_arrays(*solver_input),
+        }
+        timings = {}
+        rates = {}
+        for name, runner in runners.items():
+            best = float("inf")
+            for _ in range(REPEATS):
+                started = time.perf_counter()
+                for _ in range(calls):
+                    rates[name] = runner()
+                best = min(best, (time.perf_counter() - started) / calls)
+            timings[name] = best
+        # bit-exactness is the contract, not a tolerance
+        assert rates["solver"] == rates["reference"]
+        speedup = (timings["reference"] / timings["solver"]
+                   if timings["solver"] > 0 else float("inf"))
+        rows.append({
+            "flows": num_flows,
+            "num_hosts": num_hosts,
+            "calls": calls,
+            "reference_s": round(timings["reference"], 6),
+            "solver_s": round(timings["solver"], 6),
+            "speedup": round(speedup, 2),
+        })
 
     lines = [
-        f"vectorized water-filling: {num_flows} flows over "
-        f"{2 * num_hosts} resources ({num_hosts} hosts)",
+        "water-filling: unit-weight solver vs reference loop, per call "
+        "(best of repeats)",
         "",
-        f"{'path':<12s}{'wall clock':>14s}",
-        f"{'scalar':<12s}{timings[False]:>12.3f} s",
-        f"{'array':<12s}{timings[True]:>12.3f} s",
-        "",
-        f"speedup: {speedup:.1f}x   (rates bit-identical)",
+        f"{'flows':>6s}{'resources':>11s}{'reference':>14s}{'solver':>14s}"
+        f"{'speedup':>9s}",
     ]
+    for row in rows:
+        lines.append(
+            f"{row['flows']:>6d}{2 * row['num_hosts']:>11d}"
+            f"{row['reference_s'] * 1e3:>11.3f} ms{row['solver_s'] * 1e3:>11.3f} ms"
+            f"{row['speedup']:>8.1f}x"
+        )
+    lines += ["", "rates bit-identical at both sizes"]
     record = {
-        "benchmark": "bench_scale_engine/vectorized_water_filling",
-        "flows": num_flows,
-        "num_hosts": num_hosts,
+        "benchmark": "bench_scale_engine/water_filling",
         "repeats": REPEATS,
-        "scalar_s": round(timings[False], 4),
-        "array_s": round(timings[True], 4),
-        "speedup": round(speedup, 2),
+        "sizes": rows,
     }
-    emit("vectorized_water_filling", "\n".join(lines), record=record,
-         bench_json=BENCH_JSON)
-    # generous regression bound: the array path must stay clearly ahead at
-    # this size (observed ~14x; a loaded runner cannot invert an order of
-    # magnitude)
-    assert speedup >= 3.0, record
+    emit("water_filling", "\n".join(lines), record=record, bench_json=BENCH_JSON)
+    # generous regression bound: the solver must stay clearly ahead of the
+    # reference at 4096 flows (observed ~9x on a 2-vCPU VM; a loaded runner
+    # cannot close that gap)
+    assert rows[-1]["speedup"] >= 3.0, record
 
 
 # ------------------------------------------------------------ timeline drain

@@ -16,8 +16,6 @@ code      name                          invariant
                                         ``is not None`` test on the same name
 ``RC04``  delta-contract                ``rates()`` routes through ``update()``;
                                         ``reset()`` is zero-arg
-``RC05``  vectorized-parity-manifest    every ``vectorized`` toggle mapped to its
-                                        property-test file in the parity manifest
 ``RC06``  bench-emit-discipline         benchmarks write results only through the
                                         shared ``emit`` fixture
 ========  ============================  ==========================================

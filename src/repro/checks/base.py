@@ -5,10 +5,10 @@ gate: each :class:`Checker` encodes one convention the codebase relies on
 but Python itself cannot enforce — the trace-kind registry staying in sync
 with its documentation, the ``repro._numpy`` import guard, the
 "disabled path is one pointer test" emission contract, the
-``RateProvider`` delta contract, the vectorized-parity manifest and the
-benchmark emit discipline.  The checkers operate on plain :mod:`ast` trees
-(per-file ``visit`` hooks plus a cross-file ``finalize``), so the gate runs
-anywhere the stdlib runs — no third-party linter required.
+``RateProvider`` delta contract and the benchmark emit discipline.  The
+checkers operate on plain :mod:`ast` trees (per-file ``visit`` hooks plus a
+cross-file ``finalize``), so the gate runs anywhere the stdlib runs — no
+third-party linter required.
 
 Suppressions
 ------------
@@ -160,11 +160,9 @@ class CheckContext:
 
     def __init__(self, root: Path, *,
                  trace_doc: Optional[Path] = None,
-                 parity_manifest: Optional[Path] = None,
                  hot_modules: Optional[Iterable[str]] = None) -> None:
         self.root = root
         self.trace_doc = trace_doc
-        self.parity_manifest = parity_manifest
         self.hot_modules: Tuple[str, ...] = tuple(
             hot_modules if hot_modules is not None else DEFAULT_HOT_MODULES
         )

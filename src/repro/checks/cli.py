@@ -29,8 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro check",
         description=("repo-specific invariant linter: trace registry, numpy "
-                     "guard, guarded emission, delta contract, vectorized "
-                     "parity manifest, benchmark emit discipline"),
+                     "guard, guarded emission, delta contract, benchmark "
+                     "emit discipline"),
     )
     parser.add_argument("paths", nargs="*", default=None,
                         help="files or directories to check "
@@ -46,10 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace-doc", default=None,
                         help="trace-format document RC01 checks against "
                              "(default: <root>/docs/trace-format.md)")
-    parser.add_argument("--parity-manifest", default=None,
-                        help="parity manifest RC05 checks against (default: "
-                             "the checked-in src/repro/checks/"
-                             "parity_manifest.json)")
     parser.add_argument("--no-default-excludes", action="store_true",
                         help="descend into fixture/build directories that "
                              "are pruned by default")
@@ -109,8 +105,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             root=root,
             checkers=checkers,
             trace_doc=Path(args.trace_doc) if args.trace_doc else None,
-            parity_manifest=(Path(args.parity_manifest)
-                             if args.parity_manifest else None),
             excluded_dirs=excluded,
         )
     except FileNotFoundError as exc:

@@ -11,7 +11,6 @@ from .bench_emit import BenchEmitChecker
 from .delta_contract import DeltaContractChecker
 from .guarded_emission import GuardedEmissionChecker
 from .numpy_guard import NumpyGuardChecker
-from .parity import ParityManifestChecker
 from .trace_kinds import TraceKindChecker
 
 __all__ = [
@@ -28,7 +27,6 @@ ALL_CHECKERS: Tuple[Type[Checker], ...] = (
     NumpyGuardChecker,
     GuardedEmissionChecker,
     DeltaContractChecker,
-    ParityManifestChecker,
     BenchEmitChecker,
 )
 
@@ -77,7 +75,6 @@ def run_check(paths: Sequence[Path], *,
               root: Optional[Path] = None,
               checkers: Optional[Iterable[Type[Checker]]] = None,
               trace_doc: Optional[Path] = None,
-              parity_manifest: Optional[Path] = None,
               hot_modules: Optional[Sequence[str]] = None,
               excluded_dirs: Sequence[str] = DEFAULT_EXCLUDED_DIRS,
               ) -> Tuple[List[Finding], CheckContext]:
@@ -89,7 +86,6 @@ def run_check(paths: Sequence[Path], *,
     """
     resolved_root = (root if root is not None else Path.cwd()).resolve()
     ctx = CheckContext(resolved_root, trace_doc=trace_doc,
-                       parity_manifest=parity_manifest,
                        hot_modules=hot_modules)
     active = [cls() for cls in (checkers if checkers is not None
                                 else ALL_CHECKERS)]

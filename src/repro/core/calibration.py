@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Sequence, Tuple
 
 from .._numpy import np
-from scipy import optimize
-
 from ..exceptions import CalibrationError
 from .ethernet_model import EthernetParameters, GigabitEthernetModel
 from .graph import CommunicationGraph
@@ -147,6 +145,8 @@ def fit_ethernet_parameters(
     measured graphs — convenient when the measurements come from the cluster
     emulator, a real testbed or a trace.
     """
+    from scipy import optimize  # deferred: only the fits need scipy
+
     measurements, observed, weights = _stack_measurements(measurements)
     start = initial or EthernetParameters.paper()
     x0 = np.array([start.beta, start.gamma_o, start.gamma_i], dtype=float)
@@ -177,6 +177,8 @@ def fit_infiniband_parameters(
     initial: InfinibandParameters | None = None,
 ) -> InfinibandParameters:
     """Least-squares fit of the InfiniBand extension parameters (β, λ_o, λ_i)."""
+    from scipy import optimize  # deferred: only the fits need scipy
+
     measurements, observed, weights = _stack_measurements(measurements)
     start = initial or InfinibandParameters.infinihost3()
     x0 = np.array([start.beta, start.lambda_o, start.lambda_i], dtype=float)

@@ -19,7 +19,8 @@ instantaneous bandwidth the way the emulated interconnect would:
     transfers while transmitting (``rx_capacity_loss``);
 
 * the remaining capacity is shared max-min fair
-  (:func:`repro.network.sharing.max_min_allocation`).
+  (:func:`repro.network.sharing.water_fill_arrays`, bit-identical to the
+  reference :func:`~repro.network.sharing.max_min_allocation`).
 
 With the shipped calibration the allocator reproduces the penalty ladder the
 paper measured on its three clusters (Figure 2) to within a few percent; see
@@ -45,6 +46,15 @@ flush costs O(delta + distinct pairs) instead of O(active × log active).
 The full-set ``rates(active)`` call is a compatibility shim that diffs the
 requested set against the tracked one and applies the delta.
 
+The flow–resource incidence the solver reads is kept between flushes as
+well: ``_track``/``_untrack`` give every capacity resource a persistent
+integer slot (its base capacity in a plain list), store each transfer's
+slot tuple and keep, per occupied slot, the set of transfer ids on it,
+plus per-host transmit/receive counts.  A solve only derives the per-flow
+caps (duplex slowdown) and the per-host capacity degradations from that
+state, so one flush costs one flow's worth of incidence upkeep plus one
+solve.
+
 On a cache miss the water-filling is additionally *warm-started*: when
 exactly one flow arrived or departed since the previous allocation, only the
 coupling component of the changed flow (flows transitively sharing an
@@ -59,13 +69,12 @@ from __future__ import annotations
 
 import bisect
 from time import perf_counter
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
-from .._numpy import np
 from ..core.incremental import PenaltyCache
 from ..exceptions import SimulationError
 from .fluid import Transfer
-from .sharing import FlowSpec, max_min_allocation, water_fill_arrays
+from .sharing import water_fill_arrays
 from .technologies import NetworkTechnology
 from .topology import CrossbarTopology, Topology
 
@@ -94,22 +103,12 @@ class EmulatorRateProvider:
         Re-solve only the changed flow's coupling component when exactly one
         flow arrived/departed (see the module docstring); pass ``False`` to
         force a full water-filling on every miss.
-    vectorized:
-        When True (default), cache-miss situations are priced through the
-        array water-filling of :func:`repro.network.sharing.water_fill_arrays`
-        over incidence arrays built incrementally from the tracked endpoint
-        multiset (per-transfer resource tuples and per-host directional
-        counts are maintained by ``_track``/``_untrack``, and the capacity
-        vector covers only the resources the active flows reference instead
-        of the O(num_hosts) full topology dictionary).  When False, every
-        miss goes through the historical scalar :class:`FlowSpec` path.  The
-        two are bit-exact — see ``tests/property/test_vectorized_sharing.py``.
     """
 
     def __init__(self, technology: NetworkTechnology, topology: Topology | None = None,
                  num_hosts: int = 64, cache_size: int = 4096,
                  cache: Optional[PenaltyCache] = None,
-                 warm_start: bool = True, vectorized: bool = True) -> None:
+                 warm_start: bool = True) -> None:
         self.technology = technology
         self.topology = topology or CrossbarTopology(num_hosts=num_hosts, technology=technology)
         if self.topology.technology is not technology:
@@ -128,22 +127,17 @@ class EmulatorRateProvider:
         self.cache_misses = 0
         self.warm_start = bool(warm_start)
         self.warm_starts = 0
-        self.vectorized = bool(vectorized)
         #: tracked active set, for the delta contract (:meth:`update`)
         self._active: Dict[Hashable, Transfer] = {}
-        #: incremental incidence state for the array solver: per transfer the
-        #: resource key tuple plus the keys' integer slots, the slot of every
-        #: referenced resource (slots are persistent and never released —
-        #: resources of departed transfers keep theirs for reuse, so a new
-        #: resource's slot is the index's length), the per-slot base capacity
-        #: array, and per-host directional counts over the whole tracked
-        #: set.  Integer slots give the solver's per-call resource index int
-        #: keys instead of tuple keys (cheaper hashing per entry).
-        self._resources_of_tid: Dict[
-            Hashable, Tuple[Tuple[Hashable, ...], Tuple[int, ...]]
-        ] = {}
+        #: the flow–resource incidence kept between flushes: the persistent
+        #: slot of every referenced resource (never released, so a new
+        #: resource's slot is the index's length) with its base capacity,
+        #: each tracked transfer's slot tuple, the transfer ids on every
+        #: occupied slot, and per-host directional counts
         self._res_slots: Dict[Hashable, int] = {}
-        self._res_caps = np.zeros(0, dtype=np.float64)
+        self._slot_caps: List[float] = []
+        self._slots_of_tid: Dict[Hashable, Tuple[int, ...]] = {}
+        self._tids_of_slot: Dict[int, Set[Hashable]] = {}
         self._counts: Dict[int, Dict[str, int]] = {}
         #: incremental endpoint multiset: pair per transfer, transfers per
         #: pair, and the sorted pair list that keys the memo (bisect-updated)
@@ -202,89 +196,27 @@ class EmulatorRateProvider:
         self._last_by_pair = None
         self._primed = False
         # the cached routes and capacities mirror the (possibly mutated)
-        # topology/technology: rebuild them for the tracked transfers
-        self._res_slots.clear()
-        self._res_caps = np.zeros(0, dtype=np.float64)
-        for tid, transfer in self._active.items():
-            resources = self._resources_for(transfer)
-            self._resources_of_tid[tid] = (
-                resources, tuple(self._resource_slot(r) for r in resources)
-            )
+        # topology/technology: rebuild the incidence for the tracked transfers
+        self._res_slots = {}
+        self._slot_caps = []
+        self._slots_of_tid = {}
+        self._tids_of_slot = {}
+        for transfer in self._active.values():
+            self._index(transfer)
 
     # ---------------------------------------------------------------- helpers
-    def _directional_counts(self, active: Sequence[Transfer]) -> Dict[int, Dict[str, int]]:
-        """Per-host counts of inter-node transfers leaving (tx) and entering (rx)."""
-        counts: Dict[int, Dict[str, int]] = {}
-        for transfer in active:
-            if transfer.is_intra_node:
-                continue
-            counts.setdefault(transfer.src, {"tx": 0, "rx": 0})["tx"] += 1
-            counts.setdefault(transfer.dst, {"tx": 0, "rx": 0})["rx"] += 1
-        return counts
-
-    def _adjusted_capacities(
-        self, counts: Mapping[int, Mapping[str, int]]
-    ) -> Dict[Hashable, float]:
-        """Topology capacities with the income/outgo degradations applied."""
-        sharing = self.technology.sharing
-        capacities = self.topology.capacities()
-        for host, c in counts.items():
-            tx_key, rx_key = self.topology.nic_resources(host)
-            if c["rx"] >= sharing.reverse_threshold and c["tx"] >= 1:
-                capacities[tx_key] *= 1.0 - sharing.tx_capacity_loss
-                capacities[rx_key] *= 1.0 - sharing.rx_capacity_loss
-        return capacities
-
-    def _flow_specs(
-        self,
-        active: Sequence[Transfer],
-        counts: Mapping[int, Mapping[str, int]],
-    ) -> List[FlowSpec]:
-        sharing = self.technology.sharing
-        single = self.technology.single_stream_bandwidth
-        specs: List[FlowSpec] = []
-        for transfer in active:
-            if transfer.is_intra_node:
-                specs.append(
-                    FlowSpec(
-                        flow_id=transfer.transfer_id,
-                        resources=(self.topology.memory_resource(transfer.src),),
-                        cap=self.technology.memory_bandwidth,
-                    )
-                )
-                continue
-            cap = single
-            destination_transmits = counts.get(transfer.dst, {}).get("tx", 0) >= 1
-            if destination_transmits:
-                cap *= 1.0 - sharing.duplex_flow_slowdown
-            tx_key, _ = self.topology.nic_resources(transfer.src)
-            _, rx_key = self.topology.nic_resources(transfer.dst)
-            resources = (tx_key, rx_key) + tuple(
-                self.topology.fabric_route(transfer.src, transfer.dst)
-            )
-            specs.append(
-                FlowSpec(flow_id=transfer.transfer_id, resources=resources, cap=cap)
-            )
-        return specs
-
     def _resource_slot(self, resource: Hashable) -> int:
-        """Persistent integer slot of a capacity resource (allocated on first
-        reference; the base-capacity array grows by doubling alongside)."""
-        slots = self._res_slots
-        slot = slots.get(resource)
+        """Persistent integer slot of a capacity resource (allocated, with its
+        base capacity, on first reference)."""
+        slot = self._res_slots.get(resource)
         if slot is None:
-            slot = slots[resource] = len(slots)
-            caps = self._res_caps
-            if slot >= len(caps):
-                grown = np.zeros(max(16, 2 * len(caps), slot + 1),
-                                 dtype=np.float64)
-                grown[: len(caps)] = caps
-                self._res_caps = caps = grown
-            caps[slot] = self.topology.resource_capacity(resource)
+            slot = self._res_slots[resource] = len(self._slot_caps)
+            self._slot_caps.append(float(self.topology.resource_capacity(resource)))
         return slot
 
     def _resources_for(self, transfer: Transfer) -> Tuple[Hashable, ...]:
-        """Capacity constraints the transfer consumes (cached per transfer)."""
+        """Capacity constraints the transfer consumes (distinct: a route never
+        repeats a resource)."""
         if transfer.is_intra_node:
             return (self.topology.memory_resource(transfer.src),)
         tx_key, _ = self.topology.nic_resources(transfer.src)
@@ -310,77 +242,52 @@ class EmulatorRateProvider:
             timer.observe(perf_counter() - start)
 
     def _solve_impl(self, active: Sequence[Transfer]) -> Dict[Hashable, float]:
-        if self.vectorized:
-            return self._solve_arrays(active)
-        counts = self._directional_counts(active)
-        capacities = self._adjusted_capacities(counts)
-        specs = self._flow_specs(active, counts)
-        return max_min_allocation(specs, capacities, vectorized=False)
+        """Water-fill ``active`` over the incidence kept by ``_track``/``_untrack``.
 
-    def _solve_arrays(self, active: Sequence[Transfer]) -> Dict[Hashable, float]:
-        """Array water-filling over the incrementally maintained incidence state.
-
-        ``active`` may be the full tracked set or one coupling component (the
-        warm-start path): the full-set directional counts agree with the
-        component-restricted ones on every host a component flow touches —
-        any transfer touching such a host belongs to the component — so the
-        duplex caps and capacity degradations below are exactly those the
-        scalar path computes, and unreferenced resources never influence the
-        water level.  Bit-exact with ``_solve`` under ``vectorized=False``.
+        ``active`` is the whole tracked set or one coupling component (the
+        warm-start path).  A component is closed under shared resources:
+        every transfer on a resource one of its flows uses belongs to it.  So
+        the per-slot sets of its slots hold exactly its flows and serve the
+        solver unchanged, and the whole-set directional counts agree with the
+        component's on every host a component flow touches, so the duplex
+        caps and capacity degradations below are the component's own.
         """
-        sharing = self.technology.sharing
-        single = self.technology.single_stream_bandwidth
+        technology = self.technology
+        sharing = technology.sharing
+        single = technology.single_stream_bandwidth
+        duplex = single * (1.0 - sharing.duplex_flow_slowdown)
         counts = self._counts
-        base_caps = self._res_caps
-        tids: List[Hashable] = []
-        caps: List[float] = []
-        ent_flow: List[int] = []
-        ent_res: List[int] = []
-        res_index: Dict[int, int] = {}
-        res_caps: List[float] = []
-        for position, transfer in enumerate(active):
+        caps: Dict[Hashable, float] = {}
+        for transfer in active:
             tid = transfer.transfer_id
-            tids.append(tid)
             if transfer.is_intra_node:
-                cap = self.technology.memory_bandwidth
+                cap = technology.memory_bandwidth
             else:
-                cap = single
                 dst_counts = counts.get(transfer.dst)
-                if dst_counts is not None and dst_counts["tx"] >= 1:
-                    cap *= 1.0 - sharing.duplex_flow_slowdown
+                transmits = dst_counts is not None and dst_counts["tx"] >= 1
+                cap = duplex if transmits else single
             if cap <= 0:
                 raise SimulationError(f"flow {tid!r} has non-positive cap {cap}")
-            caps.append(cap)
-            for slot in self._resources_of_tid[tid][1]:
-                index = res_index.get(slot)
-                if index is None:
-                    index = res_index[slot] = len(res_caps)
-                    res_caps.append(float(base_caps[slot]))
-                ent_flow.append(position)
-                ent_res.append(index)
+            caps[tid] = cap
+        base = self._slot_caps
+        slots_of = self._slots_of_tid
+        if len(caps) == len(self._active):
+            # the whole tracked set: its resources are the occupied slots
+            capacities = {slot: base[slot] for slot in self._tids_of_slot}
+        else:
+            capacities = {slot: base[slot] for tid in caps for slot in slots_of[tid]}
         # income/outgo degradations on the referenced NIC ports
         slot_of = self._res_slots
         for host, c in counts.items():
             if c["rx"] >= sharing.reverse_threshold and c["tx"] >= 1:
                 tx_key, rx_key = self.topology.nic_resources(host)
                 slot = slot_of.get(tx_key)
-                index = res_index.get(slot) if slot is not None else None
-                if index is not None:
-                    res_caps[index] *= 1.0 - sharing.tx_capacity_loss
+                if slot in capacities:
+                    capacities[slot] *= 1.0 - sharing.tx_capacity_loss
                 slot = slot_of.get(rx_key)
-                index = res_index.get(slot) if slot is not None else None
-                if index is not None:
-                    res_caps[index] *= 1.0 - sharing.rx_capacity_loss
-        num_flows = len(tids)
-        rates = water_fill_arrays(
-            np.ones(num_flows, dtype=np.float64),
-            np.asarray(caps, dtype=np.float64),
-            np.asarray(ent_flow, dtype=np.int64),
-            np.asarray(ent_res, dtype=np.int64),
-            np.asarray(res_caps, dtype=np.float64),
-            max_iterations=num_flows + len(res_caps) + 1,
-        )
-        return dict(zip(tids, rates.tolist()))
+                if slot in capacities:
+                    capacities[slot] *= 1.0 - sharing.rx_capacity_loss
+        return water_fill_arrays(caps, slots_of, self._tids_of_slot, capacities)
 
     # ------------------------------------------------------------ warm start
     def _coupling_keys(self, src: int, dst: int) -> Tuple[Hashable, ...]:
@@ -452,8 +359,17 @@ class EmulatorRateProvider:
         self._rates_by_tid = {}
         self._last_by_pair = None
         self._primed = False
-        self._resources_of_tid = {}
+        self._slots_of_tid = {}
+        self._tids_of_slot = {}
         self._counts = {}
+
+    def _index(self, transfer: Transfer) -> None:
+        """Enter a transfer's slots into the incidence."""
+        tid = transfer.transfer_id
+        slots = tuple(self._resource_slot(r) for r in self._resources_for(transfer))
+        self._slots_of_tid[tid] = slots
+        for slot in slots:
+            self._tids_of_slot.setdefault(slot, set()).add(tid)
 
     def _track(self, transfer: Transfer) -> Tuple[int, int]:
         tid = transfer.transfer_id
@@ -462,10 +378,7 @@ class EmulatorRateProvider:
         self._pair_of_tid[tid] = pair
         self._tids_of_pair.setdefault(pair, {})[tid] = None
         bisect.insort(self._sorted_pairs, pair)
-        resources = self._resources_for(transfer)
-        self._resources_of_tid[tid] = (
-            resources, tuple(self._resource_slot(r) for r in resources)
-        )
+        self._index(transfer)
         if not transfer.is_intra_node:
             counts = self._counts.setdefault(transfer.src, {"tx": 0, "rx": 0})
             counts["tx"] += 1
@@ -482,7 +395,11 @@ class EmulatorRateProvider:
             del self._tids_of_pair[pair]
         del self._sorted_pairs[bisect.bisect_left(self._sorted_pairs, pair)]
         self._rates_by_tid.pop(tid, None)
-        del self._resources_of_tid[tid]
+        for slot in self._slots_of_tid.pop(tid):
+            tids = self._tids_of_slot[slot]
+            tids.remove(tid)
+            if not tids:
+                del self._tids_of_slot[slot]
         if not transfer.is_intra_node:
             counts = self._counts[transfer.src]
             counts["tx"] -= 1

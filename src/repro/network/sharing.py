@@ -12,56 +12,48 @@ identifiers — so the same code serves the per-technology allocators of
 :mod:`repro.network.ethernet` / ``myrinet`` / ``infiniband`` and the
 fat-tree link sharing of :mod:`repro.network.topology`.
 
-The implementation follows the textbook water-filling algorithm:
+The reference implementation, :func:`weighted_max_min_allocation`, is the
+textbook water-filling loop over Python dicts:
 
-1. every unfrozen flow grows at the same rate;
+1. every unfrozen flow grows at the same rate (scaled by its weight);
 2. the first constraint to saturate (a resource whose remaining capacity
    divided by its weight pressure is minimal, or a per-flow cap) freezes
    the flows it limits;
 3. repeat until every flow is frozen.
 
-Two implementations share that freeze-round structure:
+Each round recomputes every resource's pressure from the unfrozen flows
+and charges every (flow, resource) entry.
 
-* the **scalar reference** (``vectorized=False``) walks Python dicts — one
-  loop iteration per flow and per resource touched, the historical code;
-* the **array path** (``vectorized=True``) operates on a flow×resource
-  incidence matrix in CSR style: two parallel index arrays ``(entry →
-  flow, entry → resource)`` plus per-flow weight/cap and per-resource
-  capacity vectors.  Each freeze round reduces over those arrays (weight
-  pressure via ``np.add.at``, the binding constraint via array minima, the
-  capacity charge via ``np.subtract.at``, the numerical-safety "tightest
-  flow" via a masked ``argmin``) — no per-flow Python in the inner
-  iteration.
+The emulator prices its flows through :func:`water_fill_arrays`, which runs
+the same rounds for **unit weights** over an incidence that
+:class:`~repro.network.allocator.EmulatorRateProvider` keeps between calls.
+With every weight 1, every unfrozen flow sits at one common *level*: its
+rate is the running sum of the round increments, computed by the same
+additions for all of them.  Three consequences make a round cheap:
 
-**Bit-exactness contract**: the array path replicates the scalar loop
-operation for operation — the per-entry accumulations of ``np.add.at`` /
-``np.subtract.at`` apply in entry order, which is exactly the scalar
-flow-major iteration order; every quotient, threshold and comparison uses
-the same operands in the same association order; and ``np.argmin`` breaks
-ties like the scalar first-minimum scan.  The two paths therefore return
-**bit-identical** rates for any input, which
+* the cap headroom is ``min(unfrozen caps) - level`` — subtracting one
+  value preserves order under round-to-nearest, so this is the minimum of
+  the per-flow headrooms the reference computes;
+* a resource's pressure is the number of unfrozen flows on it, kept as a
+  count that a freezing flow decrements, so a round visits only the
+  occupied resources;
+* charging a resource repeats ``remaining -= increment`` once per unfrozen
+  flow on it — the very subtractions the reference performs, whose order
+  cannot matter because every operand is equal.
+
+Every quotient, threshold and comparison therefore sees the reference's
+operands, and the rates are **bit-identical** to
+:func:`weighted_max_min_allocation` on any unit-weight instance, which
 ``tests/property/test_vectorized_sharing.py`` and
-``tests/network/test_sharing_degenerate.py`` assert (including degenerate
-inputs and weights spanning six orders of magnitude).  ``vectorized=None``
-(the default) auto-dispatches by problem size — safe precisely because the
-two paths cannot disagree.
-
-Downstream, :class:`~repro.network.allocator.EmulatorRateProvider` prices
-cache-miss situations through the array path and hands the changed-value
-diff to the calendar through the one ``update()`` delta contract of
-:mod:`repro.network.fluid`; because the solver is bit-exact across its own
-paths, the size dispatch never leaks into simulated results.  This is the
-one array twin kept beside its scalar reference on end-to-end evidence: on
-the loaded fat-tree emulator workload, switching it off made the whole run
-about twice as slow.
+``tests/network/test_sharing_degenerate.py`` assert.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from operator import truediv
+from typing import Collection, Dict, Hashable, List, Mapping, Sequence, Tuple
 
-from .._numpy import np
 from ..exceptions import SimulationError
 
 __all__ = [
@@ -73,12 +65,9 @@ __all__ = [
 
 ResourceId = Hashable
 
-#: saturation tolerance of the freeze rounds (both implementations)
+#: saturation tolerance of the freeze rounds (both solvers)
 _EPS = 1e-12
-
-#: below this many flows the scalar loop wins on constant factors; the
-#: dispatch is a pure performance choice because the paths are bit-exact
-_VECTORIZED_MIN_FLOWS = 12
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -105,7 +94,6 @@ class FlowSpec:
 def max_min_allocation(
     flows: Sequence[FlowSpec],
     capacities: Mapping[ResourceId, float],
-    vectorized: Optional[bool] = None,
 ) -> Dict[Hashable, float]:
     """Max-min fair rates for ``flows`` under ``capacities``.
 
@@ -118,19 +106,16 @@ def max_min_allocation(
     >>> rates["a"] == rates["b"] == 50.0
     True
     """
-    return weighted_max_min_allocation(flows, capacities, vectorized=vectorized)
+    return weighted_max_min_allocation(flows, capacities)
 
 
 def weighted_max_min_allocation(
     flows: Sequence[FlowSpec],
     capacities: Mapping[ResourceId, float],
-    vectorized: Optional[bool] = None,
 ) -> Dict[Hashable, float]:
     """Weighted max-min fair allocation (weights scale each flow's share).
 
-    ``vectorized`` selects the implementation: ``True`` forces the array
-    path, ``False`` the scalar reference loop, ``None`` (default) picks by
-    problem size.  The two are bit-exact (see the module docstring).
+    The reference water-filling loop (see the module docstring).
     """
     if not flows:
         return {}
@@ -149,129 +134,108 @@ def weighted_max_min_allocation(
         if capacity < 0:
             raise SimulationError(f"resource {resource!r} has negative capacity {capacity}")
 
-    if vectorized is None:
-        vectorized = len(flows) >= _VECTORIZED_MIN_FLOWS
-    if vectorized:
-        return _allocate_arrays(flows, capacities)
-    return _allocate_scalar(flows, capacities)
+    return _allocate_reference(flows, capacities)
 
 
-# --------------------------------------------------------------- array path
-def _allocate_arrays(
-    flows: Sequence[FlowSpec],
-    capacities: Mapping[ResourceId, float],
-) -> Dict[Hashable, float]:
-    """Build the CSR-style incidence arrays and run the array water-filling."""
-    res_index: Dict[ResourceId, int] = {}
-    ent_flow: List[int] = []
-    ent_res: List[int] = []
-    # flow-major entry order: this is what makes the np.add.at/subtract.at
-    # accumulations replicate the scalar loop's float operation order
-    for position, flow in enumerate(flows):
-        for resource in flow.resources:
-            ent_flow.append(position)
-            ent_res.append(res_index.setdefault(resource, len(res_index)))
-    num_flows = len(flows)
-    weights = np.fromiter((f.weight for f in flows), dtype=np.float64, count=num_flows)
-    caps = np.fromiter((f.cap for f in flows), dtype=np.float64, count=num_flows)
-    resource_caps = np.fromiter(
-        (capacities[r] for r in res_index), dtype=np.float64, count=len(res_index)
-    )
-    rates = water_fill_arrays(
-        weights,
-        caps,
-        np.asarray(ent_flow, dtype=np.int64),
-        np.asarray(ent_res, dtype=np.int64),
-        resource_caps,
-        max_iterations=len(flows) + len(capacities) + 1,
-    )
-    return dict(zip((f.flow_id for f in flows), rates.tolist()))
-
-
+# ---------------------------------------------------------- emulator solver
 def water_fill_arrays(
-    weights: "np.ndarray",
-    caps: "np.ndarray",
-    ent_flow: "np.ndarray",
-    ent_res: "np.ndarray",
-    resource_caps: "np.ndarray",
-    max_iterations: Optional[int] = None,
-) -> "np.ndarray":
-    """Water-filling freeze loop over a flow×resource incidence matrix.
+    caps: Mapping[Hashable, float],
+    flow_resources: Mapping[Hashable, Sequence[ResourceId]],
+    resource_flows: Mapping[ResourceId, Collection[Hashable]],
+    capacities: Mapping[ResourceId, float],
+) -> Dict[Hashable, float]:
+    """Unit-weight water-filling over a flow–resource incidence kept by the caller.
 
-    ``weights``/``caps`` are per-flow (length n); ``resource_caps`` is the
-    per-resource capacity vector (length m); ``ent_flow``/``ent_res`` are
-    the parallel entry arrays of the incidence matrix in flow-major order.
-    Returns the per-flow rate vector (clamped at 0).  Bit-exact with the
-    scalar loop of :func:`weighted_max_min_allocation` — see the module
-    docstring for why the operation order matches.
+    ``caps`` maps every flow to its rate ceiling (``inf`` for none), in the
+    order that breaks ties in the numerical-safety freeze;
+    ``flow_resources`` lists each flow's resources (no repeats) and
+    ``resource_flows`` the flows on each resource; ``capacities`` holds the
+    capacity of exactly the resources the flows of ``caps`` use.  The
+    incidence must be closed on those resources: every flow that
+    ``resource_flows`` lists on one of them is a flow of ``caps``.  No
+    argument is modified, so the caller keeps its incidence between calls.
+
+    Returns ``{flow: rate}``, bit-identical to
+    :func:`weighted_max_min_allocation` with unit weights (see the module
+    docstring for why).
     """
-    num_flows = weights.shape[0]
-    num_resources = resource_caps.shape[0]
-    if max_iterations is None:
-        max_iterations = num_flows + num_resources + 1
-    rates = np.zeros(num_flows, dtype=np.float64)
-    remaining = resource_caps.astype(np.float64, copy=True)
-    # saturation threshold per resource: eps * max(1, original capacity)
-    saturation = _EPS * np.maximum(1.0, resource_caps)
-    # per-flow freeze threshold: cap - eps * max(1, cap) (1 for infinite caps)
-    cap_freeze = caps - _EPS * np.maximum(1.0, np.where(np.isinf(caps), 1.0, caps))
-    active = np.ones(num_flows, dtype=bool)
+    active = dict(caps)
+    # the reference's thresholds: cap - eps * max(1, cap) per flow (1 for an
+    # infinite cap) and eps * max(1, capacity) per resource.  The flow
+    # threshold never decreases as the cap grows, so walking the flows in
+    # cap order meets the smallest unfrozen cap and every cap that binds.
+    freeze_at = {
+        flow: cap - (_EPS * cap if 1.0 < cap < _INF else _EPS)
+        for flow, cap in active.items()
+    }
+    by_cap = sorted(active, key=active.__getitem__)
+    first = 0  # every flow before by_cap[first] is frozen
+    # the occupied resources: remaining capacity and unfrozen-flow count,
+    # two dicts with one key order (a resource leaves both when it empties)
+    remaining = dict(capacities)
+    pressure = {resource: len(resource_flows[resource]) for resource in remaining}
+    saturation = {resource: _EPS * c if c > 1.0 else _EPS for resource, c in remaining.items()}
+    rates: Dict[Hashable, float] = {}
+    level = 0.0
+    while active:
+        # how far the common level can rise before a resource or a cap binds
+        while by_cap[first] not in active:
+            first += 1
+        increment = active[by_cap[first]] - level
+        if pressure:
+            share = min(map(truediv, remaining.values(), pressure.values()))
+            if share < increment:
+                increment = share
+        if increment < 0.0:
+            increment = 0.0
+        level += increment
 
-    for _ in range(max_iterations):
-        if not active.any():
-            break
+        # charge every occupied resource once per unfrozen flow on it
+        saturated = []
+        for resource, count in pressure.items():
+            left = remaining[resource] - increment
+            while count > 1:
+                left -= increment
+                count -= 1
+            remaining[resource] = left
+            if left <= saturation[resource]:
+                saturated.append(resource)
 
-        live = active[ent_flow]
-        e_flow = ent_flow[live]
-        e_res = ent_res[live]
-
-        # weight pressure on every resource from the still-active flows
-        pressure = np.zeros(num_resources, dtype=np.float64)
-        np.add.at(pressure, e_res, weights[e_flow])
-        touched = np.zeros(num_resources, dtype=bool)
-        touched[e_res] = True
-
-        # how much further the common level can rise before a constraint
-        # binds: resource ratios and per-flow cap headrooms
-        increment = np.inf
-        if e_res.size:
-            increment = float(np.min(remaining[touched] / pressure[touched]))
-        headroom = (caps[active] - rates[active]) / weights[active]
-        if headroom.size:
-            increment = min(increment, float(np.min(headroom)))
-        increment = max(increment, 0.0)
-
-        # raise every active flow by increment * weight and charge resources
-        delta = increment * weights
-        rates[active] += delta[active]
-        if e_res.size:
-            np.subtract.at(remaining, e_res, delta[e_flow])
-
-        # freeze flows limited by a saturated constraint
-        saturated = touched & (remaining <= saturation)
-        freeze = active & (rates >= cap_freeze)
-        if saturated.any():
-            freeze[e_flow[saturated[e_res]]] = True
-        if not freeze.any():
+        # freeze the flows at their cap or on a saturated resource
+        frozen: Dict[Hashable, None] = {}
+        while first < len(by_cap) and level >= freeze_at[by_cap[first]]:
+            if by_cap[first] in active:
+                frozen[by_cap[first]] = None
+            first += 1
+        for resource in saturated:
+            for flow in resource_flows[resource]:
+                if flow in active:
+                    frozen[flow] = None
+        if not frozen:
             # numerical safety: freeze the tightest flow to guarantee progress
-            tightness = np.where(active, caps - rates, np.inf)
-            if e_res.size:
-                np.minimum.at(tightness, e_flow, remaining[e_res])
-            freeze[int(np.argmin(tightness))] = True
-        active &= ~freeze
-    if active.any():  # pragma: no cover - the loop always terminates within the bound
-        raise SimulationError("max-min allocation did not converge")
+            tightest = min(active, key=lambda f: min(
+                [remaining[r] for r in flow_resources[f]] + [active[f] - level]
+            ))
+            frozen[tightest] = None
+        for flow in frozen:
+            del active[flow]
+            rates[flow] = level
+            for resource in flow_resources[flow]:
+                count = pressure[resource] - 1
+                if count:
+                    pressure[resource] = count
+                else:
+                    del pressure[resource]
+                    del remaining[resource]
+    return rates
 
-    # clamp tiny negative numerical noise
-    return np.maximum(0.0, rates)
 
-
-# -------------------------------------------------------------- scalar path
-def _allocate_scalar(
+# ---------------------------------------------------------- reference loop
+def _allocate_reference(
     flows: Sequence[FlowSpec],
     capacities: Mapping[ResourceId, float],
 ) -> Dict[Hashable, float]:
-    """The historical dict-walking loop, kept as the bit-exact reference."""
+    """The dict-walking freeze loop that :func:`water_fill_arrays` must equal."""
     rates: Dict[Hashable, float] = {flow.flow_id: 0.0 for flow in flows}
     remaining: Dict[ResourceId, float] = dict(capacities)
     active: Dict[Hashable, FlowSpec] = {flow.flow_id: flow for flow in flows}

@@ -1,8 +1,8 @@
 """Per-rule tests against the seeded fixture trees.
 
-Every rule RC01–RC06 has a seeded-violation fixture and a clean twin; the
-tests pin the *exact* ``(path, line, code)`` triples so a checker that
-drifts by one line, fires twice, or goes silent fails loudly.
+Every rule (RC01–RC04, RC06) has a seeded-violation fixture and a clean
+twin; the tests pin the *exact* ``(path, line, code)`` triples so a checker
+that drifts by one line, fires twice, or goes silent fails loudly.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from repro.checks.bench_emit import BenchEmitChecker
 from repro.checks.delta_contract import DeltaContractChecker
 from repro.checks.guarded_emission import GuardedEmissionChecker
 from repro.checks.numpy_guard import NumpyGuardChecker
-from repro.checks.parity import ParityManifestChecker
 from repro.checks.trace_kinds import TraceKindChecker
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -122,34 +121,6 @@ class TestDeltaContractRC04:
                                 root=self.ROOT,
                                 checkers=[DeltaContractChecker])
         assert findings == []
-
-
-class TestParityManifestRC05:
-    ROOT = FIXTURES / "rc05"
-
-    def test_unmapped_toggle_is_reported_at_the_toggle_line(self):
-        findings, _ = run_check(
-            [self.ROOT / "toggle_module.py"], root=self.ROOT,
-            checkers=[ParityManifestChecker],
-            parity_manifest=self.ROOT / "manifest_empty.json")
-        assert triples(findings) == [("toggle_module.py", 4, "RC05")]
-
-    def test_mapped_toggle_is_clean(self):
-        findings, _ = run_check(
-            [self.ROOT / "toggle_module.py"], root=self.ROOT,
-            checkers=[ParityManifestChecker],
-            parity_manifest=self.ROOT / "manifest_good.json")
-        assert findings == []
-
-    def test_stale_entry_and_missing_test_file_are_reported(self):
-        findings, _ = run_check(
-            [self.ROOT / "no_toggle.py", self.ROOT / "toggle_module.py"],
-            root=self.ROOT, checkers=[ParityManifestChecker],
-            parity_manifest=self.ROOT / "manifest_stale.json")
-        assert triples(findings) == [("manifest_stale.json", 0, "RC05"),
-                                     ("no_toggle.py", 1, "RC05")]
-        assert "missing_test_file.py" in findings[0].message
-        assert "no longer defines" in findings[1].message
 
 
 class TestBenchEmitRC06:

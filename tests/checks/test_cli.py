@@ -48,7 +48,7 @@ class TestOutputs:
     def test_list_checks_names_every_rule(self, capsys):
         assert main(["--list-checks"]) == 0
         out = capsys.readouterr().out
-        for code in ("RC01", "RC02", "RC03", "RC04", "RC05", "RC06"):
+        for code in ("RC01", "RC02", "RC03", "RC04", "RC06"):
             assert code in out
 
     def test_select_filters_rules(self):

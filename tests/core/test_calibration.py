@@ -125,3 +125,27 @@ class TestCalibrationAgainstEmulator:
         predicted = model.penalties(graph)
         for name in measured:
             assert predicted[name] == pytest.approx(measured[name], rel=0.05)
+
+
+class TestScipyIsImportedOnlyByTheFits:
+    def test_import_repro_loads_no_scipy(self):
+        """``import repro`` must work, and stay fast, without scipy loaded."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ)
+        src_root = str(Path(repro.__file__).parents[1])
+        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+        source = (
+            "import sys\n"
+            "import repro, repro.core, repro.network, repro.simulator\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", source], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core import PenaltyCache
@@ -144,15 +146,65 @@ class TestUnifiedRateCache:
 
 
 class TestResourceIndex:
-    """The array solver's resource index: one persistent slot per capacity
-    resource, handed out in first-reference order and never released."""
+    """The incidence the solver reads, kept between flushes: one persistent
+    slot per capacity resource (handed out in first-reference order, never
+    released), each transfer's slot tuple and the transfer ids on every
+    occupied slot — always equal to a rebuild from the tracked set."""
 
     @staticmethod
     def assert_dense_and_priced(provider):
         slots = provider._res_slots
         assert sorted(slots.values()) == list(range(len(slots)))
+        assert len(provider._slot_caps) == len(slots)
         for resource, slot in slots.items():
-            assert provider._res_caps[slot] == provider.topology.resource_capacity(resource)
+            assert provider._slot_caps[slot] == provider.topology.resource_capacity(resource)
+
+    @staticmethod
+    def assert_incidence_matches_rebuild(provider):
+        slots_of = {}
+        tids_of_slot = {}
+        for tid, transfer in provider._active.items():
+            slots = tuple(provider._res_slots[r] for r in provider._resources_for(transfer))
+            slots_of[tid] = slots
+            for slot in slots:
+                tids_of_slot.setdefault(slot, set()).add(tid)
+        assert provider._slots_of_tid == slots_of
+        assert provider._tids_of_slot == tids_of_slot
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_incidence_tracks_every_delta(self, seed):
+        """Random arrivals, departures, endpoint reuse through ``rates()``,
+        invalidations and resets on a fat tree: after each, the kept
+        incidence equals a rebuild from the tracked transfers."""
+        rng = random.Random(seed)
+        topology = FatTreeTopology(num_hosts=12, technology=ETH,
+                                   hosts_per_edge=4, uplinks_per_edge=1)
+        provider = EmulatorRateProvider(ETH, topology, cache_size=64)
+        next_tid = 0
+        for _ in range(300):
+            action = rng.random()
+            live = list(provider._active)
+            if action < 0.5 or not live:
+                added = []
+                for _ in range(rng.randint(1, 3)):
+                    added.append(Transfer(next_tid, rng.randrange(12),
+                                          rng.randrange(12), 20 * MB))
+                    next_tid += 1
+                provider.update(added, [])
+            elif action < 0.85:
+                provider.update([], rng.sample(live, rng.randint(1, min(3, len(live)))))
+            elif action < 0.95:
+                # a reused id with new endpoints departs and re-arrives
+                reused = Transfer(rng.choice(live), rng.randrange(12), rng.randrange(12),
+                                  20 * MB)
+                provider.rates([reused if t.transfer_id == reused.transfer_id else t
+                                for t in provider._active.values()])
+            elif action < 0.98:
+                provider.invalidate_cache()
+            else:
+                provider.reset()
+            self.assert_incidence_matches_rebuild(provider)
+            self.assert_dense_and_priced(provider)
 
     def test_departures_keep_slots_and_returning_resources_reuse_them(self):
         topology = FatTreeTopology(num_hosts=8, technology=ETH,
@@ -164,6 +216,7 @@ class TestResourceIndex:
         self.assert_dense_and_priced(provider)
         provider.update([], [0, 1])
         assert provider._res_slots == index  # departures release nothing
+        assert provider._tids_of_slot == {}  # ...but leave no occupied slot
         again = provider.update([Transfer(2, 0, 4, 20 * MB),
                                  Transfer(3, 1, 2, 20 * MB)], [])
         assert provider._res_slots == index  # same resources, same slots
@@ -187,6 +240,7 @@ class TestResourceIndex:
         topology.uplinks_per_edge = 1  # halve the uplink in place
         provider.invalidate_cache()
         self.assert_dense_and_priced(provider)
+        self.assert_incidence_matches_rebuild(provider)
         after = provider.rates(active)
         reference = EmulatorRateProvider(
             ETH, FatTreeTopology(num_hosts=8, technology=ETH, hosts_per_edge=4,

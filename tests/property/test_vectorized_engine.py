@@ -1,17 +1,22 @@
-"""Application-level bit-exactness of the emulator's array water-filling.
+"""Application-level bit-exactness of the emulator's water-filling.
 
-The unit-level suites pin the array solver against the scalar freeze loop;
-this one closes the loop end to end: simulating a random MPI application
-with the array-solving emulator provider must produce **identical**
-per-rank event streams and finish times as the scalar one — under both
-engine loops (delta-fed calendar and full re-query), on a clean crossbar
-and on an oversubscribed fat tree whose fabric links bind.
+The unit-level suites pin the emulator's solver against the reference
+freeze loop; this one closes the loop end to end: simulating a random MPI
+application with :class:`~repro.network.allocator.EmulatorRateProvider`
+must produce **identical** per-rank event streams and finish times as with
+``FlowSpecOracleProvider`` (``test_vectorized_sharing.py``), which rebuilds
+every solve from FlowSpecs — under both engine loops (delta-fed calendar
+and full re-query), for all three technologies, on a crossbar with
+intra-node copies and on an oversubscribed fat tree whose fabric links
+bind, with warm starts on and off.
 """
 
 from __future__ import annotations
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
+from test_vectorized_sharing import FlowSpecOracleProvider
 
 from repro.cluster import custom_cluster, make_placement
 from repro.network.allocator import EmulatorRateProvider
@@ -44,7 +49,7 @@ workload_strategy = st.fixed_dictionaries({
 
 def build_application(spec) -> Application:
     num_tasks = spec["num_tasks"]
-    app = Application(num_tasks=num_tasks, name="vectorized-prop")
+    app = Application(num_tasks=num_tasks, name="emulator-prop")
     for round_no, round_spec in enumerate(spec["rounds"]):
         tag = round_no + 1
         busy = set()
@@ -72,42 +77,33 @@ def run_engine(app, cluster, provider, policy, seed, delta: bool):
     return report.records, report.finish_time_per_task
 
 
-class TestVectorizedEngineBitExact:
+def make_cluster_and_topology(technology, fabric):
+    """A crossbar with two cores per node (intra-node copies use the memory
+    bus), or a 3:1 oversubscribed fat tree of single-core nodes."""
+    if fabric == "crossbar":
+        cluster = custom_cluster(num_nodes=3, cores_per_node=2, technology=technology)
+        return cluster, CrossbarTopology(num_hosts=cluster.num_nodes,
+                                         technology=cluster.technology)
+    cluster = custom_cluster(num_nodes=6, cores_per_node=1, technology=technology)
+    return cluster, FatTreeTopology(num_hosts=cluster.num_nodes,
+                                    technology=cluster.technology,
+                                    hosts_per_edge=3, uplinks_per_edge=1)
+
+
+class TestEmulatorEngineMatchesOracle:
+    @pytest.mark.parametrize("technology", ["ethernet", "myrinet", "infiniband"])
+    @pytest.mark.parametrize("fabric", ["crossbar", "oversubscribed-fat-tree"])
+    @pytest.mark.parametrize("warm_start", [False, True], ids=["cold", "warm-start"])
     @common_settings
     @given(spec=workload_strategy)
-    def test_emulator_provider_vectorized_scalar_identical(self, spec):
-        cluster = custom_cluster(num_nodes=3, cores_per_node=2, technology="ethernet")
+    def test_emulator_runs_identical(self, technology, fabric, warm_start, spec):
         app = build_application(spec)
         outcomes = []
         for delta in (True, False):
-            for vectorized in (True, False):
-                topology = CrossbarTopology(num_hosts=cluster.num_nodes,
-                                            technology=cluster.technology)
-                provider = EmulatorRateProvider(
-                    cluster.technology, topology, vectorized=vectorized
-                )
+            for cls in (EmulatorRateProvider, FlowSpecOracleProvider):
+                cluster, topology = make_cluster_and_topology(technology, fabric)
+                provider = cls(cluster.technology, topology, warm_start=warm_start)
                 outcomes.append(run_engine(
                     app, cluster, provider, spec["policy"], spec["seed"], delta
                 ))
         assert all(outcome == outcomes[0] for outcome in outcomes[1:])
-
-    @common_settings
-    @given(spec=workload_strategy)
-    def test_emulator_on_loaded_fabric_vectorized_scalar_identical(self, spec):
-        """Oversubscribed fat tree: shared uplinks bind, exercising the
-        fabric-resource columns of the incidence arrays."""
-        cluster = custom_cluster(num_nodes=6, cores_per_node=1, technology="myrinet")
-        app = build_application(spec)
-        outcomes = []
-        for vectorized in (True, False):
-            topology = FatTreeTopology(
-                num_hosts=cluster.num_nodes, technology=cluster.technology,
-                hosts_per_edge=3, uplinks_per_edge=1,
-            )
-            provider = EmulatorRateProvider(
-                cluster.technology, topology, vectorized=vectorized
-            )
-            outcomes.append(run_engine(
-                app, cluster, provider, spec["policy"], spec["seed"], True
-            ))
-        assert outcomes[0] == outcomes[1]

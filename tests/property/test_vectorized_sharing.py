@@ -1,18 +1,23 @@
-"""Property tests: array water-filling is bit-exact with the scalar loop.
+"""Property tests: the emulator's water-filling is bit-exact with the reference.
 
-:func:`repro.network.sharing.weighted_max_min_allocation` has two
-implementations behind one toggle — the historical dict-walking freeze loop
-(``vectorized=False``) and the incidence-array path (``vectorized=True``).
-Their contract is strict bit-exactness on arbitrary inputs (see the module
-docstring of :mod:`repro.network.sharing` for why the float operation order
-matches), which these tests assert over random flow/capacity instances and,
-one level up, over random delta sequences through the calibrated
-:class:`~repro.network.allocator.EmulatorRateProvider` — on a clean crossbar
-and on an oversubscribed fat tree whose fabric links actually bind, with
-warm starts on and off.
+:func:`repro.network.sharing.water_fill_arrays` prices unit-weight flows
+over an incidence its caller keeps between calls; the dict-walking freeze
+loop of :func:`~repro.network.sharing.weighted_max_min_allocation` is the
+reference it must equal bit for bit (see the module docstring of
+:mod:`repro.network.sharing` for why the float operations match).  These
+tests assert that over random unit-weight instances — shared resources,
+zero capacities and simultaneous saturations included — and, one level up,
+over random delta sequences through the calibrated
+:class:`~repro.network.allocator.EmulatorRateProvider`, against
+:class:`FlowSpecOracleProvider`, which prices every solve by rebuilding one
+:class:`~repro.network.sharing.FlowSpec` per transfer and running the
+reference loop: on a clean crossbar and on an oversubscribed fat tree whose
+fabric links actually bind, with warm starts on and off.
 """
 
 from __future__ import annotations
+
+import copy
 
 import hypothesis.strategies as st
 import pytest
@@ -20,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.network.allocator import EmulatorRateProvider
 from repro.network.fluid import Transfer
-from repro.network.sharing import FlowSpec, weighted_max_min_allocation
+from repro.network.sharing import FlowSpec, water_fill_arrays, weighted_max_min_allocation
 from repro.network.technologies import get_technology
 from repro.network.topology import FatTreeTopology
 
@@ -28,52 +33,129 @@ common_settings = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
+
+class FlowSpecOracleProvider(EmulatorRateProvider):
+    """The emulator priced the slow way: the test oracle of the provider.
+
+    Every solve rebuilds, from the transfers it is handed alone, the per-host
+    directional counts, the topology's capacities with the income/outgo
+    degradations applied and one :class:`FlowSpec` per transfer, then runs
+    the reference loop.  Nothing is kept between solves.
+    """
+
+    def _solve_impl(self, active):
+        sharing = self.technology.sharing
+        counts = {}
+        for transfer in active:
+            if transfer.is_intra_node:
+                continue
+            counts.setdefault(transfer.src, {"tx": 0, "rx": 0})["tx"] += 1
+            counts.setdefault(transfer.dst, {"tx": 0, "rx": 0})["rx"] += 1
+        capacities = self.topology.capacities()
+        for host, c in counts.items():
+            tx_key, rx_key = self.topology.nic_resources(host)
+            if c["rx"] >= sharing.reverse_threshold and c["tx"] >= 1:
+                capacities[tx_key] *= 1.0 - sharing.tx_capacity_loss
+                capacities[rx_key] *= 1.0 - sharing.rx_capacity_loss
+        specs = []
+        for transfer in active:
+            if transfer.is_intra_node:
+                specs.append(FlowSpec(
+                    transfer.transfer_id,
+                    (self.topology.memory_resource(transfer.src),),
+                    cap=self.technology.memory_bandwidth,
+                ))
+                continue
+            cap = self.technology.single_stream_bandwidth
+            if counts.get(transfer.dst, {}).get("tx", 0) >= 1:
+                cap *= 1.0 - sharing.duplex_flow_slowdown
+            tx_key, _ = self.topology.nic_resources(transfer.src)
+            _, rx_key = self.topology.nic_resources(transfer.dst)
+            resources = (tx_key, rx_key) + tuple(
+                self.topology.fabric_route(transfer.src, transfer.dst)
+            )
+            specs.append(FlowSpec(transfer.transfer_id, resources, cap=cap))
+        return weighted_max_min_allocation(specs, capacities)
+
+
+def solver_input(flows, capacities):
+    """The emulator solver's arguments for unit-weight FlowSpecs (no flow
+    lists a resource twice)."""
+    resource_flows = {}
+    for flow in flows:
+        for resource in flow.resources:
+            resource_flows.setdefault(resource, set()).add(flow.flow_id)
+    return (
+        {flow.flow_id: flow.cap for flow in flows},
+        {flow.flow_id: flow.resources for flow in flows},
+        resource_flows,
+        {resource: capacities[resource] for resource in resource_flows},
+    )
+
+
+def assert_solver_matches_reference(flows, capacities):
+    rates = water_fill_arrays(*solver_input(flows, capacities))
+    assert rates == weighted_max_min_allocation(flows, capacities)
+    assert all(type(r) is float for r in rates.values())
+
+
 capacity_strategy = st.one_of(
     st.just(0.0),
     st.floats(min_value=1e-6, max_value=1e9, allow_nan=False),
 )
-flow_strategy = st.tuples(
-    st.lists(st.integers(0, 9), min_size=0, max_size=4),  # resource ids (dups ok)
-    st.one_of(st.just(float("inf")),
-              st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)),  # cap
-    st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),  # weight
+cap_strategy = st.one_of(
+    st.just(float("inf")),
+    st.floats(min_value=1e-3, max_value=1e6, allow_nan=False),
 )
-instance_strategy = st.fixed_dictionaries({
-    "capacities": st.lists(capacity_strategy, min_size=0, max_size=10),
-    "flows": st.lists(flow_strategy, min_size=1, max_size=24),
-})
+#: few distinct values, so constraints tie and saturate in the same round
+tied_capacity_strategy = st.sampled_from([0.0, 10.0, 30.0, 60.0, 90.0])
+tied_cap_strategy = st.sampled_from([float("inf"), 5.0, 10.0, 15.0])
+
+
+def instances(capacity, cap):
+    return st.fixed_dictionaries({
+        "capacities": st.lists(capacity, min_size=0, max_size=10),
+        "flows": st.lists(
+            st.tuples(st.lists(st.integers(0, 9), max_size=4, unique=True), cap),
+            min_size=1, max_size=24,
+        ),
+    })
 
 
 def build_instance(spec):
+    """Unit-weight FlowSpecs over ``r0..r(k-1)``; a flow's ids map onto the
+    resources modulo ``k``, duplicates folded so no flow repeats one."""
     capacities = {f"r{i}": c for i, c in enumerate(spec["capacities"])}
     flows = []
-    for index, (resources, cap, weight) in enumerate(spec["flows"]):
-        names = tuple(
+    for index, (resources, cap) in enumerate(spec["flows"]):
+        names = tuple(dict.fromkeys(
             f"r{r % len(capacities)}" for r in resources
-        ) if capacities else ()
-        flows.append(FlowSpec(f"f{index}", names, cap=cap, weight=weight))
+        )) if capacities else ()
+        flows.append(FlowSpec(f"f{index}", names, cap=cap))
     return flows, capacities
 
 
 class TestWaterFillingBitExact:
     @common_settings
-    @given(spec=instance_strategy)
-    def test_array_and_scalar_paths_identical(self, spec):
-        flows, capacities = build_instance(spec)
-        scalar = weighted_max_min_allocation(flows, capacities, vectorized=False)
-        array = weighted_max_min_allocation(flows, capacities, vectorized=True)
-        assert scalar == array
-        assert all(type(r) is float for r in array.values())
+    @given(spec=instances(capacity_strategy, cap_strategy))
+    def test_solver_matches_reference(self, spec):
+        assert_solver_matches_reference(*build_instance(spec))
 
     @common_settings
-    @given(spec=instance_strategy)
-    def test_auto_dispatch_matches_both(self, spec):
-        flows, capacities = build_instance(spec)
-        auto = weighted_max_min_allocation(flows, capacities)
-        assert auto == weighted_max_min_allocation(flows, capacities, vectorized=False)
+    @given(spec=instances(tied_capacity_strategy, tied_cap_strategy))
+    def test_solver_matches_reference_under_ties(self, spec):
+        assert_solver_matches_reference(*build_instance(spec))
+
+    @common_settings
+    @given(spec=instances(capacity_strategy, cap_strategy))
+    def test_solver_leaves_its_inputs_untouched(self, spec):
+        arguments = solver_input(*build_instance(spec))
+        snapshot = copy.deepcopy(arguments)
+        water_fill_arrays(*arguments)
+        assert arguments == snapshot
 
 
-# --------- emulator level: vectorized allocator over delta sequences -------
+# --------- emulator level: the provider against the FlowSpec oracle -------
 step_strategy = st.one_of(
     st.tuples(st.just("add"), st.integers(0, 11), st.integers(0, 11)),
     st.tuples(st.just("del"), st.integers(0, 30), st.integers(0, 0)),
@@ -98,7 +180,7 @@ def deltas(steps, max_live=10):
     return out
 
 
-def make_provider(technology, loaded_fabric, warm_start, vectorized):
+def make_provider(cls, technology, loaded_fabric, warm_start):
     topology = None
     if loaded_fabric:
         # 4:1 oversubscription on 12 hosts: the shared uplinks genuinely bind
@@ -106,13 +188,10 @@ def make_provider(technology, loaded_fabric, warm_start, vectorized):
             num_hosts=12, technology=technology,
             hosts_per_edge=4, uplinks_per_edge=1,
         )
-    return EmulatorRateProvider(
-        technology, topology=topology, num_hosts=12,
-        warm_start=warm_start, vectorized=vectorized,
-    )
+    return cls(technology, topology=topology, num_hosts=12, warm_start=warm_start)
 
 
-class TestVectorizedEmulatorBitExact:
+class TestEmulatorMatchesOracle:
     @pytest.mark.parametrize("technology", ["ethernet", "myrinet", "infiniband"])
     @pytest.mark.parametrize("loaded_fabric", [False, True],
                              ids=["crossbar", "oversubscribed-fat-tree"])
@@ -120,14 +199,13 @@ class TestVectorizedEmulatorBitExact:
                              ids=["cold", "warm-start"])
     @common_settings
     @given(steps=sequence_strategy)
-    def test_vectorized_and_scalar_update_streams_identical(
+    def test_update_streams_identical(
         self, technology, loaded_fabric, warm_start, steps
     ):
         tech = get_technology(technology)
-        vec = make_provider(tech, loaded_fabric, warm_start, vectorized=True)
-        ref = make_provider(tech, loaded_fabric, warm_start, vectorized=False)
+        provider = make_provider(EmulatorRateProvider, tech, loaded_fabric, warm_start)
+        oracle = make_provider(FlowSpecOracleProvider, tech, loaded_fabric, warm_start)
         for added, removed, _live in deltas(steps):
-            changed_vec = vec.update(added, removed)
-            changed_ref = ref.update(added, removed)
-            assert changed_vec == changed_ref
-            assert all(type(r) is float for r in changed_vec.values())
+            changed = provider.update(added, removed)
+            assert changed == oracle.update(added, removed)
+            assert all(type(r) is float for r in changed.values())
