@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..cluster.spec import custom_cluster
 from ..core.incremental import (
@@ -84,7 +84,6 @@ def _execute_graph_scenario(
     scenario: ScenarioSpec,
     cache: Optional[PenaltyCache],
     stats: EngineStats,
-    map_fn: Optional[Callable] = None,
     graph=None,
     model: Optional[ContentionModel] = None,
 ) -> ScenarioResult:
@@ -95,7 +94,7 @@ def _execute_graph_scenario(
         model = resolve_model(scenario.model, scenario.network)
     prediction = cached_predict(
         model, graph, _cost_model(scenario.network),
-        cache=cache, map_fn=map_fn, stats=stats,
+        cache=cache, stats=stats,
     )
     metrics = {
         "mean_penalty": prediction.mean_penalty,

@@ -20,14 +20,12 @@ Graphs are hashable snapshots of a contention situation and are therefore
 kept immutable after :meth:`CommunicationGraph.freeze` (the models freeze
 them defensively).
 
-To support the incremental contention engine
-(:mod:`repro.core.incremental`) the graph additionally maintains per-node
-endpoint indices (so every degree/conflict query is proportional to the
-local neighbourhood, not to the whole graph), offers a mutation/delta API
-(:meth:`CommunicationGraph.remove` next to :meth:`CommunicationGraph.add`)
-and exposes a canonical, order-independent :meth:`structural_key` used to
-memoize per-component penalty evaluations across repeated contention
-situations.
+The graph additionally maintains per-node endpoint indices (so every
+degree/conflict query is proportional to the local neighbourhood, not to the
+whole graph), offers :meth:`CommunicationGraph.remove` next to
+:meth:`CommunicationGraph.add`, and exposes a canonical, order-independent
+:meth:`structural_key` used to memoize per-component penalty evaluations
+across repeated contention situations (:mod:`repro.core.incremental`).
 """
 
 from __future__ import annotations
@@ -35,12 +33,13 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
 from ..exceptions import GraphError
 from ..units import MB
+
+if TYPE_CHECKING:  # networkx loads only when a conversion runs
+    import networkx as nx
 
 __all__ = ["Communication", "CommunicationGraph", "ConflictRule"]
 
@@ -155,13 +154,7 @@ class CommunicationGraph:
         return comm
 
     def remove(self, name: str) -> Communication:
-        """Remove (and return) the named communication — the delta API.
-
-        Together with :meth:`add` this lets a caller mutate a live graph one
-        flow arrival/departure at a time instead of rebuilding it from
-        scratch on every event; :class:`repro.core.incremental.IncrementalPenaltyEngine`
-        uses it to keep track of dirty conflict components.
-        """
+        """Remove (and return) the named communication."""
         if self._frozen:
             raise GraphError("cannot modify a frozen communication graph")
         comm = self._comms.pop(name, None)
@@ -415,8 +408,10 @@ class CommunicationGraph:
         return components
 
     @staticmethod
-    def conflict_resources(comm: Communication, rule: str = ConflictRule.ENDPOINT) -> Tuple[Tuple[str, NodeId], ...]:
-        """The endpoint resources ``comm`` occupies under ``rule``.
+    def conflict_resources(
+        src: NodeId, dst: NodeId, rule: str = ConflictRule.ENDPOINT
+    ) -> Tuple[Tuple[str, NodeId], ...]:
+        """The endpoint resources an inter-node ``src -> dst`` flow occupies under ``rule``.
 
         Two inter-node communications conflict exactly when they share one of
         these opaque resource keys, so connected components of the conflict
@@ -425,9 +420,9 @@ class CommunicationGraph:
         arrival/departure without rebuilding the adjacency.
         """
         if rule == ConflictRule.ENDPOINT:
-            return (("src", comm.src), ("dst", comm.dst))
+            return (("src", src), ("dst", dst))
         if rule == ConflictRule.ANY_NODE:
-            return (("node", comm.src), ("node", comm.dst))
+            return (("node", src), ("node", dst))
         raise GraphError(f"unknown conflict rule {rule!r}")
 
     # ----------------------------------------------------------- canonical key
@@ -481,8 +476,10 @@ class CommunicationGraph:
         return key, endpoint_ranks
 
     # ------------------------------------------------------------ conversions
-    def to_networkx(self) -> nx.MultiDiGraph:
+    def to_networkx(self) -> "nx.MultiDiGraph":
         """Export as a :class:`networkx.MultiDiGraph` (nodes = hosts, edges = comms)."""
+        import networkx as nx
+
         graph = nx.MultiDiGraph(name=self.name)
         for node in self.nodes:
             graph.add_node(node)
@@ -492,7 +489,7 @@ class CommunicationGraph:
         return graph
 
     @classmethod
-    def from_networkx(cls, graph: nx.MultiDiGraph, name: str = "") -> "CommunicationGraph":
+    def from_networkx(cls, graph: "nx.MultiDiGraph", name: str = "") -> "CommunicationGraph":
         """Build from a networkx multi-digraph produced by :meth:`to_networkx`."""
         result = cls(name=name or graph.name or "")
         for src, dst, key, data in graph.edges(keys=True, data=True):

@@ -1,25 +1,30 @@
 """Incremental contention engine.
 
-The fluid simulators re-price the set of in-flight communications on *every*
-flow arrival and departure.  Rebuilding a :class:`CommunicationGraph` and
+The fluid simulators re-price the set of in-flight transfers on *every*
+arrival and departure.  Rebuilding a :class:`CommunicationGraph` and
 re-evaluating the full contention model each time makes large scenarios
 O(events × flows) in model evaluations, even though a single event only
-changes the penalties of one conflict component.  This module provides the
-machinery that makes re-pricing proportional to what actually changed:
+changes the penalties of one conflict component.  This module makes
+re-pricing proportional to what actually changed:
 
-* :class:`IncrementalPenaltyEngine` maintains a live communication graph
-  through the :meth:`~repro.core.graph.CommunicationGraph.add` /
-  :meth:`~repro.core.graph.CommunicationGraph.remove` delta API, tracks the
-  partition of inter-node communications into conflict components under the
-  model's :attr:`~repro.core.penalty.ContentionModel.component_rule`, and
-  re-evaluates **only the dirty components** (the merged component on an
-  arrival, the split remnants on a departure) through
+* :class:`IncrementalPenaltyEngine` keeps **one record per transfer id** —
+  endpoints, size, conflict component and current penalty — and the
+  partition of inter-node transfers into conflict components under the
+  model's :attr:`~repro.core.penalty.ContentionModel.component_rule`, held
+  as per-resource sets of ids.  An arrival merges the components it
+  touches, a departure re-partitions only its own component's remnants,
+  and :meth:`~IncrementalPenaltyEngine.refresh` re-prices **only the dirty
+  components**;
+* a dirty component's cache key is built straight from its records, with
+  the relabelling of
+  :meth:`~repro.core.graph.CommunicationGraph.canonical_component`, so a
+  cache hit costs one key build and one lookup.  Only a miss builds the
+  component's :class:`CommunicationGraph` (:func:`in_flight_graph`) and calls
   :meth:`~repro.core.penalty.ContentionModel.component_penalties`;
-* :class:`PenaltyCache` memoizes component evaluations keyed by the
-  canonical component snapshot
-  (:meth:`~repro.core.graph.CommunicationGraph.structural_key`), so the
-  repeated contention situations of iterative workloads (LINPACK panels,
-  collectives) are cache hits that cost no model evaluation at all;
+* :class:`PenaltyCache` memoizes component evaluations keyed by the model
+  identity and the canonical component snapshot, so the repeated contention
+  situations of iterative workloads (LINPACK panels, collectives) are cache
+  hits that cost no model evaluation at all;
 * :class:`EngineStats` counts events, component/communication evaluations
   and cache traffic, which is how ``benchmarks/bench_scale_engine.py``
   demonstrates the speedup.
@@ -29,22 +34,19 @@ evaluating a component's subgraph performs the *same* arithmetic on the
 *same* values as evaluating the whole graph, and a cache hit replays the
 result of an isomorphic component — the penalties are bit-identical to a
 full recomputation (property-tested in
-``tests/property/test_incremental_properties.py``).
-
-Pricing runs one :meth:`~repro.core.penalty.ContentionModel.component_penalties`
-call per dirty component that missed the cache, in sorted component order,
-or — when a ``map_fn`` is given — fans the misses of one refresh out through
-it (dirty components are independent, so the penalties are identical).
+``tests/property/test_incremental_properties.py``).  Dirty components are
+priced one at a time, in the order they were formed.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from collections import OrderedDict
 from time import perf_counter
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from ..exceptions import GraphError
 from .graph import Communication, CommunicationGraph
@@ -54,6 +56,7 @@ __all__ = [
     "EngineStats",
     "PenaltyCache",
     "IncrementalPenaltyEngine",
+    "in_flight_graph",
     "cached_penalties",
     "cached_predict",
 ]
@@ -113,9 +116,10 @@ class PenaltyCache:
         if max_entries < 0:
             raise GraphError(f"max_entries must be non-negative, got {max_entries}")
         self.max_entries = max_entries
-        self._entries: "OrderedDict[Hashable, Dict[Tuple[int, int], float]]" = OrderedDict()
+        #: key -> [penalty mapping, hits earned], in LRU order (oldest first);
+        #: the hit count rides in the entry so a hit hashes its key only twice
+        self._entries: "OrderedDict[Hashable, list]" = OrderedDict()
         self._lock = threading.RLock()
-        self._entry_hits: Dict[Hashable, int] = {}
         self.lookups = 0
         self.hits = 0
         self.misses = 0
@@ -131,21 +135,25 @@ class PenaltyCache:
         with self._lock:
             self.lookups += 1
             entry = self._entries.get(key)
-            if entry is not None:
-                self.hits += 1
-                self._entry_hits[key] = self._entry_hits.get(key, 0) + 1
-                self._entries.move_to_end(key)
-            else:
+            if entry is None:
                 self.misses += 1
-            return entry
+                return None
+            self.hits += 1
+            entry[1] += 1
+            self._entries.move_to_end(key)
+            return entry[0]
 
     def store(
         self,
         key: Hashable,
-        endpoint_ranks: Dict[str, Tuple[int, int]],
-        penalties: Dict[str, float],
+        endpoint_ranks: Dict[Hashable, Tuple[int, int]],
+        penalties: Dict[Hashable, float],
     ) -> None:
-        """Memoize one component evaluation; silently skip unsound entries."""
+        """Memoize one component evaluation; silently skip unsound entries.
+
+        ``endpoint_ranks`` and ``penalties`` are keyed alike, by
+        communication name or transfer id.
+        """
         if self.max_entries == 0:
             return
         mapping: Dict[Tuple[int, int], float] = {}
@@ -166,28 +174,31 @@ class PenaltyCache:
         if self.max_entries == 0:
             return
         with self._lock:
-            self._entries[key] = mapping
-            self._entries.move_to_end(key)
-            self._entry_hits.setdefault(key, 0)
+            entry = self._entries.get(key)
+            if entry is None:
+                self._entries[key] = [mapping, 0]
+            else:  # a re-stored key keeps the hits it earned
+                entry[0] = mapping
+                self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
-                evicted, _ = self._entries.popitem(last=False)
+                _, (_, hits) = self._entries.popitem(last=False)
                 self.evictions += 1
-                self.evicted_entry_hits += self._entry_hits.pop(evicted, 0)
+                self.evicted_entry_hits += hits
 
     def items(self) -> List[Tuple[Hashable, Dict[Tuple[int, int], float]]]:
         """Snapshot of every entry in LRU order (oldest first)."""
         with self._lock:
-            return [(key, dict(mapping)) for key, mapping in self._entries.items()]
+            return [(key, dict(mapping)) for key, (mapping, _) in self._entries.items()]
 
     def entry_hits(self) -> List[Tuple[Hashable, int]]:
         """Per-entry hit counts in LRU order (oldest first)."""
         with self._lock:
-            return [(key, self._entry_hits.get(key, 0)) for key in self._entries]
+            return [(key, hits) for key, (_, hits) in self._entries.items()]
 
     def stats(self) -> Dict[str, float]:
         """Summary of cache traffic and the per-entry hit distribution."""
         with self._lock:
-            counts = [self._entry_hits.get(key, 0) for key in self._entries]
+            counts = [hits for _, hits in self._entries.values()]
             return {
                 "entries": len(self._entries),
                 "max_entries": self.max_entries,
@@ -205,11 +216,37 @@ class PenaltyCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._entry_hits.clear()
+
+
+class _Record:
+    """The engine's state of one tracked transfer."""
+
+    __slots__ = ("src", "dst", "size", "seq", "resources", "comp", "penalty")
+
+    def __init__(self, src: int, dst: int, size: float, seq: int) -> None:
+        self.src = src
+        self.dst = dst
+        self.size = size
+        #: arrival number: a miss builds its graph in arrival order
+        self.seq = seq
+        #: conflict resources held (none for an intra-node transfer)
+        self.resources: Tuple[Hashable, ...] = ()
+        #: conflict component id; ``None`` for an intra-node transfer
+        self.comp: Optional[int] = None
+        self.penalty = 1.0
+
+
+#: the single resource every inter-node transfer holds under a model without
+#: a component rule: the whole inter-node set is then one component
+_WHOLE_GRAPH = (("all",),)
 
 
 class IncrementalPenaltyEngine:
-    """Maintain model penalties of a changing set of communications.
+    """Maintain model penalties of a changing set of transfers.
+
+    Transfers are identified by any hashable id; :meth:`add` and
+    :meth:`remove` apply one arrival or departure, :meth:`refresh` prices
+    what they dirtied.
 
     Parameters
     ----------
@@ -224,27 +261,10 @@ class IncrementalPenaltyEngine:
         engines to share memoized situations across simulations.  ``None``
         creates a private cache when the model is structural, and disables
         memoization otherwise.
-    map_fn:
-        Optional ``map``-compatible callable (e.g. the ``map`` method of a
-        :class:`concurrent.futures.Executor`).  When set, the cache-miss
-        component evaluations of one :meth:`penalties` call are fanned out
-        through it — dirty conflict components are independent by
-        construction, so the results are identical to serial evaluation.
-        Two isomorphic components dirtied in the same refresh are then both
-        evaluated (serially the second is a cache hit), so the work counters
-        may differ from the serial ones even though the penalties are
-        bit-exact.
     """
 
-    def __init__(
-        self,
-        model: ContentionModel,
-        cache: Optional[PenaltyCache] = None,
-        name: str = "in-flight",
-        map_fn: Optional[Callable] = None,
-    ) -> None:
+    def __init__(self, model: ContentionModel, cache: Optional[PenaltyCache] = None) -> None:
         self.model = model
-        self.map_fn = map_fn
         self.rule = model.component_rule
         if cache is None and model.structural_penalties:
             cache = PenaltyCache()
@@ -252,17 +272,17 @@ class IncrementalPenaltyEngine:
         # a cache may be shared between engines wrapping *different* models
         # (or differently parameterized ones): namespace every entry
         self._model_key = model.memo_key()
-        self.graph = CommunicationGraph(name=name)
         self.stats = EngineStats()
-        self._comp_of: Dict[str, int] = {}
-        self._members: Dict[int, Set[str]] = {}
-        self._by_resource: Dict[Hashable, Set[str]] = {}
+        #: one record per tracked transfer id, in arrival order
+        self._records: Dict[Hashable, _Record] = {}
+        self._members: Dict[int, Set[Hashable]] = {}
+        self._by_resource: Dict[Hashable, Set[Hashable]] = {}
         self._dirty: Set[int] = set()
-        self._penalties: Dict[str, float] = {}
-        self._comp_ids = itertools.count()
-        #: intra-node arrivals since the last refresh (priced 1.0 on add, but
+        #: intra-node arrivals since the last refresh (penalty 1.0 on add, but
         #: still "re-priced" as far as the delta contract is concerned)
-        self._fresh_intra: Set[str] = set()
+        self._fresh_intra: Dict[Hashable, None] = {}
+        self._comp_ids = itertools.count()
+        self._arrivals = itertools.count()
         #: repro.obs phase timer around dirty-component pricing; installed by
         #: set_metrics(), one pointer test per refresh when absent
         self._pricing_timer = None
@@ -271,242 +291,243 @@ class IncrementalPenaltyEngine:
         """Install the ``pricing.dirty_s`` phase timer from a metrics registry.
 
         Observability hook of the :mod:`repro.obs` layer: every dirty-set
-        evaluation (serial or through ``map_fn``) is timed.  Pass ``None``
-        to uninstall.
+        evaluation is timed.  Pass ``None`` to uninstall.
         """
         self._pricing_timer = (registry.timer("pricing.dirty_s")
                                if registry is not None else None)
 
     # ---------------------------------------------------------------- helpers
-    def _resources(self, comm: Communication) -> Tuple[Hashable, ...]:
+    def _resources(self, src: int, dst: int) -> Tuple[Hashable, ...]:
         if self.rule is None:
-            # no locality promise: every inter-node communication shares one
-            # global resource, i.e. the whole graph is a single component
-            return (("all",),)
-        return CommunicationGraph.conflict_resources(comm, self.rule)
+            # no locality promise: the whole graph is a single component
+            return _WHOLE_GRAPH
+        return CommunicationGraph.conflict_resources(src, dst, self.rule)
 
-    def _new_component(self, members: Set[str]) -> int:
+    def _new_component(self, members: Set[Hashable]) -> None:
         comp_id = next(self._comp_ids)
         self._members[comp_id] = members
-        for member in members:
-            self._comp_of[member] = comp_id
+        records = self._records
+        for tid in members:
+            records[tid].comp = comp_id
         self._dirty.add(comp_id)
-        return comp_id
 
-    def _drop_component(self, comp_id: int) -> Set[str]:
+    def _drop_component(self, comp_id: int) -> Set[Hashable]:
         self._dirty.discard(comp_id)
         return self._members.pop(comp_id)
 
     # ------------------------------------------------------------------ delta
-    def add(self, comm: Communication) -> None:
-        """Apply one flow arrival."""
-        self.graph.add(comm)
+    def add(self, tid: Hashable, src: int, dst: int, size: float) -> None:
+        """Apply one arrival: transfer ``tid`` of ``size`` bytes from ``src`` to ``dst``."""
+        records = self._records
+        if tid in records:
+            raise GraphError(f"transfer {tid!r} is already tracked")
+        record = records[tid] = _Record(src, dst, size, next(self._arrivals))
         self.stats.events += 1
-        if comm.is_intra_node:
+        if src == dst:
             # per the ContentionModel.penalties contract, intra-node
-            # communications are always penalty 1.0 (they never use the NIC)
-            self._penalties[comm.name] = 1.0
-            self._fresh_intra.add(comm.name)
+            # transfers are always penalty 1.0 (they never use the NIC)
+            self._fresh_intra[tid] = None
             return
-        merged: Set[str] = {comm.name}
-        touched: Set[int] = set()
-        for resource in self._resources(comm):
-            occupants = self._by_resource.setdefault(resource, set())
-            touched.update(self._comp_of[n] for n in occupants)
-            occupants.add(comm.name)
-        for comp_id in touched:
-            merged |= self._drop_component(comp_id)
+        merged = {tid}
+        by_resource = self._by_resource
+        record.resources = self._resources(src, dst)
+        for resource in record.resources:
+            occupants = by_resource.get(resource)
+            if occupants is None:
+                by_resource[resource] = {tid}
+                continue
+            # the occupants of a resource conflict, so they share a component
+            comp_id = records[next(iter(occupants))].comp
+            if comp_id in self._members:  # not merged through an earlier resource
+                merged |= self._drop_component(comp_id)
+            occupants.add(tid)
         self._new_component(merged)
 
-    def remove(self, name: str) -> None:
-        """Apply one flow departure."""
-        comm = self.graph.remove(name)
+    def remove(self, tid: Hashable) -> None:
+        """Apply one departure."""
+        record = self._records.pop(tid, None)
+        if record is None:
+            raise GraphError(f"unknown transfer {tid!r}")
         self.stats.events += 1
-        self._penalties.pop(name, None)
-        if comm.is_intra_node:
-            self._fresh_intra.discard(name)
+        if record.comp is None:
+            self._fresh_intra.pop(tid, None)
             return
-        for resource in self._resources(comm):
-            occupants = self._by_resource[resource]
-            occupants.discard(name)
+        by_resource = self._by_resource
+        for resource in record.resources:
+            occupants = by_resource[resource]
+            occupants.discard(tid)
             if not occupants:
-                del self._by_resource[resource]
-        comp_id = self._comp_of.pop(name)
-        remnants = self._drop_component(comp_id)
-        remnants.discard(name)
-        if not remnants:
-            return
-        # the departed flow may have been the only bridge: re-partition the
-        # remnants locally (never the rest of the graph)
-        unvisited = set(remnants)
-        while unvisited:
-            seed_name = unvisited.pop()
-            component = {seed_name}
-            frontier = [seed_name]
+                del by_resource[resource]
+        remnants = self._drop_component(record.comp)
+        remnants.discard(tid)
+        # the departed transfer may have been the only bridge: re-partition
+        # the remnants locally (never the rest of the graph)
+        records = self._records
+        while remnants:
+            seed = remnants.pop()
+            component = {seed}
+            frontier = [seed]
             while frontier:
-                current = self.graph[frontier.pop()]
-                for resource in self._resources(current):
-                    for neighbour in self._by_resource.get(resource, ()):
-                        if neighbour in unvisited:
-                            unvisited.discard(neighbour)
+                for resource in records[frontier.pop()].resources:
+                    for neighbour in by_resource[resource]:
+                        if neighbour in remnants:
+                            remnants.discard(neighbour)
                             component.add(neighbour)
                             frontier.append(neighbour)
             self._new_component(component)
 
-    def update(self, comms: Iterable[Communication]) -> Dict[str, float]:
-        """Diff the live graph against ``comms`` and return fresh penalties.
-
-        Convenience for callers holding the *current* set rather than a
-        stream of deltas (the rate-provider protocol hands the full active
-        list to every call).  A communication whose name is already tracked
-        but whose endpoints or size changed is treated as departure +
-        arrival.
-        """
-        wanted = {c.name: c for c in comms}
-        for name in [n for n in self.graph.names if n not in wanted]:
-            self.remove(name)
-        for name, comm in wanted.items():
-            if name in self.graph:
-                existing = self.graph[name]
-                if existing.endpoints == comm.endpoints and existing.size == comm.size:
-                    continue
-                self.remove(name)
-            self.add(comm)
-        return self.penalties()
-
     # -------------------------------------------------------------- interface
-    def penalties(self) -> Dict[str, float]:
-        """Current penalty of every tracked communication (≥ 1).
+    def refresh(self) -> Dict[Hashable, float]:
+        """Price the dirty components and return **only** the re-priced penalties.
+
+        The returned mapping covers exactly the transfers whose penalty may
+        have changed since the previous refresh — the members of every
+        component dirtied by :meth:`add`/:meth:`remove` (arrivals,
+        departures, and the neighbours they merged with or split from), plus
+        intra-node arrivals (always re-priced to 1.0).  Transfers of
+        untouched components keep their stored penalty and are *not*
+        returned, which is what lets a rate provider report "what changed"
+        to the execution engine's event calendar without touching the rest
+        of the active set.
+        """
+        changed: Dict[Hashable, float] = {}
+        if self._dirty:
+            timer = self._pricing_timer
+            if timer is None:
+                self._price_dirty(changed)
+            else:
+                start = perf_counter()
+                try:
+                    self._price_dirty(changed)
+                finally:
+                    timer.observe(perf_counter() - start)
+        if self._fresh_intra:
+            for tid in self._fresh_intra:
+                changed[tid] = 1.0
+            self._fresh_intra.clear()
+        return changed
+
+    def penalties(self) -> Dict[Hashable, float]:
+        """Current penalty of every tracked transfer (≥ 1), in arrival order.
 
         Re-evaluates only the components dirtied since the last call.
         """
-        self._price_dirty()
-        self._fresh_intra.clear()
-        return dict(self._penalties)
+        self.refresh()
+        return {tid: record.penalty for tid, record in self._records.items()}
 
-    def refresh(self) -> Dict[str, float]:
-        """Price the dirty components and return **only** the re-priced penalties.
+    def _price_dirty(self, changed: Dict[Hashable, float]) -> None:
+        """Price every dirty component (through the cache) into ``changed``; clear the set."""
+        records = self._records
+        cache = self.cache
+        stats = self.stats
+        for comp_id in sorted(self._dirty):
+            members = self._members[comp_id]
+            if cache is None:
+                penalties = self._evaluate(members)
+            else:
+                key, endpoint_ranks = self._canonical_key(members)
+                cached = cache.get(key)
+                if cached is not None:
+                    stats.cache_hits += 1
+                    for tid in members:
+                        penalty = cached[endpoint_ranks[tid]]
+                        records[tid].penalty = penalty
+                        changed[tid] = penalty
+                    continue
+                stats.cache_misses += 1
+                penalties = self._evaluate(members)
+                cache.store(key, endpoint_ranks, penalties)
+            for tid in members:
+                penalty = penalties[tid]
+                records[tid].penalty = penalty
+                changed[tid] = penalty
+        self._dirty.clear()
 
-        The delta counterpart of :meth:`penalties`: the returned mapping
-        covers exactly the communications whose penalty may have changed
-        since the previous refresh — the members of every component dirtied
-        by :meth:`add`/:meth:`remove` (arrivals, departures, and the
-        neighbours they merged with or split from), plus intra-node arrivals
-        (always re-priced to 1.0).  Communications of untouched components
-        keep their stored penalty and are *not* returned, which is what lets
-        a rate provider report "what changed" to the execution engine's
-        event calendar without touching the rest of the active set.
+    def _canonical_key(
+        self, members: Set[Hashable]
+    ) -> Tuple[Hashable, Dict[Hashable, Tuple[int, int]]]:
+        """Cache key of a component and each member's canonical endpoint pair.
+
+        Built straight from the records with the relabelling of
+        :meth:`CommunicationGraph.canonical_component` (hosts ranked in
+        sorted order), so keys match those of static graphs, persisted
+        caches and the campaign runner's pre-priced components.
         """
-        repriced: Set[str] = set(self._fresh_intra)
-        for comp_id in self._dirty:
-            repriced.update(self._members[comp_id])
-        self._price_dirty()
-        self._fresh_intra.clear()
-        return {name: self._penalties[name] for name in repriced}
+        records = self._records
+        if len(members) == 1:  # the common case: a transfer alone on its hosts
+            (tid,) = members
+            record = records[tid]
+            pair = (0, 1) if record.src < record.dst else (1, 0)
+            return (self._model_key, (pair,)), {tid: pair}
+        hosts = set()
+        for tid in members:
+            record = records[tid]
+            hosts.add(record.src)
+            hosts.add(record.dst)
+        rank = {host: index for index, host in enumerate(sorted(hosts))}
+        endpoint_ranks = {}
+        for tid in members:
+            record = records[tid]
+            endpoint_ranks[tid] = (rank[record.src], rank[record.dst])
+        return (self._model_key, tuple(sorted(endpoint_ranks.values()))), endpoint_ranks
 
-    def _price_dirty(self) -> None:
-        """Evaluate every dirty component (through the cache) and clear the set."""
-        timer = self._pricing_timer
-        if timer is None:
-            return self._price_dirty_impl()
-        start = perf_counter()
-        try:
-            return self._price_dirty_impl()
-        finally:
-            timer.observe(perf_counter() - start)
+    def _evaluate(self, members: Set[Hashable]) -> Dict[Hashable, float]:
+        """Price one component through the model: the cache-miss path.
 
-    def _price_dirty_impl(self) -> None:
-        if self.map_fn is not None and self.rule is not None:
-            self._price_dirty_parallel()
-            return
-        for comp_id in sorted(self._dirty):
-            names = sorted(self._members[comp_id])
-            if self.cache is not None:
-                component_key, endpoint_ranks = self.graph.canonical_component(names)
-                key = (self._model_key, component_key)
-                cached = self.cache.get(key)
-                if cached is not None:
-                    self.stats.cache_hits += 1
-                    for name in names:
-                        self._penalties[name] = cached[endpoint_ranks[name]]
-                    continue
-                self.stats.cache_misses += 1
-                evaluated = self.model.component_penalties(self.graph, names)
-                self.stats.component_evaluations += 1
-                self.stats.comm_evaluations += len(names)
-                self.cache.store(key, endpoint_ranks, evaluated)
-            else:
-                evaluated = self.model.component_penalties(self.graph, names)
-                self.stats.component_evaluations += 1
-                self.stats.comm_evaluations += len(names)
-            for name in names:
-                self._penalties[name] = evaluated[name]
-        self._dirty.clear()
-
-    def _price_dirty_parallel(self) -> None:
-        """Batch variant of :meth:`_price_dirty` that fans misses out via ``map_fn``."""
-        hits: List[Tuple[List[str], Dict[Tuple[int, int], float], Dict[str, Tuple[int, int]]]] = []
-        pending: List[Tuple[List[str], Optional[Hashable], Optional[Dict[str, Tuple[int, int]]]]] = []
-        for comp_id in sorted(self._dirty):
-            names = sorted(self._members[comp_id])
-            if self.cache is not None:
-                component_key, endpoint_ranks = self.graph.canonical_component(names)
-                key = (self._model_key, component_key)
-                cached = self.cache.get(key)
-                if cached is not None:
-                    hits.append((names, cached, endpoint_ranks))
-                    continue
-                pending.append((names, key, endpoint_ranks))
-            else:
-                pending.append((names, None, None))
-        if len(pending) > 1:
-            jobs = [
-                (self.model, self.graph.subgraph(names), tuple(names))
-                for names, _, _ in pending
-            ]
-            evaluations = list(self.map_fn(_evaluate_component, jobs))
-        else:  # nothing to parallelize: skip the pool round-trip
-            evaluations = [
-                self.model.component_penalties(self.graph, names)
-                for names, _, _ in pending
-            ]
-        # commit phase — no engine state (stats, cache, dirty set) was touched
-        # above, so a pool failure leaves a clean retry
-        for names, cached, endpoint_ranks in hits:
-            self.stats.cache_hits += 1
-            for name in names:
-                self._penalties[name] = cached[endpoint_ranks[name]]
-        for (names, key, endpoint_ranks), evaluated in zip(pending, evaluations):
-            self.stats.component_evaluations += 1
-            self.stats.comm_evaluations += len(names)
-            if key is not None and self.cache is not None:
-                self.stats.cache_misses += 1
-                self.cache.store(key, endpoint_ranks, evaluated)
-            for name in names:
-                self._penalties[name] = evaluated[name]
-        self._dirty.clear()
+        The model sees the component's graph as a full recomputation would
+        hand it over (:func:`in_flight_graph`: arrival order, names
+        ``str(tid)``, sizes rounded up); a model without a component rule
+        sees the whole tracked set, intra-node transfers included.
+        """
+        records = self._records
+        if self.rule is None:
+            priced = list(records.items())
+        else:
+            priced = sorted(((tid, records[tid]) for tid in members),
+                            key=lambda item: item[1].seq)
+        graph = in_flight_graph((tid, r.src, r.dst, r.size) for tid, r in priced)
+        names = {tid: str(tid) for tid in members}
+        evaluated = self.model.component_penalties(graph, names.values())
+        self.stats.component_evaluations += 1
+        self.stats.comm_evaluations += len(members)
+        return {tid: evaluated[name] for tid, name in names.items()}
 
     # ------------------------------------------------------------------ misc
     @property
-    def components(self) -> List[Tuple[str, ...]]:
+    def components(self) -> List[Tuple[Hashable, ...]]:
         """Current component partition (sorted tuples, for inspection/tests)."""
         return sorted(tuple(sorted(m)) for m in self._members.values())
 
+    def __len__(self) -> int:
+        return len(self._records)
+
     def reset(self) -> None:
-        """Forget every tracked communication (the memo cache survives)."""
-        self.graph = CommunicationGraph(name=self.graph.name)
-        self._comp_of.clear()
+        """Forget every tracked transfer (the memo cache survives)."""
+        self._records.clear()
         self._members.clear()
         self._by_resource.clear()
         self._dirty.clear()
-        self._penalties.clear()
         self._fresh_intra.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<IncrementalPenaltyEngine model={self.model.name!r} "
-            f"comms={len(self.graph)} components={len(self._members)}>"
+            f"transfers={len(self._records)} components={len(self._members)}>"
         )
+
+
+def in_flight_graph(
+    transfers: Iterable[Tuple[Hashable, int, int, float]]
+) -> CommunicationGraph:
+    """The communication graph of ``(tid, src, dst, size)`` transfers in flight.
+
+    Communications are named ``str(tid)`` and sized in whole bytes, rounded
+    *up* so a sub-byte remainder never becomes a size-0 communication.
+    """
+    graph = CommunicationGraph(name="in-flight")
+    for tid, src, dst, size in transfers:
+        graph.add(Communication(str(tid), src, dst, int(math.ceil(size))))
+    return graph
 
 
 def _evaluate_component(job: Tuple) -> Dict[str, float]:
@@ -524,7 +545,6 @@ def cached_penalties(
     model: ContentionModel,
     graph: CommunicationGraph,
     cache: Optional[PenaltyCache] = None,
-    map_fn: Optional[Callable] = None,
     stats: Optional[EngineStats] = None,
 ) -> Dict[str, float]:
     """Penalties of a static graph through the component/cache machinery.
@@ -533,10 +553,9 @@ def cached_penalties(
     holding a fixed :class:`CommunicationGraph` (experiment sweeps, campaign
     scenarios): the graph is partitioned into conflict components under the
     model's rule, isomorphic components are served from ``cache``, and the
-    cache misses are evaluated one component at a time, or in parallel
-    through ``map_fn`` when given.  Bit-exact with ``model.penalties(graph)``
-    for every shipped model (component locality and snapshot replay are both
-    exact).
+    cache misses are evaluated one component at a time.  Bit-exact with
+    ``model.penalties(graph)`` for every shipped model (component locality
+    and snapshot replay are both exact).
     """
     if stats is None:
         stats = EngineStats()
@@ -557,6 +576,8 @@ def cached_penalties(
         components = graph.conflict_components(rule)
     use_cache = cache is not None and model.structural_penalties
     model_key = model.memo_key() if use_cache else None
+    # every lookup precedes every evaluation: two isomorphic components of
+    # one graph are both misses, which is what the work counters record
     pending: List[Tuple[Tuple[str, ...], Optional[Hashable], Optional[Dict[str, Tuple[int, int]]]]] = []
     for names in components:
         if use_cache:
@@ -572,22 +593,14 @@ def cached_penalties(
             pending.append((names, key, endpoint_ranks))
         else:
             pending.append((names, None, None))
-    if pending:
-        if map_fn is not None and rule is not None and len(pending) > 1:
-            jobs = [
-                (model, graph.subgraph(names), tuple(names))
-                for names, _, _ in pending
-            ]
-            evaluations = list(map_fn(_evaluate_component, jobs))
-        else:
-            evaluations = [model.component_penalties(graph, list(names)) for names, _, _ in pending]
-        for (names, key, endpoint_ranks), evaluated in zip(pending, evaluations):
-            stats.component_evaluations += 1
-            stats.comm_evaluations += len(names)
-            if key is not None and cache is not None:
-                cache.store(key, endpoint_ranks, evaluated)
-            for name in names:
-                result[name] = evaluated[name]
+    for names, key, endpoint_ranks in pending:
+        evaluated = model.component_penalties(graph, list(names))
+        stats.component_evaluations += 1
+        stats.comm_evaluations += len(names)
+        if key is not None and cache is not None:
+            cache.store(key, endpoint_ranks, evaluated)
+        for name in names:
+            result[name] = evaluated[name]
     # graph insertion order, so aggregates summed over the dict do not depend
     # on the hit/miss pattern (floating-point addition is order-sensitive)
     return {comm.name: result[comm.name] for comm in graph}
@@ -598,7 +611,6 @@ def cached_predict(
     graph: CommunicationGraph,
     cost_model: Optional[LinearCostModel] = None,
     cache: Optional[PenaltyCache] = None,
-    map_fn: Optional[Callable] = None,
     stats: Optional[EngineStats] = None,
 ) -> PenaltyPrediction:
     """Cache-aware counterpart of :meth:`ContentionModel.predict`.
@@ -607,7 +619,7 @@ def cached_predict(
     diagnostics are skipped (they bypass the component cache and none of the
     sweep consumers read them).
     """
-    pens = cached_penalties(model, graph, cache=cache, map_fn=map_fn, stats=stats)
+    pens = cached_penalties(model, graph, cache=cache, stats=stats)
     times: Dict[str, float] = {}
     if cost_model is not None:
         for comm in graph:

@@ -73,7 +73,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..core.incremental import PenaltyCache
 from ..exceptions import SimulationError
-from .fluid import Transfer
+from .fluid import Transfer, validate_delta
 from .sharing import water_fill_arrays
 from .technologies import NetworkTechnology
 from .topology import CrossbarTopology, Topology
@@ -448,18 +448,9 @@ class EmulatorRateProvider:
     def _validate_delta(
         self, added: Sequence[Transfer], removed: Sequence[Hashable]
     ) -> None:
-        """Validate a whole delta (membership and hosts) before any mutation."""
-        departing = set()
-        for tid in removed:
-            if tid not in self._active or tid in departing:
-                raise SimulationError(f"unknown transfer {tid!r} removed from rate set")
-            departing.add(tid)
-        remaining = set(self._active) - departing
+        """Validate a whole delta (membership and hosts) in O(delta), before any mutation."""
+        validate_delta(self._active, added, removed)
         for transfer in added:
-            tid = transfer.transfer_id
-            if tid in remaining:
-                raise SimulationError(f"transfer {tid!r} added to the rate set twice")
-            remaining.add(tid)
             self.topology.check_host(transfer.src)
             self.topology.check_host(transfer.dst)
 

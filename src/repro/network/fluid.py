@@ -174,6 +174,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import (
     Callable,
+    Container,
     Dict,
     Hashable,
     List,
@@ -193,6 +194,7 @@ __all__ = [
     "TransferResult",
     "RateProvider",
     "DeltaRateProvider",
+    "validate_delta",
     "CalendarStats",
     "CalendarStatsSnapshot",
     "TransferCalendar",
@@ -257,6 +259,28 @@ class DeltaRateProvider(RateProvider, Protocol):
     ) -> Mapping[Hashable, float]:
         """Apply a flow delta; return the rates of the re-priced transfers."""
         ...  # pragma: no cover - protocol
+
+
+def validate_delta(
+    active: Container[Hashable], added: Sequence[Transfer], removed: Sequence[Hashable]
+) -> None:
+    """Reject a flow delta that the tracked ids ``active`` cannot take, in O(delta).
+
+    Every removal must name a tracked id, once.  An arrival may re-use a
+    tracked id only when the same delta removes it (the calendar's stall
+    retry), and no id may arrive twice.
+    """
+    departing = set()
+    for tid in removed:
+        if tid not in active or tid in departing:
+            raise SimulationError(f"unknown transfer {tid!r} removed from rate set")
+        departing.add(tid)
+    arriving = set()
+    for transfer in added:
+        tid = transfer.transfer_id
+        if (tid in active and tid not in departing) or tid in arriving:
+            raise SimulationError(f"transfer {tid!r} added to the rate set twice")
+        arriving.add(tid)
 
 
 @dataclass(frozen=True)
@@ -568,11 +592,13 @@ class TransferCalendar:
                 if self._stalled:
                     self._retry_stalled(now)
                 return
-            added_count = len(self._pending_added)
+            arrivals = list(self._pending_added)
+            added_count = len(arrivals)
             removed_count = len(self._pending_removed)
             changed: Mapping[Hashable, float] = self.provider.update(
                 list(self._pending_added.values()), list(self._pending_removed))
         else:
+            arrivals = []  # a full query checks every flight instead
             if not self._flights:
                 self._pending_added.clear()
                 self._pending_removed.clear()
@@ -591,11 +617,13 @@ class TransferCalendar:
                 "added": added_count, "removed": removed_count,
                 "changed": len(changed), "active": len(self._flights),
             }))
-        self._apply_changed(changed, now)
+        self._apply_changed(changed, now, arrivals)
         if self.delta and self._stalled:
             self._retry_stalled(now)
 
-    def _apply_changed(self, changed: Mapping[Hashable, float], now: float) -> None:
+    def _apply_changed(self, changed: Mapping[Hashable, float], now: float,
+                       arrivals: Sequence[Hashable] = ()) -> None:
+        """Apply a provider answer; ``arrivals`` are the delta's new ids, in activation order."""
         for tid, rate in changed.items():
             flight = self._flights.get(tid)
             if flight is None:
@@ -605,10 +633,13 @@ class TransferCalendar:
             self._apply_rate(tid, flight, rate, now)
         # in delta mode absence from `changed` means "rate unchanged" (the
         # contract); on a full query it means the provider dropped a live
-        # transfer — never acceptable under "error", a zero rate under "zero"
+        # transfer — never acceptable under "error", a zero rate under "zero".
+        # Only arrivals can be unrated in delta mode: a flight is rated (or
+        # zero-rated) on its first flush and never goes back, so the stall
+        # retry and reprice, which re-add rated flights, pass none.
         if self.delta:
-            missing = [tid for tid, flight in self._flights.items()
-                       if not flight.rated]
+            flights = self._flights
+            missing = [tid for tid in arrivals if not flights[tid].rated]
         else:
             missing = [tid for tid in self._flights if tid not in changed]
         if missing:

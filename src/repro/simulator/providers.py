@@ -4,43 +4,50 @@ The execution engine (:mod:`repro.simulator.engine`) advances in-flight
 transfers using instantaneous rates supplied by a *rate provider*.  Two
 providers exist:
 
-* :class:`ModelRateProvider` — the **predicted** side: it maintains the
-  node-level communication graph of the transfers currently in flight,
-  queries a contention model (§V) for their penalties and converts each
-  penalty into a rate (``single_stream_bandwidth / penalty``).  Intra-node
-  transfers use the memory path.
+* :class:`ModelRateProvider` — the **predicted** side: it prices the
+  transfers currently in flight with a contention model (§V) and converts
+  each penalty into a rate (``single_stream_bandwidth / penalty``).
+  Intra-node transfers use the memory path.
 * :class:`~repro.network.allocator.EmulatorRateProvider` — the **measured**
   side (calibrated fluid emulator), re-exported here for symmetry.
 
 Both implement the delta contract of :mod:`repro.network.fluid`:
-``update(added, removed)`` applies a flow delta and returns the rates of
-exactly the transfers that were re-priced, so the event-calendar loops only
-re-time what actually changed.  The historical full-set ``rates(active)``
-call is kept as a compatibility shim built on ``update`` — it diffs the
-requested set against the tracked one, applies the delta, and returns the
-stored rate of every requested transfer.
+``update(added, removed)`` validates a flow delta in O(delta), applies it,
+and returns the rates of exactly the transfers that were re-priced, so the
+event-calendar loops only re-time what actually changed.  The historical
+full-set ``rates(active)`` call is kept as a compatibility shim built on
+``update`` — it diffs the requested set against the tracked one, applies the
+delta, and returns the stored rate of every requested transfer.
 
-By default the model side is *incremental*: deltas dirty only the conflict
-components they touch, and repeated contention situations are served from a
-memoized snapshot cache (:mod:`repro.core.incremental`).  Pass
-``incremental=False`` to force the historical rebuild-everything behaviour —
-the two are bit-exact, which ``tests/property/test_incremental_properties.py``
-asserts over random arrival/departure sequences, and the delta API is
-bit-exact with cold full-set evaluation, which
-``tests/property/test_delta_contract.py`` asserts.
+By default the model side is *incremental*: the provider hands each arrival
+and departure to an :class:`~repro.core.incremental.IncrementalPenaltyEngine`,
+which keeps one record per transfer id, re-prices only the conflict
+components a delta dirtied, and serves repeated contention situations from a
+memoized snapshot cache.  A cache hit builds no graph; only a miss prices a
+:class:`~repro.core.graph.CommunicationGraph`.  Pass ``incremental=False`` to
+force the historical rebuild-everything behaviour, the reference the
+incremental path is checked against: the two are bit-exact, which
+``tests/property/test_incremental_properties.py`` asserts over random
+arrival/departure sequences, and the delta API is bit-exact with cold
+full-set evaluation, which ``tests/property/test_delta_contract.py``
+asserts.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Hashable, List, Sequence
 
-from ..core.graph import Communication, CommunicationGraph
-from ..core.incremental import EngineStats, IncrementalPenaltyEngine, PenaltyCache
+from ..core.graph import CommunicationGraph
+from ..core.incremental import (
+    EngineStats,
+    IncrementalPenaltyEngine,
+    PenaltyCache,
+    in_flight_graph,
+)
 from ..core.penalty import ContentionModel
 from ..exceptions import SimulationError
 from ..network.allocator import EmulatorRateProvider
-from ..network.fluid import Transfer
+from ..network.fluid import Transfer, validate_delta
 from ..network.technologies import NetworkTechnology, get_technology
 
 __all__ = ["ModelRateProvider", "EmulatorRateProvider"]
@@ -69,10 +76,6 @@ class ModelRateProvider:
         several providers (e.g. one per simulated run, or every scenario of
         a :class:`~repro.campaign.runner.CampaignRunner`) reuse each other's
         memoized contention situations.
-    map_fn:
-        Optional ``map``-compatible callable handed to the incremental
-        engine; cache-miss component evaluations of one delta are fanned
-        out through it (bit-exact with serial evaluation).
     """
 
     def __init__(
@@ -81,7 +84,6 @@ class ModelRateProvider:
         technology: NetworkTechnology | str,
         incremental: bool = True,
         cache: PenaltyCache | None = None,
-        map_fn=None,
     ) -> None:
         if isinstance(technology, str):
             technology = get_technology(technology)
@@ -89,15 +91,13 @@ class ModelRateProvider:
         self.technology = technology
         self.incremental = bool(incremental)
         self._engine: IncrementalPenaltyEngine | None = (
-            IncrementalPenaltyEngine(model, cache=cache, map_fn=map_fn)
-            if self.incremental else None
+            IncrementalPenaltyEngine(model, cache=cache) if self.incremental else None
         )
         # in full-recompute mode the stats only count communication
         # evaluations, so both modes report the same work metric
         self._full_stats = EngineStats()
         # delta-contract state: the tracked active set and its current rates
         self._active: Dict[Hashable, Transfer] = {}
-        self._tid_of: Dict[str, Hashable] = {}
         self._rates: Dict[Hashable, float] = {}
         self._full_penalties: Dict[str, float] = {}
 
@@ -128,30 +128,13 @@ class ModelRateProvider:
                                          self._engine.cache.stats)
 
     @staticmethod
-    def _comm_size(transfer: Transfer) -> int:
-        # round *up*: a sub-byte fractional remainder must not truncate to a
-        # size-0 communication mid-simulation
-        return int(math.ceil(transfer.size))
-
-    def _communication(self, transfer: Transfer) -> Communication:
-        return Communication(
-            name=str(transfer.transfer_id),
-            src=transfer.src,
-            dst=transfer.dst,
-            size=self._comm_size(transfer),
-        )
-
-    def _graph_from_transfers(self, active: Sequence[Transfer]) -> CommunicationGraph:
-        graph = CommunicationGraph(name="in-flight")
-        for transfer in active:
-            graph.add(self._communication(transfer))
-        return graph
+    def _graph_from_transfers(active: Sequence[Transfer]) -> CommunicationGraph:
+        return in_flight_graph((t.transfer_id, t.src, t.dst, t.size) for t in active)
 
     def _rate_of(self, transfer: Transfer, penalty: float) -> float:
-        penalty = max(1.0, penalty)
-        if transfer.is_intra_node:
-            return self.technology.memory_bandwidth / penalty
-        return self.technology.single_stream_bandwidth / penalty
+        if transfer.src == transfer.dst:
+            return self.technology.memory_bandwidth / max(1.0, penalty)
+        return self.technology.single_stream_bandwidth / max(1.0, penalty)
 
     # ---------------------------------------------------------------- deltas
     def reset(self) -> None:
@@ -159,37 +142,25 @@ class ModelRateProvider:
         if self._engine is not None:
             self._engine.reset()
         self._active.clear()
-        self._tid_of.clear()
         self._rates.clear()
         self._full_penalties.clear()
 
     def _apply_delta(
         self, added: Sequence[Transfer], removed: Sequence[Hashable]
     ) -> None:
-        """Validate the whole delta, then apply it to the tracked set."""
-        departing = set()
+        """Validate the whole delta in O(delta), then apply it to the tracked set."""
+        active = self._active
+        validate_delta(active, added, removed)
+        engine = self._engine
         for tid in removed:
-            if tid not in self._active or tid in departing:
-                raise SimulationError(f"unknown transfer {tid!r} removed from rate set")
-            departing.add(tid)
-        remaining = set(self._active) - departing
-        for transfer in added:
-            tid = transfer.transfer_id
-            if tid in remaining:
-                raise SimulationError(f"transfer {tid!r} added to the rate set twice")
-            remaining.add(tid)
-        for tid in removed:
-            transfer = self._active.pop(tid)
-            del self._tid_of[str(tid)]
+            del active[tid]
             self._rates.pop(tid, None)
-            if self._engine is not None:
-                self._engine.remove(str(tid))
+            if engine is not None:
+                engine.remove(tid)
         for transfer in added:
-            tid = transfer.transfer_id
-            self._active[tid] = transfer
-            self._tid_of[str(tid)] = tid
-            if self._engine is not None:
-                self._engine.add(self._communication(transfer))
+            active[transfer.transfer_id] = transfer
+            if engine is not None:
+                engine.add(transfer.transfer_id, transfer.src, transfer.dst, transfer.size)
 
     def update(
         self, added: Sequence[Transfer], removed: Sequence[Hashable]
@@ -210,17 +181,17 @@ class ModelRateProvider:
 
         changed: Dict[Hashable, float] = {}
         if self._engine is not None:
-            for name, penalty in self._engine.refresh().items():
-                tid = self._tid_of[name]
-                changed[tid] = self._rate_of(self._active[tid], penalty)
+            active = self._active
+            for tid, penalty in self._engine.refresh().items():
+                changed[tid] = self._rate_of(active[tid], penalty)
         elif self._active:
-            active = list(self._active.values())
-            graph = self._graph_from_transfers(active)
+            active_list = list(self._active.values())
+            graph = self._graph_from_transfers(active_list)
             self._full_stats.events += 1
             self._full_stats.component_evaluations += 1
-            self._full_stats.comm_evaluations += len(active)
+            self._full_stats.comm_evaluations += len(active_list)
             self._full_penalties = dict(self.model.penalties(graph))
-            for transfer in active:
+            for transfer in active_list:
                 penalty = self._full_penalties[str(transfer.transfer_id)]
                 changed[transfer.transfer_id] = self._rate_of(transfer, penalty)
         else:
@@ -266,6 +237,5 @@ class ModelRateProvider:
         self._sync(active)
         if self._engine is not None:
             penalties = self._engine.penalties()
-        else:
-            penalties = self._full_penalties
-        return {t.transfer_id: penalties[str(t.transfer_id)] for t in active}
+            return {t.transfer_id: penalties[t.transfer_id] for t in active}
+        return {t.transfer_id: self._full_penalties[str(t.transfer_id)] for t in active}

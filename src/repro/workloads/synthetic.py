@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-import networkx as nx
 from .._numpy import np
 
 from ..core.graph import CommunicationGraph
@@ -39,6 +38,8 @@ def random_tree_scheme(
     num_nodes: int, seed: int = 0, size: int = 4 * MB, name: str = ""
 ) -> CommunicationGraph:
     """A random spanning tree with randomly oriented communications (MK1-like)."""
+    import networkx as nx  # deferred: the only networkx use of this module
+
     _check_nodes(num_nodes)
     rng = np.random.default_rng(seed)
     tree = nx.random_labeled_tree(num_nodes, seed=int(rng.integers(0, 2**31 - 1)))

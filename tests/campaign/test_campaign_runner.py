@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import pytest
 
 from repro.campaign import (
@@ -12,10 +10,8 @@ from repro.campaign import (
     CampaignResultStore,
     resolve_model,
 )
-from repro.core import GigabitEthernetModel, MyrinetModel, PenaltyCache
-from repro.core.incremental import IncrementalPenaltyEngine, cached_penalties
+from repro.core import PenaltyCache
 from repro.exceptions import WorkloadError
-from repro.workloads import random_graph_scheme
 
 
 def random_campaign(seed: int) -> CampaignSpec:
@@ -118,44 +114,3 @@ class TestRunnerBehaviour:
         table = store.summary_table()
         for result in store.results:
             assert result.scenario_id in table
-
-
-class TestEngineFanOut:
-    """The engine/pricing ``map_fn`` fan-out is bit-exact with serial."""
-
-    def test_cached_penalties_parallel_matches_model(self):
-        graph = random_graph_scheme(14, 18, seed=2)
-        model = MyrinetModel()
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            parallel = cached_penalties(model, graph, cache=PenaltyCache(),
-                                        map_fn=pool.map)
-        assert parallel == model.penalties(graph)
-
-    def test_engine_map_fn_matches_serial_updates(self):
-        model = GigabitEthernetModel()
-        graphs = [random_graph_scheme(10, 12, seed=s) for s in range(4)]
-        serial_engine = IncrementalPenaltyEngine(model)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            parallel_engine = IncrementalPenaltyEngine(model, map_fn=pool.map)
-            for graph in graphs:
-                assert parallel_engine.update(graph.communications) == \
-                    serial_engine.update(graph.communications)
-
-    def test_engine_recovers_after_pool_failure(self):
-        """A dying pool must not lose the dirty components."""
-        calls = {"failed": False}
-
-        def flaky_map(fn, jobs):
-            if not calls["failed"]:
-                calls["failed"] = True
-                raise RuntimeError("pool died")
-            return [fn(job) for job in list(jobs)]
-
-        model = GigabitEthernetModel()
-        graph = random_graph_scheme(10, 12, seed=1)
-        engine = IncrementalPenaltyEngine(model, map_fn=flaky_map)
-        for comm in graph.communications:
-            engine.add(comm)
-        with pytest.raises(RuntimeError):
-            engine.penalties()
-        assert engine.penalties() == model.penalties(graph)

@@ -50,6 +50,14 @@ class TestCanonicalKey:
             canonical_key((object(),))
 
 
+def engine_penalties(model, cache, graph):
+    """Price ``graph`` as arrivals into a fresh engine; return the engine too."""
+    engine = IncrementalPenaltyEngine(model, cache=cache)
+    for comm in graph:
+        engine.add(comm.name, comm.src, comm.dst, comm.size)
+    return engine, engine.penalties()
+
+
 class TestRoundtrip:
     def test_reload_serves_identical_hits(self, tmp_path):
         path = tmp_path / "cache.json"
@@ -57,15 +65,14 @@ class TestRoundtrip:
         graph = random_graph_scheme(10, 14, seed=3)
 
         cache = PersistentPenaltyCache(path)
-        engine = IncrementalPenaltyEngine(model, cache=cache)
-        expected = engine.update(graph.communications)
+        _, expected = engine_penalties(model, cache, graph)
+        assert expected == model.penalties(graph)
         assert cache.save() == len(cache) > 0
 
         reloaded = PersistentPenaltyCache.load(path)
         assert reloaded.load_error is None
         assert reloaded.loaded_entries == len(cache)
-        warm = IncrementalPenaltyEngine(model, cache=reloaded)
-        replayed = warm.update(graph.communications)
+        warm, replayed = engine_penalties(model, reloaded, graph)
         assert replayed == expected          # bit-exact, not approx
         assert warm.stats.cache_misses == 0
         assert warm.stats.comm_evaluations == 0

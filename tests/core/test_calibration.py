@@ -127,25 +127,39 @@ class TestCalibrationAgainstEmulator:
             assert predicted[name] == pytest.approx(measured[name], rel=0.05)
 
 
+def loaded_after_import(modules, package):
+    """Modules of ``package`` loaded after a fresh interpreter imports ``modules``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ)
+    src_root = str(Path(repro.__file__).parents[1])
+    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+    source = (
+        "import sys\n"
+        f"import {', '.join(modules)}\n"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", source], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 class TestScipyIsImportedOnlyByTheFits:
     def test_import_repro_loads_no_scipy(self):
         """``import repro`` must work, and stay fast, without scipy loaded."""
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
+        modules = ["repro", "repro.core", "repro.network", "repro.simulator"]
+        assert loaded_after_import(modules, "scipy") == "[]"
 
-        import repro
 
-        env = dict(os.environ)
-        src_root = str(Path(repro.__file__).parents[1])
-        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-        source = (
-            "import sys\n"
-            "import repro, repro.core, repro.network, repro.simulator\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", source], env=env,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+class TestNetworkxIsImportedOnlyByItsUsers:
+    def test_import_repro_loads_no_networkx(self):
+        """networkx loads only when a graph conversion or a random tree runs."""
+        modules = ["repro", "repro.core", "repro.network", "repro.simulator",
+                   "repro.campaign", "repro.workloads"]
+        assert loaded_after_import(modules, "networkx") == "[]"

@@ -300,13 +300,12 @@ class TestConflictComponentsUnderBothRules:
             assert members == {"b"}
 
     def test_conflict_resources(self):
-        comm = Communication("a", 3, 4)
-        assert CommunicationGraph.conflict_resources(comm, ConflictRule.ENDPOINT) == (
+        assert CommunicationGraph.conflict_resources(3, 4, ConflictRule.ENDPOINT) == (
             ("src", 3), ("dst", 4))
-        assert CommunicationGraph.conflict_resources(comm, ConflictRule.ANY_NODE) == (
+        assert CommunicationGraph.conflict_resources(3, 4, ConflictRule.ANY_NODE) == (
             ("node", 3), ("node", 4))
         with pytest.raises(GraphError):
-            CommunicationGraph.conflict_resources(comm, "bogus")
+            CommunicationGraph.conflict_resources(3, 4, "bogus")
 
 
 class TestStructuralKey:

@@ -6,19 +6,28 @@ import pytest
 
 from repro.core import (
     ContentionModel,
+    EngineStats,
     FairShareModel,
     GigabitEthernetModel,
     IncrementalPenaltyEngine,
     InfinibandModel,
     MyrinetModel,
     PenaltyCache,
+    cached_penalties,
 )
 from repro.core.graph import Communication, CommunicationGraph, ConflictRule
 from repro.exceptions import GraphError
+from repro.workloads import random_graph_scheme
 
 
 def comm(name, src, dst, size=1000):
     return Communication(name, src, dst, size=size)
+
+
+def track(engine, *comms):
+    """Hand each communication to the engine as an arrival, keyed by its name."""
+    for c in comms:
+        engine.add(c.name, c.src, c.dst, c.size)
 
 
 class TestComponentPenaltiesEntryPoint:
@@ -54,12 +63,12 @@ class TestComponentPenaltiesEntryPoint:
 class TestIncrementalPenaltyEngine:
     def test_arrival_prices_only_the_new_component(self):
         engine = IncrementalPenaltyEngine(GigabitEthernetModel())
-        engine.add(comm("a", 0, 1))
-        engine.add(comm("b", 5, 6))
+        track(engine, comm("a", 0, 1))
+        track(engine, comm("b", 5, 6))
         engine.penalties()
         evaluated_before = engine.stats.comm_evaluations
         # a third, disjoint flow must not re-price the existing components
-        engine.add(comm("c", 8, 9))
+        track(engine, comm("c", 8, 9))
         engine.penalties()
         assert engine.stats.comm_evaluations - evaluated_before <= 1
 
@@ -68,15 +77,15 @@ class TestIncrementalPenaltyEngine:
         engine = IncrementalPenaltyEngine(GigabitEthernetModel())
         comms = [comm("a", 0, 1), comm("b", 0, 2), comm("c", 2, 1), comm("d", 5, 6)]
         for c in comms:
-            engine.add(c)
+            track(engine, c)
         assert engine.penalties() == model.penalties(CommunicationGraph(comms))
 
     def test_departure_splits_component(self):
         engine = IncrementalPenaltyEngine(FairShareModel())
         # b bridges a and c: a(0->1), b(0->2)... use shared endpoints
-        engine.add(comm("a", 0, 1))
-        engine.add(comm("b", 0, 2))
-        engine.add(comm("c", 3, 2))
+        track(engine, comm("a", 0, 1))
+        track(engine, comm("b", 0, 2))
+        track(engine, comm("c", 3, 2))
         assert engine.components == [("a", "b", "c")]
         engine.remove("b")
         assert engine.components == [("a",), ("c",)]
@@ -84,16 +93,16 @@ class TestIncrementalPenaltyEngine:
 
     def test_arrival_merges_components(self):
         engine = IncrementalPenaltyEngine(FairShareModel())
-        engine.add(comm("a", 0, 1))
-        engine.add(comm("b", 2, 3))
+        track(engine, comm("a", 0, 1))
+        track(engine, comm("b", 2, 3))
         assert engine.components == [("a",), ("b",)]
-        engine.add(comm("c", 0, 3))
+        track(engine, comm("c", 0, 3))
         assert engine.components == [("a", "b", "c")]
 
     def test_intra_node_flows_never_enter_components(self):
         engine = IncrementalPenaltyEngine(GigabitEthernetModel())
-        engine.add(comm("local", 4, 4))
-        engine.add(comm("remote", 4, 5))
+        track(engine, comm("local", 4, 4))
+        track(engine, comm("remote", 4, 5))
         assert engine.components == [("remote",)]
         pens = engine.penalties()
         assert pens["local"] == 1.0
@@ -102,16 +111,16 @@ class TestIncrementalPenaltyEngine:
 
     def test_cache_hit_skips_model_evaluation(self):
         engine = IncrementalPenaltyEngine(GigabitEthernetModel())
-        engine.add(comm("a", 0, 1))
-        engine.add(comm("b", 0, 2))
+        track(engine, comm("a", 0, 1))
+        track(engine, comm("b", 0, 2))
         first = engine.penalties()
         engine.remove("a")
         engine.remove("b")
         engine.penalties()
         misses_before = engine.stats.cache_misses
         # the same situation on different hosts with different names
-        engine.add(comm("x", 7, 8))
-        engine.add(comm("y", 7, 9))
+        track(engine, comm("x", 7, 8))
+        track(engine, comm("y", 7, 9))
         second = engine.penalties()
         assert engine.stats.cache_misses == misses_before
         assert engine.stats.cache_hits >= 1
@@ -120,40 +129,42 @@ class TestIncrementalPenaltyEngine:
     def test_shared_cache_across_engines(self):
         cache = PenaltyCache()
         first = IncrementalPenaltyEngine(GigabitEthernetModel(), cache=cache)
-        first.add(comm("a", 0, 1))
-        first.add(comm("b", 0, 2))
+        track(first, comm("a", 0, 1))
+        track(first, comm("b", 0, 2))
         first.penalties()
         second = IncrementalPenaltyEngine(GigabitEthernetModel(), cache=cache)
-        second.add(comm("p", 3, 4))
-        second.add(comm("q", 3, 5))
+        track(second, comm("p", 3, 4))
+        track(second, comm("q", 3, 5))
         second.penalties()
         assert second.stats.cache_hits == 1
         assert second.stats.comm_evaluations == 0
 
-    def test_update_diffs_the_active_set(self):
-        engine = IncrementalPenaltyEngine(FairShareModel())
-        engine.update([comm("a", 0, 1), comm("b", 0, 2)])
-        assert set(engine.graph.names) == {"a", "b"}
-        pens = engine.update([comm("b", 0, 2), comm("c", 5, 6)])
-        assert set(pens) == {"b", "c"}
-        assert set(engine.graph.names) == {"b", "c"}
+    def test_transfer_ids_need_not_be_strings(self):
+        engine = IncrementalPenaltyEngine(GigabitEthernetModel())
+        engine.add(7, 0, 1, 1000)
+        engine.add(("bg", 3), 0, 2, 1000)
+        pens = engine.penalties()
+        assert set(pens) == {7, ("bg", 3)}
+        assert pens[7] == pens[("bg", 3)] > 1.0
 
-    def test_update_replaces_renamed_endpoints(self):
-        engine = IncrementalPenaltyEngine(FairShareModel())
-        engine.update([comm("a", 0, 1)])
-        pens = engine.update([comm("a", 2, 3)])
-        assert engine.graph["a"].endpoints == (2, 3)
-        assert pens == {"a": 1.0}
+    def test_tracked_ids_are_unique(self):
+        engine = IncrementalPenaltyEngine(GigabitEthernetModel())
+        engine.add("a", 0, 1, 1000)
+        with pytest.raises(GraphError):
+            engine.add("a", 2, 3, 1000)
+        with pytest.raises(GraphError):
+            engine.remove("b")
+        assert engine.penalties() == {"a": 1.0}
 
     def test_reset_keeps_cache(self):
         engine = IncrementalPenaltyEngine(GigabitEthernetModel())
-        engine.add(comm("a", 0, 1))
-        engine.add(comm("b", 0, 2))
+        track(engine, comm("a", 0, 1))
+        track(engine, comm("b", 0, 2))
         engine.penalties()
         engine.reset()
-        assert len(engine.graph) == 0
-        engine.add(comm("x", 5, 6))
-        engine.add(comm("y", 5, 7))
+        assert len(engine) == 0
+        track(engine, comm("x", 5, 6))
+        track(engine, comm("y", 5, 7))
         engine.penalties()
         assert engine.stats.cache_hits >= 1
 
@@ -162,7 +173,7 @@ class TestIncrementalPenaltyEngine:
         engine = IncrementalPenaltyEngine(MyrinetModel())
         comms = [comm("a", 0, 1), comm("b", 0, 2), comm("c", 3, 1), comm("d", 3, 2)]
         for c in comms:
-            engine.add(c)
+            track(engine, c)
         assert engine.penalties() == model.penalties(CommunicationGraph(comms))
         engine.remove("c")
         remaining = [c for c in comms if c.name != "c"]
@@ -170,7 +181,7 @@ class TestIncrementalPenaltyEngine:
 
     def test_stats_snapshot_keys(self):
         engine = IncrementalPenaltyEngine(FairShareModel())
-        engine.add(comm("a", 0, 1))
+        track(engine, comm("a", 0, 1))
         engine.penalties()
         snap = engine.stats.snapshot()
         assert snap["events"] == 1
@@ -220,8 +231,8 @@ class TestCacheModelNamespacing:
         infiniband = IncrementalPenaltyEngine(InfinibandModel(), cache=cache)
         comms = [comm("a", 0, 1), comm("b", 0, 2)]
         for c in comms:
-            ethernet.add(c)
-            infiniband.add(c)
+            track(ethernet, c)
+            track(infiniband, c)
         expected = InfinibandModel().penalties(CommunicationGraph(comms))
         ethernet.penalties()
         assert infiniband.penalties() == expected
@@ -236,8 +247,8 @@ class TestCacheModelNamespacing:
             GigabitEthernetModel(EthernetParameters(beta=0.5)), cache=cache)
         comms = [comm("a", 0, 1), comm("b", 0, 2)]
         for c in comms:
-            paper.add(c)
-            custom.add(c)
+            track(paper, c)
+            track(custom, c)
         paper.penalties()
         assert custom.penalties() == custom_model.penalties(CommunicationGraph(comms))
 
@@ -245,13 +256,41 @@ class TestCacheModelNamespacing:
         cache = PenaltyCache()
         first = IncrementalPenaltyEngine(GigabitEthernetModel(), cache=cache)
         second = IncrementalPenaltyEngine(GigabitEthernetModel(), cache=cache)
-        first.add(comm("a", 0, 1))
-        first.add(comm("b", 0, 2))
+        track(first, comm("a", 0, 1))
+        track(first, comm("b", 0, 2))
         first.penalties()
-        second.add(comm("x", 5, 6))
-        second.add(comm("y", 5, 7))
+        track(second, comm("x", 5, 6))
+        track(second, comm("y", 5, 7))
         second.penalties()
         assert second.stats.cache_hits == 1
+
+
+class TestKeysMatchStaticGraphs:
+    """Engine keys equal ``CommunicationGraph.canonical_component`` keys, so
+    entries priced from static graphs (campaign pre-pricing, persisted
+    caches) and from live transfers serve each other."""
+
+    def test_engine_replays_entries_priced_from_a_static_graph(self):
+        model = MyrinetModel()
+        graph = random_graph_scheme(10, 14, seed=3)
+        cache = PenaltyCache()
+        cached_penalties(model, graph, cache=cache)
+        engine = IncrementalPenaltyEngine(model, cache=cache)
+        track(engine, *graph)
+        assert engine.penalties() == model.penalties(graph)
+        assert engine.stats.cache_misses == 0
+        assert engine.stats.cache_hits == len(graph.conflict_components(model.component_rule))
+
+    def test_static_graph_replays_entries_priced_by_the_engine(self):
+        model = InfinibandModel()
+        graph = random_graph_scheme(10, 14, seed=4)
+        cache = PenaltyCache()
+        engine = IncrementalPenaltyEngine(model, cache=cache)
+        track(engine, *graph)
+        engine.penalties()
+        stats = EngineStats()
+        assert cached_penalties(model, graph, cache=cache, stats=stats) == model.penalties(graph)
+        assert stats.cache_misses == 0
 
 
 class TestMyrinetDecomposeContract:
@@ -271,7 +310,7 @@ class TestMyrinetDecomposeContract:
             full_model.penalties(CommunicationGraph(comms))
         engine = IncrementalPenaltyEngine(MyrinetModel(decompose=False, max_component_size=3))
         for c in comms:
-            engine.add(c)
+            track(engine, c)
         with pytest.raises(ModelError):
             engine.penalties()
 
@@ -317,27 +356,27 @@ class TestCacheTelemetry:
 class TestRefreshDeltaInterface:
     def test_refresh_returns_only_repriced_communications(self):
         engine = IncrementalPenaltyEngine(GigabitEthernetModel())
-        engine.add(comm("a", 0, 1))
-        engine.add(comm("b", 0, 2))
-        engine.add(comm("c", 5, 6))
+        track(engine, comm("a", 0, 1))
+        track(engine, comm("b", 0, 2))
+        track(engine, comm("c", 5, 6))
         first = engine.refresh()
         assert set(first) == {"a", "b", "c"}
         # a new flow conflicting only with c's component re-prices just it
-        engine.add(comm("d", 5, 7))
+        track(engine, comm("d", 5, 7))
         second = engine.refresh()
         assert set(second) == {"c", "d"}
         assert engine.penalties()["a"] == first["a"]
 
     def test_refresh_reports_intra_node_arrivals(self):
         engine = IncrementalPenaltyEngine(GigabitEthernetModel())
-        engine.add(comm("intra", 3, 3))
+        track(engine, comm("intra", 3, 3))
         assert engine.refresh() == {"intra": 1.0}
         assert engine.refresh() == {}
 
     def test_refresh_reports_departure_fallout(self):
         engine = IncrementalPenaltyEngine(GigabitEthernetModel())
-        engine.add(comm("a", 0, 1))
-        engine.add(comm("b", 0, 2))
+        track(engine, comm("a", 0, 1))
+        track(engine, comm("b", 0, 2))
         engine.refresh()
         engine.remove("a")
         fallout = engine.refresh()

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core import GigabitEthernetModel, InfinibandModel, MyrinetModel, PenaltyCache
+from repro.exceptions import SimulationError
 from repro.network.allocator import EmulatorRateProvider
 from repro.network.fluid import Transfer
 from repro.network.technologies import get_technology
@@ -179,24 +180,55 @@ class TestEmulatorProviderDeltaContract:
             previous = fresh
 
 
+SHIPPED_PROVIDERS = [
+    pytest.param(lambda: ModelRateProvider(GigabitEthernetModel(), "ethernet"),
+                 lambda provider: provider.stats.cache_hits, id="model"),
+    pytest.param(lambda: EmulatorRateProvider(get_technology("ethernet"), num_hosts=6),
+                 lambda provider: provider.cache_hits, id="emulator"),
+]
+
+
+@pytest.mark.parametrize("factory, cache_hits", SHIPPED_PROVIDERS)
 class TestDeltaErrors:
-    def test_removing_unknown_transfer_fails(self):
-        provider = ModelRateProvider(GigabitEthernetModel(), "ethernet")
-        with pytest.raises(Exception):
+    def test_removing_unknown_transfer_fails(self, factory, cache_hits):
+        provider = factory()
+        with pytest.raises(SimulationError):
             provider.update([], [42])
 
-    def test_double_add_fails(self):
-        provider = ModelRateProvider(GigabitEthernetModel(), "ethernet")
+    def test_double_add_fails(self, factory, cache_hits):
+        provider = factory()
         t = Transfer(transfer_id=0, src=0, dst=1, size=10.0)
         provider.update([t], [])
-        with pytest.raises(Exception):
+        with pytest.raises(SimulationError):
             provider.update([t], [])
 
-    def test_reset_clears_tracking_but_not_the_memo(self):
-        provider = ModelRateProvider(GigabitEthernetModel(), "ethernet")
+    def test_remove_and_re_add_in_one_delta_is_accepted(self, factory, cache_hits):
+        """The calendar's stall-retry shape: departure plus arrival of one id."""
+        provider = factory()
+        transfers = [Transfer(transfer_id=i, src=0, dst=i + 1, size=10.0)
+                     for i in range(2)]
+        provider.update(transfers, [])
+        before = provider.rates(transfers)
+        changed = provider.update([transfers[0]], [0])
+        assert 0 in changed
+        assert provider.rates(transfers) == before
+
+    def test_double_removal_is_rejected_without_mutation(self, factory, cache_hits):
+        provider = factory()
+        transfers = [Transfer(transfer_id=i, src=0, dst=i + 1, size=10.0)
+                     for i in range(2)]
+        provider.update(transfers, [])
+        before = provider.rates(transfers)
+        with pytest.raises(SimulationError):
+            provider.update([], [0, 0])
+        provider.update([], [0, 1])  # both were still tracked
+        assert provider.update(transfers, []) == before
+
+    def test_reset_clears_tracking_but_not_the_memo(self, factory, cache_hits):
+        provider = factory()
         transfers = [Transfer(transfer_id=i, src=0, dst=i + 1, size=10.0)
                      for i in range(2)]
         provider.update(transfers, [])
         provider.reset()
         assert provider.rates(transfers)  # re-adding after reset works
-        assert provider.stats.cache_hits >= 1  # memoized situation survived
+        assert cache_hits(provider) >= 1  # memoized situation survived

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from repro.core import (
     FairShareModel,
@@ -35,6 +35,33 @@ MODEL_FACTORIES = [
     KimLeeModel,
 ]
 
+
+def _pod_paths(comm):
+    """Endpoint NICs plus a shared uplink per pod of three hosts: transfers
+    can contend without sharing an endpoint, so the model makes no locality
+    promise."""
+    return ((comm.src, 0), (comm.dst, 1), (comm.src // 3, 2))
+
+
+def _whole_graph_myrinet():
+    return MyrinetModel(decompose=False)
+
+
+def _path_kim_lee():
+    return KimLeeModel(path_provider=_pod_paths)
+
+
+_whole_graph_myrinet.label = "myrinet-whole-graph"
+_path_kim_lee.label = "kim-lee-paths"
+
+#: models without a component rule: the engine prices the whole live set,
+#: cached (Myrinet, structural) or never cached (Kim-Lee over paths)
+RULELESS_FACTORIES = [_whole_graph_myrinet, _path_kim_lee]
+
+
+def factory_id(factory):
+    return getattr(factory, "label", None) or factory().name
+
 # a step is either an arrival on (src, dst) or the departure of the k-th
 # oldest live transfer; node universe kept small so conflicts are common but
 # Myrinet components stay below its enumeration cap
@@ -56,16 +83,19 @@ graph_strategy = st.lists(
 )
 
 
-def apply_steps(steps, max_live=8):
-    """Materialise the live transfer list after each step."""
+def apply_steps(steps, max_live=8, intra_node=False):
+    """Materialise the live transfer list after each step.
+
+    Arrivals with ``src == dst`` are bent to inter-node pairs unless
+    ``intra_node`` is set.
+    """
     live = []
     counter = 0
     snapshots = []
     for kind, x, y in steps:
         if kind == "add" and len(live) < max_live:
-            if x == y:
-                y = (y + 1) % 6  # keep the universe inter-node here; intra-node
-                # transfers are covered by the dedicated test below
+            if x == y and not intra_node:
+                y = (y + 1) % 6
             live.append(Transfer(transfer_id=counter, src=x, dst=y, size=1000.0))
             counter += 1
         elif kind == "del" and live:
@@ -75,13 +105,13 @@ def apply_steps(steps, max_live=8):
 
 
 class TestIncrementalEqualsFullRecompute:
-    @pytest.mark.parametrize("factory", MODEL_FACTORIES, ids=lambda f: f().name)
+    @pytest.mark.parametrize("factory", MODEL_FACTORIES + RULELESS_FACTORIES, ids=factory_id)
     @common_settings
     @given(steps=sequence_strategy)
     def test_rates_bit_exact_across_arrival_departure_sequences(self, factory, steps):
         incremental = ModelRateProvider(factory(), "ethernet", incremental=True)
         full = ModelRateProvider(factory(), "ethernet", incremental=False)
-        for active in apply_steps(steps):
+        for active in apply_steps(steps, intra_node=True):
             assert incremental.rates(active) == full.rates(active)
 
     @common_settings
@@ -105,7 +135,7 @@ class TestIncrementalEqualsFullRecompute:
                 name = f"t{counter}"
                 counter += 1
                 c = Communication(name, x, y, size=1000)  # x == y stays intra-node
-                engine.add(c)
+                engine.add(name, x, y, 1000)
                 live[name] = c
             elif kind == "del" and live:
                 name = list(live)[x % len(live)]
@@ -115,6 +145,8 @@ class TestIncrementalEqualsFullRecompute:
 
     @common_settings
     @given(steps=sequence_strategy)
+    # b bridges a and c; its departure must split the component
+    @example(steps=[("add", 0, 1), ("add", 2, 1), ("add", 2, 3), ("del", 1, 0)])
     def test_component_partition_matches_batch_computation(self, steps):
         engine = IncrementalPenaltyEngine(GigabitEthernetModel())
         live = {}
@@ -124,7 +156,7 @@ class TestIncrementalEqualsFullRecompute:
                 name = f"t{counter}"
                 counter += 1
                 c = Communication(name, x, y, size=1000)
-                engine.add(c)
+                engine.add(name, x, y, 1000)
                 live[name] = c
             elif kind == "del" and live:
                 name = list(live)[x % len(live)]

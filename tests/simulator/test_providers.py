@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import pytest
 
 from repro.core import FairShareModel, GigabitEthernetModel, PenaltyCache
+from repro.core.graph import Communication, CommunicationGraph
+from repro.exceptions import SimulationError
 from repro.network.fluid import FluidTransferSimulator, Transfer
 from repro.network.technologies import get_technology
 from repro.simulator.providers import ModelRateProvider
@@ -42,6 +45,20 @@ class TestFractionalSizeRounding:
         provider = ModelRateProvider(GigabitEthernetModel(), "ethernet")
         rates = provider.rates([Transfer(transfer_id=0, src=0, dst=1, size=0.25)])
         assert rates[0] > 0
+
+    def test_incremental_miss_prices_rounded_up_sizes(self):
+        """The incremental engine's cache-miss graph rounds up like the full path."""
+        seen = []
+
+        class SizeProbe(FairShareModel):
+            def penalties(self, graph):
+                seen.extend((c.name, c.size) for c in graph)
+                return super().penalties(graph)
+
+        provider = ModelRateProvider(SizeProbe(), "ethernet")
+        provider.update([Transfer(transfer_id=0, src=0, dst=1, size=0.4),
+                         Transfer(transfer_id=1, src=0, dst=2, size=1048576.5)], [])
+        assert seen == [("0", 1), ("1", 1048577)]
 
 
 class TestIncrementalProvider:
@@ -105,3 +122,45 @@ class TestIncrementalProvider:
             provider = ModelRateProvider(GigabitEthernetModel(), "ethernet", incremental=mode)
             results[mode] = FluidTransferSimulator(provider).run(staggered)
         assert results[True] == results[False]
+
+
+class TestRatesShim:
+    """``rates(active)`` diffs the requested set against the tracked one."""
+
+    def test_rates_diffs_the_active_set(self):
+        provider = ModelRateProvider(FairShareModel(), "ethernet")
+        provider.rates([Transfer("a", 0, 1, 1000.0), Transfer("b", 0, 2, 1000.0)])
+        rates = provider.rates([Transfer("b", 0, 2, 1000.0), Transfer("c", 5, 6, 1000.0)])
+        assert set(rates) == {"b", "c"}
+        with pytest.raises(SimulationError):
+            provider.update([], ["a"])  # "a" departed with the diff
+        assert set(provider.update([], ["b", "c"])) == set()
+
+    def test_rates_replaces_reused_ids(self):
+        """An id re-used with new endpoints is a departure plus an arrival."""
+        provider = ModelRateProvider(FairShareModel(), "ethernet")
+        provider.rates([Transfer("a", 0, 1, 1000.0)])
+        moved = [Transfer("a", 2, 3, 1000.0)]
+        assert provider.instantaneous_penalties(moved) == {"a": 1.0}
+        # "a" now leaves host 2, so a second flow from host 2 shares its NIC
+        both = moved + [Transfer("b", 2, 4, 1000.0)]
+        assert provider.instantaneous_penalties(both) == {"a": 2.0, "b": 2.0}
+
+
+class TestCacheHitCost:
+    def test_cache_hit_builds_no_communication_or_graph(self, monkeypatch):
+        """Re-pricing an already-cached situation is one key build and one
+        lookup: no Communication and no CommunicationGraph is constructed."""
+        provider = ModelRateProvider(GigabitEthernetModel(), "ethernet")
+        provider.update(transfers((0, 1), (0, 2)), [])  # a miss prices it once
+        provider.update([], [0, 1])
+        built = []
+        for cls in (Communication, CommunicationGraph):
+            def counting(self, *args, _original=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _original(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting)
+        changed = provider.update([Transfer(5, 3, 4, 1000.0), Transfer(6, 3, 5, 1000.0)], [])
+        assert set(changed) == {5, 6}
+        assert provider.stats.cache_hits == 1
+        assert built == []
