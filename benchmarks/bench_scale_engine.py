@@ -43,12 +43,14 @@ record, "below noise" in the text).
 
 The **scale-ladder** sections climb the same synthetic skeleton to 256,
 1024 and 4096 hosts (plus a LINPACK prediction at 256/1024/4096 ranks,
-recording engine steps and wall clock per step, and a small campaign
-variant), recording one trajectory record per rung — the repository's
-first ≥1k-host benchmark records.  The 256-host rung runs everywhere; the
-heavier rungs are opt-in via ``REPRO_LADDER_MAX_HOSTS`` (CI runs the small
-rung on every push with a wall-clock budget from
-``REPRO_LADDER_BUDGET_S``, and the LINPACK rungs up to 4096 ranks).  The
+recording engine steps and wall clock per step, an emulated all-to-all
+under background load at 64/128/256 hosts, recording solves and flows per
+solve as well, and a small campaign variant), recording one trajectory
+record per rung — the repository's first ≥1k-host benchmark records.  The
+256-host rung (128 for the emulated family) runs everywhere; the heavier
+rungs are opt-in via ``REPRO_LADDER_MAX_HOSTS`` (CI runs the small rungs on
+every push with a wall-clock budget from ``REPRO_LADDER_BUDGET_S``, and the
+LINPACK rungs up to 4096 ranks).  The
 **water-filling** section times the emulator's unit-weight solver against
 the reference freeze loop at ~40 flows (the loaded fat-tree emulator
 workload's solve size) and at 4096 flows, asserted bit-exact, with the
@@ -541,6 +543,95 @@ def test_scale_ladder_linpack(emit, num_ranks):
         **provider.stats.snapshot(),
     }
     emit(f"scale_ladder_linpack_{num_ranks}", "\n".join(lines), record=record,
+         bench_json=BENCH_JSON)
+    _ladder_budget(elapsed, record)
+
+
+#: emulated rungs; one emulated step costs about ten LINPACK steps, so
+#: without REPRO_LADDER_MAX_HOSTS this family stops at 128 hosts
+EMULATED_RUNGS = [64, 128, 256]
+EMULATED_MAX_HOSTS = int(os.environ.get("REPRO_LADDER_MAX_HOSTS", "128"))
+
+
+@pytest.mark.parametrize("num_hosts", EMULATED_RUNGS,
+                         ids=lambda n: f"ladder_emulated_{n}")
+def test_scale_ladder_emulated(emit, monkeypatch, num_hosts):
+    """Emulated rung: the loaded all-to-all of ``emulator_fattree_loaded``
+    scaled with the host count n.
+
+    A 4:1 fat tree (8 hosts per edge, 2 uplinks), Poisson background load
+    of 2000·n/64 flows/s with at most 300·n/64 in flight, and a provider
+    without warm starts, so every flush water-fills the whole active set.
+    Steps grow 4x per doubling (the all-to-all is O(n²)); µs/step grows
+    with the flows per solve.
+    """
+    if num_hosts > EMULATED_MAX_HOSTS:
+        pytest.skip(f"emulated rung {num_hosts} > REPRO_LADDER_MAX_HOSTS="
+                    f"{EMULATED_MAX_HOSTS} (set the env var to climb further)")
+    from repro.cluster import custom_cluster
+    from repro.network import allocator
+    from repro.network.topology import FatTreeTopology
+    from repro.simulator import (Application, BackgroundTrafficInjector,
+                                 EmulatorRateProvider, EngineConfig, Simulator)
+    from repro.units import MiB
+    from repro.workloads import pairwise_exchange_alltoall
+
+    scale = num_hosts / 64
+    app = pairwise_exchange_alltoall(
+        Application(num_tasks=num_hosts, name=f"alltoall-{num_hosts}"), 4 * MiB)
+    cluster = custom_cluster(num_nodes=num_hosts, cores_per_node=1,
+                             technology="ethernet")
+    technology = cluster.technology
+    topology = FatTreeTopology(num_hosts=num_hosts, technology=technology,
+                               hosts_per_edge=8, uplinks_per_edge=2)
+    background = BackgroundTrafficInjector(
+        rate=2000.0 * scale, size=4 * MiB, seed=0, max_flows=round(300 * scale),
+        size_jitter=0.5)
+    provider = EmulatorRateProvider(technology, topology, warm_start=False)
+    simulator = Simulator(cluster, provider, technology=technology,
+                          config=EngineConfig(injectors=(background,)))
+    # count the flows of every solve through the name the allocator calls
+    solved = []
+    solve = allocator.water_fill_arrays
+
+    def counted(caps, *incidence):
+        solved.append(len(caps))
+        return solve(caps, *incidence)
+
+    monkeypatch.setattr(allocator, "water_fill_arrays", counted)
+    started = time.perf_counter()
+    report = simulator.run(app, placement="random", seed=0)
+    elapsed = time.perf_counter() - started
+    assert report.total_time > 0
+    steps = simulator.last_engine_stats.steps
+    us_per_step = elapsed / max(1, steps) * 1e6
+    flows_per_solve = sum(solved) / max(1, len(solved))
+
+    lines = [
+        f"scale ladder (emulated): all-to-all of 4 MiB on {num_hosts} hosts, "
+        f"4:1 fat tree, background {2000.0 * scale:.0f} flows/s "
+        f"(<= {round(300 * scale)} in flight)",
+        "",
+        f"wall clock: {elapsed:.3f} s   predicted makespan: "
+        f"{report.total_time:.3f} s ({float(report.total_time).hex()})",
+        f"engine steps: {steps}   wall clock per step: {us_per_step:.1f} us",
+        f"solves: {len(solved)}   flows per solve: {flows_per_solve:.1f} "
+        f"(max {max(solved, default=0)})",
+    ]
+    record = {
+        "benchmark": "bench_scale_engine/scale_ladder",
+        "workload": "emulated",
+        "num_hosts": num_hosts,
+        "wall_clock_s": round(elapsed, 4),
+        "predicted_makespan_s": round(report.total_time, 4),
+        "predicted_makespan_hex": float(report.total_time).hex(),
+        "steps": steps,
+        "us_per_step": round(us_per_step, 2),
+        "solves": len(solved),
+        "flows_per_solve": round(flows_per_solve, 2),
+        "max_flows_per_solve": max(solved, default=0),
+    }
+    emit(f"scale_ladder_emulated_{num_hosts}", "\n".join(lines), record=record,
          bench_json=BENCH_JSON)
     _ladder_budget(elapsed, record)
 

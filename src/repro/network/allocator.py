@@ -46,14 +46,22 @@ flush costs O(delta + distinct pairs) instead of O(active × log active).
 The full-set ``rates(active)`` call is a compatibility shim that diffs the
 requested set against the tracked one and applies the delta.
 
-The flow–resource incidence the solver reads is kept between flushes as
-well: ``_track``/``_untrack`` give every capacity resource a persistent
-integer slot (its base capacity in a plain list), store each transfer's
-slot tuple and keep, per occupied slot, the set of transfer ids on it,
-plus per-host transmit/receive counts.  A solve only derives the per-flow
-caps (duplex slowdown) and the per-host capacity degradations from that
-state, so one flush costs one flow's worth of incidence upkeep plus one
-solve.
+Everything the solver reads is kept between flushes as well.
+``_track``/``_untrack`` give every capacity resource a persistent integer
+slot (its base capacity and the largest cap a flow on it can have in two
+plain lists), store each transfer's slot tuple and keep, per occupied
+slot, the set of transfer ids on it, plus per-host transmit/receive
+counts.  From those they keep the solver's inputs up to date: every
+flow's cap in tracking order (re-derived for the flows into a host when
+it starts or stops transmitting), every occupied slot's capacity with the
+income/outgo degradations applied (re-derived for the two hosts of each
+arriving or departing flow), and the *binding set*: the occupied slots
+that :func:`~repro.network.sharing.can_bind` keeps, re-checked whenever a
+slot's flow count or capacity changes.  On a loaded fat tree most NIC and
+fabric slots cannot bind (their flows' single-stream caps add up to less
+than the capacity), and leaving them out keeps every rate bit-identical
+(the argument is in :mod:`repro.network.sharing`).  So one flush costs the
+delta's upkeep plus one solve over the slots that can bind.
 
 On a cache miss the water-filling is additionally *warm-started*: when
 exactly one flow arrived or departed since the previous allocation, only the
@@ -74,7 +82,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 from ..core.incremental import PenaltyCache
 from ..exceptions import SimulationError
 from .fluid import Transfer, validate_delta
-from .sharing import water_fill_arrays
+from .sharing import can_bind, water_fill_arrays
 from .technologies import NetworkTechnology
 from .topology import CrossbarTopology, Topology
 
@@ -136,9 +144,20 @@ class EmulatorRateProvider:
         #: occupied slot, and per-host directional counts
         self._res_slots: Dict[Hashable, int] = {}
         self._slot_caps: List[float] = []
+        #: per slot, the largest cap a flow on it can have: the memory
+        #: bandwidth on a memory bus (intra-node copies only), the
+        #: single-stream bandwidth on NIC and fabric slots
+        self._slot_ceilings: List[float] = []
         self._slots_of_tid: Dict[Hashable, Tuple[int, ...]] = {}
         self._tids_of_slot: Dict[int, Set[Hashable]] = {}
         self._counts: Dict[int, Dict[str, int]] = {}
+        #: the solver's inputs, kept live too: each tracked flow's cap in
+        #: tracking order (ties in the solver break in this order), each
+        #: occupied slot's degraded capacity, and the occupied slots that
+        #: can bind with their capacities (the only ones a solve sees)
+        self._caps: Dict[Hashable, float] = {}
+        self._capacities: Dict[int, float] = {}
+        self._binding: Dict[int, float] = {}
         #: incremental endpoint multiset: pair per transfer, transfers per
         #: pair, and the sorted pair list that keys the memo (bisect-updated)
         self._pair_of_tid: Dict[Hashable, Tuple[int, int]] = {}
@@ -195,23 +214,33 @@ class EmulatorRateProvider:
         self._rates_by_tid = {}
         self._last_by_pair = None
         self._primed = False
-        # the cached routes and capacities mirror the (possibly mutated)
-        # topology/technology: rebuild the incidence for the tracked transfers
+        # the cached routes, capacities and caps mirror the (possibly
+        # mutated) topology/technology: rebuild them for the tracked transfers
         self._res_slots = {}
         self._slot_caps = []
+        self._slot_ceilings = []
         self._slots_of_tid = {}
         self._tids_of_slot = {}
+        self._capacities = {}
+        self._binding = {}
         for transfer in self._active.values():
             self._index(transfer)
+        self._caps = {tid: self._cap(t) for tid, t in self._active.items()}
+        for host in self._counts:
+            self._derate(host)
+        for slot in self._capacities:
+            self._rebind(slot)
 
     # ---------------------------------------------------------------- helpers
-    def _resource_slot(self, resource: Hashable) -> int:
+    def _resource_slot(self, resource: Hashable, ceiling: float) -> int:
         """Persistent integer slot of a capacity resource (allocated, with its
-        base capacity, on first reference)."""
+        base capacity and the ``ceiling`` of the flows that use it, on first
+        reference)."""
         slot = self._res_slots.get(resource)
         if slot is None:
             slot = self._res_slots[resource] = len(self._slot_caps)
             self._slot_caps.append(float(self.topology.resource_capacity(resource)))
+            self._slot_ceilings.append(ceiling)
         return slot
 
     def _resources_for(self, transfer: Transfer) -> Tuple[Hashable, ...]:
@@ -242,52 +271,26 @@ class EmulatorRateProvider:
             timer.observe(perf_counter() - start)
 
     def _solve_impl(self, active: Sequence[Transfer]) -> Dict[Hashable, float]:
-        """Water-fill ``active`` over the incidence kept by ``_track``/``_untrack``.
+        """Water-fill ``active`` over the inputs kept by ``_track``/``_untrack``.
 
-        ``active`` is the whole tracked set or one coupling component (the
-        warm-start path).  A component is closed under shared resources:
-        every transfer on a resource one of its flows uses belongs to it.  So
-        the per-slot sets of its slots hold exactly its flows and serve the
-        solver unchanged, and the whole-set directional counts agree with the
-        component's on every host a component flow touches, so the duplex
-        caps and capacity degradations below are the component's own.
+        For the whole tracked set that is one call on the live caps,
+        incidence and binding set.  ``active`` may instead be one coupling
+        component (the warm-start path), which is closed under shared
+        resources: every transfer on a resource one of its flows uses
+        belongs to it.  So the per-slot sets of its slots hold exactly its
+        flows and serve the solver unchanged, and the whole-set directional
+        counts agree with the component's on every host a component flow
+        touches, so the live caps and degraded capacities are the
+        component's own; they are filtered down to it.
         """
-        technology = self.technology
-        sharing = technology.sharing
-        single = technology.single_stream_bandwidth
-        duplex = single * (1.0 - sharing.duplex_flow_slowdown)
-        counts = self._counts
-        caps: Dict[Hashable, float] = {}
-        for transfer in active:
-            tid = transfer.transfer_id
-            if transfer.is_intra_node:
-                cap = technology.memory_bandwidth
-            else:
-                dst_counts = counts.get(transfer.dst)
-                transmits = dst_counts is not None and dst_counts["tx"] >= 1
-                cap = duplex if transmits else single
-            if cap <= 0:
-                raise SimulationError(f"flow {tid!r} has non-positive cap {cap}")
-            caps[tid] = cap
-        base = self._slot_caps
-        slots_of = self._slots_of_tid
-        if len(caps) == len(self._active):
-            # the whole tracked set: its resources are the occupied slots
-            capacities = {slot: base[slot] for slot in self._tids_of_slot}
-        else:
-            capacities = {slot: base[slot] for tid in caps for slot in slots_of[tid]}
-        # income/outgo degradations on the referenced NIC ports
-        slot_of = self._res_slots
-        for host, c in counts.items():
-            if c["rx"] >= sharing.reverse_threshold and c["tx"] >= 1:
-                tx_key, rx_key = self.topology.nic_resources(host)
-                slot = slot_of.get(tx_key)
-                if slot in capacities:
-                    capacities[slot] *= 1.0 - sharing.tx_capacity_loss
-                slot = slot_of.get(rx_key)
-                if slot in capacities:
-                    capacities[slot] *= 1.0 - sharing.rx_capacity_loss
-        return water_fill_arrays(caps, slots_of, self._tids_of_slot, capacities)
+        caps, capacities = self._caps, self._binding
+        if len(active) != len(caps):
+            caps = {t.transfer_id: caps[t.transfer_id] for t in active}
+            capacities = {
+                slot: capacities[slot]
+                for tid in caps for slot in self._slots_of_tid[tid] if slot in capacities
+            }
+        return water_fill_arrays(caps, self._slots_of_tid, self._tids_of_slot, capacities)
 
     # ------------------------------------------------------------ warm start
     def _coupling_keys(self, src: int, dst: int) -> Tuple[Hashable, ...]:
@@ -362,14 +365,90 @@ class EmulatorRateProvider:
         self._slots_of_tid = {}
         self._tids_of_slot = {}
         self._counts = {}
+        self._caps = {}
+        self._capacities = {}
+        self._binding = {}
 
-    def _index(self, transfer: Transfer) -> None:
-        """Enter a transfer's slots into the incidence."""
+    def _index(self, transfer: Transfer) -> Tuple[int, ...]:
+        """Enter a transfer's slots into the incidence (a newly occupied
+        slot at its base capacity) and return them."""
         tid = transfer.transfer_id
-        slots = tuple(self._resource_slot(r) for r in self._resources_for(transfer))
+        technology = self.technology
+        ceiling = (technology.memory_bandwidth if transfer.is_intra_node
+                   else technology.single_stream_bandwidth)
+        slots = tuple(self._resource_slot(r, ceiling) for r in self._resources_for(transfer))
         self._slots_of_tid[tid] = slots
         for slot in slots:
-            self._tids_of_slot.setdefault(slot, set()).add(tid)
+            tids = self._tids_of_slot.get(slot)
+            if tids is None:
+                self._tids_of_slot[slot] = {tid}
+                self._capacities[slot] = self._slot_caps[slot]
+            else:
+                tids.add(tid)
+        return slots
+
+    def _cap(self, transfer: Transfer) -> float:
+        """A tracked transfer's rate ceiling: the memory bandwidth for an
+        intra-node copy, else the single-stream bandwidth, slowed down while
+        its destination transmits (duplex rule)."""
+        technology = self.technology
+        if transfer.is_intra_node:
+            cap = technology.memory_bandwidth
+        else:
+            cap = technology.single_stream_bandwidth
+            dst_counts = self._counts.get(transfer.dst)
+            if dst_counts is not None and dst_counts["tx"] >= 1:
+                cap = cap * (1.0 - technology.sharing.duplex_flow_slowdown)
+        if cap <= 0:
+            raise SimulationError(f"flow {transfer.transfer_id!r} has non-positive cap {cap}")
+        return cap
+
+    def _rebind(self, slot: int) -> None:
+        """Keep an occupied slot in the binding set unless it cannot bind."""
+        capacity = self._capacities[slot]
+        if can_bind(capacity, len(self._tids_of_slot[slot]), self._slot_ceilings[slot]):
+            self._binding[slot] = capacity
+        else:
+            self._binding.pop(slot, None)
+
+    def _derate(self, host: int) -> None:
+        """Re-derive the capacities of ``host``'s occupied NIC slots (the
+        income/outgo degradations) and whether they can bind."""
+        sharing = self.technology.sharing
+        counts = self._counts.get(host)
+        degraded = (counts is not None and counts["rx"] >= sharing.reverse_threshold
+                    and counts["tx"] >= 1)
+        tx_key, rx_key = self.topology.nic_resources(host)
+        for key, loss in ((tx_key, sharing.tx_capacity_loss),
+                          (rx_key, sharing.rx_capacity_loss)):
+            slot = self._res_slots.get(key)
+            if slot in self._capacities:
+                base = self._slot_caps[slot]
+                self._capacities[slot] = base * (1.0 - loss) if degraded else base
+                self._rebind(slot)
+
+    def _count(self, transfer: Transfer, step: int) -> None:
+        """Move an inter-node transfer's directional counts by ``step`` (+1 on
+        arrival, -1 on departure) and re-derive what they decide: the caps
+        of the flows into the source when it starts or stops transmitting,
+        and both hosts' NIC capacities."""
+        src, dst = transfer.src, transfer.dst
+        counts = self._counts
+        src_counts = counts.setdefault(src, {"tx": 0, "rx": 0})
+        src_counts["tx"] += step
+        dst_counts = counts.setdefault(dst, {"tx": 0, "rx": 0})
+        dst_counts["rx"] += step
+        for host, c in ((src, src_counts), (dst, dst_counts)):
+            if c["tx"] == 0 and c["rx"] == 0:
+                del counts[host]
+        if src_counts["tx"] == (1 if step > 0 else 0):
+            # the source started or stopped transmitting: its incoming
+            # flows (all on its RX slot) change cap
+            _, rx_key = self.topology.nic_resources(src)
+            for tid in self._tids_of_slot.get(self._res_slots.get(rx_key), ()):
+                self._caps[tid] = self._cap(self._active[tid])
+        self._derate(src)
+        self._derate(dst)
 
     def _track(self, transfer: Transfer) -> Tuple[int, int]:
         tid = transfer.transfer_id
@@ -378,12 +457,12 @@ class EmulatorRateProvider:
         self._pair_of_tid[tid] = pair
         self._tids_of_pair.setdefault(pair, {})[tid] = None
         bisect.insort(self._sorted_pairs, pair)
-        self._index(transfer)
+        slots = self._index(transfer)
+        self._caps[tid] = self._cap(transfer)
         if not transfer.is_intra_node:
-            counts = self._counts.setdefault(transfer.src, {"tx": 0, "rx": 0})
-            counts["tx"] += 1
-            counts = self._counts.setdefault(transfer.dst, {"tx": 0, "rx": 0})
-            counts["rx"] += 1
+            self._count(transfer, 1)
+        for slot in slots:
+            self._rebind(slot)
         return pair
 
     def _untrack(self, tid: Hashable) -> Tuple[int, int]:
@@ -395,20 +474,20 @@ class EmulatorRateProvider:
             del self._tids_of_pair[pair]
         del self._sorted_pairs[bisect.bisect_left(self._sorted_pairs, pair)]
         self._rates_by_tid.pop(tid, None)
-        for slot in self._slots_of_tid.pop(tid):
+        del self._caps[tid]
+        slots = self._slots_of_tid.pop(tid)
+        for slot in slots:
             tids = self._tids_of_slot[slot]
             tids.remove(tid)
             if not tids:
                 del self._tids_of_slot[slot]
+                del self._capacities[slot]
+                self._binding.pop(slot, None)
         if not transfer.is_intra_node:
-            counts = self._counts[transfer.src]
-            counts["tx"] -= 1
-            if counts["tx"] == 0 and counts["rx"] == 0:
-                del self._counts[transfer.src]
-            counts = self._counts[transfer.dst]
-            counts["rx"] -= 1
-            if counts["tx"] == 0 and counts["rx"] == 0:
-                del self._counts[transfer.dst]
+            self._count(transfer, -1)
+        for slot in slots:
+            if slot in self._capacities:
+                self._rebind(slot)
         return pair
 
     def update(

@@ -44,8 +44,26 @@ additions for all of them.  Three consequences make a round cheap:
 Every quotient, threshold and comparison therefore sees the reference's
 operands, and the rates are **bit-identical** to
 :func:`weighted_max_min_allocation` on any unit-weight instance, which
-``tests/property/test_vectorized_sharing.py`` and
+``tests/property/test_emulator_oracle.py`` and
 ``tests/network/test_sharing_degenerate.py`` assert.
+
+Most of a loaded fabric's resources can never bind, and the caller may
+leave those out of ``capacities`` (:func:`can_bind` is the test).  Let a
+resource have capacity C, n flows and a largest possible cap K among
+them, and let it be left out only if C - n·K > δ·max(1, C) with
+δ = 2⁻²⁰.  While one of its flows is unfrozen the common level L is at
+most K, and no flow on it runs faster than L, so its exact remaining
+capacity is at least C - n·L ≥ (C - n·K) + (K - L).  That is far above
+the saturation tolerance ε·max(1, C), as ε = 1e-12 ≪ δ, and above the cap
+headroom of each of its flows, the other term of the numerical-safety
+key.  With m ≤ n of its flows unfrozen its share is at least
+(C - n·L) / m ≥ (K - L) + (C - n·K) / m, above the round's increment,
+which is at most the smallest cap headroom.  N float subtractions move
+its remaining capacity by at most N·2⁻⁵³·C, which stays ≪ δ·max(1, C)
+for N < 2³⁰.  So it never sets the increment, never saturates and never
+decides the safety freeze: no quotient, threshold or comparison that
+decides the rates changes when it is left out, and the rates stay
+bit-identical to the reference given every resource.
 """
 
 from __future__ import annotations
@@ -58,6 +76,7 @@ from ..exceptions import SimulationError
 
 __all__ = [
     "FlowSpec",
+    "can_bind",
     "max_min_allocation",
     "weighted_max_min_allocation",
     "water_fill_arrays",
@@ -68,6 +87,9 @@ ResourceId = Hashable
 #: saturation tolerance of the freeze rounds (both solvers)
 _EPS = 1e-12
 _INF = float("inf")
+#: relative margin by which a resource's capacity must exceed what its
+#: flows can ever take before :func:`can_bind` lets a caller leave it out
+_SLACK = 2.0 ** -20
 
 
 @dataclass(frozen=True)
@@ -138,6 +160,21 @@ def weighted_max_min_allocation(
 
 
 # ---------------------------------------------------------- emulator solver
+def can_bind(capacity: float, flows: int, ceiling: float) -> bool:
+    """Whether a resource may still bind :func:`water_fill_arrays`.
+
+    ``False`` only when ``flows`` flows, none of which can have a cap above
+    ``ceiling``, leave more than ``2**-20 * max(1, capacity)`` of
+    ``capacity`` unused at their caps: the solver then rates them
+    bit-identically without the resource (see the module docstring).
+    Infinite or NaN operands keep the resource.
+
+    >>> can_bind(100.0, 2, 50.0), can_bind(101.0, 2, 50.0)
+    (True, False)
+    """
+    return not capacity - flows * ceiling > _SLACK * max(1.0, capacity)
+
+
 def water_fill_arrays(
     caps: Mapping[Hashable, float],
     flow_resources: Mapping[Hashable, Sequence[ResourceId]],
@@ -150,14 +187,16 @@ def water_fill_arrays(
     order that breaks ties in the numerical-safety freeze;
     ``flow_resources`` lists each flow's resources (no repeats) and
     ``resource_flows`` the flows on each resource; ``capacities`` holds the
-    capacity of exactly the resources the flows of ``caps`` use.  The
-    incidence must be closed on those resources: every flow that
-    ``resource_flows`` lists on one of them is a flow of ``caps``.  No
-    argument is modified, so the caller keeps its incidence between calls.
+    capacity of the resources the solve must respect.  A resource the flows
+    use but ``capacities`` omits is ignored, which is exact when
+    :func:`can_bind` says it cannot bind.  The incidence must be closed on
+    the given resources: every flow that ``resource_flows`` lists on one of
+    them is a flow of ``caps``.  No argument is modified, so the caller
+    keeps its incidence between calls.
 
     Returns ``{flow: rate}``, bit-identical to
-    :func:`weighted_max_min_allocation` with unit weights (see the module
-    docstring for why).
+    :func:`weighted_max_min_allocation` with unit weights over every
+    resource the flows use (see the module docstring for why).
     """
     active = dict(caps)
     # the reference's thresholds: cap - eps * max(1, cap) per flow (1 for an
@@ -214,17 +253,18 @@ def water_fill_arrays(
         if not frozen:
             # numerical safety: freeze the tightest flow to guarantee progress
             tightest = min(active, key=lambda f: min(
-                [remaining[r] for r in flow_resources[f]] + [active[f] - level]
+                [remaining[r] for r in flow_resources[f] if r in remaining]
+                + [active[f] - level]
             ))
             frozen[tightest] = None
         for flow in frozen:
             del active[flow]
             rates[flow] = level
             for resource in flow_resources[flow]:
-                count = pressure[resource] - 1
-                if count:
+                count = pressure.get(resource, 0) - 1  # -1: not given
+                if count > 0:
                     pressure[resource] = count
-                else:
+                elif count == 0:
                     del pressure[resource]
                     del remaining[resource]
     return rates

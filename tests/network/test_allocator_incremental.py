@@ -8,6 +8,7 @@ import pytest
 
 from repro.core import PenaltyCache
 from repro.network import EmulatorRateProvider, FatTreeTopology, Transfer, get_technology
+from repro.network.sharing import can_bind
 from repro.units import MB
 
 ETH = get_technology("ethernet")
@@ -146,10 +147,12 @@ class TestUnifiedRateCache:
 
 
 class TestResourceIndex:
-    """The incidence the solver reads, kept between flushes: one persistent
-    slot per capacity resource (handed out in first-reference order, never
-    released), each transfer's slot tuple and the transfer ids on every
-    occupied slot — always equal to a rebuild from the tracked set."""
+    """What the solver reads, kept between flushes: one persistent slot per
+    capacity resource (handed out in first-reference order, never
+    released), each transfer's slot tuple, the transfer ids on every
+    occupied slot, every flow's cap, every occupied slot's degraded
+    capacity and the binding set — always equal to a rebuild from the
+    tracked set."""
 
     @staticmethod
     def assert_dense_and_priced(provider):
@@ -170,12 +173,55 @@ class TestResourceIndex:
                 tids_of_slot.setdefault(slot, set()).add(tid)
         assert provider._slots_of_tid == slots_of
         assert provider._tids_of_slot == tids_of_slot
+        TestResourceIndex.assert_solver_inputs_match_rebuild(provider)
+
+    @staticmethod
+    def assert_solver_inputs_match_rebuild(provider):
+        """Caps (in tracking order), degraded capacities and the binding set
+        equal the per-solve derivation over the whole tracked set."""
+        technology = provider.technology
+        sharing = technology.sharing
+        single = technology.single_stream_bandwidth
+        counts = {}
+        for transfer in provider._active.values():
+            if not transfer.is_intra_node:
+                counts.setdefault(transfer.src, {"tx": 0, "rx": 0})["tx"] += 1
+                counts.setdefault(transfer.dst, {"tx": 0, "rx": 0})["rx"] += 1
+        caps = {}
+        for tid, transfer in provider._active.items():
+            if transfer.is_intra_node:
+                caps[tid] = technology.memory_bandwidth
+            elif counts.get(transfer.dst, {"tx": 0})["tx"] >= 1:
+                caps[tid] = single * (1.0 - sharing.duplex_flow_slowdown)
+            else:
+                caps[tid] = single
+        assert list(provider._caps.items()) == list(caps.items())
+        capacities = {slot: provider._slot_caps[slot] for slot in provider._tids_of_slot}
+        for host, c in counts.items():
+            if c["rx"] >= sharing.reverse_threshold and c["tx"] >= 1:
+                tx_key, rx_key = provider.topology.nic_resources(host)
+                for key, loss in ((tx_key, sharing.tx_capacity_loss),
+                                  (rx_key, sharing.rx_capacity_loss)):
+                    slot = provider._res_slots.get(key)
+                    if slot in capacities:
+                        capacities[slot] *= 1.0 - loss
+        assert provider._capacities == capacities
+        binding = {}
+        for slot, capacity in capacities.items():
+            flows = [provider._active[tid] for tid in provider._tids_of_slot[slot]]
+            ceiling = max(technology.memory_bandwidth if t.is_intra_node else single
+                          for t in flows)
+            assert provider._slot_ceilings[slot] == ceiling
+            if can_bind(capacity, len(flows), ceiling):
+                binding[slot] = capacity
+        assert provider._binding == binding
 
     @pytest.mark.parametrize("seed", range(4))
     def test_incidence_tracks_every_delta(self, seed):
         """Random arrivals, departures, endpoint reuse through ``rates()``,
-        invalidations and resets on a fat tree: after each, the kept
-        incidence equals a rebuild from the tracked transfers."""
+        invalidations after an in-place uplink change, and resets on a fat
+        tree: after each, the kept incidence, caps, capacities and binding
+        set equal a rebuild from the tracked transfers."""
         rng = random.Random(seed)
         topology = FatTreeTopology(num_hosts=12, technology=ETH,
                                    hosts_per_edge=4, uplinks_per_edge=1)
@@ -200,6 +246,7 @@ class TestResourceIndex:
                 provider.rates([reused if t.transfer_id == reused.transfer_id else t
                                 for t in provider._active.values()])
             elif action < 0.98:
+                topology.uplinks_per_edge = rng.choice([1, 2])
                 provider.invalidate_cache()
             else:
                 provider.reset()
@@ -250,3 +297,37 @@ class TestResourceIndex:
         assert after == reference
         assert all(after[tid] < before[tid] for tid in before)
 
+
+class TestBindingSet:
+    """A solve sees only the occupied slots that ``can_bind`` keeps."""
+
+    def test_slot_at_count_times_ceiling_is_kept(self):
+        """At half-link single streams, one flow leaves its TX port slack and
+        two fill it exactly: the boundary slot is handed to the solver."""
+        tech = ETH.with_sharing(single_stream_efficiency=0.5)
+        assert tech.link_bandwidth == 2 * tech.single_stream_bandwidth
+        provider = EmulatorRateProvider(tech, num_hosts=4, cache_size=0, warm_start=False)
+        provider.update([Transfer(0, 0, 1, 20 * MB)], [])
+        tx0 = provider._res_slots[provider.topology.nic_resources(0)[0]]
+        assert tx0 not in provider._binding
+        rates = provider.update([Transfer(1, 0, 2, 20 * MB)], [])
+        assert provider._binding[tx0] == tech.link_bandwidth
+        assert rates == {1: tech.single_stream_bandwidth}  # flow 0 keeps its rate
+        provider.update([], [1])
+        assert tx0 not in provider._binding
+
+    def test_a_degraded_port_rejoins_the_solve(self):
+        """Income/outgo degradation lowers a port's capacity below what its
+        flows can take, so it binds again; lifting it makes it slack."""
+        provider = EmulatorRateProvider(ETH, num_hosts=4, cache_size=0, warm_start=False)
+        provider.update([Transfer(0, 0, 1, 20 * MB)], [])
+        tx0 = provider._res_slots[provider.topology.nic_resources(0)[0]]
+        assert tx0 not in provider._binding  # one single stream on a full link
+        # host 0 now receives reverse_threshold flows while transmitting
+        provider.update([Transfer(1, 2, 0, 20 * MB), Transfer(2, 3, 0, 20 * MB)], [])
+        degraded = ETH.link_bandwidth * (1.0 - ETH.sharing.tx_capacity_loss)
+        assert provider._capacities[tx0] == degraded
+        assert provider._binding[tx0] == degraded
+        provider.update([], [2])
+        assert provider._capacities[tx0] == ETH.link_bandwidth
+        assert tx0 not in provider._binding

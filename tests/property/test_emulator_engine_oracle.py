@@ -4,7 +4,7 @@ The unit-level suites pin the emulator's solver against the reference
 freeze loop; this one closes the loop end to end: simulating a random MPI
 application with :class:`~repro.network.allocator.EmulatorRateProvider`
 must produce **identical** per-rank event streams and finish times as with
-``FlowSpecOracleProvider`` (``test_vectorized_sharing.py``), which rebuilds
+``FlowSpecOracleProvider`` (``test_emulator_oracle.py``), which rebuilds
 every solve from FlowSpecs — under both engine loops (delta-fed calendar
 and full re-query), for all three technologies, on a crossbar with
 intra-node copies and on an oversubscribed fat tree whose fabric links
@@ -16,7 +16,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
-from test_vectorized_sharing import FlowSpecOracleProvider
+from test_emulator_oracle import FlowSpecOracleProvider
 
 from repro.cluster import custom_cluster, make_placement
 from repro.network.allocator import EmulatorRateProvider

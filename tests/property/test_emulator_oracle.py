@@ -6,7 +6,9 @@ loop of :func:`~repro.network.sharing.weighted_max_min_allocation` is the
 reference it must equal bit for bit (see the module docstring of
 :mod:`repro.network.sharing` for why the float operations match).  These
 tests assert that over random unit-weight instances — shared resources,
-zero capacities and simultaneous saturations included — and, one level up,
+zero capacities and simultaneous saturations included, and with the
+resources :func:`~repro.network.sharing.can_bind` rejects left out of the
+solve but handed to the reference — and, one level up,
 over random delta sequences through the calibrated
 :class:`~repro.network.allocator.EmulatorRateProvider`, against
 :class:`FlowSpecOracleProvider`, which prices every solve by rebuilding one
@@ -25,7 +27,12 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.network.allocator import EmulatorRateProvider
 from repro.network.fluid import Transfer
-from repro.network.sharing import FlowSpec, water_fill_arrays, weighted_max_min_allocation
+from repro.network.sharing import (
+    FlowSpec,
+    can_bind,
+    water_fill_arrays,
+    weighted_max_min_allocation,
+)
 from repro.network.technologies import get_technology
 from repro.network.topology import FatTreeTopology
 
@@ -135,6 +142,62 @@ def build_instance(spec):
     return flows, capacities
 
 
+#: capacity of an added resource over (its flows) x (their largest cap):
+#: binding, the boundary (kept), just inside and just outside the slack
+#: margin, and far outside it
+slack_factor_strategy = st.one_of(
+    st.sampled_from([0.5, 0.9, 1.0, 1.0 + 2.0 ** -21, 1.0 + 2.0 ** -19, 1.5, 4.0]),
+    st.floats(min_value=0.25, max_value=100.0, allow_nan=False),
+)
+slack_instances = st.fixed_dictionaries({
+    "capacities": st.lists(st.one_of(tied_capacity_strategy, capacity_strategy),
+                           max_size=6),
+    "flows": st.lists(
+        st.tuples(st.lists(st.integers(0, 5), max_size=3, unique=True),
+                  st.one_of(tied_cap_strategy.filter(lambda c: c < float("inf")),
+                            st.floats(min_value=1e-3, max_value=1e6, allow_nan=False))),
+        min_size=1, max_size=16,
+    ),
+    "slack": st.lists(
+        st.tuples(st.lists(st.integers(0, 15), min_size=1, max_size=6, unique=True),
+                  slack_factor_strategy),
+        min_size=1, max_size=4,
+    ),
+})
+
+
+def build_slack_instance(spec):
+    """``build_instance`` with finite caps plus resources ``s0..`` sized at a
+    factor of (their flow count) x (their flows' largest cap)."""
+    flows, capacities = build_instance(spec)
+    resources = {flow.flow_id: list(flow.resources) for flow in flows}
+    for index, (members, factor) in enumerate(spec["slack"]):
+        chosen = [flows[i] for i in sorted({m % len(flows) for m in members})]
+        ceiling = max(flow.cap for flow in chosen)
+        capacities[f"s{index}"] = len(chosen) * ceiling * factor
+        for flow in chosen:
+            resources[flow.flow_id].append(f"s{index}")
+    flows = [FlowSpec(flow.flow_id, tuple(resources[flow.flow_id]), cap=flow.cap)
+             for flow in flows]
+    return flows, capacities
+
+
+def assert_binding_resources_suffice(flows, capacities):
+    """Given only the resources ``can_bind`` keeps (judged with each
+    resource's flow count and its flows' largest cap), the solver rates
+    every flow as the reference does given all of them.  Returns the kept
+    resources."""
+    caps, flow_resources, resource_flows, occupied = solver_input(flows, capacities)
+    binding = {
+        resource: capacity for resource, capacity in occupied.items()
+        if can_bind(capacity, len(resource_flows[resource]),
+                    max(caps[f] for f in resource_flows[resource]))
+    }
+    rates = water_fill_arrays(caps, flow_resources, resource_flows, binding)
+    assert rates == weighted_max_min_allocation(flows, capacities)
+    return binding
+
+
 class TestWaterFillingBitExact:
     @common_settings
     @given(spec=instances(capacity_strategy, cap_strategy))
@@ -145,6 +208,20 @@ class TestWaterFillingBitExact:
     @given(spec=instances(tied_capacity_strategy, tied_cap_strategy))
     def test_solver_matches_reference_under_ties(self, spec):
         assert_solver_matches_reference(*build_instance(spec))
+
+    @settings(common_settings, max_examples=200)
+    @given(spec=slack_instances)
+    def test_resources_that_cannot_bind_are_left_out_exactly(self, spec):
+        assert_binding_resources_suffice(*build_slack_instance(spec))
+
+    def test_slack_resource_left_out_and_boundary_kept(self):
+        """A resource at 4 x (flows) x (largest cap) goes, one at exactly
+        (flows) x (largest cap) stays, and the rates still match."""
+        binding = assert_binding_resources_suffice(*build_slack_instance({
+            "capacities": [10.0], "flows": [([0], 5.0), ([0], 10.0)],
+            "slack": [([0, 1], 4.0), ([0, 1], 1.0)],
+        }))
+        assert binding == {"r0": 10.0, "s1": 20.0}
 
     @common_settings
     @given(spec=instances(capacity_strategy, cap_strategy))
@@ -192,6 +269,28 @@ def make_provider(cls, technology, loaded_fabric, warm_start):
 
 
 class TestEmulatorMatchesOracle:
+    @pytest.mark.parametrize("technology", ["ethernet", "myrinet", "infiniband"])
+    def test_intra_node_copies_share_the_memory_bus(self, technology):
+        """Copies on one host split its memory bus (a memory slot's cap
+        ceiling is the memory bandwidth, not the single-stream bandwidth,
+        so the bus is never taken for slack)."""
+        tech = get_technology(technology)
+        provider = EmulatorRateProvider(tech, num_hosts=4, warm_start=False)
+        oracle = FlowSpecOracleProvider(tech, num_hosts=4, warm_start=False)
+        steps = [
+            ([Transfer(0, 1, 1, 1000.0)], []),
+            ([Transfer(1, 1, 1, 1000.0)], []),
+            ([Transfer(2, 1, 2, 1000.0), Transfer(3, 2, 2, 1000.0)], []),
+            ([], [0]),
+        ]
+        for added, removed in steps:
+            assert provider.update(added, removed) == oracle.update(added, removed)
+        assert provider.rates([Transfer(1, 1, 1, 1000.0), Transfer(2, 1, 2, 1000.0),
+                               Transfer(3, 2, 2, 1000.0)])[1] == tech.memory_bandwidth
+        provider.update([Transfer(4, 1, 1, 1000.0)], [])
+        rates = provider.rates([Transfer(1, 1, 1, 1000.0), Transfer(4, 1, 1, 1000.0)])
+        assert rates == {1: tech.memory_bandwidth / 2, 4: tech.memory_bandwidth / 2}
+
     @pytest.mark.parametrize("technology", ["ethernet", "myrinet", "infiniband"])
     @pytest.mark.parametrize("loaded_fabric", [False, True],
                              ids=["crossbar", "oversubscribed-fat-tree"])
