@@ -103,6 +103,6 @@ def test_ablation_models_vs_baselines(benchmark, emit):
         # Kim & Lee and ideal fair sharing are reported for comparison; against
         # the max-min emulator they can be competitive on dense graphs, which
         # is expected (the emulator shares more fairly than real Stop & Go
-        # hardware) and is discussed in EXPERIMENTS.md.
+        # hardware); results/ablation_baselines.txt records the numbers.
         assert rows[network]["paper model"] < rows[network]["no contention"]
         assert rows[network]["paper model"] < 35.0

@@ -61,7 +61,7 @@ def test_figure4_parameter_verification(benchmark, emit):
     assert predicted["c"] == max(predicted.values())
     # every prediction within 40 % of the emulated measurement (communication c
     # is the pessimistic outlier: the literal max(p_o, p_i) rule over-predicts
-    # it, exactly the deviation documented for Figure 4 in EXPERIMENTS.md),
+    # it, the deviation results/fig4_parameter_verification.txt shows),
     # and the scheme-level mean absolute error stays moderate.
     errors = []
     for name in measured:

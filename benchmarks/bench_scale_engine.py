@@ -29,10 +29,10 @@ reproduction's analogue of the paper's ~0.7 % MPE instrumentation cost
 perf trajectory.
 
 The **metrics-overhead** section attaches a
-:class:`~repro.obs.MetricsRegistry` to the same scenario — phase timers on
-the calendar flush plus lazily-read stats sources — asserting bit-identical
-results and recording the metering cost next to the tracing cost, with an
-extra 1-in-8 sampled-timer row (``MetricsRegistry(timer_sample_every=8)``).
+:class:`~repro.obs.MetricsRegistry` to the same scenario — a phase timer
+around every calendar flush plus lazily-read stats sources — asserting
+bit-identical results and recording the metering cost next to the tracing
+cost.
 
 Both overhead sections run their modes interleaved, one run of each mode
 per round, and record the min and median of every mode plus the spread
@@ -770,81 +770,8 @@ def test_water_filling_microbench(emit):
     assert rows[-1]["speedup"] >= 3.0, record
 
 
-# ------------------------------------------------------------ timeline drain
-def test_timeline_drain_microbench(emit):
-    """Batched due-event drain on barrier-synchronous compute waves.
-
-    Every round, all ranks finish an identical compute at the same horizon
-    and hit a barrier — the worst case for the historical per-entry
-    ``heappop`` loop (one sift per rank per round) and the best case for the
-    partition+heapify bulk sweep.  The section records how much of the
-    timeline traffic the bulk path absorbed (pops/event, bulk-drain ratio)
-    alongside the wall clock.
-    """
-    from repro.cluster import custom_cluster
-    from repro.simulator import Application, Simulator
-
-    num_ranks, rounds = 256, 12
-    app = Application(num_tasks=num_ranks, name="drain-bench")
-    for _ in range(rounds):
-        for rank in range(num_ranks):
-            app.add_compute(rank, duration=0.01)
-        app.add_barrier()
-    cluster = custom_cluster(num_nodes=num_ranks, cores_per_node=1,
-                             technology="ethernet")
-
-    best = float("inf")
-    stats = None
-    for _ in range(REPEATS):
-        provider = ModelRateProvider(GigabitEthernetModel(), "ethernet")
-        simulator = Simulator(cluster, provider)
-        started = time.perf_counter()
-        report = simulator.run(app, placement="RRN")
-        best = min(best, time.perf_counter() - started)
-        assert report.total_time > 0
-        snapshot = simulator.last_engine_stats.as_dict()
-        assert stats is None or stats == snapshot  # counters are deterministic
-        stats = snapshot
-
-    total_events = num_ranks * rounds  # every compute surfaces exactly once
-    drained_bulk = stats["timeline_bulk_drained"]
-    single_pops = total_events - drained_bulk
-    bulk_ratio = drained_bulk / total_events
-    pops_per_event = single_pops / total_events
-
-    lines = [
-        f"timeline drain: {num_ranks} ranks x {rounds} barrier-synchronous "
-        f"compute rounds ({total_events} timeline events)",
-        "",
-        f"wall clock (best of {REPEATS}): {best:.3f} s",
-        (f"bulk drains: {stats['timeline_bulk_drains']}   "
-         f"entries via bulk sweep: {drained_bulk} "
-         f"({bulk_ratio:.0%})   per-entry heappops/event: "
-         f"{pops_per_event:.2f}"),
-    ]
-    record = {
-        "benchmark": "bench_scale_engine/timeline_drain",
-        "num_ranks": num_ranks,
-        "rounds": rounds,
-        "timeline_events": total_events,
-        "repeats": REPEATS,
-        "wall_clock_s": round(best, 4),
-        "timeline_bulk_drains": stats["timeline_bulk_drains"],
-        "timeline_bulk_drained": drained_bulk,
-        "bulk_drain_ratio": round(bulk_ratio, 4),
-        "pops_per_event": round(pops_per_event, 2),
-        "us_per_event": round(best / total_events * 1e6, 2),
-    }
-    emit("timeline_drain", "\n".join(lines), record=record,
-         bench_json=BENCH_JSON)
-    # the same-horizon waves must actually take the bulk path: every round's
-    # compute batch beyond the pop threshold lands in one sweep
-    assert stats["timeline_bulk_drains"] >= rounds, record
-    assert bulk_ratio >= 0.5, record
-
-
 # --------------------------------------------------------- metrics overhead
-def metered_once(metered: bool, sample_every: int = 1):
+def metered_once(metered: bool):
     """One run of the scale workload with or without a registry.
 
     A fresh :class:`~repro.obs.MetricsRegistry` per run (timer moments are
@@ -853,8 +780,7 @@ def metered_once(metered: bool, sample_every: int = 1):
     """
     from repro.obs import MetricsRegistry
 
-    metrics = (MetricsRegistry(timer_sample_every=sample_every)
-               if metered else None)
+    metrics = MetricsRegistry() if metered else None
     workload = synthetic_workload()
     provider = ModelRateProvider(GigabitEthernetModel(), "ethernet")
     simulator = FluidTransferSimulator(provider, metrics=metrics)
@@ -878,30 +804,21 @@ def test_metrics_overhead(emit):
     times, outcomes = interleave({
         "none": lambda: metered_once(False),
         "attached": lambda: metered_once(True),
-        "sampled": lambda: metered_once(True, sample_every=8),
     })
     base_results = outcomes["none"][-1][0]
     snapshot = outcomes["attached"][-1][1]
-    sampled_snap = outcomes["sampled"][-1][1]
 
     # observability, not physics: identical completion records
-    assert all(outcome[0] == base_results
-               for mode in ("attached", "sampled") for outcome in outcomes[mode])
+    assert all(outcome[0] == base_results for outcome in outcomes["attached"])
     # the registry actually observed the run it did not perturb
     assert snapshot["calendar.flushes"] > 0
     assert snapshot["calendar.flush_s.count"] > 0
-    # the sampled timer observed exactly every 8th flush() call
-    assert sampled_snap["calendar.flush_s.sample_every"] == 8
-    assert (sampled_snap["calendar.flush_s.count"]
-            == int(snapshot["calendar.flush_s.count"]) // 8)
 
     base = times["none"]
     noise_s = spread(base)
     unmetered = overhead_row(base, base, noise_s)
     metered = overhead_row(times["attached"], base, noise_s)
-    sampled = overhead_row(times["sampled"], base, noise_s)
     overhead = metered["overhead"]
-    sampled_overhead = sampled["overhead"]
     flushes = int(snapshot["calendar.flush_s.count"])
     per_flush_us = metered["delta_s"] / max(1, flushes) * 1e6
 
@@ -915,16 +832,12 @@ def test_metrics_overhead(emit):
         f"{'-':>10s}",
         f"{'attached':<14s}{metered['min_s']:>8.4f} s{metered['median_s']:>8.4f} s"
         f"{overhead:>9.1%}{noise_note(metered)}",
-        f"{'sampled 1/8':<14s}{sampled['min_s']:>8.4f} s{sampled['median_s']:>8.4f} s"
-        f"{sampled_overhead:>9.1%}{noise_note(sampled)}",
         "",
         f"unmetered spread (interquartile range of {OVERHEAD_REPEATS}): "
         f"{noise_s:.4f} s; "
         "overheads compare medians and are not clamped",
         f"timer cost: {per_flush_us:.2f} us/flush{noise_note(metered)} "
-        f"(flush time recorded: {snapshot['calendar.flush_s.total']:.4f} s); "
-        f"1-in-8 sampling timed {int(sampled_snap['calendar.flush_s.count'])} "
-        "flushes",
+        f"(flush time recorded: {snapshot['calendar.flush_s.total']:.4f} s)",
     ]
     record = {
         "benchmark": "bench_scale_engine/metrics_overhead",
@@ -938,14 +851,8 @@ def test_metrics_overhead(emit):
         "unmetered_spread_s": round(noise_s, 4),
         "metered_s": round(metered["median_s"], 4),
         "metered_min_s": round(metered["min_s"], 4),
-        "sampled_s": round(sampled["median_s"], 4),
-        "sampled_min_s": round(sampled["min_s"], 4),
-        "timer_sample_every": 8,
-        "sampled_timed_flushes": int(sampled_snap["calendar.flush_s.count"]),
         "metrics_overhead_pct": round(100 * overhead, 2),
         "metrics_below_noise": metered["below_noise"],
-        "sampled_overhead_pct": round(100 * sampled_overhead, 2),
-        "sampled_below_noise": sampled["below_noise"],
         "us_per_flush": round(per_flush_us, 3),
         "flush_s_total": round(snapshot["calendar.flush_s.total"], 5),
     }

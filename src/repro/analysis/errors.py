@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping
 
-from .._numpy import np
+import numpy as np
 
 from ..exceptions import ReproError
 from ..simulator.report import SimulationReport

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import List, Mapping, Optional, Sequence
 
-from .._numpy import np
+import numpy as np
 
 
 __all__ = [

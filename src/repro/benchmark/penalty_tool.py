@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
-from .._numpy import np
+import numpy as np
 
 from ..core.graph import CommunicationGraph
 from ..core.penalty import ContentionModel

@@ -8,9 +8,6 @@ code      name                          invariant
 ``RC01``  trace-kind-registry           literal ``TraceRecord`` kinds ∈
                                         ``KNOWN_KINDS``; every registered kind
                                         documented in ``docs/trace-format.md``
-``RC02``  numpy-guard                   ``import numpy`` only in
-                                        ``repro/_numpy.py``; everyone else uses
-                                        ``from repro._numpy import np``
 ``RC03``  guarded-emission              hot-path ``.emit`` / ``.sample_record`` /
                                         PhaseTimer use dominated by an
                                         ``is not None`` test on the same name
@@ -26,7 +23,6 @@ See ``docs/static-analysis.md`` for the rules, the suppression syntax
 
 from .base import Checker, CheckContext, Finding, ParsedModule, Suppressions
 from .cli import main
-from .fixes import fix_paths, rewrite_numpy_imports
 from .runner import ALL_CHECKERS, collect_files, format_findings, run_check
 
 __all__ = [
@@ -37,9 +33,7 @@ __all__ = [
     "ParsedModule",
     "Suppressions",
     "collect_files",
-    "fix_paths",
     "format_findings",
     "main",
-    "rewrite_numpy_imports",
     "run_check",
 ]

@@ -3,10 +3,9 @@
 ``repro check`` (:mod:`repro.checks`) is a repo-specific static-analysis
 gate: each :class:`Checker` encodes one convention the codebase relies on
 but Python itself cannot enforce — the trace-kind registry staying in sync
-with its documentation, the ``repro._numpy`` import guard, the
-"disabled path is one pointer test" emission contract, the
-``RateProvider`` delta contract and the benchmark emit discipline.  The
-checkers operate on plain :mod:`ast` trees (per-file ``visit`` hooks plus a
+with its documentation, the "disabled path is one pointer test" emission
+contract, the ``RateProvider`` delta contract and the benchmark emit
+discipline.  The checkers operate on plain :mod:`ast` trees (per-file ``visit`` hooks plus a
 cross-file ``finalize``), so the gate runs anywhere the stdlib runs — no
 third-party linter required.
 
@@ -23,7 +22,7 @@ or for a whole file with a module-level comment::
     # repro-check: ignore-file[RC04]
 
 ``ignore`` / ``ignore-file`` without a bracketed code list silences every
-rule.  Codes are comma-separated (``ignore[RC01, RC02]``).  Suppressions
+rule.  Codes are comma-separated (``ignore[RC01, RC03]``).  Suppressions
 are deliberately loud in review diffs — the convention is to attach a
 rationale on the same comment line.
 """
@@ -62,7 +61,7 @@ class Finding:
 
     path: str  #: repo-root-relative POSIX path
     line: int  #: 1-based line number (0 for file-scoped findings)
-    code: str  #: rule code, e.g. ``"RC02"``
+    code: str  #: rule code, e.g. ``"RC03"``
     message: str
 
     def format(self) -> str:

@@ -10,11 +10,9 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .fixes import fix_paths
 from .runner import (
     ALL_CHECKERS,
     DEFAULT_EXCLUDED_DIRS,
-    collect_files,
     format_findings,
     run_check,
 )
@@ -28,9 +26,9 @@ DEFAULT_PATHS = ("src", "tests", "benchmarks")
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro check",
-        description=("repo-specific invariant linter: trace registry, numpy "
-                     "guard, guarded emission, delta contract, benchmark "
-                     "emit discipline"),
+        description=("repo-specific invariant linter: trace registry, "
+                     "guarded emission, delta contract, benchmark emit "
+                     "discipline"),
     )
     parser.add_argument("paths", nargs="*", default=None,
                         help="files or directories to check "
@@ -49,9 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-default-excludes", action="store_true",
                         help="descend into fixture/build directories that "
                              "are pruned by default")
-    parser.add_argument("--fix", action="store_true",
-                        help="apply mechanical fixes (RC02 import rewrites) "
-                             "before checking")
     parser.add_argument("--list-checks", action="store_true",
                         help="list the shipped rules and exit")
     return parser
@@ -88,16 +83,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     excluded: Sequence[str] = (
         () if args.no_default_excludes else DEFAULT_EXCLUDED_DIRS)
-
-    if args.fix:
-        try:
-            files = collect_files(paths, excluded_dirs=excluded)
-        except FileNotFoundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        for path, rewrites in fix_paths(files):
-            print(f"fixed: {path} ({rewrites} import"
-                  f"{'' if rewrites == 1 else 's'} rewritten)")
 
     try:
         findings, ctx = run_check(

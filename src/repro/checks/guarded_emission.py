@@ -3,7 +3,7 @@
 The trace/metrics contract of PRs 5/7: with tracing and metrics disabled,
 the simulation hot paths pay exactly one pointer test per potential
 emission — so every ``.emit(...)``, ``.sample_record(...)``, phase-timer
-use (``.timer(...)``, ``.observe(...)``, ``.due(...)``) and
+use (``.timer(...)``, ``.observe(...)``) and
 ``emit_inject_apply(...)`` call in the hot modules must sit under an
 explicit ``is not None`` guard on the handle it dereferences.  The rule
 also keeps anyone from "simplifying" a guard into truthiness (``if
@@ -27,7 +27,7 @@ __all__ = ["GuardedEmissionChecker"]
 
 #: attribute calls whose receiver must be guarded: the trace-sink writes and
 #: the PhaseTimer / registry surface of repro.obs
-_GUARDED_METHODS = frozenset({"emit", "sample_record", "timer", "observe", "due"})
+_GUARDED_METHODS = frozenset({"emit", "sample_record", "timer", "observe"})
 
 #: plain-name helper whose first argument is the trace handle
 _GUARDED_HELPERS = frozenset({"emit_inject_apply"})

@@ -22,7 +22,7 @@ Recognised guard shapes (``X`` is the receiver's dotted name)::
     if X is not None and other:       # and-chain: every operand must hold
         X.emit(...)
 
-    if X is None or not X.due():      # or-chain short-circuit inside the test
+    if X is None or not wanted:       # or-chain short-circuit inside the test
         return ...                    # …and early-return: X non-None below
     X.observe(...)
 

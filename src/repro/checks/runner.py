@@ -10,7 +10,6 @@ from .base import Checker, CheckContext, Finding, ParsedModule
 from .bench_emit import BenchEmitChecker
 from .delta_contract import DeltaContractChecker
 from .guarded_emission import GuardedEmissionChecker
-from .numpy_guard import NumpyGuardChecker
 from .trace_kinds import TraceKindChecker
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
 #: every shipped rule, in code order
 ALL_CHECKERS: Tuple[Type[Checker], ...] = (
     TraceKindChecker,
-    NumpyGuardChecker,
     GuardedEmissionChecker,
     DeltaContractChecker,
     BenchEmitChecker,

@@ -16,9 +16,9 @@ graphs the contention models consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .._numpy import np
+import numpy as np
 
 from ..exceptions import SchedulingError
 from .spec import ClusterSpec

@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Sequence, Tuple
 
-from .._numpy import np
+import numpy as np
+
 from ..exceptions import CalibrationError
 from .ethernet_model import EthernetParameters, GigabitEthernetModel
 from .graph import CommunicationGraph

@@ -389,6 +389,12 @@ class IncrementalPenaltyEngine:
         returned, which is what lets a rate provider report "what changed"
         to the execution engine's event calendar without touching the rest
         of the active set.
+
+        The mapping is in arrival order.  A component's members are a set,
+        whose order follows string hashing for ids such as ``background#3``,
+        and the calendar re-times (and traces) transfers in the order they
+        are returned; sorting keeps a traced run's bytes independent of
+        ``PYTHONHASHSEED``.
         """
         changed: Dict[Hashable, float] = {}
         if self._dirty:
@@ -405,6 +411,10 @@ class IncrementalPenaltyEngine:
             for tid in self._fresh_intra:
                 changed[tid] = 1.0
             self._fresh_intra.clear()
+        if len(changed) > 1:
+            records = self._records
+            changed = dict(sorted(changed.items(),
+                                  key=lambda item: records[item[0]].seq))
         return changed
 
     def penalties(self) -> Dict[Hashable, float]:

@@ -24,7 +24,8 @@ instantaneous bandwidth the way the emulated interconnect would:
 
 With the shipped calibration the allocator reproduces the penalty ladder the
 paper measured on its three clusters (Figure 2) to within a few percent; see
-``benchmarks/bench_fig2_penalty_ladder.py`` and ``EXPERIMENTS.md``.
+``benchmarks/bench_fig2_penalty_ladder.py`` and its report,
+``benchmarks/results/fig2_penalty_ladder.txt``.
 
 Like the model-side provider, the allocator memoizes its max-min solutions
 in a :class:`~repro.core.incremental.PenaltyCache` (the same LRU-with-
@@ -180,7 +181,7 @@ class EmulatorRateProvider:
         Registers the allocation cache / warm-start counters as a live
         source under ``name`` and installs the ``waterfill.solve_s`` phase
         timer around every allocation solve.  Pass ``None`` to uninstall
-        the timer (the source stays until re-registered or unregistered).
+        the timer (the source stays until re-registered).
         """
         if registry is None:
             self._solve_timer = None

@@ -119,6 +119,10 @@ foreground ones.  Two hooks exist for injectors:
   transfer through ``provider.reset()`` + a full re-add — the re-rate hook
   for capacity changes that the delta contract cannot express.
 
+Injectors reach both hooks through one surface, :class:`FluidInjectionState`:
+it keeps the background flows and the rate scales of a run and fires the
+injectors for :class:`FluidTransferSimulator`; the execution engine's
+injection state subclasses it and adds only the compute-scale windows.
 With no injectors installed (no scale hook, no reprice calls) every code
 path is bit-for-bit identical to the pre-injection calendar.
 
@@ -182,6 +186,7 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -198,7 +203,8 @@ __all__ = [
     "CalendarStats",
     "CalendarStatsSnapshot",
     "TransferCalendar",
-    "RateScaleRegistry",
+    "compose_rate_scales",
+    "FluidInjectionState",
     "FluidTransferSimulator",
 ]
 
@@ -397,9 +403,7 @@ class TransferCalendar:
         site — the untraced paths are bit-exact.
     metrics:
         Optional :class:`repro.obs.MetricsRegistry`; when attached every
-        flush is timed into the ``calendar.flush_s`` phase timer (1-in-N
-        sampled when the registry sets
-        :attr:`~repro.obs.MetricsRegistry.timer_sample_every`).  Mirrors
+        flush is timed into the ``calendar.flush_s`` phase timer.  Mirrors
         the trace contract: ``None`` costs one pointer test per flush.
     """
 
@@ -575,16 +579,14 @@ class TransferCalendar:
         departure+arrival cycle on every flush — see the module docstring.
         """
         # hot path: one attribute read and a None test when unmetered; when
-        # metered, two local perf_counter calls with no try/finally frame
-        # (a provider error mid-flush loses one timer observation, nothing
-        # else), optionally 1-in-N sampled through PhaseTimer.due()
+        # metered, two perf_counter calls with no try/finally frame (a
+        # provider error mid-flush loses one timer observation, nothing else)
         timer = self._flush_timer
-        if timer is None or not timer.due():
+        if timer is None:
             return self._flush(now)
-        counter = perf_counter
-        start = counter()
+        start = perf_counter()
         self._flush(now)
-        timer.observe(counter() - start)
+        timer.observe(perf_counter() - start)
 
     def _flush(self, now: float) -> None:
         if self.delta:
@@ -765,65 +767,67 @@ class TransferCalendar:
         return done
 
 
-class RateScaleRegistry:
-    """Handle-keyed rate-scale bookkeeping shared by the injection surfaces.
+def compose_rate_scales(
+    scales: Sequence[Callable[[Transfer], float]],
+) -> Optional[Callable[[Transfer], float]]:
+    """Fold per-transfer rate multipliers into one (``None`` when empty).
 
-    Both injection states (the engine's and the fluid simulator's) delegate
-    ``add_rate_scale``/``remove_rate_scale`` here: scales are stored under
-    opaque handles and their composition (see
-    :func:`repro.simulator.interference.compose_rate_scales`) is installed
-    on the calendar after every change — ``None`` (the bit-exact unscaled
-    path) once the last scale is removed.
+    No scales means the bit-exact unscaled path, one scale is installed
+    as-is, several multiply.
     """
+    if not scales:
+        return None
+    if len(scales) == 1:
+        return scales[0]
+    frozen = tuple(scales)
 
-    def __init__(self, calendar: TransferCalendar) -> None:
-        self._calendar = calendar
-        self._scales: Dict[int, Callable[[Transfer], float]] = {}
-        self._seq = itertools.count()
+    def product(transfer: Transfer) -> float:
+        factor = 1.0
+        for scale in frozen:
+            factor *= scale(transfer)
+        return factor
 
-    def add(self, scale: Callable[[Transfer], float]) -> int:
-        handle = next(self._seq)
-        self._scales[handle] = scale
-        self._install()
-        return handle
-
-    def remove(self, handle: Optional[int]) -> None:
-        self._scales.pop(handle, None)
-        self._install()
-
-    def _install(self) -> None:
-        # local import: interference lives above this module (it imports
-        # Transfer from here), so the composition helper resolves lazily at
-        # the first injector apply
-        from ..simulator.interference import compose_rate_scales
-
-        self._calendar.set_rate_scale(
-            compose_rate_scales(tuple(self._scales.values()))
-        )
+    return product
 
 
-class _FluidInjectionState:
-    """Injection surface of one :meth:`FluidTransferSimulator.run`.
+class FluidInjectionState:
+    """Injection surface of one simulation run.
 
     Implements the informal ``InjectionState`` protocol of
-    :mod:`repro.simulator.interference` for a pure transfer simulation:
+    :mod:`repro.simulator.interference` over a :class:`TransferCalendar`:
     background flows ride the same calendar (and thus the same provider
-    delta path) as the foreground transfers; compute scaling is a no-op
-    because nothing computes here.
+    delta path) as the foreground transfers, and rate scales are kept under
+    opaque handles, their composition (:func:`compose_rate_scales`)
+    installed on the calendar after every change.  Compute scaling is a
+    no-op because nothing computes in a pure transfer simulation; the
+    execution engine's subclass adds the compute-scale windows.  Both loops
+    fire their injectors through :meth:`fire`.
     """
 
     def __init__(self, calendar: TransferCalendar, hosts: Tuple[int, ...],
                  trace: Optional[TraceSink] = None) -> None:
         self.now = 0.0
         self.hosts = hosts
-        self.background: set = set()
-        #: background flows started / injector firings (event-budget input)
+        #: ids of the live background flows: they contend in the provider,
+        #: but the loops leave them out of their results
+        self.background: Set[Hashable] = set()
+        #: background flows started / injector events fired
         self.injected = 0
         self.fired = 0
         self._calendar = calendar
-        self._flow_seq = itertools.count()
-        self._rate_scales = RateScaleRegistry(calendar)
         self._trace = active_sink(trace)
+        self._flow_seq = itertools.count()
+        self._rate_scales: Dict[int, Callable[[Transfer], float]] = {}
+        self._rate_seq = itertools.count()
+
+    def fire(self, injector, index: int, now: float) -> Optional[float]:
+        """Apply the loop's ``index``-th injector at ``now``; return its next event time."""
+        self.now = now
+        if self._trace is not None:
+            emit_inject_apply(self._trace, now, injector, index)
+        injector.apply(self)
+        self.fired += 1
+        return injector.next_event(now)
 
     # ------------------------------------------------------------- flows
     def start_flow(self, src: int, dst: int, size: float,
@@ -850,7 +854,9 @@ class _FluidInjectionState:
     # ------------------------------------------------------------- scaling
     def add_rate_scale(self, scale: Callable[[Transfer], float],
                        info: Optional[Dict] = None) -> int:
-        handle = self._rate_scales.add(scale)
+        handle = next(self._rate_seq)
+        self._rate_scales[handle] = scale
+        self._install_rate_scales()
         if self._trace is not None:
             self._trace.emit(TraceRecord(self.now, "inject.rate_scale_on",
                                          handle, dict(info or {})))
@@ -860,7 +866,12 @@ class _FluidInjectionState:
         if self._trace is not None and handle is not None:
             self._trace.emit(TraceRecord(self.now, "inject.rate_scale_off",
                                          handle, {}))
-        self._rate_scales.remove(handle)
+        self._rate_scales.pop(handle, None)
+        self._install_rate_scales()
+
+    def _install_rate_scales(self) -> None:
+        self._calendar.set_rate_scale(
+            compose_rate_scales(tuple(self._rate_scales.values())))
 
     def add_compute_scale(self, scale, info: Optional[Dict] = None) -> Optional[int]:
         return None  # nothing computes in a pure transfer simulation
@@ -901,8 +912,9 @@ class FluidTransferSimulator:
         and ``inject.*`` events.  ``None`` (or a disabled sink) is the
         bit-exact untraced path.
     metrics:
-        Optional :class:`repro.obs.MetricsRegistry`.  The calendar times its
-        flush phase into it, the provider registers its stats surfaces
+        Optional :class:`repro.obs.MetricsRegistry`.  The calendar times
+        every flush into its ``calendar.flush_s`` timer, the provider
+        registers its stats surfaces and timers
         (:meth:`~repro.simulator.providers.ModelRateProvider.
         register_metrics`) and the calendar counters join as the
         ``calendar`` source.  ``None`` is the bit-exact unmetered path.
@@ -949,16 +961,14 @@ class FluidTransferSimulator:
             if callable(register):
                 register(self.metrics)
 
-        state: Optional[_FluidInjectionState] = None
+        hosts = tuple(sorted({h for t in transfers for h in (t.src, t.dst)}))
+        state = FluidInjectionState(calendar, hosts, trace=trace)
         inject_heap: List[Tuple[float, int]] = []
-        if self.injectors:
-            hosts = tuple(sorted({h for t in transfers for h in (t.src, t.dst)}))
-            state = _FluidInjectionState(calendar, hosts, trace=trace)
-            for index, injector in enumerate(self.injectors):
-                injector.reset()
-                when = injector.next_event(0.0)
-                if when is not None:
-                    heapq.heappush(inject_heap, (max(0.0, when), index))
+        for index, injector in enumerate(self.injectors):
+            injector.reset()
+            when = injector.next_event(0.0)
+            if when is not None:
+                heapq.heappush(inject_heap, (max(0.0, when), index))
 
         # transfers waiting for their (latency-shifted) start time
         pending: List[Tuple[float, int, Transfer]] = []
@@ -971,14 +981,10 @@ class FluidTransferSimulator:
         guard = 0
         steps = 0
 
-        def foreground_active() -> int:
-            background = len(state.background) if state is not None else 0
-            return calendar.active_count - background
-
-        while pending or foreground_active() > 0:
+        # the run ends when the last *foreground* transfer completes
+        while pending or calendar.active_count > len(state.background):
             guard += 1
-            injected = state.injected + state.fired if state is not None else 0
-            if guard > 10 * (len(transfers) + injected) + 10:
+            if guard > 10 * (len(transfers) + state.injected + state.fired) + 10:
                 raise SimulationError("fluid simulation exceeded its event budget")
 
             # activate transfers whose start time has been reached; zero-byte
@@ -996,13 +1002,7 @@ class FluidTransferSimulator:
             # rate scales, force reprices)
             while inject_heap and inject_heap[0][0] <= now + 1e-15:
                 _, index = heapq.heappop(inject_heap)
-                injector = self.injectors[index]
-                state.now = now
-                if trace is not None:
-                    emit_inject_apply(trace, now, injector, index)
-                injector.apply(state)
-                state.fired += 1
-                when = injector.next_event(now)
+                when = state.fire(self.injectors[index], index, now)
                 if when is not None:
                     heapq.heappush(inject_heap, (max(when, now), index))
 
@@ -1041,8 +1041,8 @@ class FluidTransferSimulator:
                 trace.emit(TraceRecord(now, "step", "fluid", {"step": steps}))
 
             for transfer in calendar.pop_due(now):
-                if state is not None and transfer.transfer_id in state.background:
-                    state.background.discard(transfer.transfer_id)
+                if transfer.transfer_id in state.background:
+                    state.background.remove(transfer.transfer_id)
                     continue
                 results[transfer.transfer_id] = TransferResult(
                     transfer.transfer_id, transfer.start_time, now

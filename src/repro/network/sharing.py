@@ -8,8 +8,8 @@ intra-node copies) and may additionally be limited by a per-flow cap (the
 single-stream efficiency of the protocol).
 
 The solver is deliberately generic — resources are opaque hashable
-identifiers — so the same code serves the per-technology allocators of
-:mod:`repro.network.ethernet` / ``myrinet`` / ``infiniband`` and the
+identifiers — so the same code serves the NIC, memory-bus and switch
+resources of every technology (:mod:`repro.network.allocator`) and the
 fat-tree link sharing of :mod:`repro.network.topology`.
 
 The reference implementation, :func:`weighted_max_min_allocation`, is the

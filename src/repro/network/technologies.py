@@ -5,7 +5,7 @@ The paper measures three interconnects (§IV.C): Gigabit Ethernet with TCP
 InfiniHost III (BULL Novascale).  We do not have that hardware, so the
 *measured* side of every experiment is produced by an emulator whose sharing
 behaviour is **calibrated on the penalties the paper publishes in Figure 2**
-(see ``DESIGN.md`` §2 for the substitution argument).
+(checked by ``benchmarks/bench_fig2_penalty_ladder.py``).
 
 A :class:`NetworkTechnology` bundles:
 
@@ -43,7 +43,8 @@ class SharingBehaviour:
     """How concurrent flows at a NIC degrade each other.
 
     The fields are calibration constants fitted against the Figure 2 penalty
-    ladder of the paper (see the module doc string and ``EXPERIMENTS.md``).
+    ladder of the paper (see the module doc string and
+    ``benchmarks/bench_fig2_penalty_ladder.py``).
 
     Parameters
     ----------

@@ -1,4 +1,4 @@
-"""Unified observability layer: metrics registry, instruments, phase timers.
+"""Unified observability layer: metrics registry and phase timers.
 
 See :mod:`repro.obs.registry` for the design.  Quick tour::
 
@@ -12,18 +12,16 @@ See :mod:`repro.obs.registry` for the design.  Quick tour::
 
 Attaching ``metrics`` lights up the whole stack: the engine registers its
 loop and calendar counters as sources, the rate provider registers its
-pricing stats and installs phase timers around the hot phases (calendar
-flush, dirty-component pricing, water-fill), and — when a trace sink is attached
-too — periodic ``metrics.sample`` records are emitted every
+pricing stats, phase timers time every call of the hot phases (ready
+sweep, due-event drain, calendar flush, dirty-component pricing,
+water-fill), and — when a trace sink is attached too — periodic
+``metrics.sample`` records are emitted every
 :attr:`~repro.simulator.engine.EngineConfig.metrics_sample_every` steps.
 """
 
-from .registry import Counter, Gauge, Histogram, MetricsRegistry, PhaseTimer
+from .registry import MetricsRegistry, PhaseTimer
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
     "PhaseTimer",
     "MetricsRegistry",
 ]

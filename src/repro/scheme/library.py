@@ -12,8 +12,8 @@ The original PDF renders these graphs as (partially garbled) diagrams; the
 reconstructions below satisfy every numeric constraint stated in the text —
 the degree counts used by the γ derivation for Figure 4, the state-set sums
 and minima of Figure 6 for Figure 5, tree/complete structure for Figure 7 —
-and the residual ambiguity is documented per experiment in
-``EXPERIMENTS.md``.
+and each builder's docstring states the constraints it reconstructs from;
+the figure's benchmark (``benchmarks/bench_fig*.py``) checks the result.
 """
 
 from __future__ import annotations

@@ -54,16 +54,23 @@ when every alive task waits at it, and ``_computing`` (COMPUTING tasks)
 detects the injector-run deadlock.  Only error reports still list the
 tasks.
 
+Timeline: compute completions, transfer-readiness times and injector
+events are pushed straight into one heap keyed ``(time, seq)`` and popped
+one at a time once due; the keys are unique, so the pop order is the
+push-time order of equal timestamps.
+
 Interference injection: :attr:`EngineConfig.injectors` carries
 :mod:`repro.simulator.interference` injectors whose events ride the same
 timeline heap as computes and readiness transitions.  Injected background
 flows join the calendar (and therefore the provider's delta path) like
 foreground transfers — they contend for bandwidth in the model and in the
 emulator — but are excluded from message matching, task completion and the
-report; compute-rate and link-capacity scaling windows are applied through
-the injection state (``_EngineInjectionState``).  With no injectors
-configured every code path is bit-exact with the pre-injection engine
-(property-tested in ``tests/property/test_interference_properties.py``).
+report.  The run's injection state is the fluid simulator's
+(:class:`~repro.network.fluid.FluidInjectionState`, background flows and
+link-capacity scaling) plus the compute-rate windows
+(``_EngineInjectionState``).  With no injectors configured every code path
+is bit-exact with the pre-injection engine (property-tested in
+``tests/property/test_interference_properties.py``).
 
 Tracing: :attr:`EngineConfig.trace` attaches a :mod:`repro.trace` sink; the
 engine emits ``step`` boundaries, ``task.state`` / ``task.event`` records and
@@ -80,18 +87,18 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from time import perf_counter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..cluster.placement import Placement
 from ..exceptions import DeadlockError, SimulationError, TraceError
 from ..network.fluid import (
     CalendarStatsSnapshot,
-    RateScaleRegistry,
+    FluidInjectionState,
     Transfer,
     TransferCalendar,
 )
 from ..network.technologies import NetworkTechnology, get_technology
-from ..trace.records import SnapshotBase, TraceRecord, emit_inject_apply
+from ..trace.records import SnapshotBase, TraceRecord
 from ..trace.sinks import TraceSink, active_sink
 from ..units import KiB
 from .application import Application
@@ -130,10 +137,10 @@ class EngineConfig:
     #: bit-exact with the pre-trace engine
     trace: Optional[TraceSink] = field(default=None, compare=False, repr=False)
     #: optional :class:`repro.obs.MetricsRegistry`; attaching one registers
-    #: the engine/calendar/provider stats as live sources and times the hot
-    #: phases (ready-task sweep, due-event drain, calendar flush, dirty
-    #: pricing, water-fill).  ``None`` = unmetered, bit-exact (one pointer
-    #: test per site, like ``trace``)
+    #: the engine/calendar/provider stats as live sources and times every
+    #: call of the hot phases (ready-task sweep, due-event drain, calendar
+    #: flush, dirty pricing, water-fill).  ``None`` = unmetered, bit-exact
+    #: (one pointer test per site, like ``trace``)
     metrics: Optional[object] = field(default=None, compare=False, repr=False)
     #: emit one ``metrics.sample`` trace record every this many steps (needs
     #: both ``metrics`` and ``trace`` attached); 0 disables sampling.  The
@@ -169,9 +176,6 @@ class EngineStatsSnapshot(SnapshotBase):
     steps: int = 0
     injected_events: int = 0
     background_flows: int = 0
-    timeline_bulk_merges: int = 0
-    timeline_bulk_drains: int = 0
-    timeline_bulk_drained: int = 0
     calendar: CalendarStatsSnapshot = field(default_factory=CalendarStatsSnapshot)
 
 
@@ -187,14 +191,6 @@ class EngineLoopStats:
     injected_events: int = 0
     #: background flows started by injectors
     background_flows: int = 0
-    #: timeline entries merged with one bulk heapify instead of per-entry
-    #: pushes (a per-step sweep's computes/readiness transitions coalesced)
-    timeline_bulk_merges: int = 0
-    #: due-event sweeps that switched from per-entry heappops to one
-    #: partition + heapify of the remainder (large same-horizon batches)
-    timeline_bulk_drains: int = 0
-    #: timeline entries extracted through bulk drains (⊆ all drained)
-    timeline_bulk_drained: int = 0
     #: calendar counters (rate_updates, retimed, stale_entries, ...) of the run
     calendar: Dict[str, int] = field(default_factory=dict)
 
@@ -205,9 +201,6 @@ class EngineLoopStats:
             steps=self.steps,
             injected_events=self.injected_events,
             background_flows=self.background_flows,
-            timeline_bulk_merges=self.timeline_bulk_merges,
-            timeline_bulk_drains=self.timeline_bulk_drains,
-            timeline_bulk_drained=self.timeline_bulk_drained,
             calendar=CalendarStatsSnapshot(**self.calendar),
         )
 
@@ -367,105 +360,58 @@ _READY = 1
 _INJECT = 2
 
 
-class _EngineInjectionState:
+class _EngineInjectionState(FluidInjectionState):
     """Injection surface of one :meth:`ExecutionEngine.run`.
 
-    Implements the informal ``InjectionState`` protocol of
-    :mod:`repro.simulator.interference` over the engine's calendar and task
-    set: background flows enter the shared :class:`TransferCalendar` (and
-    thus the provider's delta path) but never touch the match queues or the
-    task programs.
+    The fluid simulator's surface over the engine's calendar — background
+    flows and rate scales work exactly as there, and never touch the match
+    queues or the task programs — plus compute-rate windows, which stretch
+    the compute events that start while they are installed.
     """
 
     def __init__(self, engine: "ExecutionEngine") -> None:
-        self._engine = engine
-        self._flow_seq = itertools.count()
-        self._scale_seq = itertools.count()
-        self._rate_scales = RateScaleRegistry(engine._calendar)
         cluster = engine.placement.cluster
         if cluster is not None:
-            self.hosts: Tuple[int, ...] = tuple(range(cluster.num_nodes))
+            hosts: Tuple[int, ...] = tuple(range(cluster.num_nodes))
         else:
-            self.hosts = tuple(sorted(
+            hosts = tuple(sorted(
                 {engine.placement.node(rank) for rank in range(engine.num_tasks)}
             ))
-
-    @property
-    def now(self) -> float:
-        return self._engine.now
-
-    # ------------------------------------------------------------- flows
-    def start_flow(self, src: int, dst: int, size: float,
-                   owner: str = "background") -> int:
-        engine = self._engine
-        tid = f"{owner}#{next(self._flow_seq)}"
-        if engine._trace is not None:
-            engine._trace.emit(TraceRecord(engine.now, "inject.flow_start", tid, {
-                "src": src, "dst": dst, "size": float(size), "owner": owner,
-            }))
-        transfer = Transfer(transfer_id=tid, src=src, dst=dst, size=float(size),
-                            start_time=engine.now)
-        engine._calendar.activate(transfer, engine.now)
-        engine._background[tid] = transfer
-        engine.stats.background_flows += 1
-        return tid
-
-    def end_flow(self, tid) -> None:
-        engine = self._engine
-        if tid in engine._background and engine._calendar.is_active(tid):
-            if engine._trace is not None:
-                engine._trace.emit(
-                    TraceRecord(engine.now, "inject.flow_end", tid, {})
-                )
-            engine._calendar.cancel(tid, engine.now)
-        engine._background.pop(tid, None)
-
-    # ------------------------------------------------------------- scaling
-    def add_rate_scale(self, scale, info=None) -> int:
-        handle = self._rate_scales.add(scale)
-        engine = self._engine
-        if engine._trace is not None:
-            engine._trace.emit(TraceRecord(engine.now, "inject.rate_scale_on",
-                                           handle, dict(info or {})))
-        return handle
-
-    def remove_rate_scale(self, handle) -> None:
-        engine = self._engine
-        if engine._trace is not None and handle is not None:
-            engine._trace.emit(TraceRecord(engine.now, "inject.rate_scale_off",
-                                           handle, {}))
-        self._rate_scales.remove(handle)
+        super().__init__(engine._calendar, hosts, trace=engine._trace)
+        #: installed compute-rate scales (handle -> node -> factor)
+        self.compute_scales: Dict[int, Callable[[int], float]] = {}
+        self._compute_seq = itertools.count()
 
     def add_compute_scale(self, scale, info=None) -> int:
-        handle = next(self._scale_seq)
-        engine = self._engine
-        if engine._trace is not None:
-            engine._trace.emit(TraceRecord(engine.now, "inject.compute_scale_on",
-                                           handle, dict(info or {})))
-        engine._compute_scales[handle] = scale
+        handle = next(self._compute_seq)
+        if self._trace is not None:
+            self._trace.emit(TraceRecord(self.now, "inject.compute_scale_on",
+                                         handle, dict(info or {})))
+        self.compute_scales[handle] = scale
         return handle
 
     def remove_compute_scale(self, handle) -> None:
-        engine = self._engine
-        if engine._trace is not None and handle is not None:
-            engine._trace.emit(TraceRecord(engine.now, "inject.compute_scale_off",
-                                           handle, {}))
-        engine._compute_scales.pop(handle, None)
+        if self._trace is not None and handle is not None:
+            self._trace.emit(TraceRecord(self.now, "inject.compute_scale_off",
+                                         handle, {}))
+        self.compute_scales.pop(handle, None)
 
-    def reprice(self) -> None:
-        engine = self._engine
-        if engine._trace is not None:
-            engine._trace.emit(TraceRecord(engine.now, "inject.reprice", None, {}))
-        engine._calendar.reprice(engine.now)
+    def compute_factor(self, node: int) -> float:
+        """Product of the installed compute-rate scales at ``node``."""
+        factor = 1.0
+        for scale in self.compute_scales.values():
+            factor *= scale(node)
+        if factor <= 0.0:
+            raise SimulationError(
+                f"compute-rate scale at node {node} is not positive ({factor})"
+            )
+        return factor
 
 
 class ExecutionEngine:
     """Executes task programs over a fluid transfer layer."""
 
     EPSILON = 1e-12
-    #: sweeps buffering at least this many timeline entries (and at least a
-    #: quarter of the heap) merge with one heapify instead of per-entry pushes
-    TIMELINE_BULK_MIN = 8
 
     def __init__(
         self,
@@ -516,11 +462,8 @@ class ExecutionEngine:
         self.now = 0.0
         self._transfer_counter = itertools.count()
         self.in_flight: Dict[int, _InFlight] = {}
-        #: injected background flows currently alive (excluded from matching)
-        self._background: Dict[object, Transfer] = {}
-        #: active compute-rate scales (handle -> node -> factor), injector-owned
-        self._compute_scales: Dict[int, object] = {}
-        self._injection_state: Optional[_EngineInjectionState] = None
+        #: background flows and scaling windows of the current run
+        self._injection: Optional[_EngineInjectionState] = None
         self._sends = _MatchQueue()      # rendezvous sends waiting for a recv
         self._recvs = _MatchQueue()      # posted recvs waiting for a send
         self._arrived = _MatchQueue()    # eager messages waiting for a recv
@@ -530,16 +473,13 @@ class ExecutionEngine:
         # event calendar: computes + transfer readiness in the timeline heap,
         # predicted transfer completions in the shared TransferCalendar
         self._timeline: List[Tuple[float, int, int, int]] = []
-        # entries buffered during a ready-task sweep, merged into the heap in
-        # one pass at the next horizon computation (see _merge_timeline)
-        self._timeline_pending: List[Tuple[float, int, int, int]] = []
         self._timeline_seq = itertools.count()
         self._calendar: Optional[TransferCalendar] = None
         self._trace = active_sink(self.config.trace)
         self._metrics = self.config.metrics
         #: repro.obs phase timer around the due-event drain sweep; one
-        #: pointer test per sweep when unmetered, PhaseTimer.due()-sampled
-        #: when metered (same contract as the calendar's flush timer)
+        #: pointer test per sweep when unmetered (same contract as the
+        #: calendar's flush timer)
         self._drain_timer = (self._metrics.timer("timeline.drain_s")
                              if self._metrics is not None else None)
         #: same contract around the ready-task sweep
@@ -565,18 +505,6 @@ class ExecutionEngine:
             return float(event.duration)
         assert event.flops is not None
         return float(event.flops) / (self._flops_per_core() * self.config.compute_efficiency)
-
-    def _compute_scale(self, rank: int) -> float:
-        """Product of the active injector compute-rate scales at this node."""
-        node = self._node_of(rank)
-        factor = 1.0
-        for scale in self._compute_scales.values():
-            factor *= scale(node)
-        if factor <= 0.0:
-            raise SimulationError(
-                f"compute-rate scale at node {node} is not positive ({factor})"
-            )
-        return factor
 
     def _base_transfer_time(self, size: int, intra_node: bool) -> float:
         if intra_node:
@@ -633,15 +561,17 @@ class ExecutionEngine:
             }))
         if isinstance(event, ComputeEvent):
             duration = self._compute_duration(event)
-            if self._compute_scales:
+            injection = self._injection
+            if injection.compute_scales:
                 # slowdown windows scale the compute *rate* of events that
                 # start while the window is open (see NodeSlowdownInjector)
-                duration = duration / self._compute_scale(task.rank)
+                duration = duration / injection.compute_factor(self._node_of(task.rank))
             task.status = _Status.COMPUTING
             self._computing += 1
             task.compute_until = self.now + duration
-            self._timeline_pending.append(
-                (task.compute_until, next(self._timeline_seq), _COMPUTE, task.rank)
+            heapq.heappush(
+                self._timeline,
+                (task.compute_until, next(self._timeline_seq), _COMPUTE, task.rank),
             )
         elif isinstance(event, SendEvent):
             if event.dst == task.rank:
@@ -686,8 +616,8 @@ class ExecutionEngine:
         if flight.ready_time <= self.now + self.EPSILON:
             self._calendar.activate(transfer, self.now)
         else:
-            self._timeline_pending.append(
-                (flight.ready_time, next(self._timeline_seq), _READY, tid)
+            heapq.heappush(
+                self._timeline, (flight.ready_time, next(self._timeline_seq), _READY, tid)
             )
 
     def _post_send(self, task: _TaskState, event: SendEvent) -> None:
@@ -792,16 +722,14 @@ class ExecutionEngine:
 
     # ------------------------------------------------------------------- run
     def _process_ready_tasks(self) -> bool:
-        # one attribute read and a None test when unmetered; when metered,
-        # two local perf_counter calls, optionally 1-in-N sampled through
-        # PhaseTimer.due() (same shape as _complete_due_events)
+        # one attribute read and a None test when unmetered; two
+        # perf_counter calls when metered (same shape as _complete_due_events)
         timer = self._ready_timer
-        if timer is None or not timer.due():
+        if timer is None:
             return self._process_ready_tasks_impl()
-        counter = perf_counter
-        start = counter()
+        start = perf_counter()
         progressed = self._process_ready_tasks_impl()
-        timer.observe(counter() - start)
+        timer.observe(perf_counter() - start)
         return progressed
 
     def _process_ready_tasks_impl(self) -> bool:
@@ -832,35 +760,8 @@ class ExecutionEngine:
                 self._ready_cursor = -1
         return True
 
-    def _merge_timeline(self) -> None:
-        """Fold the sweep's buffered entries into the timeline heap.
-
-        ``_start_event`` / ``_start_transfer`` buffer their pushes during a
-        ready-task sweep; merging them here replaces one ``heappush`` per
-        started event with either per-entry pushes (small sweeps) or a
-        single list-extend + ``heapify`` rebuild (bulk sweeps, e.g. every
-        rank starting a compute at a barrier exit).  Entries carry unique
-        ``(time, seq)`` keys, so the pop stream — and therefore the
-        simulation — is identical either way.
-        """
-        pending = self._timeline_pending
-        if not pending:
-            return
-        timeline = self._timeline
-        if (len(pending) >= self.TIMELINE_BULK_MIN
-                and 4 * len(pending) >= len(timeline)):
-            timeline.extend(pending)
-            heapq.heapify(timeline)
-            self.stats.timeline_bulk_merges += 1
-        else:
-            push = heapq.heappush
-            for entry in pending:
-                push(timeline, entry)
-        pending.clear()
-
     def _next_horizon(self) -> float:
         """Earliest calendar entry (timeline or predicted completion)."""
-        self._merge_timeline()
         if (self.config.injectors and not self.in_flight and self._alive
                 and not self._computing):
             # only injector runs need this extra check: _INJECT/background
@@ -900,16 +801,14 @@ class ExecutionEngine:
         return min(times)
 
     def _complete_due_events(self) -> None:
-        # hot path: one attribute read and a None test when unmetered; when
-        # metered, two local perf_counter calls, optionally 1-in-N sampled
-        # through PhaseTimer.due() (same shape as TransferCalendar.flush)
+        # hot path: one attribute read and a None test when unmetered; two
+        # perf_counter calls when metered (same shape as TransferCalendar.flush)
         timer = self._drain_timer
-        if timer is None or not timer.due():
+        if timer is None:
             return self._complete_due_events_impl()
-        counter = perf_counter
-        start = counter()
+        start = perf_counter()
         self._complete_due_events_impl()
-        timer.observe(counter() - start)
+        timer.observe(perf_counter() - start)
 
     def _complete_due_events_impl(self) -> None:
         """Fire every calendar entry due at the current time.
@@ -920,46 +819,15 @@ class ExecutionEngine:
         set for the *next* step's flush.  Background-flow completions only
         update the injection bookkeeping — their departure reaches the
         provider through the calendar's pending delta like any other.
-
-        Large same-horizon batches (a barrier releasing every rank, a bulk
-        readiness wave) are drained with one partition pass plus a heapify
-        of the remainder instead of per-entry ``heappop`` sifts, mirroring
-        the :attr:`TIMELINE_BULK_MIN` merge strategy: entries are popped
-        one at a time until the drained count reaches the bulk threshold
-        *and* a partition scan is amortized by the pops already done, then
-        the remaining due entries are extracted in one sweep.  ``(time,
-        seq)`` heap keys are unique, so sorting the swept-out batch yields
-        exactly the historical pop order — the classification below is
-        bit-exact either way.
         """
         compute_ranks: List[int] = []
         ready_tids: List[int] = []
         inject_indices: List[int] = []
         horizon = self.now + self.EPSILON
         timeline = self._timeline
-        drained = 0
+        pop = heapq.heappop
         while timeline and timeline[0][0] <= horizon:
-            if (drained >= self.TIMELINE_BULK_MIN
-                    and 4 * drained >= len(timeline)):
-                due: List[Tuple[float, int, int, int]] = []
-                keep: List[Tuple[float, int, int, int]] = []
-                for entry in timeline:
-                    (due if entry[0] <= horizon else keep).append(entry)
-                due.sort()
-                heapq.heapify(keep)
-                self._timeline = timeline = keep
-                for _, _, kind, payload in due:
-                    if kind == _COMPUTE:
-                        compute_ranks.append(payload)
-                    elif kind == _READY:
-                        ready_tids.append(payload)
-                    else:
-                        inject_indices.append(payload)
-                self.stats.timeline_bulk_drains += 1
-                self.stats.timeline_bulk_drained += len(due)
-                break
-            _, _, kind, payload = heapq.heappop(timeline)
-            drained += 1
+            _, _, kind, payload = pop(timeline)
             if kind == _COMPUTE:
                 compute_ranks.append(payload)
             elif kind == _READY:
@@ -979,37 +847,41 @@ class ExecutionEngine:
             self._make_ready(task, {"kind": "compute"})
 
         foreground: List[Transfer] = []
+        background = self._injection.background
         for transfer in finished:
-            if transfer.transfer_id in self._background:
-                del self._background[transfer.transfer_id]
+            if transfer.transfer_id in background:
+                background.remove(transfer.transfer_id)
             else:
                 foreground.append(transfer)
         for transfer in sorted(foreground, key=lambda t: t.transfer_id):
             self._complete_transfer(transfer.transfer_id)
 
         for index in inject_indices:
-            injector = self.config.injectors[index]
-            if self._trace is not None:
-                emit_inject_apply(self._trace, self.now, injector, index)
-            injector.apply(self._injection_state)
-            self.stats.injected_events += 1
-            when = injector.next_event(self.now)
-            if when is not None:
-                heapq.heappush(
-                    self._timeline,
-                    (max(when, self.now), next(self._timeline_seq), _INJECT, index),
-                )
+            self._fire(index, floor=self.now)
 
         for tid in ready_tids:
             self._calendar.activate(self.in_flight[tid].transfer, self.now)
+
+    def _fire(self, index: int, floor: float) -> None:
+        """Apply injector ``index`` now; schedule its next event no earlier than ``floor``."""
+        injection = self._injection
+        when = injection.fire(self.config.injectors[index], index, self.now)
+        self.stats.injected_events = injection.fired
+        self.stats.background_flows = injection.injected
+        if when is not None:
+            heapq.heappush(
+                self._timeline,
+                (max(when, floor), next(self._timeline_seq), _INJECT, index),
+            )
 
     def _budget_diagnostics(self, max_iterations: int) -> str:
         counts = Counter(task.status.value for task in self.tasks)
         by_status = ", ".join(f"{status}={count}" for status, count in sorted(counts.items()))
         stalled = self._calendar.stalled_ids() if self._calendar else ()
         stall_note = f"; zero-rated transfers: {list(stalled)!r}" if stalled else ""
+        background = self._injection.background if self._injection else ()
         background_note = (
-            f"; background flows: {len(self._background)}" if self._background else ""
+            f"; background flows: {len(background)}" if background else ""
         )
         return (
             f"execution engine exceeded its iteration budget "
@@ -1042,18 +914,13 @@ class ExecutionEngine:
                 "steps": stats.steps,
                 "injected_events": stats.injected_events,
                 "background_flows": stats.background_flows,
-                "timeline_bulk_merges": stats.timeline_bulk_merges,
-                "timeline_bulk_drains": stats.timeline_bulk_drains,
-                "timeline_bulk_drained": stats.timeline_bulk_drained,
             })
             metrics.register_source("calendar", self._calendar.stats.snapshot)
             register = getattr(self.rate_provider, "register_metrics", None)
             if callable(register):
                 register(metrics)
-        self._background.clear()
-        self._compute_scales.clear()
+        self._injection = _EngineInjectionState(self)
         if self.config.injectors:
-            self._injection_state = _EngineInjectionState(self)
             for index, injector in enumerate(self.config.injectors):
                 injector.reset()
                 when = injector.next_event(0.0)
@@ -1064,23 +931,12 @@ class ExecutionEngine:
                     )
             # events scheduled at t=0 (e.g. windows opening at the origin)
             # take effect before the first ready-task sweep, so computes and
-            # sends starting at t=0 already see the installed scales
+            # sends starting at t=0 already see the installed scales;
+            # follow-ups are clamped just past the origin so this pre-loop
+            # terminates (they fire on the first regular step)
             while self._timeline and self._timeline[0][0] <= self.EPSILON:
                 _, _, _, index = heapq.heappop(self._timeline)
-                injector = self.config.injectors[index]
-                if self._trace is not None:
-                    emit_inject_apply(self._trace, self.now, injector, index)
-                injector.apply(self._injection_state)
-                self.stats.injected_events += 1
-                when = injector.next_event(0.0)
-                if when is not None:
-                    # clamp follow-ups just past the origin so this pre-loop
-                    # terminates; they fire on the first regular step
-                    heapq.heappush(
-                        self._timeline,
-                        (max(when, 2 * self.EPSILON),
-                         next(self._timeline_seq), _INJECT, index),
-                    )
+                self._fire(index, floor=2 * self.EPSILON)
         max_iterations = self.config.iteration_factor * (self._num_events_hint + self.num_tasks) + 100
         iterations = 0
 

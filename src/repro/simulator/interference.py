@@ -28,9 +28,10 @@ simulation — with no events fired the engine and the fluid simulator are
 bit-for-bit identical to an injector-free run (property-tested in
 ``tests/property/test_interference_properties.py``).
 
-``apply`` receives an **injection state** — the surface the simulation loops
-expose (``_EngineInjectionState`` in :mod:`repro.simulator.engine`,
-``_FluidInjectionState`` in :mod:`repro.network.fluid`):
+``apply`` receives an **injection state** — the one surface both simulation
+loops drive: :class:`~repro.network.fluid.FluidInjectionState` keeps the
+background flows and rate scales, and the execution engine's subclass
+(:mod:`repro.simulator.engine`) adds the compute-scale windows:
 
 * ``state.now`` — the simulation clock;
 * ``state.hosts`` — the host/node universe of the run;
@@ -66,7 +67,7 @@ import random
 from typing import Callable, Hashable, List, Optional, Protocol, Sequence, Tuple
 
 from ..exceptions import SimulationError
-from ..network.fluid import Transfer
+from ..network.fluid import Transfer, compose_rate_scales
 
 __all__ = [
     "InjectionState",
@@ -122,30 +123,6 @@ def make_compute_scale(
             return factor if node in affected else 1.0
 
     return scale
-
-
-def compose_rate_scales(
-    scales: Sequence[Callable[[Transfer], float]],
-) -> Optional[Callable[[Transfer], float]]:
-    """Fold per-transfer rate multipliers into one (``None`` when empty).
-
-    The shared composition rule of every injection surface (engine and
-    fluid): no scales means the bit-exact unscaled path, one scale is
-    installed as-is, several multiply.
-    """
-    if not scales:
-        return None
-    if len(scales) == 1:
-        return scales[0]
-    frozen = tuple(scales)
-
-    def product(transfer: Transfer) -> float:
-        factor = 1.0
-        for scale in frozen:
-            factor *= scale(transfer)
-        return factor
-
-    return product
 
 
 class InjectionState(Protocol):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .._numpy import np
+import numpy as np
 
 from ..units import format_size, format_time
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from .._numpy import np
+import numpy as np
 
 from ..core.graph import CommunicationGraph
 from ..exceptions import WorkloadError

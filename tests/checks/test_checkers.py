@@ -1,6 +1,6 @@
 """Per-rule tests against the seeded fixture trees.
 
-Every rule (RC01–RC04, RC06) has a seeded-violation fixture and a clean
+Every rule (RC01, RC03, RC04, RC06) has a seeded-violation fixture and a clean
 twin; the tests pin the *exact* ``(path, line, code)`` triples so a checker
 that drifts by one line, fires twice, or goes silent fails loudly.
 """
@@ -13,7 +13,6 @@ from repro.checks import run_check
 from repro.checks.bench_emit import BenchEmitChecker
 from repro.checks.delta_contract import DeltaContractChecker
 from repro.checks.guarded_emission import GuardedEmissionChecker
-from repro.checks.numpy_guard import NumpyGuardChecker
 from repro.checks.trace_kinds import TraceKindChecker
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -53,28 +52,6 @@ class TestTraceKindsRC01:
         # anchored at the registry entry of the now-undocumented kind
         assert triples(findings) == [("records.py", 6, "RC01")]
         assert "metrics.sample" in findings[0].message
-
-
-class TestNumpyGuardRC02:
-    ROOT = FIXTURES / "rc02"
-
-    def test_direct_imports_are_reported_per_statement(self):
-        findings, _ = run_check([self.ROOT / "bad_numpy.py"], root=self.ROOT,
-                                checkers=[NumpyGuardChecker])
-        assert triples(findings) == [("bad_numpy.py", 3, "RC02"),
-                                     ("bad_numpy.py", 4, "RC02")]
-
-    def test_guarded_import_is_clean(self):
-        findings, _ = run_check([self.ROOT / "clean_numpy.py"],
-                                root=self.ROOT, checkers=[NumpyGuardChecker])
-        assert findings == []
-
-    def test_inline_suppression_counts_but_does_not_report(self):
-        findings, ctx = run_check([self.ROOT / "suppressed_numpy.py"],
-                                  root=self.ROOT,
-                                  checkers=[NumpyGuardChecker])
-        assert findings == []
-        assert ctx.suppressed_count == 1
 
 
 class TestGuardedEmissionRC03:
@@ -136,6 +113,13 @@ class TestBenchEmitRC06:
         findings, _ = run_check([self.ROOT / "bench_clean.py"],
                                 root=self.ROOT, checkers=[BenchEmitChecker])
         assert findings == []
+
+    def test_inline_suppression_counts_but_does_not_report(self):
+        findings, ctx = run_check([self.ROOT / "bench_suppressed.py"],
+                                  root=self.ROOT,
+                                  checkers=[BenchEmitChecker])
+        assert findings == []
+        assert ctx.suppressed_count == 1
 
     def test_rule_only_applies_to_bench_basenames(self, tmp_path):
         twin = tmp_path / "helper.py"

@@ -6,7 +6,7 @@ import json
 from pathlib import Path
 
 from repro.checks import format_findings, run_check
-from repro.checks.numpy_guard import NumpyGuardChecker
+from repro.checks.bench_emit import BenchEmitChecker
 from repro.checks.runner import collect_files
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -19,11 +19,11 @@ class TestCollectFiles:
         assert all("fixtures" not in path.parts for path in collected)
 
     def test_explicit_paths_bypass_the_exclusion(self):
-        target = FIXTURES / "rc02" / "bad_numpy.py"
+        target = FIXTURES / "rc06" / "bench_bad.py"
         assert collect_files([target]) == [target]
 
     def test_duplicates_are_collapsed(self):
-        target = FIXTURES / "rc02" / "bad_numpy.py"
+        target = FIXTURES / "rc06" / "bench_bad.py"
         assert collect_files([target, target]) == [target]
 
     def test_missing_directory_raises(self, tmp_path):
@@ -48,31 +48,31 @@ class TestRunCheck:
         assert "does not parse" in findings[0].message
 
     def test_findings_come_back_sorted(self):
-        rc02 = FIXTURES / "rc02"
+        rc06 = FIXTURES / "rc06"
         findings, _ = run_check(
-            [rc02 / "clean_numpy.py", rc02 / "bad_numpy.py"],
-            root=rc02, checkers=[NumpyGuardChecker])
+            [rc06 / "bench_clean.py", rc06 / "bench_bad.py"],
+            root=rc06, checkers=[BenchEmitChecker])
         assert findings == sorted(findings)
-        assert [f.line for f in findings] == [3, 4]
+        assert [f.line for f in findings] == [9, 10]
 
 
 class TestFormatting:
     def run_bad(self):
-        rc02 = FIXTURES / "rc02"
-        return run_check([rc02 / "bad_numpy.py"], root=rc02,
-                         checkers=[NumpyGuardChecker])
+        rc06 = FIXTURES / "rc06"
+        return run_check([rc06 / "bench_bad.py"], root=rc06,
+                         checkers=[BenchEmitChecker])
 
     def test_text_format_is_one_line_per_finding_plus_summary(self):
         findings, ctx = self.run_bad()
         lines = format_findings(findings, ctx).splitlines()
-        assert lines[0].startswith("bad_numpy.py:3: RC02 ")
-        assert lines[1].startswith("bad_numpy.py:4: RC02 ")
+        assert lines[0].startswith("bench_bad.py:9: RC06 ")
+        assert lines[1].startswith("bench_bad.py:10: RC06 ")
         assert lines[-1] == "repro check: 2 findings in 1 files"
 
     def test_text_summary_reports_suppressions(self):
-        rc02 = FIXTURES / "rc02"
-        findings, ctx = run_check([rc02 / "suppressed_numpy.py"], root=rc02,
-                                  checkers=[NumpyGuardChecker])
+        rc06 = FIXTURES / "rc06"
+        findings, ctx = run_check([rc06 / "bench_suppressed.py"], root=rc06,
+                                  checkers=[BenchEmitChecker])
         summary = format_findings(findings, ctx).splitlines()[-1]
         assert summary == "repro check: 0 findings in 1 files (1 suppressed)"
 
@@ -82,5 +82,5 @@ class TestFormatting:
         assert bundle["version"] == 1
         assert bundle["checked_files"] == 1
         assert bundle["suppressed"] == 0
-        assert [f["line"] for f in bundle["findings"]] == [3, 4]
+        assert [f["line"] for f in bundle["findings"]] == [9, 10]
         assert set(bundle["findings"][0]) == {"path", "line", "code", "message"}

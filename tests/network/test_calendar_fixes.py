@@ -6,8 +6,8 @@ pending delta when a provider raises mid-flush, and the silent starvation
 of zero-rated flights in delta mode.  Also pins the corners a random
 workload rarely hits: compaction on cancel-heavy workloads (which create
 stale heap entries without ever re-timing), zero→nonzero, infinite and
-mixed rates, cancel-then-reprice, transfer-id reuse, the 1-in-N sampled
-flush timer, and — on both real providers — id reuse after cancel, the
+mixed rates, cancel-then-reprice, transfer-id reuse, the flush timer,
+and — on both real providers — id reuse after cancel, the
 zero-rate stall retry and a rate-scale window, each checked against the
 full re-query calendar (``delta=False``, what
 ``EngineConfig(delta_rates=False)`` runs).
@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
-from repro._numpy import np
 from repro.core import GigabitEthernetModel
 from repro.exceptions import ReproError, SimulationError
 from repro.network.allocator import EmulatorRateProvider
@@ -27,7 +27,6 @@ from repro.network.fluid import Transfer, TransferCalendar
 from repro.network.technologies import get_technology
 from repro.network.topology import CrossbarTopology
 from repro.obs import MetricsRegistry
-from repro.obs.registry import PhaseTimer
 from repro.simulator.providers import ModelRateProvider
 
 
@@ -433,42 +432,10 @@ class TestDegenerateRates:
         assert calendar.stats.completions == 5
 
 
-class TestFlushTimerSampling:
-    """The flush phase timer can be 1-in-N sampled."""
+class TestFlushTimer:
+    """An attached registry times every flush."""
 
-    def test_due_pattern(self):
-        timer = PhaseTimer("t", sample_every=3)
-        assert [timer.due() for _ in range(7)] == [
-            False, False, True, False, False, True, False]
-        always = PhaseTimer("u")
-        assert [always.due() for _ in range(3)] == [True, True, True]
-
-    def test_invalid_factor_rejected(self):
-        with pytest.raises(ReproError):
-            PhaseTimer("t", sample_every=0)
-        with pytest.raises(ReproError):
-            MetricsRegistry(timer_sample_every=0)
-
-    def test_snapshot_exposes_the_factor(self):
-        timer = PhaseTimer("flush_s", sample_every=4)
-        timer.observe(0.5)
-        snap = timer.snapshot()
-        assert snap["flush_s.sample_every"] == 4
-        assert snap["flush_s.count"] == 1
-        # factor 1 keeps the historical snapshot shape
-        assert "t.sample_every" not in PhaseTimer("t").snapshot()
-
-    def test_sampled_calendar_flush_timer(self):
-        registry = MetricsRegistry(timer_sample_every=4)
-        calendar = TransferCalendar(DeltaEcho(), delta=True,
-                                    metrics=registry)
-        calendar.activate(Transfer("a", 0, 1, 1e9), now=0.0)
-        for step in range(12):
-            calendar.flush(float(step))
-        assert registry.timer("calendar.flush_s").count == 3  # every 4th of 12
-        assert registry.snapshot()["calendar.flush_s.sample_every"] == 4
-
-    def test_unsampled_timer_observes_every_flush(self):
+    def test_timer_observes_every_flush(self):
         registry = MetricsRegistry()
         calendar = TransferCalendar(DeltaEcho(), delta=True,
                                     metrics=registry)

@@ -1,86 +1,50 @@
-"""Unit tests for the unified metrics registry and its instruments."""
+"""Unit tests for the unified metrics registry and its phase timers."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import ReproError
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry, PhaseTimer
+from repro.obs import MetricsRegistry, PhaseTimer
 from repro.trace import KNOWN_KINDS
 
 
 class TestInstruments:
-    def test_counter_adds_and_resets(self):
-        counter = Counter("events")
-        counter.add()
-        counter.add(4)
-        assert counter.value == 5
-        assert counter.snapshot() == {"events": 5}
-        counter.reset()
-        assert counter.value == 0
-
-    def test_gauge_holds_the_latest_value(self):
-        gauge = Gauge("active")
-        gauge.set(3)
-        gauge.set(7.5)
-        assert gauge.value == 7.5
-        assert gauge.snapshot() == {"active": 7.5}
-        gauge.reset()
-        assert gauge.value == 0.0
-
-    def test_histogram_tracks_streaming_moments(self):
-        histogram = Histogram("latency_s")
+    def test_timer_tracks_streaming_moments(self):
+        timer = PhaseTimer("latency_s")
         for value in (2.0, 1.0, 4.0):
-            histogram.observe(value)
-        assert histogram.count == 3
-        assert histogram.total == 7.0
-        assert histogram.mean == pytest.approx(7.0 / 3)
-        assert histogram.min == 1.0
-        assert histogram.max == 4.0
-        snap = histogram.snapshot()
+            timer.observe(value)
+        assert timer.count == 3
+        assert timer.total == 7.0
+        assert timer.mean == pytest.approx(7.0 / 3)
+        assert timer.min == 1.0
+        assert timer.max == 4.0
+        snap = timer.snapshot()
         assert snap["latency_s.count"] == 3
         assert snap["latency_s.total"] == 7.0
         assert snap["latency_s.min"] == 1.0
         assert snap["latency_s.max"] == 4.0
 
-    def test_empty_histogram_snapshots_zeroes(self):
-        snap = Histogram("empty").snapshot()
+    def test_empty_timer_snapshots_zeroes(self):
+        snap = PhaseTimer("empty").snapshot()
         assert snap == {"empty.count": 0, "empty.total": 0.0, "empty.mean": 0.0,
                         "empty.min": 0.0, "empty.max": 0.0}
-
-    def test_timer_context_manager_observes_a_duration(self):
-        timer = PhaseTimer("phase_s")
-        with timer.time():
-            pass
-        assert timer.count == 1
-        assert timer.total >= 0.0
-        assert isinstance(timer, Histogram)
 
 
 class TestRegistry:
     def test_create_or_get_returns_the_same_instrument(self):
         registry = MetricsRegistry()
-        assert registry.counter("hits") is registry.counter("hits")
         assert registry.timer("flush_s") is registry.timer("flush_s")
-
-    def test_kind_mismatch_is_an_error(self):
-        registry = MetricsRegistry()
-        registry.counter("hits")
-        with pytest.raises(ReproError, match="hits"):
-            registry.gauge("hits")
-        # PhaseTimer is a Histogram subclass but still a distinct kind
-        registry.histogram("h")
-        with pytest.raises(ReproError):
-            registry.timer("h")
+        assert registry.timer("flush_s") is not registry.timer("solve_s")
 
     def test_snapshot_flattens_instruments_and_sources(self):
         registry = MetricsRegistry()
-        registry.counter("steps").add(3)
+        registry.timer("flush_s").observe(0.5)
         registry.register_source("cache", lambda: {"hits": 9, "misses": 1,
                                                    "policy": "lru",
                                                    "warm": True})
         snap = registry.snapshot()
-        assert snap["steps"] == 3
+        assert snap["flush_s.count"] == 1
+        assert snap["flush_s.total"] == 0.5
         assert snap["cache.hits"] == 9
         assert snap["cache.misses"] == 1
         # non-numeric source values (strings, bools) are dropped
@@ -97,26 +61,14 @@ class TestRegistry:
         assert registry.snapshot()["live.n"] == 5
         registry.register_source("live", lambda: {"n": -1})
         assert registry.snapshot()["live.n"] == -1
-        registry.unregister_source("live")
-        assert "live.n" not in registry.snapshot()
 
     def test_sample_record_is_a_known_trace_kind(self):
         registry = MetricsRegistry()
-        registry.counter("steps").add(2)
+        registry.timer("flush_s").observe(0.25)
         record = registry.sample_record(1.5)
         assert record.kind == "metrics.sample"
         assert record.kind in KNOWN_KINDS
         assert record.time == 1.5
         assert record.subject is None
         assert record.data == registry.snapshot()
-
-    def test_reset_zeroes_instruments_but_leaves_sources(self):
-        registry = MetricsRegistry()
-        registry.counter("steps").add(7)
-        registry.timer("flush_s").observe(0.5)
-        registry.register_source("src", lambda: {"k": 11})
-        registry.reset()
-        snap = registry.snapshot()
-        assert snap["steps"] == 0
-        assert snap["flush_s.count"] == 0
-        assert snap["src.k"] == 11
+        assert record.data["flush_s.count"] == 1

@@ -8,7 +8,7 @@ or an out-of-range rank must behave exactly like the live-report cases.
 
 from __future__ import annotations
 
-from repro._numpy import np
+import numpy as np
 import pytest
 
 from repro.simulator.report import EventRecord, SimulationReport
