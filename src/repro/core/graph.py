@@ -60,8 +60,8 @@ class Communication:
         Identifiers of the source and destination *nodes* (hosts).
     size:
         Message length in bytes as specified to ``MPI_Send`` (the effective
-        wire length includes a small envelope, handled by
-        :mod:`repro.mpi.message`).
+        wire length includes a small envelope,
+        :attr:`repro.network.technologies.NetworkTechnology.mpi_envelope`).
     task_src, task_dst:
         Optional MPI rank identifiers, kept for reporting purposes when the
         graph is derived from an application trace.

@@ -31,7 +31,7 @@ destination node:
    p = \\max(1, p_o', p_i')
 
 The default parameters are calibrated on the Figure 2 InfiniHost III column;
-:func:`repro.core.calibration.fit_crossterm_parameters` can recalibrate them
+:func:`repro.core.calibration.fit_infiniband_parameters` can recalibrate them
 against any measured or emulated penalty set.
 """
 

@@ -1,6 +1,6 @@
 """Streaming (incremental) reading of live JSONL trace files.
 
-:func:`repro.trace.iter_trace_records` assumes a *finished* file: a partial
+:func:`repro.trace.sinks.iter_trace_records` assumes a *finished* file: a partial
 trailing line — exactly what a live :class:`~repro.trace.JsonlTraceSink`
 leaves between flushes, or what a killed run leaves behind — is malformed
 JSON and raises.  :class:`StreamingTraceReader` is the tailer: each

@@ -3,10 +3,14 @@
 These are the two properties the CI ``static-analysis`` job relies on:
 ``repro check src tests benchmarks`` exits 0 on the maintained tree, and
 removing a record kind's row from ``docs/trace-format.md`` makes RC01 fire.
+A third keeps the package's pointers honest: every file a module cites
+exists, and every dotted ``repro`` name it cites resolves.
 """
 
 from __future__ import annotations
 
+import importlib
+import re
 from pathlib import Path
 
 from repro.checks import run_check
@@ -45,3 +49,50 @@ class TestDocDrift:
         assert [(f.path, f.code) for f in findings] == \
             [("src/repro/trace/records.py", "RC01")]
         assert "'calendar.flush'" in findings[0].message
+
+
+#: repository paths a docstring or comment can cite: files under the
+#: top-level directories, and the upper-case documents at the root
+CITED_PATH = re.compile(
+    r"\b(?:(?:benchmarks|docs|examples|perfbench|tests)/[\w./-]+\.(?:py|md|json|txt)"
+    r"|[A-Z][A-Z_]*\.md)\b")
+#: dotted names of the package: modules, and attributes of modules
+CITED_NAME = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+
+
+def resolves(dotted: str) -> bool:
+    """Import the longest module prefix of ``dotted``; look up the rest."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attribute in parts[split:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+class TestCitedFiles:
+    def test_every_file_cited_in_the_package_exists(self):
+        cited = {}
+        for module in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+            for path in CITED_PATH.findall(module.read_text(encoding="utf-8")):
+                cited.setdefault(path, module.relative_to(REPO_ROOT).as_posix())
+        assert "docs/trace-format.md" in cited  # the scan really matches citations
+        missing = {path: module for path, module in cited.items()
+                   if not (REPO_ROOT / path).exists()}
+        assert missing == {}
+
+    def test_every_repro_name_cited_in_the_package_resolves(self):
+        cited = {}
+        for module in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+            for name in CITED_NAME.findall(module.read_text(encoding="utf-8")):
+                cited.setdefault(name, module.relative_to(REPO_ROOT).as_posix())
+        assert "repro.network.fluid.TransferCalendar" in cited
+        unresolved = {name: module for name, module in cited.items()
+                      if not resolves(name)}
+        assert unresolved == {}

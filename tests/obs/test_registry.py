@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.obs import MetricsRegistry, PhaseTimer
@@ -61,6 +63,28 @@ class TestRegistry:
         assert registry.snapshot()["live.n"] == 5
         registry.register_source("live", lambda: {"n": -1})
         assert registry.snapshot()["live.n"] == -1
+
+    def test_concurrent_registration_shares_one_timer_per_name(self):
+        registry = MetricsRegistry()
+        start = threading.Barrier(4)
+        seen = []
+
+        def register(index):
+            start.wait()
+            for _ in range(200):
+                seen.append(registry.timer("shared_s"))
+            registry.register_source(f"worker{index}", lambda: {"index": index})
+
+        threads = [threading.Thread(target=register, args=(index,))
+                   for index in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(seen) == 800
+        assert all(timer is seen[0] for timer in seen)
+        snap = registry.snapshot()
+        assert [snap[f"worker{index}.index"] for index in range(4)] == [0, 1, 2, 3]
 
     def test_sample_record_is_a_known_trace_kind(self):
         registry = MetricsRegistry()

@@ -14,6 +14,7 @@ from repro.simulator import (
     EngineConfig,
     Simulator,
 )
+from repro.trace import MemoryTraceSink
 from repro.units import KiB, MB
 
 
@@ -333,3 +334,60 @@ class TestDeltaEngineWork:
         records_full, stats_full = outcomes[False]
         assert records_delta == records_full
         assert stats_delta["rate_updates"] < stats_full["rate_updates"]
+
+
+class TestTimelineOrder:
+    """Entries due together leave the one timeline heap in a fixed order."""
+
+    def test_same_time_computes_complete_in_rank_order(self, cluster):
+        # rank 1's completion enters the heap at t=0, rank 0's at t=0.005;
+        # both are due at t=0.01 and complete in rank order all the same
+        app = Application(num_tasks=2)
+        app.add_compute(0, duration=0.005)
+        app.add_compute(0, duration=0.005)
+        app.add_compute(1, duration=0.01)
+        sim = simple_simulator(cluster)
+        report = sim.run(app, placement="RRN")
+        assert [(r.rank, r.start, r.end) for r in report.records] == [
+            (0, 0.0, 0.005), (0, 0.005, 0.01), (1, 0.0, 0.01)]
+        assert sim.last_engine_stats.steps == 2
+
+    def test_entries_within_epsilon_complete_in_one_step(self, cluster):
+        app = Application(num_tasks=3)
+        app.add_compute(0, duration=0.01)
+        app.add_compute(1, duration=0.01 + 1e-13)
+        app.add_compute(2, duration=0.02)
+        sim = simple_simulator(cluster)
+        report = sim.run(app, placement="RRN")
+        assert sim.last_engine_stats.steps == 2
+        ends = {r.rank: r.end for r in report.records}
+        assert ends[0] == ends[1] == 0.01
+        assert ends[2] == 0.02
+
+    def test_same_time_injector_events_fire_in_scheduling_order(self, cluster):
+        class Probe:
+            def __init__(self, name, times):
+                self.name = name
+                self.times = times
+
+            def reset(self):
+                self.pending = list(self.times)
+
+            def next_event(self, now):
+                return self.pending[0] if self.pending else None
+
+            def apply(self, state):
+                self.pending.pop(0)
+
+        # both are due at t=0.006: injector 1 scheduled that event at
+        # t=0.002, before injector 0 did at t=0.004, so it fires first
+        probes = (Probe("a", [0.004, 0.006]), Probe("b", [0.002, 0.006]))
+        app = Application(num_tasks=2)
+        app.add_compute(0, duration=0.01)
+        app.add_compute(1, duration=0.01)
+        sink = MemoryTraceSink()
+        Simulator.predictive(cluster, model=NoContentionModel(),
+                             config=EngineConfig(injectors=probes),
+                             trace=sink).run(app, placement="RRN")
+        fired = [(r.time, r.subject) for r in sink.records if r.kind == "inject.apply"]
+        assert fired == [(0.002, "b"), (0.004, "a"), (0.006, "b"), (0.006, "a")]
