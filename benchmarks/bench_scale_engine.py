@@ -493,14 +493,28 @@ def test_scale_ladder_synthetic(emit, num_hosts):
     _ladder_budget(best, record)
 
 
+#: the top LINPACK rung may cost at most this many times the 256-rank rung
+#: per step (~1.0-1.2 with the ready queue, ~10 with a per-step rank scan)
+LINPACK_STEP_RATIO_MAX = 3.0
+
+
+@pytest.fixture(scope="module")
+def linpack_us_per_step():
+    """µs/step of the LINPACK rungs run in this session, by rank count."""
+    return {}
+
+
 @pytest.mark.parametrize("num_ranks", LADDER_RUNGS,
                          ids=lambda n: f"ladder_linpack_{n}")
-def test_scale_ladder_linpack(emit, num_ranks):
+def test_scale_ladder_linpack(emit, linpack_us_per_step, num_ranks):
     """LINPACK prediction rung: a real application skeleton at ≥1k ranks.
 
     Records the engine's steps and the wall clock per step: with the ready
     queue a step costs about the same at every rung, so a per-step scan
     over all ranks returning shows up as µs/step growing with the rung.
+    The 4096-rank rung asserts that growth against the 256-rank rung of
+    the same session, a ratio that does not depend on the machine's speed
+    (not asserted when the 256-rank rung did not run).
     """
     _ladder_skip(num_ranks)
     from repro.cluster import custom_cluster
@@ -520,17 +534,23 @@ def test_scale_ladder_linpack(emit, num_ranks):
     assert report.total_time > 0
     steps = simulator.last_engine_stats.steps
     us_per_step = elapsed / max(1, steps) * 1e6
+    linpack_us_per_step[num_ranks] = us_per_step
+    base_rung = LADDER_RUNGS[0]
+    base_us = linpack_us_per_step.get(base_rung)
+    step_ratio = us_per_step / base_us if base_us and num_ranks != base_rung else None
 
     lines = [
         f"scale ladder (LINPACK): {num_ranks} ranks on {num_ranks} hosts, "
         f"N={problem_size}, NB={problem_size // 16}",
         "",
         f"wall clock: {elapsed:.3f} s   predicted makespan: "
-        f"{report.total_time:.3f} s",
+        f"{report.total_time:.3f} s ({float(report.total_time).hex()})",
         f"engine steps: {steps}   wall clock per step: {us_per_step:.1f} us",
         f"comm evaluations: {provider.stats.comm_evaluations}   "
         f"cache hits: {provider.stats.cache_hits}",
     ]
+    if step_ratio is not None:
+        lines.append(f"per-step cost vs the {base_rung}-rank rung: {step_ratio:.2f}x")
     record = {
         "benchmark": "bench_scale_engine/scale_ladder",
         "workload": "linpack",
@@ -538,13 +558,17 @@ def test_scale_ladder_linpack(emit, num_ranks):
         "problem_size": problem_size,
         "wall_clock_s": round(elapsed, 4),
         "predicted_makespan_s": round(report.total_time, 4),
+        "predicted_makespan_hex": float(report.total_time).hex(),
         "steps": steps,
         "us_per_step": round(us_per_step, 2),
+        "us_per_step_ratio": None if step_ratio is None else round(step_ratio, 3),
         **provider.stats.snapshot(),
     }
     emit(f"scale_ladder_linpack_{num_ranks}", "\n".join(lines), record=record,
          bench_json=BENCH_JSON)
     _ladder_budget(elapsed, record)
+    if num_ranks == LADDER_RUNGS[-1] and step_ratio is not None:
+        assert step_ratio <= LINPACK_STEP_RATIO_MAX, record
 
 
 #: emulated rungs; one emulated step costs about ten LINPACK steps, so

@@ -360,11 +360,17 @@ class IncrementalPenaltyEngine:
                 del by_resource[resource]
         remnants = self._drop_component(record.comp)
         remnants.discard(tid)
+        if not remnants:
+            return
         # the departed transfer may have been the only bridge: re-partition
-        # the remnants locally (never the rest of the graph)
+        # the remnants locally (never the rest of the graph).  Seeds are
+        # taken in arrival order: the new components' ids decide the order
+        # they are priced in, which must not follow the set's hash order
         records = self._records
-        while remnants:
-            seed = remnants.pop()
+        for seed in sorted(remnants, key=lambda member: records[member].seq):
+            if seed not in remnants:
+                continue
+            remnants.discard(seed)
             component = {seed}
             frontier = [seed]
             while frontier:

@@ -35,7 +35,14 @@ set each step instead (bit-exact with the delta path — property-tested in
 Message matching — pending sends, posted receives, parked eager arrivals
 and unclaimed in-flight transfers — is indexed by ``(src, dst, tag)`` with
 ``MPI_ANY_SOURCE`` wildcard buckets, preserving the posted-order
-tie-breaking of the historical linear scans.
+tie-breaking of the historical linear scans.  Every bucket is a FIFO in
+insertion order, and insertion order is the order the scans preferred:
+sends, receives and eager arrivals are matched oldest-inserted first, and
+an unclaimed transfer is matched by its post time, which is the clock
+reading at which ``_post_send`` inserts it — the clock never goes back,
+so post times grow with insertion.  The oldest match is therefore the
+first entry of a bucket, and a lookup compares at most two of them (the
+channel's and the wildcard one) instead of scanning.
 
 Ready queue: no per-step work walks the task list.  Every transition to
 READY (send, receive and compute completion, barrier release) goes through
@@ -222,6 +229,9 @@ class _Status(Enum):
 class _TaskState:
     rank: int
     program: Iterator
+    #: the program's ``send`` (generator programs take resume values);
+    #: ``None`` for a plain iterator such as an application's event list
+    send: Optional[Callable[[object], Optional[Event]]] = None
     status: _Status = _Status.READY
     resume_value: object = None
     #: end time of the current compute event
@@ -270,43 +280,37 @@ class _MatchQueue:
     ``pending_recvs`` / ``arrived`` lists.  Items are stored under their
     channel coordinates; ``src`` may be :data:`ANY_SOURCE` on the stored
     side (a wildcard receive) or on the query side (a receive matching any
-    sender).  :meth:`pop_best` returns the match with the smallest order
-    key — insertion order by default, so the FIFO posted-order tie-breaking
-    of the scans it replaces is preserved exactly, including across the
-    specific and wildcard buckets of one channel.
+    sender).  Every bucket is a FIFO: a dict from insertion token to item,
+    whose first key is its oldest item.  :meth:`pop_best` takes the older
+    of at most two bucket heads (the channel's and the wildcard one), so
+    the posted-order tie-breaking of the scans it replaces is preserved
+    exactly, including across the specific and wildcard buckets of one
+    channel.
     """
 
     def __init__(self) -> None:
-        #: (src, dst, tag) -> {token: (order, item)} for specific-source items
-        self._specific: Dict[Tuple[int, int, int], Dict[int, Tuple[tuple, object]]] = {}
-        #: (dst, tag) -> {token: (order, item)} for stored ANY_SOURCE items
-        self._any_src: Dict[Tuple[int, int], Dict[int, Tuple[tuple, object]]] = {}
-        #: (dst, tag) -> {token: (order, item)} mirror of every specific item,
+        #: (src, dst, tag) -> {token: item} for specific-source items
+        self._specific: Dict[Tuple[int, int, int], Dict[int, object]] = {}
+        #: (dst, tag) -> {token: item} for stored ANY_SOURCE items
+        self._any_src: Dict[Tuple[int, int], Dict[int, object]] = {}
+        #: (dst, tag) -> {token: item} mirror of every specific item,
         #: consulted by ANY_SOURCE queries
-        self._mirror: Dict[Tuple[int, int], Dict[int, Tuple[tuple, object]]] = {}
+        self._mirror: Dict[Tuple[int, int], Dict[int, object]] = {}
         self._where: Dict[int, Tuple[int, int, int]] = {}
         self._seq = itertools.count()
 
     def __len__(self) -> int:
         return len(self._where)
 
-    def add(self, src: int, dst: int, tag: int, item: object,
-            order: Optional[float] = None) -> int:
-        """Store ``item`` under its channel; returns a token for :meth:`discard`.
-
-        ``order`` defaults to the insertion rank (the token), giving FIFO;
-        an explicit order (e.g. posted time) sorts before it, with the token
-        breaking ties — one key shape either way, so a queue mixing both
-        styles still compares consistently.
-        """
+    def add(self, src: int, dst: int, tag: int, item: object) -> int:
+        """Store ``item`` under its channel; returns a token for :meth:`discard`."""
         token = next(self._seq)
-        entry = ((token if order is None else order, token), item)
         self._where[token] = (src, dst, tag)
         if src == ANY_SOURCE:
-            self._any_src.setdefault((dst, tag), {})[token] = entry
+            self._any_src.setdefault((dst, tag), {})[token] = item
         else:
-            self._specific.setdefault((src, dst, tag), {})[token] = entry
-            self._mirror.setdefault((dst, tag), {})[token] = entry
+            self._specific.setdefault((src, dst, tag), {})[token] = item
+            self._mirror.setdefault((dst, tag), {})[token] = item
         return token
 
     def discard(self, token: Optional[int]) -> Optional[object]:
@@ -319,42 +323,43 @@ class _MatchQueue:
         src, dst, tag = where
         if src == ANY_SOURCE:
             bucket = self._any_src[(dst, tag)]
-            entry = bucket.pop(token)
+            item = bucket.pop(token)
             if not bucket:
                 del self._any_src[(dst, tag)]
         else:
             bucket = self._specific[(src, dst, tag)]
-            entry = bucket.pop(token)
+            item = bucket.pop(token)
             if not bucket:
                 del self._specific[(src, dst, tag)]
             mirror = self._mirror[(dst, tag)]
-            mirror.pop(token, None)
+            del mirror[token]
             if not mirror:
                 del self._mirror[(dst, tag)]
-        return entry[1]
+        return item
 
     def pop_best(self, src: int, dst: int, tag: int) -> Optional[object]:
         """Pop the oldest stored item matching ``(src, dst, tag)``."""
         if src == ANY_SOURCE:
-            buckets = (self._mirror.get((dst, tag)), self._any_src.get((dst, tag)))
+            bucket = self._mirror.get((dst, tag))
         else:
-            buckets = (self._specific.get((src, dst, tag)), self._any_src.get((dst, tag)))
-        best_token = None
-        best_order = None
-        for bucket in buckets:
-            if not bucket:
-                continue
-            token = min(bucket, key=lambda t: bucket[t][0])
-            order = bucket[token][0]
-            if best_order is None or order < best_order:
-                best_token, best_order = token, order
-        if best_token is None:
-            return None
-        return self.discard(best_token)
+            bucket = self._specific.get((src, dst, tag))
+        wildcards = self._any_src.get((dst, tag))
+        if bucket is None:
+            if wildcards is None:
+                return None
+            token = next(iter(wildcards))
+        else:
+            token = next(iter(bucket))
+            if wildcards is not None:
+                oldest_wildcard = next(iter(wildcards))
+                if oldest_wildcard < token:
+                    token = oldest_wildcard
+        return self.discard(token)
 
 
 #: timeline entry kinds (computes before readiness on equal timestamps is
-#: irrelevant — due entries are drained together and re-ordered explicitly)
+#: irrelevant — due entries are drained together and re-ordered explicitly);
+#: a kind is also the index of its payloads among a drain's due lists
 _COMPUTE = 0
 _READY = 1
 _INJECT = 2
@@ -429,6 +434,15 @@ class ExecutionEngine:
         self.rate_provider = rate_provider
         self.config = config or EngineConfig()
         self.placement = placement
+        #: rank -> node, indexed directly: every rank the engine looks up is
+        #: a task's own or a send's destination, which SendEvent and
+        #: _start_event have already range-checked
+        self._node_of_rank = placement.node_of_rank
+        cluster = placement.cluster
+        flops_per_core = (cluster.node.flops_per_core if cluster is not None
+                          else self.config.default_flops_per_core)
+        #: achieved FLOP/s of one core, for compute events given in flops
+        self._flop_rate = flops_per_core * self.config.compute_efficiency
 
         if isinstance(programs, Application):
             application_name = application_name or programs.name
@@ -443,7 +457,8 @@ class ExecutionEngine:
                 f"{placement.num_tasks} tasks"
             )
         self.num_tasks = len(iterators)
-        self.tasks = [_TaskState(rank=r, program=it) for r, it in enumerate(iterators)]
+        self.tasks = [_TaskState(rank=r, program=it, send=getattr(it, "send", None))
+                      for r, it in enumerate(iterators)]
         # ready queue (see the module docstring): every task starts READY, in
         # the current pass; an ascending list is already a valid heap
         self._ready_now: List[int] = list(range(self.num_tasks))
@@ -494,32 +509,23 @@ class ExecutionEngine:
         self.stats = EngineLoopStats()
 
     # -------------------------------------------------------------- utilities
-    def _flops_per_core(self) -> float:
-        cluster = self.placement.cluster
-        if cluster is not None:
-            return cluster.node.flops_per_core
-        return self.config.default_flops_per_core
-
     def _compute_duration(self, event: ComputeEvent) -> float:
         if event.duration is not None:
             return float(event.duration)
         assert event.flops is not None
-        return float(event.flops) / (self._flops_per_core() * self.config.compute_efficiency)
+        return float(event.flops) / self._flop_rate
 
     def _base_transfer_time(self, size: int, intra_node: bool) -> float:
         if intra_node:
             return size / self.technology.memory_bandwidth
         return self.technology.latency + size / self.technology.single_stream_bandwidth
 
-    def _node_of(self, rank: int) -> int:
-        return self.placement.node(rank)
-
     # -------------------------------------------------------- program control
     def _advance_program(self, task: _TaskState) -> Optional[Event]:
         """Pull the next event of a task program, passing back resume values."""
         try:
-            if task.resume_value is not None and hasattr(task.program, "send"):
-                event = task.program.send(task.resume_value)
+            if task.resume_value is not None and task.send is not None:
+                event = task.send(task.resume_value)
             else:
                 event = next(task.program)
         except StopIteration:
@@ -565,7 +571,7 @@ class ExecutionEngine:
             if injection.compute_scales:
                 # slowdown windows scale the compute *rate* of events that
                 # start while the window is open (see NodeSlowdownInjector)
-                duration = duration / injection.compute_factor(self._node_of(task.rank))
+                duration = duration / injection.compute_factor(self._node_of_rank[task.rank])
             task.status = _Status.COMPUTING
             self._computing += 1
             task.compute_until = self.now + duration
@@ -594,8 +600,8 @@ class ExecutionEngine:
 
     # ------------------------------------------------------------- messaging
     def _start_transfer(self, send: _SendRequest, recv: Optional[_RecvRequest]) -> None:
-        src_node = self._node_of(send.rank)
-        dst_node = self._node_of(send.dst)
+        src_node = self._node_of_rank[send.rank]
+        dst_node = self._node_of_rank[send.dst]
         size = send.size + self.technology.mpi_envelope
         tid = next(self._transfer_counter)
         send.transfer_id = tid
@@ -610,9 +616,7 @@ class ExecutionEngine:
         )
         self.in_flight[tid] = flight
         if recv is None:
-            flight.claim_token = self._unclaimed.add(
-                send.rank, send.dst, send.tag, flight, order=send.posted
-            )
+            flight.claim_token = self._unclaimed.add(send.rank, send.dst, send.tag, flight)
         if flight.ready_time <= self.now + self.EPSILON:
             self._calendar.activate(transfer, self.now)
         else:
@@ -666,10 +670,8 @@ class ExecutionEngine:
                 peer: Optional[int] = None, label: str = "",
                 penalty: Optional[float] = None) -> None:
         task = self.tasks[rank]
-        self.records.append(EventRecord(
-            rank=rank, index=task.event_index, kind=kind, start=start, end=end,
-            size=size, peer=peer, label=label, penalty=penalty,
-        ))
+        self.records.append(EventRecord(rank, task.event_index, kind, start, end,
+                                        size, peer, label, penalty))
         if self._trace is not None:
             self._trace.emit(TraceRecord(end, "task.event", rank, {
                 "kind": kind, "start": start, "end": end, "size": size,
@@ -680,7 +682,7 @@ class ExecutionEngine:
 
     def _complete_send(self, send: _SendRequest, completion: float) -> None:
         task = self.tasks[send.rank]
-        intra = self._node_of(send.rank) == self._node_of(send.dst)
+        intra = self._node_of_rank[send.rank] == self._node_of_rank[send.dst]
         base = self._base_transfer_time(send.size + self.technology.mpi_envelope, intra)
         duration = completion - send.posted
         penalty = duration / base if base > 0 else 1.0
@@ -775,13 +777,11 @@ class ExecutionEngine:
                 f"blocked tasks: {blocked}",
                 blocked_tasks=[rank for rank, _ in blocked],
             )
-        times: List[float] = []
-        if self._timeline:
-            times.append(self._timeline[0][0])
+        horizon = self._timeline[0][0] if self._timeline else None
         completion = self._calendar.next_time()
-        if completion is not None:
-            times.append(completion)
-        if not times:
+        if completion is not None and (horizon is None or completion < horizon):
+            horizon = completion
+        if horizon is None:
             stalled = self._calendar.stalled_ids()
             if stalled:
                 # distinguishes a zero-rate starvation (a provider that never
@@ -798,7 +798,7 @@ class ExecutionEngine:
                 f"blocked tasks: {blocked}",
                 blocked_tasks=[rank for rank, _ in blocked],
             )
-        return min(times)
+        return horizon
 
     def _complete_due_events(self) -> None:
         # hot path: one attribute read and a None test when unmetered; two
@@ -820,47 +820,54 @@ class ExecutionEngine:
         update the injection bookkeeping — their departure reaches the
         provider through the calendar's pending delta like any other.
         """
-        compute_ranks: List[int] = []
-        ready_tids: List[int] = []
-        inject_indices: List[int] = []
-        horizon = self.now + self.EPSILON
+        now = self.now
+        horizon = now + self.EPSILON
         timeline = self._timeline
-        pop = heapq.heappop
-        while timeline and timeline[0][0] <= horizon:
-            _, _, kind, payload = pop(timeline)
-            if kind == _COMPUTE:
-                compute_ranks.append(payload)
-            elif kind == _READY:
-                ready_tids.append(payload)
-            else:
-                inject_indices.append(payload)
-        finished = self._calendar.pop_due(self.now)
+        compute_ranks: Sequence[int] = ()
+        ready_tids: Sequence[int] = ()
+        inject_indices: Sequence[int] = ()
+        if timeline and timeline[0][0] <= horizon:
+            # due payloads by kind (the kind indexes the tuple); a step with
+            # nothing due on the timeline builds no lists
+            due: Tuple[List[int], List[int], List[int]] = ([], [], [])
+            pop = heapq.heappop
+            while timeline and timeline[0][0] <= horizon:
+                _, _, kind, payload = pop(timeline)
+                due[kind].append(payload)
+            due[_COMPUTE].sort()
+            compute_ranks, ready_tids, inject_indices = due
+        finished = self._calendar.pop_due(now)
 
-        for rank in sorted(compute_ranks):
+        for rank in compute_ranks:
             task = self.tasks[rank]
             if task.status is not _Status.COMPUTING:  # pragma: no cover - defensive
                 continue
             event = task.current_event
             label = event.label if isinstance(event, ComputeEvent) else ""
-            self._record(rank, "compute", task.current_start, self.now, label=label)
+            self._record(rank, "compute", task.current_start, now, label=label)
             self._computing -= 1
             self._make_ready(task, {"kind": "compute"})
 
-        foreground: List[Transfer] = []
-        background = self._injection.background
-        for transfer in finished:
-            if transfer.transfer_id in background:
-                background.remove(transfer.transfer_id)
-            else:
-                foreground.append(transfer)
-        for transfer in sorted(foreground, key=lambda t: t.transfer_id):
-            self._complete_transfer(transfer.transfer_id)
+        if finished:
+            background = self._injection.background
+            if background:
+                foreground: List[Transfer] = []
+                for transfer in finished:
+                    if transfer.transfer_id in background:
+                        background.remove(transfer.transfer_id)
+                    else:
+                        foreground.append(transfer)
+                finished = foreground
+            if len(finished) > 1:
+                finished.sort(key=lambda transfer: transfer.transfer_id)
+            for transfer in finished:
+                self._complete_transfer(transfer.transfer_id)
 
         for index in inject_indices:
-            self._fire(index, floor=self.now)
+            self._fire(index, floor=now)
 
         for tid in ready_tids:
-            self._calendar.activate(self.in_flight[tid].transfer, self.now)
+            self._calendar.activate(self.in_flight[tid].transfer, now)
 
     def _fire(self, index: int, floor: float) -> None:
         """Apply injector ``index`` now; schedule its next event no earlier than ``floor``."""
@@ -939,13 +946,16 @@ class ExecutionEngine:
                 self._fire(index, floor=2 * self.EPSILON)
         max_iterations = self.config.iteration_factor * (self._num_events_hint + self.num_tasks) + 100
         iterations = 0
+        stats = self.stats
+        calendar = self._calendar
+        trace = self._trace
 
         while True:
             iterations += 1
-            self.stats.iterations = iterations
+            stats.iterations = iterations
             # injector events consume iterations too: grow the budget with
             # the injected work so loaded runs keep the same safety margin
-            allowed = max_iterations + 20 * self.stats.injected_events
+            allowed = max_iterations + 20 * stats.injected_events
             if iterations > allowed:
                 raise SimulationError(self._budget_diagnostics(allowed))
 
@@ -957,16 +967,17 @@ class ExecutionEngine:
             # push the flow delta of this step (new sends, completed
             # transfers, readiness transitions) to the rate provider; only
             # re-priced transfers whose rate changed get re-timed
-            self._calendar.flush(self.now)
+            calendar.flush(self.now)
 
-            self.now = max(self._next_horizon(), self.now)
-            self.stats.steps += 1
-            if self._trace is not None:
-                self._trace.emit(TraceRecord(self.now, "step", "engine",
-                                             {"step": self.stats.steps}))
+            horizon = self._next_horizon()
+            if horizon >= self.now:  # the clock never goes back
+                self.now = horizon
+            stats.steps += 1
+            if trace is not None:
+                trace.emit(TraceRecord(self.now, "step", "engine", {"step": stats.steps}))
                 if (self._metrics is not None and self._sample_every
-                        and self.stats.steps % self._sample_every == 0):
-                    self._trace.emit(self._metrics.sample_record(self.now))
+                        and stats.steps % self._sample_every == 0):
+                    trace.emit(self._metrics.sample_record(self.now))
             self._complete_due_events()
 
         self.stats.calendar = self._calendar.stats.snapshot()

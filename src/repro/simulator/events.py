@@ -15,8 +15,9 @@ Matching semantics: a send and a receive match when they agree on the
 :data:`ANY_SOURCE` to accept any sender.  Among several candidates the
 engine always picks the *oldest posted* one — MPI's non-overtaking rule —
 and a wildcard receive competes with specific ones in that same posted
-order (the engine's ``(src, dst, tag)``-keyed match indices preserve this
-exactly; see ``_MatchQueue``).
+order (the engine's ``_MatchQueue`` keeps every ``(src, dst, tag)``
+bucket in posting order, so the oldest candidate is the first entry of
+the channel's bucket or of the wildcard one).
 """
 
 from __future__ import annotations

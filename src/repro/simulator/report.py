@@ -10,7 +10,7 @@ measured) into the error tables of Figures 7, 8 and 9.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -19,9 +19,14 @@ from ..units import format_size, format_time
 __all__ = ["EventRecord", "SimulationReport"]
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    """Timing record of one executed event."""
+class EventRecord(NamedTuple):
+    """Timing record of one executed event.
+
+    An immutable tuple type: the engine builds one per executed event, so
+    construction cost is per-event cost.  Fields are read by name;
+    records compare and hash by value and can be rebuilt by keyword
+    (:func:`repro.analysis.timeline.records_from_trace`).
+    """
 
     rank: int
     index: int
@@ -37,6 +42,16 @@ class EventRecord:
     @property
     def duration(self) -> float:
         return self.end - self.start
+
+
+def _total_duration(records: Iterable[EventRecord], kind: str) -> float:
+    """Sum of the durations of the ``kind`` records, in record order.
+
+    The same ``sum(..., 0.0)`` over the same durations in the same order as
+    the per-rank methods, so the totals are equal bit for bit; a running
+    ``+=`` would not be on Python 3.12, whose float ``sum`` is compensated.
+    """
+    return sum((r.duration for r in records if r.kind == kind), 0.0)
 
 
 @dataclass
@@ -83,8 +98,21 @@ class SimulationReport:
         return sum((r.duration for r in self.records_for(rank, "compute")), 0.0)
 
     def communication_times(self) -> Dict[int, float]:
-        """Per-task sum of send durations (the S_m / S_p quantities of §VI.B)."""
-        return {rank: self.communication_time(rank) for rank in range(self.num_tasks)}
+        """Per-task sum of send durations (the S_m / S_p quantities of §VI.B).
+
+        One pass over the records; each rank's value is
+        :meth:`communication_time`, bit for bit.
+        """
+        by_rank = self._records_by_rank()
+        return {rank: _total_duration(by_rank.get(rank, ()), "send")
+                for rank in range(self.num_tasks)}
+
+    def _records_by_rank(self) -> Dict[int, List[EventRecord]]:
+        """Every rank's records, in record order, grouped in one pass."""
+        by_rank: Dict[int, List[EventRecord]] = {}
+        for record in self.records:
+            by_rank.setdefault(record.rank, []).append(record)
+        return by_rank
 
     def bytes_sent(self, rank: int) -> int:
         return sum(r.size for r in self.records_for(rank, "send"))
@@ -133,13 +161,16 @@ class SimulationReport:
             f"{'compute [s]':>12s} {'sent':>10s}"
         )
         lines = [header, "-" * len(header)]
+        by_rank = self._records_by_rank()
         for rank in range(self.num_tasks):
+            records = by_rank.get(rank, ())
+            sent = sum(r.size for r in records if r.kind == "send")
             lines.append(
                 f"{rank:>5d} {self.task_time(rank):>12.4f} "
-                f"{self.communication_time(rank):>12.4f} "
-                f"{self.receive_time(rank):>12.4f} "
-                f"{self.compute_time(rank):>12.4f} "
-                f"{format_size(self.bytes_sent(rank)):>10s}"
+                f"{_total_duration(records, 'send'):>12.4f} "
+                f"{_total_duration(records, 'recv'):>12.4f} "
+                f"{_total_duration(records, 'compute'):>12.4f} "
+                f"{format_size(sent):>10s}"
             )
         return "\n".join(lines)
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster import custom_cluster, user_defined_placement
 from repro.core import GigabitEthernetModel, MyrinetModel, NoContentionModel
-from repro.exceptions import DeadlockError
+from repro.exceptions import DeadlockError, TraceError
 from repro.mpi import MpiRuntime, Rank, fanout_program, ring_program
 from repro.simulator import (
     ANY_SOURCE,
@@ -262,6 +262,22 @@ class TestIterationBudgetDiagnostics:
         assert "ready=1" in message
         assert "in-flight transfers: 0" in message
         assert "t=" in message
+
+
+class TestRankChecks:
+    """Ranks are checked where events start, so the engine's direct
+    rank -> node lookups never see one outside the placement."""
+
+    @pytest.mark.parametrize("size", [1 * MB, 1 * KiB], ids=["rendezvous", "eager"])
+    def test_program_sending_past_the_last_rank_raises_trace_error(self, cluster, size):
+        def program(rank: Rank):
+            if rank.id == 0:
+                yield rank.send(2, size)  # ranks 0 and 1 only
+
+        with pytest.raises(TraceError, match="unknown rank 2"):
+            simple_simulator(cluster).run_programs(
+                [program(Rank(i, 2)) for i in range(2)], placement="RRN", num_tasks=2,
+            )
 
 
 class TestMatchingOrder:

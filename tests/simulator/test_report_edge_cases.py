@@ -8,10 +8,15 @@ or an out-of-range rank must behave exactly like the live-report cases.
 
 from __future__ import annotations
 
+import random
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.simulator.report import EventRecord, SimulationReport
+from repro.units import format_size
 
 
 def empty_report(num_tasks: int = 2) -> SimulationReport:
@@ -102,3 +107,51 @@ class TestDegenerateRecords:
         assert len(report.records_for(1, "recv")) == 1
         assert report.receive_time(1) == 1.0
         assert report.bytes_sent(1) == 0
+
+
+# random reports for the one-pass aggregates: the last rank never gets a
+# record, and durations span twelve orders of magnitude, so a changed
+# summation order or a lost rank shows in the last bit
+@st.composite
+def random_reports(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    num_tasks = draw(st.integers(2, 6))
+    report = empty_report(num_tasks)
+    for index in range(draw(st.integers(0, 120))):
+        kind = rng.choice(["send", "recv", "compute", "barrier"])
+        start = rng.uniform(0.0, 1e3)
+        report.records.append(EventRecord(
+            rank=rng.randrange(num_tasks - 1), index=index, kind=kind, start=start,
+            end=start + 10.0 ** rng.uniform(-9.0, 3.0),
+            size=rng.randrange(1 << 40) if kind in ("send", "recv") else 0,
+        ))
+    return report
+
+
+def per_rank_rows(report: SimulationReport) -> list:
+    """``per_task_table``'s task rows from the per-rank definitions."""
+    return [
+        f"{rank:>5d} {report.task_time(rank):>12.4f} "
+        f"{report.communication_time(rank):>12.4f} "
+        f"{report.receive_time(rank):>12.4f} "
+        f"{report.compute_time(rank):>12.4f} "
+        f"{format_size(report.bytes_sent(rank)):>10s}"
+        for rank in range(report.num_tasks)
+    ]
+
+
+class TestOnePassAggregates:
+    @settings(max_examples=150, deadline=None)
+    @given(random_reports())
+    def test_communication_times_equal_the_per_rank_sums_bit_for_bit(self, report):
+        times = report.communication_times()
+        assert list(times) == list(range(report.num_tasks))
+        for rank, value in times.items():
+            assert type(value) is float
+            assert value.hex() == report.communication_time(rank).hex()
+        assert times[report.num_tasks - 1] == 0.0  # a rank with no sends
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_reports())
+    def test_per_task_table_equals_the_per_rank_columns(self, report):
+        assert report.per_task_table().splitlines()[2:] == per_rank_rows(report)
