@@ -5,8 +5,8 @@ schemes × networks × hosts × seeds) is executed twice:
 
 * **serial-cold**: one worker, fresh persistent cache — the reference run,
   and the bit-exactness baseline;
-* **parallel-warm**: 4 workers, the persistent cache reloaded from the first
-  run's file — the steady state of repeated campaigns.
+* **parallel-warm**: 4 worker processes, the persistent cache reloaded from
+  the first run's file — the steady state of repeated campaigns.
 
 The two runs must produce identical results; the benchmark reports model
 evaluations, cache traffic and wall clock, asserts the ≥2× evaluation
@@ -41,11 +41,10 @@ SPEC = {
 }
 
 
-def run_campaign(cache_path: Path, max_workers: int, backend: str):
+def run_campaign(cache_path: Path, max_workers: int):
     spec = CampaignSpec.from_dict(SPEC)
     cache = PersistentPenaltyCache.load(cache_path)
-    runner = CampaignRunner(spec, cache=cache, max_workers=max_workers,
-                            backend=backend)
+    runner = CampaignRunner(spec, cache=cache, max_workers=max_workers)
     started = time.perf_counter()
     store = runner.run()
     elapsed = time.perf_counter() - started
@@ -56,10 +55,8 @@ def run_campaign(cache_path: Path, max_workers: int, backend: str):
 def test_campaign_serial_cold_vs_parallel_warm(tmp_path, emit):
     cache_path = tmp_path / "penalty-cache.json"
 
-    cold_store, cold_time = run_campaign(cache_path, max_workers=1,
-                                         backend="serial")
-    warm_store, warm_time = run_campaign(cache_path, max_workers=4,
-                                         backend="thread")
+    cold_store, cold_time = run_campaign(cache_path, max_workers=1)
+    warm_store, warm_time = run_campaign(cache_path, max_workers=4)
 
     # orchestration, not approximation: identical scenario results
     assert [r.to_dict() for r in warm_store.results] == \

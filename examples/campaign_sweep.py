@@ -17,8 +17,9 @@ into a single declarative **campaign spec**:
   placement policies (applications only) and generator seeds.
 
 The cartesian product expands into concrete scenarios; the runner executes
-them on a worker pool while sharing one penalty cache, so isomorphic
-contention situations — ubiquitous across a sweep — are priced exactly once.
+them on worker processes and prices them through one penalty cache, so
+isomorphic contention situations — ubiquitous across a sweep — are priced
+exactly once.
 With a :class:`~repro.campaign.PersistentPenaltyCache` the cache also
 survives the process: the second run of the same (or a similar) campaign
 skips the model evaluations entirely.
@@ -49,7 +50,7 @@ def main() -> None:
     print(f"campaign {spec.name!r}: {len(scenarios)} scenarios from "
           f"{len(spec.workloads)} workloads × {len(spec.networks)} networks")
 
-    runner = CampaignRunner(spec, max_workers=4, backend="thread")
+    runner = CampaignRunner(spec, max_workers=4)
     store = runner.run()
 
     print(store.summary_table())

@@ -7,8 +7,9 @@ turns the incremental engine of :mod:`repro.core.incremental` into an
 orchestration layer:
 
 * :class:`CampaignSpec` expands declarative sweeps into concrete scenarios;
-* :class:`CampaignRunner` executes them on a worker pool, deduplicating and
-  fanning out the cache-miss component evaluations;
+* :class:`CampaignRunner` executes them inline or on worker processes,
+  deduplicating the cache-miss component evaluations campaign-wide and
+  fanning them out to the workers;
 * :class:`PersistentPenaltyCache` keeps the memoized contention situations
   warm across runs;
 * :class:`CampaignResultStore` collects the results for

@@ -8,8 +8,9 @@ per-scenario :class:`ScenarioProgress`: records seen, task completion
 (``task.state`` records with status ``"done"`` against the task count the
 ``run.meta`` header announces), and the latest ``metrics.sample`` payload
 when the runner was started with ``metrics_every > 0``.  ``repro campaign
---progress`` polls this from a watcher thread and prints
-:meth:`~CampaignProgress.format_line` between poll intervals.
+--progress`` runs the campaign on its own thread, polls this from the main
+thread and prints :meth:`~CampaignProgress.format_line` between poll
+intervals.
 
 Purely observational: the readers only ever *read* the trace files the
 campaign is writing, so polling cannot perturb the runs.

@@ -4,8 +4,8 @@ Every scenario produces one :class:`ScenarioResult` — the sweep coordinates
 plus the priced outcome (per-communication penalties and predicted times for
 graph scenarios, per-task communication times and the makespan for simulated
 applications).  :class:`CampaignResultStore` collects them in scenario order
-(independent of which worker finished first, so serial and parallel runs
-produce identical stores) and exports JSON / CSV rows for
+(independent of which worker finished first, so inline and process-pool
+runs produce identical stores) and exports JSON / CSV rows for
 :mod:`repro.analysis` and external tooling.
 """
 

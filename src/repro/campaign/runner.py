@@ -1,38 +1,41 @@
-"""Parallel campaign execution.
+"""Campaign execution: inline, or on a pool of worker processes.
 
 :class:`CampaignRunner` executes the scenarios of a :class:`CampaignSpec`
-on a :mod:`concurrent.futures` worker pool while sharing one
-:class:`~repro.core.incremental.PenaltyCache` across every scenario:
+and prices them all through one
+:class:`~repro.core.incremental.PenaltyCache`.  ``max_workers <= 1`` runs
+every scenario inline, in spec order; that is the reference path.
+``max_workers > 1`` runs a :class:`~concurrent.futures.ProcessPoolExecutor`,
+because pricing is pure Python and only processes run it in parallel:
 
 * **graph scenarios** are decomposed into conflict components first; the
   distinct cache-miss components of the *whole campaign* are evaluated in
-  parallel (they are independent by construction and deduplicated across
+  the workers (they are independent by construction and deduplicated across
   scenarios, so an isomorphic contention situation is priced exactly once —
   the biggest win for the Myrinet model's exponential state-set
-  enumeration), then every scenario is assembled from the warm cache;
-* **application scenarios** are independent simulations and fan out one per
-  worker, their rate providers sharing the campaign cache.
+  enumeration), then the parent assembles every scenario from the warm
+  cache;
+* **application scenarios** are independent simulations, one job each.  A
+  job receives a snapshot of the cache taken after the graph phase and
+  sends its fresh entries back; the parent stores them in scenario order.
 
-Parallel execution is **bit-exact** with serial execution: a component
+Pool execution is **bit-exact** with inline execution: a component
 evaluation is a deterministic function of its canonical snapshot, and a
 cache hit replays the stored floats unchanged, so the penalties of a
 scenario do not depend on which worker (or which earlier scenario) priced
-its components.  The work *counters* may differ between backends (a
-component priced once in parallel might have been a hit in a differently
-ordered serial run); the results never do —
+its components.  The work *counters* may differ from an inline run (a job
+cannot hit what another job priced); the results never do —
 ``tests/campaign/test_campaign_runner.py`` asserts this over random
 campaigns.
 
-The ``backend`` parameter selects ``"thread"`` (default; shares the cache
-in-process), ``"process"`` (real CPU parallelism for the model evaluations;
-workers receive a cache snapshot and send fresh entries back), or
-``"serial"`` (inline, no pool — the reference for exactness tests).
+The pool uses the default :mod:`multiprocessing` start method.  Where that
+is ``fork`` (Linux before Python 3.14), models registered at run time reach
+the workers.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -45,7 +48,7 @@ from ..core.incremental import (
 )
 from ..core.penalty import ContentionModel, LinearCostModel
 from ..core.registry import get_model, model_for_network
-from ..exceptions import ModelError, WorkloadError
+from ..exceptions import ModelError
 from ..network.technologies import get_technology
 from ..obs import MetricsRegistry
 from ..simulator.engine import EngineConfig
@@ -57,8 +60,6 @@ from .results import CampaignResultStore, ScenarioResult
 from .spec import CampaignSpec, ScenarioSpec
 
 __all__ = ["CampaignRunner", "resolve_model"]
-
-BACKENDS = ("serial", "thread", "process")
 
 
 def resolve_model(name: str, network: str) -> ContentionModel:
@@ -146,24 +147,7 @@ def _execute_app_scenario(
         sink = JsonlTraceSink(path)
         # run.meta header makes the file self-describing, so `repro trace
         # replay` can rebuild this scenario without the campaign spec
-        params = scenario.workload.param_dict()
-        sink.emit(TraceRecord(0.0, "run.meta", None, {
-            "scenario_id": scenario.scenario_id,
-            "workload": scenario.workload.name,
-            "kind": scenario.workload.kind,
-            "hosts": scenario.num_hosts,
-            "tasks": params.get("num_tasks", scenario.num_hosts),
-            "size": params.get("size"),
-            "problem_size": params.get("problem_size", 4000),
-            "block_size": params.get("block_size", 200),
-            "network": scenario.network,
-            "placement": scenario.placement or "RRP",
-            "seed": int(scenario.seed or 0),
-            "cores_per_node": cores_per_node,
-            "mode": "predictive",
-            "interference": (scenario.interference.to_dict()
-                             if scenario.interference else "none"),
-        }))
+        sink.emit(TraceRecord(0.0, "run.meta", None, scenario.run_meta(cores_per_node)))
     config = None
     if injectors or sink is not None:
         metrics = (MetricsRegistry()
@@ -220,7 +204,7 @@ def _app_scenario_job(
 
 
 class CampaignRunner:
-    """Execute a campaign, sharing one penalty cache across all workers.
+    """Execute a campaign, pricing every scenario through one penalty cache.
 
     Parameters
     ----------
@@ -232,9 +216,7 @@ class CampaignRunner:
         warm across repeated campaigns).  ``None`` creates a private
         in-memory cache.
     max_workers:
-        Worker-pool width; ``<= 1`` runs inline regardless of ``backend``.
-    backend:
-        ``"thread"`` (default), ``"process"`` or ``"serial"``.
+        Worker processes; ``<= 1`` runs every scenario inline.
     trace_dir:
         Per-scenario trace directory (overrides ``spec.trace_dir``); every
         application scenario writes ``<trace_dir>/<scenario_id>.jsonl``.
@@ -244,8 +226,8 @@ class CampaignRunner:
         When > 0 (and tracing is on), attach a per-scenario metrics
         registry and emit a ``metrics.sample`` record every that many
         engine steps — what ``repro campaign --progress`` tails.  Default
-        0 keeps the traces byte-identical across backends and runs (the
-        samples carry wall-clock timings).
+        0 keeps the traces byte-identical across worker counts and runs
+        (the samples carry wall-clock timings).
     """
 
     def __init__(
@@ -253,18 +235,12 @@ class CampaignRunner:
         spec: CampaignSpec,
         cache: Optional[PenaltyCache] = None,
         max_workers: int = 1,
-        backend: str = "thread",
         trace_dir: Optional[str] = None,
         metrics_every: int = 0,
     ) -> None:
-        if backend not in BACKENDS:
-            raise WorkloadError(
-                f"unknown campaign backend {backend!r}; known: {', '.join(BACKENDS)}"
-            )
         self.spec = spec
         self.cache = cache if cache is not None else PenaltyCache(max_entries=65536)
         self.max_workers = int(max_workers)
-        self.backend = "serial" if self.max_workers <= 1 else backend
         self.trace_dir = trace_dir if trace_dir is not None else spec.trace_dir
         self.metrics_every = int(metrics_every)
         self.stats = EngineStats()
@@ -282,7 +258,7 @@ class CampaignRunner:
     # ------------------------------------------------------------------ run
     def run(self) -> CampaignResultStore:
         scenarios = self.spec.scenarios()
-        if self.backend == "serial":
+        if self.max_workers <= 1:
             results = self._run_serial(scenarios)
         else:
             results = self._run_parallel(scenarios)
@@ -292,7 +268,7 @@ class CampaignRunner:
             stats=self.stats.snapshot(),
         )
 
-    # ----------------------------------------------------------- serial path
+    # ----------------------------------------------------------- inline path
     def _run_serial(self, scenarios: Sequence[ScenarioSpec]) -> List[ScenarioResult]:
         results: List[ScenarioResult] = []
         for scenario in scenarios:
@@ -308,9 +284,8 @@ class CampaignRunner:
             results.append(result)
         return results
 
-    # --------------------------------------------------------- parallel path
+    # ---------------------------------------------------------- process pool
     def _run_parallel(self, scenarios: Sequence[ScenarioSpec]) -> List[ScenarioResult]:
-        executor_cls = ThreadPoolExecutor if self.backend == "thread" else ProcessPoolExecutor
         results: List[Optional[ScenarioResult]] = [None] * len(scenarios)
         graph_indices = [i for i, s in enumerate(scenarios) if not s.is_application]
         app_indices = [i for i, s in enumerate(scenarios) if s.is_application]
@@ -321,7 +296,7 @@ class CampaignRunner:
             )
             for index in graph_indices
         }
-        with executor_cls(max_workers=self.max_workers) as executor:
+        with ProcessPoolExecutor(max_workers=self.max_workers) as executor:
             stored, stored_comms = self._price_graph_components(
                 [(scenarios[i], *built[i]) for i in graph_indices], executor
             )
@@ -336,40 +311,27 @@ class CampaignRunner:
                     scenarios[index], self.cache, self.stats,
                     graph=graph, model=model,
                 )
-            # a pre-priced component is a first-encounter miss in the serial
+            # a pre-priced component is a first-encounter miss in the inline
             # run but a hit during assembly: shift the counters so the totals
-            # line up with a cold serial execution.  Under LRU eviction
+            # line up with a cold inline execution.  Under LRU eviction
             # pressure some pre-priced entries never get hit (they are
             # genuinely re-evaluated), hence the bound on the shift.
             assembly_hits = self.stats.cache_hits - hits_before
             self.stats.cache_hits -= min(stored, assembly_hits)
             if app_indices:
-                if self.backend == "thread":
-                    outcomes = executor.map(
-                        lambda s: _execute_app_scenario(
-                            s, self.spec.cores_per_node, self.cache,
-                            trace_dir=self.trace_dir,
-                            metrics_every=self.metrics_every,
-                        ),
-                        [scenarios[i] for i in app_indices],
-                    )
-                    for index, (result, snapshot) in zip(app_indices, outcomes):
-                        results[index] = result
-                        _merge_stats(self.stats, snapshot)
-                else:
-                    snapshot = _cache_snapshot(self.cache)
-                    payloads = [
-                        (scenarios[i], self.spec.cores_per_node, snapshot,
-                         self.trace_dir, self.metrics_every)
-                        for i in app_indices
-                    ]
-                    for index, (result, stats, entries) in zip(
-                        app_indices, executor.map(_app_scenario_job, payloads)
-                    ):
-                        results[index] = result
-                        _merge_stats(self.stats, stats)
-                        for key, mapping in entries:
-                            PenaltyCache.put(self.cache, key, mapping)
+                snapshot = _cache_snapshot(self.cache)
+                payloads = [
+                    (scenarios[i], self.spec.cores_per_node, snapshot,
+                     self.trace_dir, self.metrics_every)
+                    for i in app_indices
+                ]
+                for index, (result, stats, entries) in zip(
+                    app_indices, executor.map(_app_scenario_job, payloads)
+                ):
+                    results[index] = result
+                    _merge_stats(self.stats, stats)
+                    for key, mapping in entries:
+                        PenaltyCache.put(self.cache, key, mapping)
         return [r for r in results if r is not None]
 
     def _price_graph_components(
@@ -390,7 +352,7 @@ class CampaignRunner:
         for scenario, graph, model in graph_scenarios:
             rule = model.component_rule
             if rule is None or not model.structural_penalties:
-                continue  # priced whole during assembly, exactly like serial
+                continue  # priced whole during assembly, exactly like inline
             model_key = model.memo_key()
             for names in graph.conflict_components(rule):
                 component_key, endpoint_ranks = graph.canonical_component(names)

@@ -348,31 +348,105 @@ class ScenarioSpec:
             return hotspot_scheme(max(1, hosts - 1), size=size)
         raise WorkloadError(f"unhandled synthetic generator {workload.name!r}")
 
+    def application_args(self) -> Dict[str, Any]:
+        """The arguments :meth:`build_application` uses, defaults applied."""
+        params = self.workload.param_dict()
+        args: Dict[str, Any] = {
+            "num_tasks": int(params.get("num_tasks", self.num_hosts or 2)),
+        }
+        if self.workload.kind == "linpack":
+            args["problem_size"] = int(params.get("problem_size", 4000))
+            args["block_size"] = int(params.get("block_size", 200))
+            args["panel_fraction"] = float(params.get("panel_fraction", 1.0))
+        else:
+            args["size"] = _size_param(params, 1 * MB)
+            args["root"] = int(params.get("root", 0))
+        return args
+
     def build_application(self) -> Application:
         """Materialize an application workload."""
         workload = self.workload
-        params = workload.param_dict()
-        num_tasks = int(params.get("num_tasks", self.num_hosts or 2))
+        args = self.application_args()
+        num_tasks = args["num_tasks"]
         if workload.kind == "linpack":
             return generate_linpack(
-                problem_size=int(params.get("problem_size", 4000)),
-                block_size=int(params.get("block_size", 200)),
+                problem_size=args["problem_size"],
+                block_size=args["block_size"],
                 num_tasks=num_tasks,
-                panel_fraction=float(params.get("panel_fraction", 1.0)),
+                panel_fraction=args["panel_fraction"],
             )
-        size = _size_param(params, 1 * MB)
+        size = args["size"]
         if workload.name == "broadcast":
-            return broadcast_application(num_tasks, size,
-                                         root=int(params.get("root", 0)))
+            return broadcast_application(num_tasks, size, root=args["root"])
         app = Application(num_tasks=num_tasks,
                           name=f"{workload.name}-{num_tasks}")
         if workload.name == "ring-allgather":
             return ring_allgather(app, size)
         if workload.name == "flat-gather":
-            return flat_gather(app, root=int(params.get("root", 0)), size=size)
+            return flat_gather(app, root=args["root"], size=size)
         if workload.name == "alltoall":
             return pairwise_exchange_alltoall(app, size)
         raise WorkloadError(f"unhandled collective {workload.name!r}")
+
+    # ------------------------------------------------------------ run.meta
+    def run_meta(self, cores_per_node: int, mode: str = "predictive") -> Dict[str, Any]:
+        """Payload of the ``run.meta`` header of a trace of this scenario.
+
+        It holds every argument of :meth:`build_application` plus the
+        cluster and run settings, so :meth:`from_run_meta` rebuilds the
+        scenario from a trace alone (``repro trace replay``).  Arguments
+        the workload kind does not take are ``None``.
+        """
+        args = self.application_args()
+        return {
+            "scenario_id": self.scenario_id,
+            "workload": self.workload.name,
+            "kind": self.workload.kind,
+            "hosts": self.num_hosts,
+            "tasks": args["num_tasks"],
+            "size": args.get("size"),
+            "root": args.get("root"),
+            "problem_size": args.get("problem_size"),
+            "block_size": args.get("block_size"),
+            "panel_fraction": args.get("panel_fraction"),
+            "network": self.network,
+            "model": self.model,
+            "placement": self.placement or "RRP",
+            "seed": int(self.seed or 0),
+            "cores_per_node": cores_per_node,
+            "mode": mode,
+            "interference": (self.interference.to_dict()
+                             if self.interference else "none"),
+        }
+
+    @classmethod
+    def from_run_meta(cls, meta: Dict[str, Any]) -> "ScenarioSpec":
+        """Rebuild the scenario a ``run.meta`` payload describes.
+
+        Reads traces written before the payload carried ``kind``,
+        ``model``, ``root`` or ``panel_fraction``: the kind follows the
+        workload name (``"linpack"`` or a collective), the model is the
+        network's own and the two arguments take their defaults.
+        """
+        name = str(meta.get("workload"))
+        kind = str(meta.get("kind") or ("linpack" if name == "linpack" else "collective"))
+        wanted = (("problem_size", "block_size", "panel_fraction") if kind == "linpack"
+                  else ("size", "root"))
+        params = {key: meta[key] for key in wanted if meta.get(key) is not None}
+        if meta.get("tasks") is not None:
+            params["num_tasks"] = int(meta["tasks"])
+        hosts = meta.get("hosts")
+        seed = meta.get("seed")
+        return cls(
+            scenario_id=str(meta.get("scenario_id") or f"replay-{name}"),
+            workload=WorkloadSpec(kind=kind, name=name, params=tuple(sorted(params.items()))),
+            network=str(meta.get("network", "ethernet")),
+            model=str(meta.get("model", "auto")),
+            num_hosts=None if hosts is None else int(hosts),
+            placement=str(meta.get("placement") or "RRP"),
+            seed=0 if seed is None else int(seed),
+            interference=InterferenceSpec.from_dict(meta.get("interference", "none")),
+        )
 
 
 @dataclass

@@ -10,8 +10,9 @@ Gives shell access to the three everyday operations of the library:
   and print the estimated (β, γo, γi);
 * ``campaign`` — expand a declarative JSON campaign spec (sweeps over
   workloads × networks × models × host counts × placements, see
-  :mod:`repro.campaign.spec`) and execute every scenario on a worker pool
-  with a shared — optionally disk-persistent — penalty cache;
+  :mod:`repro.campaign.spec`) and execute every scenario inline or, with
+  ``--workers N``, on N worker processes, pricing through one — optionally
+  disk-persistent — penalty cache;
 * ``trace`` — the structured-trace pipeline (:mod:`repro.trace`):
   ``trace record`` runs one workload and writes its per-event JSONL trace,
   ``trace summarize`` prints the timeline report of a trace file (``--json``
@@ -28,7 +29,7 @@ Examples::
     python -m repro predict --model myrinet --scheme "0->1 0->2 0->3"
     python -m repro measure --network ethernet --scheme-file conflict.scm
     python -m repro calibrate --network ethernet
-    python -m repro campaign --spec sweep.json --workers 4 --cache penalties.json
+    python -m repro campaign --spec sweep.json --workers 2 --cache penalties.json
     python -m repro simulate --workload broadcast --hosts 8 --bg-rate 200 \\
         --bg-size 4M --degrade-factor 0.5 --degrade-until 0.2
     python -m repro trace record --workload ring-allgather --hosts 4 \\
@@ -75,6 +76,7 @@ from .campaign import (
     CampaignSpec,
     InterferenceSpec,
     PersistentPenaltyCache,
+    resolve_model,
 )
 from .campaign.spec import COLLECTIVE_PATTERNS, ScenarioSpec, WorkloadSpec
 from .cluster.spec import custom_cluster
@@ -159,8 +161,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         if metrics_every == 0:
             metrics_every = 64  # light per-scenario metrics rollup
     runner = CampaignRunner(spec, cache=cache, max_workers=args.workers,
-                            backend=args.backend, trace_dir=trace_dir,
-                            metrics_every=metrics_every)
+                            trace_dir=trace_dir, metrics_every=metrics_every)
     if args.progress:
         store = _run_with_progress(runner, interval=args.progress_interval)
     else:
@@ -322,39 +323,27 @@ def _scenario_from_args(args: argparse.Namespace,
     )
 
 
-def _run_meta(args: argparse.Namespace, scenario: ScenarioSpec) -> TraceRecord:
+def _run_meta(scenario: ScenarioSpec, args: argparse.Namespace) -> TraceRecord:
     """The ``run.meta`` header record: everything replay needs to rebuild
-    the run (workload, cluster and injector flags)."""
-    interference = scenario.interference.to_dict() if scenario.interference else "none"
-    return TraceRecord(0.0, "run.meta", None, {
-        "workload": args.workload,
-        "hosts": args.hosts,
-        "tasks": args.tasks or args.hosts,
-        "size": args.size,
-        "problem_size": args.problem_size,
-        "block_size": args.block_size,
-        "network": args.network,
-        "placement": args.placement,
-        "seed": args.seed,
-        "cores_per_node": args.cores_per_node,
-        "mode": args.mode,
-        "interference": interference,
-    })
+    the run (see :meth:`ScenarioSpec.run_meta`)."""
+    return TraceRecord(0.0, "run.meta", None,
+                       scenario.run_meta(args.cores_per_node, mode=args.mode))
 
 
-def _run_scenario(args: argparse.Namespace, application,
-                  injectors, trace=None):
+def _run_scenario(scenario: ScenarioSpec, cores_per_node: int, mode: str,
+                  application, injectors, trace=None):
     """One engine run of the (already built) application under ``injectors``."""
-    cluster = custom_cluster(num_nodes=args.hosts,
-                             cores_per_node=args.cores_per_node,
-                             technology=args.network)
+    cluster = custom_cluster(num_nodes=scenario.num_hosts,
+                             cores_per_node=cores_per_node,
+                             technology=scenario.network)
     config = EngineConfig(injectors=injectors, trace=trace)
-    if args.mode == "emulated":
+    if mode == "emulated":
         simulator = Simulator.emulated(cluster, config=config)
     else:
-        simulator = Simulator.predictive(cluster, config=config)
-    report = simulator.run(application, placement=args.placement,
-                           seed=args.seed)
+        model = resolve_model(scenario.model, scenario.network)
+        simulator = Simulator.predictive(cluster, model=model, config=config)
+    report = simulator.run(application, placement=scenario.placement,
+                           seed=scenario.seed)
     return report, simulator.last_engine_stats
 
 
@@ -365,17 +354,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     injectors = scenario.build_injectors()
     sink = JsonlTraceSink(args.trace) if args.trace else None
     if sink is not None:
-        sink.emit(_run_meta(args, scenario))
+        sink.emit(_run_meta(scenario, args))
     try:
         # with --trace, the traced run is the loaded one (the clean twin
         # stays untraced); on a clean-only invocation the clean run is traced
-        clean_report, _ = _run_scenario(args, application, (),
+        clean_report, _ = _run_scenario(scenario, args.cores_per_node, args.mode,
+                                        application, (),
                                         trace=None if injectors else sink)
         rows = [["clean", clean_report.total_time,
                  clean_report.average_penalty, 0, 0]]
         if injectors:
-            loaded_report, stats = _run_scenario(args, application, injectors,
-                                                 trace=sink)
+            loaded_report, stats = _run_scenario(scenario, args.cores_per_node,
+                                                 args.mode, application,
+                                                 injectors, trace=sink)
             rows.append(["loaded", loaded_report.total_time,
                          loaded_report.average_penalty,
                          stats["background_flows"], stats["injected_events"]])
@@ -406,8 +397,9 @@ def cmd_trace_record(args: argparse.Namespace) -> int:
     application = scenario.build_application()
     injectors = scenario.build_injectors()
     with JsonlTraceSink(args.out) as sink:
-        sink.emit(_run_meta(args, scenario))
-        report, stats = _run_scenario(args, application, injectors, trace=sink)
+        sink.emit(_run_meta(scenario, args))
+        report, stats = _run_scenario(scenario, args.cores_per_node, args.mode,
+                                      application, injectors, trace=sink)
         emitted = sink.emitted
     print(render_table(
         ["workload", "tasks", "fabric", "total T [s]", "records"],
@@ -504,20 +496,27 @@ def cmd_trace_replay(args: argparse.Namespace) -> int:
             "'repro trace record' (or pass a trace written by "
             "'repro simulate --trace')"
         )
-    overridden = False
-    for key in ("workload", "hosts", "tasks", "size", "problem_size",
-                "block_size", "network", "placement", "seed",
-                "cores_per_node", "mode"):
-        if getattr(args, key, None) is None and key in meta:
-            setattr(args, key, meta[key])
-        elif getattr(args, key, None) is not None and \
-                getattr(args, key) != meta.get(key):
-            overridden = True  # cross-scenario replay: no bit-exactness claim
-    scenario = _scenario_from_args(args, f"replay-{args.workload}")
+    flags = {key: getattr(args, key)
+             for key in ("workload", "hosts", "tasks", "size", "problem_size",
+                         "block_size", "network", "placement", "seed",
+                         "cores_per_node", "mode")
+             if getattr(args, key) is not None}
+    if "size" in flags:
+        flags["size"] = parse_size(flags["size"])
+    # a flag that changes a recorded value makes this a cross-scenario
+    # replay: no bit-exactness claim
+    overridden = any(meta.get(key) != value for key, value in flags.items())
+    if "workload" in flags and flags["workload"] != meta.get("workload"):
+        # the kind follows the new workload name (`linpack` or a collective)
+        meta = {key: value for key, value in meta.items() if key != "kind"}
+    meta = {**meta, **flags}
+    scenario = ScenarioSpec.from_run_meta(meta)
     application = scenario.build_application()
     replay = TraceReplayInjector.from_log(log)
     injectors = (replay,) if replay.events else ()
-    report, stats = _run_scenario(args, application, injectors)
+    report, stats = _run_scenario(scenario, int(meta.get("cores_per_node", 2)),
+                                  str(meta.get("mode", "predictive")),
+                                  application, injectors)
 
     recorded_events = log.records_of("task.event")
     recorded_makespan = max((float(r.data.get("end", r.time))
@@ -531,7 +530,7 @@ def cmd_trace_replay(args: argparse.Namespace) -> int:
         ["run", "total T [s]", "replayed events", "bg flows"],
         rows,
         title=(f"trace replay of {args.trace_file}: {application.name} on "
-               f"{args.hosts}x {args.network}"),
+               f"{scenario.num_hosts}x {scenario.network}"),
         float_format="{:.6f}",
     ))
     if overridden:
@@ -599,15 +598,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign = sub.add_parser(
         "campaign",
-        help="run a scenario campaign from a JSON spec (parallel, cached)",
+        help="run a scenario campaign from a JSON spec (worker processes, cached)",
     )
     campaign.add_argument("--spec", required=True,
                           help="path to the campaign spec (JSON)")
     campaign.add_argument("--workers", type=int, default=1,
-                          help="worker pool width (1 = serial)")
-    campaign.add_argument("--backend", choices=["serial", "thread", "process"],
-                          default="thread",
-                          help="worker pool kind when --workers > 1")
+                          help="worker processes; 1 = inline")
     campaign.add_argument("--cache", default=None,
                           help="persistent penalty-cache file (created when missing)")
     campaign.add_argument("--out", default=None,

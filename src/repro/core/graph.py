@@ -16,16 +16,16 @@ quantity the models need:
 * the Myrinet conflict graph (communications sharing a source node or a
   destination node) and its connected components.
 
-Graphs are hashable snapshots of a contention situation and are therefore
-kept immutable after :meth:`CommunicationGraph.freeze` (the models freeze
-them defensively).
+A graph is a snapshot of one contention situation: it is built once and
+then only read.  :meth:`CommunicationGraph.freeze` makes that explicit by
+rejecting further additions.
 
-The graph additionally maintains per-node endpoint indices (so every
-degree/conflict query is proportional to the local neighbourhood, not to the
-whole graph), offers :meth:`CommunicationGraph.remove` next to
-:meth:`CommunicationGraph.add`, and exposes a canonical, order-independent
-:meth:`structural_key` used to memoize per-component penalty evaluations
-across repeated contention situations (:mod:`repro.core.incremental`).
+The graph maintains per-node endpoint indices, so every degree/conflict
+query is proportional to the local neighbourhood, not to the whole graph.
+:meth:`CommunicationGraph.canonical_component` gives a selection's
+canonical, order-independent key, on which the penalty cache of
+:mod:`repro.core.incremental` memoizes per-component evaluations across
+repeated contention situations.
 """
 
 from __future__ import annotations
@@ -151,22 +151,6 @@ class CommunicationGraph:
         if not comm.is_intra_node:
             self._by_src[comm.src][comm.name] = None
             self._by_dst[comm.dst][comm.name] = None
-        return comm
-
-    def remove(self, name: str) -> Communication:
-        """Remove (and return) the named communication."""
-        if self._frozen:
-            raise GraphError("cannot modify a frozen communication graph")
-        comm = self._comms.pop(name, None)
-        if comm is None:
-            raise GraphError(f"unknown communication {name!r}")
-        if not comm.is_intra_node:
-            del self._by_src[comm.src][comm.name]
-            if not self._by_src[comm.src]:
-                del self._by_src[comm.src]
-            del self._by_dst[comm.dst][comm.name]
-            if not self._by_dst[comm.dst]:
-                del self._by_dst[comm.dst]
         return comm
 
     def add_edge(
@@ -426,40 +410,25 @@ class CommunicationGraph:
         raise GraphError(f"unknown conflict rule {rule!r}")
 
     # ----------------------------------------------------------- canonical key
-    def structural_key(
-        self,
-        names: Iterable[str] | None = None,
-        include_sizes: bool = False,
-    ) -> Tuple[Tuple[int, ...], ...]:
-        """Canonical, order-independent key of the (sub)graph structure.
-
-        Nodes are relabelled by their rank among the sorted node identifiers
-        of the selection and the resulting ``(src_rank, dst_rank[, size])``
-        edges are returned sorted, so two selections receive the same key
-        whenever the order-preserving relabelling of their node identifiers
-        maps one onto the other — regardless of communication names or
-        insertion order.  Key equality therefore implies graph isomorphism
-        (the converse is not attempted: canonical labelling of arbitrary
-        graphs is as hard as isomorphism testing), which makes the key safe
-        to memoize structural penalty evaluations on.
-
-        >>> g1 = CommunicationGraph.from_edges([(0, 1), (0, 2)])
-        >>> g2 = CommunicationGraph.from_edges([(7, 9), (7, 8)])
-        >>> g1.structural_key() == g2.structural_key()
-        True
-        """
-        if include_sizes:
-            comms = list(self._comms.values()) if names is None else [self[n] for n in names]
-            nodes = sorted({c.src for c in comms} | {c.dst for c in comms})
-            rank = {node: i for i, node in enumerate(nodes)}
-            return tuple(sorted((rank[c.src], rank[c.dst], c.size) for c in comms))
-        key, _ = self.canonical_component(self.names if names is None else names)
-        return key
-
     def canonical_component(
         self, names: Iterable[str]
     ) -> Tuple[Tuple[Tuple[int, int], ...], Dict[str, Tuple[int, int]]]:
         """Canonical key of a selection plus each member's canonical endpoints.
+
+        Nodes are relabelled by their rank among the sorted node identifiers
+        of the selection, and the key is the sorted tuple of relabelled
+        ``(src_rank, dst_rank)`` edges.  Two selections get the same key
+        whenever the order-preserving relabelling of their nodes maps one
+        onto the other, whatever the communication names, sizes or
+        insertion order.  Key equality therefore implies isomorphism (the
+        converse is not attempted: canonical labelling of arbitrary graphs
+        is as hard as isomorphism testing), which makes the key safe to
+        memoize structural penalty evaluations on.
+
+        >>> g1 = CommunicationGraph.from_edges([(0, 1), (0, 2)])
+        >>> g2 = CommunicationGraph.from_edges([(7, 9), (7, 8)])
+        >>> g1.canonical_component(g1.names)[0] == g2.canonical_component(g2.names)[0]
+        True
 
         The second element maps every selected communication to its
         ``(src_rank, dst_rank)`` pair under the same node relabelling the key

@@ -100,9 +100,10 @@ class PenaltyCache:
     penalty unambiguously; :meth:`store` verifies this and refuses to cache a
     component for which a model violates it.
 
-    The cache is thread-safe: the campaign runner shares one instance across
-    a pool of scenario workers, and the simulator providers of those workers
-    hit it concurrently.
+    The cache is thread-safe, so one instance may serve several threads.
+    The campaign runner shares none across workers: its worker processes
+    start from a snapshot (:meth:`items`), and the parent stores their fresh
+    entries (:mod:`repro.campaign.runner`).
 
     Telemetry: every entry carries a hit count, and the cache totals its
     lookups, hits, misses and evictions.  :meth:`stats` summarises them so a

@@ -163,9 +163,9 @@ class ContentionModel(abc.ABC):
     #: True when penalties depend only on the *structure* of the graph (node
     #: identities up to relabelling; never on message sizes or names), which
     #: makes evaluations memoizable by canonical component snapshot
-    #: (:meth:`CommunicationGraph.structural_key`).  Every model of the paper
-    #: has this property (penalties are size-free ratios); the conservative
-    #: default for third-party subclasses is False.
+    #: (:meth:`CommunicationGraph.canonical_component`).  Every model of the
+    #: paper has this property (penalties are size-free ratios); the
+    #: conservative default for third-party subclasses is False.
     structural_penalties: bool = False
 
     @abc.abstractmethod

@@ -1,6 +1,8 @@
-"""Runner tests: parallel-vs-serial bit-exactness over random campaigns."""
+"""Runner tests: process-pool-vs-inline bit-exactness over random campaigns."""
 
 from __future__ import annotations
+
+import multiprocessing
 
 import pytest
 
@@ -10,8 +12,8 @@ from repro.campaign import (
     CampaignResultStore,
     resolve_model,
 )
-from repro.core import PenaltyCache
-from repro.exceptions import WorkloadError
+from repro.core import FairShareModel, PenaltyCache
+from repro.core.registry import _REGISTRY, register_model
 
 
 def random_campaign(seed: int) -> CampaignSpec:
@@ -38,18 +40,39 @@ def dumps(store: CampaignResultStore):
 
 
 class TestBitExactness:
-    @pytest.mark.parametrize("seed", [0, 7, 23])
-    def test_thread_parallel_matches_serial(self, seed):
+    @pytest.mark.parametrize("seed", [0, 3, 7, 23])
+    def test_process_pool_matches_inline(self, seed):
         spec = random_campaign(seed)
-        serial = CampaignRunner(spec, max_workers=1).run()
-        threaded = CampaignRunner(spec, max_workers=4, backend="thread").run()
-        assert dumps(serial) == dumps(threaded)  # == on floats: bit-exact
+        inline = CampaignRunner(spec, max_workers=1).run()
+        pooled = CampaignRunner(spec, max_workers=2).run()
+        assert dumps(inline) == dumps(pooled)  # == on floats: bit-exact
 
-    def test_process_parallel_matches_serial(self):
-        spec = random_campaign(3)
-        serial = CampaignRunner(spec, max_workers=1).run()
-        processes = CampaignRunner(spec, max_workers=2, backend="process").run()
-        assert dumps(serial) == dumps(processes)
+    def test_pool_counters_repeat_across_runs(self):
+        """Every job starts from the same cache snapshot, so two runs of one
+        campaign do the same work, not only give the same results."""
+        spec = random_campaign(7)
+        first = CampaignRunner(spec, max_workers=2).run()
+        second = CampaignRunner(spec, max_workers=2).run()
+        assert first.stats == second.stats
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only forked workers inherit run-time registrations")
+    def test_models_registered_at_run_time_reach_the_workers(self):
+        register_model("runtime-fair-share", FairShareModel)
+        try:
+            spec = CampaignSpec.from_dict({
+                "name": "runtime-model",
+                "workloads": [{"kind": "collective", "name": "ring-allgather",
+                               "params": {"size": "1M", "num_tasks": 4}}],
+                "models": ["runtime-fair-share"],
+                "host_counts": [4],
+                "seeds": [0, 1],
+            })
+            inline = CampaignRunner(spec, max_workers=1).run()
+            pooled = CampaignRunner(spec, max_workers=2).run()
+        finally:
+            del _REGISTRY["runtime-fair-share"]
+        assert dumps(inline) == dumps(pooled)
 
     def test_shared_cache_does_not_change_results(self):
         spec = random_campaign(11)
@@ -60,7 +83,7 @@ class TestBitExactness:
     def test_matches_direct_model_pricing(self):
         """Campaign penalties equal straight ``model.penalties`` on the graph."""
         spec = random_campaign(5)
-        store = CampaignRunner(spec, max_workers=4).run()
+        store = CampaignRunner(spec, max_workers=2).run()
         for scenario in spec.scenarios():
             if scenario.is_application:
                 continue
@@ -72,7 +95,7 @@ class TestBitExactness:
 class TestRunnerBehaviour:
     def test_results_keep_scenario_order(self):
         spec = random_campaign(2)
-        store = CampaignRunner(spec, max_workers=4).run()
+        store = CampaignRunner(spec, max_workers=2).run()
         assert [r.scenario_id for r in store.results] == \
             [s.scenario_id for s in spec.scenarios()]
 
@@ -82,18 +105,14 @@ class TestRunnerBehaviour:
         warmable = CampaignRunner(spec, cache=PenaltyCache()).run()
         assert warmable.stats["comm_evaluations"] < cold.stats["comm_evaluations"]
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(WorkloadError):
-            CampaignRunner(random_campaign(0), backend="quantum")
-
     def test_tiny_lru_keeps_results_exact_and_stats_sane(self):
         """Eviction pressure may cost re-evaluations, never wrong results."""
         spec = random_campaign(11)
-        serial = CampaignRunner(spec, cache=PenaltyCache(max_entries=2)).run()
-        parallel = CampaignRunner(spec, cache=PenaltyCache(max_entries=2),
-                                  max_workers=4).run()
-        assert dumps(serial) == dumps(parallel)
-        assert all(v >= 0 for v in parallel.stats.values()), parallel.stats
+        inline = CampaignRunner(spec, cache=PenaltyCache(max_entries=2)).run()
+        pooled = CampaignRunner(spec, cache=PenaltyCache(max_entries=2),
+                                max_workers=2).run()
+        assert dumps(inline) == dumps(pooled)
+        assert all(v >= 0 for v in pooled.stats.values()), pooled.stats
 
     def test_store_exports(self, tmp_path):
         spec = random_campaign(1)

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.campaign import CampaignRunner, CampaignSpec
+from repro.campaign import CampaignRunner, CampaignSpec, ScenarioSpec, WorkloadSpec
 from repro.trace import assert_traces_equal, read_trace_log
 
 
@@ -86,29 +84,94 @@ class TestRunnerTracing:
         assert runner.trace_dir == str(override)
         assert any(override.glob("*.jsonl"))
 
-    @pytest.mark.parametrize("backend,workers", [("thread", 2), ("process", 2)])
-    def test_parallel_backends_trace_identically_to_serial(
-        self, tmp_path, backend, workers
-    ):
-        serial_dir = tmp_path / "serial"
-        parallel_dir = tmp_path / backend
+    def test_process_pool_traces_identically_to_inline(self, tmp_path):
+        inline_dir = tmp_path / "inline"
+        pooled_dir = tmp_path / "pooled"
         spec = CampaignSpec.from_dict(spec_dict())
-        serial_store = CampaignRunner(spec, trace_dir=str(serial_dir)).run()
-        parallel_store = CampaignRunner(
-            spec, trace_dir=str(parallel_dir), max_workers=workers,
-            backend=backend,
+        inline_store = CampaignRunner(spec, trace_dir=str(inline_dir)).run()
+        pooled_store = CampaignRunner(
+            spec, trace_dir=str(pooled_dir), max_workers=2,
         ).run()
-        assert [r.to_dict() for r in parallel_store] == \
-            [r.to_dict() for r in serial_store]
-        serial_files = sorted(p.name for p in serial_dir.glob("*.jsonl"))
-        parallel_files = sorted(p.name for p in parallel_dir.glob("*.jsonl"))
-        assert serial_files == parallel_files
-        for name in serial_files:
+        assert [r.to_dict() for r in pooled_store] == \
+            [r.to_dict() for r in inline_store]
+        inline_files = sorted(p.name for p in inline_dir.glob("*.jsonl"))
+        pooled_files = sorted(p.name for p in pooled_dir.glob("*.jsonl"))
+        assert inline_files == pooled_files
+        for name in inline_files:
             # record-level first: a failure localizes to the first diverging
             # record instead of two opaque file dumps
-            assert_traces_equal(read_trace_log(serial_dir / name),
-                                read_trace_log(parallel_dir / name),
-                                label_a=f"serial/{name}",
-                                label_b=f"{backend}/{name}")
-            assert (serial_dir / name).read_text() == \
-                (parallel_dir / name).read_text()
+            assert_traces_equal(read_trace_log(inline_dir / name),
+                                read_trace_log(pooled_dir / name),
+                                label_a=f"inline/{name}",
+                                label_b=f"pooled/{name}")
+            assert (inline_dir / name).read_text() == \
+                (pooled_dir / name).read_text()
+
+
+def events_of(application):
+    return [list(application.trace(rank)) for rank in range(application.num_tasks)]
+
+
+class TestRunMeta:
+    """`ScenarioSpec.run_meta` and `from_run_meta` are the one trace header."""
+
+    SPEC = {
+        "name": "run-meta",
+        "workloads": [
+            {"kind": "collective", "name": "broadcast",
+             "params": {"size": "2M", "root": 2}},
+            {"kind": "collective", "name": "flat-gather"},
+            {"kind": "linpack", "name": "hpl",
+             "params": {"problem_size": 1000, "block_size": 250,
+                        "num_tasks": 4, "panel_fraction": 0.5}},
+        ],
+        "models": ["auto", "fair-share"],
+        "host_counts": [4],
+        "placements": ["RRN"],
+        "seeds": [3],
+        "interference": [{"name": "bg", "background": {"rate": 100, "size": "1M"}}],
+    }
+
+    def test_round_trip_rebuilds_the_scenario(self):
+        for scenario in CampaignSpec.from_dict(self.SPEC).scenarios():
+            meta = scenario.run_meta(cores_per_node=2)
+            rebuilt = ScenarioSpec.from_run_meta(meta)
+            assert rebuilt.run_meta(cores_per_node=2) == meta
+            assert events_of(rebuilt.build_application()) == \
+                events_of(scenario.build_application())
+            for name in ("scenario_id", "network", "model", "num_hosts",
+                         "placement", "seed", "interference"):
+                assert getattr(rebuilt, name) == getattr(scenario, name), name
+
+    def test_meta_carries_the_arguments_of_each_kind(self):
+        broadcast, gather, hpl = [
+            s.run_meta(cores_per_node=2)
+            for s in CampaignSpec.from_dict(self.SPEC).scenarios()
+            if s.model == "auto"
+        ]
+        assert (broadcast["kind"], broadcast["root"], broadcast["size"]) == \
+            ("collective", 2, 2_000_000)
+        assert (gather["root"], gather["size"], gather["tasks"]) == (0, 1_000_000, 4)
+        assert (hpl["kind"], hpl["workload"], hpl["panel_fraction"]) == \
+            ("linpack", "hpl", 0.5)
+        assert broadcast["problem_size"] is None and hpl["size"] is None
+
+    def test_headers_of_earlier_traces_still_rebuild(self):
+        """Headers without `kind`, `model`, `root` or `panel_fraction`."""
+        cli = ScenarioSpec.from_run_meta({
+            "workload": "broadcast", "hosts": 4, "tasks": 4, "size": "1M",
+            "problem_size": 4000, "block_size": 200, "network": "ethernet",
+            "placement": "RRP", "seed": 0, "cores_per_node": 2,
+            "mode": "predictive", "interference": "none",
+        })
+        assert cli.workload == WorkloadSpec(
+            "collective", "broadcast", (("num_tasks", 4), ("size", "1M")))
+        assert cli.model == "auto"
+        linpack = ScenarioSpec.from_run_meta({
+            "workload": "linpack", "hosts": 4, "tasks": 4, "size": None,
+            "problem_size": 1000, "block_size": 250, "network": "myrinet",
+            "placement": "RRN", "seed": 1,
+        })
+        assert linpack.workload.kind == "linpack"
+        assert linpack.workload.param_dict() == {
+            "num_tasks": 4, "problem_size": 1000, "block_size": 250}

@@ -103,10 +103,9 @@ class TestCampaignExpansion:
 
 
 class TestCampaignExecution:
-    def run(self, workers, backend="thread"):
+    def run(self, workers):
         campaign = CampaignSpec.from_dict(spec_dict(["none", LOADED]))
-        return CampaignRunner(campaign, max_workers=workers,
-                              backend=backend).run()
+        return CampaignRunner(campaign, max_workers=workers).run()
 
     def test_loaded_scenarios_are_slower_and_reported(self):
         store = self.run(workers=1)
@@ -117,13 +116,11 @@ class TestCampaignExecution:
         # graph scenarios stay out of the interference report
         assert len(rows) == 2 and len(store) == 3
 
-    def test_parallel_backends_match_serial(self):
-        serial = self.run(workers=1)
-        threaded = self.run(workers=2, backend="thread")
-        processes = self.run(workers=2, backend="process")
-        reference = [(r.axes, r.metrics, r.times) for r in serial]
-        assert [(r.axes, r.metrics, r.times) for r in threaded] == reference
-        assert [(r.axes, r.metrics, r.times) for r in processes] == reference
+    def test_process_pool_matches_inline(self):
+        inline = self.run(workers=1)
+        pooled = self.run(workers=2)
+        reference = [(r.axes, r.metrics, r.times) for r in inline]
+        assert [(r.axes, r.metrics, r.times) for r in pooled] == reference
 
     def test_same_name_workloads_with_different_params_keep_their_baselines(self):
         """Clean-twin pairing must key on the params, not just the name."""

@@ -217,48 +217,6 @@ class TestConversions:
         assert "a:" in text and "b:" in text
 
 
-class TestRemoveAndDeltaAPI:
-    def test_remove_returns_and_forgets(self):
-        graph = CommunicationGraph.from_edges([(0, 1), (0, 2)])
-        removed = graph.remove("a")
-        assert removed.endpoints == (0, 1)
-        assert "a" not in graph
-        assert graph.names == ("b",)
-
-    def test_remove_updates_degrees(self):
-        graph = CommunicationGraph.from_edges([(0, 1), (0, 2), (3, 1)])
-        assert graph.out_degree(0) == 2
-        assert graph.in_degree(1) == 2
-        graph.remove("a")
-        assert graph.out_degree(0) == 1
-        assert graph.in_degree(1) == 1
-        graph.remove("c")
-        assert graph.in_degree(1) == 0
-
-    def test_remove_unknown_rejected(self):
-        graph = CommunicationGraph.from_edges([(0, 1)])
-        with pytest.raises(GraphError):
-            graph.remove("zzz")
-
-    def test_remove_on_frozen_rejected(self):
-        graph = CommunicationGraph.from_edges([(0, 1)]).freeze()
-        with pytest.raises(GraphError):
-            graph.remove("a")
-
-    def test_remove_then_add_round_trips_conflicts(self):
-        graph = CommunicationGraph.from_edges([(0, 1), (0, 2), (5, 6)])
-        comm = graph.remove("b")
-        assert graph.conflict_adjacency()["a"] == frozenset()
-        graph.add(comm)
-        assert graph.conflict_adjacency()["a"] == frozenset({"b"})
-
-    def test_remove_intra_node(self):
-        graph = CommunicationGraph()
-        graph.add_edge(2, 2, name="local")
-        graph.remove("local")
-        assert len(graph) == 0
-
-
 class TestConflictComponentsUnderBothRules:
     # scheme: a income/outgo pair 0->1, 1->2 is split by ENDPOINT
     # (no shared source, no shared destination) but joined by ANY_NODE.
@@ -308,43 +266,53 @@ class TestConflictComponentsUnderBothRules:
             CommunicationGraph.conflict_resources(3, 4, "bogus")
 
 
-class TestStructuralKey:
+def key_of(graph, names=None):
+    """The canonical key of ``names`` (default: the whole graph)."""
+    return graph.canonical_component(graph.names if names is None else names)[0]
+
+
+class TestCanonicalComponent:
     def test_order_independent(self):
         g1 = CommunicationGraph.from_edges([(0, 1), (0, 2)])
         g2 = CommunicationGraph.from_edges([(0, 2), (0, 1)])
-        assert g1.structural_key() == g2.structural_key()
+        assert key_of(g1) == key_of(g2)
 
     def test_node_relabelling_invariant_when_order_preserved(self):
         g1 = CommunicationGraph.from_edges([(0, 1), (0, 2)])
         g2 = CommunicationGraph.from_edges([(10, 21), (10, 32)])
-        assert g1.structural_key() == g2.structural_key()
+        assert key_of(g1) == key_of(g2)
 
     def test_name_independent(self):
         g1 = CommunicationGraph.from_edges([(0, 1), (2, 1)], names=["x", "y"])
         g2 = CommunicationGraph.from_edges([(2, 1), (0, 1)], names=["p", "q"])
-        assert g1.structural_key() == g2.structural_key()
+        assert key_of(g1) == key_of(g2)
 
     def test_distinguishes_structure(self):
         fan_out = CommunicationGraph.from_edges([(0, 1), (0, 2)])
         fan_in = CommunicationGraph.from_edges([(1, 0), (2, 0)])
-        assert fan_out.structural_key() != fan_in.structural_key()
+        assert key_of(fan_out) != key_of(fan_in)
 
     def test_multiplicity_preserved(self):
         single = CommunicationGraph.from_edges([(0, 1)])
         double = CommunicationGraph.from_edges([(0, 1), (0, 1)])
-        assert single.structural_key() != double.structural_key()
+        assert key_of(single) != key_of(double)
 
     def test_subset_selection(self):
         graph = CommunicationGraph.from_edges([(0, 1), (0, 2), (5, 6)])
-        assert graph.structural_key(["c"]) == ((0, 1),)
+        assert graph.canonical_component(["c"]) == (((0, 1),), {"c": (0, 1)})
 
-    def test_sizes_optional(self):
+    def test_sizes_ignored(self):
         g1 = CommunicationGraph.from_edges([(0, 1, 100)])
         g2 = CommunicationGraph.from_edges([(0, 1, 200)])
-        assert g1.structural_key() == g2.structural_key()
-        assert g1.structural_key(include_sizes=True) != g2.structural_key(include_sizes=True)
+        assert key_of(g1) == key_of(g2)
+
+    def test_endpoint_ranks_use_the_key_relabelling(self):
+        graph = CommunicationGraph.from_edges([(7, 3), (7, 9)], names=["x", "y"])
+        key, ranks = graph.canonical_component(["y", "x"])
+        assert ranks == {"x": (1, 0), "y": (1, 2)}
+        assert key == tuple(sorted(ranks.values()))
 
     def test_unknown_name_rejected(self):
         graph = CommunicationGraph.from_edges([(0, 1)])
         with pytest.raises(GraphError):
-            graph.structural_key(["nope"])
+            graph.canonical_component(["nope"])

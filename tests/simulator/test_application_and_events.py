@@ -112,6 +112,30 @@ class TestApplication:
         app.add_recv(2)
         app.validate()
 
+    def test_validate_checks_wildcards_per_tag(self):
+        """Tag 1's wildcards are covered; tag 2's lone send is claimed by an
+        explicit receive, and sends to other ranks or tags never count."""
+        app = Application(num_tasks=4, name="tags")
+        app.add_send(0, 2, 100, tag=1)
+        app.add_send(1, 2, 100, tag=1)
+        app.add_send(0, 2, 100, tag=2)
+        app.add_send(1, 3, 100, tag=2)
+        app.add_send(3, 2, 100, tag=3)
+        app.add_recv(2, tag=1)
+        app.add_recv(2, tag=1)
+        app.add_recv(2, 0, 100, tag=2)
+        app.add_recv(2, tag=2)
+        app.add_recv(3, 1, 100, tag=2)
+        app.add_recv(2, 3, 100, tag=3)
+        with pytest.raises(TraceError) as excinfo:
+            app.validate()
+        assert str(excinfo.value) == (
+            "application 'tags': rank 2 posts 1 wildcard receives (tag 2) "
+            "but only 0 unmatched sends exist"
+        )
+        app.add_send(3, 2, 100, tag=2)
+        app.validate()
+
     def test_validate_accepts_matched_channels(self):
         app = Application(num_tasks=2)
         app.add_send(0, 1, 100, tag=7)

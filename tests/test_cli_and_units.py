@@ -143,14 +143,20 @@ class TestTraceCli:
         assert "reproduces" not in out
 
     def test_campaign_trace_is_replayable(self, tmp_path, capsys):
-        """Campaign-written traces carry run.meta and feed `trace replay`."""
+        """Campaign-written traces carry run.meta and feed `trace replay`,
+        LINPACK (workload name `hpl`) and non-default arguments included."""
         import json
 
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({
             "name": "replayable",
-            "workloads": [{"kind": "collective", "name": "broadcast",
-                           "params": {"size": "1M"}}],
+            "workloads": [
+                {"kind": "collective", "name": "broadcast",
+                 "params": {"size": "1M", "root": 2}},
+                {"kind": "linpack", "name": "hpl",
+                 "params": {"problem_size": 1000, "block_size": 250,
+                            "num_tasks": 4, "panel_fraction": 0.5}},
+            ],
             "host_counts": [4],
             "interference": [
                 {"name": "bg",
@@ -161,11 +167,13 @@ class TestTraceCli:
         assert main(["campaign", "--spec", str(spec_path),
                      "--trace-dir", str(trace_dir)]) == 0
         capsys.readouterr()
-        trace_file = next(iter(trace_dir.glob("*.jsonl")))
-        code = main(["trace", "replay", str(trace_file)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "replay reproduces the recorded run: yes" in out
+        trace_files = sorted(trace_dir.glob("*.jsonl"))
+        assert len(trace_files) == 2
+        for trace_file in trace_files:
+            code = main(["trace", "replay", str(trace_file)])
+            out = capsys.readouterr().out
+            assert code == 0, (trace_file.name, out)
+            assert "replay reproduces the recorded run: yes" in out, trace_file.name
 
     def test_trace_replay_rejects_a_metaless_trace(self, tmp_path, capsys):
         from repro.trace import JsonlTraceSink
@@ -277,6 +285,37 @@ class TestObservabilityCli:
         assert code == 0
         assert "progress:" in out
         assert "1/1 scenarios complete" in out
+
+    def test_campaign_progress_on_worker_processes_matches_inline(self, tmp_path,
+                                                                capsys):
+        """With --progress the pool starts from the campaign's own thread."""
+        import json
+
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "name": "cli-pool",
+            "workloads": [
+                {"kind": "collective", "name": "broadcast", "params": {"size": "1M"}},
+                {"kind": "synthetic", "name": "random-tree"},
+            ],
+            "networks": ["ethernet", "myrinet"],
+            "host_counts": [4],
+            "seeds": [0, 1],
+        }))
+        inline_out = tmp_path / "inline.json"
+        pooled_out = tmp_path / "pooled.json"
+        assert main(["campaign", "--spec", str(spec_path), "--workers", "1",
+                     "--out", str(inline_out)]) == 0
+        code = main(["campaign", "--spec", str(spec_path), "--workers", "2",
+                     "--trace-dir", str(tmp_path / "traces"),
+                     "--progress", "--progress-interval", "0.1",
+                     "--out", str(pooled_out)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "progress:" in out
+        assert "4/4 scenarios complete" in out
+        inline = json.loads(inline_out.read_text())["results"]
+        assert json.loads(pooled_out.read_text())["results"] == inline
 
     def test_campaign_metrics_every_samples_into_the_trace(self, tmp_path, capsys):
         from repro.trace import read_trace_log
