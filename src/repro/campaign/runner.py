@@ -15,8 +15,15 @@ because pricing is pure Python and only processes run it in parallel:
   enumeration), then the parent assembles every scenario from the warm
   cache;
 * **application scenarios** are independent simulations, one job each.  A
-  job receives a snapshot of the cache taken after the graph phase and
+  job carries only its scenario and run settings: the application phase's
+  pool starts after the graph phase, and its initializer hands every worker
+  the cache snapshot taken then, once per worker rather than once per job.
+  Each job prices through a private cache seeded from that snapshot and
   sends its fresh entries back; the parent stores them in scenario order.
+  Workers build applications through the per-process memo of
+  :meth:`ScenarioSpec.build_application`, so no application is shipped.
+
+A pool is started only for a phase that has jobs.
 
 Pool execution is **bit-exact** with inline execution: a component
 evaluation is a deterministic function of its canonical snapshot, and a
@@ -37,7 +44,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 from ..cluster.spec import custom_cluster
 from ..core.incremental import (
@@ -177,20 +184,37 @@ def _execute_app_scenario(
     return result, provider.stats.snapshot()
 
 
-def _cache_snapshot(cache: PenaltyCache) -> Tuple[bool, List[Tuple[Hashable, Dict]]]:
+#: (persistent?, entries) of a penalty cache, as :func:`_seed_worker` takes it
+CacheSnapshot = Tuple[bool, List[Tuple[Hashable, Dict]]]
+
+#: the cache snapshot of this worker process, set by :func:`_seed_worker`,
+#: with the set of its keys
+_worker_seed: Optional[Tuple[CacheSnapshot, FrozenSet[Hashable]]] = None
+
+
+def _cache_snapshot(cache: PenaltyCache) -> CacheSnapshot:
     return isinstance(cache, PersistentPenaltyCache), cache.items()
 
 
-def _app_scenario_job(
-    payload: Tuple[ScenarioSpec, int, Tuple[bool, List[Tuple[Hashable, Dict]]],
-                   Optional[str], int],
-) -> Tuple[ScenarioResult, Dict[str, int], List[Tuple[Hashable, Dict]]]:
-    """Process-pool job: rebuild a worker-local cache, run, return new entries.
+def _seed_worker(snapshot: CacheSnapshot) -> None:
+    """Pool initializer: keep the parent's post-graph cache snapshot."""
+    global _worker_seed
+    _worker_seed = snapshot, frozenset(key for key, _ in snapshot[1])
 
-    ``metrics_every`` travels as a plain int (a ``MetricsRegistry`` holds a
-    lock and is not picklable); the registry is built inside the worker.
+
+def _app_scenario_job(
+    payload: Tuple[ScenarioSpec, int, Optional[str], int],
+) -> Tuple[ScenarioResult, Dict[str, int], List[Tuple[Hashable, Dict]]]:
+    """Process-pool job: seed a private cache, run, return the new entries.
+
+    Every job starts from the worker's snapshot, never from what an earlier
+    job of the same worker priced, so the work counters do not depend on
+    how jobs are spread over workers.  ``metrics_every`` travels as a plain
+    int (a ``MetricsRegistry`` holds a lock and is not picklable); the
+    registry is built inside the worker.
     """
-    scenario, cores_per_node, (persistent, entries), trace_dir, metrics_every = payload
+    scenario, cores_per_node, trace_dir, metrics_every = payload
+    (persistent, entries), seeded = _worker_seed
     cache: PenaltyCache = PersistentPenaltyCache() if persistent else PenaltyCache()
     for key, mapping in entries:
         # entries are already in the parent cache's keyspace: bypass re-encoding
@@ -198,7 +222,6 @@ def _app_scenario_job(
     result, stats = _execute_app_scenario(scenario, cores_per_node, cache,
                                           trace_dir=trace_dir,
                                           metrics_every=metrics_every)
-    seeded = {key for key, _ in entries}
     fresh = [(key, mapping) for key, mapping in cache.items() if key not in seeded]
     return result, stats, fresh
 
@@ -296,35 +319,37 @@ class CampaignRunner:
             )
             for index in graph_indices
         }
-        with ProcessPoolExecutor(max_workers=self.max_workers) as executor:
-            stored, stored_comms = self._price_graph_components(
-                [(scenarios[i], *built[i]) for i in graph_indices], executor
+        stored, stored_comms = self._price_graph_components(
+            [(scenarios[i], *built[i]) for i in graph_indices]
+        )
+        self.stats.cache_misses += stored
+        self.stats.component_evaluations += stored
+        self.stats.comm_evaluations += stored_comms
+        hits_before = self.stats.cache_hits
+        for index in graph_indices:
+            # every component is warm now: assembly is pure cache transport
+            graph, model = built[index]
+            results[index] = _execute_graph_scenario(
+                scenarios[index], self.cache, self.stats,
+                graph=graph, model=model,
             )
-            self.stats.cache_misses += stored
-            self.stats.component_evaluations += stored
-            self.stats.comm_evaluations += stored_comms
-            hits_before = self.stats.cache_hits
-            for index in graph_indices:
-                # every component is warm now: assembly is pure cache transport
-                graph, model = built[index]
-                results[index] = _execute_graph_scenario(
-                    scenarios[index], self.cache, self.stats,
-                    graph=graph, model=model,
-                )
-            # a pre-priced component is a first-encounter miss in the inline
-            # run but a hit during assembly: shift the counters so the totals
-            # line up with a cold inline execution.  Under LRU eviction
-            # pressure some pre-priced entries never get hit (they are
-            # genuinely re-evaluated), hence the bound on the shift.
-            assembly_hits = self.stats.cache_hits - hits_before
-            self.stats.cache_hits -= min(stored, assembly_hits)
-            if app_indices:
-                snapshot = _cache_snapshot(self.cache)
-                payloads = [
-                    (scenarios[i], self.spec.cores_per_node, snapshot,
-                     self.trace_dir, self.metrics_every)
-                    for i in app_indices
-                ]
+        # a pre-priced component is a first-encounter miss in the inline
+        # run but a hit during assembly: shift the counters so the totals
+        # line up with a cold inline execution.  Under LRU eviction
+        # pressure some pre-priced entries never get hit (they are
+        # genuinely re-evaluated), hence the bound on the shift.
+        assembly_hits = self.stats.cache_hits - hits_before
+        self.stats.cache_hits -= min(stored, assembly_hits)
+        if app_indices:
+            payloads = [
+                (scenarios[i], self.spec.cores_per_node, self.trace_dir,
+                 self.metrics_every)
+                for i in app_indices
+            ]
+            with ProcessPoolExecutor(
+                max_workers=min(self.max_workers, len(payloads)),
+                initializer=_seed_worker, initargs=(_cache_snapshot(self.cache),),
+            ) as executor:
                 for index, (result, stats, entries) in zip(
                     app_indices, executor.map(_app_scenario_job, payloads)
                 ):
@@ -336,15 +361,15 @@ class CampaignRunner:
 
     def _price_graph_components(
         self, graph_scenarios: Sequence[Tuple[ScenarioSpec, Any, ContentionModel]],
-        executor,
     ) -> Tuple[int, int]:
         """Evaluate the distinct cache-miss components of every graph scenario.
 
         Takes ``(scenario, graph, model)`` triples (graphs/models are built
         once by the caller and reused for assembly).  Components are
         deduplicated campaign-wide by their cache key, then fanned out over
-        the pool; afterwards the per-scenario assembly in the caller is
-        (almost) pure cache transport.  Returns the number of components
+        a pool started for them (none when every component is cached);
+        afterwards the per-scenario assembly in the caller is (almost) pure
+        cache transport.  Returns the number of components
         stored and their communication count, which the caller folds into
         the work counters.
         """
@@ -363,9 +388,10 @@ class CampaignRunner:
         if not jobs:
             return 0, 0
         job_list = list(jobs.items())
-        evaluations = executor.map(
-            _evaluate_component, [(m, g, n) for _, (m, g, n, _) in job_list]
-        )
+        with ProcessPoolExecutor(max_workers=min(self.max_workers, len(job_list))) as executor:
+            evaluations = list(executor.map(
+                _evaluate_component, [(m, g, n) for _, (m, g, n, _) in job_list]
+            ))
         stored = 0
         stored_comms = 0
         for (key, (_, _, names, endpoint_ranks)), evaluated in zip(job_list, evaluations):

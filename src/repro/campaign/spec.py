@@ -19,6 +19,14 @@ Two families of workloads are supported:
   through the predictive simulator on a cluster of ``num_hosts`` nodes under
   a placement policy.
 
+A sweep runs few distinct applications across many networks, placements and
+seeds, so :meth:`ScenarioSpec.build_application` builds each one once per
+process: it returns frozen (validated, immutable) applications from a memo
+keyed by the workload kind, name and resolved
+:meth:`ScenarioSpec.application_args`, bounded by the events it retains
+(:data:`APPLICATION_MEMO_EVENTS`).  The memo is per process, not per runner,
+because callers that run one point at a time build one runner per point.
+
 Spec dict / JSON format::
 
     {
@@ -66,9 +74,10 @@ off and every run is bit-exact with the untraced path.
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from ..cluster.placement import PLACEMENT_POLICIES
 from ..core.graph import CommunicationGraph
@@ -98,6 +107,46 @@ APPLICATION_KINDS = ("collective", "linpack")
 
 SYNTHETIC_GENERATORS = ("random-tree", "complete", "random", "bipartite-fan", "hotspot")
 COLLECTIVE_PATTERNS = ("broadcast", "ring-allgather", "flat-gather", "alltoall")
+
+
+#: events the application build memo retains at most: about 25 MB at the
+#: ~190 B an event costs
+APPLICATION_MEMO_EVENTS = 1 << 17
+
+
+class _ApplicationMemo:
+    """Frozen applications by build key, least recently used first out.
+
+    It retains at most ``max_events`` events; an application larger than
+    that is returned frozen but not retained.  Sharing is safe only because
+    the applications are frozen: no caller can change what another sees.
+    """
+
+    def __init__(self, max_events: int) -> None:
+        self.max_events = max_events
+        self.events = 0
+        self._entries: "OrderedDict[Hashable, Tuple[Application, int]]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Hashable, build: Callable[[], Application]) -> Application:
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+            return entry[0]
+        application = build().freeze()
+        size = application.num_events
+        if size <= self.max_events:
+            while self.events + size > self.max_events:
+                _, (_, evicted) = self._entries.popitem(last=False)
+                self.events -= evicted
+            self._entries[key] = (application, size)
+            self.events += size
+        return application
+
+
+_APPLICATIONS = _ApplicationMemo(APPLICATION_MEMO_EVENTS)
 
 
 def _size_param(params: Dict[str, Any], default: int) -> int:
@@ -364,9 +413,17 @@ class ScenarioSpec:
         return args
 
     def build_application(self) -> Application:
-        """Materialize an application workload."""
-        workload = self.workload
+        """The scenario's application, frozen, from the per-process memo.
+
+        Scenarios with equal workload kind, name and resolved
+        :meth:`application_args` share one application object.
+        """
         args = self.application_args()
+        key = (self.workload.kind, self.workload.name, tuple(sorted(args.items())))
+        return _APPLICATIONS.get(key, lambda: self._build_application(args))
+
+    def _build_application(self, args: Dict[str, Any]) -> Application:
+        workload = self.workload
         num_tasks = args["num_tasks"]
         if workload.kind == "linpack":
             return generate_linpack(

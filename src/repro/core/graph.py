@@ -17,8 +17,7 @@ quantity the models need:
   destination node) and its connected components.
 
 A graph is a snapshot of one contention situation: it is built once and
-then only read.  :meth:`CommunicationGraph.freeze` makes that explicit by
-rejecting further additions.
+then only read.
 
 The graph maintains per-node endpoint indices, so every degree/conflict
 query is proportional to the local neighbourhood, not to the whole graph.
@@ -136,15 +135,12 @@ class CommunicationGraph:
         # preserve graph insertion order.
         self._by_src: Dict[NodeId, Dict[str, None]] = defaultdict(dict)
         self._by_dst: Dict[NodeId, Dict[str, None]] = defaultdict(dict)
-        self._frozen = False
         for comm in communications:
             self.add(comm)
 
     # ------------------------------------------------------------------ build
     def add(self, comm: Communication) -> Communication:
         """Add a prebuilt :class:`Communication` to the graph."""
-        if self._frozen:
-            raise GraphError("cannot modify a frozen communication graph")
         if comm.name in self._comms:
             raise GraphError(f"duplicate communication name {comm.name!r}")
         self._comms[comm.name] = comm
@@ -184,11 +180,6 @@ class CommunicationGraph:
             candidate = f"{name}{counter}"
             counter += 1
         return candidate
-
-    def freeze(self) -> "CommunicationGraph":
-        """Make the graph immutable (idempotent); returns ``self``."""
-        self._frozen = True
-        return self
 
     @classmethod
     def from_edges(

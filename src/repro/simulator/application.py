@@ -5,12 +5,21 @@ more application[s] represented by a sequence of events" per task.
 Applications are built programmatically, generated by the workload
 generators (:mod:`repro.workloads`) or loaded from MPE-like traces
 (:mod:`repro.workloads.traces`).
+
+An application is mutable while it is built and immutable once frozen:
+:meth:`Application.freeze` validates it once and turns every rank's events
+into a tuple, after which every mutator raises
+:class:`~repro.exceptions.TraceError`.  ``Simulator.run`` freezes the
+application it runs, so an application is validated once however often it
+runs, and a frozen one can be shared: the campaign's build memo
+(:meth:`repro.campaign.spec.ScenarioSpec.build_application`) hands the same
+object to every scenario that asks for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from ..exceptions import TraceError
 from .events import (
@@ -28,17 +37,29 @@ __all__ = ["TaskTrace", "Application"]
 
 @dataclass
 class TaskTrace:
-    """Ordered sequence of events executed by one MPI task."""
+    """Ordered sequence of events executed by one MPI task.
+
+    ``events`` is a list while the trace is built and a tuple once its
+    application is frozen; a frozen trace rejects :meth:`append` and
+    :meth:`extend`.
+    """
 
     rank: int
-    events: List[Event] = field(default_factory=list)
+    events: Union[List[Event], Tuple[Event, ...]] = field(default_factory=list)
+
+    def _building(self) -> List[Event]:
+        events = self.events
+        if isinstance(events, tuple):
+            raise TraceError(f"rank {self.rank}'s trace is frozen: its application "
+                             f"was frozen or has run")
+        return events
 
     def append(self, event: Event) -> "TaskTrace":
-        self.events.append(event)
+        self._building().append(event)
         return self
 
     def extend(self, events: Iterable[Event]) -> "TaskTrace":
-        self.events.extend(events)
+        self._building().extend(events)
         return self
 
     def __len__(self) -> int:
@@ -77,6 +98,7 @@ class Application:
         self.name = name
         self.num_tasks = num_tasks
         self._traces: Dict[int, TaskTrace] = {rank: TaskTrace(rank) for rank in range(num_tasks)}
+        self._frozen = False
 
     # ----------------------------------------------------------------- access
     def trace(self, rank: int) -> TaskTrace:
@@ -93,6 +115,30 @@ class Application:
     @property
     def traces(self) -> Tuple[TaskTrace, ...]:
         return tuple(self._traces[rank] for rank in range(self.num_tasks))
+
+    @property
+    def num_events(self) -> int:
+        return sum(len(trace) for trace in self._traces.values())
+
+    @property
+    def frozen(self) -> bool:
+        """True once :meth:`freeze` succeeded (every trace is a tuple)."""
+        return self._frozen
+
+    def freeze(self) -> "Application":
+        """Validate the whole application once and make it immutable.
+
+        Every rank's events become a tuple, and from then on every mutator
+        (``add_*``, :meth:`TaskTrace.append`, :meth:`TaskTrace.extend`)
+        raises :class:`TraceError`.  Idempotent; returns ``self``.  An
+        invalid application raises here and stays unfrozen.
+        """
+        if not self._frozen:
+            self.validate()
+            for trace in self._traces.values():
+                trace.events = tuple(trace.events)
+            self._frozen = True
+        return self
 
     # ------------------------------------------------------------------ build
     def add_event(self, rank: int, event: Event) -> "Application":

@@ -446,8 +446,9 @@ class ExecutionEngine:
 
         if isinstance(programs, Application):
             application_name = application_name or programs.name
-            iterators: List[Iterator] = [iter(list(trace.events)) for trace in programs]
-            self._num_events_hint = sum(len(trace) for trace in programs)
+            # a frozen application's events are tuples already: no copy
+            iterators: List[Iterator] = [iter(tuple(trace.events)) for trace in programs]
+            self._num_events_hint = programs.num_events
         else:
             iterators = [iter(p) for p in programs]
             self._num_events_hint = 100 * max(1, len(iterators))

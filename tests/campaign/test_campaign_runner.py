@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.campaign import (
     CampaignResultStore,
     resolve_model,
 )
+from repro.campaign import runner as campaign_runner
 from repro.core import FairShareModel, PenaltyCache
 from repro.core.registry import _REGISTRY, register_model
 
@@ -90,6 +92,52 @@ class TestBitExactness:
             model = resolve_model(scenario.model, scenario.network)
             expected = model.penalties(scenario.build_graph())
             assert store.by_id(scenario.scenario_id).penalties == expected
+
+
+class InlinePool:
+    """A stand-in pool that runs its jobs in this process and records the
+    pickled size of every application job's arguments."""
+
+    job_bytes: list = []
+
+    def __init__(self, max_workers, initializer=None, initargs=()):
+        if initializer is not None:
+            initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def map(self, fn, payloads):
+        payloads = list(payloads)
+        if fn is campaign_runner._app_scenario_job:
+            InlinePool.job_bytes.append([len(pickle.dumps(p)) for p in payloads])
+        return [fn(p) for p in payloads]
+
+
+class TestPoolJobs:
+    def test_app_job_arguments_do_not_grow_with_the_cache(self, monkeypatch):
+        monkeypatch.setattr(campaign_runner, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(campaign_runner, "_worker_seed", None)
+        monkeypatch.setattr(InlinePool, "job_bytes", [])
+        spec = CampaignSpec.from_dict({
+            "name": "apps-only",
+            "workloads": [{"kind": "collective", "name": "ring-allgather",
+                           "params": {"size": "1M", "num_tasks": 4}}],
+            "host_counts": [4],
+            "seeds": [0, 1],
+        })
+        warm = PenaltyCache()
+        CampaignRunner(random_campaign(3), cache=warm).run()
+        assert len(warm) > 20
+        cold_store = CampaignRunner(spec, cache=PenaltyCache(), max_workers=2).run()
+        warm_store = CampaignRunner(spec, cache=warm, max_workers=2).run()
+        cold_bytes, warm_bytes = InlinePool.job_bytes
+        assert len(cold_bytes) == 2
+        assert warm_bytes == cold_bytes
+        assert dumps(warm_store) == dumps(cold_store)
 
 
 class TestRunnerBehaviour:

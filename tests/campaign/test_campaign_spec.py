@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign import CampaignSpec, WorkloadSpec
+from repro.campaign import CampaignSpec, ScenarioSpec, WorkloadSpec
+from repro.campaign import spec as campaign_spec
 from repro.core.graph import CommunicationGraph
 from repro.exceptions import WorkloadError
 from repro.simulator.application import Application
@@ -64,6 +65,58 @@ class TestExpansion:
                  if s.workload.name == "random-tree" and s.network == "ethernet"]
         g0, g1 = trees[0].build_graph(), trees[1].build_graph()
         assert g0.to_edge_list() != g1.to_edge_list()
+
+
+def app_scenario(name="ring-allgather", hosts=4, seed=0, network="ethernet",
+                 **params) -> ScenarioSpec:
+    return ScenarioSpec(
+        scenario_id=f"{name}-h{hosts}-s{seed}",
+        workload=WorkloadSpec(kind="collective", name=name,
+                              params=tuple(sorted(params.items()))),
+        network=network, model="auto", num_hosts=hosts, placement="RRP", seed=seed,
+    )
+
+
+class TestApplicationMemo:
+    def test_equal_resolved_arguments_share_one_frozen_application(self, application_memo):
+        app = app_scenario(size="1M").build_application()
+        assert app.frozen
+        assert app_scenario(size=1 * MB).build_application() is app
+        assert app_scenario(size="1M", num_tasks=4).build_application() is app
+        # the memo keys what the builder reads, not where the scenario runs
+        assert app_scenario(size="1M", seed=5, network="myrinet").build_application() is app
+        assert app_scenario(size="1M", hosts=5).build_application() is not app
+        assert app_scenario(size="2M").build_application() is not app
+        assert app_scenario(name="alltoall", size="1M").build_application() is not app
+        assert len(application_memo) == 4
+
+    def test_retained_events_never_exceed_the_bound(self, monkeypatch):
+        bound = 100
+        memo = campaign_spec._ApplicationMemo(bound)
+        monkeypatch.setattr(campaign_spec, "_APPLICATIONS", memo)
+        retained = {}
+        for hosts in (3, 4, 5, 3, 6, 4, 2):
+            app = app_scenario(hosts=hosts).build_application()
+            assert app.frozen and app.num_events <= bound
+            retained[hosts] = app
+            assert memo.events <= bound
+            assert memo.events == sum(a.num_events for a, _ in memo._entries.values())
+            # the application just built or hit is always retained
+            assert app_scenario(hosts=hosts).build_application() is app
+        # the 6-host application (60 events) evicted the least recently used
+        # ones, 4 and 5 hosts, and kept 3 hosts, hit just before it
+        assert app_scenario(hosts=3).build_application() is retained[3]
+        assert app_scenario(hosts=5).build_application() is not retained[5]
+
+    def test_an_application_over_the_bound_is_not_retained(self, monkeypatch):
+        memo = campaign_spec._ApplicationMemo(20)
+        monkeypatch.setattr(campaign_spec, "_APPLICATIONS", memo)
+        small = app_scenario(hosts=2).build_application()
+        large = app_scenario(hosts=6).build_application()
+        assert large.frozen and large.num_events > 20
+        assert len(memo) == 1 and memo.events == small.num_events
+        assert app_scenario(hosts=6).build_application() is not large
+        assert app_scenario(hosts=2).build_application() is small
 
 
 class TestLoaders:

@@ -84,6 +84,19 @@ class TestRunnerTracing:
         assert runner.trace_dir == str(override)
         assert any(override.glob("*.jsonl"))
 
+    def test_memo_hits_give_the_results_and_bytes_of_fresh_builds(
+            self, tmp_path, application_memo):
+        """Run once with the build memo empty, then again with it filled."""
+        spec = CampaignSpec.from_dict(spec_dict())
+        runs = []
+        for name in ("empty", "filled"):
+            store = CampaignRunner(spec, trace_dir=str(tmp_path / name)).run()
+            files = {path.name: path.read_bytes()
+                     for path in sorted((tmp_path / name).glob("*.jsonl"))}
+            runs.append(([r.to_dict() for r in store], files))
+            assert len(application_memo) == 1  # both scenarios share one build
+        assert runs[0][1] and runs[0] == runs[1]
+
     def test_process_pool_traces_identically_to_inline(self, tmp_path):
         inline_dir = tmp_path / "inline"
         pooled_dir = tmp_path / "pooled"

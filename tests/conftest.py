@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.campaign import spec as campaign_spec
 from repro.cluster import custom_cluster
 from repro.core import (
     EthernetParameters,
@@ -13,6 +14,14 @@ from repro.core import (
 )
 from repro.network import ClusterEmulator
 from repro.scheme import figure2_schemes, figure4_scheme, figure5_graph, mk1_tree, mk2_complete
+
+
+@pytest.fixture
+def application_memo(monkeypatch):
+    """An empty application build memo of the default bound, for this test only."""
+    memo = campaign_spec._ApplicationMemo(campaign_spec.APPLICATION_MEMO_EVENTS)
+    monkeypatch.setattr(campaign_spec, "_APPLICATIONS", memo)
+    return memo
 
 
 @pytest.fixture

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster import custom_cluster
+from repro.core import NoContentionModel
 from repro.exceptions import TraceError
 from repro.simulator import (
     ANY_SOURCE,
@@ -12,6 +14,7 @@ from repro.simulator import (
     ComputeEvent,
     RecvEvent,
     SendEvent,
+    Simulator,
 )
 from repro.simulator.events import validate_event
 from repro.units import MB
@@ -148,3 +151,68 @@ class TestApplication:
         app.add_recv(1, 0, 100)
         text = app.describe()
         assert "demo" in text and "rank 0" in text
+
+
+def exchange_app() -> Application:
+    app = Application(num_tasks=2, name="exchange")
+    app.add_compute(0, duration=0.5)
+    app.add_pairwise_exchange(0, 1, 1 * MB)
+    return app
+
+
+def run(app: Application):
+    cluster = custom_cluster(num_nodes=2, cores_per_node=1, technology="ethernet")
+    return Simulator.predictive(cluster, model=NoContentionModel()).run(app)
+
+
+MUTATORS = {
+    "add_event": lambda app: app.add_event(0, ComputeEvent(duration=1.0)),
+    "add_compute": lambda app: app.add_compute(0, duration=1.0),
+    "add_send": lambda app: app.add_send(0, 1, 100),
+    "add_recv": lambda app: app.add_recv(1, 0, 100),
+    "add_barrier": lambda app: app.add_barrier(),
+    "add_pairwise_exchange": lambda app: app.add_pairwise_exchange(0, 1, 100),
+    "TaskTrace.append": lambda app: app.trace(0).append(BarrierEvent()),
+    "TaskTrace.extend": lambda app: app.trace(1).extend([BarrierEvent()]),
+}
+
+
+class TestFrozenApplication:
+    @pytest.mark.parametrize("how", ["freeze", "run"])
+    @pytest.mark.parametrize("mutator", sorted(MUTATORS))
+    def test_every_mutator_rejects_a_frozen_application(self, mutator, how):
+        app = exchange_app()
+        if how == "freeze":
+            assert app.freeze() is app
+        else:
+            run(app)
+        assert app.frozen
+        before = [trace.events for trace in app]
+        with pytest.raises(TraceError):
+            MUTATORS[mutator](app)
+        assert [trace.events for trace in app] == before
+        assert all(isinstance(trace.events, tuple) for trace in app)
+
+    def test_application_is_validated_once_however_often_it_runs(self, monkeypatch):
+        calls = []
+        original = Application.validate
+
+        def counting(app):
+            calls.append(app)
+            original(app)
+
+        monkeypatch.setattr(Application, "validate", counting)
+        app = exchange_app()
+        first = run(app)
+        second = run(app)
+        assert calls == [app]
+        assert second.total_time == first.total_time
+
+    def test_invalid_application_raises_at_its_first_run(self):
+        app = Application(num_tasks=2, name="unmatched")
+        app.add_recv(1, 0, 100)
+        with pytest.raises(TraceError):
+            run(app)
+        assert not app.frozen
+        app.add_send(0, 1, 100)  # still buildable: the failed run froze nothing
+        assert run(app).total_time > 0

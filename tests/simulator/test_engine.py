@@ -121,11 +121,17 @@ class TestBasicSemantics:
         assert recvs[1].size == 4 * KiB
 
     def test_deadlock_detected(self, cluster):
+        """Each rank receives from the other before sending to it: every
+        channel is matched, so the application validates, yet no receive
+        can ever complete."""
         app = Application(num_tasks=2)
-        app.add_recv(0, 1)
-        app.add_recv(1, 0)
+        app.add_recv(0, 1, 1 * MB)
+        app.add_send(0, 1, 1 * MB)
+        app.add_recv(1, 0, 1 * MB)
+        app.add_send(1, 0, 1 * MB)
+        app.validate()
         with pytest.raises(DeadlockError) as excinfo:
-            simple_simulator(cluster).run(app, placement="RRN", validate=False)
+            simple_simulator(cluster).run(app, placement="RRN")
         assert set(excinfo.value.blocked_tasks) == {0, 1}
 
     def test_report_bookkeeping(self, cluster):

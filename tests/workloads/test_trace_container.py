@@ -59,6 +59,19 @@ class TestJsonlContainer:
         assert [len(from_text.trace(r)) for r in range(4)] == \
             [len(from_jsonl.trace(r)) for r in range(4)]
 
+    def test_loaded_applications_are_unfrozen(self, tmp_path):
+        """Readers build new applications: a frozen source does not make
+        them frozen, and they stay open for more events."""
+        app = labelled_application().freeze()
+        loaded = [
+            read_trace(write_trace(app, tmp_path / "app.trace")),
+            read_trace(write_trace(app, tmp_path / "app.jsonl", format="jsonl")),
+            records_to_application(application_to_records(app)),
+        ]
+        for rebuilt in loaded:
+            assert not rebuilt.frozen
+            rebuilt.add_compute(0, duration=1.0)
+
     def test_empty_application_round_trips(self, tmp_path):
         app = Application(num_tasks=2, name="empty")
         path = write_trace(app, tmp_path / "empty.jsonl", format="jsonl")

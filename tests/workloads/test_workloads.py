@@ -214,6 +214,12 @@ class TestTraces:
         assert inflated.trace(0).compute_seconds == pytest.approx(0.55)
         assert inflated.total_messages == app.total_messages
 
+    def test_tracing_overhead_returns_an_unfrozen_copy(self):
+        app = self._sample_app().freeze()
+        inflated = apply_tracing_overhead(app)
+        assert not inflated.frozen
+        inflated.add_compute(0, duration=1.0)
+
     def test_negative_overhead_rejected(self):
         with pytest.raises(TraceError):
             apply_tracing_overhead(self._sample_app(), overhead=-0.1)
