@@ -73,15 +73,15 @@ def test_interference_slowdown_ladder(emit):
         report, elapsed, stats = run_level(spec)
         slowdown = report.total_time / clean_report.total_time
         rows.append((name, report.total_time, slowdown,
-                     stats["background_flows"], stats["rate_updates"],
+                     stats.background_flows, stats.calendar.rate_updates,
                      elapsed))
         records.append({
             "interference": name,
             "foreground_time_s": report.total_time,
             "slowdown": round(slowdown, 4),
-            "background_flows": stats["background_flows"],
-            "injected_events": stats["injected_events"],
-            "rate_updates": stats["rate_updates"],
+            "background_flows": stats.background_flows,
+            "injected_events": stats.injected_events,
+            "rate_updates": stats.calendar.rate_updates,
             "wall_clock_s": round(elapsed, 4),
         })
         if name == "off":
@@ -108,7 +108,7 @@ def test_interference_slowdown_ladder(emit):
         "foreground": "ring-allgather",
         "clean_time_s": clean_report.total_time,
         "clean_wall_clock_s": round(clean_time, 4),
-        "clean_rate_updates": clean_stats["rate_updates"],
+        "clean_rate_updates": clean_stats.calendar.rate_updates,
         "levels": records,
     }
     emit("interference", "\n".join(lines), record=record, bench_json=BENCH_JSON)

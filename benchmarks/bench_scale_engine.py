@@ -66,6 +66,7 @@ from __future__ import annotations
 import os
 import statistics
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -212,10 +213,10 @@ def test_engine_event_calendar_scales(emit):
     # optimisation, not approximation: identical completion records
     assert delta_results == full_results
 
-    per_event_full = full_stats["rate_updates"] / max(1, full_stats["flushes"])
-    per_event_delta = delta_stats["rate_updates"] / max(1, delta_stats["flushes"])
+    per_event_full = full_stats.rate_updates / max(1, full_stats.flushes)
+    per_event_delta = delta_stats.rate_updates / max(1, delta_stats.flushes)
     work_ratio = per_event_full / max(1e-9, per_event_delta)
-    retime_ratio = full_stats["retimed"] / max(1, delta_stats["retimed"])
+    retime_ratio = full_stats.retimed / max(1, delta_stats.retimed)
     speedup = full_time / delta_time if delta_time > 0 else float("inf")
 
     lines = [
@@ -223,11 +224,11 @@ def test_engine_event_calendar_scales(emit):
         "",
         (f"{'mode':<14s}{'flushes':>9s}{'rate updates':>14s}{'re-timed':>10s}"
          f"{'per-event':>11s}{'wall clock':>13s}"),
-        (f"{'full-requery':<14s}{full_stats['flushes']:>9d}"
-         f"{full_stats['rate_updates']:>14d}{full_stats['retimed']:>10d}"
+        (f"{'full-requery':<14s}{full_stats.flushes:>9d}"
+         f"{full_stats.rate_updates:>14d}{full_stats.retimed:>10d}"
          f"{per_event_full:>11.1f}{full_time:>11.3f} s"),
-        (f"{'delta':<14s}{delta_stats['flushes']:>9d}"
-         f"{delta_stats['rate_updates']:>14d}{delta_stats['retimed']:>10d}"
+        (f"{'delta':<14s}{delta_stats.flushes:>9d}"
+         f"{delta_stats.rate_updates:>14d}{delta_stats.retimed:>10d}"
          f"{per_event_delta:>11.1f}{delta_time:>11.3f} s"),
         "",
         (f"per-event work reduction: {work_ratio:.1f}x   "
@@ -239,8 +240,8 @@ def test_engine_event_calendar_scales(emit):
         "num_hosts": NUM_HOSTS,
         "transfers": len(synthetic_workload()),
         "repeats": REPEATS,
-        "full_requery": {"wall_clock_s": round(full_time, 4), **full_stats},
-        "delta": {"wall_clock_s": round(delta_time, 4), **delta_stats},
+        "full_requery": {"wall_clock_s": round(full_time, 4), **asdict(full_stats)},
+        "delta": {"wall_clock_s": round(delta_time, 4), **asdict(delta_stats)},
         "per_event_work_ratio": round(work_ratio, 2),
         "retime_ratio": round(retime_ratio, 2),
         "wall_clock_speedup": round(speedup, 2),

@@ -21,15 +21,16 @@ All three accept a :class:`~repro.trace.TraceLog` or any iterable of
 :class:`~repro.trace.TraceRecord`; empty traces produce empty-but-valid
 results (no special-casing needed downstream).
 
-:class:`StreamingTimeline` is the incremental twin: fed batches of records
-as a :class:`~repro.trace.StreamingTraceReader` surfaces them, it maintains
-the same summary counters and produces bins **identical** to the batch
-functions on the same records (property-tested in
-``tests/trace/test_stream.py``) — the engine behind ``repro trace tail``.
-:func:`timeline_record` bundles summary plus bins into one plain dict, the
-single in-memory record that both the text rendering
-(:func:`timeline_summary_table`) and the ``--json`` output of ``repro trace
-summarize`` are derived from.
+:class:`StreamingTimeline` is the one implementation of the counting: fed
+batches of records as a :class:`~repro.trace.StreamingTraceReader`
+surfaces them, it keeps the summary counters and the binning input (the
+engine behind ``repro trace tail``), and :func:`timeline_summary` and
+:func:`timeline_record` feed it a whole trace.  Any split of the feed gives
+the same summary and bins (property-tested in
+``tests/trace/test_stream.py``).  :func:`timeline_record` bundles summary
+plus bins into one plain dict, the single in-memory record that both the
+text rendering (:func:`timeline_summary_table`) and the ``--json`` output
+of ``repro trace summarize`` are derived from.
 """
 
 from __future__ import annotations
@@ -84,37 +85,9 @@ def records_from_trace(trace: Iterable[TraceRecord]) -> List[EventRecord]:
 
 def timeline_summary(trace: Iterable[TraceRecord]) -> Dict[str, Any]:
     """Scalar summary of one trace (empty traces yield zeroed fields)."""
-    log = _as_log(trace)
-    kinds = log.kinds()
-    times = [record.time for record in log]
-    active = 0
-    peak_active = 0
-    for record in log:
-        if record.kind == "calendar.activate":
-            active += 1
-            peak_active = max(peak_active, active)
-        elif record.kind in ("calendar.complete", "calendar.cancel"):
-            active -= 1
-    return {
-        "records": len(log),
-        "t_start": min(times) if times else 0.0,
-        "t_end": max(times) if times else 0.0,
-        "duration": log.duration,
-        "steps": kinds.get("step", 0),
-        "activations": kinds.get("calendar.activate", 0),
-        "completions": kinds.get("calendar.complete", 0),
-        "cancellations": kinds.get("calendar.cancel", 0),
-        "retimings": kinds.get("calendar.retime", 0),
-        "flushes": kinds.get("calendar.flush", 0),
-        "reprices": kinds.get("calendar.reprice", 0),
-        "compactions": kinds.get("calendar.compaction", 0),
-        "stalls": kinds.get("calendar.stall", 0),
-        "injector_events": kinds.get("inject.apply", 0),
-        "background_flows": kinds.get("inject.flow_start", 0),
-        "task_events": kinds.get("task.event", 0),
-        "peak_active_transfers": peak_active,
-        "kinds": dict(sorted(kinds.items())),
-    }
+    timeline = StreamingTimeline()
+    timeline.feed(trace)
+    return timeline.summary()
 
 
 def _bins_from_events(events: Sequence[Tuple[float, str]],
@@ -195,18 +168,16 @@ def timeline_bins(trace: Iterable[TraceRecord], bins: int = 10) -> List[Dict[str
     activity inside it and ``active_after`` — the in-flight transfer count
     at the window's trailing edge.  An empty trace yields no rows.
     """
-    log = _as_log(trace)
-    return _bins_from_events([(record.time, record.kind) for record in log],
-                             bins)
+    return _bins_from_events([(record.time, record.kind) for record in trace], bins)
 
 
 class StreamingTimeline:
     """Incremental timeline accumulator for live (still-growing) traces.
 
     :meth:`feed` it each batch a :class:`~repro.trace.StreamingTraceReader`
-    poll returns; :meth:`summary` and :meth:`bins` then produce exactly
-    what :func:`timeline_summary` / :func:`timeline_bins` would produce on
-    the concatenation of every batch so far.  Summary counters are updated
+    poll returns; :meth:`summary` and :meth:`bins` then describe the
+    concatenation of every batch so far, exactly as :func:`timeline_summary`
+    / :func:`timeline_bins` describe it whole.  Summary counters are updated
     incrementally; binning retains only ``(time, kind)`` pairs (two machine
     words per record instead of a full payload dict).
     """
@@ -285,8 +256,9 @@ def timeline_record(trace: Iterable[TraceRecord], bins: int = 10) -> Dict[str, A
     text view, ``json.dumps`` of this dict for ``--json`` — so the two can
     never disagree.
     """
-    log = _as_log(trace)
-    return {"summary": timeline_summary(log), "bins": timeline_bins(log, bins=bins)}
+    timeline = StreamingTimeline()
+    timeline.feed(trace)
+    return timeline.record(bins)
 
 
 def timeline_summary_table(trace: Optional[Iterable[TraceRecord]] = None,

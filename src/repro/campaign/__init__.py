@@ -9,7 +9,10 @@ orchestration layer:
 * :class:`CampaignSpec` expands declarative sweeps into concrete scenarios;
 * :class:`CampaignRunner` executes them inline or on worker processes,
   deduplicating the cache-miss component evaluations campaign-wide and
-  fanning them out to the workers;
+  fanning them out to the workers; a scenario that fails is recorded and
+  the sweep goes on;
+* :func:`run_scenario` runs one application scenario — the one place a
+  scenario becomes a simulator, for the campaign and the CLI alike;
 * :class:`PersistentPenaltyCache` keeps the memoized contention situations
   warm across runs;
 * :class:`CampaignResultStore` collects the results for
@@ -21,7 +24,7 @@ Shell entry point: ``python -m repro campaign --spec campaign.json``.
 from .persistence import PersistentPenaltyCache, canonical_key
 from .progress import CampaignProgress, ScenarioProgress
 from .results import CampaignResultStore, ScenarioResult
-from .runner import CampaignRunner, resolve_model
+from .runner import CampaignRunner, resolve_model, run_scenario
 from .spec import CampaignSpec, InterferenceSpec, ScenarioSpec, WorkloadSpec
 
 __all__ = [
@@ -33,6 +36,7 @@ __all__ = [
     "WorkloadSpec",
     "CampaignRunner",
     "resolve_model",
+    "run_scenario",
     "PersistentPenaltyCache",
     "canonical_key",
     "CampaignResultStore",

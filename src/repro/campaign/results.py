@@ -3,9 +3,10 @@
 Every scenario produces one :class:`ScenarioResult` — the sweep coordinates
 plus the priced outcome (per-communication penalties and predicted times for
 graph scenarios, per-task communication times and the makespan for simulated
-applications).  :class:`CampaignResultStore` collects them in scenario order
-(independent of which worker finished first, so inline and process-pool
-runs produce identical stores) and exports JSON / CSV rows for
+applications) — or, when it raised a :class:`~repro.exceptions.ReproError`,
+one failure entry.  :class:`CampaignResultStore` collects both in scenario
+order (independent of which worker finished first, so inline and
+process-pool runs produce identical stores) and exports JSON / CSV rows for
 :mod:`repro.analysis` and external tooling.
 """
 
@@ -81,6 +82,8 @@ class CampaignResultStore:
     results: List[ScenarioResult] = field(default_factory=list)
     #: aggregate engine work counters (EngineStats.snapshot() shape)
     stats: Dict[str, int] = field(default_factory=dict)
+    #: scenarios that failed, in scenario order: ``{"axes": ..., "error": ...}``
+    failures: List[Dict[str, Any]] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.results)
@@ -122,6 +125,7 @@ class CampaignResultStore:
             "campaign": self.campaign,
             "stats": dict(self.stats),
             "results": [result.to_dict() for result in self.results],
+            "failures": list(self.failures),
         }
 
     def to_json(self, path: Union[str, Path]) -> None:
@@ -136,6 +140,7 @@ class CampaignResultStore:
             campaign=str(data["campaign"]),
             results=[ScenarioResult.from_dict(r) for r in data["results"]],
             stats={k: int(v) for k, v in data.get("stats", {}).items()},
+            failures=list(data.get("failures", [])),
         )
 
     def to_csv(self, path: Union[str, Path]) -> None:

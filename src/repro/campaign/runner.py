@@ -25,6 +25,16 @@ because pricing is pure Python and only processes run it in parallel:
 
 A pool is started only for a phase that has jobs.
 
+Every application scenario, inline or in a worker, runs through
+:func:`run_scenario`, which ``repro simulate``, ``repro trace record`` and
+``repro trace replay`` call too.  A scenario that raises a
+:class:`~repro.exceptions.ReproError` (a Myrinet conflict component over
+the enumeration cap, say) is recorded with its error in
+:attr:`CampaignResultStore.failures` and the sweep goes on; any other
+exception propagates.  In the pool, a job returns its failure, and a graph
+component whose pricing raised is not stored, so its scenario fails in
+assembly with the error an inline run gives.
+
 Pool execution is **bit-exact** with inline execution: a component
 evaluation is a deterministic function of its canonical snapshot, and a
 cache hit replays the stored floats unchanged, so the penalties of a
@@ -44,7 +54,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple, Union
 
 from ..cluster.spec import custom_cluster
 from ..core.incremental import (
@@ -55,18 +65,24 @@ from ..core.incremental import (
 )
 from ..core.penalty import ContentionModel, LinearCostModel
 from ..core.registry import get_model, model_for_network
-from ..exceptions import ModelError
+from ..exceptions import ModelError, ReproError
 from ..network.technologies import get_technology
 from ..obs import MetricsRegistry
 from ..simulator.engine import EngineConfig
+from ..simulator.interference import Injector
 from ..simulator.providers import ModelRateProvider
+from ..simulator.report import SimulationReport
 from ..simulator.simulator import Simulator
-from ..trace import JsonlTraceSink, TraceRecord
+from ..trace import JsonlTraceSink, TraceRecord, TraceSink
 from .persistence import PersistentPenaltyCache
 from .results import CampaignResultStore, ScenarioResult
 from .spec import CampaignSpec, ScenarioSpec
 
-__all__ = ["CampaignRunner", "resolve_model"]
+__all__ = ["CampaignRunner", "resolve_model", "run_scenario"]
+
+#: what one scenario yields: its result, or its failure as
+#: ``{"axes": ..., "error": ...}`` (see :attr:`CampaignResultStore.failures`)
+Outcome = Union[ScenarioResult, Dict[str, Any]]
 
 
 def resolve_model(name: str, network: str) -> ContentionModel:
@@ -79,8 +95,60 @@ def resolve_model(name: str, network: str) -> ContentionModel:
         return get_model(name)
 
 
-def _cost_model(network: str) -> LinearCostModel:
-    return LinearCostModel.for_technology(get_technology(network))
+def run_scenario(
+    scenario: ScenarioSpec,
+    cores_per_node: int,
+    *,
+    mode: str = "predictive",
+    cache: Optional[PenaltyCache] = None,
+    injectors: Optional[Tuple[Injector, ...]] = None,
+    trace: Optional[TraceSink] = None,
+    metrics_every: int = 0,
+) -> Tuple[SimulationReport, Simulator]:
+    """Run one application scenario; returns the report and its simulator.
+
+    The one place a :class:`ScenarioSpec` becomes a cluster, a rate
+    provider and a :class:`Simulator`, for the campaign and for ``repro
+    simulate`` / ``trace record`` / ``trace replay`` alike.  The cluster has
+    ``num_hosts`` nodes (1 when unset) of ``cores_per_node`` cores.
+    ``mode="emulated"`` runs the calibrated emulator; otherwise the
+    scenario's model prices the transfers through ``cache``.  ``injectors``
+    replaces the scenario's own (``None`` builds them).  With ``trace`` set
+    the run's ``run.meta`` header is emitted first, and ``metrics_every >
+    0`` samples a fresh metrics registry into the trace every that many
+    engine steps.  The simulator carries the run's counters
+    (:attr:`Simulator.last_engine_stats`, ``rate_provider.stats``).
+    """
+    application = scenario.build_application()
+    if injectors is None:
+        injectors = scenario.build_injectors()
+    cluster = custom_cluster(
+        num_nodes=int(scenario.num_hosts or 1),
+        cores_per_node=cores_per_node,
+        technology=scenario.network,
+    )
+    metrics = MetricsRegistry() if trace is not None and metrics_every > 0 else None
+    config = EngineConfig(injectors=injectors, trace=trace, metrics=metrics,
+                          metrics_sample_every=max(int(metrics_every), 0))
+    if mode == "emulated":
+        simulator = Simulator.emulated(cluster, config=config)
+    else:
+        model = resolve_model(scenario.model, scenario.network)
+        provider = ModelRateProvider(model, cluster.technology, cache=cache)
+        simulator = Simulator(cluster, provider, config=config,
+                              mode="predictive", model_name=model.name)
+    if trace is not None:
+        # the header makes the trace self-describing: `repro trace replay`
+        # rebuilds the scenario from it alone
+        trace.emit(TraceRecord(0.0, "run.meta", None,
+                               scenario.run_meta(cores_per_node, mode=mode)))
+    report = simulator.run(application, placement=scenario.placement or "RRP",
+                           seed=int(scenario.seed or 0))
+    return report, simulator
+
+
+def _failure(scenario: ScenarioSpec, error: ReproError) -> Dict[str, Any]:
+    return {"axes": scenario.axes(), "error": str(error)}
 
 
 def _merge_stats(target: EngineStats, snapshot: Dict[str, int]) -> None:
@@ -94,16 +162,19 @@ def _execute_graph_scenario(
     stats: EngineStats,
     graph=None,
     model: Optional[ContentionModel] = None,
-) -> ScenarioResult:
+) -> Outcome:
     """Price one static-graph scenario through the component cache."""
-    if graph is None:
-        graph = scenario.build_graph()
-    if model is None:
-        model = resolve_model(scenario.model, scenario.network)
-    prediction = cached_predict(
-        model, graph, _cost_model(scenario.network),
-        cache=cache, stats=stats,
-    )
+    try:
+        if graph is None:
+            graph = scenario.build_graph()
+        if model is None:
+            model = resolve_model(scenario.model, scenario.network)
+        prediction = cached_predict(
+            model, graph, LinearCostModel.for_technology(get_technology(scenario.network)),
+            cache=cache, stats=stats,
+        )
+    except ReproError as exc:
+        return _failure(scenario, exc)
     metrics = {
         "mean_penalty": prediction.mean_penalty,
         "max_penalty": prediction.max_penalty,
@@ -127,50 +198,28 @@ def _execute_app_scenario(
     cache: Optional[PenaltyCache],
     trace_dir: Optional[str] = None,
     metrics_every: int = 0,
-) -> Tuple[ScenarioResult, Dict[str, int]]:
+) -> Tuple[Outcome, Dict[str, int]]:
     """Run one application scenario through the predictive simulator.
 
-    With ``trace_dir`` set the run's :mod:`repro.trace` record stream is
-    written to ``<trace_dir>/<scenario_id>.jsonl`` (the directory is created
-    on demand); tracing never changes the results.  ``metrics_every > 0``
-    additionally attaches a per-scenario :class:`~repro.obs.MetricsRegistry`
-    and samples it into the trace every that many steps — opt-in, because
+    Returns the outcome and the provider's work counters (none for a
+    failed run).  With ``trace_dir`` set the run's :mod:`repro.trace`
+    record stream is written to ``<trace_dir>/<scenario_id>.jsonl`` (the
+    directory is created on demand); tracing never changes the results.
+    ``metrics_every > 0`` additionally samples a per-scenario
+    :class:`~repro.obs.MetricsRegistry` into the trace — opt-in, because
     the samples carry wall-clock timings and make the trace *bytes* (never
     the results) run-dependent.
     """
-    application = scenario.build_application()
-    cluster = custom_cluster(
-        num_nodes=int(scenario.num_hosts or 1),
-        cores_per_node=cores_per_node,
-        technology=scenario.network,
-    )
-    model = resolve_model(scenario.model, scenario.network)
-    provider = ModelRateProvider(model, cluster.technology, cache=cache)
-    injectors = scenario.build_injectors()
     sink = None
     if trace_dir is not None:
         path = _scenario_trace_path(trace_dir, scenario)
         path.parent.mkdir(parents=True, exist_ok=True)
         sink = JsonlTraceSink(path)
-        # run.meta header makes the file self-describing, so `repro trace
-        # replay` can rebuild this scenario without the campaign spec
-        sink.emit(TraceRecord(0.0, "run.meta", None, scenario.run_meta(cores_per_node)))
-    config = None
-    if injectors or sink is not None:
-        metrics = (MetricsRegistry()
-                   if sink is not None and metrics_every > 0 else None)
-        config = EngineConfig(injectors=injectors, trace=sink, metrics=metrics,
-                              metrics_sample_every=max(int(metrics_every), 0))
     try:
-        simulator = Simulator(
-            cluster, provider, technology=cluster.technology, config=config,
-            mode="predictive", model_name=model.name,
-        )
-        report = simulator.run(
-            application,
-            placement=scenario.placement or "RRP",
-            seed=int(scenario.seed or 0),
-        )
+        report, simulator = run_scenario(scenario, cores_per_node, cache=cache,
+                                         trace=sink, metrics_every=metrics_every)
+    except ReproError as exc:
+        return _failure(scenario, exc), {}
     finally:
         if sink is not None:
             sink.close()
@@ -181,7 +230,7 @@ def _execute_app_scenario(
         "total_time": report.total_time,
     }
     result = ScenarioResult(axes=scenario.axes(), metrics=metrics, times=times)
-    return result, provider.stats.snapshot()
+    return result, simulator.rate_provider.stats.snapshot()
 
 
 #: (persistent?, entries) of a penalty cache, as :func:`_seed_worker` takes it
@@ -204,14 +253,16 @@ def _seed_worker(snapshot: CacheSnapshot) -> None:
 
 def _app_scenario_job(
     payload: Tuple[ScenarioSpec, int, Optional[str], int],
-) -> Tuple[ScenarioResult, Dict[str, int], List[Tuple[Hashable, Dict]]]:
+) -> Tuple[Outcome, Dict[str, int], List[Tuple[Hashable, Dict]]]:
     """Process-pool job: seed a private cache, run, return the new entries.
 
     Every job starts from the worker's snapshot, never from what an earlier
     job of the same worker priced, so the work counters do not depend on
-    how jobs are spread over workers.  ``metrics_every`` travels as a plain
-    int (a ``MetricsRegistry`` holds a lock and is not picklable); the
-    registry is built inside the worker.
+    how jobs are spread over workers.  A failed run returns its failure in
+    place of a result, with the entries it priced before it failed (an
+    inline run keeps those in the shared cache too).  ``metrics_every``
+    travels as a plain int (a ``MetricsRegistry`` holds a lock and is not
+    picklable); the registry is built inside the worker.
     """
     scenario, cores_per_node, trace_dir, metrics_every = payload
     (persistent, entries), seeded = _worker_seed
@@ -219,11 +270,23 @@ def _app_scenario_job(
     for key, mapping in entries:
         # entries are already in the parent cache's keyspace: bypass re-encoding
         PenaltyCache.put(cache, key, mapping)
-    result, stats = _execute_app_scenario(scenario, cores_per_node, cache,
-                                          trace_dir=trace_dir,
-                                          metrics_every=metrics_every)
+    outcome, stats = _execute_app_scenario(scenario, cores_per_node, cache,
+                                           trace_dir=trace_dir,
+                                           metrics_every=metrics_every)
     fresh = [(key, mapping) for key, mapping in cache.items() if key not in seeded]
-    return result, stats, fresh
+    return outcome, stats, fresh
+
+
+def _price_component(job: Tuple) -> Optional[Dict[str, float]]:
+    """Process-pool job: :func:`_evaluate_component`, ``None`` if it raised.
+
+    A component that cannot be priced is not stored; its scenario then
+    fails in assembly with the same error, as it would inline.
+    """
+    try:
+        return _evaluate_component(job)
+    except ReproError:
+        return None
 
 
 class CampaignRunner:
@@ -280,47 +343,51 @@ class CampaignRunner:
 
     # ------------------------------------------------------------------ run
     def run(self) -> CampaignResultStore:
+        """Run every scenario; a scenario that raises a :class:`ReproError`
+        is recorded in the store's ``failures`` and the sweep goes on."""
         scenarios = self.spec.scenarios()
         if self.max_workers <= 1:
-            results = self._run_serial(scenarios)
+            outcomes = self._run_serial(scenarios)
         else:
-            results = self._run_parallel(scenarios)
+            outcomes = self._run_parallel(scenarios)
         return CampaignResultStore(
             campaign=self.spec.name,
-            results=results,
+            results=[o for o in outcomes if isinstance(o, ScenarioResult)],
             stats=self.stats.snapshot(),
+            failures=[o for o in outcomes if not isinstance(o, ScenarioResult)],
         )
 
     # ----------------------------------------------------------- inline path
-    def _run_serial(self, scenarios: Sequence[ScenarioSpec]) -> List[ScenarioResult]:
-        results: List[ScenarioResult] = []
+    def _run_serial(self, scenarios: Sequence[ScenarioSpec]) -> List[Outcome]:
+        outcomes: List[Outcome] = []
         for scenario in scenarios:
             if scenario.is_application:
-                result, snapshot = _execute_app_scenario(
+                outcome, snapshot = _execute_app_scenario(
                     scenario, self.spec.cores_per_node, self.cache,
                     trace_dir=self.trace_dir,
                     metrics_every=self.metrics_every,
                 )
                 _merge_stats(self.stats, snapshot)
             else:
-                result = _execute_graph_scenario(scenario, self.cache, self.stats)
-            results.append(result)
-        return results
+                outcome = _execute_graph_scenario(scenario, self.cache, self.stats)
+            outcomes.append(outcome)
+        return outcomes
 
     # ---------------------------------------------------------- process pool
-    def _run_parallel(self, scenarios: Sequence[ScenarioSpec]) -> List[ScenarioResult]:
-        results: List[Optional[ScenarioResult]] = [None] * len(scenarios)
+    def _run_parallel(self, scenarios: Sequence[ScenarioSpec]) -> List[Outcome]:
+        outcomes: List[Optional[Outcome]] = [None] * len(scenarios)
         graph_indices = [i for i, s in enumerate(scenarios) if not s.is_application]
         app_indices = [i for i, s in enumerate(scenarios) if s.is_application]
-        built = {
-            index: (
-                scenarios[index].build_graph(),
-                resolve_model(scenarios[index].model, scenarios[index].network),
-            )
-            for index in graph_indices
-        }
+        built = {}
+        for index in graph_indices:
+            scenario = scenarios[index]
+            try:
+                built[index] = (scenario.build_graph(),
+                                resolve_model(scenario.model, scenario.network))
+            except ReproError:
+                continue  # fails again, and is recorded, in assembly
         stored, stored_comms = self._price_graph_components(
-            [(scenarios[i], *built[i]) for i in graph_indices]
+            [(scenarios[i], *built[i]) for i in built]
         )
         self.stats.cache_misses += stored
         self.stats.component_evaluations += stored
@@ -328,8 +395,8 @@ class CampaignRunner:
         hits_before = self.stats.cache_hits
         for index in graph_indices:
             # every component is warm now: assembly is pure cache transport
-            graph, model = built[index]
-            results[index] = _execute_graph_scenario(
+            graph, model = built.get(index, (None, None))
+            outcomes[index] = _execute_graph_scenario(
                 scenarios[index], self.cache, self.stats,
                 graph=graph, model=model,
             )
@@ -350,14 +417,14 @@ class CampaignRunner:
                 max_workers=min(self.max_workers, len(payloads)),
                 initializer=_seed_worker, initargs=(_cache_snapshot(self.cache),),
             ) as executor:
-                for index, (result, stats, entries) in zip(
+                for index, (outcome, stats, entries) in zip(
                     app_indices, executor.map(_app_scenario_job, payloads)
                 ):
-                    results[index] = result
+                    outcomes[index] = outcome
                     _merge_stats(self.stats, stats)
                     for key, mapping in entries:
                         PenaltyCache.put(self.cache, key, mapping)
-        return [r for r in results if r is not None]
+        return [o for o in outcomes if o is not None]
 
     def _price_graph_components(
         self, graph_scenarios: Sequence[Tuple[ScenarioSpec, Any, ContentionModel]],
@@ -390,11 +457,13 @@ class CampaignRunner:
         job_list = list(jobs.items())
         with ProcessPoolExecutor(max_workers=min(self.max_workers, len(job_list))) as executor:
             evaluations = list(executor.map(
-                _evaluate_component, [(m, g, n) for _, (m, g, n, _) in job_list]
+                _price_component, [(m, g, n) for _, (m, g, n, _) in job_list]
             ))
         stored = 0
         stored_comms = 0
         for (key, (_, _, names, endpoint_ranks)), evaluated in zip(job_list, evaluations):
+            if evaluated is None:
+                continue
             self.cache.store(key, endpoint_ranks, evaluated)
             if self.cache.get(key) is not None:
                 stored += 1

@@ -12,7 +12,8 @@ Gives shell access to the three everyday operations of the library:
   workloads × networks × models × host counts × placements, see
   :mod:`repro.campaign.spec`) and execute every scenario inline or, with
   ``--workers N``, on N worker processes, pricing through one — optionally
-  disk-persistent — penalty cache;
+  disk-persistent — penalty cache; scenarios that fail are listed, the
+  others written out, and the command exits 1;
 * ``trace`` — the structured-trace pipeline (:mod:`repro.trace`):
   ``trace record`` runs one workload and writes its per-event JSONL trace,
   ``trace summarize`` prints the timeline report of a trace file (``--json``
@@ -45,7 +46,11 @@ loaded run is reported next to its clean twin with the foreground slowdown;
 ``--trace`` additionally writes the loaded (or clean) run's structured
 trace.  The ``campaign`` spec's ``interference`` axis does the same sweep
 declaratively; ``campaign --trace-dir`` writes one trace file per
-application scenario and prints a trace-summary table.
+application scenario and prints a trace-summary table.  ``simulate``,
+``trace record`` and ``trace replay`` fold their flags (or the trace's
+``run.meta`` header) into a :class:`~repro.campaign.spec.ScenarioSpec` and
+run it through :func:`repro.campaign.runner.run_scenario`, the function
+every campaign scenario runs through.
 """
 
 from __future__ import annotations
@@ -72,24 +77,23 @@ from .analysis import (
 from .benchmark import PenaltyTool
 from .campaign import (
     CampaignProgress,
+    CampaignResultStore,
     CampaignRunner,
     CampaignSpec,
     InterferenceSpec,
     PersistentPenaltyCache,
     resolve_model,
+    run_scenario,
 )
 from .campaign.spec import COLLECTIVE_PATTERNS, ScenarioSpec, WorkloadSpec
-from .cluster.spec import custom_cluster
-from .core import LinearCostModel, calibrate_from_measurer, get_model, model_for_network
+from .core import LinearCostModel, calibrate_from_measurer
 from .core.graph import CommunicationGraph
 from .exceptions import ReproError
 from .network import get_technology
 from .scheme import parse_scheme
-from .simulator import EngineConfig, Simulator
 from .trace import (
     JsonlTraceSink,
     StreamingTraceReader,
-    TraceRecord,
     TraceReplayInjector,
     diff_trace_files,
     format_trace_diff,
@@ -112,17 +116,11 @@ def _load_scheme(args: argparse.Namespace) -> CommunicationGraph:
     return parse_scheme(text, default_size=size)
 
 
-def _cost_model(network: str) -> LinearCostModel:
-    return LinearCostModel.for_technology(get_technology(network))
-
-
 def cmd_predict(args: argparse.Namespace) -> int:
     graph = _load_scheme(args)
-    try:
-        model = model_for_network(args.model)
-    except ReproError:
-        model = get_model(args.model)
-    prediction = model.predict(graph, _cost_model(args.network))
+    model = resolve_model(args.model, args.network)
+    prediction = model.predict(
+        graph, LinearCostModel.for_technology(get_technology(args.network)))
     rows = [
         [name, prediction.penalties[name], prediction.times.get(name, float("nan"))]
         for name in graph.names
@@ -176,7 +174,16 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             print(placement_robustness_table(store, rows=robustness_rows))
     if runner.trace_dir is not None:
         print()
-        print(_campaign_trace_table(runner))
+        print(_campaign_trace_table(runner, store))
+    if store.failures:
+        print()
+        print(render_table(
+            ["scenario", "error"],
+            [[failure["axes"]["scenario_id"], failure["error"]]
+             for failure in store.failures],
+            title=(f"{len(store.failures)} of "
+                   f"{len(store) + len(store.failures)} scenarios failed"),
+        ))
     stats = store.stats
     print(
         f"\n{len(store)} scenarios | model evaluations: "
@@ -202,7 +209,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.csv:
         store.to_csv(args.csv)
         print(f"CSV rows written to {args.csv}")
-    return 0
+    return 1 if store.failures else 0
 
 
 def _run_with_progress(runner: CampaignRunner, interval: float):
@@ -236,15 +243,18 @@ def _run_with_progress(runner: CampaignRunner, interval: float):
     return outcome["store"]
 
 
-def _campaign_trace_table(runner: CampaignRunner) -> str:
-    """Per-scenario trace summary of a traced campaign run."""
+def _campaign_trace_table(runner: CampaignRunner, store: CampaignResultStore) -> str:
+    """Per-scenario trace summary of a traced campaign run; the trace of a
+    failed scenario stops where it failed and is marked so."""
+    failed = {failure["axes"]["scenario_id"] for failure in store.failures}
     rows = []
     for path in runner.trace_paths():
         if not path.exists():
             continue
         summary = timeline_summary(read_trace_log(path))
         rows.append([
-            path.stem, summary["records"], summary["steps"],
+            path.stem + (" (failed)" if path.stem in failed else ""),
+            summary["records"], summary["steps"],
             summary["activations"], summary["completions"],
             summary["retimings"], summary["background_flows"],
             summary["peak_active_transfers"], summary["duration"],
@@ -323,60 +333,33 @@ def _scenario_from_args(args: argparse.Namespace,
     )
 
 
-def _run_meta(scenario: ScenarioSpec, args: argparse.Namespace) -> TraceRecord:
-    """The ``run.meta`` header record: everything replay needs to rebuild
-    the run (see :meth:`ScenarioSpec.run_meta`)."""
-    return TraceRecord(0.0, "run.meta", None,
-                       scenario.run_meta(args.cores_per_node, mode=args.mode))
-
-
-def _run_scenario(scenario: ScenarioSpec, cores_per_node: int, mode: str,
-                  application, injectors, trace=None):
-    """One engine run of the (already built) application under ``injectors``."""
-    cluster = custom_cluster(num_nodes=scenario.num_hosts,
-                             cores_per_node=cores_per_node,
-                             technology=scenario.network)
-    config = EngineConfig(injectors=injectors, trace=trace)
-    if mode == "emulated":
-        simulator = Simulator.emulated(cluster, config=config)
-    else:
-        model = resolve_model(scenario.model, scenario.network)
-        simulator = Simulator.predictive(cluster, model=model, config=config)
-    report = simulator.run(application, placement=scenario.placement,
-                           seed=scenario.seed)
-    return report, simulator.last_engine_stats
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args, f"simulate-{args.workload}")
-    application = scenario.build_application()
-
     injectors = scenario.build_injectors()
     sink = JsonlTraceSink(args.trace) if args.trace else None
-    if sink is not None:
-        sink.emit(_run_meta(scenario, args))
     try:
         # with --trace, the traced run is the loaded one (the clean twin
         # stays untraced); on a clean-only invocation the clean run is traced
-        clean_report, _ = _run_scenario(scenario, args.cores_per_node, args.mode,
-                                        application, (),
-                                        trace=None if injectors else sink)
+        clean_report, _ = run_scenario(scenario, args.cores_per_node, mode=args.mode,
+                                       injectors=(),
+                                       trace=None if injectors else sink)
         rows = [["clean", clean_report.total_time,
                  clean_report.average_penalty, 0, 0]]
         if injectors:
-            loaded_report, stats = _run_scenario(scenario, args.cores_per_node,
-                                                 args.mode, application,
-                                                 injectors, trace=sink)
+            loaded_report, simulator = run_scenario(
+                scenario, args.cores_per_node, mode=args.mode,
+                injectors=injectors, trace=sink)
+            stats = simulator.last_engine_stats
             rows.append(["loaded", loaded_report.total_time,
                          loaded_report.average_penalty,
-                         stats["background_flows"], stats["injected_events"]])
+                         stats.background_flows, stats.injected_events])
     finally:
         if sink is not None:
             sink.close()
     print(render_table(
         ["fabric", "total T [s]", "mean penalty", "bg flows", "events"],
         rows,
-        title=(f"{application.name}: {application.num_tasks} tasks on "
+        title=(f"{clean_report.application_name}: {clean_report.num_tasks} tasks on "
                f"{args.hosts}x {args.network} ({args.mode}, {args.placement})"),
         float_format="{:.4f}",
     ))
@@ -394,17 +377,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_trace_record(args: argparse.Namespace) -> int:
     """``repro trace record``: run one workload, write its JSONL trace."""
     scenario = _scenario_from_args(args, f"trace-{args.workload}")
-    application = scenario.build_application()
-    injectors = scenario.build_injectors()
     with JsonlTraceSink(args.out) as sink:
-        sink.emit(_run_meta(scenario, args))
-        report, stats = _run_scenario(scenario, args.cores_per_node, args.mode,
-                                      application, injectors, trace=sink)
+        report, simulator = run_scenario(scenario, args.cores_per_node,
+                                         mode=args.mode, trace=sink)
         emitted = sink.emitted
     print(render_table(
         ["workload", "tasks", "fabric", "total T [s]", "records"],
-        [[application.name, application.num_tasks,
-          "loaded" if injectors else "clean", report.total_time, emitted]],
+        [[report.application_name, report.num_tasks,
+          "loaded" if simulator.config.injectors else "clean",
+          report.total_time, emitted]],
         title=f"trace recorded to {args.out}",
         float_format="{:.4f}",
     ))
@@ -511,25 +492,24 @@ def cmd_trace_replay(args: argparse.Namespace) -> int:
         meta = {key: value for key, value in meta.items() if key != "kind"}
     meta = {**meta, **flags}
     scenario = ScenarioSpec.from_run_meta(meta)
-    application = scenario.build_application()
     replay = TraceReplayInjector.from_log(log)
-    injectors = (replay,) if replay.events else ()
-    report, stats = _run_scenario(scenario, int(meta.get("cores_per_node", 2)),
-                                  str(meta.get("mode", "predictive")),
-                                  application, injectors)
+    report, simulator = run_scenario(
+        scenario, int(meta.get("cores_per_node", 2)),
+        mode=str(meta.get("mode", "predictive")),
+        injectors=(replay,) if replay.events else ())
 
     recorded_events = log.records_of("task.event")
     recorded_makespan = max((float(r.data.get("end", r.time))
                              for r in recorded_events), default=None)
     rows = [["replayed", report.total_time, len(replay.events),
-             stats["background_flows"]]]
+             simulator.last_engine_stats.background_flows]]
     if recorded_makespan is not None:
         rows.insert(0, ["recorded", recorded_makespan, len(replay.events),
                         sum(1 for r in log if r.kind == "inject.flow_start")])
     print(render_table(
         ["run", "total T [s]", "replayed events", "bg flows"],
         rows,
-        title=(f"trace replay of {args.trace_file}: {application.name} on "
+        title=(f"trace replay of {args.trace_file}: {report.application_name} on "
                f"{scenario.num_hosts}x {scenario.network}"),
         float_format="{:.6f}",
     ))

@@ -174,7 +174,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from time import perf_counter
 from typing import (
     Callable,
@@ -191,7 +191,7 @@ from typing import (
 )
 
 from ..exceptions import SimulationError
-from ..trace.records import SnapshotBase, TraceRecord, emit_inject_apply
+from ..trace.records import TraceRecord, emit_inject_apply
 from ..trace.sinks import TraceSink, active_sink
 
 __all__ = [
@@ -201,7 +201,6 @@ __all__ = [
     "DeltaRateProvider",
     "validate_delta",
     "CalendarStats",
-    "CalendarStatsSnapshot",
     "TransferCalendar",
     "compose_rate_scales",
     "FluidInjectionState",
@@ -289,31 +288,14 @@ def validate_delta(
         arriving.add(tid)
 
 
-@dataclass(frozen=True)
-class CalendarStatsSnapshot(SnapshotBase):
-    """Immutable, typed view of one calendar's work counters.
-
-    Replaces the raw dicts the calendar used to hand out; dict-style access
-    (``snapshot["rate_updates"]``, ``**snapshot``) still works through
-    :class:`~repro.trace.SnapshotBase`, and :meth:`~repro.trace.SnapshotBase.
-    as_dict` returns exactly the historical flat shape.
-    """
-
-    flushes: int = 0
-    rate_updates: int = 0
-    retimed: int = 0
-    activations: int = 0
-    completions: int = 0
-    stale_entries: int = 0
-    active_at_flush: int = 0
-    compactions: int = 0
-    cancelled: int = 0
-    stall_retries: int = 0
-
-
 @dataclass
 class CalendarStats:
-    """Work counters of one :class:`TransferCalendar` (benchmark instrumentation)."""
+    """Work counters of one :class:`TransferCalendar` (benchmark instrumentation).
+
+    A plain record, read by attribute; a finished run hands it out as is
+    (``FluidTransferSimulator.last_calendar_stats``, the engine stats'
+    ``calendar`` field).
+    """
 
     #: rate refreshes pushed to the provider (≤ one per simulation step)
     flushes: int = 0
@@ -337,24 +319,9 @@ class CalendarStats:
     #: forced re-rates of zero-rated flights through the delta API
     stall_retries: int = 0
 
-    def freeze(self) -> CalendarStatsSnapshot:
-        """Typed immutable snapshot of the current counter values."""
-        return CalendarStatsSnapshot(
-            flushes=self.flushes,
-            rate_updates=self.rate_updates,
-            retimed=self.retimed,
-            activations=self.activations,
-            completions=self.completions,
-            stale_entries=self.stale_entries,
-            active_at_flush=self.active_at_flush,
-            compactions=self.compactions,
-            cancelled=self.cancelled,
-            stall_retries=self.stall_retries,
-        )
-
     def snapshot(self) -> Dict[str, int]:
-        """Flat dict view (compatibility shim over :meth:`freeze`)."""
-        return self.freeze().as_dict()
+        """The counters as a dict: the ``calendar`` metrics-registry source."""
+        return asdict(self)
 
 
 class _Flight:
@@ -888,6 +855,9 @@ class FluidInjectionState:
 class FluidTransferSimulator:
     """Event-calendar fluid simulation of a set of transfers.
 
+    After a :meth:`run`, :attr:`last_calendar_stats` is that run's
+    :class:`CalendarStats`, the finished calendar's own counters.
+
     Parameters
     ----------
     rate_provider:
@@ -937,7 +907,7 @@ class FluidTransferSimulator:
         self.trace = active_sink(trace)
         self.metrics = metrics
         #: calendar work counters of the most recent :meth:`run`
-        self.last_calendar_stats: Optional[CalendarStatsSnapshot] = None
+        self.last_calendar_stats: Optional[CalendarStats] = None
 
     # ------------------------------------------------------------------- run
     def run(self, transfers: Sequence[Transfer]) -> Dict[Hashable, TransferResult]:
@@ -1048,7 +1018,7 @@ class FluidTransferSimulator:
                     transfer.transfer_id, transfer.start_time, now
                 )
 
-        self.last_calendar_stats = calendar.stats.freeze()
+        self.last_calendar_stats = calendar.stats
         return results
 
     # ------------------------------------------------------------ conveniences

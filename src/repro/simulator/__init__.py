@@ -7,7 +7,7 @@ emulator (measurement).
 """
 
 from .application import Application, TaskTrace
-from .engine import EngineConfig, EngineStatsSnapshot, ExecutionEngine
+from .engine import EngineConfig, EngineLoopStats, ExecutionEngine
 from .events import ANY_SOURCE, BarrierEvent, ComputeEvent, Event, RecvEvent, SendEvent
 from .interference import (
     BackgroundTrafficInjector,
@@ -25,7 +25,7 @@ __all__ = [
     "Application",
     "TaskTrace",
     "EngineConfig",
-    "EngineStatsSnapshot",
+    "EngineLoopStats",
     "ExecutionEngine",
     "Injector",
     "BackgroundTrafficInjector",

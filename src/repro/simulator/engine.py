@@ -84,6 +84,11 @@ engine emits ``step`` boundaries, ``task.state`` / ``task.event`` records and
 ``inject.*`` events, and hands the sink to its calendar for the
 ``calendar.*`` stream.  ``trace=None`` (the default) is bit-exact with the
 untraced engine (``tests/property/test_trace_properties.py``).
+
+Counters: :attr:`ExecutionEngine.stats` is the run's :class:`EngineLoopStats`,
+a plain dataclass read by attribute; when the run ends its ``calendar``
+field holds the run's :class:`~repro.network.fluid.CalendarStats`.  Their
+``snapshot()`` dicts serve only as metrics-registry sources.
 """
 
 from __future__ import annotations
@@ -99,13 +104,13 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from ..cluster.placement import Placement
 from ..exceptions import DeadlockError, SimulationError, TraceError
 from ..network.fluid import (
-    CalendarStatsSnapshot,
+    CalendarStats,
     FluidInjectionState,
     Transfer,
     TransferCalendar,
 )
 from ..network.technologies import NetworkTechnology, get_technology
-from ..trace.records import SnapshotBase, TraceRecord
+from ..trace.records import TraceRecord
 from ..trace.sinks import TraceSink, active_sink
 from ..units import KiB
 from .application import Application
@@ -115,7 +120,6 @@ from .report import EventRecord, SimulationReport
 __all__ = [
     "EngineConfig",
     "EngineLoopStats",
-    "EngineStatsSnapshot",
     "ExecutionEngine",
 ]
 
@@ -167,25 +171,6 @@ class EngineConfig:
         object.__setattr__(self, "injectors", tuple(self.injectors))
 
 
-@dataclass(frozen=True)
-class EngineStatsSnapshot(SnapshotBase):
-    """Immutable, typed view of one engine run's loop + calendar counters.
-
-    Replaces the untyped ``last_engine_stats`` dict.  The embedded
-    :class:`~repro.network.fluid.CalendarStatsSnapshot` is merged into the
-    flat dict view (``snapshot["rate_updates"]`` and
-    :meth:`~repro.trace.SnapshotBase.as_dict` keep the historical shape),
-    so loop stats, calendar stats and trace summaries share one counter
-    vocabulary.
-    """
-
-    iterations: int = 0
-    steps: int = 0
-    injected_events: int = 0
-    background_flows: int = 0
-    calendar: CalendarStatsSnapshot = field(default_factory=CalendarStatsSnapshot)
-
-
 @dataclass
 class EngineLoopStats:
     """Work counters of one :meth:`ExecutionEngine.run` (see the benchmark)."""
@@ -198,22 +183,21 @@ class EngineLoopStats:
     injected_events: int = 0
     #: background flows started by injectors
     background_flows: int = 0
-    #: calendar counters (rate_updates, retimed, stale_entries, ...) of the run
-    calendar: Dict[str, int] = field(default_factory=dict)
-
-    def freeze(self) -> EngineStatsSnapshot:
-        """Typed immutable snapshot (the :attr:`Simulator.last_engine_stats` type)."""
-        return EngineStatsSnapshot(
-            iterations=self.iterations,
-            steps=self.steps,
-            injected_events=self.injected_events,
-            background_flows=self.background_flows,
-            calendar=CalendarStatsSnapshot(**self.calendar),
-        )
+    #: the run's calendar counters (rate_updates, retimed, stale_entries, ...),
+    #: set when the run ends
+    calendar: CalendarStats = field(default_factory=CalendarStats)
 
     def snapshot(self) -> Dict[str, int]:
-        """Flat dict view (compatibility shim over :meth:`freeze`)."""
-        return self.freeze().as_dict()
+        """The loop counters as a dict: the ``engine`` metrics-registry source.
+
+        The calendar's counters are the ``calendar`` source of their own.
+        """
+        return {
+            "iterations": self.iterations,
+            "steps": self.steps,
+            "injected_events": self.injected_events,
+            "background_flows": self.background_flows,
+        }
 
 
 class _Status(Enum):
@@ -916,13 +900,7 @@ class ExecutionEngine:
         )
         if self._metrics is not None:
             metrics = self._metrics
-            stats = self.stats
-            metrics.register_source("engine", lambda: {
-                "iterations": stats.iterations,
-                "steps": stats.steps,
-                "injected_events": stats.injected_events,
-                "background_flows": stats.background_flows,
-            })
+            metrics.register_source("engine", self.stats.snapshot)
             metrics.register_source("calendar", self._calendar.stats.snapshot)
             register = getattr(self.rate_provider, "register_metrics", None)
             if callable(register):
@@ -981,7 +959,7 @@ class ExecutionEngine:
                     trace.emit(self._metrics.sample_record(self.now))
             self._complete_due_events()
 
-        self.stats.calendar = self._calendar.stats.snapshot()
+        self.stats.calendar = self._calendar.stats
         report = SimulationReport(
             application_name=self.application_name,
             model_name=self.model_name,

@@ -362,9 +362,6 @@ class _WindowInjector(Injector):
             self._handle = None
             self._phase = 2
 
-    def _applies_to(self, host: int) -> bool:
-        return self.hosts is None or host in self.hosts
-
     def _install(self, state: InjectionState) -> Optional[int]:
         raise NotImplementedError
 

@@ -117,7 +117,6 @@ from .records import (
     KNOWN_KINDS,
     TRACE_FORMAT,
     TRACE_VERSION,
-    SnapshotBase,
     TraceLog,
     TraceRecord,
 )
@@ -145,7 +144,6 @@ __all__ = [
     "KNOWN_KINDS",
     "TraceRecord",
     "TraceLog",
-    "SnapshotBase",
     "TraceSink",
     "NullTraceSink",
     "MemoryTraceSink",

@@ -1,4 +1,4 @@
-"""Trace records, the in-memory trace log and the stats-snapshot base.
+"""Trace records and the in-memory trace log.
 
 See the package docstring (:mod:`repro.trace`) for the schema.  This module
 is deliberately dependency-free (no simulator imports) so every layer of the
@@ -8,21 +8,18 @@ stack can import it without cycles.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
     Hashable,
     Iterable,
-    ItemsView,
     Iterator,
-    KeysView,
     List,
     Optional,
     Tuple,
     Union,
-    ValuesView,
     overload,
 )
 
@@ -37,7 +34,6 @@ __all__ = [
     "KNOWN_KINDS",
     "TraceRecord",
     "TraceLog",
-    "SnapshotBase",
     "emit_inject_apply",
 ]
 
@@ -206,69 +202,3 @@ class TraceLog:
             if record.kind == "run.meta":
                 return dict(record.data)
         return {}
-
-
-class SnapshotBase:
-    """Mapping-style access over a frozen stats dataclass.
-
-    The typed snapshots (:class:`~repro.network.fluid.CalendarStatsSnapshot`,
-    :class:`~repro.simulator.engine.EngineStatsSnapshot`) replace the untyped
-    ``last_engine_stats`` / ``last_calendar_stats`` dicts while keeping the
-    historical dict access working: ``snapshot["rate_updates"]``,
-    ``dict(**snapshot)`` and ``snapshot.as_dict()`` all see one *flat* view
-    in which nested snapshots (the engine's embedded calendar counters) are
-    merged in — the exact shape of the dicts they replace, so stats and
-    trace summaries share one counter vocabulary.
-    """
-
-    def _flat(self) -> Dict[str, Any]:
-        # built once per (frozen, hence never stale) instance: dict-style
-        # access is O(1) instead of re-walking fields() per lookup
-        cached = getattr(self, "_flat_cache", None)
-        if cached is not None:
-            return cached
-        out: Dict[str, Any] = {}
-        for spec in fields(self):  # type: ignore[arg-type]
-            value = getattr(self, spec.name)
-            if isinstance(value, SnapshotBase):
-                out.update(value._flat())
-            else:
-                out[spec.name] = value
-        object.__setattr__(self, "_flat_cache", out)
-        return out
-
-    def as_dict(self) -> Dict[str, Any]:
-        """Flat dict view; nested snapshots are merged into the top level.
-
-        Returns a fresh dict (callers may mutate it freely, like the plain
-        dicts these snapshots replaced).
-        """
-        return dict(self._flat())
-
-    # ------------------------------------------------- dict-style compatibility
-    def keys(self) -> KeysView[str]:
-        return self._flat().keys()
-
-    def items(self) -> ItemsView[str, Any]:
-        return self._flat().items()
-
-    def values(self) -> ValuesView[Any]:
-        return self._flat().values()
-
-    def __getitem__(self, key: str) -> Any:
-        try:
-            return self._flat()[key]
-        except KeyError:
-            raise KeyError(f"{type(self).__name__} has no counter {key!r}") from None
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self._flat().get(key, default)
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._flat()
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._flat())
-
-    def __len__(self) -> int:
-        return len(self._flat())

@@ -28,11 +28,11 @@ def traced_run():
     sink = MemoryTraceSink()
     sim = Simulator.predictive(
         cluster,
-        config=EngineConfig(injectors=(
-            BackgroundTrafficInjector(rate=300.0, size=2 * MB, seed=2,
-                                      max_flows=5),
-        )),
-        trace=sink,
+        config=EngineConfig(
+            injectors=(BackgroundTrafficInjector(rate=300.0, size=2 * MB, seed=2,
+                                                 max_flows=5),),
+            trace=sink,
+        ),
     )
     report = sim.run(broadcast_application(4, 1 * MB), placement="RRP", seed=0)
     return report, sink.log()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import pickle
 
@@ -181,3 +182,97 @@ class TestRunnerBehaviour:
         table = store.summary_table()
         for result in store.results:
             assert result.scenario_id in table
+
+
+def failing_app_campaign() -> CampaignSpec:
+    """Four alltoall scenarios; the loaded Myrinet one grows a conflict
+    component over the model's enumeration cap."""
+    return CampaignSpec.from_dict({
+        "name": "fails-on-myrinet",
+        "workloads": [{"kind": "collective", "name": "alltoall",
+                       "params": {"size": "1M"}}],
+        "networks": ["ethernet", "myrinet"],
+        "host_counts": [16],
+        "interference": [
+            "none",
+            {"name": "loaded",
+             "background": {"rate": 400, "size": "4M", "max_flows": 75}},
+        ],
+    })
+
+
+def failing_graph_campaign() -> CampaignSpec:
+    return CampaignSpec.from_dict({
+        "name": "graph-fails-on-myrinet",
+        "workloads": [{"kind": "synthetic", "name": "complete"}],
+        "networks": ["ethernet", "myrinet"],
+        "host_counts": [8],
+    })
+
+
+class TestScenarioFailures:
+    @pytest.mark.parametrize("make_spec, failed", [
+        (failing_app_campaign, "003-alltoall-myrinet-auto-h16-RRP-s0-loaded"),
+        (failing_graph_campaign, "001-complete-myrinet-auto-h8-s0"),
+    ], ids=["application", "graph"])
+    def test_a_failing_scenario_is_recorded_and_the_sweep_finishes(
+            self, make_spec, failed):
+        spec = make_spec()
+        inline = CampaignRunner(spec, max_workers=1).run()
+        pooled = CampaignRunner(spec, max_workers=2).run()
+        ids = [s.scenario_id for s in spec.scenarios()]
+        assert [r.scenario_id for r in inline.results] == \
+            [i for i in ids if i != failed]
+        assert [f["axes"]["scenario_id"] for f in inline.failures] == [failed]
+        assert "enumeration cap" in inline.failures[0]["error"]
+        assert dumps(pooled) == dumps(inline)
+        assert pooled.failures == inline.failures
+
+    def test_the_other_scenarios_give_their_solo_results(self):
+        spec = failing_app_campaign()
+        store = CampaignRunner(spec).run()
+        for scenario in spec.scenarios()[:3]:
+            solo = CampaignSpec(
+                name="solo", workloads=[scenario.workload],
+                networks=[scenario.network], host_counts=[scenario.num_hosts],
+                interference=[scenario.interference],
+            )
+            (result,) = CampaignRunner(solo).run().results
+            assert result.metrics == store.by_id(scenario.scenario_id).metrics
+            assert result.times == store.by_id(scenario.scenario_id).times
+
+    def test_an_unknown_model_fails_its_scenarios_alone(self):
+        spec = CampaignSpec.from_dict({
+            "name": "unknown-model",
+            "workloads": [{"kind": "scheme", "name": "fig5"},
+                          {"kind": "collective", "name": "broadcast",
+                           "params": {"size": "1M", "num_tasks": 4}}],
+            "models": ["auto", "no-such-model"],
+            "host_counts": [4],
+        })
+        inline = CampaignRunner(spec).run()
+        pooled = CampaignRunner(spec, max_workers=2).run()
+        assert [r.axes["model"] for r in inline.results] == ["auto", "auto"]
+        assert [f["axes"]["model"] for f in inline.failures] == ["no-such-model"] * 2
+        assert "unknown model 'no-such-model'" in inline.failures[0]["error"]
+        assert dumps(pooled) == dumps(inline)
+        assert pooled.failures == inline.failures
+
+    def test_failures_round_trip_through_json(self, tmp_path):
+        store = CampaignRunner(failing_graph_campaign()).run()
+        path = tmp_path / "results.json"
+        store.to_json(path)
+        assert CampaignResultStore.from_json(path).failures == store.failures
+        # results written before the store kept failures read as none failed
+        data = json.loads(path.read_text(encoding="utf-8"))
+        del data["failures"]
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert CampaignResultStore.from_json(path).failures == []
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("not a modelling error")
+
+        monkeypatch.setattr(campaign_runner, "cached_predict", broken)
+        with pytest.raises(RuntimeError, match="not a modelling error"):
+            CampaignRunner(failing_graph_campaign()).run()

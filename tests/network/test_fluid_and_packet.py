@@ -225,9 +225,9 @@ class TestTransferCalendar:
         sim.run([Transfer("a", 0, 1, 500.0), Transfer("b", 0, 2, 1500.0)])
         stats = sim.last_calendar_stats
         assert stats is not None
-        assert stats["activations"] == 2
-        assert stats["completions"] == 2
-        assert stats["flushes"] >= 2
+        assert stats.activations == 2
+        assert stats.completions == 2
+        assert stats.flushes >= 2
 
     def test_delta_and_full_fluid_runs_identical(self):
         """The delta bridge is bit-exact with per-step full re-queries."""

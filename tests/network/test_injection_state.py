@@ -242,7 +242,7 @@ def test_only_the_engine_records_compute_scale_windows():
     app.add_compute(1, duration=0.01)
     cluster = custom_cluster(num_nodes=4, cores_per_node=1, technology="ethernet")
     engine_sink = MemoryTraceSink()
-    Simulator.predictive(cluster, config=EngineConfig(injectors=slowdown),
-                         trace=engine_sink).run(app, placement="RRN")
+    config = EngineConfig(injectors=slowdown, trace=engine_sink)
+    Simulator.predictive(cluster, config=config).run(app, placement="RRN")
     assert kinds(engine_sink).count("inject.compute_scale_on") == 1
     assert kinds(engine_sink).count("inject.compute_scale_off") == 1

@@ -9,6 +9,7 @@ provider families.  Metrics are observability, never physics.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -94,10 +95,9 @@ def run_engine(spec, app, cluster, trace=None, metrics=None, sample_every=256):
     if spec["loaded"]:
         injectors = (BackgroundTrafficInjector(
             rate=200.0, size=1 * MB, seed=spec["seed"], max_flows=6),)
-    config = EngineConfig(injectors=injectors, metrics=metrics,
+    config = EngineConfig(injectors=injectors, trace=trace, metrics=metrics,
                           metrics_sample_every=sample_every)
-    sim = Simulator(cluster, make_provider(spec["provider"], cluster),
-                    config=config, trace=trace)
+    sim = Simulator(cluster, make_provider(spec["provider"], cluster), config=config)
     placement = make_placement(spec["policy"], cluster, app.num_tasks,
                                seed=spec["seed"])
     report = sim.run(app, placement=placement)
@@ -119,8 +119,8 @@ class TestMetricsBitExact:
         assert metered == plain
         # the registry actually observed the run it did not perturb
         snap = registry.snapshot()
-        assert snap["engine.steps"] == plain[2]["steps"]
-        assert snap["engine.ready_s.count"] == plain[2]["iterations"]
+        assert snap["engine.steps"] == plain[2].steps
+        assert snap["engine.ready_s.count"] == plain[2].iterations
         assert snap["calendar.flush_s.count"] > 0
         if spec["provider"] == "model":
             assert any(key.startswith("pricing.") for key in snap)
@@ -173,7 +173,7 @@ class TestDrainTimer:
         metered = run_engine(self.SPEC, app, cluster, metrics=registry)
         assert metered == plain
         snap = registry.snapshot()
-        assert snap["timeline.drain_s.count"] == plain[2]["steps"]
+        assert snap["timeline.drain_s.count"] == plain[2].steps
         assert snap["timeline.drain_s.total"] >= 0.0
 
 
@@ -202,6 +202,26 @@ class TestDocumentedEngineMetrics:
         missing = sorted(name for name in names
                          if name not in snap and f"{name}.count" not in snap)
         assert not missing, missing
+
+
+class TestStatsSources:
+    def test_the_engine_and_calendar_sources_read_the_run_counters(self):
+        """The registry's ``engine.*`` and ``calendar.*`` values are the
+        finished run's stats record, field for field."""
+        spec = dict(TestDrainTimer.SPEC, loaded=True)
+        cluster = custom_cluster(num_nodes=4, cores_per_node=1,
+                                 technology="ethernet")
+        registry = MetricsRegistry()
+        _, _, stats = run_engine(spec, build_application(spec), cluster,
+                                 metrics=registry)
+        snap = registry.snapshot()
+        assert stats.background_flows > 0
+        for source, record in (("engine", stats), ("calendar", stats.calendar)):
+            values = record.snapshot()
+            assert values == {name: snap[f"{source}.{name}"] for name in values}
+        assert set(stats.snapshot()) == {"iterations", "steps",
+                                         "injected_events", "background_flows"}
+        assert stats.calendar.snapshot() == dataclasses.asdict(stats.calendar)
 
 
 class TestMetricsConfig:

@@ -94,8 +94,8 @@ def build_application(spec) -> Application:
 def run_engine(app, cluster, provider, policy, seed, delta: bool,
                injectors=(), trace=None):
     sim = Simulator(cluster, provider,
-                    config=EngineConfig(delta_rates=delta, injectors=injectors),
-                    trace=trace)
+                    config=EngineConfig(delta_rates=delta, injectors=injectors,
+                                        trace=trace))
     placement = make_placement(policy, cluster, app.num_tasks, seed=seed)
     report = sim.run(app, placement=placement)
     return report.records, report.finish_time_per_task

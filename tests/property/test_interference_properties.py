@@ -119,7 +119,7 @@ class TestZeroIntensityBitExact:
             spec["policy"], spec["seed"], injectors=neutral_injectors(spec["seed"]),
         )
         assert neutral == clean
-        assert neutral[2]["injected_events"] == 0
+        assert neutral[2].injected_events == 0
 
     @common_settings
     @given(spec=workload_strategy)
@@ -157,7 +157,7 @@ class TestZeroIntensityBitExact:
         # expected slowdown on realistic intensities instead
         assert set(loaded_finish) == set(clean_finish)
         assert max(loaded_finish.values()) > 0.0
-        assert stats["background_flows"] <= 10
+        assert stats.background_flows <= 10
 
 
 class TestZeroIntensityFluid:

@@ -168,12 +168,11 @@ def build_ready_application(spec):
     return app
 
 
-def simulate_application(app, base, config=None, trace=None):
+def simulate_application(app, base, config=None):
     cluster = custom_cluster(num_nodes=3, cores_per_node=2, technology="ethernet")
 
     def simulate():
-        simulator = Simulator(cluster, make_provider("model", cluster),
-                              config=config, trace=trace)
+        simulator = Simulator(cluster, make_provider("model", cluster), config=config)
         placement = make_placement(base["policy"], cluster, app.num_tasks,
                                    seed=base["seed"])
         return simulator, simulator.run(app, placement=placement)
@@ -203,9 +202,8 @@ class TestReadyQueueMatchesScan:
             sinks.append(sink)
             injectors = make_load(load, seed) + (
                 NodeSlowdownInjector(0.5, start=0.01, until=0.05, hosts=(0,)),)
-            config = EngineConfig(injectors=injectors)
-            return simulate_application(app, spec["base"], config=config,
-                                        trace=sink)()
+            config = EngineConfig(injectors=injectors, trace=sink)
+            return simulate_application(app, spec["base"], config=config)()
 
         queued, scanned = queue_and_scan(simulate)
         assert queued == scanned

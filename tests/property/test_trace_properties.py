@@ -91,16 +91,11 @@ def run_engine(spec, app, cluster, trace):
         injectors = (BackgroundTrafficInjector(
             rate=200.0, size=1 * MB, seed=spec["seed"], max_flows=6),)
     sim = Simulator(cluster, make_provider(spec["provider"], cluster),
-                    config=EngineConfig(injectors=injectors), trace=trace)
+                    config=EngineConfig(injectors=injectors, trace=trace))
     placement = make_placement(spec["policy"], cluster, app.num_tasks,
                                seed=spec["seed"])
     report = sim.run(app, placement=placement)
     return report.records, report.finish_time_per_task, sim.last_engine_stats
-
-
-def comparable(outcome):
-    records, finish, stats = outcome
-    return records, finish, stats.as_dict()
 
 
 class TestTraceOffBitExact:
@@ -116,13 +111,13 @@ class TestTraceOffBitExact:
         null_sink = run_engine(spec, app, cluster, trace=NullTraceSink())
         memory = MemoryTraceSink()
         traced = run_engine(spec, app, cluster, trace=memory)
-        assert comparable(null_sink) == comparable(untraced)
-        assert comparable(traced) == comparable(untraced)
+        assert null_sink == untraced
+        assert traced == untraced
         # the trace actually observed the run it did not perturb
         assert memory.emitted > 0
         kinds = memory.log().kinds()
         assert kinds["task.event"] == len(untraced[0])
-        assert kinds["calendar.complete"] == untraced[2]["completions"]
+        assert kinds["calendar.complete"] == untraced[2].calendar.completions
 
     @common_settings
     @given(
@@ -146,6 +141,5 @@ class TestTraceOffBitExact:
                                             trace=memory)
         traced = traced_sim.run(transfers)
         assert traced == untraced
-        assert (traced_sim.last_calendar_stats.as_dict()
-                == untraced_sim.last_calendar_stats.as_dict())
+        assert traced_sim.last_calendar_stats == untraced_sim.last_calendar_stats
         assert memory.emitted > 0

@@ -355,7 +355,7 @@ class TestDeltaEngineWork:
         records_delta, stats_delta = outcomes[True]
         records_full, stats_full = outcomes[False]
         assert records_delta == records_full
-        assert stats_delta["rate_updates"] < stats_full["rate_updates"]
+        assert stats_delta.calendar.rate_updates < stats_full.calendar.rate_updates
 
 
 class TestTimelineOrder:
@@ -408,8 +408,8 @@ class TestTimelineOrder:
         app.add_compute(0, duration=0.01)
         app.add_compute(1, duration=0.01)
         sink = MemoryTraceSink()
+        config = EngineConfig(injectors=probes, trace=sink)
         Simulator.predictive(cluster, model=NoContentionModel(),
-                             config=EngineConfig(injectors=probes),
-                             trace=sink).run(app, placement="RRN")
+                             config=config).run(app, placement="RRN")
         fired = [(r.time, r.subject) for r in sink.records if r.kind == "inject.apply"]
         assert fired == [(0.002, "b"), (0.004, "a"), (0.006, "b"), (0.006, "a")]

@@ -12,7 +12,7 @@ import pytest
 from repro.analysis import records_from_trace
 from repro.cluster import custom_cluster
 from repro.core import GigabitEthernetModel
-from repro.simulator import ANY_SOURCE, Application, Simulator
+from repro.simulator import ANY_SOURCE, Application, EngineConfig, Simulator
 from repro.simulator.report import EventRecord
 from repro.trace import MemoryTraceSink
 from repro.units import KiB, MB
@@ -64,7 +64,8 @@ def mixed_application() -> Application:
 def test_records_from_trace_equal_the_engine_records():
     cluster = custom_cluster(num_nodes=2, cores_per_node=2, technology="ethernet")
     sink = MemoryTraceSink()
-    simulator = Simulator.predictive(cluster, model=GigabitEthernetModel(), trace=sink)
+    simulator = Simulator.predictive(cluster, model=GigabitEthernetModel(),
+                                     config=EngineConfig(trace=sink))
     report = simulator.run(mixed_application(), placement="RRN")
     assert {r.kind for r in report.records} == {"compute", "send", "recv", "barrier"}
     assert any(r.penalty is not None and r.penalty > 1.0 for r in report.records)

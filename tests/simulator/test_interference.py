@@ -148,8 +148,8 @@ class TestEngineInjection:
                                                max_flows=20),)
         loaded, stats = run_engine(app, cluster, injectors)
         assert loaded.total_time > clean.total_time
-        assert stats["background_flows"] == 20
-        assert stats["injected_events"] >= 20
+        assert stats.background_flows == 20
+        assert stats.injected_events >= 20
         # the records describe exactly the same foreground events (per rank,
         # in program order — interference may reorder completions across ranks)
         assert sorted((r.rank, r.index, r.kind, r.size) for r in loaded.records) \
@@ -238,7 +238,7 @@ class TestFluidInjection:
         sim = FluidTransferSimulator(provider_factory(), injectors=injectors)
         loaded = sim.run(self.transfers())
         assert set(loaded) == set(clean)  # only foreground ids come back
-        assert sim.last_calendar_stats["activations"] > len(self.transfers())
+        assert sim.last_calendar_stats.activations > len(self.transfers())
         assert max(r.finish_time for r in loaded.values()) > \
             max(r.finish_time for r in clean.values())
 

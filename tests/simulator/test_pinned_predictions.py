@@ -121,8 +121,8 @@ def test_loaded_engine_run(mode, makespan_hex, digest, steps):
     assert_pinned(report, makespan_hex, 120, digest)
     stats = simulator.last_engine_stats
     assert stats.steps == steps
-    assert stats["background_flows"] == 24
-    assert stats["injected_events"] == 28
+    assert stats.background_flows == 24
+    assert stats.injected_events == 28
 
 
 @pytest.mark.parametrize("mode, digest", [

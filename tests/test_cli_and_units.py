@@ -127,6 +127,63 @@ class TestTraceCli:
         assert code == 0
         assert "replay reproduces the recorded run: yes" in out
 
+    def test_emulated_trace_record_replays(self, tmp_path, capsys):
+        trace_path = tmp_path / "emulated.jsonl"
+        assert main(["trace", "record", "--workload", "ring-allgather",
+                     "--hosts", "4", "--mode", "emulated", "--bg-rate", "120",
+                     "--bg-size", "1M", "--bg-max-flows", "8",
+                     "--out", str(trace_path)]) == 0
+        capsys.readouterr()
+        from repro.trace import read_trace_log
+
+        assert read_trace_log(trace_path).meta()["mode"] == "emulated"
+        code = main(["trace", "replay", str(trace_path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "replay reproduces the recorded run: yes" in out
+
+    def test_simulate_emulated_prints_the_clean_and_loaded_rows(self, capsys):
+        code = main(["simulate", "--workload", "broadcast", "--hosts", "4",
+                     "--mode", "emulated", "--bg-rate", "150",
+                     "--bg-max-flows", "3"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "(emulated, RRP)" in out
+        rows = [line.split() for line in out.splitlines()]
+        assert [row[0] for row in rows if row and row[0] in ("clean", "loaded")] \
+            == ["clean", "loaded"]
+        assert "foreground slowdown" in out
+
+    def test_cli_and_campaign_traces_of_one_scenario_agree(self, tmp_path, capsys):
+        """`trace record` and a campaign trace of the same scenario run one
+        path: past their run.meta headers the files are byte-identical."""
+        import json
+
+        cli_path = tmp_path / "cli.jsonl"
+        assert main(["trace", "record", "--workload", "ring-allgather",
+                     "--hosts", "4", "--size", "1M", "--bg-rate", "120",
+                     "--bg-size", "1M", "--bg-max-flows", "8",
+                     "--out", str(cli_path)]) == 0
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "name": "one-ring",
+            "workloads": [{"kind": "collective", "name": "ring-allgather",
+                           "params": {"size": "1M"}}],
+            "host_counts": [4],
+            "interference": [{"name": "loaded", "background": {
+                "rate": 120, "size": "1M", "max_flows": 8}}],
+        }))
+        trace_dir = tmp_path / "traces"
+        assert main(["campaign", "--spec", str(spec_path),
+                     "--trace-dir", str(trace_dir)]) == 0
+        capsys.readouterr()
+        (campaign_path,) = trace_dir.glob("*.jsonl")
+        cli_lines = cli_path.read_text().splitlines()
+        campaign_lines = campaign_path.read_text().splitlines()
+        assert '"run.meta"' in cli_lines[1] and '"run.meta"' in campaign_lines[1]
+        assert len(cli_lines) > 10
+        assert cli_lines[2:] == campaign_lines[2:]
+
     def test_trace_replay_with_overrides_is_informational(self, tmp_path, capsys):
         """Cross-scenario replay (override flags) must not claim or fail
         the bit-exactness check."""
@@ -207,6 +264,53 @@ class TestTraceCli:
         assert "trace summary: 2 scenario traces" in out
         assert "placement robustness" in out
         assert len(list(trace_dir.glob("*.jsonl"))) == 2
+
+
+class TestCampaignCli:
+    def test_a_failing_scenario_exits_1_and_the_rest_is_written(self, tmp_path,
+                                                                capsys):
+        import json
+
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "name": "graph-fails-on-myrinet",
+            "workloads": [{"kind": "synthetic", "name": "complete"}],
+            "networks": ["ethernet", "myrinet"],
+            "host_counts": [8],
+        }))
+        out_path = tmp_path / "results.json"
+        csv_path = tmp_path / "results.csv"
+        code = main(["campaign", "--spec", str(spec_path), "--workers", "2",
+                     "--out", str(out_path), "--csv", str(csv_path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "1 of 2 scenarios failed" in out
+        assert "001-complete-myrinet-auto-h8-s0" in out
+        written = json.loads(out_path.read_text())
+        assert [r["axes"]["network"] for r in written["results"]] == ["ethernet"]
+        assert [f["axes"]["network"] for f in written["failures"]] == ["myrinet"]
+        assert len(csv_path.read_text().splitlines()) == 2  # header + one row
+
+    def test_a_failed_scenarios_partial_trace_is_marked(self, tmp_path, capsys):
+        import json
+
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "name": "app-fails-on-myrinet",
+            "workloads": [{"kind": "collective", "name": "alltoall",
+                           "params": {"size": "1M"}}],
+            "networks": ["myrinet"],
+            "host_counts": [16],
+            "interference": [{"name": "loaded", "background": {
+                "rate": 400, "size": "4M", "max_flows": 75}}],
+        }))
+        trace_dir = tmp_path / "traces"
+        code = main(["campaign", "--spec", str(spec_path),
+                     "--trace-dir", str(trace_dir)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "000-alltoall-myrinet-auto-h16-RRP-s0-loaded (failed)" in out
+        assert "1 of 1 scenarios failed" in out
 
 
 class TestObservabilityCli:

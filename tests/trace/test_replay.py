@@ -54,16 +54,16 @@ class TestReplayBitExact:
         sink = MemoryTraceSink()
         loaded_report, loaded_stats = run_engine(app, (original,), trace=sink,
                                                  mode=mode)
-        assert loaded_stats["background_flows"] > 0
+        assert loaded_stats.background_flows > 0
 
         replay = TraceReplayInjector(sink.records)
-        assert len(replay.events) == loaded_stats["background_flows"]
+        assert len(replay.events) == loaded_stats.background_flows
         replay_report, replay_stats = run_engine(app, (replay,), mode=mode)
 
         # bit-exact: identical per-rank event streams and completion times
         assert replay_report.records == loaded_report.records
         assert replay_report.finish_time_per_task == loaded_report.finish_time_per_task
-        assert replay_stats["background_flows"] == loaded_stats["background_flows"]
+        assert replay_stats.background_flows == loaded_stats.background_flows
 
     def test_window_injectors_replay_bit_exactly(self):
         app = make_application()
@@ -212,4 +212,4 @@ class TestReplayMechanics:
         clean, _ = run_engine(app, ())
         replayed, stats = run_engine(app, (TraceReplayInjector([]),))
         assert replayed.records == clean.records
-        assert stats["injected_events"] == 0
+        assert stats.injected_events == 0

@@ -7,8 +7,6 @@ import json
 import pytest
 
 from repro.exceptions import TraceError
-from repro.network.fluid import CalendarStats, CalendarStatsSnapshot
-from repro.simulator.engine import EngineLoopStats, EngineStatsSnapshot
 from repro.trace import (
     KNOWN_KINDS,
     TRACE_FORMAT,
@@ -119,35 +117,6 @@ class TestTraceLog:
         assert log.meta() == {}
         assert log.subjects() == []
         assert not log.records_of("calendar")
-
-
-class TestSnapshots:
-    def test_calendar_snapshot_keeps_dict_access(self):
-        stats = CalendarStats(flushes=3, rate_updates=7)
-        snap = stats.freeze()
-        assert isinstance(snap, CalendarStatsSnapshot)
-        assert snap["flushes"] == 3
-        assert snap.get("rate_updates") == 7
-        assert dict(**snap) == stats.snapshot()
-        assert "flushes" in snap and len(snap) == 10
-        with pytest.raises(KeyError):
-            snap["no_such_counter"]
-
-    def test_engine_snapshot_merges_calendar_counters_flat(self):
-        loop = EngineLoopStats(iterations=5, steps=4, injected_events=1,
-                               background_flows=2,
-                               calendar=CalendarStats(retimed=9).snapshot())
-        snap = loop.freeze()
-        assert isinstance(snap, EngineStatsSnapshot)
-        assert snap["iterations"] == 5
-        assert snap["retimed"] == 9          # calendar counter, flat access
-        assert snap.calendar.retimed == 9    # typed access
-        assert snap.as_dict() == loop.snapshot()
-        assert sorted(snap.keys()) == sorted(loop.snapshot().keys())
-
-    def test_snapshots_compare_by_value(self):
-        assert CalendarStats(flushes=1).freeze() == CalendarStats(flushes=1).freeze()
-        assert CalendarStats(flushes=1).freeze() != CalendarStats(flushes=2).freeze()
 
 
 class TestSinks:
