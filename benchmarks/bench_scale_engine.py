@@ -49,12 +49,18 @@ solve as well, and a small campaign variant), recording one trajectory
 record per rung — the repository's first ≥1k-host benchmark records.  The
 256-host rung (128 for the emulated family) runs everywhere; the heavier
 rungs are opt-in via ``REPRO_LADDER_MAX_HOSTS`` (CI runs the small rungs on
-every push with a wall-clock budget from ``REPRO_LADDER_BUDGET_S``, and the
-LINPACK rungs up to 4096 ranks).  The
+every push with a wall-clock budget from ``REPRO_LADDER_BUDGET_S``, the
+LINPACK rungs up to 4096 ranks and the emulated rungs up to 256 hosts).
+Every LINPACK and emulated rung asserts its predicted makespan, bit for
+bit, against the value pinned here: a refactor of the engine or of the
+pricing must not move it.  The
 **water-filling** section times the emulator's unit-weight solver against
 the reference freeze loop at ~40 flows (the loaded fat-tree emulator
 workload's solve size) and at 4096 flows, asserted bit-exact, with the
-speedups recorded.
+speedups recorded; then it replays the whole-set solves of the 64-host
+emulated rung, each once from round 0 and once resumed from the round log
+as the provider runs it, asserting bit-identical rates and recording the
+time per solve and the mean round the resumed solves start from.
 
 The other wall-clock comparisons here are best-of-N (the work counters are
 deterministic, the timings are not; N repeats stop a loaded runner from
@@ -497,6 +503,12 @@ def test_scale_ladder_synthetic(emit, num_hosts):
 #: the top LINPACK rung may cost at most this many times the 256-rank rung
 #: per step (~1.0-1.2 with the ready queue, ~10 with a per-step rank scan)
 LINPACK_STEP_RATIO_MAX = 3.0
+#: predicted makespan of every LINPACK rung, as float.hex()
+LINPACK_MAKESPANS = {
+    256: "0x1.91fc07423e962p+6",
+    1024: "0x1.79606b66ded56p+12",
+    4096: "0x1.733c18e63a513p+18",
+}
 
 
 @pytest.fixture(scope="module")
@@ -567,6 +579,7 @@ def test_scale_ladder_linpack(emit, linpack_us_per_step, num_ranks):
     }
     emit(f"scale_ladder_linpack_{num_ranks}", "\n".join(lines), record=record,
          bench_json=BENCH_JSON)
+    assert record["predicted_makespan_hex"] == LINPACK_MAKESPANS[num_ranks], record
     _ladder_budget(elapsed, record)
     if num_ranks == LADDER_RUNGS[-1] and step_ratio is not None:
         assert step_ratio <= LINPACK_STEP_RATIO_MAX, record
@@ -576,25 +589,18 @@ def test_scale_ladder_linpack(emit, linpack_us_per_step, num_ranks):
 #: without REPRO_LADDER_MAX_HOSTS this family stops at 128 hosts
 EMULATED_RUNGS = [64, 128, 256]
 EMULATED_MAX_HOSTS = int(os.environ.get("REPRO_LADDER_MAX_HOSTS", "128"))
+#: predicted makespan of every emulated rung, as float.hex()
+EMULATED_MAKESPANS = {
+    64: "0x1.78672a1e21959p+3",
+    128: "0x1.7d485b9c7e2cap+4",
+    256: "0x1.872aabe60c743p+5",
+}
 
 
-@pytest.mark.parametrize("num_hosts", EMULATED_RUNGS,
-                         ids=lambda n: f"ladder_emulated_{n}")
-def test_scale_ladder_emulated(emit, monkeypatch, num_hosts):
-    """Emulated rung: the loaded all-to-all of ``emulator_fattree_loaded``
-    scaled with the host count n.
-
-    A 4:1 fat tree (8 hosts per edge, 2 uplinks), Poisson background load
-    of 2000·n/64 flows/s with at most 300·n/64 in flight, and a provider
-    without warm starts, so every flush water-fills the whole active set.
-    Steps grow 4x per doubling (the all-to-all is O(n²)); µs/step grows
-    with the flows per solve.
-    """
-    if num_hosts > EMULATED_MAX_HOSTS:
-        pytest.skip(f"emulated rung {num_hosts} > REPRO_LADDER_MAX_HOSTS="
-                    f"{EMULATED_MAX_HOSTS} (set the env var to climb further)")
+def emulated_rung(num_hosts: int):
+    """The emulated rung's simulator and application (see
+    :func:`test_scale_ladder_emulated`)."""
     from repro.cluster import custom_cluster
-    from repro.network import allocator
     from repro.network.topology import FatTreeTopology
     from repro.simulator import (Application, BackgroundTrafficInjector,
                                  EmulatorRateProvider, EngineConfig, Simulator)
@@ -615,13 +621,35 @@ def test_scale_ladder_emulated(emit, monkeypatch, num_hosts):
     provider = EmulatorRateProvider(technology, topology, warm_start=False)
     simulator = Simulator(cluster, provider, technology=technology,
                           config=EngineConfig(injectors=(background,)))
+    return simulator, app
+
+
+@pytest.mark.parametrize("num_hosts", EMULATED_RUNGS,
+                         ids=lambda n: f"ladder_emulated_{n}")
+def test_scale_ladder_emulated(emit, monkeypatch, num_hosts):
+    """Emulated rung: the loaded all-to-all of ``emulator_fattree_loaded``
+    scaled with the host count n.
+
+    A 4:1 fat tree (8 hosts per edge, 2 uplinks), Poisson background load
+    of 2000·n/64 flows/s with at most 300·n/64 in flight, and a provider
+    without warm starts, so every flush water-fills the whole active set.
+    Steps grow 4x per doubling (the all-to-all is O(n²)); µs/step grows
+    with the flows per solve.
+    """
+    if num_hosts > EMULATED_MAX_HOSTS:
+        pytest.skip(f"emulated rung {num_hosts} > REPRO_LADDER_MAX_HOSTS="
+                    f"{EMULATED_MAX_HOSTS} (set the env var to climb further)")
+    from repro.network import allocator
+
+    scale = num_hosts / 64
+    simulator, app = emulated_rung(num_hosts)
     # count the flows of every solve through the name the allocator calls
     solved = []
     solve = allocator.water_fill_arrays
 
-    def counted(caps, *incidence):
+    def counted(caps, *args, **kwargs):
         solved.append(len(caps))
-        return solve(caps, *incidence)
+        return solve(caps, *args, **kwargs)
 
     monkeypatch.setattr(allocator, "water_fill_arrays", counted)
     started = time.perf_counter()
@@ -658,6 +686,7 @@ def test_scale_ladder_emulated(emit, monkeypatch, num_hosts):
     }
     emit(f"scale_ladder_emulated_{num_hosts}", "\n".join(lines), record=record,
          bench_json=BENCH_JSON)
+    assert record["predicted_makespan_hex"] == EMULATED_MAKESPANS[num_hosts], record
     _ladder_budget(elapsed, record)
 
 
@@ -735,8 +764,70 @@ def _water_filling_instance(num_hosts: int, num_flows: int):
     return flows, capacities, solver_input
 
 
-def test_water_filling_microbench(emit):
-    """Emulator solver vs the reference loop at ~40 and 4096 flows."""
+def recorded_rung_solves(monkeypatch, num_hosts: int):
+    """The whole-set solves of an emulated rung: per solve, its caps, slot
+    tuples and binding capacities, and the flows and slots the provider
+    reported changed since the whole-set solve before it."""
+    from repro.network import allocator
+
+    solves = []
+    solve = allocator.water_fill_arrays
+
+    def record(caps, flow_resources, resource_flows, capacities, log=None):
+        if log is not None:
+            solves.append((dict(caps), dict(flow_resources), dict(capacities),
+                           tuple(log.changed_flows), tuple(log.changed_resources)))
+        return solve(caps, flow_resources, resource_flows, capacities, log)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(allocator, "water_fill_arrays", record)
+        simulator, app = emulated_rung(num_hosts)
+        simulator.run(app, placement="random", seed=0)
+    return solves
+
+
+def replay_solves(solves, batch: int = 500):
+    """Run each recorded solve from round 0 and, right after, resumed from
+    a round log fed the recorded changes, asserting bit-identical rates.
+
+    Returns the mean seconds per solve of both and the mean round the
+    resumed solves started from and ended with.  The flows on each slot
+    are rebuilt ``batch`` solves at a time, outside the timed calls.
+    """
+    from repro.network.sharing import FillLog, water_fill_arrays
+
+    log = FillLog()
+    cold_s = resumed_s = 0.0
+    resume_rounds = rounds = 0
+    clock = time.perf_counter
+    for begin in range(0, len(solves), batch):
+        prepared = []
+        for caps, flow_resources, capacities, flows, slots in solves[begin:begin + batch]:
+            resource_flows = {}
+            for flow, resources in flow_resources.items():
+                for resource in resources:
+                    resource_flows.setdefault(resource, set()).add(flow)
+            prepared.append((caps, flow_resources, resource_flows, capacities, flows, slots))
+        for caps, flow_resources, resource_flows, capacities, flows, slots in prepared:
+            started = clock()
+            cold = water_fill_arrays(caps, flow_resources, resource_flows, capacities)
+            cold_s += clock() - started
+            log.changed_flows.update(dict.fromkeys(flows))
+            log.changed_resources.update(dict.fromkeys(slots))
+            started = clock()
+            resumed = water_fill_arrays(caps, flow_resources, resource_flows, capacities, log)
+            resumed_s += clock() - started
+            assert ({flow: rate.hex() for flow, rate in resumed.items()}
+                    == {flow: rate.hex() for flow, rate in cold.items()})
+            resume_rounds += log.resume_round
+            rounds += len(log.frozen)
+    count = max(1, len(solves))
+    return cold_s / count, resumed_s / count, resume_rounds / count, rounds / count
+
+
+def test_water_filling_microbench(emit, monkeypatch):
+    """Emulator solver vs the reference loop at ~40 and 4096 flows, and the
+    64-host emulated rung's solves from round 0 vs resumed."""
     from repro.network.sharing import water_fill_arrays, weighted_max_min_allocation
 
     rows = []
@@ -783,10 +874,33 @@ def test_water_filling_microbench(emit):
             f"{row['speedup']:>8.1f}x"
         )
     lines += ["", "rates bit-identical at both sizes"]
+
+    solves = recorded_rung_solves(monkeypatch, 64)
+    cold_s, resumed_s, resume_round, rounds = replay_solves(solves)
+    replay = {
+        "num_hosts": 64,
+        "solves": len(solves),
+        "flows_per_solve": round(sum(len(s[0]) for s in solves) / max(1, len(solves)), 2),
+        "cold_us": round(cold_s * 1e6, 2),
+        "resumed_us": round(resumed_s * 1e6, 2),
+        "speedup": round(cold_s / resumed_s, 2) if resumed_s > 0 else None,
+        "mean_resume_round": round(resume_round, 3),
+        "mean_rounds": round(rounds, 3),
+    }
+    lines += [
+        "",
+        f"replay of the 64-host emulated rung: {replay['solves']} whole-set solves, "
+        f"{replay['flows_per_solve']:.1f} flows each",
+        f"  from round 0: {replay['cold_us']:8.1f} us/solve",
+        f"  resumed:      {replay['resumed_us']:8.1f} us/solve ({replay['speedup']:.2f}x), "
+        f"from round {resume_round:.2f} of {rounds:.2f} on average (0-based)",
+        "rates bit-identical on every solve",
+    ]
     record = {
         "benchmark": "bench_scale_engine/water_filling",
         "repeats": REPEATS,
         "sizes": rows,
+        "replay": replay,
     }
     emit("water_filling", "\n".join(lines), record=record, bench_json=BENCH_JSON)
     # generous regression bound: the solver must stay clearly ahead of the

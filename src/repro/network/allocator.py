@@ -64,6 +64,21 @@ than the capacity), and leaving them out keeps every rate bit-identical
 (the argument is in :mod:`repro.network.sharing`).  So one flush costs the
 delta's upkeep plus one solve over the slots that can bind.
 
+That solve resumes the previous one.  The provider keeps the round log
+(:class:`~repro.network.sharing.FillLog`) of its last whole-set solve and
+reports to it every item that changed since: ``_track``/``_untrack`` the
+flows they enter or drop and every slot those occupy, ``_count`` the
+flows whose cap it changes, and ``_rebind`` the slots whose capacity or
+membership in the binding set it changes (which covers ``_derate``).
+The contract is one-sided: anything that changes a flow's cap, an
+occupied slot's capacity, a slot's flow set or a slot's binding status
+must report it, while reporting an unchanged item only costs speed.  The
+next whole-set solve then starts at the first round those items can
+touch, with rates bit-identical to a cold solve.  Memo hits and
+warm-start component solves leave the log alone, so the reported items
+accumulate until the next whole-set solve; :meth:`reset` and
+:meth:`invalidate_cache` drop the log, and the solve after them is cold.
+
 On a cache miss the water-filling is additionally *warm-started*: when
 exactly one flow arrived or departed since the previous allocation, only the
 coupling component of the changed flow (flows transitively sharing an
@@ -83,7 +98,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 from ..core.incremental import PenaltyCache
 from ..exceptions import SimulationError
 from .fluid import Transfer, validate_delta
-from .sharing import can_bind, water_fill_arrays
+from .sharing import FillLog, can_bind, water_fill_arrays
 from .technologies import NetworkTechnology
 from .topology import CrossbarTopology, Topology
 
@@ -171,6 +186,10 @@ class EmulatorRateProvider:
         self._last_by_pair: Optional[Dict[Tuple[int, int], float]] = None
         #: True once an allocation exists (warm starts need a predecessor)
         self._primed = False
+        #: the round log of the last whole-set solve, with the flows and
+        #: slots changed since; None until that solve, and again after
+        #: reset() or invalidate_cache()
+        self._fill_log: Optional[FillLog] = None
         #: repro.obs phase timer around the water-fill solve; installed by
         #: register_metrics(), one pointer test per solve when absent
         self._solve_timer = None
@@ -215,6 +234,7 @@ class EmulatorRateProvider:
         self._rates_by_tid = {}
         self._last_by_pair = None
         self._primed = False
+        self._fill_log = None
         # the cached routes, capacities and caps mirror the (possibly
         # mutated) topology/technology: rebuild them for the tracked transfers
         self._res_slots = {}
@@ -275,14 +295,16 @@ class EmulatorRateProvider:
         """Water-fill ``active`` over the inputs kept by ``_track``/``_untrack``.
 
         For the whole tracked set that is one call on the live caps,
-        incidence and binding set.  ``active`` may instead be one coupling
+        incidence and binding set, which resumes the last such call from
+        the round log.  ``active`` may instead be one coupling
         component (the warm-start path), which is closed under shared
         resources: every transfer on a resource one of its flows uses
         belongs to it.  So the per-slot sets of its slots hold exactly its
         flows and serve the solver unchanged, and the whole-set directional
         counts agree with the component's on every host a component flow
         touches, so the live caps and degraded capacities are the
-        component's own; they are filtered down to it.
+        component's own; they are filtered down to it, and that solve
+        neither reads nor writes the round log.
         """
         caps, capacities = self._caps, self._binding
         if len(active) != len(caps):
@@ -291,7 +313,11 @@ class EmulatorRateProvider:
                 slot: capacities[slot]
                 for tid in caps for slot in self._slots_of_tid[tid] if slot in capacities
             }
-        return water_fill_arrays(caps, self._slots_of_tid, self._tids_of_slot, capacities)
+            return water_fill_arrays(caps, self._slots_of_tid, self._tids_of_slot, capacities)
+        log = self._fill_log
+        if log is None:
+            log = self._fill_log = FillLog()
+        return water_fill_arrays(caps, self._slots_of_tid, self._tids_of_slot, capacities, log)
 
     # ------------------------------------------------------------ warm start
     def _coupling_keys(self, src: int, dst: int) -> Tuple[Hashable, ...]:
@@ -369,6 +395,7 @@ class EmulatorRateProvider:
         self._caps = {}
         self._capacities = {}
         self._binding = {}
+        self._fill_log = None
 
     def _index(self, transfer: Transfer) -> Tuple[int, ...]:
         """Enter a transfer's slots into the incidence (a newly occupied
@@ -386,6 +413,10 @@ class EmulatorRateProvider:
                 self._capacities[slot] = self._slot_caps[slot]
             else:
                 tids.add(tid)
+        log = self._fill_log
+        if log is not None:
+            log.changed_flows[tid] = None
+            log.changed_resources.update(dict.fromkeys(slots))
         return slots
 
     def _cap(self, transfer: Transfer) -> float:
@@ -407,10 +438,16 @@ class EmulatorRateProvider:
     def _rebind(self, slot: int) -> None:
         """Keep an occupied slot in the binding set unless it cannot bind."""
         capacity = self._capacities[slot]
+        binding = self._binding
         if can_bind(capacity, len(self._tids_of_slot[slot]), self._slot_ceilings[slot]):
-            self._binding[slot] = capacity
-        else:
-            self._binding.pop(slot, None)
+            if binding.get(slot) == capacity:
+                return
+            binding[slot] = capacity
+        elif binding.pop(slot, None) is None:
+            return
+        log = self._fill_log
+        if log is not None:
+            log.changed_resources[slot] = None
 
     def _derate(self, host: int) -> None:
         """Re-derive the capacities of ``host``'s occupied NIC slots (the
@@ -446,8 +483,13 @@ class EmulatorRateProvider:
             # the source started or stopped transmitting: its incoming
             # flows (all on its RX slot) change cap
             _, rx_key = self.topology.nic_resources(src)
+            caps, log = self._caps, self._fill_log
             for tid in self._tids_of_slot.get(self._res_slots.get(rx_key), ()):
-                self._caps[tid] = self._cap(self._active[tid])
+                cap = self._cap(self._active[tid])
+                if caps[tid] != cap:
+                    caps[tid] = cap
+                    if log is not None:
+                        log.changed_flows[tid] = None
         self._derate(src)
         self._derate(dst)
 
@@ -477,6 +519,10 @@ class EmulatorRateProvider:
         self._rates_by_tid.pop(tid, None)
         del self._caps[tid]
         slots = self._slots_of_tid.pop(tid)
+        log = self._fill_log
+        if log is not None:
+            log.changed_flows[tid] = None
+            log.changed_resources.update(dict.fromkeys(slots))
         for slot in slots:
             tids = self._tids_of_slot[slot]
             tids.remove(tid)

@@ -64,17 +64,63 @@ for N < 2³⁰.  So it never sets the increment, never saturates and never
 decides the safety freeze: no quotient, threshold or comparison that
 decides the rates changes when it is left out, and the rates stay
 bit-identical to the reference given every resource.
+
+Consecutive solves of one caller differ in a few *changed items*: the
+flows that arrived, departed or changed cap, and the resources whose
+capacity, flow set or presence in ``capacities`` changed.  Handed a
+:class:`FillLog`, :func:`water_fill_arrays` logs every round (the level
+and each occupied resource's remaining capacity and unfrozen count at the
+round's start, the increment, the flows frozen and the resources
+saturated in it), and the next solve resumes at the first round k that a
+changed item can touch.  A round is decided by the minimum of the cap
+headrooms and the resources' shares, by the thresholds the level and
+each remaining capacity are tested against, and, when nothing freezes,
+by the numerical-safety freeze.  Rounds 0..k−1 of the new instance see
+exactly the old operands when
+
+* no changed flow froze in them before: a flow whose cap headroom set an
+  increment froze in that round (the level then reaches its cap), so a
+  departed or re-capped flow took part in no minimum before its freeze;
+* no new or re-capped flow's threshold is met by a level they log, which
+  also keeps its headroom above each of their increments;
+* no changed resource saturated in them before, and none would now: its
+  remaining capacity, replayed from its new capacity with the same
+  sequential subtractions of the logged increments and its new unfrozen
+  counts, never falls to its saturation threshold (which a share below
+  a round's increment also makes it do in that round);
+* none of them was a numerical-safety round, whose tie-break walks every
+  unfrozen flow.
+
+The third rule takes an old resource's saturation round for the first
+round it decided, which holds because a resource whose share set an
+increment saturates in that round: with c unfrozen flows, c subtractions
+of ``remaining / c`` leave at most (c + 1)·2⁻⁵³·remaining, below the
+tolerance ε·max(1, C) for c ≤ 9000.  A changed resource with more flows
+makes the solve start from round 0.  Under these rules the changed flows
+stay unfrozen through round k−1 in both instances, so every unchanged
+resource keeps its counts, its subtractions and its saturation round,
+every unchanged flow freezes in the same round at the same level, and a
+changed resource's count moves only by its arrivals and departures.  The
+solve writes the changed resources' replayed values into the logged
+state of rounds 0..k and runs the ordinary loop from round k, walking
+the unfrozen flows in cap order and the safety tie-break in ``caps``
+order like a cold solve: the rates are the bits a cold solve computes.
+The thresholds, the cap order and each flow's resources in
+``capacities`` are kept between solves and updated for the changed
+items, so a resumed solve costs the delta plus the rounds from k.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from operator import truediv
-from typing import Collection, Dict, Hashable, List, Mapping, Sequence, Tuple
+from typing import Collection, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import SimulationError
 
 __all__ = [
+    "FillLog",
     "FlowSpec",
     "can_bind",
     "max_min_allocation",
@@ -90,6 +136,10 @@ _INF = float("inf")
 #: relative margin by which a resource's capacity must exceed what its
 #: flows can ever take before :func:`can_bind` lets a caller leave it out
 _SLACK = 2.0 ** -20
+#: a changed resource with more unfrozen flows than this could set a round's
+#: increment without saturating in it, so a delta touching one re-solves
+#: from round 0 (see the module docstring)
+_TIE_FLOWS = 9000
 
 
 @dataclass(frozen=True)
@@ -175,11 +225,73 @@ def can_bind(capacity: float, flows: int, ceiling: float) -> bool:
     return not capacity - flows * ceiling > _SLACK * max(1.0, capacity)
 
 
+class FillLog:
+    """The rounds of the last solve :func:`water_fill_arrays` logged, kept so
+    the next solve can resume from the first round a delta can touch.
+
+    The caller reports every flow and resource that changed since that
+    solve in :attr:`changed_flows` and :attr:`changed_resources` (dicts
+    used as ordered sets): a flow that arrived, departed or changed cap,
+    and a resource whose capacity, flow set or presence in ``capacities``
+    changed.  Reporting an unchanged item costs only speed; leaving a
+    changed one out gives wrong rates.  The solve clears both.
+
+    Per round the log keeps the level, the remaining capacities and the
+    unfrozen-flow counts at the round's start, the increment, the flows
+    frozen in it (with their rates) and the resources that saturated in
+    it.  Between solves it keeps what only a delta changes: the flows in
+    cap order, each flow's freeze threshold and resources in
+    ``capacities``, and each resource's saturation threshold.
+    :attr:`resume_round` is the round the last solve resumed from (0 for
+    a cold one) and ``len(frozen)`` the number of rounds it ended with.
+    """
+
+    __slots__ = ("changed_flows", "changed_resources", "by_cap", "freeze_at",
+                 "binding", "saturation", "levels", "remaining", "pressure",
+                 "increments", "frozen", "saturated", "safety", "resume_round")
+
+    def __init__(self) -> None:
+        self.changed_flows: Dict[Hashable, None] = {}
+        self.changed_resources: Dict[ResourceId, None] = {}
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget the logged solve, so the next one starts from round 0."""
+        self.changed_flows.clear()
+        self.changed_resources.clear()
+        self.by_cap: List[Hashable] = []
+        self.freeze_at: Dict[Hashable, float] = {}
+        self.binding: Dict[Hashable, Tuple[ResourceId, ...]] = {}
+        self.saturation: Dict[ResourceId, float] = {}
+        #: per round, and one more entry for the state after the last round
+        self.levels: List[float] = []
+        self.remaining: List[Dict[ResourceId, float]] = []
+        self.pressure: List[Dict[ResourceId, int]] = []
+        #: per round
+        self.increments: List[float] = []
+        self.frozen: List[Dict[Hashable, float]] = []
+        self.saturated: List[List[ResourceId]] = []
+        #: the first numerical-safety round, None while there is none
+        self.safety: Optional[int] = None
+        self.resume_round = 0
+
+
+def _freeze_threshold(cap: float) -> float:
+    """The reference's cap test: cap - eps * max(1, cap), eps for an infinite cap."""
+    return cap - (_EPS * cap if 1.0 < cap < _INF else _EPS)
+
+
+def _saturation_threshold(capacity: float) -> float:
+    """The reference's saturation test: eps * max(1, capacity)."""
+    return _EPS * capacity if capacity > 1.0 else _EPS
+
+
 def water_fill_arrays(
     caps: Mapping[Hashable, float],
     flow_resources: Mapping[Hashable, Sequence[ResourceId]],
     resource_flows: Mapping[ResourceId, Collection[Hashable]],
     capacities: Mapping[ResourceId, float],
+    log: Optional[FillLog] = None,
 ) -> Dict[Hashable, float]:
     """Unit-weight water-filling over a flow–resource incidence kept by the caller.
 
@@ -187,79 +299,256 @@ def water_fill_arrays(
     order that breaks ties in the numerical-safety freeze;
     ``flow_resources`` lists each flow's resources (no repeats) and
     ``resource_flows`` the flows on each resource; ``capacities`` holds the
-    capacity of the resources the solve must respect.  A resource the flows
-    use but ``capacities`` omits is ignored, which is exact when
-    :func:`can_bind` says it cannot bind.  The incidence must be closed on
-    the given resources: every flow that ``resource_flows`` lists on one of
-    them is a flow of ``caps``.  No argument is modified, so the caller
-    keeps its incidence between calls.
+    capacity of the resources the solve must respect, each used by at
+    least one flow.  A resource the flows use but ``capacities`` omits is
+    ignored, which is exact when :func:`can_bind` says it cannot bind.  The
+    incidence must be closed on the given resources: every flow that
+    ``resource_flows`` lists on one of them is a flow of ``caps``.  No
+    argument is modified, so the caller keeps its incidence between calls.
+
+    With a ``log`` the solve is recorded in it, and a solve handed a log
+    that holds a previous one resumes from the first round that the items
+    in its ``changed_flows``/``changed_resources`` can touch (see the
+    module docstring); the rates are the same bits either way.
 
     Returns ``{flow: rate}``, bit-identical to
     :func:`weighted_max_min_allocation` with unit weights over every
     resource the flows use (see the module docstring for why).
     """
-    active = dict(caps)
-    # the reference's thresholds: cap - eps * max(1, cap) per flow (1 for an
-    # infinite cap) and eps * max(1, capacity) per resource.  The flow
-    # threshold never decreases as the cap grows, so walking the flows in
-    # cap order meets the smallest unfrozen cap and every cap that binds.
-    freeze_at = {
-        flow: cap - (_EPS * cap if 1.0 < cap < _INF else _EPS)
-        for flow, cap in active.items()
-    }
-    by_cap = sorted(active, key=active.__getitem__)
-    first = 0  # every flow before by_cap[first] is frozen
-    # the occupied resources: remaining capacity and unfrozen-flow count,
-    # two dicts with one key order (a resource leaves both when it empties)
-    remaining = dict(capacities)
-    pressure = {resource: len(resource_flows[resource]) for resource in remaining}
-    saturation = {resource: _EPS * c if c > 1.0 else _EPS for resource, c in remaining.items()}
+    try:
+        if log is not None and log.levels:
+            return _resume(caps, flow_resources, resource_flows, capacities, log)
+        # the tests of _freeze_threshold and _saturation_threshold, inlined
+        freeze_at = {
+            flow: cap - (_EPS * cap if 1.0 < cap < _INF else _EPS) for flow, cap in caps.items()
+        }
+        saturation = {r: _EPS * c if c > 1.0 else _EPS for r, c in capacities.items()}
+        by_cap = sorted(caps, key=caps.__getitem__)
+        pressure = {resource: len(resource_flows[resource]) for resource in capacities}
+        if log is None:
+            return _fill(caps, flow_resources, resource_flows, freeze_at, saturation,
+                         by_cap, 0.0, dict(capacities), pressure, {}, None)
+        log.clear()
+        log.freeze_at, log.saturation, log.by_cap = freeze_at, saturation, by_cap
+        log.binding = binding = {
+            flow: tuple(filter(capacities.__contains__, flow_resources[flow])) for flow in caps
+        }
+        log.levels.append(0.0)
+        log.remaining.append(dict(capacities))
+        log.pressure.append(pressure)
+        return _fill(caps, binding, resource_flows, freeze_at, saturation,
+                     by_cap, 0.0, log.remaining[0], pressure, {}, log)
+    except BaseException:
+        if log is not None:
+            log.clear()  # a half-written log must not seed the next solve
+        raise
+
+
+def _resume(
+    caps: Mapping[Hashable, float],
+    flow_resources: Mapping[Hashable, Sequence[ResourceId]],
+    resource_flows: Mapping[ResourceId, Collection[Hashable]],
+    capacities: Mapping[ResourceId, float],
+    log: FillLog,
+) -> Dict[Hashable, float]:
+    """Re-solve from the first round the reported changes can touch."""
+    levels, increments, frozen = log.levels, log.increments, log.frozen
+    by_cap, freeze_at, binding = log.by_cap, log.freeze_at, log.binding
+    saturation, saturated = log.saturation, log.saturated
+    k = len(frozen) if log.safety is None else min(log.safety, len(frozen))
+    # a changed flow: the round it froze in before, and the first round
+    # whose level meets its new threshold
+    for flow in log.changed_flows:
+        if flow in freeze_at:
+            for j in range(k):
+                if flow in frozen[j]:
+                    k = j
+                    break
+            by_cap.remove(flow)
+            del freeze_at[flow], binding[flow]
+    for flow in log.changed_flows:
+        cap = caps.get(flow)
+        if cap is None:
+            continue
+        insort(by_cap, flow, key=caps.__getitem__)
+        threshold = freeze_at[flow] = _freeze_threshold(cap)
+        binding[flow] = tuple(filter(capacities.__contains__, flow_resources[flow]))
+        j = bisect_left(levels, threshold, 1, k + 1) - 1
+        if j < k:
+            k = j
+    # a changed resource: the round it saturated in before, then (once
+    # every such bound is in) its new remaining replayed through the
+    # logged increments with its new counts until it would saturate
+    remaining_log, pressure_log = log.remaining, log.pressure
+    replays = []
+    for resource in log.changed_resources:
+        old = resource in saturation
+        capacity = capacities.get(resource)
+        if old != (capacity is not None):
+            # it joined or left the solve, and so it did for its flows
+            for flow in resource_flows.get(resource, ()):
+                if flow in caps:
+                    binding[flow] = tuple(
+                        filter(capacities.__contains__, flow_resources[flow])
+                    )
+        if old:
+            if pressure_log[0][resource] > _TIE_FLOWS:
+                k = 0
+            for j in range(k):
+                if resource in saturated[j]:
+                    k = j
+                    break
+            if capacity is None:
+                del saturation[resource]
+                replays.append((resource, (), ()))
+                continue
+        elif capacity is None:
+            continue  # left out of both solves
+        saturation[resource] = _saturation_threshold(capacity)
+        replays.append((resource, [capacity], [len(resource_flows[resource])]))
+    for resource, values, counts in replays:
+        if not values:
+            continue
+        flows = resource_flows[resource]
+        left, count = values[0], counts[0]
+        if count > _TIE_FLOWS:
+            k = 0
+        threshold = saturation[resource]
+        old = resource in pressure_log[0]
+        # an old resource's counts move by the flows that arrived or
+        # departed, which stay unfrozen before round k in both solves
+        offset = count - pressure_log[0][resource] if old else 0
+        for j in range(k):
+            increment = increments[j]
+            after = left - increment
+            n = count
+            while n > 1:
+                after -= increment
+                n -= 1
+            if after <= threshold:
+                k = j
+                break
+            left = after
+            if old:
+                count = pressure_log[j + 1].get(resource, 0) + offset
+            else:
+                count -= len(frozen[j].keys() & flows)
+            values.append(left)
+            counts.append(count)
+            if not count:
+                break
+    # patch the kept rounds and the state at round k for those resources
+    for resource, values, counts in replays:
+        for j in range(k + 1):
+            if j < len(counts) and counts[j]:
+                remaining_log[j][resource] = values[j]
+                pressure_log[j][resource] = counts[j]
+            elif resource in pressure_log[j]:
+                del remaining_log[j][resource], pressure_log[j][resource]
+            else:
+                break  # and absent from every later round
     rates: Dict[Hashable, float] = {}
-    level = 0.0
-    while active:
-        # how far the common level can rise before a resource or a cap binds
-        while by_cap[first] not in active:
-            first += 1
-        increment = active[by_cap[first]] - level
-        if pressure:
-            share = min(map(truediv, remaining.values(), pressure.values()))
-            if share < increment:
-                increment = share
+    for j in range(k):
+        rates.update(frozen[j])
+    del levels[k + 1:], remaining_log[k + 1:], pressure_log[k + 1:]
+    del increments[k:], frozen[k:], saturated[k:]
+    log.changed_flows.clear()
+    log.changed_resources.clear()
+    log.safety = None  # none before round k
+    log.resume_round = k
+    return _fill(caps, binding, resource_flows, freeze_at, saturation, by_cap,
+                 levels[k], remaining_log[k], pressure_log[k], rates, log)
+
+
+def _fill(
+    caps: Mapping[Hashable, float],
+    flow_resources: Mapping[Hashable, Sequence[ResourceId]],
+    resource_flows: Mapping[ResourceId, Collection[Hashable]],
+    freeze_at: Mapping[Hashable, float],
+    saturation: Mapping[ResourceId, float],
+    by_cap: List[Hashable],
+    level: float,
+    remaining: Dict[ResourceId, float],
+    pressure: Dict[ResourceId, int],
+    rates: Dict[Hashable, float],
+    log: Optional[FillLog],
+) -> Dict[Hashable, float]:
+    """The freeze rounds from a given state and the rates they end with.
+
+    ``rates`` holds the flows frozen so far (every other flow of ``caps``
+    is unfrozen) and ``by_cap`` every flow in cap order;
+    ``remaining``/``pressure`` hold the occupied resources' remaining
+    capacity and unfrozen-flow count, two dicts with one key order (a
+    resource leaves both when it empties).  Without a ``log`` both are
+    updated in place; with one, whose last state entry is this one, every
+    round is appended to it and no logged dict is written again.
+    """
+    # the flow threshold never decreases as the cap grows, so walking the
+    # flows in cap order meets the smallest unfrozen cap and every cap
+    # that binds
+    first = 0  # every flow before by_cap[first] is frozen
+    end = len(by_cap)
+    while len(rates) < end:
+        # how far the common level can rise before a resource or a cap
+        # binds; by_cap[first]'s cap is at most the smallest unfrozen one,
+        # so a share below its headroom is the increment
+        increment = caps[by_cap[first]] - level
+        share = min(map(truediv, remaining.values(), pressure.values())) if pressure else _INF
+        if not share < increment:
+            while by_cap[first] in rates:
+                first += 1
+            increment = caps[by_cap[first]] - level
+        if share < increment:
+            increment = share
         if increment < 0.0:
             increment = 0.0
         level += increment
 
         # charge every occupied resource once per unfrozen flow on it
+        charged = {} if log is not None else remaining
         saturated = []
         for resource, count in pressure.items():
             left = remaining[resource] - increment
             while count > 1:
                 left -= increment
                 count -= 1
-            remaining[resource] = left
+            charged[resource] = left
             if left <= saturation[resource]:
                 saturated.append(resource)
 
         # freeze the flows at their cap or on a saturated resource
-        frozen: Dict[Hashable, None] = {}
-        while first < len(by_cap) and level >= freeze_at[by_cap[first]]:
-            if by_cap[first] in active:
-                frozen[by_cap[first]] = None
+        frozen: Dict[Hashable, float] = {}
+        while first < end and level >= freeze_at[by_cap[first]]:
+            if by_cap[first] not in rates:
+                frozen[by_cap[first]] = level
             first += 1
         for resource in saturated:
             for flow in resource_flows[resource]:
-                if flow in active:
-                    frozen[flow] = None
+                if flow not in rates:
+                    frozen[flow] = level
         if not frozen:
-            # numerical safety: freeze the tightest flow to guarantee progress
-            tightest = min(active, key=lambda f: min(
-                [remaining[r] for r in flow_resources[f] if r in remaining]
-                + [active[f] - level]
+            # numerical safety: freeze the tightest flow to guarantee
+            # progress, the first of the tightest in caps order
+            tightest = min((flow for flow in caps if flow not in rates), key=lambda f: min(
+                [charged[r] for r in flow_resources[f] if r in charged]
+                + [caps[f] - level]
             ))
-            frozen[tightest] = None
+            frozen[tightest] = level
+            if log is not None and log.safety is None:
+                log.safety = len(log.frozen)
+        remaining = charged
+        if log is not None:
+            # the round's counts stay logged; the next round's are a copy,
+            # logged with the next round's remaining capacities once the
+            # frozen flows leave both
+            pressure = dict(pressure)
+            log.increments.append(increment)
+            log.frozen.append(frozen)
+            log.saturated.append(saturated)
+            log.levels.append(level)
+            log.remaining.append(remaining)
+            log.pressure.append(pressure)
         for flow in frozen:
-            del active[flow]
-            rates[flow] = level
             for resource in flow_resources[flow]:
                 count = pressure.get(resource, 0) - 1  # -1: not given
                 if count > 0:
@@ -267,6 +556,7 @@ def water_fill_arrays(
                 elif count == 0:
                     del pressure[resource]
                     del remaining[resource]
+        rates.update(frozen)
     return rates
 
 

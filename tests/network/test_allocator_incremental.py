@@ -1,4 +1,5 @@
-"""Warm-started max-min solving and the unified rate cache of the emulator."""
+"""Warm-started max-min solving, the unified rate cache, the kept solver
+inputs and the round log of the emulator."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import pytest
 
 from repro.core import PenaltyCache
 from repro.network import EmulatorRateProvider, FatTreeTopology, Transfer, get_technology
-from repro.network.sharing import can_bind
+from repro.network.sharing import can_bind, water_fill_arrays
 from repro.units import MB
 
 ETH = get_technology("ethernet")
@@ -331,3 +332,90 @@ class TestBindingSet:
         provider.update([], [2])
         assert provider._capacities[tx0] == ETH.link_bandwidth
         assert tx0 not in provider._binding
+
+
+class TestRoundLog:
+    """Whole-set solves resume the last one from the provider's round log;
+    the items every delta reports make the rates a cold solve's bits."""
+
+    @staticmethod
+    def assert_rates_are_a_cold_solve(provider):
+        cold = water_fill_arrays(provider._caps, provider._slots_of_tid,
+                                 provider._tids_of_slot, provider._binding)
+        assert {tid: provider._rates_by_tid[tid].hex() for tid in provider._active} == \
+            {tid: rate.hex() for tid, rate in cold.items()}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_solve_equals_a_cold_solve(self, seed):
+        """Random arrivals and departures (re-capping the flows into a host
+        that starts or stops sending, degrading and restoring its ports,
+        moving slots in and out of the binding set), reused ids, memo hits,
+        invalidations and resets on an oversubscribed fat tree."""
+        rng = random.Random(seed)
+        topology = FatTreeTopology(num_hosts=12, technology=ETH,
+                                   hosts_per_edge=4, uplinks_per_edge=1)
+        provider = EmulatorRateProvider(ETH, topology, cache_size=16, warm_start=False)
+        next_tid = 0
+        resumed = 0
+        for _ in range(300):
+            action = rng.random()
+            live = list(provider._active)
+            if action < 0.5 or not live:
+                added = []
+                for _ in range(rng.randint(1, 3)):
+                    added.append(Transfer(next_tid, rng.randrange(12),
+                                          rng.randrange(12), 20 * MB))
+                    next_tid += 1
+                provider.update(added, [])
+            elif action < 0.9:
+                provider.update([], rng.sample(live, rng.randint(1, min(3, len(live)))))
+            elif action < 0.96:
+                reused = Transfer(rng.choice(live), rng.randrange(12), rng.randrange(12),
+                                  20 * MB)
+                provider.rates([reused if t.transfer_id == reused.transfer_id else t
+                                for t in provider._active.values()])
+            elif action < 0.98:
+                provider.invalidate_cache()
+                assert provider._fill_log is None
+                provider.rates(list(provider._active.values()))
+            else:
+                provider.reset()
+                assert provider._fill_log is None
+            if provider._active:
+                self.assert_rates_are_a_cold_solve(provider)
+            log = provider._fill_log
+            resumed += log is not None and log.resume_round > 0
+        assert resumed > 0
+
+    def test_memo_hits_and_component_solves_leave_the_log_alone(self):
+        provider = fresh(cache_size=64)
+        provider.update([Transfer(0, 0, 1, 20 * MB), Transfer(1, 2, 1, 20 * MB)], [])
+        log = provider._fill_log
+        rounds = log.frozen
+        # one arrival: a warm start solves its component without the log
+        provider.update([Transfer(2, 3, 4, 20 * MB)], [])
+        assert provider.warm_starts == 1
+        assert provider._fill_log is log and log.frozen is rounds
+        assert 2 in log.changed_flows
+        # back to a memoized situation: no solve at all
+        hits = provider.cache_hits
+        provider.update([], [2])
+        assert provider.cache_hits == hits + 1
+        assert log.frozen is rounds and 2 in log.changed_flows
+        # a two-flow delta solves the whole set, resuming with every item
+        # reported since the last whole-set solve
+        provider.update([Transfer(3, 0, 2, 20 * MB), Transfer(4, 1, 3, 20 * MB)], [])
+        assert not log.changed_flows and not log.changed_resources
+        self.assert_rates_are_a_cold_solve(provider)
+
+    def test_reset_and_invalidate_drop_the_log(self):
+        provider = fresh(cache_size=0, warm_start=False)
+        active = [Transfer(0, 0, 1, 20 * MB), Transfer(1, 2, 1, 20 * MB)]
+        provider.update(active, [])
+        assert provider._fill_log is not None
+        provider.invalidate_cache()
+        assert provider._fill_log is None
+        provider.rates(active)
+        assert provider._fill_log.resume_round == 0
+        provider.reset()
+        assert provider._fill_log is None

@@ -15,6 +15,14 @@ over random delta sequences through the calibrated
 :class:`~repro.network.sharing.FlowSpec` per transfer and running the
 reference loop: on a clean crossbar and on an oversubscribed fat tree whose
 fabric links actually bind, with warm starts on and off.
+
+A solve handed a :class:`~repro.network.sharing.FillLog` resumes the
+previous one from the first round its reported changes can touch; the
+resumed rates must equal a cold solve's bit for bit, after random chains of
+changes (flows arriving, departing and re-capped, capacities changing to
+zero and back, resources joining and leaving the solve, unchanged items
+reported too), and flows with one resource tuple and one cap must share
+one rate.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.network.allocator import EmulatorRateProvider
 from repro.network.fluid import Transfer
 from repro.network.sharing import (
+    FillLog,
     FlowSpec,
     can_bind,
     water_fill_arrays,
@@ -308,3 +317,259 @@ class TestEmulatorMatchesOracle:
             changed = provider.update(added, removed)
             assert changed == oracle.update(added, removed)
             assert all(type(r) is float for r in changed.values())
+
+    def test_the_oracle_keeps_no_round_log(self):
+        """The oracle prices every solve from scratch: it never builds the
+        round log the tracked deltas report to, so it keeps no changed
+        items between solves."""
+        tech = get_technology("ethernet")
+        provider = make_provider(EmulatorRateProvider, tech, True, False)
+        oracle = make_provider(FlowSpecOracleProvider, tech, True, False)
+        steps = [("add", 0, 5), ("add", 1, 5), ("add", 5, 0), ("del", 0, 0), ("add", 4, 9)]
+        for added, removed, _live in deltas(steps):
+            assert provider.update(added, removed) == oracle.update(added, removed)
+        assert provider._fill_log is not None
+        assert oracle._fill_log is None
+
+
+# ---------------- resumed solves: the round log against a cold solve ------
+class Incidence:
+    """A unit-weight instance kept between solves the way the emulator keeps
+    it: caps in arrival order, the incidence both ways, every resource's
+    capacity and the set of resources handed to the solve (when occupied).
+    Every mutation reports the items it changes to a :class:`FillLog`."""
+
+    def __init__(self, capacities, flows, log):
+        self.capacity = {f"r{i}": c for i, c in enumerate(capacities)}
+        self.given = set(self.capacity)
+        self.caps = {}
+        self.flow_resources = {}
+        self.resource_flows = {resource: set() for resource in self.capacity}
+        self.log = log
+        self.added = 0
+        for resources, cap in flows:
+            self.add(resources, cap)
+
+    def arguments(self):
+        capacities = {
+            resource: capacity for resource, capacity in self.capacity.items()
+            if resource in self.given and self.resource_flows[resource]
+        }
+        return self.caps, self.flow_resources, self.resource_flows, capacities
+
+    def report(self, flows=(), resources=()):
+        self.log.changed_flows.update(dict.fromkeys(flows))
+        self.log.changed_resources.update(dict.fromkeys(resources))
+
+    def flow(self, index):
+        return list(self.caps)[index % len(self.caps)] if self.caps else None
+
+    def resource(self, index):
+        return f"r{index % len(self.capacity)}"
+
+    def add(self, resources, cap):
+        flow = f"f{self.added}"
+        self.added += 1
+        names = tuple(dict.fromkeys(self.resource(r) for r in resources))
+        self.caps[flow] = cap
+        self.flow_resources[flow] = names
+        for resource in names:
+            self.resource_flows[resource].add(flow)
+        self.report((flow,), names)
+
+    def apply(self, op):
+        kind = op[0]
+        if kind == "add":
+            self.add(op[1], op[2])
+            return
+        if kind in ("remove", "recap"):
+            flow = self.flow(op[1])
+            if flow is None:
+                return
+            if kind == "recap":
+                self.caps[flow] = op[2]
+                self.report((flow,))
+                return
+            del self.caps[flow]
+            names = self.flow_resources.pop(flow)
+            for resource in names:
+                self.resource_flows[resource].discard(flow)
+            self.report((flow,), names)
+            return
+        resource = self.resource(op[1])
+        if kind == "capacity":
+            self.capacity[resource] = op[2]
+        else:  # "toggle": the resource joins or leaves the solve
+            self.given ^= {resource}
+        self.report((), (resource,))
+
+
+def bits(rates):
+    """Rates as exact strings, so -0.0, inf and every last bit count."""
+    return {flow: float(rate).hex() for flow, rate in rates.items()}
+
+
+def op_strategy(capacity, cap):
+    return st.one_of(
+        st.tuples(st.just("add"), st.lists(st.integers(0, 9), max_size=4, unique=True), cap),
+        st.tuples(st.just("remove"), st.integers(0, 63)),
+        st.tuples(st.just("recap"), st.integers(0, 63), cap),
+        st.tuples(st.just("capacity"), st.integers(0, 9), capacity),
+        st.tuples(st.just("toggle"), st.integers(0, 9)),
+    )
+
+
+def resume_instances(capacity, cap):
+    """An instance, then batches of changes, each batch followed by one
+    solve, with unchanged flows and resources also reported per batch."""
+    return st.fixed_dictionaries({
+        "capacities": st.lists(capacity, min_size=1, max_size=8),
+        "flows": st.lists(
+            st.tuples(st.lists(st.integers(0, 9), max_size=4, unique=True), cap),
+            min_size=1, max_size=16,
+        ),
+        "batches": st.lists(
+            st.tuples(
+                st.lists(op_strategy(capacity, cap), min_size=1, max_size=3),
+                st.lists(st.integers(0, 63), max_size=2),
+                st.lists(st.integers(0, 9), max_size=2),
+            ),
+            min_size=1, max_size=8,
+        ),
+    })
+
+
+def assert_resumes_like_cold(spec, twins=1):
+    """Every solve of a chain of changes, resumed from the log, equals a
+    cold solve of the same arguments bit for bit and modifies none of
+    them; flows with one resource tuple and one cap share one rate."""
+    log = FillLog()
+    instance = Incidence(
+        spec["capacities"],
+        [flow for flow in spec["flows"] for _ in range(twins)],
+        log,
+    )
+    log.clear()
+    for position in range(len(spec["batches"]) + 1):
+        if position:
+            ops, extra_flows, extra_resources = spec["batches"][position - 1]
+            for op in ops:
+                for _ in range(twins if op[0] == "add" else 1):
+                    instance.apply(op)
+            instance.report(
+                [f for f in map(instance.flow, extra_flows) if f is not None],
+                map(instance.resource, extra_resources),
+            )
+        arguments = instance.arguments()
+        snapshot = copy.deepcopy(arguments)
+        resumed = water_fill_arrays(*arguments, log)
+        assert arguments == snapshot
+        cold = water_fill_arrays(*arguments)
+        assert bits(resumed) == bits(cold)
+        assert 0 <= log.resume_round <= len(log.frozen)
+        assert not log.changed_flows and not log.changed_resources
+        by_twin = {}
+        for flow, rate in resumed.items():
+            key = (instance.flow_resources[flow], instance.caps[flow])
+            assert by_twin.setdefault(key, float(rate).hex()) == float(rate).hex()
+
+
+class TestResumedSolves:
+    @settings(common_settings, max_examples=150)
+    @given(spec=resume_instances(capacity_strategy, cap_strategy))
+    def test_resumed_equals_cold(self, spec):
+        assert_resumes_like_cold(spec)
+
+    @settings(common_settings, max_examples=150)
+    @given(spec=resume_instances(tied_capacity_strategy, tied_cap_strategy))
+    def test_resumed_equals_cold_under_ties(self, spec):
+        """Zero capacities, resources that saturate together and caps
+        that tie with shares."""
+        assert_resumes_like_cold(spec)
+
+    @common_settings
+    @given(spec=resume_instances(tied_capacity_strategy, tied_cap_strategy),
+           twins=st.integers(2, 3))
+    def test_same_resources_and_cap_give_one_rate(self, spec, twins):
+        """Same-endpoint symmetry: flows with one resource tuple and one cap
+        freeze in one round, cold and resumed, because only a
+        numerical-safety round freezes one flow of a tie alone."""
+        assert_resumes_like_cold(spec, twins=twins)
+
+    def test_a_delta_resumes_after_the_rounds_it_cannot_touch(self):
+        """Two disjoint resources saturate in rounds 0 and 1; a flow joining
+        the second leaves round 0 to the log."""
+        log = FillLog()
+        instance = Incidence([10.0, 100.0], [([0], 10.0), ([0], 10.0), ([1], 80.0)], log)
+        log.clear()
+        water_fill_arrays(*instance.arguments(), log)
+        assert len(log.frozen) == 2
+        instance.add([1], 80.0)
+        resumed = water_fill_arrays(*instance.arguments(), log)
+        assert log.resume_round == 1
+        assert bits(resumed) == bits(water_fill_arrays(*instance.arguments()))
+        assert resumed == {"f0": 5.0, "f1": 5.0, "f2": 50.0, "f3": 50.0}
+
+    def test_no_resume_past_a_numerical_safety_round(self):
+        """37,616 unit flows on a resource of capacity 0.999 leave it
+        1.017e-12 after round 0, above its tolerance of 1e-12, so nothing
+        freezes and the safety freeze takes the first flow in caps order
+        alone: it is the one way a tie breaks.  A later change resumes from
+        round 0, not from the round the change could touch."""
+        many = 37616
+        order = list(range(many - 1, -1, -1))  # caps order is not id order
+        flows = [FlowSpec(f"t{i}", ("crowded",)) for i in order]
+        flows += [FlowSpec("a", ("spare",)), FlowSpec("b", ("spare",))]
+        capacities = {"crowded": 0.999, "spare": 1.0}
+        caps, flow_resources, resource_flows, given_capacities = solver_input(flows, capacities)
+        log = FillLog()
+        rates = water_fill_arrays(caps, flow_resources, resource_flows, given_capacities, log)
+        assert rates == weighted_max_min_allocation(flows, capacities)
+        assert log.safety == 0
+        first = f"t{order[0]}"
+        assert rates[first] != rates[f"t{order[1]}"]
+        assert len({rate for flow, rate in rates.items() if flow.startswith("t")}) == 2
+        # the spare resource saturates after round 0; changing it would
+        # otherwise resume at round 1
+        given_capacities["spare"] = 2.0
+        log.changed_resources["spare"] = None
+        resumed = water_fill_arrays(caps, flow_resources, resource_flows, given_capacities, log)
+        assert log.resume_round == 0
+        capacities["spare"] = 2.0
+        assert resumed == weighted_max_min_allocation(flows, capacities)
+        assert bits(resumed) == bits(
+            water_fill_arrays(caps, flow_resources, resource_flows, given_capacities)
+        )
+
+    @pytest.mark.parametrize("before, after", [(9000, 9001), (9001, 9000)],
+                             ids=["grows-past", "shrinks-from-past"])
+    def test_a_changed_resource_beyond_the_tie_bound_resumes_from_round_0(
+        self, before, after
+    ):
+        """Past 9,000 flows a share can set an increment without saturating
+        its resource, so the round it saturates in no longer bounds the
+        rounds it decided: a delta that leaves or puts more than 9,000
+        flows on a resource solves from round 0, though the resource
+        saturates in round 1 either way."""
+        flows = [FlowSpec(f"t{i}", ("crowded",)) for i in range(before)]
+        flows.append(FlowSpec("a", ("other",)))
+        capacities = {"crowded": 1e6, "other": 1.0}
+        caps, flow_resources, resource_flows, given = solver_input(flows, capacities)
+        log = FillLog()
+        water_fill_arrays(caps, flow_resources, resource_flows, given, log)
+        assert [len(frozen) for frozen in log.frozen] == [1, before]
+        if after > before:
+            caps["t-new"] = float("inf")
+            flow_resources["t-new"] = ("crowded",)
+            resource_flows["crowded"].add("t-new")
+            log.changed_flows["t-new"] = None
+        else:
+            del caps["t0"], flow_resources["t0"]
+            resource_flows["crowded"].discard("t0")
+            log.changed_flows["t0"] = None
+        log.changed_resources["crowded"] = None
+        resumed = water_fill_arrays(caps, flow_resources, resource_flows, given, log)
+        assert log.resume_round == 0
+        assert bits(resumed) == bits(
+            water_fill_arrays(caps, flow_resources, resource_flows, given)
+        )
