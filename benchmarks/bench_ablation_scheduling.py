@@ -13,7 +13,6 @@ import pytest
 
 from repro.analysis import render_table
 from repro.cluster import custom_cluster
-from repro.core import PenaltyCache
 from repro.network import EmulatorRateProvider
 from repro.network.topology import CrossbarTopology
 from repro.simulator import Simulator
@@ -25,15 +24,11 @@ PLACEMENTS = ("RRN", "RRP", "random")
 def sweep_placements():
     cluster = custom_cluster(num_nodes=8, cores_per_node=2, technology="myrinet")
     app = generate_linpack(problem_size=6000, block_size=200, num_tasks=16)
-    # one rate cache shared by the per-placement providers: the three runs
-    # revisit many of the same sharing situations
-    cache = PenaltyCache()
     rows = []
-    hits = 0
     for placement in PLACEMENTS:
         topology = CrossbarTopology(num_hosts=cluster.num_nodes,
                                     technology=cluster.technology)
-        provider = EmulatorRateProvider(cluster.technology, topology, cache=cache)
+        provider = EmulatorRateProvider(cluster.technology, topology)
         sim = Simulator(cluster, provider, technology=cluster.technology,
                         mode="emulated",
                         model_name=f"emulator[{cluster.technology.name}]")
@@ -41,24 +36,19 @@ def sweep_placements():
         comm = sum(report.communication_times().values())
         rows.append((placement, report.total_time, comm, report.average_penalty,
                      report.max_penalty))
-        hits += provider.cache_hits
-    return rows, hits
+    return rows
 
 
 @pytest.mark.benchmark(group="ablation-scheduling", min_rounds=1, max_time=1.0, warmup=False)
 def test_ablation_placement_policies(benchmark, emit):
-    rows, shared_hits = benchmark.pedantic(sweep_placements, rounds=1, iterations=1)
+    rows = benchmark.pedantic(sweep_placements, rounds=1, iterations=1)
     table = render_table(
         ["placement", "total time [s]", "sum comm [s]", "avg penalty", "max penalty"],
         [list(r) for r in rows],
         title="Ablation A3 - HPL N=6000 on the emulated Myrinet cluster",
         float_format="{:.3f}",
     )
-    table += f"\n\nshared rate cache: {shared_hits} hits across the placement sweep"
     emit("ablation_scheduling", table)
-
-    # the shared cache must pool allocations across placements
-    assert shared_hits > 0
 
     by_policy = {r[0]: r for r in rows}
     # RRP keeps the ring neighbours on the same node, so its communication

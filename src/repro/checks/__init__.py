@@ -11,8 +11,6 @@ code      name                          invariant
 ``RC03``  guarded-emission              hot-path ``.emit`` / ``.sample_record`` /
                                         PhaseTimer use dominated by an
                                         ``is not None`` test on the same name
-``RC04``  delta-contract                ``rates()`` routes through ``update()``;
-                                        ``reset()`` is zero-arg
 ``RC06``  bench-emit-discipline         benchmarks write results only through the
                                         shared ``emit`` fixture
 ========  ============================  ==========================================

@@ -4,8 +4,8 @@
 gate: each :class:`Checker` encodes one convention the codebase relies on
 but Python itself cannot enforce — the trace-kind registry staying in sync
 with its documentation, the "disabled path is one pointer test" emission
-contract, the ``RateProvider`` delta contract and the benchmark emit
-discipline.  The checkers operate on plain :mod:`ast` trees (per-file ``visit`` hooks plus a
+contract and the benchmark emit discipline.  The checkers operate on plain
+:mod:`ast` trees (per-file ``visit`` hooks plus a
 cross-file ``finalize``), so the gate runs anywhere the stdlib runs — no
 third-party linter required.
 
@@ -19,7 +19,7 @@ comment)::
 
 or for a whole file with a module-level comment::
 
-    # repro-check: ignore-file[RC04]
+    # repro-check: ignore-file[RC06]
 
 ``ignore`` / ``ignore-file`` without a bracketed code list silences every
 rule.  Codes are comma-separated (``ignore[RC01, RC03]``).  Suppressions

@@ -8,7 +8,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Type
 
 from .base import Checker, CheckContext, Finding, ParsedModule
 from .bench_emit import BenchEmitChecker
-from .delta_contract import DeltaContractChecker
 from .guarded_emission import GuardedEmissionChecker
 from .trace_kinds import TraceKindChecker
 
@@ -24,7 +23,6 @@ __all__ = [
 ALL_CHECKERS: Tuple[Type[Checker], ...] = (
     TraceKindChecker,
     GuardedEmissionChecker,
-    DeltaContractChecker,
     BenchEmitChecker,
 )
 

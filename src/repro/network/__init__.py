@@ -11,7 +11,6 @@ from .allocator import EmulatorRateProvider
 from .emulator import ClusterEmulator
 from .fluid import (
     CalendarStats,
-    DeltaRateProvider,
     FluidTransferSimulator,
     RateProvider,
     Transfer,
@@ -35,7 +34,6 @@ __all__ = [
     "ClusterEmulator",
     "EmulatorRateProvider",
     "CalendarStats",
-    "DeltaRateProvider",
     "FluidTransferSimulator",
     "RateProvider",
     "Transfer",

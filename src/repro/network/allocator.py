@@ -28,14 +28,12 @@ paper measured on its three clusters (Figure 2) to within a few percent; see
 ``benchmarks/results/fig2_penalty_ladder.txt``.
 
 Like the model-side provider, the allocator memoizes its max-min solutions
-in a :class:`~repro.core.incremental.PenaltyCache` (the same LRU-with-
-symmetry-check mechanism the contention models use, namespaced by technology
-and topology so a cache may be shared across providers): the rate vector
-only depends on the multiset of ``(src, dst)`` endpoint pairs of the active
-transfers (sizes and transfer ids never enter the allocation, and
-same-endpoint flows receive equal rates in the unique max-min solution), so
-repeated sharing situations — ubiquitous in iterative workloads — are
-dictionary lookups instead of solver runs.
+in a private :class:`~repro.core.incremental.PenaltyCache` (the same LRU
+mechanism the contention models use): the rate vector only depends on the
+multiset of ``(src, dst)`` endpoint pairs of the active transfers (sizes and
+transfer ids never enter the allocation, and same-endpoint flows receive
+equal rates in the unique max-min solution), so repeated sharing situations
+are dictionary lookups instead of solver runs.
 
 The provider is **delta-scaled**: the endpoint-pair multiset that keys the
 memo is maintained incrementally (a sorted pair list updated by bisection
@@ -44,8 +42,6 @@ per-transfer rates are kept in an incrementally-updated map, and the changed
 set an ``update(added, removed)`` call reports is derived by value-diffing
 the allocation *per endpoint pair* against the previous one — so a memoized
 flush costs O(delta + distinct pairs) instead of O(active × log active).
-The full-set ``rates(active)`` call is a compatibility shim that diffs the
-requested set against the tracked one and applies the delta.
 
 Everything the solver reads is kept between flushes as well.
 ``_track``/``_untrack`` give every capacity resource a persistent integer
@@ -79,14 +75,17 @@ warm-start component solves leave the log alone, so the reported items
 accumulate until the next whole-set solve; :meth:`reset` and
 :meth:`invalidate_cache` drop the log, and the solve after them is cold.
 
-On a cache miss the water-filling is additionally *warm-started*: when
-exactly one flow arrived or departed since the previous allocation, only the
-coupling component of the changed flow (flows transitively sharing an
-endpoint host or a fabric link with it) is re-solved and every other flow
-keeps its previous rate.  Max-min allocations decompose exactly over
-coupling components — the income/outgo capacity degradations and duplex caps
-only couple flows through shared hosts — so the warm-started rates equal a
-full re-solve up to floating-point summation order.
+With ``warm_start=True`` the water-filling on a cache miss is
+additionally *warm-started*: when exactly one flow arrived or departed since
+the previous allocation, only the coupling component of the changed flow
+(flows transitively sharing an endpoint host or a fabric link with it) is
+re-solved and every other flow keeps its previous rate.  Max-min allocations
+decompose exactly over coupling components — the income/outgo capacity
+degradations and duplex caps only couple flows through shared hosts — so
+the warm-started rates equal a whole-set solve only up to floating-point
+summation order: they are not bit-identical, and differ from the
+full-query reference of :mod:`repro.network.fluid`, which re-prices the
+whole set from a reset provider.  Warm starts are therefore off by default.
 """
 
 from __future__ import annotations
@@ -114,39 +113,24 @@ class EmulatorRateProvider:
         The emulated interconnect and its wiring (crossbar by default).
     cache_size:
         Number of memoized sharing situations in the private cache
-        (0 disables memoization).  Ignored when ``cache`` is given — a
-        shared cache arrives with its own capacity.  Call
-        :meth:`invalidate_cache` after mutating the topology or the
-        technology in place.
-    cache:
-        Optional shared :class:`~repro.core.incremental.PenaltyCache`;
-        entries are namespaced by technology and topology, so providers of
-        one sweep can pool their memoized allocations.  Takes precedence
-        over ``cache_size``.
+        (0 disables memoization).  Call :meth:`invalidate_cache` after
+        mutating the topology or the technology in place.
     warm_start:
         Re-solve only the changed flow's coupling component when exactly one
-        flow arrived/departed (see the module docstring); pass ``False`` to
-        force a full water-filling on every miss.
+        flow arrived/departed (see the module docstring).  Off by default:
+        the warm-started rates are not bit-identical to a whole-set solve.
     """
 
     def __init__(self, technology: NetworkTechnology, topology: Topology | None = None,
                  num_hosts: int = 64, cache_size: int = 4096,
-                 cache: Optional[PenaltyCache] = None,
-                 warm_start: bool = True) -> None:
+                 warm_start: bool = False) -> None:
         self.technology = technology
         self.topology = topology or CrossbarTopology(num_hosts=num_hosts, technology=technology)
         if self.topology.technology is not technology:
             # keep the two consistent; the topology carries link capacities
             self.topology.technology = technology
         self.cache_size = int(cache_size)
-        self._owns_cache = cache is None
-        self._rate_cache = cache if cache is not None else PenaltyCache(
-            max_entries=max(0, self.cache_size)
-        )
-        # the epoch scopes this provider's entries; bumping it on
-        # invalidation retires them without touching a shared cache
-        self._epoch = 0
-        self._rebuild_namespace()
+        self._rate_cache = PenaltyCache(max_entries=max(0, self.cache_size))
         self.cache_hits = 0
         self.cache_misses = 0
         self.warm_start = bool(warm_start)
@@ -213,24 +197,14 @@ class EmulatorRateProvider:
         })
         self._solve_timer = registry.timer("waterfill.solve_s")
 
-    def _rebuild_namespace(self) -> None:
-        self._namespace = (
-            "emulator-rates", self._epoch, self.technology, self.topology.memo_key()
-        )
-
     def invalidate_cache(self) -> None:
         """Drop memoized allocations (required after in-place reconfiguration).
 
-        A private cache is cleared outright; on a shared cache only this
-        provider's entries are retired (by bumping the namespace epoch), so
-        other providers pooling the cache keep their valid entries.  The
-        warm-start state and the stored rates are dropped either way, so the
-        next query re-solves and re-reports everything.
+        Clears the memo, drops the warm-start state and the stored rates, and
+        re-reads every capacity from the topology, so the next query
+        re-solves and re-reports everything.
         """
-        self._epoch += 1
-        self._rebuild_namespace()
-        if self._owns_cache:
-            self._rate_cache.clear()
+        self._rate_cache.clear()
         self._rates_by_tid = {}
         self._last_by_pair = None
         self._primed = False
@@ -279,7 +253,7 @@ class EmulatorRateProvider:
     def _situation_key(self) -> Hashable:
         """Memo key of the tracked situation — O(active) tuple copy of the
         incrementally maintained sorted pair list (no re-sort)."""
-        return (self._namespace, tuple(self._sorted_pairs))
+        return tuple(self._sorted_pairs)
 
     def _solve(self, active: Sequence[Transfer]) -> Dict[Hashable, float]:
         timer = self._solve_timer
@@ -655,61 +629,3 @@ class EmulatorRateProvider:
         self._last_by_pair = by_pair
         self._primed = True
         return changed
-
-    def rates(self, active: Sequence[Transfer]) -> Dict[Hashable, float]:
-        """Instantaneous rate of every active transfer, in bytes per second.
-
-        Compatibility shim over :meth:`update`: the requested set is diffed
-        against the tracked one, the delta applied, and the stored rate of
-        every requested transfer returned.
-        """
-        wanted: Dict[Hashable, Transfer] = {}
-        for transfer in active:
-            if transfer.transfer_id in wanted:
-                raise SimulationError("duplicate transfer ids in the active set")
-            wanted[transfer.transfer_id] = transfer
-        removed: List[Hashable] = [tid for tid in self._active if tid not in wanted]
-        added: List[Transfer] = []
-        for tid, transfer in wanted.items():
-            known = self._active.get(tid)
-            if known is None:
-                added.append(transfer)
-            elif (known.src, known.dst) != (transfer.src, transfer.dst):
-                # transfer id re-used with new endpoints: departure + arrival
-                removed.append(tid)
-                added.append(transfer)
-        if added or removed:
-            self.update(added, removed)
-        elif active and any(
-            t.transfer_id not in self._rates_by_tid for t in active
-        ):
-            # stored rates were dropped (invalidate_cache): full re-query
-            self._allocate(list(self._tids_of_pair), [])
-        elif active:
-            # no delta: the stored rates are current; a memoized situation
-            # still counts as a hit (parity with the historical full query)
-            if self._rate_cache.get(self._situation_key()) is not None:
-                self.cache_hits += 1
-        return {t.transfer_id: self._rates_by_tid[t.transfer_id] for t in active}
-
-    # ------------------------------------------------------------- penalties
-    def instantaneous_penalties(self, active: Sequence[Transfer]) -> Dict[Hashable, float]:
-        """Penalty of every active transfer under the current sharing situation.
-
-        The penalty is the ratio between the single-stream bandwidth and the
-        allocated rate — exactly the paper's ``P_i = T_i / T_ref`` when every
-        transfer of the scheme starts together and runs to completion.
-        """
-        rates = self.rates(active)
-        single = self.technology.single_stream_bandwidth
-        memory = self.technology.memory_bandwidth
-        penalties: Dict[Hashable, float] = {}
-        for transfer in active:
-            rate = rates[transfer.transfer_id]
-            if rate <= 0:
-                raise SimulationError(
-                    f"transfer {transfer.transfer_id!r} was allocated a zero rate"
-                )
-            reference = memory if transfer.is_intra_node else single
-            penalties[transfer.transfer_id] = max(1.0, reference / rate)
-        return penalties

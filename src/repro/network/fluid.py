@@ -19,7 +19,7 @@ arrival/departure.
 
 Delta recomputation contract
 ----------------------------
-A rate provider has one delta entry point and one full-set shim:
+A rate provider has one entry point, plus a reset:
 
 * ``update(added, removed) -> {tid: rate}`` — apply the flow arrivals
   (``added``, :class:`Transfer` objects) and departures (``removed``,
@@ -31,21 +31,22 @@ A rate provider has one delta entry point and one full-set shim:
   emulator it is the value-diff of the re-solved allocation).  Transfers
   absent from the returned mapping are guaranteed to keep their previous
   rate, which is what lets the calendar leave their predicted completion
-  untouched.  Providers may also expose ``reset()`` to drop the tracked
-  active set between independent runs (memo caches survive a reset).
-* ``rates(active)`` — the historical full-set call: the rate (bytes/s) of
-  every transfer in ``active``.  The rates returned for a given active set
-  must not depend on *when* the provider was previously queried, only on
-  the set itself — any conforming provider can cache aggressively.  On a
-  delta provider it is a shim over ``update``.
+  untouched.
+* ``reset()`` — drop the tracked active set (memo caches survive a
+  reset), so the next ``update`` starts from an empty set.
 
 Both built-in providers (:class:`repro.simulator.providers.ModelRateProvider`
 and :class:`repro.network.allocator.EmulatorRateProvider`) implement the
-contract.  The calendar hands every flush to ``update`` in delta mode and
-to ``rates`` in full-query mode (``delta=False``, the reference the property
-tests compare against), and applies the returned mapping through one
-per-flight loop either way — tracing, metering and rate scaling add records
-or a multiplier, never a different code path.
+contract.  In delta mode the calendar hands every flush's arrivals and
+departures to ``update``.  In full-query mode (``delta=False``, the
+reference the property tests and the benchmark oracle compare against) it
+re-prices every flush from scratch: ``reset()`` and then ``update`` with
+every in-flight transfer, the calls :meth:`TransferCalendar.reprice`
+makes.  The reference therefore rebuilds the provider's state instead of
+reading it back, so a provider whose deltas under-report, or whose rates
+depend on how the deltas were split, disagrees with it.  Both modes apply
+the returned mapping through one per-flight loop — tracing, metering and
+rate scaling add records or a multiplier, never a different code path.
 
 Simulation cost therefore scales with *state changes* (how many transfers
 each arrival/departure re-prices) rather than with the size of the active
@@ -198,7 +199,6 @@ __all__ = [
     "Transfer",
     "TransferResult",
     "RateProvider",
-    "DeltaRateProvider",
     "validate_delta",
     "CalendarStats",
     "TransferCalendar",
@@ -243,26 +243,20 @@ class TransferResult:
 
 
 class RateProvider(Protocol):
-    """Anything that can allocate instantaneous rates to concurrent transfers."""
+    """Prices the in-flight transfers of a calendar; see the module docstring.
 
-    def rates(self, active: Sequence[Transfer]) -> Mapping[Hashable, float]:
-        """Return the current rate (bytes/s) of every active transfer."""
-        ...  # pragma: no cover - protocol
-
-
-class DeltaRateProvider(RateProvider, Protocol):
-    """A rate provider that can report exactly which transfers were re-priced.
-
-    See the module docstring for the contract; the shipped
-    :class:`repro.simulator.providers.ModelRateProvider` and
-    :class:`repro.network.allocator.EmulatorRateProvider` both implement it,
-    with ``rates()`` kept as a compatibility shim.
+    The shipped :class:`repro.simulator.providers.ModelRateProvider` and
+    :class:`repro.network.allocator.EmulatorRateProvider` both implement it.
     """
 
     def update(
         self, added: Sequence[Transfer], removed: Sequence[Hashable]
     ) -> Mapping[Hashable, float]:
         """Apply a flow delta; return the rates of the re-priced transfers."""
+        ...  # pragma: no cover - protocol
+
+    def reset(self) -> None:
+        """Forget the tracked active set."""
         ...  # pragma: no cover - protocol
 
 
@@ -350,15 +344,12 @@ class TransferCalendar:
     Parameters
     ----------
     rate_provider:
-        The provider; when it implements ``update`` (the delta contract)
-        each flush hands it only the arrivals/departures since the previous
-        flush.  A rates-only provider is re-queried with the full active set
-        and the changed rates are found by value-diff — semantically
-        identical, O(active) per flush.
+        The provider (see :class:`RateProvider`).
     delta:
-        ``None`` (default) auto-detects ``update``; ``False`` forces the
-        full-query path even for delta providers (the verification mode the
-        property tests compare against); ``True`` requires a delta provider.
+        ``True`` (default) hands each flush only the arrivals/departures
+        since the previous flush.  ``False`` re-prices every flush from a
+        reset provider with the whole active set, O(active) per flush: the
+        reference the property tests compare against.
     missing_rate:
         What to do when the provider returns no rate for a live transfer:
         ``"error"`` raises (the fluid simulator's historical behaviour),
@@ -384,20 +375,15 @@ class TransferCalendar:
     def __init__(
         self,
         rate_provider: RateProvider,
-        delta: Optional[bool] = None,
+        delta: bool = True,
         missing_rate: str = "error",
         trace: Optional[TraceSink] = None,
         metrics=None,
     ) -> None:
         if missing_rate not in ("error", "zero"):
             raise SimulationError(f"unknown missing_rate policy {missing_rate!r}")
-        has_update = callable(getattr(rate_provider, "update", None))
-        if delta is True and not has_update:
-            raise SimulationError(
-                "delta=True requires a rate provider with an update() method"
-            )
         self.provider = rate_provider
-        self.delta = has_update if delta is None else bool(delta)
+        self.delta = bool(delta)
         self.missing_rate = missing_rate
         self._trace = active_sink(trace)
         self._flush_timer = metrics.timer("calendar.flush_s") if metrics is not None else None
@@ -556,26 +542,23 @@ class TransferCalendar:
         timer.observe(perf_counter() - start)
 
     def _flush(self, now: float) -> None:
+        added_count = len(self._pending_added)
+        removed_count = len(self._pending_removed)
         if self.delta:
-            if not self._pending_added and not self._pending_removed:
+            if not added_count and not removed_count:
                 if self._stalled:
                     self._retry_stalled(now)
                 return
             arrivals = list(self._pending_added)
-            added_count = len(arrivals)
-            removed_count = len(self._pending_removed)
-            changed: Mapping[Hashable, float] = self.provider.update(
+            changed = self.provider.update(
                 list(self._pending_added.values()), list(self._pending_removed))
         else:
-            arrivals = []  # a full query checks every flight instead
             if not self._flights:
                 self._pending_added.clear()
                 self._pending_removed.clear()
                 return
-            added_count = len(self._pending_added)
-            removed_count = len(self._pending_removed)
-            changed = self.provider.rates(
-                [flight.transfer for flight in self._flights.values()])
+            arrivals = []  # a full query checks every flight instead
+            changed = self._requery()
         self._pending_added.clear()
         self._pending_removed.clear()
         self.stats.flushes += 1
@@ -590,13 +573,19 @@ class TransferCalendar:
         if self.delta and self._stalled:
             self._retry_stalled(now)
 
+    def _requery(self) -> Mapping[Hashable, float]:
+        """Re-price every in-flight transfer from a reset provider."""
+        self.provider.reset()
+        return self.provider.update(
+            [flight.transfer for flight in self._flights.values()], [])
+
     def _apply_changed(self, changed: Mapping[Hashable, float], now: float,
                        arrivals: Sequence[Hashable] = ()) -> None:
         """Apply a provider answer; ``arrivals`` are the delta's new ids, in activation order."""
         for tid, rate in changed.items():
             flight = self._flights.get(tid)
             if flight is None:
-                continue  # a full-map shim may echo ids the caller never activated
+                continue  # not in flight: nothing to re-time
             if rate < 0:
                 raise SimulationError(f"negative rate for transfer {tid!r}")
             self._apply_rate(tid, flight, rate, now)
@@ -651,23 +640,13 @@ class TransferCalendar:
         The delta contract cannot express "every rate may have changed"
         (e.g. after a link-degradation window toggles the rate scale), so
         this resets the provider's tracked set and re-adds the whole active
-        set in one delta; in full-query mode a plain re-query suffices.  Any
-        pending delta is flushed first.
+        set in one delta, in either mode.  Any pending delta is flushed
+        first.
         """
         self.flush(now)
         if not self._flights:
             return
-        transfers = [flight.transfer for flight in self._flights.values()]
-        if self.delta:
-            reset = getattr(self.provider, "reset", None)
-            if not callable(reset):
-                raise SimulationError(
-                    "reprice() on a delta provider requires a reset() method"
-                )
-            reset()
-            changed: Mapping[Hashable, float] = self.provider.update(transfers, [])
-        else:
-            changed = self.provider.rates(transfers)
+        changed = self._requery()
         self.stats.flushes += 1
         self.stats.rate_updates += len(changed)
         self.stats.active_at_flush += len(self._flights)
@@ -866,9 +845,10 @@ class FluidTransferSimulator:
         Per-transfer startup latency in seconds, added before the first byte
         flows (one-way network latency plus protocol handshake).
     delta:
-        Forwarded to :class:`TransferCalendar` — ``None`` auto-detects the
-        provider's delta ``update`` API, ``False`` forces full-set
-        re-queries (the verification mode; bit-exact with the delta path).
+        Forwarded to :class:`TransferCalendar` — ``True`` (default) hands
+        the provider each flush's delta, ``False`` re-prices every flush
+        from a reset provider (the reference mode; bit-exact with the delta
+        path for a provider that reports every rate it changes).
     injectors:
         Interference injectors (:mod:`repro.simulator.interference`) whose
         events interleave with the transfer calendar: background flows
@@ -894,7 +874,7 @@ class FluidTransferSimulator:
     EPSILON_BYTES = TransferCalendar.EPSILON_BYTES
 
     def __init__(self, rate_provider: RateProvider, latency: float = 0.0,
-                 delta: Optional[bool] = None,
+                 delta: bool = True,
                  injectors: Sequence = (),
                  trace: Optional[TraceSink] = None,
                  metrics=None) -> None:
@@ -918,9 +898,7 @@ class FluidTransferSimulator:
         if not transfers:
             return {}
 
-        reset = getattr(self.rate_provider, "reset", None)
-        if callable(reset):
-            reset()
+        self.rate_provider.reset()
         trace = self.trace
         calendar = TransferCalendar(self.rate_provider, delta=self.delta,
                                     missing_rate="error", trace=trace,

@@ -21,7 +21,7 @@ Resource identifiers handed to :mod:`repro.network.sharing` are tuples:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Dict, Hashable, Tuple
 
 from ..exceptions import TopologyError
@@ -108,19 +108,6 @@ class Topology:
                 self.check_host(owner)
                 return self.technology.memory_bandwidth
         raise TopologyError(f"unknown resource {resource!r}")
-
-    def memo_key(self) -> tuple:
-        """Hashable identity of the wiring and its parameters.
-
-        Namespaces shared rate caches: two topologies only exchange memoized
-        allocations when their ``memo_key`` is equal.  The generic dataclass
-        field walk covers subclasses (e.g. the fat-tree arity parameters)
-        automatically.
-        """
-        values = tuple(
-            (field.name, getattr(self, field.name)) for field in fields(self)
-        )
-        return (type(self).__module__, type(self).__qualname__, values)
 
     def describe(self) -> str:
         return f"{type(self).__name__}: {self.num_hosts} hosts on {self.technology.name}"

@@ -28,9 +28,9 @@ the conflict components the delta dirtied), and only transfers whose rate
 *value* changed have their remaining bytes integrated and their completion
 re-timed.  Per-step work therefore scales with the state change, not with
 the number of in-flight transfers.  Setting
-:attr:`EngineConfig.delta_rates` to ``False`` re-queries the full active
-set each step instead (bit-exact with the delta path — property-tested in
-``tests/property/test_calendar_engine.py``).
+:attr:`EngineConfig.delta_rates` to ``False`` re-prices the full active
+set from a reset provider each step instead (bit-exact with the delta
+path — property-tested in ``tests/property/test_calendar_engine.py``).
 
 Message matching — pending sends, posted receives, parked eager arrivals
 and unclaimed in-flight transfers — is indexed by ``(src, dst, tag)`` with
@@ -136,9 +136,9 @@ class EngineConfig:
     default_flops_per_core: float = 4.0e9
     #: hard cap on engine iterations per simulated event (safety net)
     iteration_factor: int = 50
-    #: use the provider's delta ``update`` API (when available); ``False``
-    #: re-queries the full active set every step — same results, O(active)
-    #: per-step work (kept for verification and benchmarking)
+    #: hand the provider each step's flow delta; ``False`` re-prices the
+    #: full active set from a reset provider every step — same results,
+    #: O(active) per-step work (kept for verification and benchmarking)
     delta_rates: bool = True
     #: interference injectors (:mod:`repro.simulator.interference`) whose
     #: events ride the timeline heap; empty = bit-exact clean-fabric run
@@ -888,12 +888,10 @@ class ExecutionEngine:
 
     def run(self) -> SimulationReport:
         """Execute the application to completion and return the report."""
-        reset = getattr(self.rate_provider, "reset", None)
-        if callable(reset):
-            reset()
+        self.rate_provider.reset()
         self._calendar = TransferCalendar(
             self.rate_provider,
-            delta=None if self.config.delta_rates else False,
+            delta=self.config.delta_rates,
             missing_rate="zero",
             trace=self._trace,
             metrics=self._metrics,

@@ -14,10 +14,8 @@ providers exist:
 Both implement the delta contract of :mod:`repro.network.fluid`:
 ``update(added, removed)`` validates a flow delta in O(delta), applies it,
 and returns the rates of exactly the transfers that were re-priced, so the
-event-calendar loops only re-time what actually changed.  The historical
-full-set ``rates(active)`` call is kept as a compatibility shim built on
-``update`` — it diffs the requested set against the tracked one, applies the
-delta, and returns the stored rate of every requested transfer.
+event-calendar loops only re-time what actually changed; ``reset()`` drops
+the tracked set.
 
 By default the model side is *incremental*: the provider hands each arrival
 and departure to an :class:`~repro.core.incremental.IncrementalPenaltyEngine`,
@@ -28,14 +26,14 @@ memoized snapshot cache.  A cache hit builds no graph; only a miss prices a
 force the historical rebuild-everything behaviour, the reference the
 incremental path is checked against: the two are bit-exact, which
 ``tests/property/test_incremental_properties.py`` asserts over random
-arrival/departure sequences, and the delta API is bit-exact with cold
-full-set evaluation, which ``tests/property/test_delta_contract.py``
+arrival/departure sequences, and the delta API is bit-exact with a cold
+provider fed the whole set, which ``tests/property/test_delta_contract.py``
 asserts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence
+from typing import Dict, Hashable, Sequence
 
 from ..core.graph import CommunicationGraph
 from ..core.incremental import (
@@ -45,7 +43,6 @@ from ..core.incremental import (
     in_flight_graph,
 )
 from ..core.penalty import ContentionModel
-from ..exceptions import SimulationError
 from ..network.allocator import EmulatorRateProvider
 from ..network.fluid import Transfer, validate_delta
 from ..network.technologies import NetworkTechnology, get_technology
@@ -96,10 +93,8 @@ class ModelRateProvider:
         # in full-recompute mode the stats only count communication
         # evaluations, so both modes report the same work metric
         self._full_stats = EngineStats()
-        # delta-contract state: the tracked active set and its current rates
+        #: the tracked active set, for the delta contract (:meth:`update`)
         self._active: Dict[Hashable, Transfer] = {}
-        self._rates: Dict[Hashable, float] = {}
-        self._full_penalties: Dict[str, float] = {}
 
     @property
     def stats(self) -> EngineStats:
@@ -142,8 +137,6 @@ class ModelRateProvider:
         if self._engine is not None:
             self._engine.reset()
         self._active.clear()
-        self._rates.clear()
-        self._full_penalties.clear()
 
     def _apply_delta(
         self, added: Sequence[Transfer], removed: Sequence[Hashable]
@@ -154,7 +147,6 @@ class ModelRateProvider:
         engine = self._engine
         for tid in removed:
             del active[tid]
-            self._rates.pop(tid, None)
             if engine is not None:
                 engine.remove(tid)
         for transfer in added:
@@ -190,52 +182,8 @@ class ModelRateProvider:
             self._full_stats.events += 1
             self._full_stats.component_evaluations += 1
             self._full_stats.comm_evaluations += len(active_list)
-            self._full_penalties = dict(self.model.penalties(graph))
+            penalties = self.model.penalties(graph)
             for transfer in active_list:
-                penalty = self._full_penalties[str(transfer.transfer_id)]
+                penalty = penalties[str(transfer.transfer_id)]
                 changed[transfer.transfer_id] = self._rate_of(transfer, penalty)
-        else:
-            self._full_penalties = {}
-        self._rates.update(changed)
         return changed
-
-    def _sync(self, active: Sequence[Transfer]) -> None:
-        """Diff ``active`` against the tracked set and apply the delta."""
-        wanted = {t.transfer_id: t for t in active}
-        if len(wanted) != len(active):
-            raise SimulationError("duplicate transfer ids in the active set")
-        removed: List[Hashable] = [tid for tid in self._active if tid not in wanted]
-        added: List[Transfer] = []
-        for tid, transfer in wanted.items():
-            known = self._active.get(tid)
-            if known is None:
-                added.append(transfer)
-            elif (known.src, known.dst, known.size) != (
-                transfer.src, transfer.dst, transfer.size
-            ):
-                # transfer id re-used with new endpoints/size: departure + arrival
-                removed.append(tid)
-                added.append(transfer)
-        if added or removed:
-            self.update(added, removed)
-
-    # -------------------------------------------------------------- interface
-    def rates(self, active: Sequence[Transfer]) -> Dict[Hashable, float]:
-        """Rate (bytes/s) of every active transfer according to the model.
-
-        Compatibility shim over :meth:`update`: the full set is diffed
-        against the tracked one, the delta applied, and the stored rates of
-        the whole set returned.
-        """
-        self._sync(active)
-        return {t.transfer_id: self._rates[t.transfer_id] for t in active}
-
-    def instantaneous_penalties(self, active: Sequence[Transfer]) -> Dict[Hashable, float]:
-        """Model penalties of the in-flight transfers (diagnostic helper)."""
-        if not active:
-            return {}
-        self._sync(active)
-        if self._engine is not None:
-            penalties = self._engine.penalties()
-            return {t.transfer_id: penalties[t.transfer_id] for t in active}
-        return {t.transfer_id: self._full_penalties[str(t.transfer_id)] for t in active}

@@ -1,6 +1,6 @@
 """Per-rule tests against the seeded fixture trees.
 
-Every rule (RC01, RC03, RC04, RC06) has a seeded-violation fixture and a clean
+Every rule (RC01, RC03, RC06) has a seeded-violation fixture and a clean
 twin; the tests pin the *exact* ``(path, line, code)`` triples so a checker
 that drifts by one line, fires twice, or goes silent fails loudly.
 """
@@ -11,7 +11,6 @@ from pathlib import Path
 
 from repro.checks import run_check
 from repro.checks.bench_emit import BenchEmitChecker
-from repro.checks.delta_contract import DeltaContractChecker
 from repro.checks.guarded_emission import GuardedEmissionChecker
 from repro.checks.trace_kinds import TraceKindChecker
 
@@ -77,26 +76,6 @@ class TestGuardedEmissionRC03:
                         encoding="utf-8")
         findings, _ = run_check([twin], root=tmp_path,
                                 checkers=[GuardedEmissionChecker])
-        assert findings == []
-
-
-class TestDeltaContractRC04:
-    ROOT = FIXTURES / "rc04"
-
-    def test_both_shape_rules_fire_at_the_offending_def(self):
-        findings, _ = run_check([self.ROOT / "bad_provider.py"],
-                                root=self.ROOT,
-                                checkers=[DeltaContractChecker])
-        assert triples(findings) == [("bad_provider.py", 8, "RC04"),
-                                     ("bad_provider.py", 16, "RC04")]
-        messages = "\n".join(f.message for f in findings)
-        assert "does not route through update()" in messages
-        assert "reset() must be zero-arg" in messages
-
-    def test_conforming_provider_is_clean(self):
-        findings, _ = run_check([self.ROOT / "clean_provider.py"],
-                                root=self.ROOT,
-                                checkers=[DeltaContractChecker])
         assert findings == []
 
 

@@ -47,7 +47,7 @@ class TestOutputs:
     def test_list_checks_names_every_rule(self, capsys):
         assert main(["--list-checks"]) == 0
         out = capsys.readouterr().out
-        for code in ("RC01", "RC03", "RC04", "RC06"):
+        for code in ("RC01", "RC03", "RC06"):
             assert code in out
 
     def test_select_filters_rules(self):

@@ -1,4 +1,4 @@
-"""Warm-started max-min solving, the unified rate cache, the kept solver
+"""Warm-started max-min solving, the private rate memo, the kept solver
 inputs and the round log of the emulator."""
 
 from __future__ import annotations
@@ -7,7 +7,6 @@ import random
 
 import pytest
 
-from repro.core import PenaltyCache
 from repro.network import EmulatorRateProvider, FatTreeTopology, Transfer, get_technology
 from repro.network.sharing import can_bind, water_fill_arrays
 from repro.units import MB
@@ -15,38 +14,40 @@ from repro.units import MB
 ETH = get_technology("ethernet")
 
 
-def fresh(warm_start=True, cache=None, cache_size=4096, technology=ETH, topology=None):
+def fresh(warm_start=True, cache_size=4096, technology=ETH, topology=None):
     return EmulatorRateProvider(technology, topology, num_hosts=16,
-                                cache_size=cache_size, cache=cache,
-                                warm_start=warm_start)
+                                cache_size=cache_size, warm_start=warm_start)
+
+
+def step(provider, current, added=(), removed=()):
+    """Apply a delta and fold the re-priced rates into ``current``, as the
+    calendar does; returns ``current``."""
+    for tid in removed:
+        del current[tid]
+    current.update(provider.update(list(added), list(removed)))
+    return current
 
 
 class TestWarmStart:
     def test_single_arrival_is_warm_started(self):
         provider = fresh(cache_size=0)
-        active = [Transfer(0, 0, 1, 20 * MB)]
-        provider.rates(active)
+        provider.update([Transfer(0, 0, 1, 20 * MB)], [])
         assert provider.warm_starts == 0  # no previous allocation on first call
-        active = active + [Transfer(1, 0, 2, 20 * MB)]
-        provider.rates(active)
+        provider.update([Transfer(1, 0, 2, 20 * MB)], [])
         assert provider.warm_starts == 1
 
     def test_warm_rates_match_cold_solver(self):
         """One arrival/departure at a time: warm path tracks the full solver."""
-        steps = []
-        active = []
-        for i in range(6):
-            active = active + [Transfer(i, i % 4, (i + 1) % 4 + 4, 20 * MB)]
-            steps.append(list(active))
-        for i in (1, 3):
-            active = [t for t in active if t.transfer_id != i]
-            steps.append(list(active))
+        deltas = [([Transfer(i, i % 4, (i + 1) % 4 + 4, 20 * MB)], []) for i in range(6)]
+        deltas += [([], [1]), ([], [3])]
 
         warm = fresh(cache_size=0)
         cold = fresh(cache_size=0, warm_start=False)
-        for step in steps:
-            warm_rates = warm.rates(step)
-            cold_rates = cold.rates(step)
+        warm_rates, cold_rates = {}, {}
+        for added, removed in deltas:
+            step(warm, warm_rates, added, removed)
+            step(cold, cold_rates, added, removed)
+            assert set(warm_rates) == set(cold_rates)
             for tid in cold_rates:
                 assert warm_rates[tid] == pytest.approx(cold_rates[tid], rel=1e-9)
         assert warm.warm_starts > 0
@@ -54,36 +55,35 @@ class TestWarmStart:
 
     def test_disjoint_flows_keep_their_previous_rates(self):
         provider = fresh(cache_size=0)
-        base = [Transfer(0, 0, 1, 20 * MB), Transfer(1, 2, 3, 20 * MB)]
-        first = provider.rates(base)
-        second = provider.rates(base + [Transfer(2, 4, 5, 20 * MB)])
+        rates = step(provider, {}, [Transfer(0, 0, 1, 20 * MB), Transfer(1, 2, 3, 20 * MB)])
+        first = dict(rates)
+        step(provider, rates, [Transfer(2, 4, 5, 20 * MB)])
         # the newcomer shares no host with 0/1: their floats are untouched
-        assert second[0] == first[0]
-        assert second[1] == first[1]
+        assert rates[0] == first[0]
+        assert rates[1] == first[1]
 
     def test_multi_flow_delta_falls_back_to_full_solve(self):
         provider = fresh(cache_size=0)
-        provider.rates([Transfer(0, 0, 1, 20 * MB)])
-        provider.rates([Transfer(1, 2, 3, 20 * MB), Transfer(2, 4, 5, 20 * MB)])
+        provider.update([Transfer(0, 0, 1, 20 * MB)], [])
+        provider.update([Transfer(1, 2, 3, 20 * MB), Transfer(2, 4, 5, 20 * MB)], [0])
         assert provider.warm_starts == 0
 
     def test_reused_id_with_new_endpoints_falls_back(self):
         provider = fresh(cache_size=0)
-        provider.rates([Transfer(0, 0, 1, 20 * MB), Transfer(1, 2, 3, 20 * MB)])
-        provider.rates([Transfer(0, 5, 6, 20 * MB), Transfer(1, 2, 3, 20 * MB)])
+        provider.update([Transfer(0, 0, 1, 20 * MB), Transfer(1, 2, 3, 20 * MB)], [])
+        provider.update([Transfer(0, 5, 6, 20 * MB)], [0])
         assert provider.warm_starts == 0
 
     def test_fat_tree_uplink_couples_cross_switch_flows(self):
         """Flows sharing only a fabric link must be re-solved together."""
         topology = FatTreeTopology(num_hosts=8, technology=ETH,
                                    hosts_per_edge=4, uplinks_per_edge=1)
-        provider = EmulatorRateProvider(ETH, topology, cache_size=0)
-        active = [Transfer(0, 0, 4, 20 * MB)]
-        provider.rates(active)
-        active = active + [Transfer(1, 1, 5, 20 * MB)]
-        warm = provider.rates(active)
-        cold = EmulatorRateProvider(ETH, topology, cache_size=0,
-                                    warm_start=False).rates(active)
+        provider = EmulatorRateProvider(ETH, topology, cache_size=0, warm_start=True)
+        active = [Transfer(0, 0, 4, 20 * MB), Transfer(1, 1, 5, 20 * MB)]
+        warm = step(provider, {}, active[:1])
+        step(provider, warm, active[1:])
+        assert provider.warm_starts == 1
+        cold = EmulatorRateProvider(ETH, topology, cache_size=0).update(active, [])
         for tid in cold:
             assert warm[tid] == pytest.approx(cold[tid], rel=1e-9)
 
@@ -92,58 +92,54 @@ class TestUnifiedRateCache:
     def test_repeated_situation_hits(self):
         provider = fresh()
         active = [Transfer(0, 0, 1, 20 * MB), Transfer(1, 0, 2, 20 * MB)]
-        first = provider.rates(active)
-        second = provider.rates(list(reversed(active)))  # same multiset of pairs
+        first = provider.update(active, [])
+        provider.reset()
+        second = provider.update(list(reversed(active)), [])  # same multiset of pairs
         assert provider.cache_hits == 1
         assert second == first
 
-    def test_cache_shared_across_providers(self):
-        cache = PenaltyCache()
-        active = [Transfer(0, 0, 1, 20 * MB), Transfer(1, 0, 2, 20 * MB)]
-        a = fresh(cache=cache)
-        b = fresh(cache=cache)
-        rates_a = a.rates(active)
-        rates_b = b.rates(active)
-        assert b.cache_hits == 1 and b.cache_misses == 0
-        assert rates_b == rates_a
-
-    def test_namespace_separates_technologies(self):
-        cache = PenaltyCache()
-        active = [Transfer(0, 0, 1, 20 * MB)]
-        fresh(cache=cache).rates(active)
-        other = fresh(cache=cache, technology=get_technology("myrinet"))
-        other.rates(active)
-        assert other.cache_hits == 0 and other.cache_misses == 1
-
     def test_invalidate_clears_cache_and_warm_state(self):
         provider = fresh()
-        active = [Transfer(0, 0, 1, 20 * MB)]
-        provider.rates(active)
+        provider.update([Transfer(0, 0, 1, 20 * MB)], [])
         provider.invalidate_cache()
-        provider.rates(active + [Transfer(1, 0, 2, 20 * MB)])
+        provider.update([Transfer(1, 0, 2, 20 * MB)], [])
         assert provider.warm_starts == 0  # warm state was dropped too
         assert provider.cache_misses == 2
 
-    def test_invalidate_on_shared_cache_spares_other_providers(self):
-        cache = PenaltyCache()
+    def test_invalidate_clears_the_memo(self):
+        provider = fresh()
         active = [Transfer(0, 0, 1, 20 * MB)]
-        a = fresh(cache=cache)
-        b = fresh(cache=cache)
-        a.rates(active)
-        b.rates(active)     # served from a's entry
-        assert b.cache_hits == 1
-        b.invalidate_cache()
-        b.rates(active)     # b's epoch moved on: must re-solve...
-        assert b.cache_misses == 1
-        c = fresh(cache=cache)
-        c.rates(active)     # ...but a's entry is still there for newcomers
-        assert c.cache_hits == 1
+        provider.update(active, [])
+        provider.reset()
+        provider.update(active, [])     # served from the memo
+        assert provider.cache_hits == 1
+        provider.invalidate_cache()
+        assert provider.update([], []) == {0: ETH.single_stream_bandwidth}
+        assert provider.cache_misses == 2  # the entry is gone: re-solved...
+        provider.reset()
+        provider.update(active, [])
+        assert provider.cache_hits == 2    # ...and memoized again
+
+    def test_memo_is_private_to_each_provider(self):
+        """The memo key is the endpoint multiset alone, so no entry may leak
+        to another provider: a second provider, or one on another
+        technology, solves the same situation itself."""
+        active = [Transfer(0, 0, 1, 20 * MB), Transfer(1, 0, 2, 20 * MB)]
+        first = fresh()
+        rates = first.update(active, [])
+        second = fresh()
+        assert second.update(active, []) == rates
+        assert second.cache_hits == 0 and second.cache_misses == 1
+        myrinet = fresh(technology=get_technology("myrinet"))
+        assert myrinet.update(active, []) != rates
+        assert myrinet.cache_hits == 0 and myrinet.cache_misses == 1
 
     def test_cache_size_zero_disables_memoization(self):
         provider = fresh(cache_size=0)
         active = [Transfer(0, 0, 1, 20 * MB)]
-        provider.rates(active)
-        provider.rates(active)
+        provider.update(active, [])
+        provider.reset()
+        provider.update(active, [])
         assert provider.cache_hits == 0
 
 
@@ -219,7 +215,7 @@ class TestResourceIndex:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_incidence_tracks_every_delta(self, seed):
-        """Random arrivals, departures, endpoint reuse through ``rates()``,
+        """Random arrivals, departures, endpoint reuse in one delta,
         invalidations after an in-place uplink change, and resets on a fat
         tree: after each, the kept incidence, caps, capacities and binding
         set equal a rebuild from the tracked transfers."""
@@ -244,8 +240,7 @@ class TestResourceIndex:
                 # a reused id with new endpoints departs and re-arrives
                 reused = Transfer(rng.choice(live), rng.randrange(12), rng.randrange(12),
                                   20 * MB)
-                provider.rates([reused if t.transfer_id == reused.transfer_id else t
-                                for t in provider._active.values()])
+                provider.update([reused], [reused.transfer_id])
             elif action < 0.98:
                 topology.uplinks_per_edge = rng.choice([1, 2])
                 provider.invalidate_cache()
@@ -289,12 +284,12 @@ class TestResourceIndex:
         provider.invalidate_cache()
         self.assert_dense_and_priced(provider)
         self.assert_incidence_matches_rebuild(provider)
-        after = provider.rates(active)
+        after = provider.update([], [])
         reference = EmulatorRateProvider(
             ETH, FatTreeTopology(num_hosts=8, technology=ETH, hosts_per_edge=4,
                                  uplinks_per_edge=1),
             cache_size=0, warm_start=False,
-        ).rates(active)
+        ).update(active, [])
         assert after == reference
         assert all(after[tid] < before[tid] for tid in before)
 
@@ -372,12 +367,11 @@ class TestRoundLog:
             elif action < 0.96:
                 reused = Transfer(rng.choice(live), rng.randrange(12), rng.randrange(12),
                                   20 * MB)
-                provider.rates([reused if t.transfer_id == reused.transfer_id else t
-                                for t in provider._active.values()])
+                provider.update([reused], [reused.transfer_id])
             elif action < 0.98:
                 provider.invalidate_cache()
                 assert provider._fill_log is None
-                provider.rates(list(provider._active.values()))
+                provider.update([], [])
             else:
                 provider.reset()
                 assert provider._fill_log is None
@@ -415,7 +409,7 @@ class TestRoundLog:
         assert provider._fill_log is not None
         provider.invalidate_cache()
         assert provider._fill_log is None
-        provider.rates(active)
+        provider.update([], [])
         assert provider._fill_log.resume_round == 0
         provider.reset()
         assert provider._fill_log is None

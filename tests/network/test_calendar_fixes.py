@@ -23,22 +23,32 @@ import pytest
 from repro.core import GigabitEthernetModel
 from repro.exceptions import ReproError, SimulationError
 from repro.network.allocator import EmulatorRateProvider
-from repro.network.fluid import Transfer, TransferCalendar
+from repro.network.fluid import FluidTransferSimulator, Transfer, TransferCalendar
 from repro.network.technologies import get_technology
 from repro.network.topology import CrossbarTopology
 from repro.obs import MetricsRegistry
 from repro.simulator.providers import ModelRateProvider
+from repro.units import MB
 
 
 class SteppedRateProvider:
-    """Full-set provider whose rates change on every query (forces re-timing)."""
+    """Provider that re-prices its whole set at a new rate on every update
+    (forces re-timing)."""
 
     def __init__(self):
         self.calls = 0
+        self.active = {}
 
-    def rates(self, active):
+    def update(self, added, removed):
         self.calls += 1
-        return {t.transfer_id: 100.0 + self.calls for t in active}
+        for tid in removed:
+            del self.active[tid]
+        for transfer in added:
+            self.active[transfer.transfer_id] = transfer
+        return dict.fromkeys(self.active, 100.0 + self.calls)
+
+    def reset(self):
+        self.active = {}
 
 
 class DeltaEcho:
@@ -64,13 +74,6 @@ class DeltaEcho:
             self.active.add(transfer.transfer_id)
             changed[transfer.transfer_id] = rate
         return changed
-
-    # test double: rates() prices at the unscripted rate (only the
-    # delta=True tests script rates, and they never call it), and routing
-    # through update() would pollute the update-call ledger
-    # repro-check: ignore[RC04] — deliberate independent rates() in a test double
-    def rates(self, active):
-        return {t.transfer_id: self.rate for t in active}
 
     def reset(self):
         self.active = set()
@@ -152,11 +155,14 @@ class TestFlushAtomicity:
             def __init__(self):
                 self.calls = 0
 
-            def rates(self, active):
+            def update(self, added, removed):
                 self.calls += 1
                 if self.calls == 1:
                     raise SimulationError("boom")
-                return {t.transfer_id: 100.0 for t in active}
+                return {t.transfer_id: 100.0 for t in added}
+
+            def reset(self):
+                pass
 
         calendar = TransferCalendar(FullRaising(), delta=False)
         calendar.activate(Transfer("a", 0, 1, 1000.0), now=0.0)
@@ -173,8 +179,7 @@ class TestFlushAtomicity:
     def test_shipped_providers_validate_before_mutating(self, provider_factory):
         """A rejected delta leaves the provider retryable (nothing half-applied)."""
         provider = provider_factory()
-        provider.update([Transfer("a", 0, 1, 1000.0)], [])
-        before = dict(provider.rates([Transfer("a", 0, 1, 1000.0)]))
+        before = provider.update([Transfer("a", 0, 1, 1000.0)], [])
         with pytest.raises(SimulationError):
             # removal of "a" is valid, the duplicate add is not: the provider
             # must reject the delta without untracking "a"
@@ -182,8 +187,8 @@ class TestFlushAtomicity:
                              Transfer("b", 2, 3, 1000.0)], ["a"])
         retry = provider.update([Transfer("b", 2, 3, 1000.0)], ["a"])
         assert set(retry) == {"b"}
-        assert provider.rates([Transfer("b", 2, 3, 1000.0)])
-        assert before  # sanity: the first allocation existed
+        assert retry["b"] > 0
+        assert before["a"] > 0  # sanity: the first allocation existed
 
     def test_departures_survive_a_raising_provider(self):
         provider = DeltaEcho()
@@ -589,3 +594,61 @@ class TestRealProvidersMatchFullRequery:
         assert min(times) < 0.05 and max(times) > 0.15
         assert any(0.05 < time < 0.15 for time in times)
         assert sorted(tid for _, tid in done) == list(range(8))
+
+
+class DropsLargestPair(EmulatorRateProvider):
+    """Emulator whose value diff under-reports: whenever two or more
+    endpoint pairs changed rate, it leaves the largest one out."""
+
+    def _changed_pair_set(self, by_pair):
+        pairs = super()._changed_pair_set(by_pair)
+        if len(pairs) >= 2:
+            pairs.discard(max(pairs))
+        return pairs
+
+
+class ReportsOnlyArrivals(ModelRateProvider):
+    """Model provider whose delta under-reports: it returns the rates of the
+    arrivals only, never those of the incumbents the delta re-priced."""
+
+    def update(self, added, removed):
+        arrivals = {transfer.transfer_id for transfer in added}
+        return {tid: rate for tid, rate in super().update(added, removed).items()
+                if tid in arrivals}
+
+
+class TestReferenceCatchesUnderReporting:
+    """The full re-query mode re-prices from a reset provider, so it cannot
+    echo the rates a faulty delta path stored."""
+
+    TRANSFERS = [Transfer(0, 0, 1, 4 * MB), Transfer(1, 0, 2, 8 * MB, 0.001),
+                 Transfer(2, 3, 2, 6 * MB, 0.002), Transfer(3, 1, 2, 2 * MB, 0.003)]
+
+    def finish_times(self, provider_type, delta):
+        provider = provider_type(get_technology("ethernet"), num_hosts=4,
+                                 cache_size=0, warm_start=False)
+        results = FluidTransferSimulator(provider, delta=delta).run(self.TRANSFERS)
+        return {tid: result.finish_time for tid, result in results.items()}
+
+    def test_reference_disagrees_with_an_under_reporting_delta_path(self):
+        truth = self.finish_times(EmulatorRateProvider, delta=True)
+        reference = self.finish_times(DropsLargestPair, delta=False)
+        buggy = self.finish_times(DropsLargestPair, delta=True)
+        assert reference == truth
+        assert reference[1] == pytest.approx(0.13467, abs=1e-5)
+        assert reference[2] == pytest.approx(0.114, abs=1e-5)
+        assert buggy[1] == pytest.approx(0.12933, abs=1e-5)
+        assert buggy[2] == pytest.approx(0.098, abs=1e-5)
+
+    def test_reference_disagrees_with_a_model_provider_reporting_only_arrivals(self):
+        def finish_times(provider_type, delta):
+            provider = provider_type(GigabitEthernetModel(), "ethernet")
+            results = FluidTransferSimulator(provider, delta=delta).run(self.TRANSFERS)
+            return {tid: result.finish_time for tid, result in results.items()}
+
+        truth = finish_times(ModelRateProvider, delta=True)
+        reference = finish_times(ReportsOnlyArrivals, delta=False)
+        buggy = finish_times(ReportsOnlyArrivals, delta=True)
+        assert reference == truth
+        # transfer 0 keeps the rate it had alone when transfer 1 joins host 0
+        assert buggy[0] < truth[0]

@@ -127,12 +127,28 @@ class TestRateProvider:
     def test_instantaneous_penalties(self):
         provider = EmulatorRateProvider(GIGABIT_ETHERNET, num_hosts=8)
         transfers = [Transfer(i, 0, i + 1, 20 * MB) for i in range(3)]
-        penalties = provider.instantaneous_penalties(transfers)
-        assert all(p == pytest.approx(2.25, rel=0.01) for p in penalties.values())
+        rates = provider.update(transfers, [])
+        single = GIGABIT_ETHERNET.single_stream_bandwidth
+        assert len(rates) == 3
+        assert all(single / r == pytest.approx(2.25, rel=0.01) for r in rates.values())
 
     def test_empty_transfer_list(self):
         provider = EmulatorRateProvider(GIGABIT_ETHERNET, num_hosts=8)
-        assert provider.rates([]) == {}
+        assert provider.update([], []) == {}
+
+    def test_reset_forgets_the_tracked_set(self):
+        """After ``reset()`` a re-added set is priced, and every transfer
+        reported, as by a fresh provider: the full-query calendar's reference."""
+        provider = EmulatorRateProvider(GIGABIT_ETHERNET, num_hosts=8)
+        transfers = [Transfer(i, 0, i + 1, 20 * MB) for i in range(3)]
+        provider.update(transfers, [])
+        provider.update([], [1])
+        provider.reset()
+        with pytest.raises(SimulationError):
+            provider.update([], [0])
+        fresh = EmulatorRateProvider(GIGABIT_ETHERNET, num_hosts=8)
+        assert provider.update(transfers, []) == fresh.update(transfers, [])
+        assert provider.cache_hits == 1  # the memo survived the reset
 
     def test_fat_tree_oversubscription_limits_cross_switch_flows(self):
         """With a 4:1 oversubscribed fat tree, many cross-switch flows share the uplink."""
@@ -142,6 +158,6 @@ class TestRateProvider:
         provider = EmulatorRateProvider(technology, topo)
         # four flows from switch 0 hosts to switch 1 hosts, distinct endpoints
         transfers = [Transfer(i, i, 4 + i, 20 * MB) for i in range(4)]
-        rates = provider.rates(transfers)
+        rates = provider.update(transfers, [])
         total = sum(rates.values())
         assert total <= technology.link_bandwidth * 1.001  # limited by the single uplink

@@ -16,23 +16,47 @@ from repro.network import (
 from repro.units import MB
 
 
-class ConstantRateProvider:
+class WholeSetProvider:
+    """Tracks the active set and re-prices all of it on every update."""
+
+    def __init__(self):
+        self.active = {}
+
+    def reset(self):
+        self.active = {}
+
+    def update(self, added, removed):
+        for tid in removed:
+            del self.active[tid]
+        for transfer in added:
+            self.active[transfer.transfer_id] = transfer
+        return self.price(list(self.active.values()))
+
+    def price(self, active):
+        raise NotImplementedError
+
+
+class ConstantRateProvider(WholeSetProvider):
     """Every active transfer progresses at the same fixed rate."""
 
     def __init__(self, rate: float):
+        super().__init__()
         self.rate = rate
 
-    def rates(self, active):
+    def price(self, active):
         return {t.transfer_id: self.rate for t in active}
 
 
-class SharedResourceProvider:
+class SharedResourceProvider(WholeSetProvider):
     """All transfers share a single resource of fixed capacity equally."""
 
     def __init__(self, capacity: float):
+        super().__init__()
         self.capacity = capacity
 
-    def rates(self, active):
+    def price(self, active):
+        if not active:
+            return {}
         share = self.capacity / len(active)
         return {t.transfer_id: share for t in active}
 
@@ -173,25 +197,50 @@ class TestCreditBasedNetwork:
 class TestTransferCalendar:
     """Unit tests of the shared event calendar (epoch staleness, delta bridge)."""
 
-    def test_rates_only_provider_falls_back_to_full_queries(self):
+    @pytest.mark.parametrize("delta", [True, False], ids=["delta", "full"])
+    def test_provider_calls_per_mode(self, delta):
+        """Delta mode hands the provider each flush's arrivals; full-query
+        mode re-prices every flush from a reset provider with the whole
+        in-flight set.  A reprice is a reset plus a full re-add in both."""
         from repro.network.fluid import TransferCalendar
-        calendar = TransferCalendar(ConstantRateProvider(100.0))
-        assert calendar.delta is False
 
-    def test_delta_true_requires_an_update_method(self):
-        from repro.network.fluid import TransferCalendar
-        with pytest.raises(SimulationError):
-            TransferCalendar(ConstantRateProvider(100.0), delta=True)
+        class Recording(ConstantRateProvider):
+            def __init__(self):
+                super().__init__(100.0)
+                self.calls = []
+
+            def reset(self):
+                self.calls.append("reset")
+                super().reset()
+
+            def update(self, added, removed):
+                self.calls.append([t.transfer_id for t in added])
+                return super().update(added, removed)
+
+        provider = Recording()
+        calendar = TransferCalendar(provider, delta=delta)
+        calendar.activate(Transfer("a", 0, 1, 1000.0), now=0.0)
+        calendar.flush(0.0)
+        calendar.activate(Transfer("b", 2, 3, 1000.0), now=1.0)
+        calendar.flush(1.0)
+        calendar.reprice(2.0)
+        if delta:
+            assert provider.calls == [["a"], ["b"], "reset", ["a", "b"]]
+        else:
+            assert provider.calls == ["reset", ["a"], "reset", ["a", "b"],
+                                      "reset", ["a", "b"], "reset", ["a", "b"]]
+        assert calendar.next_time() == pytest.approx(10.0)
 
     def test_stale_entries_are_discarded_not_fired(self):
         """A rate change supersedes the old completion entry via the epoch."""
         from repro.network.fluid import TransferCalendar
 
-        class TwoPhase:
+        class TwoPhase(WholeSetProvider):
             def __init__(self):
+                super().__init__()
                 self.calls = 0
 
-            def rates(self, active):
+            def price(self, active):
                 self.calls += 1
                 rate = 10.0 if self.calls == 1 else 20.0
                 return {t.transfer_id: rate for t in active}
@@ -250,13 +299,13 @@ class TestTransferCalendar:
         """A full-query provider that omits a previously rated transfer from
         a later map must raise, not silently keep the stale rate."""
 
-        class Forgetful:
-            def rates(self, active):
+        class Forgetful(WholeSetProvider):
+            def price(self, active):
                 # prices everything on the first call, then drops transfer "a"
                 return {t.transfer_id: 100.0 for t in active
                         if t.transfer_id != "a" or len(active) == 1}
 
-        sim = FluidTransferSimulator(Forgetful())
+        sim = FluidTransferSimulator(Forgetful(), delta=False)
         transfers = [Transfer("a", 0, 1, 1000.0),
                      Transfer("b", 2, 3, 500.0, start_time=1.0)]
         with pytest.raises(SimulationError, match="no rate for"):

@@ -32,10 +32,13 @@ from repro.units import MB
 
 
 class ConstantRates:
-    """Rates-only provider: every live transfer moves at 1 MB/s."""
+    """Every live transfer moves at 1 MB/s, so a delta re-prices only its arrivals."""
 
-    def rates(self, active):
-        return {t.transfer_id: 1e6 for t in active}
+    def update(self, added, removed):
+        return {t.transfer_id: 1e6 for t in added}
+
+    def reset(self):
+        pass
 
 
 def make_state(trace=None):

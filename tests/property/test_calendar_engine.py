@@ -3,9 +3,9 @@
 The execution engine advances in-flight transfers through a lazy calendar
 of predicted completions, re-timing only the transfers whose rate value
 changed — fed either by the provider's delta ``update`` API
-(``EngineConfig(delta_rates=True)``, the default) or by re-querying the
-full active set every step (``delta_rates=False``, the historical
-behaviour).  The two must produce **identical** ``EventRecord`` streams and
+(``EngineConfig(delta_rates=True)``, the default) or by re-pricing the
+full active set from a reset provider every step (``delta_rates=False``,
+the reference).  The two must produce **identical** ``EventRecord`` streams and
 finish times for any application, placement and technology, under every
 provider (incremental model, full-recompute model, calibrated emulator) —
 the delta path is an optimisation, never an approximation.  The same holds
@@ -236,7 +236,7 @@ class TestFluidSimulatorBitExact:
         ]
         cluster = custom_cluster(num_nodes=4, cores_per_node=1, technology="ethernet")
         results = {}
-        for delta in (None, False):
+        for delta in (True, False):
             injectors = ()
             if loaded:
                 injectors = (BackgroundTrafficInjector(
@@ -244,25 +244,38 @@ class TestFluidSimulatorBitExact:
             sim = FluidTransferSimulator(make_provider(kind, cluster),
                                          delta=delta, injectors=injectors)
             results[delta] = sim.run(transfers)
-        assert results[None] == results[False]
-        assert set(results[None]) == {t.transfer_id for t in transfers}
+        assert results[True] == results[False]
+        assert set(results[True]) == {t.transfer_id for t in transfers}
 
 
-class TestRatesOnlyProviderCompatibility:
-    def test_engine_runs_on_a_rates_only_provider(self):
-        """Third-party providers without update() fall back to full queries."""
+class TestMinimalProvider:
+    @pytest.mark.parametrize("delta", [True, False], ids=["delta", "full"])
+    def test_engine_runs_on_an_update_reset_provider(self, delta):
+        """A third-party provider needs nothing beyond ``update`` and ``reset``."""
 
         class FairSplit:
-            def rates(self, active):
-                return {t.transfer_id: 1e8 / len(active) for t in active}
+            def __init__(self):
+                self.active = {}
+
+            def reset(self):
+                self.active = {}
+
+            def update(self, added, removed):
+                for tid in removed:
+                    del self.active[tid]
+                for transfer in added:
+                    self.active[transfer.transfer_id] = transfer
+                return {tid: 1e8 / len(self.active) for tid in self.active}
 
         cluster = custom_cluster(num_nodes=4, cores_per_node=1, technology="ethernet")
-        app = Application(num_tasks=2)
-        app.add_send(0, 1, 1 * MB)
-        app.add_recv(1, 0, 1 * MB)
-        sim = Simulator(cluster, FairSplit())
+        app = Application(num_tasks=4)
+        for src, dst in ((0, 1), (2, 3)):
+            app.add_send(src, dst, 1 * MB)
+            app.add_recv(dst, src, 1 * MB)
+        sim = Simulator(cluster, FairSplit(), config=EngineConfig(delta_rates=delta))
         report = sim.run(app, placement="RRN")
+        # both messages are in flight together, each at half the rate
         expected = cluster.technology.latency + (
             1 * MB + cluster.technology.mpi_envelope
-        ) / 1e8
+        ) / 5e7
         assert report.total_time == pytest.approx(expected, rel=1e-6)

@@ -1,11 +1,12 @@
 """Property-based tests of the rate-provider delta contract.
 
-``update(added, removed)`` must be a pure optimisation over the full-set
-``rates()`` call: after *any* sequence of deltas, the rates accumulated
-from the ``update`` returns (apply changed entries, drop removed ids) must
-equal — bit for bit — what a cold provider reports for the final active
-set, and at every intermediate step the shim ``rates()`` of the same
-provider must agree with the accumulated state.  Both shipped providers
+``update(added, removed)`` must be a pure optimisation over pricing the
+whole set from scratch: after *any* sequence of deltas, the rates
+accumulated from the ``update`` returns (apply changed entries, drop
+removed ids) must equal — bit for bit — what a cold provider reports for
+the final active set, and at every intermediate step what a provider
+re-priced from ``reset()`` with the whole set (the calendar's full-query
+reference) reports.  Both shipped providers
 (contention model and calibrated emulator) are covered, and a model
 provider replaying every situation from a warm shared cache must report the
 stream a memo-less one prices afresh.
@@ -68,7 +69,7 @@ def check_provider_sequence(provider, cold_factory, steps):
         accumulated.update(changed)
         assert set(accumulated) == set(live)
         # a cold provider pricing the final set from scratch must agree
-        cold = cold_factory().rates(list(live.values()))
+        cold = cold_factory().update(list(live.values()), [])
         assert accumulated == cold
 
 
@@ -96,16 +97,19 @@ class TestModelProviderDeltaContract:
 
     @common_settings
     @given(steps=sequence_strategy)
-    def test_shim_rates_agree_with_update_stream(self, steps):
+    def test_reset_requery_agrees_with_update_stream(self, steps):
+        """One provider re-priced from a reset after every delta (its memo
+        warm) reports the stream a delta-fed provider accumulates."""
         delta_provider = ModelRateProvider(GigabitEthernetModel(), "ethernet")
-        shim_provider = ModelRateProvider(GigabitEthernetModel(), "ethernet")
+        requery_provider = ModelRateProvider(GigabitEthernetModel(), "ethernet")
         accumulated = {}
         for added, removed, live in deltas(steps):
             changed = delta_provider.update(added, removed)
             for tid in removed:
                 accumulated.pop(tid, None)
             accumulated.update(changed)
-            assert shim_provider.rates(list(live.values())) == accumulated
+            requery_provider.reset()
+            assert requery_provider.update(list(live.values()), []) == accumulated
 
     @pytest.mark.parametrize("factory", MODEL_FACTORIES, ids=lambda f: f().name)
     @common_settings
@@ -148,7 +152,7 @@ class TestEmulatorProviderDeltaContract:
         exact up to floating-point summation order (the component re-solve
         documented in repro.network.allocator)."""
         technology = get_technology("ethernet")
-        provider = EmulatorRateProvider(technology, num_hosts=6)
+        provider = EmulatorRateProvider(technology, num_hosts=6, warm_start=True)
         accumulated = {}
         for added, removed, live in deltas(steps):
             changed = provider.update(added, removed)
@@ -156,8 +160,8 @@ class TestEmulatorProviderDeltaContract:
                 accumulated.pop(tid, None)
             accumulated.update(changed)
             assert set(accumulated) == set(live)
-            cold = EmulatorRateProvider(technology, num_hosts=6).rates(
-                list(live.values())
+            cold = EmulatorRateProvider(technology, num_hosts=6).update(
+                list(live.values()), []
             )
             assert accumulated == pytest.approx(cold, rel=1e-9)
 
@@ -173,7 +177,7 @@ class TestEmulatorProviderDeltaContract:
             changed = provider.update(added, removed)
             fresh = EmulatorRateProvider(
                 technology, num_hosts=6, warm_start=False
-            ).rates(list(live.values()))
+            ).update(list(live.values()), [])
             for tid, rate in fresh.items():
                 if tid not in changed:
                     assert previous[tid] == rate
@@ -207,18 +211,16 @@ class TestDeltaErrors:
         provider = factory()
         transfers = [Transfer(transfer_id=i, src=0, dst=i + 1, size=10.0)
                      for i in range(2)]
-        provider.update(transfers, [])
-        before = provider.rates(transfers)
+        before = provider.update(transfers, [])
         changed = provider.update([transfers[0]], [0])
         assert 0 in changed
-        assert provider.rates(transfers) == before
+        assert {**before, **changed} == before
 
     def test_double_removal_is_rejected_without_mutation(self, factory, cache_hits):
         provider = factory()
         transfers = [Transfer(transfer_id=i, src=0, dst=i + 1, size=10.0)
                      for i in range(2)]
-        provider.update(transfers, [])
-        before = provider.rates(transfers)
+        before = provider.update(transfers, [])
         with pytest.raises(SimulationError):
             provider.update([], [0, 0])
         provider.update([], [0, 1])  # both were still tracked
@@ -230,5 +232,5 @@ class TestDeltaErrors:
                      for i in range(2)]
         provider.update(transfers, [])
         provider.reset()
-        assert provider.rates(transfers)  # re-adding after reset works
+        assert provider.update(transfers, [])  # re-adding after reset works
         assert cache_hits(provider) >= 1  # memoized situation survived

@@ -292,12 +292,20 @@ class TestEmulatorMatchesOracle:
             ([Transfer(2, 1, 2, 1000.0), Transfer(3, 2, 2, 1000.0)], []),
             ([], [0]),
         ]
+        rates = {}
+
+        def apply(added, removed):
+            changed = provider.update(added, removed)
+            for tid in removed:
+                del rates[tid]
+            rates.update(changed)
+            return changed
+
         for added, removed in steps:
-            assert provider.update(added, removed) == oracle.update(added, removed)
-        assert provider.rates([Transfer(1, 1, 1, 1000.0), Transfer(2, 1, 2, 1000.0),
-                               Transfer(3, 2, 2, 1000.0)])[1] == tech.memory_bandwidth
-        provider.update([Transfer(4, 1, 1, 1000.0)], [])
-        rates = provider.rates([Transfer(1, 1, 1, 1000.0), Transfer(4, 1, 1, 1000.0)])
+            assert apply(added, removed) == oracle.update(added, removed)
+        assert rates[1] == tech.memory_bandwidth
+        apply([Transfer(4, 1, 1, 1000.0)], [])
+        apply([], [2, 3])
         assert rates == {1: tech.memory_bandwidth / 2, 4: tech.memory_bandwidth / 2}
 
     @pytest.mark.parametrize("technology", ["ethernet", "myrinet", "infiniband"])

@@ -83,25 +83,21 @@ graph_strategy = st.lists(
 )
 
 
-def apply_steps(steps, max_live=8, intra_node=False):
-    """Materialise the live transfer list after each step.
-
-    Arrivals with ``src == dst`` are bent to inter-node pairs unless
-    ``intra_node`` is set.
-    """
+def step_deltas(steps, max_live=8):
+    """Turn a step sequence into one ``(added, removed)`` delta per step
+    that changes the live set (``src == dst`` arrivals are intra-node)."""
     live = []
     counter = 0
-    snapshots = []
+    out = []
     for kind, x, y in steps:
         if kind == "add" and len(live) < max_live:
-            if x == y and not intra_node:
-                y = (y + 1) % 6
-            live.append(Transfer(transfer_id=counter, src=x, dst=y, size=1000.0))
+            transfer = Transfer(transfer_id=counter, src=x, dst=y, size=1000.0)
+            live.append(transfer)
             counter += 1
+            out.append(([transfer], []))
         elif kind == "del" and live:
-            live.pop(x % len(live))
-        snapshots.append(list(live))
-    return snapshots
+            out.append(([], [live.pop(x % len(live)).transfer_id]))
+    return out
 
 
 class TestIncrementalEqualsFullRecompute:
@@ -109,25 +105,24 @@ class TestIncrementalEqualsFullRecompute:
     @common_settings
     @given(steps=sequence_strategy)
     def test_rates_bit_exact_across_arrival_departure_sequences(self, factory, steps):
-        incremental = ModelRateProvider(factory(), "ethernet", incremental=True)
-        full = ModelRateProvider(factory(), "ethernet", incremental=False)
-        for active in apply_steps(steps, intra_node=True):
-            assert incremental.rates(active) == full.rates(active)
+        providers = (ModelRateProvider(factory(), "ethernet", incremental=True),
+                     ModelRateProvider(factory(), "ethernet", incremental=False))
+        rates = ({}, {})
+        for added, removed in step_deltas(steps):
+            for provider, current in zip(providers, rates):
+                for tid in removed:
+                    del current[tid]
+                current.update(provider.update(added, removed))
+            assert rates[0] == rates[1]
 
+    @pytest.mark.parametrize("factory", [InfinibandModel, GigabitEthernetModel],
+                             ids=lambda f: f().name)
     @common_settings
     @given(steps=sequence_strategy)
-    def test_instantaneous_penalties_bit_exact(self, steps):
-        incremental = ModelRateProvider(GigabitEthernetModel(), "ethernet", incremental=True)
-        full = ModelRateProvider(GigabitEthernetModel(), "ethernet", incremental=False)
-        for active in apply_steps(steps):
-            assert incremental.instantaneous_penalties(active) == full.instantaneous_penalties(active)
-
-    @common_settings
-    @given(steps=sequence_strategy)
-    def test_engine_matches_fresh_graph_evaluation(self, steps):
+    def test_engine_matches_fresh_graph_evaluation(self, factory, steps):
         """Engine-level check, including intra-node transfers."""
-        model = InfinibandModel()
-        engine = IncrementalPenaltyEngine(InfinibandModel())
+        model = factory()
+        engine = IncrementalPenaltyEngine(factory())
         live = {}
         counter = 0
         for kind, x, y in steps:

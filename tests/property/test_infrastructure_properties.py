@@ -56,8 +56,18 @@ class TestMaxMinProperties:
 
 
 class _FairShare:
-    def rates(self, active):
-        return {t.transfer_id: 100.0 / len(active) for t in active}
+    """Splits 100 B/s equally: every delta re-prices the whole tracked set."""
+
+    def __init__(self):
+        self.active = set()
+
+    def reset(self):
+        self.active = set()
+
+    def update(self, added, removed):
+        self.active.difference_update(removed)
+        self.active.update(t.transfer_id for t in added)
+        return {tid: 100.0 / len(self.active) for tid in self.active}
 
 
 class TestFluidSimulatorProperties:

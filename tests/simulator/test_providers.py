@@ -17,6 +17,15 @@ def transfers(*edges, size=1000.0):
             for i, (s, d) in enumerate(edges)]
 
 
+def step(provider, current, added=(), removed=()):
+    """Apply a delta and fold the re-priced rates into ``current``, as the
+    calendar does; returns ``current``."""
+    for tid in removed:
+        del current[tid]
+    current.update(provider.update(list(added), list(removed)))
+    return current
+
+
 class TestFractionalSizeRounding:
     def test_fractional_remaining_bytes_round_up(self):
         """Regression: int(transfer.size) used to truncate 0.4 B to a size-0
@@ -43,7 +52,7 @@ class TestFractionalSizeRounding:
 
     def test_sub_byte_transfer_still_gets_a_rate(self):
         provider = ModelRateProvider(GigabitEthernetModel(), "ethernet")
-        rates = provider.rates([Transfer(transfer_id=0, src=0, dst=1, size=0.25)])
+        rates = provider.update([Transfer(transfer_id=0, src=0, dst=1, size=0.25)], [])
         assert rates[0] > 0
 
     def test_incremental_miss_prices_rounded_up_sizes(self):
@@ -66,41 +75,49 @@ class TestIncrementalProvider:
         incremental = ModelRateProvider(GigabitEthernetModel(), "ethernet", incremental=True)
         full = ModelRateProvider(GigabitEthernetModel(), "ethernet", incremental=False)
         active = transfers((0, 1), (0, 2), (3, 2), (5, 6))
-        assert incremental.rates(active) == full.rates(active)
+        incremental_rates = step(incremental, {}, active)
+        full_rates = step(full, {}, active)
+        assert incremental_rates == full_rates
         # departure of transfer 1, arrival of a new flow
-        active = [t for t in active if t.transfer_id != 1]
-        active.append(Transfer(transfer_id=9, src=7, dst=6, size=500.0))
-        assert incremental.rates(active) == full.rates(active)
+        arrival = [Transfer(transfer_id=9, src=7, dst=6, size=500.0)]
+        step(incremental, incremental_rates, arrival, [1])
+        step(full, full_rates, arrival, [1])
+        assert incremental_rates == full_rates
+        assert set(full_rates) == {0, 2, 3, 9}
 
     def test_incremental_stats_count_less_work(self):
         incremental = ModelRateProvider(GigabitEthernetModel(), "ethernet", incremental=True)
         full = ModelRateProvider(GigabitEthernetModel(), "ethernet", incremental=False)
         base = transfers((0, 1), (2, 3), (4, 5), (6, 7))
         for provider in (incremental, full):
-            provider.rates(base)
+            provider.update(base, [])
+            departing = []
             for extra in range(8):
-                provider.rates(base + [Transfer(transfer_id=100 + extra, src=8, dst=9, size=10.0)])
+                arrival = Transfer(transfer_id=100 + extra, src=8, dst=9, size=10.0)
+                provider.update([arrival], departing)
+                departing = [arrival.transfer_id]
         assert incremental.stats.comm_evaluations < full.stats.comm_evaluations
 
     def test_intra_node_transfers_use_memory_path(self):
         provider = ModelRateProvider(GigabitEthernetModel(), "ethernet")
         technology = get_technology("ethernet")
-        rates = provider.rates([Transfer(transfer_id=0, src=2, dst=2, size=100.0)])
+        rates = provider.update([Transfer(transfer_id=0, src=2, dst=2, size=100.0)], [])
         assert rates[0] == technology.memory_bandwidth
 
     def test_shared_cache_across_providers(self):
         cache = PenaltyCache()
         first = ModelRateProvider(GigabitEthernetModel(), "ethernet", cache=cache)
-        first.rates(transfers((0, 1), (0, 2)))
+        first.update(transfers((0, 1), (0, 2)), [])
         second = ModelRateProvider(GigabitEthernetModel(), "ethernet", cache=cache)
-        second.rates(transfers((5, 6), (5, 7)))
+        second.update(transfers((5, 6), (5, 7)), [])
         assert second.stats.cache_hits == 1
         assert second.stats.comm_evaluations == 0
 
     def test_empty_active_set(self):
         provider = ModelRateProvider(FairShareModel(), "ethernet")
-        assert provider.rates([]) == {}
-        assert provider.instantaneous_penalties([]) == {}
+        assert provider.update([], []) == {}
+        provider.update(transfers((0, 1)), [])
+        assert provider.update([], [0]) == {}
 
     def test_provider_reusable_across_fluid_runs(self):
         provider = ModelRateProvider(GigabitEthernetModel(), "ethernet")
@@ -124,27 +141,47 @@ class TestIncrementalProvider:
         assert results[True] == results[False]
 
 
-class TestRatesShim:
-    """``rates(active)`` diffs the requested set against the tracked one."""
+class TestUpdateDeltas:
+    """``update(added, removed)`` is the provider's one entry point."""
 
-    def test_rates_diffs_the_active_set(self):
-        provider = ModelRateProvider(FairShareModel(), "ethernet")
-        provider.rates([Transfer("a", 0, 1, 1000.0), Transfer("b", 0, 2, 1000.0)])
-        rates = provider.rates([Transfer("b", 0, 2, 1000.0), Transfer("c", 5, 6, 1000.0)])
+    @pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "full"])
+    def test_update_tracks_the_active_set(self, incremental):
+        provider = ModelRateProvider(FairShareModel(), "ethernet", incremental=incremental)
+        provider.update([Transfer("a", 0, 1, 1000.0), Transfer("b", 0, 2, 1000.0)], [])
+        rates = provider.update([Transfer("c", 5, 6, 1000.0)], ["a"])
         assert set(rates) == {"b", "c"}
         with pytest.raises(SimulationError):
-            provider.update([], ["a"])  # "a" departed with the diff
-        assert set(provider.update([], ["b", "c"])) == set()
+            provider.update([], ["a"])  # "a" already departed
+        assert provider.update([], ["b", "c"]) == {}
 
-    def test_rates_replaces_reused_ids(self):
-        """An id re-used with new endpoints is a departure plus an arrival."""
+    def test_reused_id_is_a_departure_plus_an_arrival(self):
+        """An id removed and re-added with new endpoints in one delta leaves
+        its old endpoints and takes the new ones."""
         provider = ModelRateProvider(FairShareModel(), "ethernet")
-        provider.rates([Transfer("a", 0, 1, 1000.0)])
-        moved = [Transfer("a", 2, 3, 1000.0)]
-        assert provider.instantaneous_penalties(moved) == {"a": 1.0}
+        single = provider.technology.single_stream_bandwidth
+        provider.update([Transfer("a", 0, 1, 1000.0), Transfer("x", 0, 5, 1000.0)], [])
+        # "a" moves off host 0, so "x" has host 0's NIC to itself again
+        assert provider.update([Transfer("a", 2, 3, 1000.0)], ["a"]) == {
+            "a": single, "x": single}
         # "a" now leaves host 2, so a second flow from host 2 shares its NIC
-        both = moved + [Transfer("b", 2, 4, 1000.0)]
-        assert provider.instantaneous_penalties(both) == {"a": 2.0, "b": 2.0}
+        assert provider.update([Transfer("b", 2, 4, 1000.0)], []) == {
+            "a": single / 2, "b": single / 2}
+
+    @pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "full"])
+    def test_reset_forgets_the_tracked_set(self, incremental):
+        """After ``reset()`` the provider prices a re-added set as a fresh
+        provider does: the full-query calendar's reference."""
+        provider = ModelRateProvider(GigabitEthernetModel(), "ethernet",
+                                     incremental=incremental)
+        active = transfers((0, 1), (0, 2), (3, 2))
+        provider.update(active, [])
+        provider.update([], [1])
+        provider.reset()
+        with pytest.raises(SimulationError):
+            provider.update([], [0])
+        fresh = ModelRateProvider(GigabitEthernetModel(), "ethernet",
+                                  incremental=incremental)
+        assert provider.update(active, []) == fresh.update(active, [])
 
 
 class TestCacheHitCost:
