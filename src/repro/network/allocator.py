@@ -27,28 +27,18 @@ paper measured on its three clusters (Figure 2) to within a few percent; see
 ``benchmarks/bench_fig2_penalty_ladder.py`` and its report,
 ``benchmarks/results/fig2_penalty_ladder.txt``.
 
-Like the model-side provider, the allocator memoizes its max-min solutions
-in a private :class:`~repro.core.incremental.PenaltyCache` (the same LRU
-mechanism the contention models use): the rate vector only depends on the
-multiset of ``(src, dst)`` endpoint pairs of the active transfers (sizes and
-transfer ids never enter the allocation, and same-endpoint flows receive
-equal rates in the unique max-min solution), so repeated sharing situations
-are dictionary lookups instead of solver runs.
-
-The provider is **delta-scaled**: the endpoint-pair multiset that keys the
-memo is maintained incrementally (a sorted pair list updated by bisection
-per arrival/departure, instead of re-sorting the active set on every query),
-per-transfer rates are kept in an incrementally-updated map, and the changed
-set an ``update(added, removed)`` call reports is derived by value-diffing
-the allocation *per endpoint pair* against the previous one — so a memoized
-flush costs O(delta + distinct pairs) instead of O(active × log active).
+The provider is **delta-scaled**: it keeps every tracked transfer's rate,
+and an ``update(added, removed)`` call reports the transfers whose rate
+the new allocation changed, found by value-diffing *per flow* only the
+flows the solve could have re-priced (see below), so a flush costs the
+delta's upkeep plus the rounds its solve re-runs, not the active set.
 
 Everything the solver reads is kept between flushes as well.
 ``_track``/``_untrack`` give every capacity resource a persistent integer
 slot (its base capacity and the largest cap a flow on it can have in two
 plain lists), store each transfer's slot tuple and keep, per occupied
-slot, the set of transfer ids on it, plus per-host transmit/receive
-counts.  From those they keep the solver's inputs up to date: every
+slot, the transfer ids on it in tracking order, plus per-host
+transmit/receive counts.  From those they keep the solver's inputs up to date: every
 flow's cap in tracking order (re-derived for the flows into a host when
 it starts or stops transmitting), every occupied slot's capacity with the
 income/outgo degradations applied (re-derived for the two hosts of each
@@ -70,10 +60,34 @@ The contract is one-sided: anything that changes a flow's cap, an
 occupied slot's capacity, a slot's flow set or a slot's binding status
 must report it, while reporting an unchanged item only costs speed.  The
 next whole-set solve then starts at the first round those items can
-touch, with rates bit-identical to a cold solve.  Memo hits and
-warm-start component solves leave the log alone, so the reported items
-accumulate until the next whole-set solve; :meth:`reset` and
-:meth:`invalidate_cache` drop the log, and the solve after them is cold.
+touch, with rates bit-identical to a cold solve.
+
+The log also bounds the report.  Every flow frozen before the round a
+solve resumed from keeps its previous rate bit for bit, so the value diff
+visits only the flows of the rounds the solve re-ran, which hold every
+arrival.  That is exact while the stored rates are the log's last solve,
+so the provider drops the log whenever rates come from anywhere else (a
+memo hit or a warm-start component solve): the next whole-set solve is
+cold and diffs every flow.  :meth:`reset` and :meth:`invalidate_cache`
+drop the log too.  The solver freezes flows in the insertion order of the
+per-slot transfer dicts and of ``caps``, so the reported order never
+follows the hashing of string transfer ids (``background#N``).
+
+Two optional paths are off by default.  With ``cache_size > 0`` the
+provider memoizes per-pair allocations in a private
+:class:`~repro.core.incremental.PenaltyCache` keyed by the multiset of
+``(src, dst)`` endpoint pairs (kept as a sorted list, bisect-updated per
+arrival and departure): sizes and transfer ids never enter the
+allocation, and same-endpoint flows share their slots and cap and so
+receive equal rates, unless a numerical-safety round froze one of them
+alone.  A miss stores the rates of a whole-set solve without such a round
+(a warm-start component solve stores nothing), and a hit diffs every
+flow.  Under load a situation rarely repeats, so the key, lookup and
+entry of every flush cost more than the solves they save; at the
+default ``cache_size=0`` none of them is built.  The memo pays where
+runs repeat: :class:`~repro.network.emulator.ClusterEmulator` turns it
+on, since a penalty measurement averages identical deterministic runs
+and the memo survives :meth:`reset`.
 
 With ``warm_start=True`` the water-filling on a cache miss is
 additionally *warm-started*: when exactly one flow arrived or departed since
@@ -92,7 +106,7 @@ from __future__ import annotations
 
 import bisect
 from time import perf_counter
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..core.incremental import PenaltyCache
 from ..exceptions import SimulationError
@@ -107,14 +121,22 @@ __all__ = ["EmulatorRateProvider"]
 class EmulatorRateProvider:
     """Rate provider implementing the calibrated sharing behaviour of a technology.
 
+    :meth:`update` reports per flow: the arrivals and the flows whose rate
+    the solve changed, value-diffed over the rounds the resumed water-fill
+    re-ran.  The stored rates are always the round log's last solve; rates
+    from anywhere else (an opt-in memo hit or warm-start component solve)
+    drop the log, so the next solve is cold and diffs every flow.
+
     Parameters
     ----------
     technology, topology, num_hosts:
         The emulated interconnect and its wiring (crossbar by default).
     cache_size:
-        Number of memoized sharing situations in the private cache
-        (0 disables memoization).  Call :meth:`invalidate_cache` after
-        mutating the topology or the technology in place.
+        Number of memoized sharing situations in the private cache; the
+        default 0 builds no memo, which only repeated identical runs
+        repay (see the module docstring).  Call
+        :meth:`invalidate_cache` after mutating the topology or the
+        technology in place.
     warm_start:
         Re-solve only the changed flow's coupling component when exactly one
         flow arrived/departed (see the module docstring).  Off by default:
@@ -122,7 +144,7 @@ class EmulatorRateProvider:
     """
 
     def __init__(self, technology: NetworkTechnology, topology: Topology | None = None,
-                 num_hosts: int = 64, cache_size: int = 4096,
+                 num_hosts: int = 64, cache_size: int = 0,
                  warm_start: bool = False) -> None:
         self.technology = technology
         self.topology = topology or CrossbarTopology(num_hosts=num_hosts, technology=technology)
@@ -149,7 +171,9 @@ class EmulatorRateProvider:
         #: single-stream bandwidth on NIC and fabric slots
         self._slot_ceilings: List[float] = []
         self._slots_of_tid: Dict[Hashable, Tuple[int, ...]] = {}
-        self._tids_of_slot: Dict[int, Set[Hashable]] = {}
+        #: per occupied slot, its transfer ids in tracking order (a dict
+        #: used as an ordered set: the solver freezes them in this order)
+        self._tids_of_slot: Dict[int, Dict[Hashable, None]] = {}
         self._counts: Dict[int, Dict[str, int]] = {}
         #: the solver's inputs, kept live too: each tracked flow's cap in
         #: tracking order (ties in the solver break in this order), each
@@ -158,21 +182,17 @@ class EmulatorRateProvider:
         self._caps: Dict[Hashable, float] = {}
         self._capacities: Dict[int, float] = {}
         self._binding: Dict[int, float] = {}
-        #: incremental endpoint multiset: pair per transfer, transfers per
-        #: pair, and the sorted pair list that keys the memo (bisect-updated)
-        self._pair_of_tid: Dict[Hashable, Tuple[int, int]] = {}
-        self._tids_of_pair: Dict[Tuple[int, int], Dict[Hashable, None]] = {}
+        #: the endpoint multiset that keys the memo, as a sorted pair list
+        #: (bisect-updated; kept only with a memo)
         self._sorted_pairs: List[Tuple[int, int]] = []
-        #: incrementally maintained per-transfer rates and the per-pair
-        #: allocation they came from (the value-diff baseline); ``None``
-        #: baseline = report every pair on the next allocation
+        #: every tracked transfer's rate: the value-diff baseline
         self._rates_by_tid: Dict[Hashable, float] = {}
-        self._last_by_pair: Optional[Dict[Tuple[int, int], float]] = None
         #: True once an allocation exists (warm starts need a predecessor)
         self._primed = False
         #: the round log of the last whole-set solve, with the flows and
-        #: slots changed since; None until that solve, and again after
-        #: reset() or invalidate_cache()
+        #: slots changed since, while ``_rates_by_tid`` holds that solve's
+        #: rates; None until that solve, after rates came from a memo hit
+        #: or a component solve, and after reset() or invalidate_cache()
         self._fill_log: Optional[FillLog] = None
         #: repro.obs phase timer around the water-fill solve; installed by
         #: register_metrics(), one pointer test per solve when absent
@@ -206,7 +226,6 @@ class EmulatorRateProvider:
         """
         self._rate_cache.clear()
         self._rates_by_tid = {}
-        self._last_by_pair = None
         self._primed = False
         self._fill_log = None
         # the cached routes, capacities and caps mirror the (possibly
@@ -250,12 +269,7 @@ class EmulatorRateProvider:
         )
 
     # -------------------------------------------------------------- interface
-    def _situation_key(self) -> Hashable:
-        """Memo key of the tracked situation — O(active) tuple copy of the
-        incrementally maintained sorted pair list (no re-sort)."""
-        return tuple(self._sorted_pairs)
-
-    def _solve(self, active: Sequence[Transfer]) -> Dict[Hashable, float]:
+    def _solve(self, active: Collection[Transfer]) -> Dict[Hashable, float]:
         timer = self._solve_timer
         if timer is None:
             return self._solve_impl(active)
@@ -265,7 +279,7 @@ class EmulatorRateProvider:
         finally:
             timer.observe(perf_counter() - start)
 
-    def _solve_impl(self, active: Sequence[Transfer]) -> Dict[Hashable, float]:
+    def _solve_impl(self, active: Collection[Transfer]) -> Dict[Hashable, float]:
         """Water-fill ``active`` over the inputs kept by ``_track``/``_untrack``.
 
         For the whole tracked set that is one call on the live caps,
@@ -308,7 +322,7 @@ class EmulatorRateProvider:
         return tuple(keys)
 
     def _coupled_component(
-        self, active: Sequence[Transfer], changed_pair: Tuple[int, int]
+        self, active: Collection[Transfer], changed_pair: Tuple[int, int]
     ) -> Set[Hashable]:
         """Ids of the active flows transitively coupled with ``changed_pair``."""
         by_key: Dict[Hashable, List[Transfer]] = {}
@@ -331,12 +345,17 @@ class EmulatorRateProvider:
 
     def _solve_incremental(
         self,
-        active: Sequence[Transfer],
+        active: Collection[Transfer],
         changed_pairs: Sequence[Tuple[int, int]],
     ) -> Dict[Hashable, float]:
-        """Full solve, or a component-scoped re-solve after a one-flow delta."""
+        """Full solve, or a component-scoped re-solve after a one-flow delta.
+
+        The scoped path drops the round log: the rates it returns are not
+        one solve's, so the log could no longer bound the value diff.
+        """
         if not self.warm_start or not self._primed or len(changed_pairs) != 1:
             return self._solve(active)
+        self._fill_log = None
         rates: Dict[Hashable, float] = {}
         component = self._coupled_component(active, changed_pairs[0])
         for transfer in active:
@@ -357,11 +376,8 @@ class EmulatorRateProvider:
     def reset(self) -> None:
         """Forget the tracked active set and warm-start state (memo survives)."""
         self._active = {}
-        self._pair_of_tid = {}
-        self._tids_of_pair = {}
         self._sorted_pairs = []
         self._rates_by_tid = {}
-        self._last_by_pair = None
         self._primed = False
         self._slots_of_tid = {}
         self._tids_of_slot = {}
@@ -383,10 +399,10 @@ class EmulatorRateProvider:
         for slot in slots:
             tids = self._tids_of_slot.get(slot)
             if tids is None:
-                self._tids_of_slot[slot] = {tid}
+                self._tids_of_slot[slot] = {tid: None}
                 self._capacities[slot] = self._slot_caps[slot]
             else:
-                tids.add(tid)
+                tids[tid] = None
         log = self._fill_log
         if log is not None:
             log.changed_flows[tid] = None
@@ -471,9 +487,8 @@ class EmulatorRateProvider:
         tid = transfer.transfer_id
         pair = (transfer.src, transfer.dst)
         self._active[tid] = transfer
-        self._pair_of_tid[tid] = pair
-        self._tids_of_pair.setdefault(pair, {})[tid] = None
-        bisect.insort(self._sorted_pairs, pair)
+        if self.cache_size > 0:
+            bisect.insort(self._sorted_pairs, pair)
         slots = self._index(transfer)
         self._caps[tid] = self._cap(transfer)
         if not transfer.is_intra_node:
@@ -484,12 +499,9 @@ class EmulatorRateProvider:
 
     def _untrack(self, tid: Hashable) -> Tuple[int, int]:
         transfer = self._active.pop(tid)
-        pair = self._pair_of_tid.pop(tid)
-        bucket = self._tids_of_pair[pair]
-        del bucket[tid]
-        if not bucket:
-            del self._tids_of_pair[pair]
-        del self._sorted_pairs[bisect.bisect_left(self._sorted_pairs, pair)]
+        pair = (transfer.src, transfer.dst)
+        if self.cache_size > 0:
+            del self._sorted_pairs[bisect.bisect_left(self._sorted_pairs, pair)]
         self._rates_by_tid.pop(tid, None)
         del self._caps[tid]
         slots = self._slots_of_tid.pop(tid)
@@ -499,7 +511,7 @@ class EmulatorRateProvider:
             log.changed_resources.update(dict.fromkeys(slots))
         for slot in slots:
             tids = self._tids_of_slot[slot]
-            tids.remove(tid)
+            del tids[tid]
             if not tids:
                 del self._tids_of_slot[slot]
                 del self._capacities[slot]
@@ -516,16 +528,11 @@ class EmulatorRateProvider:
     ) -> Dict[Hashable, float]:
         """Apply a flow delta; return the rates of the re-priced transfers.
 
-        The emulator prices whole sharing situations (its memo key is the
-        endpoint multiset, maintained incrementally), and same-endpoint
-        flows share one rate in the max-min solution — so the changed set is
-        found by value-diffing the new allocation against the previous one
-        *per endpoint pair*: every added transfer plus every incumbent whose
-        pair's rate changed is returned.  A memoized situation therefore
-        costs O(delta + distinct pairs), with no per-transfer rebuild.
-        Transfers absent from the mapping kept their rate exactly, which is
-        what the event calendar relies on to leave their completion entries
-        untouched.
+        Every arrival is returned, and every incumbent whose rate the new
+        allocation changed, found by value-diffing per flow (see the
+        module docstring).  Transfers absent from the mapping kept their
+        rate exactly, which is what the event calendar relies on to leave
+        their completion entries untouched.
 
         The whole delta is validated (membership and hosts) before any state
         changes, so a rejected call leaves the tracked set untouched and the
@@ -535,15 +542,12 @@ class EmulatorRateProvider:
         changed_pairs: List[Tuple[int, int]] = []
         for tid in removed:
             changed_pairs.append(self._untrack(tid))
-        added_tids: List[Hashable] = []
         for transfer in added:
             changed_pairs.append(self._track(transfer))
-            added_tids.append(transfer.transfer_id)
         if not self._active:
-            self._last_by_pair = {}
             self._primed = True
             return {}
-        return self._allocate(changed_pairs, added_tids)
+        return self._allocate(changed_pairs)
 
     def _validate_delta(
         self, added: Sequence[Transfer], removed: Sequence[Hashable]
@@ -554,78 +558,40 @@ class EmulatorRateProvider:
             self.topology.check_host(transfer.src)
             self.topology.check_host(transfer.dst)
 
-    def _price_situation(
-        self, changed_pairs: Sequence[Tuple[int, int]]
-    ) -> Tuple[Optional[Dict[Tuple[int, int], float]],
-               Optional[Dict[Hashable, float]]]:
-        """Memoized per-pair allocation of the tracked situation.
-
-        Returns ``(by_pair, None)`` normally; ``(None, rates)`` when the
-        solver broke same-endpoint symmetry (rare) — the caller must then
-        value-diff per transfer, and the solution is not memoized.
-        """
-        key = self._situation_key()
-        by_pair = self._rate_cache.get(key)
-        if by_pair is not None:
-            self.cache_hits += 1
-            return by_pair, None
-        self.cache_misses += 1
-        active = list(self._active.values())
-        rates = self._solve_incremental(active, changed_pairs)
-        by_pair = {}
-        for transfer in active:
-            pair = self._pair_of_tid[transfer.transfer_id]
-            rate = rates[transfer.transfer_id]
-            if pair in by_pair and by_pair[pair] != rate:
-                return None, rates  # solver broke same-endpoint symmetry
-            by_pair[pair] = rate
-        self._rate_cache.put(key, by_pair)
-        return by_pair, None
-
-    def _changed_pair_set(
-        self, by_pair: Dict[Tuple[int, int], float]
-    ) -> Set[Tuple[int, int]]:
-        """Pairs whose rate differs from the value-diff baseline."""
-        previous = self._last_by_pair
-        if previous is None:
-            return set(by_pair)
-        return {
-            pair for pair, rate in by_pair.items()
-            if previous.get(pair) != rate
-        }
-
-    def _allocate(
-        self,
-        changed_pairs: Sequence[Tuple[int, int]],
-        added_tids: Sequence[Hashable],
-    ) -> Dict[Hashable, float]:
+    def _allocate(self, changed_pairs: Sequence[Tuple[int, int]]) -> Dict[Hashable, float]:
         """Price the tracked situation and report the changed rates."""
-        by_pair, raw = self._price_situation(changed_pairs)
-        if by_pair is None:
-            # rare fallback: diff (and store) rates per transfer
-            changed = {}
-            for tid, rate in raw.items():
-                if self._rates_by_tid.get(tid) != rate:
-                    changed[tid] = rate
-                    self._rates_by_tid[tid] = rate
-            for tid in added_tids:
-                changed.setdefault(tid, raw[tid])
-            self._last_by_pair = None
-            self._primed = True
-            return changed
-
-        changed_pair_set = self._changed_pair_set(by_pair)
-        changed: Dict[Hashable, float] = {}
-        for pair in changed_pair_set:
-            rate = by_pair[pair]
-            for tid in self._tids_of_pair.get(pair, ()):
-                changed[tid] = rate
-                self._rates_by_tid[tid] = rate
-        for tid in added_tids:
-            if tid not in changed:
-                rate = by_pair[self._pair_of_tid[tid]]
-                changed[tid] = rate
-                self._rates_by_tid[tid] = rate
-        self._last_by_pair = by_pair
+        key = None
+        if self.cache_size > 0:
+            key = tuple(self._sorted_pairs)
+            by_pair = self._rate_cache.get(key)
+            if by_pair is not None:
+                self.cache_hits += 1
+                self._primed = True
+                self._fill_log = None
+                rates = {tid: by_pair[t.src, t.dst] for tid, t in self._active.items()}
+                return self._report((rates,), rates)
+        self.cache_misses += 1
+        rates = self._solve_incremental(self._active.values(), changed_pairs)
         self._primed = True
+        log = self._fill_log
+        if log is None:  # no solve the log holds set these rates: diff them all
+            return self._report((rates,), rates)
+        changed = self._report(log.frozen[log.resume_round:], rates)
+        if key is not None and log.safety is None:
+            self._rate_cache.put(
+                key, {(t.src, t.dst): rates[tid] for tid, t in self._active.items()})
+        return changed
+
+    def _report(self, rounds: Sequence[Dict[Hashable, float]],
+                rates: Dict[Hashable, float]) -> Dict[Hashable, float]:
+        """Value-diff the flows of ``rounds`` against the stored rates and
+        store ``rates``, every tracked transfer's; return the differing
+        entries (an arrival has no stored rate, so it always differs)."""
+        previous = self._rates_by_tid.get
+        changed: Dict[Hashable, float] = {}
+        for frozen in rounds:
+            for tid, rate in frozen.items():
+                if previous(tid) != rate:
+                    changed[tid] = rate
+        self._rates_by_tid = rates
         return changed

@@ -29,6 +29,11 @@ from .topology import CrossbarTopology, Topology
 
 __all__ = ["ClusterEmulator"]
 
+#: situations the emulator's provider memoizes: a measurement repeats
+#: identical deterministic runs (:class:`~repro.benchmark.PenaltyTool`
+#: iterations), so every flush after the first run is a memo hit
+_SITUATION_MEMO = 4096
+
 
 class ClusterEmulator:
     """Emulated cluster that measures communication schemes.
@@ -56,7 +61,8 @@ class ClusterEmulator:
             technology = get_technology(technology)
         self.technology = technology
         self.topology = topology or CrossbarTopology(num_hosts=num_hosts, technology=technology)
-        self.rate_provider = EmulatorRateProvider(technology, self.topology)
+        self.rate_provider = EmulatorRateProvider(technology, self.topology,
+                                                  cache_size=_SITUATION_MEMO)
         self.simulator = FluidTransferSimulator(self.rate_provider, latency=technology.latency)
 
     # ----------------------------------------------------------------- basics

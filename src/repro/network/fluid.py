@@ -153,7 +153,8 @@ in terms of the invariants above:
   tracks.
 * ``calendar.reprice`` — a forced full re-rate (provider ``reset()`` +
   re-add), the injector hook for capacity changes outside the delta
-  contract.
+  contract.  In full-query mode the flush before it already re-priced
+  every flight, so it queries nothing and reports ``changed`` 0.
 * ``calendar.compaction`` — the lazy-deletion heap was rebuilt in place
   because stale entries held the majority; ``dropped``/``kept`` count the
   entries discarded/retained.
@@ -640,21 +641,24 @@ class TransferCalendar:
         The delta contract cannot express "every rate may have changed"
         (e.g. after a link-degradation window toggles the rate scale), so
         this resets the provider's tracked set and re-adds the whole active
-        set in one delta, in either mode.  Any pending delta is flushed
-        first.
+        set in one delta.  Any pending delta is flushed first; in
+        full-query mode that flush already re-prices every flight from a
+        reset provider, so the reprice queries nothing more and its
+        record reports no change.
         """
         self.flush(now)
         if not self._flights:
             return
-        changed = self._requery()
-        self.stats.flushes += 1
-        self.stats.rate_updates += len(changed)
-        self.stats.active_at_flush += len(self._flights)
+        changed = self._requery() if self.delta else {}
         if self._trace is not None:
             self._trace.emit(TraceRecord(now, "calendar.reprice", None, {
                 "active": len(self._flights), "changed": len(changed),
             }))
-        self._apply_changed(changed, now)
+        if self.delta:
+            self.stats.flushes += 1
+            self.stats.rate_updates += len(changed)
+            self.stats.active_at_flush += len(self._flights)
+            self._apply_changed(changed, now)
 
     def _apply_rate(self, tid: Hashable, flight: _Flight, rate: float,
                     now: float) -> None:

@@ -244,6 +244,12 @@ class FillLog:
     ``capacities``, and each resource's saturation threshold.
     :attr:`resume_round` is the round the last solve resumed from (0 for
     a cold one) and ``len(frozen)`` the number of rounds it ended with.
+
+    Every flow in ``frozen[:resume_round]`` froze in the same round of the
+    solve before, at the same level: it kept its previous rate bit for
+    bit.  So the flows whose rate the last solve can have changed are
+    those of ``frozen[resume_round:]``, which hold every flow that arrived
+    since.
     """
 
     __slots__ = ("changed_flows", "changed_resources", "by_cap", "freeze_at",

@@ -167,9 +167,12 @@ class TestResourceIndex:
             slots = tuple(provider._res_slots[r] for r in provider._resources_for(transfer))
             slots_of[tid] = slots
             for slot in slots:
-                tids_of_slot.setdefault(slot, set()).add(tid)
+                tids_of_slot.setdefault(slot, []).append(tid)
         assert provider._slots_of_tid == slots_of
-        assert provider._tids_of_slot == tids_of_slot
+        # in tracking order: the solver freezes a saturated slot's flows
+        # in this order, and so the provider reports them
+        assert {slot: list(tids) for slot, tids in provider._tids_of_slot.items()} == \
+            tids_of_slot
         TestResourceIndex.assert_solver_inputs_match_rebuild(provider)
 
     @staticmethod
@@ -381,26 +384,50 @@ class TestRoundLog:
             resumed += log is not None and log.resume_round > 0
         assert resumed > 0
 
-    def test_memo_hits_and_component_solves_leave_the_log_alone(self):
+    def test_memo_hits_and_component_solves_drop_the_log(self):
+        """The stored rates must be the log's last solve, or the per-flow
+        diff misses what changed: rates from a warm-start component solve
+        or a memo hit drop the log, and the next whole-set solve is cold
+        and reports every changed rate."""
         provider = fresh(cache_size=64)
-        provider.update([Transfer(0, 0, 1, 20 * MB), Transfer(1, 2, 1, 20 * MB)], [])
-        log = provider._fill_log
-        rounds = log.frozen
+        current = step(provider, {}, [Transfer(0, 0, 1, 20 * MB),
+                                      Transfer(1, 2, 1, 20 * MB)])
+        assert provider._fill_log is not None
         # one arrival: a warm start solves its component without the log
-        provider.update([Transfer(2, 3, 4, 20 * MB)], [])
+        step(provider, current, [Transfer(2, 3, 4, 20 * MB)])
         assert provider.warm_starts == 1
-        assert provider._fill_log is log and log.frozen is rounds
-        assert 2 in log.changed_flows
+        assert provider._fill_log is None
         # back to a memoized situation: no solve at all
         hits = provider.cache_hits
-        provider.update([], [2])
+        step(provider, current, [], [2])
         assert provider.cache_hits == hits + 1
-        assert log.frozen is rounds and 2 in log.changed_flows
-        # a two-flow delta solves the whole set, resuming with every item
-        # reported since the last whole-set solve
-        provider.update([Transfer(3, 0, 2, 20 * MB), Transfer(4, 1, 3, 20 * MB)], [])
-        assert not log.changed_flows and not log.changed_resources
-        self.assert_rates_are_a_cold_solve(provider)
+        assert provider._fill_log is None
+        # a two-flow delta solves the whole set cold, then the next resumes
+        resumed_from = []
+        for added, removed in (([Transfer(3, 0, 2, 20 * MB), Transfer(4, 1, 3, 20 * MB)], []),
+                               ([Transfer(5, 4, 0, 20 * MB)], [3])):
+            step(provider, current, added, removed)
+            self.assert_rates_are_a_cold_solve(provider)
+            assert current == provider._rates_by_tid
+            resumed_from.append(provider._fill_log.resume_round)
+        assert resumed_from[0] == 0 and resumed_from[1] > 0
+
+    def test_a_memo_hit_after_a_logged_solve_makes_the_next_solve_cold(self):
+        """Flows 0 and 2 share host 1's receive port, flow 0 alone runs at
+        its cap.  The hit on the shared situation stores rates the log's
+        solve (flow 0 alone) did not compute; a solve that resumed from
+        that log after the hit would start past the round that froze flow
+        0, leave it out of the diff and keep the shared rate reported."""
+        provider = fresh(cache_size=64, warm_start=False)
+        current = step(provider, {}, [Transfer(0, 0, 1, 20 * MB), Transfer(1, 2, 1, 20 * MB)])
+        step(provider, current, [], [1])
+        step(provider, current, [Transfer(2, 2, 1, 20 * MB)])
+        assert provider.cache_hits == 1 and provider._fill_log is None
+        # an intra-node copy arrives as flow 2 leaves: no memoized situation
+        step(provider, current, [Transfer(3, 3, 3, 20 * MB)], [2])
+        assert provider._fill_log.resume_round == 0
+        cold = fresh(cache_size=0, warm_start=False).update(list(provider._active.values()), [])
+        assert current == cold
 
     def test_reset_and_invalidate_drop_the_log(self):
         provider = fresh(cache_size=0, warm_start=False)

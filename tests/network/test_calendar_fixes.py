@@ -597,14 +597,19 @@ class TestRealProvidersMatchFullRequery:
 
 
 class DropsLargestPair(EmulatorRateProvider):
-    """Emulator whose value diff under-reports: whenever two or more
-    endpoint pairs changed rate, it leaves the largest one out."""
+    """Emulator whose per-flow value diff under-reports: whenever two or
+    more transfers changed rate, it leaves out the one with the largest
+    endpoint pair, unless that one just arrived."""
 
-    def _changed_pair_set(self, by_pair):
-        pairs = super()._changed_pair_set(by_pair)
-        if len(pairs) >= 2:
-            pairs.discard(max(pairs))
-        return pairs
+    def _report(self, rounds, rates):
+        previous = self._rates_by_tid
+        changed = super()._report(rounds, rates)
+        if len(changed) >= 2:
+            largest = max(changed, key=lambda tid: (self._active[tid].src,
+                                                    self._active[tid].dst))
+            if largest in previous:
+                del changed[largest]
+        return changed
 
 
 class ReportsOnlyArrivals(ModelRateProvider):

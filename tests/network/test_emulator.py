@@ -75,6 +75,21 @@ class TestEmulatorBasics:
         text = myrinet_emulator.describe()
         assert "stop-and-go" in text
 
+    def test_repeated_runs_are_priced_from_the_memo(self):
+        """A penalty measurement repeats identical runs, so the emulator's
+        provider keeps a situation memo across them (it survives the
+        per-run reset): a repeated run solves nothing and measures the
+        same times bit for bit."""
+        emulator = ClusterEmulator("myrinet", num_hosts=8)
+        graph = figure2_schemes()["S6"]
+        first = emulator.measure_times(graph)
+        provider = emulator.rate_provider
+        assert provider.cache_hits == 0
+        solves = provider.cache_misses
+        assert emulator.measure_times(graph) == first
+        assert provider.cache_misses == solves
+        assert provider.cache_hits == solves
+
 
 class TestFigure2Reproduction:
     """The emulator reproduces the measured penalty ladder of Figure 2."""
@@ -139,7 +154,7 @@ class TestRateProvider:
     def test_reset_forgets_the_tracked_set(self):
         """After ``reset()`` a re-added set is priced, and every transfer
         reported, as by a fresh provider: the full-query calendar's reference."""
-        provider = EmulatorRateProvider(GIGABIT_ETHERNET, num_hosts=8)
+        provider = EmulatorRateProvider(GIGABIT_ETHERNET, num_hosts=8, cache_size=64)
         transfers = [Transfer(i, 0, i + 1, 20 * MB) for i in range(3)]
         provider.update(transfers, [])
         provider.update([], [1])

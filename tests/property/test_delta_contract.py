@@ -132,13 +132,20 @@ class TestModelProviderDeltaContract:
         assert replayed.stats.cache_hits == fresh.stats.component_evaluations
 
 
+#: the emulator's situation memo off (the default) and on: memo hits drop
+#: the round log, so the solves after them must report every changed rate
+MEMO_SIZES = pytest.mark.parametrize("cache_size", [0, 64], ids=["memo-off", "memo-on"])
+
+
 class TestEmulatorProviderDeltaContract:
+    @MEMO_SIZES
     @common_settings
     @given(steps=sequence_strategy)
-    def test_update_accumulates_to_cold_rates(self, steps):
+    def test_update_accumulates_to_cold_rates(self, cache_size, steps):
         """Without warm starts the delta stream is bit-exact with cold solves."""
         technology = get_technology("ethernet")
-        provider = EmulatorRateProvider(technology, num_hosts=6, warm_start=False)
+        provider = EmulatorRateProvider(technology, num_hosts=6, warm_start=False,
+                                        cache_size=cache_size)
         check_provider_sequence(
             provider,
             lambda: EmulatorRateProvider(technology, num_hosts=6, warm_start=False),
@@ -165,13 +172,15 @@ class TestEmulatorProviderDeltaContract:
             )
             assert accumulated == pytest.approx(cold, rel=1e-9)
 
+    @MEMO_SIZES
     @common_settings
     @given(steps=sequence_strategy)
-    def test_unreported_transfers_kept_their_rate(self, steps):
+    def test_unreported_transfers_kept_their_rate(self, cache_size, steps):
         """The heart of the calendar's laziness: a transfer absent from an
         update() return must have exactly its previous rate."""
         technology = get_technology("myrinet")
-        provider = EmulatorRateProvider(technology, num_hosts=6, warm_start=False)
+        provider = EmulatorRateProvider(technology, num_hosts=6, warm_start=False,
+                                        cache_size=cache_size)
         previous = {}
         for added, removed, live in deltas(steps):
             changed = provider.update(added, removed)
@@ -187,7 +196,8 @@ class TestEmulatorProviderDeltaContract:
 SHIPPED_PROVIDERS = [
     pytest.param(lambda: ModelRateProvider(GigabitEthernetModel(), "ethernet"),
                  lambda provider: provider.stats.cache_hits, id="model"),
-    pytest.param(lambda: EmulatorRateProvider(get_technology("ethernet"), num_hosts=6),
+    pytest.param(lambda: EmulatorRateProvider(get_technology("ethernet"), num_hosts=6,
+                                              cache_size=64),
                  lambda provider: provider.cache_hits, id="emulator"),
 ]
 

@@ -8,7 +8,8 @@ must produce **identical** per-rank event streams and finish times as with
 every solve from FlowSpecs — under both engine loops (delta-fed calendar
 and full re-query), for all three technologies, on a crossbar with
 intra-node copies and on an oversubscribed fat tree whose fabric links
-bind, with warm starts on and off.
+bind, with warm starts on and off and the emulator's situation memo on
+and off (the oracle never memoizes).
 """
 
 from __future__ import annotations
@@ -94,15 +95,17 @@ class TestEmulatorEngineMatchesOracle:
     @pytest.mark.parametrize("technology", ["ethernet", "myrinet", "infiniband"])
     @pytest.mark.parametrize("fabric", ["crossbar", "oversubscribed-fat-tree"])
     @pytest.mark.parametrize("warm_start", [False, True], ids=["cold", "warm-start"])
+    @pytest.mark.parametrize("cache_size", [0, 64], ids=["memo-off", "memo-on"])
     @common_settings
     @given(spec=workload_strategy)
-    def test_emulator_runs_identical(self, technology, fabric, warm_start, spec):
+    def test_emulator_runs_identical(self, technology, fabric, warm_start, cache_size, spec):
         app = build_application(spec)
         outcomes = []
         for delta in (True, False):
-            for cls in (EmulatorRateProvider, FlowSpecOracleProvider):
+            for cls, memo in ((EmulatorRateProvider, cache_size), (FlowSpecOracleProvider, 0)):
                 cluster, topology = make_cluster_and_topology(technology, fabric)
-                provider = cls(cluster.technology, topology, warm_start=warm_start)
+                provider = cls(cluster.technology, topology, warm_start=warm_start,
+                               cache_size=memo)
                 outcomes.append(run_engine(
                     app, cluster, provider, spec["policy"], spec["seed"], delta
                 ))

@@ -14,7 +14,8 @@ over random delta sequences through the calibrated
 :class:`FlowSpecOracleProvider`, which prices every solve by rebuilding one
 :class:`~repro.network.sharing.FlowSpec` per transfer and running the
 reference loop: on a clean crossbar and on an oversubscribed fat tree whose
-fabric links actually bind, with warm starts on and off.
+fabric links actually bind, with warm starts on and off and the emulator's
+situation memo on and off.
 
 A solve handed a :class:`~repro.network.sharing.FillLog` resumes the
 previous one from the first round its reported changes can touch; the
@@ -245,28 +246,45 @@ class TestWaterFillingBitExact:
 step_strategy = st.one_of(
     st.tuples(st.just("add"), st.integers(0, 11), st.integers(0, 11)),
     st.tuples(st.just("del"), st.integers(0, 30), st.integers(0, 0)),
+    st.tuples(st.just("bounce"), st.integers(0, 30), st.integers(0, 11)),
 )
 sequence_strategy = st.lists(step_strategy, min_size=1, max_size=30)
 
 
 def deltas(steps, max_live=10):
+    """The deltas of ``steps``: ``add`` a flow from ``x`` to ``y``, ``del``
+    the ``x``-th live flow, or ``bounce`` it: it leaves, comes back under
+    a new id (the situation before: a memo hit right after a solve), and
+    leaves again in the delta that brings an intra-node copy on host
+    ``y``, whose memory-bus cap lets the next solve resume late."""
     live = {}
     counter = 0
     out = []
+
+    def arrive(src, dst):
+        nonlocal counter
+        transfer = live[counter] = Transfer(transfer_id=counter, src=src, dst=dst, size=1000.0)
+        counter += 1
+        return transfer
+
     for kind, x, y in steps:
         if kind == "add" and len(live) < max_live:
-            transfer = Transfer(transfer_id=counter, src=x, dst=y, size=1000.0)
-            live[counter] = transfer
-            counter += 1
-            out.append(([transfer], [], dict(live)))
+            out.append(([arrive(x, y)], [], dict(live)))
         elif kind == "del" and live:
             tid = list(live)[x % len(live)]
             del live[tid]
             out.append(([], [tid], dict(live)))
+        elif kind == "bounce" and live:
+            gone = live.pop(list(live)[x % len(live)])
+            out.append(([], [gone.transfer_id], dict(live)))
+            back = arrive(gone.src, gone.dst)
+            out.append(([back], [], dict(live)))
+            del live[back.transfer_id]
+            out.append(([arrive(y, y)], [back.transfer_id], dict(live)))
     return out
 
 
-def make_provider(cls, technology, loaded_fabric, warm_start):
+def make_provider(cls, technology, loaded_fabric, warm_start, cache_size=0):
     topology = None
     if loaded_fabric:
         # 4:1 oversubscription on 12 hosts: the shared uplinks genuinely bind
@@ -274,7 +292,8 @@ def make_provider(cls, technology, loaded_fabric, warm_start):
             num_hosts=12, technology=technology,
             hosts_per_edge=4, uplinks_per_edge=1,
         )
-    return cls(technology, topology=topology, num_hosts=12, warm_start=warm_start)
+    return cls(technology, topology=topology, num_hosts=12, warm_start=warm_start,
+               cache_size=cache_size)
 
 
 class TestEmulatorMatchesOracle:
@@ -313,13 +332,16 @@ class TestEmulatorMatchesOracle:
                              ids=["crossbar", "oversubscribed-fat-tree"])
     @pytest.mark.parametrize("warm_start", [False, True],
                              ids=["cold", "warm-start"])
+    @pytest.mark.parametrize("cache_size", [0, 64], ids=["memo-off", "memo-on"])
     @common_settings
     @given(steps=sequence_strategy)
     def test_update_streams_identical(
-        self, technology, loaded_fabric, warm_start, steps
+        self, technology, loaded_fabric, warm_start, cache_size, steps
     ):
+        """The oracle never memoizes; the emulator runs with its memo off and on."""
         tech = get_technology(technology)
-        provider = make_provider(EmulatorRateProvider, tech, loaded_fabric, warm_start)
+        provider = make_provider(EmulatorRateProvider, tech, loaded_fabric, warm_start,
+                                 cache_size)
         oracle = make_provider(FlowSpecOracleProvider, tech, loaded_fabric, warm_start)
         for added, removed, _live in deltas(steps):
             changed = provider.update(added, removed)

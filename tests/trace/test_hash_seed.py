@@ -1,10 +1,11 @@
-"""A traced model-provider run writes the same bytes under every hash seed.
+"""A traced loaded run writes the same bytes under every hash seed.
 
 Injected background flows carry string ids (``background#N``), whose set
-order follows ``PYTHONHASHSEED``; the pricing engine must still hand the
-calendar its re-priced transfers in one fixed order, or the ``calendar.*``
-records within a timestamp come out in a seed-dependent order.  Each run
-records in its own interpreter, the only way to vary the hash seed.
+order follows ``PYTHONHASHSEED``; the pricing engine and the emulator
+must still hand the calendar their re-priced transfers in one fixed
+order, or the ``calendar.*`` records within a timestamp come out in a
+seed-dependent order.  Each run records in its own interpreter, the only
+way to vary the hash seed.
 """
 
 from __future__ import annotations
@@ -37,6 +38,17 @@ def record_loaded_run(out: Path, hash_seed: int, args=RING_ALLGATHER) -> bytes:
 def test_loaded_model_trace_does_not_depend_on_the_hash_seed(tmp_path):
     first = record_loaded_run(tmp_path / "seed0.jsonl", 0)
     second = record_loaded_run(tmp_path / "seed1.jsonl", 1)
+    assert b"background#" in first
+    assert first == second
+
+
+def test_loaded_emulated_trace_does_not_depend_on_the_hash_seed(tmp_path):
+    """The emulator reports a solve's changed rates in the order its
+    water-fill froze them, which must follow the per-slot insertion order
+    of the transfer ids, never set iteration."""
+    args = RING_ALLGATHER + ("--mode", "emulated")
+    first = record_loaded_run(tmp_path / "seed0.jsonl", 0, args)
+    second = record_loaded_run(tmp_path / "seed1.jsonl", 1, args)
     assert b"background#" in first
     assert first == second
 
