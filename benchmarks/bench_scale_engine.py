@@ -29,10 +29,13 @@ reproduction's analogue of the paper's ~0.7 % MPE instrumentation cost
 perf trajectory.
 
 The **metrics-overhead** section attaches a
-:class:`~repro.obs.MetricsRegistry` to the same scenario — a phase timer
-around every calendar flush plus lazily-read stats sources — asserting
-bit-identical results and recording the metering cost next to the tracing
-cost.
+:class:`~repro.obs.MetricsRegistry` to the 256-rank LINPACK rung through
+``EngineConfig(metrics=...)`` — phase timers around the engine's ready
+processing, timeline drains and calendar flushes plus lazily-read stats
+sources — asserting the rung's pinned makespan with and without it and
+recording the metering cost next to the tracing cost.  The tracing
+micro-scenario runs ~17 ms, too short for the metering cost to stand out
+of the spread of its repeats; the LINPACK rung runs ~0.3 s (2-vCPU VM).
 
 Both overhead sections run their modes interleaved, one run of each mode
 per round, and record the min and median of every mode plus the spread
@@ -517,6 +520,24 @@ def linpack_us_per_step():
     return {}
 
 
+def linpack_rung(num_ranks: int, metrics=None):
+    """The LINPACK rung's simulator, provider and application (see
+    :func:`test_scale_ladder_linpack`), metered when ``metrics`` is a
+    :class:`~repro.obs.MetricsRegistry`."""
+    from repro.cluster import custom_cluster
+    from repro.simulator import EngineConfig, Simulator
+    from repro.workloads.linpack import generate_linpack
+
+    problem_size = 32 * num_ranks
+    app = generate_linpack(problem_size=problem_size, block_size=problem_size // 16,
+                           num_tasks=num_ranks)
+    cluster = custom_cluster(num_nodes=num_ranks, cores_per_node=1,
+                             technology="ethernet")
+    provider = ModelRateProvider(GigabitEthernetModel(), "ethernet")
+    simulator = Simulator(cluster, provider, config=EngineConfig(metrics=metrics))
+    return simulator, provider, app
+
+
 @pytest.mark.parametrize("num_ranks", LADDER_RUNGS,
                          ids=lambda n: f"ladder_linpack_{n}")
 def test_scale_ladder_linpack(emit, linpack_us_per_step, num_ranks):
@@ -530,17 +551,8 @@ def test_scale_ladder_linpack(emit, linpack_us_per_step, num_ranks):
     (not asserted when the 256-rank rung did not run).
     """
     _ladder_skip(num_ranks)
-    from repro.cluster import custom_cluster
-    from repro.simulator import Simulator
-    from repro.workloads.linpack import generate_linpack
-
     problem_size = 32 * num_ranks
-    app = generate_linpack(problem_size=problem_size, block_size=problem_size // 16,
-                           num_tasks=num_ranks)
-    cluster = custom_cluster(num_nodes=num_ranks, cores_per_node=1,
-                             technology="ethernet")
-    provider = ModelRateProvider(GigabitEthernetModel(), "ethernet")
-    simulator = Simulator(cluster, provider)
+    simulator, provider, app = linpack_rung(num_ranks)
     started = time.perf_counter()
     report = simulator.run(app, placement="RRN")
     elapsed = time.perf_counter() - started
@@ -618,7 +630,7 @@ def emulated_rung(num_hosts: int):
     background = BackgroundTrafficInjector(
         rate=2000.0 * scale, size=4 * MiB, seed=0, max_flows=round(300 * scale),
         size_jitter=0.5)
-    provider = EmulatorRateProvider(technology, topology, warm_start=False)
+    provider = EmulatorRateProvider(technology, topology)
     simulator = Simulator(cluster, provider, technology=technology,
                           config=EngineConfig(injectors=(background,)))
     return simulator, app
@@ -910,45 +922,51 @@ def test_water_filling_microbench(emit, monkeypatch):
 
 
 # --------------------------------------------------------- metrics overhead
+#: the metrics-overhead section meters the LINPACK rung of this many ranks
+OVERHEAD_RANKS = LADDER_RUNGS[0]
+
+
 def metered_once(metered: bool):
-    """One run of the scale workload with or without a registry.
+    """One run of the LINPACK rung with or without a registry.
 
     A fresh :class:`~repro.obs.MetricsRegistry` per run (timer moments are
-    per-run); the outcome is the results and the registry snapshot — its
-    counter values are deterministic, only the timer durations jitter.
+    per-run); the outcome is the predicted makespan as ``float.hex()`` and
+    the registry snapshot — its counter values are deterministic, only the
+    timer durations jitter.
     """
     from repro.obs import MetricsRegistry
 
     metrics = MetricsRegistry() if metered else None
-    workload = synthetic_workload()
-    provider = ModelRateProvider(GigabitEthernetModel(), "ethernet")
-    simulator = FluidTransferSimulator(provider, metrics=metrics)
+    simulator, _, app = linpack_rung(OVERHEAD_RANKS, metrics=metrics)
     started = time.perf_counter()
-    results = simulator.run(workload)
+    report = simulator.run(app, placement="RRN")
     elapsed = time.perf_counter() - started
-    return elapsed, (results, metrics.snapshot() if metrics is not None else None)
+    return elapsed, (float(report.total_time).hex(),
+                     metrics.snapshot() if metrics is not None else None)
 
 
 def test_metrics_overhead(emit):
-    """Metrics-overhead section: the unified registry on the hot loop.
+    """Metrics-overhead section: the unified registry on the engine loop.
 
-    With a registry attached the calendar pays two ``perf_counter`` calls
-    per flush (the ``calendar.flush_s`` phase timer) and the provider's
-    stats surfaces are registered as lazy sources (zero per-event cost).
-    The results must stay bit-identical; the recorded quantity is the
-    relative wall-clock overhead of metering the same worst-case
-    micro-scenario the tracing-overhead section uses, measured like it:
-    interleaved modes, medians, below-noise flags.
+    With a registry attached the engine times its ready processing and
+    timeline drains and the calendar every flush (two ``perf_counter``
+    calls each), and the stats surfaces are registered as lazy sources
+    (zero per-event cost).  The prediction must stay bit-identical: every
+    run, metered or not, predicts the LINPACK rung's pinned makespan.  The
+    recorded quantity is the relative wall-clock overhead of metering that
+    rung, whose run is long enough for the overhead to stand out of the
+    spread of its repeats on a quiet host, measured like the tracing
+    overhead: interleaved modes, medians, below-noise flags.
     """
     times, outcomes = interleave({
         "none": lambda: metered_once(False),
         "attached": lambda: metered_once(True),
     })
-    base_results = outcomes["none"][-1][0]
     snapshot = outcomes["attached"][-1][1]
 
-    # observability, not physics: identical completion records
-    assert all(outcome[0] == base_results for outcome in outcomes["attached"])
+    # observability, not physics: the pinned prediction, with and without
+    pinned = LINPACK_MAKESPANS[OVERHEAD_RANKS]
+    assert all(outcome[0] == pinned for mode in outcomes.values() for outcome in mode)
     # the registry actually observed the run it did not perturb
     assert snapshot["calendar.flushes"] > 0
     assert snapshot["calendar.flush_s.count"] > 0
@@ -958,13 +976,12 @@ def test_metrics_overhead(emit):
     unmetered = overhead_row(base, base, noise_s)
     metered = overhead_row(times["attached"], base, noise_s)
     overhead = metered["overhead"]
-    flushes = int(snapshot["calendar.flush_s.count"])
-    per_flush_us = metered["delta_s"] / max(1, flushes) * 1e6
+    steps = int(snapshot["engine.steps"])
+    per_step_us = metered["delta_s"] / max(1, steps) * 1e6
 
     lines = [
-        f"metrics overhead: {NUM_HOSTS} hosts, {len(synthetic_workload())} "
-        f"transfers, {flushes} timed flushes; {OVERHEAD_REPEATS} interleaved "
-        "rounds",
+        f"metrics overhead: LINPACK rung, {OVERHEAD_RANKS} ranks, {steps} engine "
+        f"steps; {OVERHEAD_REPEATS} interleaved rounds",
         "",
         f"{'registry':<14s}{'min':>10s}{'median':>10s}{'overhead':>10s}",
         f"{'none':<14s}{unmetered['min_s']:>8.4f} s{unmetered['median_s']:>8.4f} s"
@@ -975,14 +992,15 @@ def test_metrics_overhead(emit):
         f"unmetered spread (interquartile range of {OVERHEAD_REPEATS}): "
         f"{noise_s:.4f} s; "
         "overheads compare medians and are not clamped",
-        f"timer cost: {per_flush_us:.2f} us/flush{noise_note(metered)} "
+        f"metering cost: {per_step_us:.2f} us/step{noise_note(metered)} "
         f"(flush time recorded: {snapshot['calendar.flush_s.total']:.4f} s)",
     ]
     record = {
         "benchmark": "bench_scale_engine/metrics_overhead",
-        "num_hosts": NUM_HOSTS,
-        "transfers": len(synthetic_workload()),
-        "timed_flushes": flushes,
+        "workload": "linpack",
+        "num_hosts": OVERHEAD_RANKS,
+        "steps": steps,
+        "predicted_makespan_hex": pinned,
         "repeats": OVERHEAD_REPEATS,
         "interleaved": True,
         "unmetered_s": round(unmetered["median_s"], 4),
@@ -992,7 +1010,7 @@ def test_metrics_overhead(emit):
         "metered_min_s": round(metered["min_s"], 4),
         "metrics_overhead_pct": round(100 * overhead, 2),
         "metrics_below_noise": metered["below_noise"],
-        "us_per_flush": round(per_flush_us, 3),
+        "us_per_step": round(per_step_us, 3),
         "flush_s_total": round(snapshot["calendar.flush_s.total"], 5),
     }
     emit("metrics_overhead", "\n".join(lines), record=record,
@@ -1001,5 +1019,5 @@ def test_metrics_overhead(emit):
     # acceptance: following this file's convention, bit-exactness and the
     # deterministic counters are asserted; the wall-clock overhead is
     # recorded with a generous regression bound a loaded runner cannot
-    # invert (two perf_counter calls per flush measure well under 5 %).
+    # invert.
     assert overhead <= 0.35, record

@@ -5,10 +5,9 @@ referential time — the time of a 20 MB send from node 0 to node 1 with no
 other communication — and (3) a scheme description, and reports the penalty
 ``P_i = T_i / T_ref`` of every communication task.
 
-:class:`PenaltyTool` reproduces that workflow against any *measurer* — by
-default the calibrated cluster emulator, but a contention model can also be
-plugged in (useful to compare model and emulator on the same footing), and so
-could a real cluster if one were available.
+:class:`PenaltyTool` reproduces that workflow against the calibrated cluster
+emulator, whose runs are deterministic (see :meth:`PenaltyTool.measure`);
+:meth:`PenaltyTool.compare_with_model` sets a contention model beside it.
 """
 
 from __future__ import annotations
@@ -98,22 +97,19 @@ class PenaltyTool:
     def measure(self, graph: CommunicationGraph) -> PenaltyMeasurement:
         """Measure a scheme: every communication starts together (post-barrier).
 
-        The emulator is deterministic, so "iterations" average identical
-        runs; the parameter is kept for interface parity with the paper's
-        tool (which needed it to smooth real-cluster noise) and for measurers
-        that do add noise.
+        The paper's tool averages ``iterations`` runs against real-cluster
+        noise.  The emulator is deterministic, so it runs once and each time
+        is the ``np.mean`` of ``iterations`` copies of that run's time: the
+        sum of the copies rounds, so the mean can differ from the time in the
+        last bit, exactly as the mean of separate identical runs does.
         """
-        per_run_times = []
-        for _ in range(self.iterations):
-            per_run_times.append(self.emulator.measure_times(graph))
-        names = [comm.name for comm in graph]
+        run = self.emulator.measure_times(graph)
         times = {
-            name: float(np.mean([run[name] for run in per_run_times])) for name in names
+            comm.name: float(np.mean([run[comm.name]] * self.iterations)) for comm in graph
         }
-        penalties = {}
-        for comm in graph:
-            reference = self.emulator.reference_time(comm.size)
-            penalties[comm.name] = times[comm.name] / reference
+        penalties = {
+            comm.name: times[comm.name] / self.emulator.reference_time(comm.size) for comm in graph
+        }
         return PenaltyMeasurement(
             scheme_name=graph.name,
             network=self.technology.name,

@@ -81,7 +81,8 @@ class ExperimentRunner:
     Parameters
     ----------
     networks, iterations, num_hosts:
-        The emulated clusters to measure on.
+        The emulated clusters to measure on.  A scheme run on another
+        network is measured with the same ``iterations`` and ``num_hosts``.
     cache:
         Shared penalty cache for the model predictions.  ``None`` creates a
         private per-runner cache (still shared across every scheme of the
@@ -94,16 +95,25 @@ class ExperimentRunner:
                  iterations: int = 3, num_hosts: int = 64,
                  cache: Optional[PenaltyCache] = None) -> None:
         self.networks = tuple(networks)
-        self.tools: Dict[str, PenaltyTool] = {
-            name: PenaltyTool(name, iterations=iterations, num_hosts=num_hosts)
-            for name in self.networks
-        }
+        self.iterations = iterations
+        self.num_hosts = num_hosts
+        #: one measurement tool per network, built with the runner's settings
+        self.tools: Dict[str, PenaltyTool] = {}
+        for name in self.networks:
+            self._tool(name)
         self.cache = cache if cache is not None else PenaltyCache()
         #: model-evaluation / cache-traffic counters over every prediction
         self.stats = EngineStats()
 
     def cost_model(self, network: str) -> LinearCostModel:
         return LinearCostModel.for_technology(get_technology(network))
+
+    def _tool(self, network: str) -> PenaltyTool:
+        """The runner's measurement tool for ``network`` (built on first use)."""
+        if network not in self.tools:
+            self.tools[network] = PenaltyTool(network, iterations=self.iterations,
+                                              num_hosts=self.num_hosts)
+        return self.tools[network]
 
     def run_scheme(
         self,
@@ -112,20 +122,8 @@ class ExperimentRunner:
         model: Optional[ContentionModel] = None,
     ) -> SchemeResult:
         """Measure ``graph`` on the emulator of ``network`` and predict it with ``model``."""
-        tool = self.tools.get(network) or PenaltyTool(network)
         model = model or model_for_network(network)
-        measurement = tool.measure(graph)
-        cost = self.cost_model(network)
-        prediction = cached_predict(model, graph, cost, cache=self.cache,
-                                    stats=self.stats)
-        return SchemeResult(
-            scheme_name=graph.name,
-            network=network,
-            measurement=measurement,
-            predicted_penalties=prediction.penalties,
-            predicted_times=prediction.times,
-            measured_times=measurement.times,
-        )
+        return self.run_models_comparison(graph, network, [model])[model.name]
 
     def run_ladder(
         self,
@@ -145,5 +143,19 @@ class ExperimentRunner:
         network: str,
         models: Sequence[ContentionModel],
     ) -> Dict[str, SchemeResult]:
-        """Compare several models against one measured scheme (baseline ablation)."""
-        return {model.name: self.run_scheme(graph, network, model) for model in models}
+        """Compare several models against one measurement of a scheme (baseline ablation)."""
+        measurement = self._tool(network).measure(graph)
+        cost = self.cost_model(network)
+        results: Dict[str, SchemeResult] = {}
+        for model in models:
+            prediction = cached_predict(model, graph, cost, cache=self.cache,
+                                        stats=self.stats)
+            results[model.name] = SchemeResult(
+                scheme_name=graph.name,
+                network=network,
+                measurement=measurement,
+                predicted_penalties=prediction.penalties,
+                predicted_times=prediction.times,
+                measured_times=measurement.times,
+            )
+        return results

@@ -556,6 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bandwidth-sharing penalty models (Vienne et al., Cluster 2008)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    iterations_help = ("runs the measured times average, as in the paper's tool; "
+                       "the emulator is deterministic, so it runs once per scheme")
 
     def add_scheme_arguments(p: argparse.ArgumentParser) -> None:
         p.add_argument("--scheme", help="inline scheme, e.g. '0->1 0->2 0->3'")
@@ -572,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     measure = sub.add_parser("measure", help="measure a scheme on the cluster emulator")
     add_scheme_arguments(measure)
-    measure.add_argument("--iterations", type=int, default=3)
+    measure.add_argument("--iterations", type=int, default=3, help=iterations_help)
     measure.add_argument("--hosts", type=int, default=32)
     measure.set_defaults(handler=cmd_measure)
 
@@ -735,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     calibrate = sub.add_parser("calibrate", help="estimate (beta, gamma_o, gamma_i)")
     calibrate.add_argument("--network", default="ethernet")
-    calibrate.add_argument("--iterations", type=int, default=3)
+    calibrate.add_argument("--iterations", type=int, default=3, help=iterations_help)
     calibrate.add_argument("--hosts", type=int, default=32)
     calibrate.set_defaults(handler=cmd_calibrate)
 

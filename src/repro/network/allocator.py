@@ -84,10 +84,10 @@ alone.  A miss stores the rates of a whole-set solve without such a round
 (a warm-start component solve stores nothing), and a hit diffs every
 flow.  Under load a situation rarely repeats, so the key, lookup and
 entry of every flush cost more than the solves they save; at the
-default ``cache_size=0`` none of them is built.  The memo pays where
-runs repeat: :class:`~repro.network.emulator.ClusterEmulator` turns it
-on, since a penalty measurement averages identical deterministic runs
-and the memo survives :meth:`reset`.
+default ``cache_size=0`` none of them is built.  No shipped caller turns
+the memo on: a penalty measurement runs the deterministic emulator once
+instead of repeating identical runs.  It stays only until the benchmark
+harness (``perfbench/``) stops passing ``cache_size=``.
 
 With ``warm_start=True`` the water-filling on a cache miss is
 additionally *warm-started*: when exactly one flow arrived or departed since
@@ -133,8 +133,9 @@ class EmulatorRateProvider:
         The emulated interconnect and its wiring (crossbar by default).
     cache_size:
         Number of memoized sharing situations in the private cache; the
-        default 0 builds no memo, which only repeated identical runs
-        repay (see the module docstring).  Call
+        default 0 builds no memo.  No shipped caller passes another
+        value; the parameter stays until the benchmark harness stops
+        passing it (see the module docstring).  Call
         :meth:`invalidate_cache` after mutating the topology or the
         technology in place.
     warm_start:

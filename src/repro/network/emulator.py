@@ -29,11 +29,6 @@ from .topology import CrossbarTopology, Topology
 
 __all__ = ["ClusterEmulator"]
 
-#: situations the emulator's provider memoizes: a measurement repeats
-#: identical deterministic runs (:class:`~repro.benchmark.PenaltyTool`
-#: iterations), so every flush after the first run is a memo hit
-_SITUATION_MEMO = 4096
-
 
 class ClusterEmulator:
     """Emulated cluster that measures communication schemes.
@@ -61,8 +56,7 @@ class ClusterEmulator:
             technology = get_technology(technology)
         self.technology = technology
         self.topology = topology or CrossbarTopology(num_hosts=num_hosts, technology=technology)
-        self.rate_provider = EmulatorRateProvider(technology, self.topology,
-                                                  cache_size=_SITUATION_MEMO)
+        self.rate_provider = EmulatorRateProvider(technology, self.topology)
         self.simulator = FluidTransferSimulator(self.rate_provider, latency=technology.latency)
 
     # ----------------------------------------------------------------- basics
@@ -106,14 +100,6 @@ class ClusterEmulator:
             reference = self.reference_time(comm.size)
             penalties[comm.name] = times[comm.name] / reference
         return penalties
-
-    def measure(self, graph: CommunicationGraph) -> Dict[str, Dict[str, float]]:
-        """Times and penalties in one pass (``{"times": ..., "penalties": ...}``)."""
-        times = self.measure_times(graph)
-        penalties = {
-            comm.name: times[comm.name] / self.reference_time(comm.size) for comm in graph
-        }
-        return {"times": times, "penalties": penalties}
 
     # --------------------------------------------------------------- reporting
     def describe(self) -> str:

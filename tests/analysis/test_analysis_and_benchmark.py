@@ -24,6 +24,7 @@ from repro.analysis import (
 from repro.benchmark import ExperimentRunner, PenaltyTool
 from repro.core import GigabitEthernetModel, MyrinetModel, NoContentionModel
 from repro.exceptions import ReproError, SimulationError
+from repro.network import ClusterEmulator
 from repro.scheme import figure2_schemes, outgoing_conflict_scheme
 from repro.simulator.report import EventRecord, SimulationReport
 from repro.units import MB
@@ -163,6 +164,15 @@ class TestPenaltyTool:
         assert comparison["a"]["predicted"] == pytest.approx(2.25)
         assert abs(comparison["a"]["relative_error_percent"]) < 5
 
+    def test_the_mean_over_iterations_is_kept(self):
+        """The replicated mean is not always the single run's time: three
+        copies of S3's ``a`` on GigE sum and divide to one ulp below it."""
+        graph = figure2_schemes()["S3"]
+        measured = PenaltyTool("ethernet", iterations=3, num_hosts=16).measure(graph)
+        single = ClusterEmulator("ethernet", num_hosts=16).measure_times(graph)
+        assert measured.times["a"].hex() == "0x1.eb9151b2b65c5p-2"
+        assert single["a"].hex() == "0x1.eb9151b2b65c6p-2"
+
 
 class TestExperimentRunner:
     def test_run_scheme_produces_rows(self):
@@ -189,3 +199,26 @@ class TestExperimentRunner:
         myrinet_error = abs(comparison["myrinet"].rows()[0]["relative_error_percent"])
         baseline_error = abs(comparison["no-contention"].rows()[0]["relative_error_percent"])
         assert myrinet_error < baseline_error
+
+    def test_models_comparison_measures_the_scheme_once(self, monkeypatch):
+        runner = ExperimentRunner(networks=("myrinet",), iterations=3, num_hosts=8)
+        emulator = runner.tools["myrinet"].emulator
+        runs = []
+        measure_times = emulator.measure_times
+        monkeypatch.setattr(emulator, "measure_times",
+                            lambda graph: runs.append(graph) or measure_times(graph))
+        graph = outgoing_conflict_scheme(3)
+        comparison = runner.run_models_comparison(
+            graph, "myrinet", [MyrinetModel(), NoContentionModel()])
+        assert runs == [graph]
+        assert comparison["myrinet"].measurement is comparison["no-contention"].measurement
+
+    def test_run_scheme_off_the_sweep_uses_the_runner_settings(self):
+        runner = ExperimentRunner(networks=("ethernet",), iterations=1, num_hosts=8)
+        graph = outgoing_conflict_scheme(2)
+        first = runner.run_scheme(graph, "myrinet")
+        assert first.measurement.iterations == 1
+        tool = runner.tools["myrinet"]
+        assert tool.emulator.topology.num_hosts == 8
+        runner.run_scheme(graph, "myrinet")
+        assert runner.tools["myrinet"] is tool

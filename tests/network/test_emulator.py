@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.analysis import paper_penalties
+from repro.benchmark import PenaltyTool
 from repro.core.graph import CommunicationGraph
 from repro.exceptions import SimulationError, TopologyError
 from repro.network import (
@@ -75,20 +77,24 @@ class TestEmulatorBasics:
         text = myrinet_emulator.describe()
         assert "stop-and-go" in text
 
-    def test_repeated_runs_are_priced_from_the_memo(self):
-        """A penalty measurement repeats identical runs, so the emulator's
-        provider keeps a situation memo across them (it survives the
-        per-run reset): a repeated run solves nothing and measures the
-        same times bit for bit."""
-        emulator = ClusterEmulator("myrinet", num_hosts=8)
+    def test_a_measurement_runs_the_emulator_once(self, monkeypatch):
+        """The emulator is deterministic, so a measurement runs it once per
+        scheme and replicates the times over its iterations: the result is
+        bit for bit the mean over that many independent emulator runs."""
         graph = figure2_schemes()["S6"]
-        first = emulator.measure_times(graph)
-        provider = emulator.rate_provider
-        assert provider.cache_hits == 0
-        solves = provider.cache_misses
-        assert emulator.measure_times(graph) == first
-        assert provider.cache_misses == solves
-        assert provider.cache_hits == solves
+        tool = PenaltyTool("myrinet", iterations=3, num_hosts=8)
+        runs = []
+        measure_times = tool.emulator.measure_times
+        monkeypatch.setattr(tool.emulator, "measure_times",
+                            lambda g: runs.append(g) or measure_times(g))
+        measurement = tool.measure(graph)
+        assert runs == [graph]
+        fresh = [ClusterEmulator("myrinet", num_hosts=8).measure_times(graph)
+                 for _ in range(3)]
+        expected = {name: float(np.mean([run[name] for run in fresh]))
+                    for name in graph.names}
+        assert {name: t.hex() for name, t in measurement.times.items()} == {
+            name: t.hex() for name, t in expected.items()}
 
 
 class TestFigure2Reproduction:
