@@ -1,10 +1,16 @@
 """Experiment runner: sweeps of schemes × networks × models.
 
-The benchmark harness (``benchmarks/``) regenerates every table and figure of
-the paper; this module contains the shared orchestration so that the
-benchmark files stay declarative: run a scheme on the emulator of each
-network, predict it with each model, and collect measured/predicted pairs for
-the analysis layer.
+:class:`ExperimentRunner` is a library entry point (exported as
+``repro.ExperimentRunner``) for measured-versus-predicted sweeps: run a
+scheme on the emulator of each network, predict it with each model, and
+collect measured/predicted pairs for the analysis layer.  Its callers in
+this repository are the test suites: ``tests/analysis`` and
+``tests/integration``, which runs reduced versions of the paper's
+experiments through it.
+No benchmark, example or CLI command uses it: the benches under
+``benchmarks/`` measure through :class:`PenaltyTool` and price through
+:func:`~repro.core.incremental.cached_predict` themselves
+(``bench_ablation_baselines.py``'s ``evaluate_models``, for one).
 
 Predictions run through the campaign engine's cached pricing path
 (:func:`repro.core.incremental.cached_predict`): one

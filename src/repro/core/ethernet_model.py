@@ -47,7 +47,15 @@ __all__ = ["EthernetParameters", "GigabitEthernetModel"]
 
 @dataclass(frozen=True)
 class EthernetParameters:
-    """The three card-specific parameters of the Gigabit Ethernet model."""
+    """The three card-specific parameters of the Gigabit Ethernet model.
+
+    The model's ``memo_key`` holds the parameters, so every penalty-cache
+    lookup hashes them.  The hash is computed once, at construction: the
+    generated ``__hash__`` of a frozen dataclass is Python code that builds
+    the field tuple on every call.  It equals the generated one,
+    ``hash((beta, gamma_o, gamma_i))``; equality, ``dataclasses.fields``
+    and the persisted cache keys are unchanged.
+    """
 
     beta: float = 0.75
     gamma_o: float = 0.115
@@ -60,6 +68,10 @@ class EthernetParameters:
             raise ModelError(f"gamma_o must lie in [0, 1), got {self.gamma_o}")
         if not (0 <= self.gamma_i < 1):
             raise ModelError(f"gamma_i must lie in [0, 1), got {self.gamma_i}")
+        object.__setattr__(self, "_hash", hash((self.beta, self.gamma_o, self.gamma_i)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     #: parameters published in the paper for the BCM5704 Gigabit Ethernet card
     @classmethod

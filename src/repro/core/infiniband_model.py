@@ -50,7 +50,12 @@ __all__ = ["InfinibandParameters", "InfinibandModel"]
 
 @dataclass(frozen=True)
 class InfinibandParameters:
-    """Parameters of the InfiniBand extension model."""
+    """Parameters of the InfiniBand extension model.
+
+    Hashed once, at construction, for the reason given in
+    :class:`~repro.core.ethernet_model.EthernetParameters`: the value equals
+    the generated ``hash`` of the field tuple.
+    """
 
     beta: float = 0.87
     gamma_o: float = 0.0
@@ -71,6 +76,11 @@ class InfinibandParameters:
         for label, value in (("lambda_o", self.lambda_o), ("lambda_i", self.lambda_i)):
             if value < 0:
                 raise ModelError(f"{label} must be non-negative, got {value}")
+        object.__setattr__(self, "_hash", hash((
+            self.beta, self.gamma_o, self.gamma_i, self.lambda_o, self.lambda_i)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def infinihost3(cls) -> "InfinibandParameters":

@@ -270,17 +270,34 @@ def validate_delta(
     tracked id only when the same delta removes it (the calendar's stall
     retry), and no id may arrive twice.
     """
+    if len(added) + len(removed) == 1:
+        # most flushes carry one arrival or one departure: the same checks
+        # without building the two sets
+        if removed:
+            if removed[0] not in active:
+                raise _unknown_removal(removed[0])
+        elif added[0].transfer_id in active:
+            raise _double_arrival(added[0].transfer_id)
+        return
     departing = set()
     for tid in removed:
         if tid not in active or tid in departing:
-            raise SimulationError(f"unknown transfer {tid!r} removed from rate set")
+            raise _unknown_removal(tid)
         departing.add(tid)
     arriving = set()
     for transfer in added:
         tid = transfer.transfer_id
         if (tid in active and tid not in departing) or tid in arriving:
-            raise SimulationError(f"transfer {tid!r} added to the rate set twice")
+            raise _double_arrival(tid)
         arriving.add(tid)
+
+
+def _unknown_removal(tid: Hashable) -> SimulationError:
+    return SimulationError(f"unknown transfer {tid!r} removed from rate set")
+
+
+def _double_arrival(tid: Hashable) -> SimulationError:
+    return SimulationError(f"transfer {tid!r} added to the rate set twice")
 
 
 @dataclass
@@ -686,6 +703,10 @@ class TransferCalendar:
         a different completion order sort it themselves).
         """
         done: List[Transfer] = []
+        # the thresholds depend on `now` alone: computed once per call
+        due = now + self.EPSILON
+        negligible_bytes = max(self.EPSILON, self.EPSILON_BYTES)
+        clock_resolution = max(abs(now), 1.0) * 1e-12
         while self._heap:
             time, _, tid, epoch = self._heap[0]
             flight = self._flights.get(tid)
@@ -693,13 +714,12 @@ class TransferCalendar:
                 heapq.heappop(self._heap)
                 self.stats.stale_entries += 1
                 continue
-            if time > now + self.EPSILON:
+            if time > due:
                 break
             heapq.heappop(self._heap)
             self._integrate(flight, now)
-            clock_resolution = max(abs(now), 1.0) * 1e-12
             negligible = (
-                flight.remaining <= max(self.EPSILON, self.EPSILON_BYTES)
+                flight.remaining <= negligible_bytes
                 or (flight.rate > 0.0
                     and flight.remaining / flight.rate <= clock_resolution)
             )

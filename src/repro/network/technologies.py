@@ -22,6 +22,7 @@ A :class:`NetworkTechnology` bundles:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict
 
 from ..exceptions import TopologyError
@@ -110,9 +111,14 @@ class NetworkTechnology:
         if self.memory_bandwidth <= 0:
             raise TopologyError(f"memory_bandwidth must be positive, got {self.memory_bandwidth}")
 
-    @property
+    @cached_property
     def single_stream_bandwidth(self) -> float:
-        """Bandwidth one isolated MPI flow achieves, bytes per second."""
+        """Bandwidth one isolated MPI flow achieves, bytes per second.
+
+        Computed on the first read and kept, since the engine and the rate
+        providers read it for every message.  The kept value is not a field:
+        equality, hashing and ``dataclasses.fields`` ignore it.
+        """
         return self.link_bandwidth * self.sharing.single_stream_efficiency
 
     def reference_time(self, size: int = 20 * MB) -> float:

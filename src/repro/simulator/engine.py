@@ -64,7 +64,21 @@ tasks.
 Timeline: compute completions, transfer-readiness times and injector
 events are pushed straight into one heap keyed ``(time, seq)`` and popped
 one at a time once due; the keys are unique, so the pop order is the
-push-time order of equal timestamps.
+push-time order of equal timestamps.  The due-event drain pops the
+transfer calendar only when ``_next_horizon`` saw a completion due: the
+earliest live completion it read from ``TransferCalendar.next_time`` is at
+or before the new clock reading plus ``EPSILON``, the threshold past which
+``pop_due`` stops (the engine's ``EPSILON`` is the calendar's).  Nothing
+touches the calendar between the two, and ``next_time`` has already
+discarded any stale top, so a skipped ``pop_due`` would have found nothing.
+
+Resume values: a blocking call of a generator program (an
+:class:`~repro.mpi.MpiRuntime` rank program) returns its result —
+``{"kind": "send", "dst", "duration"}``, ``{"kind": "recv", "source",
+"size", "duration"}``, ``{"kind": "compute"}`` or ``{"kind": "barrier"}``
+— through the generator's ``send``.  Only programs that take them get
+them: a plain iterator, such as an :class:`Application`'s event list,
+builds no resume value.
 
 Interference injection: :attr:`EngineConfig.injectors` carries
 :mod:`repro.simulator.interference` injectors whose events ride the same
@@ -209,14 +223,25 @@ class _Status(Enum):
     DONE = "done"
 
 
+# the members as module-level names: the hot path reads one to three per
+# event, and a global costs a tenth of an Enum class attribute
+_TASK_READY = _Status.READY
+_TASK_COMPUTING = _Status.COMPUTING
+_TASK_SENDING = _Status.SENDING
+_TASK_RECEIVING = _Status.RECEIVING
+_TASK_BARRIER = _Status.BARRIER
+_TASK_DONE = _Status.DONE
+
+
 @dataclass
 class _TaskState:
     rank: int
     program: Iterator
     #: the program's ``send`` (generator programs take resume values);
-    #: ``None`` for a plain iterator such as an application's event list
+    #: ``None`` for a plain iterator such as an application's event list,
+    #: whose completions build no resume value (see the module docstring)
     send: Optional[Callable[[object], Optional[Event]]] = None
-    status: _Status = _Status.READY
+    status: _Status = _TASK_READY
     resume_value: object = None
     #: end time of the current compute event
     compute_until: float = 0.0
@@ -227,7 +252,7 @@ class _TaskState:
     finish_time: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class _SendRequest:
     rank: int
     dst: int
@@ -238,7 +263,7 @@ class _SendRequest:
     transfer_id: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class _RecvRequest:
     rank: int
     src: int
@@ -247,7 +272,7 @@ class _RecvRequest:
     label: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class _InFlight:
     transfer: Transfer
     ready_time: float
@@ -400,7 +425,9 @@ class _EngineInjectionState(FluidInjectionState):
 class ExecutionEngine:
     """Executes task programs over a fluid transfer layer."""
 
-    EPSILON = 1e-12
+    #: "due now" means at or before ``now + EPSILON``: the calendar's own
+    #: threshold, which lets the due-event drain skip an empty ``pop_due``
+    EPSILON = TransferCalendar.EPSILON
 
     def __init__(
         self,
@@ -475,6 +502,9 @@ class ExecutionEngine:
         self._timeline: List[Tuple[float, int, int, int]] = []
         self._timeline_seq = itertools.count()
         self._calendar: Optional[TransferCalendar] = None
+        #: the earliest live completion ``_next_horizon`` read from the
+        #: calendar (``None`` when none): the drain pops only when it is due
+        self._next_completion: Optional[float] = None
         self._trace = active_sink(self.config.trace)
         self._metrics = self.config.metrics
         #: repro.obs phase timer around the due-event drain sweep; one
@@ -519,13 +549,14 @@ class ExecutionEngine:
             task.resume_value = None
         return event
 
-    def _make_ready(self, task: _TaskState, resume_value: dict) -> None:
+    def _make_ready(self, task: _TaskState, resume_value: Optional[dict]) -> None:
         """Mark a blocked task READY and queue it for the ready-task sweep.
 
-        Ranks above the one being advanced join the current pass, the others
-        the next pass (between sweeps the cursor is -1: the current pass).
+        ``resume_value`` is ``None`` for a program that takes none.  Ranks
+        above the one being advanced join the current pass, the others the
+        next pass (between sweeps the cursor is -1: the current pass).
         """
-        task.status = _Status.READY
+        task.status = _TASK_READY
         task.resume_value = resume_value
         rank = task.rank
         heapq.heappush(
@@ -534,7 +565,7 @@ class ExecutionEngine:
         )
 
     def _finish_task(self, task: _TaskState) -> None:
-        task.status = _Status.DONE
+        task.status = _TASK_DONE
         task.finish_time = self.now
         self._alive -= 1
         if self._trace is not None:
@@ -557,7 +588,7 @@ class ExecutionEngine:
                 # slowdown windows scale the compute *rate* of events that
                 # start while the window is open (see NodeSlowdownInjector)
                 duration = duration / injection.compute_factor(self._node_of_rank[task.rank])
-            task.status = _Status.COMPUTING
+            task.status = _TASK_COMPUTING
             self._computing += 1
             task.compute_until = self.now + duration
             heapq.heappush(
@@ -569,15 +600,15 @@ class ExecutionEngine:
                 raise TraceError(f"rank {task.rank} sends to itself")
             if event.dst >= self.num_tasks:
                 raise TraceError(f"rank {task.rank} sends to unknown rank {event.dst}")
-            task.status = _Status.SENDING
+            task.status = _TASK_SENDING
             self._post_send(task, event)
         elif isinstance(event, RecvEvent):
             if event.src == task.rank:
                 raise TraceError(f"rank {task.rank} receives from itself")
-            task.status = _Status.RECEIVING
+            task.status = _TASK_RECEIVING
             self._post_recv(task, event)
         elif isinstance(event, BarrierEvent):
-            task.status = _Status.BARRIER
+            task.status = _TASK_BARRIER
             self.barrier_waiting[task.rank] = self.now
             self._maybe_release_barrier()
         else:  # pragma: no cover - defensive
@@ -590,15 +621,9 @@ class ExecutionEngine:
         size = send.size + self.technology.mpi_envelope
         tid = next(self._transfer_counter)
         send.transfer_id = tid
-        transfer = Transfer(transfer_id=tid, src=src_node, dst=dst_node,
-                            size=size, start_time=self.now)
+        transfer = Transfer(tid, src_node, dst_node, size, self.now)
         latency = 0.0 if src_node == dst_node else self.technology.latency
-        flight = _InFlight(
-            transfer=transfer,
-            ready_time=self.now + latency,
-            send=send,
-            recv=recv,
-        )
+        flight = _InFlight(transfer, self.now + latency, send, recv)
         self.in_flight[tid] = flight
         if recv is None:
             flight.claim_token = self._unclaimed.add(send.rank, send.dst, send.tag, flight)
@@ -610,10 +635,8 @@ class ExecutionEngine:
             )
 
     def _post_send(self, task: _TaskState, event: SendEvent) -> None:
-        request = _SendRequest(
-            rank=task.rank, dst=event.dst, tag=event.tag,
-            size=event.size, posted=self.now, label=event.label,
-        )
+        request = _SendRequest(task.rank, event.dst, event.tag, event.size,
+                               self.now, event.label)
         recv = self._recvs.pop_best(task.rank, event.dst, event.tag)
         eager = event.size <= self.config.eager_threshold
         if eager or recv is not None:
@@ -623,13 +646,7 @@ class ExecutionEngine:
             self._sends.add(task.rank, event.dst, event.tag, request)
 
     def _post_recv(self, task: _TaskState, event: RecvEvent) -> None:
-        request = _RecvRequest(
-            rank=task.rank,
-            src=event.src,
-            tag=event.tag,
-            posted=self.now,
-            label=event.label,
-        )
+        request = _RecvRequest(task.rank, event.src, event.tag, self.now, event.label)
         # 1. a matching eager message already arrived (earliest arrival first)
         send = self._arrived.pop_best(event.src, task.rank, event.tag)
         if send is not None:
@@ -655,8 +672,9 @@ class ExecutionEngine:
                 peer: Optional[int] = None, label: str = "",
                 penalty: Optional[float] = None) -> None:
         task = self.tasks[rank]
-        self.records.append(EventRecord(rank, task.event_index, kind, start, end,
-                                        size, peer, label, penalty))
+        # tuple.__new__ skips the NamedTuple's generated __new__ (see EventRecord)
+        self.records.append(tuple.__new__(EventRecord, (
+            rank, task.event_index, kind, start, end, size, peer, label, penalty)))
         if self._trace is not None:
             self._trace.emit(TraceRecord(end, "task.event", rank, {
                 "kind": kind, "start": start, "end": end, "size": size,
@@ -673,14 +691,16 @@ class ExecutionEngine:
         penalty = duration / base if base > 0 else 1.0
         self._record(send.rank, "send", send.posted, completion, size=send.size,
                      peer=send.dst, label=send.label, penalty=max(penalty, 0.0))
-        self._make_ready(task, {"kind": "send", "dst": send.dst, "duration": duration})
+        self._make_ready(task, None if task.send is None else
+                         {"kind": "send", "dst": send.dst, "duration": duration})
 
     def _complete_recv(self, task: _TaskState, recv: _RecvRequest, send: _SendRequest,
                        completion: float) -> None:
         self._record(recv.rank, "recv", recv.posted, completion, size=send.size,
                      peer=send.rank, label=recv.label)
-        self._make_ready(task, {"kind": "recv", "source": send.rank, "size": send.size,
-                                "duration": completion - recv.posted})
+        self._make_ready(task, None if task.send is None else
+                         {"kind": "recv", "source": send.rank, "size": send.size,
+                          "duration": completion - recv.posted})
 
     def _complete_transfer(self, tid: int) -> None:
         flight = self.in_flight.pop(tid)
@@ -705,7 +725,7 @@ class ExecutionEngine:
             if isinstance(task.current_event, BarrierEvent):
                 label = task.current_event.label
             self._record(rank, "barrier", start, self.now, label=label)
-            self._make_ready(task, {"kind": "barrier"})
+            self._make_ready(task, None if task.send is None else {"kind": "barrier"})
 
     # ------------------------------------------------------------------- run
     def _process_ready_tasks(self) -> bool:
@@ -756,14 +776,14 @@ class ExecutionEngine:
             # flight and nobody computing they can never unblock a task.
             # (Injector-free runs reach the empty-`times` branch below.)
             blocked = [(task.rank, task.status.value) for task in self.tasks
-                       if task.status is not _Status.DONE]
+                       if task.status is not _TASK_DONE]
             raise DeadlockError(
                 f"no task can make progress at t={self.now:.6f}s; "
                 f"blocked tasks: {blocked}",
                 blocked_tasks=[rank for rank, _ in blocked],
             )
         horizon = self._timeline[0][0] if self._timeline else None
-        completion = self._calendar.next_time()
+        completion = self._next_completion = self._calendar.next_time()
         if completion is not None and (horizon is None or completion < horizon):
             horizon = completion
         if horizon is None:
@@ -777,7 +797,7 @@ class ExecutionEngine:
                     f"can re-rate them"
                 )
             blocked = [(task.rank, task.status.value) for task in self.tasks
-                       if task.status is not _Status.DONE]
+                       if task.status is not _TASK_DONE]
             raise DeadlockError(
                 f"no task can make progress at t={self.now:.6f}s; "
                 f"blocked tasks: {blocked}",
@@ -821,17 +841,22 @@ class ExecutionEngine:
                 due[kind].append(payload)
             due[_COMPUTE].sort()
             compute_ranks, ready_tids, inject_indices = due
-        finished = self._calendar.pop_due(now)
+        # pop the calendar only when _next_horizon saw a completion due (see
+        # the module docstring): otherwise pop_due would find nothing
+        finished: Sequence[Transfer] = ()
+        completion = self._next_completion
+        if completion is not None and completion <= horizon:
+            finished = self._calendar.pop_due(now)
 
         for rank in compute_ranks:
             task = self.tasks[rank]
-            if task.status is not _Status.COMPUTING:  # pragma: no cover - defensive
+            if task.status is not _TASK_COMPUTING:  # pragma: no cover - defensive
                 continue
             event = task.current_event
             label = event.label if isinstance(event, ComputeEvent) else ""
             self._record(rank, "compute", task.current_start, now, label=label)
             self._computing -= 1
-            self._make_ready(task, {"kind": "compute"})
+            self._make_ready(task, None if task.send is None else {"kind": "compute"})
 
         if finished:
             background = self._injection.background
@@ -844,7 +869,7 @@ class ExecutionEngine:
                         foreground.append(transfer)
                 finished = foreground
             if len(finished) > 1:
-                finished.sort(key=lambda transfer: transfer.transfer_id)
+                finished = sorted(finished, key=lambda transfer: transfer.transfer_id)
             for transfer in finished:
                 self._complete_transfer(transfer.transfer_id)
 

@@ -126,11 +126,6 @@ class ModelRateProvider:
     def _graph_from_transfers(active: Sequence[Transfer]) -> CommunicationGraph:
         return in_flight_graph((t.transfer_id, t.src, t.dst, t.size) for t in active)
 
-    def _rate_of(self, transfer: Transfer, penalty: float) -> float:
-        if transfer.src == transfer.dst:
-            return self.technology.memory_bandwidth / max(1.0, penalty)
-        return self.technology.single_stream_bandwidth / max(1.0, penalty)
-
     # ---------------------------------------------------------------- deltas
     def reset(self) -> None:
         """Forget the tracked active set (memoized situations survive)."""
@@ -171,19 +166,27 @@ class ModelRateProvider:
         """
         self._apply_delta(added, removed)
 
-        changed: Dict[Hashable, float] = {}
         if self._engine is not None:
-            active = self._active
-            for tid, penalty in self._engine.refresh().items():
-                changed[tid] = self._rate_of(active[tid], penalty)
+            penalties = self._engine.refresh()
         elif self._active:
             active_list = list(self._active.values())
             graph = self._graph_from_transfers(active_list)
             self._full_stats.events += 1
             self._full_stats.component_evaluations += 1
             self._full_stats.comm_evaluations += len(active_list)
-            penalties = self.model.penalties(graph)
-            for transfer in active_list:
-                penalty = penalties[str(transfer.transfer_id)]
-                changed[transfer.transfer_id] = self._rate_of(transfer, penalty)
+            by_name = self.model.penalties(graph)
+            penalties = {transfer.transfer_id: by_name[str(transfer.transfer_id)]
+                         for transfer in active_list}
+        else:
+            return {}
+        # a rate is the path's bandwidth over the penalty (at least 1): the
+        # memory path within a node, the single-stream bandwidth across nodes
+        memory = self.technology.memory_bandwidth
+        stream = self.technology.single_stream_bandwidth
+        active = self._active
+        changed: Dict[Hashable, float] = {}
+        for tid, penalty in penalties.items():
+            transfer = active[tid]
+            changed[tid] = ((memory if transfer.src == transfer.dst else stream)
+                            / max(1.0, penalty))
         return changed

@@ -23,7 +23,11 @@ class EventRecord(NamedTuple):
     """Timing record of one executed event.
 
     An immutable tuple type: the engine builds one per executed event, so
-    construction cost is per-event cost.  Fields are read by name;
+    construction cost is per-event cost.  The engine therefore builds it as
+    ``tuple.__new__(EventRecord, (rank, index, kind, start, end, size, peer,
+    label, penalty))``, every field given in declaration order, which skips
+    the generated ``__new__`` and its argument parsing; everything else may
+    build records positionally or by keyword.  Fields are read by name;
     records compare and hash by value and can be rebuilt by keyword
     (:func:`repro.analysis.timeline.records_from_trace`).
     """

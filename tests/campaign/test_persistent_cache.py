@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec, PersistentPenaltyCache
 from repro.campaign.persistence import canonical_key
-from repro.core import GigabitEthernetModel, MyrinetModel
+from repro.core import (
+    EthernetParameters,
+    GigabitEthernetModel,
+    InfinibandModel,
+    InfinibandParameters,
+    MyrinetModel,
+)
 from repro.core.incremental import IncrementalPenaltyEngine
 from repro.exceptions import GraphError
 from repro.workloads import random_graph_scheme
@@ -48,6 +55,33 @@ class TestCanonicalKey:
     def test_rejects_unserialisable_components(self):
         with pytest.raises(GraphError):
             canonical_key((object(),))
+
+    @pytest.mark.parametrize("model, encoded_model", [
+        (GigabitEthernetModel(),
+         '["t",[["s","repro.core.ethernet_model"],["s","GigabitEthernetModel"],'
+         '["d","repro.core.ethernet_model.EthernetParameters",'
+         '[["f","0x1.8000000000000p-1"],["f","0x1.d70a3d70a3d71p-4"],'
+         '["f","0x1.26e978d4fdf3bp-5"]]]]]'),
+        (MyrinetModel(),
+         '["t",[["s","repro.core.myrinet_model"],["s","MyrinetModel"],'
+         '["s","endpoint"],["i",26],["b",true]]]'),
+        (InfinibandModel(),
+         '["t",[["s","repro.core.infiniband_model"],["s","InfinibandModel"],'
+         '["d","repro.core.infiniband_model.InfinibandParameters",'
+         '[["f","0x1.bd70a3d70a3d7p-1"],["f","0x0.0p+0"],["f","0x0.0p+0"],'
+         '["f","0x1.ae147ae147ae1p-2"],["f","0x1.810624dd2f1aap-5"]]]]]'),
+    ], ids=["gige", "myrinet", "infiniband"])
+    def test_shipped_model_keys_are_pinned(self, model, encoded_model):
+        """A persisted cache is found again only if these strings never move."""
+        snapshot = '["t",[["t",[["i",0],["i",1]]],["t",[["i",0],["i",2]]]]]'
+        assert canonical_key((model.memo_key(), ((0, 1), (0, 2)))) == \
+            f'["t",[{encoded_model},{snapshot}]]'
+
+    @pytest.mark.parametrize("parameters", [EthernetParameters(), InfinibandParameters()],
+                             ids=["ethernet", "infiniband"])
+    def test_parameter_hash_is_the_hash_of_the_field_tuple(self, parameters):
+        fields = tuple(getattr(parameters, f.name) for f in dataclasses.fields(parameters))
+        assert hash(parameters) == hash(fields)
 
 
 def engine_penalties(model, cache, graph):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,16 @@ class TestTechnologyPresets:
         for name in ("ethernet", "myrinet", "infiniband"):
             tech = get_technology(name)
             assert tech.single_stream_bandwidth < tech.link_bandwidth
+
+    def test_single_stream_bandwidth_is_kept_outside_the_fields(self):
+        tech = get_technology("myrinet")
+        fresh = dataclasses.replace(tech)
+        assert fresh.single_stream_bandwidth == \
+            tech.link_bandwidth * tech.sharing.single_stream_efficiency
+        assert fresh.single_stream_bandwidth is fresh.single_stream_bandwidth
+        assert dataclasses.replace(tech) == fresh
+        assert hash(dataclasses.replace(tech)) == hash(fresh)
+        assert "single_stream_bandwidth" not in {f.name for f in dataclasses.fields(fresh)}
 
     def test_reference_time_scales_with_size(self):
         tech = get_technology("ethernet")

@@ -206,15 +206,29 @@ SHIPPED_PROVIDERS = [
 class TestDeltaErrors:
     def test_removing_unknown_transfer_fails(self, factory, cache_hits):
         provider = factory()
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="unknown transfer 42 removed"):
             provider.update([], [42])
 
     def test_double_add_fails(self, factory, cache_hits):
         provider = factory()
         t = Transfer(transfer_id=0, src=0, dst=1, size=10.0)
         provider.update([t], [])
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="transfer 0 added to the rate set twice"):
             provider.update([t], [])
+
+    def test_removing_unknown_transfers_in_a_larger_delta_fails(self, factory, cache_hits):
+        """A one-item delta is checked apart: the general check must reject too."""
+        provider = factory()
+        with pytest.raises(SimulationError, match="unknown transfer 42 removed"):
+            provider.update([], [42, 43])
+
+    def test_re_adding_a_tracked_transfer_in_a_larger_delta_fails(self, factory, cache_hits):
+        provider = factory()
+        t = Transfer(transfer_id=0, src=0, dst=1, size=10.0)
+        provider.update([t], [])
+        t2 = Transfer(transfer_id=1, src=0, dst=2, size=10.0)
+        with pytest.raises(SimulationError, match="transfer 0 added to the rate set twice"):
+            provider.update([t, t2], [])
 
     def test_remove_and_re_add_in_one_delta_is_accepted(self, factory, cache_hits):
         """The calendar's stall-retry shape: departure plus arrival of one id."""

@@ -227,6 +227,33 @@ class TestMpiRuntime:
         runtime.run(program, num_tasks=2, placement="RRN")
         assert observed["source"] == 1
 
+    def test_every_blocking_call_resumes_with_its_result(self, cluster):
+        resumed = {0: [], 1: []}
+
+        def program(rank: Rank):
+            got = resumed[rank.id]
+            got.append((yield rank.compute(seconds=0.01)))
+            if rank.id == 0:
+                got.append((yield rank.send(1, 1 * MB)))
+            else:
+                got.append((yield rank.recv()))
+            got.append((yield rank.barrier()))
+
+        runtime = MpiRuntime.predictive(cluster)
+        report = runtime.run(program, num_tasks=2, placement="RRN")
+        (send,) = report.records_for(0, "send")
+        (recv,) = report.records_for(1, "recv")
+        assert resumed[0] == [
+            {"kind": "compute"},
+            {"kind": "send", "dst": 1, "duration": send.duration},
+            {"kind": "barrier"},
+        ]
+        assert resumed[1] == [
+            {"kind": "compute"},
+            {"kind": "recv", "source": 0, "size": 1 * MB, "duration": recv.duration},
+            {"kind": "barrier"},
+        ]
+
     def test_non_generator_program_rejected(self, cluster):
         runtime = MpiRuntime.predictive(cluster)
 
