@@ -247,7 +247,8 @@ class IncrementalPenaltyEngine:
 
     Transfers are identified by any hashable id; :meth:`add` and
     :meth:`remove` apply one arrival or departure, :meth:`refresh` prices
-    what they dirtied.
+    what they dirtied, and ``tid in engine`` and :meth:`endpoints` read the
+    tracked set.
 
     Parameters
     ----------
@@ -517,6 +518,14 @@ class IncrementalPenaltyEngine:
 
     def __len__(self) -> int:
         return len(self._records)
+
+    def __contains__(self, tid: Hashable) -> bool:
+        return tid in self._records
+
+    def endpoints(self, tid: Hashable) -> Tuple[int, int]:
+        """The ``(src, dst)`` hosts of tracked transfer ``tid``."""
+        record = self._records[tid]
+        return record.src, record.dst
 
     def reset(self) -> None:
         """Forget every tracked transfer (the memo cache survives)."""

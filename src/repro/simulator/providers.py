@@ -33,7 +33,7 @@ asserts.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Sequence
+from typing import Dict, Hashable, Sequence, Tuple
 
 from ..core.graph import CommunicationGraph
 from ..core.incremental import (
@@ -93,7 +93,8 @@ class ModelRateProvider:
         # in full-recompute mode the stats only count communication
         # evaluations, so both modes report the same work metric
         self._full_stats = EngineStats()
-        #: the tracked active set, for the delta contract (:meth:`update`)
+        #: the tracked active set of the full-recompute mode; the incremental
+        #: engine keeps its own, one record per transfer
         self._active: Dict[Hashable, Transfer] = {}
 
     @property
@@ -131,23 +132,32 @@ class ModelRateProvider:
         """Forget the tracked active set (memoized situations survive)."""
         if self._engine is not None:
             self._engine.reset()
-        self._active.clear()
+        else:
+            self._active.clear()
 
     def _apply_delta(
         self, added: Sequence[Transfer], removed: Sequence[Hashable]
     ) -> None:
         """Validate the whole delta in O(delta), then apply it to the tracked set."""
-        active = self._active
-        validate_delta(active, added, removed)
         engine = self._engine
+        if engine is None:
+            active = self._active
+            validate_delta(active, added, removed)
+            for tid in removed:
+                del active[tid]
+            for transfer in added:
+                active[transfer.transfer_id] = transfer
+            return
+        validate_delta(engine, added, removed)
         for tid in removed:
-            del active[tid]
-            if engine is not None:
-                engine.remove(tid)
+            engine.remove(tid)
         for transfer in added:
-            active[transfer.transfer_id] = transfer
-            if engine is not None:
-                engine.add(transfer.transfer_id, transfer.src, transfer.dst, transfer.size)
+            engine.add(transfer.transfer_id, transfer.src, transfer.dst, transfer.size)
+
+    def _endpoints(self, tid: Hashable) -> Tuple[int, int]:
+        """The ``(src, dst)`` hosts of a transfer the full-recompute mode tracks."""
+        transfer = self._active[tid]
+        return transfer.src, transfer.dst
 
     def update(
         self, added: Sequence[Transfer], removed: Sequence[Hashable]
@@ -168,6 +178,7 @@ class ModelRateProvider:
 
         if self._engine is not None:
             penalties = self._engine.refresh()
+            endpoints = self._engine.endpoints
         elif self._active:
             active_list = list(self._active.values())
             graph = self._graph_from_transfers(active_list)
@@ -177,16 +188,15 @@ class ModelRateProvider:
             by_name = self.model.penalties(graph)
             penalties = {transfer.transfer_id: by_name[str(transfer.transfer_id)]
                          for transfer in active_list}
+            endpoints = self._endpoints
         else:
             return {}
         # a rate is the path's bandwidth over the penalty (at least 1): the
         # memory path within a node, the single-stream bandwidth across nodes
         memory = self.technology.memory_bandwidth
         stream = self.technology.single_stream_bandwidth
-        active = self._active
         changed: Dict[Hashable, float] = {}
         for tid, penalty in penalties.items():
-            transfer = active[tid]
-            changed[tid] = ((memory if transfer.src == transfer.dst else stream)
-                            / max(1.0, penalty))
+            src, dst = endpoints(tid)
+            changed[tid] = (memory if src == dst else stream) / max(1.0, penalty)
         return changed

@@ -6,12 +6,17 @@ families of such graphs (random trees, complete graphs, random digraphs,
 bipartite fan patterns) so that the ablation benchmarks can sweep model
 accuracy and enumeration cost over graph size and density.
 
-All generators are deterministic given their ``seed``.
+All generators are deterministic given their ``seed``.  A random tree is
+networkx 3.x's ``random_labeled_tree`` stream, drawn and decoded here
+without networkx (:func:`random_tree_scheme`): campaign results and the
+stored benchmark digests depend on every tree staying the same.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import heapq
+import random
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -37,18 +42,49 @@ def _check_nodes(num_nodes: int, minimum: int = 2) -> None:
 def random_tree_scheme(
     num_nodes: int, seed: int = 0, size: int = 4 * MB, name: str = ""
 ) -> CommunicationGraph:
-    """A random spanning tree with randomly oriented communications (MK1-like)."""
-    import networkx as nx  # deferred: the only networkx use of this module
+    """A random spanning tree with randomly oriented communications (MK1-like).
 
+    The tree is the one networkx 3.x's ``random_labeled_tree(num_nodes,
+    seed=s)`` returns, where ``s`` is the first draw of
+    ``numpy.random.default_rng(seed)``: a Prüfer sequence of
+    ``num_nodes - 2`` draws of ``random.Random(s).choice(range(num_nodes))``,
+    decoded.  Its edges are taken as sorted ``(low, high)`` pairs, and the
+    generator's next draw reverses each with probability one half.
+    Campaign results and their stored digests depend on this exact stream.
+    """
     _check_nodes(num_nodes)
     rng = np.random.default_rng(seed)
-    tree = nx.random_labeled_tree(num_nodes, seed=int(rng.integers(0, 2**31 - 1)))
+    draws = random.Random(int(rng.integers(0, 2**31 - 1)))
+    sequence = [draws.choice(range(num_nodes)) for _ in range(num_nodes - 2)]
     graph = CommunicationGraph(name=name or f"random-tree-{num_nodes}-s{seed}")
-    for u, v in sorted(tree.edges()):
+    for u, v in _prufer_tree_edges(sequence, num_nodes):
         if rng.random() < 0.5:
             u, v = v, u
-        graph.add_edge(int(u), int(v), size=size)
+        graph.add_edge(u, v, size=size)
     return graph
+
+
+def _prufer_tree_edges(sequence: Sequence[int], num_nodes: int) -> List[Tuple[int, int]]:
+    """The tree on ``0..num_nodes-1`` with Prüfer sequence ``sequence``.
+
+    Each step joins the smallest leaf to the sequence's next node and drops
+    the leaf; the last two nodes are joined.  Edges are sorted ``(low, high)``
+    pairs.
+    """
+    degree = [1] * num_nodes
+    for node in sequence:
+        degree[node] += 1
+    leaves = [node for node in range(num_nodes) if degree[node] == 1]  # sorted: a heap
+    edges = []
+    for node in sequence:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, node) if leaf < node else (node, leaf))
+        degree[node] -= 1
+        if degree[node] == 1:
+            heapq.heappush(leaves, node)
+    low, high = sorted(leaves)
+    edges.append((low, high))
+    return sorted(edges)
 
 
 def complete_graph_scheme(

@@ -129,6 +129,11 @@ class TestCalibrationAgainstEmulator:
 
 def loaded_after_import(modules, package):
     """Modules of ``package`` loaded after a fresh interpreter imports ``modules``."""
+    return loaded_after_running(f"import {', '.join(modules)}\n", package)
+
+
+def loaded_after_running(source, package):
+    """Modules of ``package`` loaded after a fresh interpreter runs ``source``."""
     import os
     import subprocess
     import sys
@@ -141,7 +146,7 @@ def loaded_after_import(modules, package):
     env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
     source = (
         "import sys\n"
-        f"import {', '.join(modules)}\n"
+        f"{source}"
         f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))\n"
     )
     proc = subprocess.run([sys.executable, "-c", source], env=env,
@@ -158,8 +163,30 @@ class TestScipyIsImportedOnlyByTheFits:
 
 
 class TestNetworkxIsImportedOnlyByItsUsers:
+    """networkx loads only when a graph conversion
+    (``CommunicationGraph.to_networkx``/``from_networkx``) runs."""
+
     def test_import_repro_loads_no_networkx(self):
-        """networkx loads only when a graph conversion or a random tree runs."""
         modules = ["repro", "repro.core", "repro.network", "repro.simulator",
                    "repro.campaign", "repro.workloads"]
         assert loaded_after_import(modules, "networkx") == "[]"
+
+    def test_no_scenario_path_loads_networkx(self):
+        """Every synthetic generator, a collective and HPL, priced or
+        simulated on all three networks, run inline."""
+        source = (
+            "from repro.campaign import CampaignRunner, CampaignSpec\n"
+            "from repro.campaign.spec import SYNTHETIC_GENERATORS\n"
+            "workloads = [{'kind': 'synthetic', 'name': name} for name in SYNTHETIC_GENERATORS]\n"
+            "workloads += [\n"
+            "    {'kind': 'collective', 'name': 'ring-allgather', 'params': {'size': '64K'}},\n"
+            "    {'kind': 'linpack', 'name': 'hpl',\n"
+            "     'params': {'problem_size': 400, 'block_size': 100}}]\n"
+            "networks = ['ethernet', 'myrinet', 'infiniband']\n"
+            "spec = CampaignSpec.from_dict({'name': 'no-networkx', 'workloads': workloads,\n"
+            "                               'networks': networks, 'host_counts': [6]})\n"
+            "store = CampaignRunner(spec, max_workers=1).run()\n"
+            "assert not store.failures, store.failures\n"
+            "assert len(store.results) == len(workloads) * len(networks), len(store.results)\n"
+        )
+        assert loaded_after_running(source, "networkx") == "[]"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import io
 
-import networkx as nx
+import numpy as np
 import pytest
 
 from repro.exceptions import TraceError, WorkloadError
@@ -89,10 +89,31 @@ class TestLinpackGenerator:
 
 class TestSyntheticSchemes:
     def test_random_tree_is_a_tree(self):
+        nx = pytest.importorskip("networkx")
         graph = random_tree_scheme(9, seed=3)
         undirected = nx.Graph((c.src, c.dst) for c in graph)
         assert nx.is_tree(undirected)
         assert len(graph) == 8
+
+    @pytest.mark.parametrize("num_nodes", [*range(2, 34), 64, 200])
+    def test_random_tree_is_the_networkx_tree(self, num_nodes):
+        """The decoded tree is the one ``nx.random_labeled_tree`` draws from
+        the generator's first draw: campaign digests depend on it."""
+        nx = pytest.importorskip("networkx")
+        for seed in range(30):
+            tree_seed = int(np.random.default_rng(seed).integers(0, 2**31 - 1))
+            expected = sorted(nx.random_labeled_tree(num_nodes, seed=tree_seed).edges())
+            graph = random_tree_scheme(num_nodes, seed=seed)
+            assert [tuple(sorted((c.src, c.dst))) for c in graph] == expected
+
+    def test_random_tree_stream_is_pinned(self):
+        """One oriented tree, written out: a drift fails without networkx too."""
+        graph = random_tree_scheme(16, seed=7)
+        assert [(c.src, c.dst) for c in graph] == [
+            (0, 4), (0, 10), (14, 0), (7, 1), (2, 15), (7, 3), (4, 12), (5, 7),
+            (14, 6), (15, 7), (11, 8), (13, 9), (15, 10), (11, 15), (13, 15)]
+        assert graph.name == "random-tree-16-s7"
+        assert all(c.size == 4 * MB for c in graph)
 
     def test_random_tree_deterministic(self):
         a = random_tree_scheme(8, seed=1)
