@@ -31,128 +31,59 @@ Quick start
     graph = CommunicationGraph.from_edges([(0, 1), (0, 2), (0, 3)])
     GigabitEthernetModel().penalties(graph)   # {'a': 2.25, 'b': 2.25, 'c': 2.25}
     MyrinetModel().penalties(graph)           # {'a': 3.0, 'b': 3.0, 'c': 3.0}
+
+Imports
+-------
+Names are exported lazily: ``import repro`` (or any subpackage) loads only
+:mod:`repro._exports`, and each exported name is imported from its defining
+module on first use (:func:`repro._exports.lazy_exports`).  One rule keeps
+start-up short: a module's top level imports only what every caller runs,
+and an optional path (the emulator, a process pool, tracing, metrics, a
+persistent cache, a table or CSV export) imports what it needs where it
+runs.  ``tests/test_startup.py`` pins what ``import repro``, a predictive
+run, an inline campaign and ``python -m repro --help`` load.
 """
 
-from .core import (
-    Communication,
-    CommunicationGraph,
-    ConflictKind,
-    ConflictRule,
-    ContentionModel,
-    EthernetParameters,
-    FairShareModel,
-    GigabitEthernetModel,
-    InfinibandModel,
-    InfinibandParameters,
-    KimLeeModel,
-    LinearCostModel,
-    LogGPCostModel,
-    LogPCostModel,
-    MyrinetModel,
-    NoContentionModel,
-    PenaltyPrediction,
-    classify_graph,
-    get_model,
-    model_for_network,
-)
-from .cluster import (
-    BULL_NOVASCALE_IB,
-    IBM_E325_MYRINET,
-    IBM_E326_GIGE,
-    ClusterSpec,
-    Placement,
-    custom_cluster,
-    get_cluster,
-    make_placement,
-)
-from .network import (
-    GIGABIT_ETHERNET,
-    INFINIBAND_INFINIHOST3,
-    MYRINET_2000,
-    ClusterEmulator,
-    NetworkTechnology,
-    get_technology,
-)
-from .benchmark import ExperimentRunner, PenaltyTool
-from .campaign import (
-    CampaignResultStore,
-    CampaignRunner,
-    CampaignSpec,
-    PersistentPenaltyCache,
-)
-from .mpi import MpiRuntime, Rank
-from .scheme import (
-    figure2_schemes,
-    figure4_scheme,
-    figure5_graph,
-    mk1_tree,
-    mk2_complete,
-    parse_scheme,
-)
-from .simulator import Application, Simulator
-from .workloads import LinpackParameters, generate_linpack
+from ._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     # core
-    "Communication",
-    "CommunicationGraph",
-    "ConflictKind",
-    "ConflictRule",
-    "ContentionModel",
-    "LinearCostModel",
-    "PenaltyPrediction",
-    "EthernetParameters",
-    "GigabitEthernetModel",
-    "MyrinetModel",
-    "InfinibandModel",
-    "InfinibandParameters",
-    "NoContentionModel",
-    "FairShareModel",
-    "KimLeeModel",
-    "LogPCostModel",
-    "LogGPCostModel",
-    "classify_graph",
-    "get_model",
-    "model_for_network",
+    ".core.graph": ["Communication", "CommunicationGraph", "ConflictRule"],
+    ".core.conflicts": ["ConflictKind", "classify_graph"],
+    ".core.penalty": ["ContentionModel", "LinearCostModel", "PenaltyPrediction"],
+    ".core.ethernet_model": ["EthernetParameters", "GigabitEthernetModel"],
+    ".core.myrinet_model": ["MyrinetModel"],
+    ".core.infiniband_model": ["InfinibandModel", "InfinibandParameters"],
+    ".core.baselines": ["NoContentionModel", "FairShareModel", "KimLeeModel",
+                        "LogPCostModel", "LogGPCostModel"],
+    ".core.registry": ["get_model", "model_for_network"],
     # cluster
-    "ClusterSpec",
-    "Placement",
-    "custom_cluster",
-    "get_cluster",
-    "make_placement",
-    "IBM_E326_GIGE",
-    "IBM_E325_MYRINET",
-    "BULL_NOVASCALE_IB",
+    ".cluster.spec": ["ClusterSpec", "custom_cluster", "get_cluster", "IBM_E326_GIGE",
+                      "IBM_E325_MYRINET", "BULL_NOVASCALE_IB"],
+    ".cluster.placement": ["Placement", "make_placement"],
     # network
-    "ClusterEmulator",
-    "NetworkTechnology",
-    "get_technology",
-    "GIGABIT_ETHERNET",
-    "MYRINET_2000",
-    "INFINIBAND_INFINIHOST3",
+    ".network.emulator": ["ClusterEmulator"],
+    ".network.technologies": ["NetworkTechnology", "get_technology", "GIGABIT_ETHERNET",
+                              "MYRINET_2000", "INFINIBAND_INFINIHOST3"],
     # tools
-    "PenaltyTool",
-    "ExperimentRunner",
-    "MpiRuntime",
-    "Rank",
+    ".benchmark.penalty_tool": ["PenaltyTool"],
+    ".benchmark.runner": ["ExperimentRunner"],
+    ".mpi.runtime": ["MpiRuntime"],
+    ".mpi.api": ["Rank"],
     # schemes & workloads
-    "parse_scheme",
-    "figure2_schemes",
-    "figure4_scheme",
-    "figure5_graph",
-    "mk1_tree",
-    "mk2_complete",
-    "LinpackParameters",
-    "generate_linpack",
+    ".scheme.language": ["parse_scheme"],
+    ".scheme.library": ["figure2_schemes", "figure4_scheme", "figure5_graph", "mk1_tree",
+                        "mk2_complete"],
+    ".workloads.linpack": ["LinpackParameters", "generate_linpack"],
     # simulator
-    "Application",
-    "Simulator",
+    ".simulator.application": ["Application"],
+    ".simulator.simulator": ["Simulator"],
     # campaigns
-    "CampaignSpec",
-    "CampaignRunner",
-    "CampaignResultStore",
-    "PersistentPenaltyCache",
-]
+    ".campaign.spec": ["CampaignSpec"],
+    ".campaign.runner": ["CampaignRunner"],
+    ".campaign.results": ["CampaignResultStore"],
+    ".campaign.persistence": ["PersistentPenaltyCache"],
+})
+__all__.insert(0, "__version__")

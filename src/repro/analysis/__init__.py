@@ -1,69 +1,17 @@
 """Evaluation metrics, the paper's published reference values and table rendering."""
 
-from .errors import (
-    GraphErrorReport,
-    TaskErrorReport,
-    absolute_error,
-    compare_reports,
-    compare_times,
-    relative_error,
-    relative_errors,
-)
-from .interference import interference_slowdown_table, interference_slowdowns
-from .placement import placement_robustness, placement_robustness_table
-from .reference import (
-    ETHERNET_PAPER_PARAMETERS,
-    FIGURE2_PENALTIES,
-    FIGURE4_TIMES,
-    FIGURE6_NUM_STATE_SETS,
-    FIGURE6_TABLE,
-    FIGURE7_EABS,
-    FIGURE7_MYRINET,
-    paper_penalties,
-)
-from .tables import (
-    measured_vs_predicted_table,
-    penalty_ladder_table,
-    per_task_error_table,
-    render_table,
-)
-from .timeline import (
-    StreamingTimeline,
-    records_from_trace,
-    timeline_bins,
-    timeline_record,
-    timeline_summary,
-    timeline_summary_table,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "relative_error",
-    "relative_errors",
-    "absolute_error",
-    "GraphErrorReport",
-    "TaskErrorReport",
-    "compare_times",
-    "compare_reports",
-    "FIGURE2_PENALTIES",
-    "FIGURE4_TIMES",
-    "FIGURE6_TABLE",
-    "FIGURE6_NUM_STATE_SETS",
-    "FIGURE7_MYRINET",
-    "FIGURE7_EABS",
-    "ETHERNET_PAPER_PARAMETERS",
-    "paper_penalties",
-    "render_table",
-    "penalty_ladder_table",
-    "measured_vs_predicted_table",
-    "per_task_error_table",
-    "interference_slowdowns",
-    "interference_slowdown_table",
-    "placement_robustness",
-    "placement_robustness_table",
-    "records_from_trace",
-    "timeline_bins",
-    "timeline_record",
-    "timeline_summary",
-    "timeline_summary_table",
-    "StreamingTimeline",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".errors": ["relative_error", "relative_errors", "absolute_error", "GraphErrorReport",
+                "TaskErrorReport", "compare_times", "compare_reports"],
+    ".reference": ["FIGURE2_PENALTIES", "FIGURE4_TIMES", "FIGURE6_TABLE",
+                   "FIGURE6_NUM_STATE_SETS", "FIGURE7_MYRINET", "FIGURE7_EABS",
+                   "ETHERNET_PAPER_PARAMETERS", "paper_penalties"],
+    ".tables": ["render_table", "penalty_ladder_table", "measured_vs_predicted_table",
+                "per_task_error_table"],
+    ".interference": ["interference_slowdowns", "interference_slowdown_table"],
+    ".placement": ["placement_robustness", "placement_robustness_table"],
+    ".timeline": ["records_from_trace", "timeline_bins", "timeline_record",
+                  "timeline_summary", "timeline_summary_table", "StreamingTimeline"],
+})

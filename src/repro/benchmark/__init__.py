@@ -1,12 +1,8 @@
 """Penalty measurement tooling (the paper's benchmark software) and sweeps."""
 
-from .penalty_tool import PenaltyMeasurement, PenaltyTool
-from .runner import ExperimentRunner, SchemeResult, SweepResult
+from .._exports import lazy_exports
 
-__all__ = [
-    "PenaltyTool",
-    "PenaltyMeasurement",
-    "ExperimentRunner",
-    "SchemeResult",
-    "SweepResult",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".penalty_tool": ["PenaltyTool", "PenaltyMeasurement"],
+    ".runner": ["ExperimentRunner", "SchemeResult", "SweepResult"],
+})

@@ -21,24 +21,12 @@ orchestration layer:
 Shell entry point: ``python -m repro campaign --spec campaign.json``.
 """
 
-from .persistence import PersistentPenaltyCache, canonical_key
-from .progress import CampaignProgress, ScenarioProgress
-from .results import CampaignResultStore, ScenarioResult
-from .runner import CampaignRunner, resolve_model, run_scenario
-from .spec import CampaignSpec, InterferenceSpec, ScenarioSpec, WorkloadSpec
+from .._exports import lazy_exports
 
-__all__ = [
-    "CampaignProgress",
-    "ScenarioProgress",
-    "CampaignSpec",
-    "InterferenceSpec",
-    "ScenarioSpec",
-    "WorkloadSpec",
-    "CampaignRunner",
-    "resolve_model",
-    "run_scenario",
-    "PersistentPenaltyCache",
-    "canonical_key",
-    "CampaignResultStore",
-    "ScenarioResult",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".progress": ["CampaignProgress", "ScenarioProgress"],
+    ".spec": ["CampaignSpec", "InterferenceSpec", "ScenarioSpec", "WorkloadSpec"],
+    ".runner": ["CampaignRunner", "resolve_model", "run_scenario"],
+    ".persistence": ["PersistentPenaltyCache", "canonical_key"],
+    ".results": ["CampaignResultStore", "ScenarioResult"],
+})

@@ -12,14 +12,10 @@ process-pool runs produce identical stores) and exports JSON / CSV rows for
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Union
-
-from ..analysis import render_table
-from .persistence import atomic_write
 
 __all__ = ["ScenarioResult", "CampaignResultStore"]
 
@@ -103,6 +99,8 @@ class CampaignResultStore:
 
     def summary_table(self) -> str:
         """Paper-style table of every scenario (feeds the CLI output)."""
+        from ..analysis.tables import render_table
+
         rows = []
         for result in self.results:
             row = result.row()
@@ -129,7 +127,10 @@ class CampaignResultStore:
         }
 
     def to_json(self, path: Union[str, Path]) -> None:
-        """Write :meth:`to_dict` as JSON, atomically (see :func:`atomic_write`)."""
+        """Write :meth:`to_dict` as JSON, atomically (see
+        :func:`~repro.campaign.persistence.atomic_write`)."""
+        from .persistence import atomic_write
+
         with atomic_write(path) as handle:
             handle.write(json.dumps(self.to_dict(), indent=2) + "\n")
 
@@ -144,7 +145,12 @@ class CampaignResultStore:
         )
 
     def to_csv(self, path: Union[str, Path]) -> None:
-        """Write :meth:`rows` as CSV, atomically (see :func:`atomic_write`)."""
+        """Write :meth:`rows` as CSV, atomically (see
+        :func:`~repro.campaign.persistence.atomic_write`)."""
+        import csv
+
+        from .persistence import atomic_write
+
         with atomic_write(path, newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=list(_ROW_COLUMNS))
             writer.writeheader()

@@ -52,9 +52,19 @@ the workers.
 from __future__ import annotations
 
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    FrozenSet,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..cluster.spec import custom_cluster
 from ..core.incremental import (
@@ -64,21 +74,24 @@ from ..core.incremental import (
     cached_predict,
 )
 from ..core.penalty import ContentionModel, LinearCostModel
-from ..core.registry import get_model, model_for_network
 from ..exceptions import ModelError, ReproError
 from ..network.technologies import get_technology
-from ..obs import MetricsRegistry
 from ..simulator.engine import EngineConfig
 from ..simulator.interference import Injector
 from ..simulator.providers import ModelRateProvider
 from ..simulator.report import SimulationReport
 from ..simulator.simulator import Simulator
-from ..trace import JsonlTraceSink, TraceRecord, TraceSink
-from .persistence import PersistentPenaltyCache
 from .results import CampaignResultStore, ScenarioResult
 from .spec import CampaignSpec, ScenarioSpec
 
+if TYPE_CHECKING:
+    from ..trace.sinks import TraceSink
+
 __all__ = ["CampaignRunner", "resolve_model", "run_scenario"]
+
+#: the pool class, imported by the first pooled phase (:func:`_process_pool`)
+#: so that inline runs never load it; a test may replace it here
+ProcessPoolExecutor: Any = None
 
 #: what one scenario yields: its result, or its failure as
 #: ``{"axes": ..., "error": ...}`` (see :attr:`CampaignResultStore.failures`)
@@ -87,6 +100,8 @@ Outcome = Union[ScenarioResult, Dict[str, Any]]
 
 def resolve_model(name: str, network: str) -> ContentionModel:
     """Model axis entry → model instance (``"auto"`` = the network's model)."""
+    from ..core.registry import get_model, model_for_network
+
     if name in ("auto", "paper"):
         return model_for_network(network)
     try:
@@ -127,7 +142,11 @@ def run_scenario(
         cores_per_node=cores_per_node,
         technology=scenario.network,
     )
-    metrics = MetricsRegistry() if trace is not None and metrics_every > 0 else None
+    metrics = None
+    if trace is not None and metrics_every > 0:
+        from ..obs.registry import MetricsRegistry
+
+        metrics = MetricsRegistry()
     config = EngineConfig(injectors=injectors, trace=trace, metrics=metrics,
                           metrics_sample_every=max(int(metrics_every), 0))
     if mode == "emulated":
@@ -138,6 +157,8 @@ def run_scenario(
         simulator = Simulator(cluster, provider, config=config,
                               mode="predictive", model_name=model.name)
     if trace is not None:
+        from ..trace.records import TraceRecord
+
         # the header makes the trace self-describing: `repro trace replay`
         # rebuilds the scenario from it alone
         trace.emit(TraceRecord(0.0, "run.meta", None,
@@ -212,6 +233,8 @@ def _execute_app_scenario(
     """
     sink = None
     if trace_dir is not None:
+        from ..trace.sinks import JsonlTraceSink
+
         path = _scenario_trace_path(trace_dir, scenario)
         path.parent.mkdir(parents=True, exist_ok=True)
         sink = JsonlTraceSink(path)
@@ -241,7 +264,17 @@ CacheSnapshot = Tuple[bool, List[Tuple[Hashable, Dict]]]
 _worker_seed: Optional[Tuple[CacheSnapshot, FrozenSet[Hashable]]] = None
 
 
+def _process_pool(**options: Any) -> Any:
+    """A :class:`~concurrent.futures.ProcessPoolExecutor` with ``options``."""
+    global ProcessPoolExecutor
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(**options)
+
+
 def _cache_snapshot(cache: PenaltyCache) -> CacheSnapshot:
+    from .persistence import PersistentPenaltyCache
+
     return isinstance(cache, PersistentPenaltyCache), cache.items()
 
 
@@ -264,6 +297,8 @@ def _app_scenario_job(
     travels as a plain int (a ``MetricsRegistry`` holds a lock and is not
     picklable); the registry is built inside the worker.
     """
+    from .persistence import PersistentPenaltyCache
+
     scenario, cores_per_node, trace_dir, metrics_every = payload
     (persistent, entries), seeded = _worker_seed
     cache: PenaltyCache = PersistentPenaltyCache() if persistent else PenaltyCache()
@@ -413,7 +448,7 @@ class CampaignRunner:
                  self.metrics_every)
                 for i in app_indices
             ]
-            with ProcessPoolExecutor(
+            with _process_pool(
                 max_workers=min(self.max_workers, len(payloads)),
                 initializer=_seed_worker, initargs=(_cache_snapshot(self.cache),),
             ) as executor:
@@ -455,7 +490,7 @@ class CampaignRunner:
         if not jobs:
             return 0, 0
         job_list = list(jobs.items())
-        with ProcessPoolExecutor(max_workers=min(self.max_workers, len(job_list))) as executor:
+        with _process_pool(max_workers=min(self.max_workers, len(job_list))) as executor:
             evaluations = list(executor.map(
                 _price_component, [(m, g, n) for _, (m, g, n, _) in job_list]
             ))

@@ -82,22 +82,16 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tupl
 from ..cluster.placement import PLACEMENT_POLICIES
 from ..core.graph import CommunicationGraph
 from ..exceptions import ReproError, WorkloadError
-from ..scheme.library import get_scheme
 from ..simulator.application import Application
 from ..simulator.interference import Injector, build_injectors
 from ..units import MB, parse_size
-from ..workloads import (
-    bipartite_fan_scheme,
+from ..workloads.collectives import (
     broadcast_application,
-    complete_graph_scheme,
     flat_gather,
-    generate_linpack,
-    hotspot_scheme,
     pairwise_exchange_alltoall,
-    random_graph_scheme,
-    random_tree_scheme,
     ring_allgather,
 )
+from ..workloads.linpack import generate_linpack
 
 __all__ = ["WorkloadSpec", "InterferenceSpec", "ScenarioSpec", "CampaignSpec"]
 
@@ -374,10 +368,20 @@ class ScenarioSpec:
         params = workload.param_dict()
         seed = 0 if self.seed is None else int(self.seed)
         if workload.kind == "scheme":
+            from ..scheme.library import get_scheme
+
             size = params.get("size")
             if isinstance(size, str):
                 size = parse_size(size)
             return get_scheme(workload.name, size=size)
+        from ..workloads.synthetic import (
+            bipartite_fan_scheme,
+            complete_graph_scheme,
+            hotspot_scheme,
+            random_graph_scheme,
+            random_tree_scheme,
+        )
+
         hosts = int(self.num_hosts or 0)
         size = _size_param(params, 4 * MB)
         if workload.name == "random-tree":

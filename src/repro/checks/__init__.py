@@ -19,19 +19,10 @@ See ``docs/static-analysis.md`` for the rules, the suppression syntax
 (``# repro-check: ignore[CODE]``) and how to add a checker.
 """
 
-from .base import Checker, CheckContext, Finding, ParsedModule, Suppressions
-from .cli import main
-from .runner import ALL_CHECKERS, collect_files, format_findings, run_check
+from .._exports import lazy_exports
 
-__all__ = [
-    "ALL_CHECKERS",
-    "Checker",
-    "CheckContext",
-    "Finding",
-    "ParsedModule",
-    "Suppressions",
-    "collect_files",
-    "format_findings",
-    "main",
-    "run_check",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".runner": ["ALL_CHECKERS", "collect_files", "format_findings", "run_check"],
+    ".base": ["Checker", "CheckContext", "Finding", "ParsedModule", "Suppressions"],
+    ".cli": ["main"],
+})

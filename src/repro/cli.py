@@ -56,55 +56,29 @@ every campaign scenario runs through.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
-import tempfile
-import threading
-import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .analysis import (
-    StreamingTimeline,
-    interference_slowdown_table,
-    placement_robustness,
-    placement_robustness_table,
-    render_table,
-    timeline_record,
-    timeline_summary,
-    timeline_summary_table,
-)
-from .benchmark import PenaltyTool
-from .campaign import (
-    CampaignProgress,
-    CampaignResultStore,
-    CampaignRunner,
-    CampaignSpec,
-    InterferenceSpec,
-    PersistentPenaltyCache,
-    resolve_model,
-    run_scenario,
-)
-from .campaign.spec import COLLECTIVE_PATTERNS, ScenarioSpec, WorkloadSpec
-from .core import LinearCostModel, calibrate_from_measurer
-from .core.graph import CommunicationGraph
 from .exceptions import ReproError
-from .network import get_technology
-from .scheme import parse_scheme
-from .trace import (
-    JsonlTraceSink,
-    StreamingTraceReader,
-    TraceReplayInjector,
-    diff_trace_files,
-    format_trace_diff,
-    read_trace_log,
-)
 from .units import MB, parse_size
+
+if TYPE_CHECKING:
+    from .campaign.results import CampaignResultStore
+    from .campaign.runner import CampaignRunner
+    from .campaign.spec import InterferenceSpec, ScenarioSpec
+    from .core.graph import CommunicationGraph
 
 __all__ = ["main", "build_parser"]
 
+# Every command imports what it runs, so that building the parser (and
+# ``--help``) loads neither the simulator nor numpy.
+
 
 def _load_scheme(args: argparse.Namespace) -> CommunicationGraph:
+    from .scheme.language import parse_scheme
+
     if args.scheme_file:
         text = Path(args.scheme_file).read_text(encoding="utf-8")
     elif args.scheme:
@@ -117,6 +91,11 @@ def _load_scheme(args: argparse.Namespace) -> CommunicationGraph:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    from .analysis.tables import render_table
+    from .campaign.runner import resolve_model
+    from .core.penalty import LinearCostModel
+    from .network.technologies import get_technology
+
     graph = _load_scheme(args)
     model = resolve_model(args.model, args.network)
     prediction = model.predict(
@@ -132,6 +111,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
+    from .benchmark.penalty_tool import PenaltyTool
+
     graph = _load_scheme(args)
     tool = PenaltyTool(args.network, iterations=args.iterations, num_hosts=args.hosts)
     measurement = tool.measure(graph)
@@ -140,9 +121,15 @@ def cmd_measure(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
+    from .analysis.tables import render_table
+    from .campaign.runner import CampaignRunner
+    from .campaign.spec import CampaignSpec
+
     spec = CampaignSpec.from_json(args.spec)
     cache = None
     if args.cache:
+        from .campaign.persistence import PersistentPenaltyCache
+
         cache = PersistentPenaltyCache.load(args.cache)
         if cache.load_error:
             print(f"warning: starting with an empty cache ({cache.load_error})",
@@ -154,6 +141,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.progress:
         # progress is read off the per-scenario traces: make sure they exist
         if trace_dir is None and spec.trace_dir is None:
+            import tempfile
+
             trace_dir = tempfile.mkdtemp(prefix="repro-campaign-")
             print(f"progress: tracing scenarios into {trace_dir}")
         if metrics_every == 0:
@@ -166,6 +155,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         store = runner.run()
     print(store.summary_table())
     if any(r.axes.get("interference") not in (None, "none") for r in store):
+        from .analysis.interference import interference_slowdown_table
+        from .analysis.placement import placement_robustness, placement_robustness_table
+
         print()
         print(interference_slowdown_table(store))
         robustness_rows = placement_robustness(store)
@@ -220,6 +212,10 @@ def _run_with_progress(runner: CampaignRunner, interval: float):
     a final one when the campaign ends).  Purely observational — the
     watcher only reads the trace files the scenarios are writing.
     """
+    import threading
+
+    from .campaign.progress import CampaignProgress
+
     progress = CampaignProgress(runner.trace_paths())
     outcome = {}
 
@@ -246,6 +242,10 @@ def _run_with_progress(runner: CampaignRunner, interval: float):
 def _campaign_trace_table(runner: CampaignRunner, store: CampaignResultStore) -> str:
     """Per-scenario trace summary of a traced campaign run; the trace of a
     failed scenario stops where it failed and is marked so."""
+    from .analysis.tables import render_table
+    from .analysis.timeline import timeline_summary
+    from .trace.sinks import read_trace_log
+
     failed = {failure["axes"]["scenario_id"] for failure in store.failures}
     rows = []
     for path in runner.trace_paths():
@@ -271,6 +271,8 @@ def _campaign_trace_table(runner: CampaignRunner, store: CampaignResultStore) ->
 
 def _interference_from_args(args: argparse.Namespace) -> InterferenceSpec:
     """Fold the ``simulate`` injector flags into an InterferenceSpec."""
+    from .campaign.spec import InterferenceSpec
+
     background = {}
     if args.bg_rate > 0:
         background = {
@@ -311,6 +313,8 @@ def _interference_from_args(args: argparse.Namespace) -> InterferenceSpec:
 def _scenario_from_args(args: argparse.Namespace,
                         scenario_id: str) -> ScenarioSpec:
     """Fold the shared workload flags into one :class:`ScenarioSpec`."""
+    from .campaign.spec import COLLECTIVE_PATTERNS, ScenarioSpec, WorkloadSpec
+
     kind = "linpack" if args.workload == "linpack" else "collective"
     if kind == "collective" and args.workload not in COLLECTIVE_PATTERNS:
         raise ReproError(
@@ -334,9 +338,16 @@ def _scenario_from_args(args: argparse.Namespace,
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .analysis.tables import render_table
+    from .campaign.runner import run_scenario
+
     scenario = _scenario_from_args(args, f"simulate-{args.workload}")
     injectors = scenario.build_injectors()
-    sink = JsonlTraceSink(args.trace) if args.trace else None
+    sink = None
+    if args.trace:
+        from .trace.sinks import JsonlTraceSink
+
+        sink = JsonlTraceSink(args.trace)
     try:
         # with --trace, the traced run is the loaded one (the clean twin
         # stays untraced); on a clean-only invocation the clean run is traced
@@ -376,6 +387,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_trace_record(args: argparse.Namespace) -> int:
     """``repro trace record``: run one workload, write its JSONL trace."""
+    from .analysis.tables import render_table
+    from .campaign.runner import run_scenario
+    from .trace.sinks import JsonlTraceSink
+
     scenario = _scenario_from_args(args, f"trace-{args.workload}")
     with JsonlTraceSink(args.out) as sink:
         report, simulator = run_scenario(scenario, args.cores_per_node,
@@ -399,6 +414,11 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
     :func:`~repro.analysis.timeline_record` bundle, so the two views cannot
     drift apart.
     """
+    import json
+
+    from .analysis.timeline import timeline_record, timeline_summary_table
+    from .trace.sinks import read_trace_log
+
     log = read_trace_log(args.trace_file)
     record = timeline_record(log, bins=args.bins)
     if args.as_json:
@@ -418,6 +438,11 @@ def cmd_trace_tail(args: argparse.Namespace) -> int:
     ``--once``), then prints the timeline report of everything seen — the
     same report ``trace summarize`` prints on the finished file.
     """
+    import time
+
+    from .analysis.timeline import StreamingTimeline, timeline_summary_table
+    from .trace.stream import StreamingTraceReader
+
     reader = StreamingTraceReader(args.trace_file)
     timeline = StreamingTimeline()
     interval = max(0.05, float(args.interval))
@@ -454,6 +479,8 @@ def cmd_trace_diff(args: argparse.Namespace) -> int:
     report names the diverging record, its JSONL line and the differing
     fields, with aligned context) — usable straight from CI.
     """
+    from .trace.diff import diff_trace_files, format_trace_diff
+
     diff = diff_trace_files(args.trace_a, args.trace_b, context=args.context)
     print(format_trace_diff(diff, label_a=args.trace_a, label_b=args.trace_b))
     return 0 if diff.identical else 1
@@ -469,6 +496,12 @@ def cmd_trace_replay(args: argparse.Namespace) -> int:
     reproduces it bit-exactly, so the recorded and replayed makespans must
     agree.
     """
+    from .analysis.tables import render_table
+    from .campaign.runner import run_scenario
+    from .campaign.spec import ScenarioSpec
+    from .trace.replay import TraceReplayInjector
+    from .trace.sinks import read_trace_log
+
     log = read_trace_log(args.trace_file)
     meta = log.meta()
     if not meta:
@@ -541,6 +574,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
+    from .benchmark.penalty_tool import PenaltyTool
+    from .core.calibration import calibrate_from_measurer
+
     tool = PenaltyTool(args.network, iterations=args.iterations, num_hosts=args.hosts)
     parameters = calibrate_from_measurer(tool.measure_penalties)
     print(f"network  : {args.network}")
@@ -744,14 +780,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: exit status when the reader of stdout went away early: the status a
+#: shell reports for a writer killed by SIGPIPE (128 + 13)
+BROKEN_PIPE_STATUS = 141
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and return its exit status.
+
+    A command returns 0, or 1 for its own negative outcome (a campaign
+    scenario failed, two traces diverge, a replay does not reproduce its
+    run); a :class:`~repro.exceptions.ReproError` prints ``error: ...`` and
+    gives 2.  When the reader of stdout closes it early (``repro trace
+    summarize run.jsonl | head -n 1``), the command stops without a
+    traceback and gives :data:`BROKEN_PIPE_STATUS` (141), whichever command
+    it was.
+    """
     arguments = list(sys.argv[1:] if argv is None else argv)
+    try:
+        status = _run(arguments)
+        sys.stdout.flush()  # a reader gone early shows up here, not at exit
+    except BrokenPipeError:
+        # the Python docs' advice: point stdout at devnull, so the flush at
+        # interpreter exit has nowhere to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return BROKEN_PIPE_STATUS
+    return status
+
+
+def _run(arguments: Sequence[str]) -> int:
     if arguments and arguments[0] == "check":
         # hand the linter its full argument vector untouched (argparse
         # REMAINDER mangles leading options like --format)
         from .checks.cli import main as check_main
 
-        return check_main(arguments[1:])
+        return check_main(list(arguments[1:]))
     parser = build_parser()
     args = parser.parse_args(arguments)
     if args.command == "predict" and args.model is None:

@@ -5,43 +5,13 @@ the paper's simulator (§VI.A): SMP node specs, the three clusters the paper
 measured, and the RRN / RRP / Random / user-defined placement policies.
 """
 
-from .node import NodeSpec, OPTERON_246, OPTERON_248, WOODCREST_2_4
-from .placement import (
-    PLACEMENT_POLICIES,
-    Placement,
-    make_placement,
-    random_placement,
-    round_robin_per_node,
-    round_robin_per_processor,
-    user_defined_placement,
-)
-from .spec import (
-    BULL_NOVASCALE_IB,
-    IBM_E325_MYRINET,
-    IBM_E326_GIGE,
-    PAPER_CLUSTERS,
-    ClusterSpec,
-    custom_cluster,
-    get_cluster,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "NodeSpec",
-    "OPTERON_246",
-    "OPTERON_248",
-    "WOODCREST_2_4",
-    "ClusterSpec",
-    "IBM_E326_GIGE",
-    "IBM_E325_MYRINET",
-    "BULL_NOVASCALE_IB",
-    "PAPER_CLUSTERS",
-    "get_cluster",
-    "custom_cluster",
-    "Placement",
-    "round_robin_per_node",
-    "round_robin_per_processor",
-    "random_placement",
-    "user_defined_placement",
-    "make_placement",
-    "PLACEMENT_POLICIES",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".node": ["NodeSpec", "OPTERON_246", "OPTERON_248", "WOODCREST_2_4"],
+    ".spec": ["ClusterSpec", "IBM_E326_GIGE", "IBM_E325_MYRINET", "BULL_NOVASCALE_IB",
+              "PAPER_CLUSTERS", "get_cluster", "custom_cluster"],
+    ".placement": ["Placement", "round_robin_per_node", "round_robin_per_processor",
+                   "random_placement", "user_defined_placement", "make_placement",
+                   "PLACEMENT_POLICIES"],
+})

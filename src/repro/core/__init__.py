@@ -6,90 +6,23 @@ model (§V.B), the InfiniBand extension (§VII future work), the related-work
 baselines (§II) and the parameter-estimation utilities.
 """
 
-from .baselines import (
-    FairShareModel,
-    KimLeeModel,
-    LogGPContentionAdapter,
-    LogGPCostModel,
-    LogPCostModel,
-    NoContentionModel,
-)
-from .calibration import (
-    CalibrationMeasurement,
-    calibrate_from_measurer,
-    estimate_beta,
-    estimate_beta_from_times,
-    estimate_gammas,
-    fit_ethernet_parameters,
-    fit_infiniband_parameters,
-)
-from .conflicts import (
-    CommunicationConflicts,
-    ConflictKind,
-    ConflictReport,
-    classify_communication,
-    classify_graph,
-)
-from .ethernet_model import EthernetParameters, GigabitEthernetModel
-from .graph import Communication, CommunicationGraph, ConflictRule
-from .incremental import (
-    EngineStats,
-    IncrementalPenaltyEngine,
-    PenaltyCache,
-    cached_penalties,
-    cached_predict,
-)
-from .infiniband_model import InfinibandModel, InfinibandParameters
-from .myrinet_model import MyrinetModel, StateSetAnalysis, maximal_independent_sets
-from .penalty import ContentionModel, LinearCostModel, PenaltyPrediction
-from .registry import (
-    available_models,
-    available_networks,
-    get_model,
-    model_for_network,
-    register_model,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "Communication",
-    "CommunicationGraph",
-    "ConflictRule",
-    "ConflictKind",
-    "CommunicationConflicts",
-    "ConflictReport",
-    "classify_communication",
-    "classify_graph",
-    "ContentionModel",
-    "LinearCostModel",
-    "PenaltyPrediction",
-    "EngineStats",
-    "IncrementalPenaltyEngine",
-    "PenaltyCache",
-    "cached_penalties",
-    "cached_predict",
-    "EthernetParameters",
-    "GigabitEthernetModel",
-    "MyrinetModel",
-    "StateSetAnalysis",
-    "maximal_independent_sets",
-    "InfinibandModel",
-    "InfinibandParameters",
-    "NoContentionModel",
-    "FairShareModel",
-    "KimLeeModel",
-    "LogPCostModel",
-    "LogGPCostModel",
-    "LogGPContentionAdapter",
-    "CalibrationMeasurement",
-    "estimate_beta",
-    "estimate_beta_from_times",
-    "estimate_gammas",
-    "fit_ethernet_parameters",
-    "fit_infiniband_parameters",
-    "calibrate_from_measurer",
-    "register_model",
-    "get_model",
-    "available_models",
-    "available_networks",
-    "model_for_network",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".graph": ["Communication", "CommunicationGraph", "ConflictRule"],
+    ".conflicts": ["ConflictKind", "CommunicationConflicts", "ConflictReport",
+                   "classify_communication", "classify_graph"],
+    ".penalty": ["ContentionModel", "LinearCostModel", "PenaltyPrediction"],
+    ".incremental": ["EngineStats", "IncrementalPenaltyEngine", "PenaltyCache",
+                     "cached_penalties", "cached_predict"],
+    ".ethernet_model": ["EthernetParameters", "GigabitEthernetModel"],
+    ".myrinet_model": ["MyrinetModel", "StateSetAnalysis", "maximal_independent_sets"],
+    ".infiniband_model": ["InfinibandModel", "InfinibandParameters"],
+    ".baselines": ["NoContentionModel", "FairShareModel", "KimLeeModel", "LogPCostModel",
+                   "LogGPCostModel", "LogGPContentionAdapter"],
+    ".calibration": ["CalibrationMeasurement", "estimate_beta", "estimate_beta_from_times",
+                     "estimate_gammas", "fit_ethernet_parameters",
+                     "fit_infiniband_parameters", "calibrate_from_measurer"],
+    ".registry": ["register_model", "get_model", "available_models", "available_networks",
+                  "model_for_network"],
+})

@@ -1,6 +1,9 @@
 """Simulated MPI layer: rank programs, operations and the runtime."""
 
-from .api import ANY_SOURCE, Rank
-from .runtime import MpiRuntime, fanout_program, ring_program
+from .._exports import lazy_exports
 
-__all__ = ["ANY_SOURCE", "Rank", "MpiRuntime", "ring_program", "fanout_program"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "..simulator.events": ["ANY_SOURCE"],
+    ".api": ["Rank"],
+    ".runtime": ["MpiRuntime", "ring_program", "fanout_program"],
+})

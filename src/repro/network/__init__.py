@@ -7,54 +7,18 @@ specific rate allocation), complemented by packet-level models of the Stop &
 Go and credit-based flow controls for mechanism-level studies.
 """
 
-from .allocator import EmulatorRateProvider
-from .emulator import ClusterEmulator
-from .fluid import (
-    CalendarStats,
-    FluidTransferSimulator,
-    RateProvider,
-    Transfer,
-    TransferCalendar,
-    TransferResult,
-)
-from .packet import CreditBasedNetwork, PacketLevelNetwork, StopAndGoNetwork
-from .sharing import FlowSpec, max_min_allocation, weighted_max_min_allocation
-from .technologies import (
-    GIGABIT_ETHERNET,
-    INFINIBAND_INFINIHOST3,
-    MYRINET_2000,
-    TECHNOLOGIES,
-    NetworkTechnology,
-    SharingBehaviour,
-    get_technology,
-)
-from .topology import CrossbarTopology, FatTreeTopology, ResourceKind, Topology, build_topology
+from .._exports import lazy_exports
 
-__all__ = [
-    "ClusterEmulator",
-    "EmulatorRateProvider",
-    "CalendarStats",
-    "FluidTransferSimulator",
-    "RateProvider",
-    "Transfer",
-    "TransferCalendar",
-    "TransferResult",
-    "PacketLevelNetwork",
-    "StopAndGoNetwork",
-    "CreditBasedNetwork",
-    "FlowSpec",
-    "max_min_allocation",
-    "weighted_max_min_allocation",
-    "NetworkTechnology",
-    "SharingBehaviour",
-    "GIGABIT_ETHERNET",
-    "MYRINET_2000",
-    "INFINIBAND_INFINIHOST3",
-    "TECHNOLOGIES",
-    "get_technology",
-    "Topology",
-    "CrossbarTopology",
-    "FatTreeTopology",
-    "ResourceKind",
-    "build_topology",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".emulator": ["ClusterEmulator"],
+    ".allocator": ["EmulatorRateProvider"],
+    ".fluid": ["CalendarStats", "FluidTransferSimulator", "RateProvider", "Transfer",
+               "TransferCalendar", "TransferResult"],
+    ".packet": ["PacketLevelNetwork", "StopAndGoNetwork", "CreditBasedNetwork"],
+    ".sharing": ["FlowSpec", "max_min_allocation", "weighted_max_min_allocation"],
+    ".technologies": ["NetworkTechnology", "SharingBehaviour", "GIGABIT_ETHERNET",
+                      "MYRINET_2000", "INFINIBAND_INFINIHOST3", "TECHNOLOGIES",
+                      "get_technology"],
+    ".topology": ["Topology", "CrossbarTopology", "FatTreeTopology", "ResourceKind",
+                  "build_topology"],
+})

@@ -19,9 +19,8 @@ water-fill), and — when a trace sink is attached too — periodic
 :attr:`~repro.simulator.engine.EngineConfig.metrics_sample_every` steps.
 """
 
-from .registry import MetricsRegistry, PhaseTimer
+from .._exports import lazy_exports
 
-__all__ = [
-    "PhaseTimer",
-    "MetricsRegistry",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".registry": ["PhaseTimer", "MetricsRegistry"],
+})

@@ -6,43 +6,19 @@ either from a contention model (prediction) or from the calibrated cluster
 emulator (measurement).
 """
 
-from .application import Application, TaskTrace
-from .engine import EngineConfig, EngineLoopStats, ExecutionEngine
-from .events import ANY_SOURCE, BarrierEvent, ComputeEvent, Event, RecvEvent, SendEvent
-from .interference import (
-    BackgroundTrafficInjector,
-    Injector,
-    LinkDegradationInjector,
-    NodeSlowdownInjector,
-    build_injectors,
-)
-from .providers import EmulatorRateProvider, ModelRateProvider
-from .report import EventRecord, SimulationReport
-from .scheduling import PAPER_POLICIES, make_placement
-from .simulator import Simulator
+from .._exports import lazy_exports
 
-__all__ = [
-    "Application",
-    "TaskTrace",
-    "EngineConfig",
-    "EngineLoopStats",
-    "ExecutionEngine",
-    "Injector",
-    "BackgroundTrafficInjector",
-    "LinkDegradationInjector",
-    "NodeSlowdownInjector",
-    "build_injectors",
-    "ANY_SOURCE",
-    "ComputeEvent",
-    "SendEvent",
-    "RecvEvent",
-    "BarrierEvent",
-    "Event",
-    "ModelRateProvider",
-    "EmulatorRateProvider",
-    "EventRecord",
-    "SimulationReport",
-    "Simulator",
-    "make_placement",
-    "PAPER_POLICIES",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".application": ["Application", "TaskTrace"],
+    ".engine": ["EngineConfig", "EngineLoopStats", "ExecutionEngine"],
+    ".interference": ["Injector", "BackgroundTrafficInjector", "LinkDegradationInjector",
+                      "NodeSlowdownInjector", "build_injectors"],
+    ".events": ["ANY_SOURCE", "ComputeEvent", "SendEvent", "RecvEvent", "BarrierEvent",
+                "Event"],
+    ".providers": ["ModelRateProvider"],
+    "..network.allocator": ["EmulatorRateProvider"],
+    ".report": ["EventRecord", "SimulationReport"],
+    ".simulator": ["Simulator"],
+    "..cluster.placement": ["make_placement"],
+    ".scheduling": ["PAPER_POLICIES"],
+})

@@ -9,7 +9,8 @@ providers exist:
   each penalty into a rate (``single_stream_bandwidth / penalty``).
   Intra-node transfers use the memory path.
 * :class:`~repro.network.allocator.EmulatorRateProvider` — the **measured**
-  side (calibrated fluid emulator), re-exported here for symmetry.
+  side (calibrated fluid emulator), defined with the emulator in
+  :mod:`repro.network.allocator` and imported only by runs that emulate.
 
 Both implement the delta contract of :mod:`repro.network.fluid`:
 ``update(added, removed)`` validates a flow delta in O(delta), applies it,
@@ -43,11 +44,10 @@ from ..core.incremental import (
     in_flight_graph,
 )
 from ..core.penalty import ContentionModel
-from ..network.allocator import EmulatorRateProvider
 from ..network.fluid import Transfer, validate_delta
 from ..network.technologies import NetworkTechnology, get_technology
 
-__all__ = ["ModelRateProvider", "EmulatorRateProvider"]
+__all__ = ["ModelRateProvider"]
 
 
 class ModelRateProvider:

@@ -113,49 +113,14 @@ campaign --progress``), and :func:`trace_diff` /
 traces that should be identical are not (``repro trace diff``).
 """
 
-from .records import (
-    KNOWN_KINDS,
-    TRACE_FORMAT,
-    TRACE_VERSION,
-    TraceLog,
-    TraceRecord,
-)
-from .sinks import (
-    JsonlTraceSink,
-    MemoryTraceSink,
-    NullTraceSink,
-    TraceSink,
-    active_sink,
-    read_trace_log,
-)
-from .replay import TraceReplayInjector, replay_events
-from .stream import StreamingTraceReader
-from .diff import (
-    TraceDiff,
-    assert_traces_equal,
-    diff_trace_files,
-    format_trace_diff,
-    trace_diff,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "TRACE_FORMAT",
-    "TRACE_VERSION",
-    "KNOWN_KINDS",
-    "TraceRecord",
-    "TraceLog",
-    "TraceSink",
-    "NullTraceSink",
-    "MemoryTraceSink",
-    "JsonlTraceSink",
-    "active_sink",
-    "read_trace_log",
-    "TraceReplayInjector",
-    "replay_events",
-    "StreamingTraceReader",
-    "TraceDiff",
-    "trace_diff",
-    "diff_trace_files",
-    "format_trace_diff",
-    "assert_traces_equal",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".records": ["TRACE_FORMAT", "TRACE_VERSION", "KNOWN_KINDS", "TraceRecord", "TraceLog"],
+    ".sinks": ["TraceSink", "NullTraceSink", "MemoryTraceSink", "JsonlTraceSink",
+               "active_sink", "read_trace_log"],
+    ".replay": ["TraceReplayInjector", "replay_events"],
+    ".stream": ["StreamingTraceReader"],
+    ".diff": ["TraceDiff", "trace_diff", "diff_trace_files", "format_trace_diff",
+              "assert_traces_equal"],
+})

@@ -1,47 +1,13 @@
 """Workload generators: synthetic schemes, collectives, HPL/Linpack traces."""
 
-from .collectives import (
-    binomial_broadcast,
-    broadcast_application,
-    flat_gather,
-    pairwise_exchange_alltoall,
-    ring_allgather,
-)
-from .linpack import LinpackParameters, generate_linpack, hpl_total_flops
-from .synthetic import (
-    bipartite_fan_scheme,
-    complete_graph_scheme,
-    hotspot_scheme,
-    random_graph_scheme,
-    random_tree_scheme,
-    scheme_family,
-)
-from .traces import (
-    MPE_TRACING_OVERHEAD,
-    apply_tracing_overhead,
-    read_trace,
-    trace_to_text,
-    write_trace,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "LinpackParameters",
-    "generate_linpack",
-    "hpl_total_flops",
-    "random_tree_scheme",
-    "complete_graph_scheme",
-    "random_graph_scheme",
-    "bipartite_fan_scheme",
-    "hotspot_scheme",
-    "scheme_family",
-    "binomial_broadcast",
-    "ring_allgather",
-    "flat_gather",
-    "pairwise_exchange_alltoall",
-    "broadcast_application",
-    "write_trace",
-    "read_trace",
-    "trace_to_text",
-    "apply_tracing_overhead",
-    "MPE_TRACING_OVERHEAD",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".linpack": ["LinpackParameters", "generate_linpack", "hpl_total_flops"],
+    ".synthetic": ["random_tree_scheme", "complete_graph_scheme", "random_graph_scheme",
+                   "bipartite_fan_scheme", "hotspot_scheme", "scheme_family"],
+    ".collectives": ["binomial_broadcast", "ring_allgather", "flat_gather",
+                     "pairwise_exchange_alltoall", "broadcast_application"],
+    ".traces": ["write_trace", "read_trace", "trace_to_text", "apply_tracing_overhead",
+                "MPE_TRACING_OVERHEAD"],
+})

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from loaded_modules import loaded_after_import, loaded_after_running
 
 from repro.benchmark import PenaltyTool
 from repro.core import (
@@ -127,39 +128,13 @@ class TestCalibrationAgainstEmulator:
             assert predicted[name] == pytest.approx(measured[name], rel=0.05)
 
 
-def loaded_after_import(modules, package):
-    """Modules of ``package`` loaded after a fresh interpreter imports ``modules``."""
-    return loaded_after_running(f"import {', '.join(modules)}\n", package)
-
-
-def loaded_after_running(source, package):
-    """Modules of ``package`` loaded after a fresh interpreter runs ``source``."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import repro
-
-    env = dict(os.environ)
-    src_root = str(Path(repro.__file__).parents[1])
-    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-    source = (
-        "import sys\n"
-        f"{source}"
-        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", source], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
-
-
 class TestScipyIsImportedOnlyByTheFits:
     def test_import_repro_loads_no_scipy(self):
-        """``import repro`` must work, and stay fast, without scipy loaded."""
-        modules = ["repro", "repro.core", "repro.network", "repro.simulator"]
-        assert loaded_after_import(modules, "scipy") == "[]"
+        """``import repro`` must work, and stay fast, without scipy loaded,
+        and so must importing the calibration module that defers it."""
+        modules = ["repro", "repro.core", "repro.network", "repro.simulator",
+                   "repro.core.calibration"]
+        assert loaded_after_import(modules, "scipy") == []
 
 
 class TestNetworkxIsImportedOnlyByItsUsers:
@@ -168,8 +143,9 @@ class TestNetworkxIsImportedOnlyByItsUsers:
 
     def test_import_repro_loads_no_networkx(self):
         modules = ["repro", "repro.core", "repro.network", "repro.simulator",
-                   "repro.campaign", "repro.workloads"]
-        assert loaded_after_import(modules, "networkx") == "[]"
+                   "repro.campaign", "repro.workloads", "repro.core.graph",
+                   "repro.campaign.runner", "repro.workloads.synthetic"]
+        assert loaded_after_import(modules, "networkx") == []
 
     def test_no_scenario_path_loads_networkx(self):
         """Every synthetic generator, a collective and HPL, priced or
@@ -189,4 +165,4 @@ class TestNetworkxIsImportedOnlyByItsUsers:
             "assert not store.failures, store.failures\n"
             "assert len(store.results) == len(workloads) * len(networks), len(store.results)\n"
         )
-        assert loaded_after_running(source, "networkx") == "[]"
+        assert loaded_after_running(source, "networkx") == []

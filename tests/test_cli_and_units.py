@@ -345,6 +345,35 @@ class TestObservabilityCli:
         assert "tail: +" in out
         assert "trace tail:" in out  # the final timeline table
 
+    def test_a_reader_closing_stdout_early_gets_no_traceback(self, tmp_path, capsys):
+        """``repro trace summarize run.jsonl | head -n 1`` stops quietly with
+        the broken-pipe status.  With 3000 timeline bins the report is larger
+        than a pipe holds, so the command is still writing when the reader
+        closes its end after the first line."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from repro.cli import BROKEN_PIPE_STATUS
+
+        trace_path = self.record_trace(tmp_path, capsys)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (str(Path(repro.__file__).parents[1]) + os.pathsep
+                             + env.get("PYTHONPATH", ""))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "trace", "summarize", str(trace_path),
+             "--bins", "3000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == BROKEN_PIPE_STATUS
+        assert stderr == b""
+        assert first.startswith(b"records:")
+
     def test_diff_identical_traces_exits_zero(self, tmp_path, capsys):
         trace_path = self.record_trace(tmp_path, capsys)
         code = main(["trace", "diff", str(trace_path), str(trace_path)])
