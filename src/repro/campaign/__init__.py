@@ -26,7 +26,8 @@ from .._exports import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".progress": ["CampaignProgress", "ScenarioProgress"],
     ".spec": ["CampaignSpec", "InterferenceSpec", "ScenarioSpec", "WorkloadSpec"],
-    ".runner": ["CampaignRunner", "resolve_model", "run_scenario"],
+    ".runner": ["CampaignRunner", "run_scenario"],
+    "..core.registry": ["resolve_model"],
     ".persistence": ["PersistentPenaltyCache", "canonical_key"],
     ".results": ["CampaignResultStore", "ScenarioResult"],
 })

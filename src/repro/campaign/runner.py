@@ -74,7 +74,8 @@ from ..core.incremental import (
     cached_predict,
 )
 from ..core.penalty import ContentionModel, LinearCostModel
-from ..exceptions import ModelError, ReproError
+from ..core.registry import resolve_model
+from ..exceptions import ReproError
 from ..network.technologies import get_technology
 from ..simulator.engine import EngineConfig
 from ..simulator.interference import Injector
@@ -87,7 +88,7 @@ from .spec import CampaignSpec, ScenarioSpec
 if TYPE_CHECKING:
     from ..trace.sinks import TraceSink
 
-__all__ = ["CampaignRunner", "resolve_model", "run_scenario"]
+__all__ = ["CampaignRunner", "run_scenario"]
 
 #: the pool class, imported by the first pooled phase (:func:`_process_pool`)
 #: so that inline runs never load it; a test may replace it here
@@ -96,18 +97,6 @@ ProcessPoolExecutor: Any = None
 #: what one scenario yields: its result, or its failure as
 #: ``{"axes": ..., "error": ...}`` (see :attr:`CampaignResultStore.failures`)
 Outcome = Union[ScenarioResult, Dict[str, Any]]
-
-
-def resolve_model(name: str, network: str) -> ContentionModel:
-    """Model axis entry → model instance (``"auto"`` = the network's model)."""
-    from ..core.registry import get_model, model_for_network
-
-    if name in ("auto", "paper"):
-        return model_for_network(network)
-    try:
-        return model_for_network(name)
-    except ModelError:
-        return get_model(name)
 
 
 def run_scenario(

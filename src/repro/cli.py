@@ -92,8 +92,8 @@ def _load_scheme(args: argparse.Namespace) -> CommunicationGraph:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     from .analysis.tables import render_table
-    from .campaign.runner import resolve_model
     from .core.penalty import LinearCostModel
+    from .core.registry import resolve_model
     from .network.technologies import get_technology
 
     graph = _load_scheme(args)

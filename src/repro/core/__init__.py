@@ -24,5 +24,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                      "estimate_gammas", "fit_ethernet_parameters",
                      "fit_infiniband_parameters", "calibrate_from_measurer"],
     ".registry": ["register_model", "get_model", "available_models", "available_networks",
-                  "model_for_network"],
+                  "model_for_network", "resolve_model"],
 })

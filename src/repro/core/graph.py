@@ -391,8 +391,9 @@ class CommunicationGraph:
         Two inter-node communications conflict exactly when they share one of
         these opaque resource keys, so connected components of the conflict
         graph are equivalence classes of resource co-occupancy.  The
-        incremental engine uses this to merge/split components on flow
-        arrival/departure without rebuilding the adjacency.
+        incremental engine keeps the set of transfers holding each resource
+        and walks a dirty transfer's component over those sets, without
+        building the adjacency.
         """
         if rule == ConflictRule.ENDPOINT:
             return (("src", src), ("dst", dst))

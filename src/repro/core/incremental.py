@@ -7,27 +7,36 @@ O(events × flows) in model evaluations, even though a single event only
 changes the penalties of one conflict component.  This module makes
 re-pricing proportional to what actually changed:
 
-* :class:`IncrementalPenaltyEngine` keeps **one record per transfer id** —
-  endpoints, size, conflict component and current penalty — and the
-  partition of inter-node transfers into conflict components under the
-  model's :attr:`~repro.core.penalty.ContentionModel.component_rule`, held
-  as per-resource sets of ids.  An arrival merges the components it
-  touches, a departure re-partitions only its own component's remnants,
-  and :meth:`~IncrementalPenaltyEngine.refresh` re-prices **only the dirty
-  components**;
+* :class:`IncrementalPenaltyEngine` keeps three pieces of state: **one
+  record per transfer id** (endpoints, size, arrival number, conflict
+  resources and current penalty), the **occupancy set** of every conflict
+  resource (the transfers holding it under the model's
+  :attr:`~repro.core.penalty.ContentionModel.component_rule`), and the set
+  of **dirty transfers**: arrivals, plus the transfers a departure leaves on
+  its resources.  It stores no component partition.
+  :meth:`~IncrementalPenaltyEngine.refresh` takes the dirty transfers in
+  arrival order, walks each one's conflict component over the occupancy
+  sets and re-prices **only those components**, each once.  They are
+  exactly the components the deltas changed: an arrival lies in its own,
+  and every piece a departure leaves of its component holds one of the
+  departed transfer's neighbours, because the component was connected
+  through it;
 * a dirty component's cache key is built straight from its records, with
   the relabelling of
-  :meth:`~repro.core.graph.CommunicationGraph.canonical_component`, so a
-  cache hit costs one key build and one lookup.  Only a miss builds the
-  component's :class:`CommunicationGraph` (:func:`in_flight_graph`) and calls
+  :meth:`~repro.core.graph.CommunicationGraph.canonical_component` (a lone
+  transfer's two possible keys are built once per engine), so a cache hit
+  costs one key build and at most one lookup: within one refresh,
+  components with the same key share one :meth:`PenaltyCache.get`.  Only a
+  miss builds the component's :class:`CommunicationGraph`
+  (:func:`in_flight_graph`) and calls
   :meth:`~repro.core.penalty.ContentionModel.component_penalties`;
 * :class:`PenaltyCache` memoizes component evaluations keyed by the model
   identity and the canonical component snapshot, so the repeated contention
   situations of iterative workloads (LINPACK panels, collectives) are cache
   hits that cost no model evaluation at all;
 * :class:`EngineStats` counts events, component/communication evaluations
-  and cache traffic, which is how ``benchmarks/bench_scale_engine.py``
-  demonstrates the speedup.
+  and cache traffic (one hit or miss per priced component), which is how
+  ``benchmarks/bench_scale_engine.py`` demonstrates the speedup.
 
 Exactness: for a model that is component-local under its declared rule,
 evaluating a component's subgraph performs the *same* arithmetic on the
@@ -35,7 +44,8 @@ evaluating a component's subgraph performs the *same* arithmetic on the
 result of an isomorphic component — the penalties are bit-identical to a
 full recomputation (property-tested in
 ``tests/property/test_incremental_properties.py``).  Dirty components are
-priced one at a time, in the order they were formed.
+priced one at a time, in the arrival order of their earliest dirty
+transfer; a component's penalties do not depend on that order.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ import threading
 from collections import OrderedDict
 from time import perf_counter
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import GraphError
 from .graph import Communication, CommunicationGraph
@@ -110,7 +120,12 @@ class PenaltyCache:
     campaign can size ``max_entries`` from observed traffic — a large
     ``evictions`` count with many ``evicted_entry_hits`` means the LRU bound
     is discarding situations that were still earning hits, while a large
-    ``entries_never_hit`` share means the cache is over-provisioned.
+    ``entries_never_hit`` share means the cache is over-provisioned.  These
+    count calls of :meth:`get`: an :class:`IncrementalPenaltyEngine` makes
+    one per component *shape* (canonical key) per refresh, however many
+    components of that shape the refresh prices, so they count fewer
+    lookups and hits than the engine's :class:`EngineStats`, which counts
+    one hit or miss per component.
     """
 
     def __init__(self, max_entries: int = 4096) -> None:
@@ -149,21 +164,25 @@ class PenaltyCache:
         key: Hashable,
         endpoint_ranks: Dict[Hashable, Tuple[int, int]],
         penalties: Dict[Hashable, float],
-    ) -> None:
+    ) -> Optional[Dict[Tuple[int, int], float]]:
         """Memoize one component evaluation; silently skip unsound entries.
 
         ``endpoint_ranks`` and ``penalties`` are keyed alike, by
-        communication name or transfer id.
+        communication name or transfer id.  Returns the stored
+        ``(src_rank, dst_rank) -> penalty`` mapping, which a later
+        :meth:`get` of ``key`` returns while the entry lives, or ``None``
+        when nothing was stored.
         """
         if self.max_entries == 0:
-            return
+            return None
         mapping: Dict[Tuple[int, int], float] = {}
         for name, pair in endpoint_ranks.items():
             penalty = penalties[name]
             if pair in mapping and mapping[pair] != penalty:
-                return  # model broke endpoint symmetry: not memoizable
+                return None  # model broke endpoint symmetry: not memoizable
             mapping[pair] = penalty
         self.put(key, mapping)
+        return mapping
 
     def put(self, key: Hashable, mapping: Dict[Tuple[int, int], float]) -> None:
         """Insert an already-validated ``(src_rank, dst_rank) -> penalty`` entry.
@@ -222,18 +241,17 @@ class PenaltyCache:
 class _Record:
     """The engine's state of one tracked transfer."""
 
-    __slots__ = ("src", "dst", "size", "seq", "resources", "comp", "penalty")
+    __slots__ = ("src", "dst", "size", "seq", "resources", "penalty")
 
     def __init__(self, src: int, dst: int, size: float, seq: int) -> None:
         self.src = src
         self.dst = dst
         self.size = size
-        #: arrival number: a miss builds its graph in arrival order
+        #: arrival number: dirty transfers are taken, and a miss builds its
+        #: graph, in arrival order
         self.seq = seq
         #: conflict resources held (none for an intra-node transfer)
         self.resources: Tuple[Hashable, ...] = ()
-        #: conflict component id; ``None`` for an intra-node transfer
-        self.comp: Optional[int] = None
         self.penalty = 1.0
 
 
@@ -241,14 +259,34 @@ class _Record:
 #: a component rule: the whole inter-node set is then one component
 _WHOLE_GRAPH = (("all",),)
 
+#: marks a component shape not yet looked up in the current refresh
+_UNSEEN = object()
+
 
 class IncrementalPenaltyEngine:
     """Maintain model penalties of a changing set of transfers.
 
     Transfers are identified by any hashable id; :meth:`add` and
-    :meth:`remove` apply one arrival or departure, :meth:`refresh` prices
-    what they dirtied, and ``tid in engine`` and :meth:`endpoints` read the
-    tracked set.
+    :meth:`remove` apply one arrival or departure, and :meth:`refresh`
+    prices what they dirtied.
+
+    The engine keeps three pieces of state, and no component partition:
+
+    * :attr:`records`, one record per tracked transfer (hosts, size,
+      arrival number, conflict resources and current penalty);
+    * the occupancy set of every conflict resource: the inter-node
+      transfers holding it under the model's component rule, so two
+      transfers conflict exactly when they share a resource;
+    * the set of dirty transfers: every arrival, and every transfer a
+      departure leaves on its resources.
+
+    :meth:`refresh` takes the dirty transfers in arrival order, walks the
+    conflict component of each over the occupancy sets, and prices every
+    component it reaches once.  These are exactly the components the
+    deltas since the last refresh changed: an arrival lies in its own, and
+    every piece a departure leaves of its component holds one of the
+    departed transfer's neighbours, since the component was connected
+    through it.
 
     Parameters
     ----------
@@ -262,7 +300,8 @@ class IncrementalPenaltyEngine:
         Shared :class:`PenaltyCache`; pass the same instance to several
         engines to share memoized situations across simulations.  ``None``
         creates a private cache when the model is structural, and disables
-        memoization otherwise.
+        memoization otherwise.  Within one :meth:`refresh`, components with
+        the same canonical key share one lookup.
     """
 
     def __init__(self, model: ContentionModel, cache: Optional[PenaltyCache] = None) -> None:
@@ -274,16 +313,16 @@ class IncrementalPenaltyEngine:
         # a cache may be shared between engines wrapping *different* models
         # (or differently parameterized ones): namespace every entry
         self._model_key = model.memo_key()
+        #: the cache keys of a lone transfer, indexed by ``src < dst``
+        self._lone_keys = ((self._model_key, ((1, 0),)), (self._model_key, ((0, 1),)))
         self.stats = EngineStats()
-        #: one record per tracked transfer id, in arrival order
-        self._records: Dict[Hashable, _Record] = {}
-        self._members: Dict[int, Set[Hashable]] = {}
+        #: one record per tracked transfer id, in arrival order; a rate
+        #: provider validates its deltas against it and reads hosts from it
+        self.records: Dict[Hashable, _Record] = {}
+        #: conflict resource -> the inter-node transfers holding it
         self._by_resource: Dict[Hashable, Set[Hashable]] = {}
-        self._dirty: Set[int] = set()
-        #: intra-node arrivals since the last refresh (penalty 1.0 on add, but
-        #: still "re-priced" as far as the delta contract is concerned)
-        self._fresh_intra: Dict[Hashable, None] = {}
-        self._comp_ids = itertools.count()
+        #: transfers whose components the next refresh prices
+        self._dirty: Set[Hashable] = set()
         self._arrivals = itertools.count()
         #: repro.obs phase timer around dirty-component pricing; installed by
         #: set_metrics(), one pointer test per refresh when absent
@@ -299,90 +338,63 @@ class IncrementalPenaltyEngine:
                                if registry is not None else None)
 
     # ---------------------------------------------------------------- helpers
-    def _resources(self, src: int, dst: int) -> Tuple[Hashable, ...]:
-        if self.rule is None:
-            # no locality promise: the whole graph is a single component
-            return _WHOLE_GRAPH
-        return CommunicationGraph.conflict_resources(src, dst, self.rule)
-
-    def _new_component(self, members: Set[Hashable]) -> None:
-        comp_id = next(self._comp_ids)
-        self._members[comp_id] = members
-        records = self._records
-        for tid in members:
-            records[tid].comp = comp_id
-        self._dirty.add(comp_id)
-
-    def _drop_component(self, comp_id: int) -> Set[Hashable]:
-        self._dirty.discard(comp_id)
-        return self._members.pop(comp_id)
+    def _component(self, tid: Hashable) -> List[Hashable]:
+        """The conflict component of inter-node transfer ``tid``, walked over
+        the occupancy sets."""
+        records = self.records
+        by_resource = self._by_resource
+        members = [tid]
+        seen = {tid}
+        for member in members:  # grows while walked
+            for resource in records[member].resources:
+                for neighbour in by_resource[resource]:
+                    if neighbour not in seen:
+                        seen.add(neighbour)
+                        members.append(neighbour)
+        return members
 
     # ------------------------------------------------------------------ delta
     def add(self, tid: Hashable, src: int, dst: int, size: float) -> None:
         """Apply one arrival: transfer ``tid`` of ``size`` bytes from ``src`` to ``dst``."""
-        records = self._records
+        records = self.records
         if tid in records:
             raise GraphError(f"transfer {tid!r} is already tracked")
         record = records[tid] = _Record(src, dst, size, next(self._arrivals))
         self.stats.events += 1
+        self._dirty.add(tid)
         if src == dst:
             # per the ContentionModel.penalties contract, intra-node
             # transfers are always penalty 1.0 (they never use the NIC)
-            self._fresh_intra[tid] = None
             return
-        merged = {tid}
         by_resource = self._by_resource
-        record.resources = self._resources(src, dst)
+        rule = self.rule
+        record.resources = (_WHOLE_GRAPH if rule is None
+                            else CommunicationGraph.conflict_resources(src, dst, rule))
         for resource in record.resources:
             occupants = by_resource.get(resource)
             if occupants is None:
                 by_resource[resource] = {tid}
-                continue
-            # the occupants of a resource conflict, so they share a component
-            comp_id = records[next(iter(occupants))].comp
-            if comp_id in self._members:  # not merged through an earlier resource
-                merged |= self._drop_component(comp_id)
-            occupants.add(tid)
-        self._new_component(merged)
+            else:
+                occupants.add(tid)
 
     def remove(self, tid: Hashable) -> None:
         """Apply one departure."""
-        record = self._records.pop(tid, None)
+        record = self.records.pop(tid, None)
         if record is None:
             raise GraphError(f"unknown transfer {tid!r}")
         self.stats.events += 1
-        if record.comp is None:
-            self._fresh_intra.pop(tid, None)
-            return
+        dirty = self._dirty
+        dirty.discard(tid)
         by_resource = self._by_resource
         for resource in record.resources:
             occupants = by_resource[resource]
             occupants.discard(tid)
-            if not occupants:
+            if occupants:
+                # every piece left of the departed transfer's component
+                # holds one of these neighbours
+                dirty.update(occupants)
+            else:
                 del by_resource[resource]
-        remnants = self._drop_component(record.comp)
-        remnants.discard(tid)
-        if not remnants:
-            return
-        # the departed transfer may have been the only bridge: re-partition
-        # the remnants locally (never the rest of the graph).  Seeds are
-        # taken in arrival order: the new components' ids decide the order
-        # they are priced in, which must not follow the set's hash order
-        records = self._records
-        for seed in sorted(remnants, key=lambda member: records[member].seq):
-            if seed not in remnants:
-                continue
-            remnants.discard(seed)
-            component = {seed}
-            frontier = [seed]
-            while frontier:
-                for resource in records[frontier.pop()].resources:
-                    for neighbour in by_resource[resource]:
-                        if neighbour in remnants:
-                            remnants.discard(neighbour)
-                            component.add(neighbour)
-                            frontier.append(neighbour)
-            self._new_component(component)
 
     # -------------------------------------------------------------- interface
     def refresh(self) -> Dict[Hashable, float]:
@@ -390,37 +402,33 @@ class IncrementalPenaltyEngine:
 
         The returned mapping covers exactly the transfers whose penalty may
         have changed since the previous refresh — the members of every
-        component dirtied by :meth:`add`/:meth:`remove` (arrivals,
-        departures, and the neighbours they merged with or split from), plus
-        intra-node arrivals (always re-priced to 1.0).  Transfers of
-        untouched components keep their stored penalty and are *not*
-        returned, which is what lets a rate provider report "what changed"
-        to the execution engine's event calendar without touching the rest
-        of the active set.
+        component that holds a dirty transfer (arrivals, and the neighbours
+        departures left behind), intra-node arrivals included (always
+        re-priced to 1.0).  Transfers of untouched components keep their
+        stored penalty and are *not* returned, which is what lets a rate
+        provider report "what changed" to the execution engine's event
+        calendar without touching the rest of the active set.
 
-        The mapping is in arrival order.  A component's members are a set,
-        whose order follows string hashing for ids such as ``background#3``,
-        and the calendar re-times (and traces) transfers in the order they
-        are returned; sorting keeps a traced run's bytes independent of
-        ``PYTHONHASHSEED``.
+        The mapping is in arrival order.  A component's members follow its
+        walk over sets, whose order follows string hashing for ids such as
+        ``background#3``, and the calendar re-times (and traces) transfers
+        in the order they are returned; sorting keeps a traced run's bytes
+        independent of ``PYTHONHASHSEED``.
         """
+        if not self._dirty:
+            return {}
         changed: Dict[Hashable, float] = {}
-        if self._dirty:
-            timer = self._pricing_timer
-            if timer is None:
+        timer = self._pricing_timer
+        if timer is None:
+            self._price_dirty(changed)
+        else:
+            start = perf_counter()
+            try:
                 self._price_dirty(changed)
-            else:
-                start = perf_counter()
-                try:
-                    self._price_dirty(changed)
-                finally:
-                    timer.observe(perf_counter() - start)
-        if self._fresh_intra:
-            for tid in self._fresh_intra:
-                changed[tid] = 1.0
-            self._fresh_intra.clear()
+            finally:
+                timer.observe(perf_counter() - start)
         if len(changed) > 1:
-            records = self._records
+            records = self.records
             changed = dict(sorted(changed.items(),
                                   key=lambda item: records[item[0]].seq))
         return changed
@@ -431,38 +439,64 @@ class IncrementalPenaltyEngine:
         Re-evaluates only the components dirtied since the last call.
         """
         self.refresh()
-        return {tid: record.penalty for tid, record in self._records.items()}
+        return {tid: record.penalty for tid, record in self.records.items()}
 
     def _price_dirty(self, changed: Dict[Hashable, float]) -> None:
-        """Price every dirty component (through the cache) into ``changed``; clear the set."""
-        records = self._records
+        """Price the component of every dirty transfer into ``changed``; clear the set.
+
+        Dirty transfers are taken in arrival order (never the set's hash
+        order), so the sequence of cache lookups is reproducible.  Within
+        this refresh, components with one canonical key share one cache
+        lookup: ``shapes`` keeps what the cache returned for the key, or
+        what a miss stored under it (``None`` when the cache kept nothing,
+        so the next such component is priced by the model too).  Every
+        component still counts one hit or one miss in :attr:`stats`.
+        """
+        records = self.records
+        by_resource = self._by_resource
+        dirty = self._dirty
         cache = self.cache
         stats = self.stats
-        for comp_id in sorted(self._dirty):
-            members = self._members[comp_id]
+        shapes: Dict[Hashable, Optional[Dict[Tuple[int, int], float]]] = {}
+        order = sorted(dirty, key=lambda tid: records[tid].seq) if len(dirty) > 1 else dirty
+        for tid in order:
+            if tid in changed:
+                continue  # priced with an earlier dirty transfer's component
+            record = records[tid]
+            if not record.resources:
+                changed[tid] = 1.0  # intra-node
+                continue
+            for resource in record.resources:
+                if len(by_resource[resource]) > 1:
+                    members: Sequence[Hashable] = self._component(tid)
+                    break
+            else:  # the common case: a transfer alone on its resources
+                members = (tid,)
             if cache is None:
                 penalties = self._evaluate(members)
             else:
                 key, endpoint_ranks = self._canonical_key(members)
-                cached = cache.get(key)
+                cached = shapes.get(key, _UNSEEN)
+                if cached is _UNSEEN:
+                    cached = shapes[key] = cache.get(key)
                 if cached is not None:
                     stats.cache_hits += 1
-                    for tid in members:
-                        penalty = cached[endpoint_ranks[tid]]
-                        records[tid].penalty = penalty
-                        changed[tid] = penalty
+                    for member in members:
+                        penalty = cached[endpoint_ranks[member]]
+                        records[member].penalty = penalty
+                        changed[member] = penalty
                     continue
                 stats.cache_misses += 1
                 penalties = self._evaluate(members)
-                cache.store(key, endpoint_ranks, penalties)
-            for tid in members:
-                penalty = penalties[tid]
-                records[tid].penalty = penalty
-                changed[tid] = penalty
-        self._dirty.clear()
+                shapes[key] = cache.store(key, endpoint_ranks, penalties)
+            for member in members:
+                penalty = penalties[member]
+                records[member].penalty = penalty
+                changed[member] = penalty
+        dirty.clear()
 
     def _canonical_key(
-        self, members: Set[Hashable]
+        self, members: Sequence[Hashable]
     ) -> Tuple[Hashable, Dict[Hashable, Tuple[int, int]]]:
         """Cache key of a component and each member's canonical endpoint pair.
 
@@ -471,12 +505,12 @@ class IncrementalPenaltyEngine:
         sorted order), so keys match those of static graphs, persisted
         caches and the campaign runner's pre-priced components.
         """
-        records = self._records
+        records = self.records
         if len(members) == 1:  # the common case: a transfer alone on its hosts
             (tid,) = members
             record = records[tid]
-            pair = (0, 1) if record.src < record.dst else (1, 0)
-            return (self._model_key, (pair,)), {tid: pair}
+            key = self._lone_keys[record.src < record.dst]
+            return key, {tid: key[1][0]}
         hosts = set()
         for tid in members:
             record = records[tid]
@@ -489,7 +523,7 @@ class IncrementalPenaltyEngine:
             endpoint_ranks[tid] = (rank[record.src], rank[record.dst])
         return (self._model_key, tuple(sorted(endpoint_ranks.values()))), endpoint_ranks
 
-    def _evaluate(self, members: Set[Hashable]) -> Dict[Hashable, float]:
+    def _evaluate(self, members: Sequence[Hashable]) -> Dict[Hashable, float]:
         """Price one component through the model: the cache-miss path.
 
         The model sees the component's graph as a full recomputation would
@@ -497,7 +531,7 @@ class IncrementalPenaltyEngine:
         ``str(tid)``, sizes rounded up); a model without a component rule
         sees the whole tracked set, intra-node transfers included.
         """
-        records = self._records
+        records = self.records
         if self.rule is None:
             priced = list(records.items())
         else:
@@ -513,32 +547,30 @@ class IncrementalPenaltyEngine:
     # ------------------------------------------------------------------ misc
     @property
     def components(self) -> List[Tuple[Hashable, ...]]:
-        """Current component partition (sorted tuples, for inspection/tests)."""
-        return sorted(tuple(sorted(m)) for m in self._members.values())
+        """Current component partition (sorted tuples, for inspection/tests),
+        walked from the records on each call."""
+        walked: Set[Hashable] = set()
+        partition = []
+        for tid, record in self.records.items():
+            if record.resources and tid not in walked:
+                members = self._component(tid)
+                walked.update(members)
+                partition.append(tuple(sorted(members)))
+        return sorted(partition)
 
     def __len__(self) -> int:
-        return len(self._records)
-
-    def __contains__(self, tid: Hashable) -> bool:
-        return tid in self._records
-
-    def endpoints(self, tid: Hashable) -> Tuple[int, int]:
-        """The ``(src, dst)`` hosts of tracked transfer ``tid``."""
-        record = self._records[tid]
-        return record.src, record.dst
+        return len(self.records)
 
     def reset(self) -> None:
         """Forget every tracked transfer (the memo cache survives)."""
-        self._records.clear()
-        self._members.clear()
+        self.records.clear()
         self._by_resource.clear()
         self._dirty.clear()
-        self._fresh_intra.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<IncrementalPenaltyEngine model={self.model.name!r} "
-            f"transfers={len(self._records)} components={len(self._members)}>"
+            f"transfers={len(self.records)} dirty={len(self._dirty)}>"
         )
 
 

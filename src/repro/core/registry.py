@@ -5,17 +5,17 @@ names) to contention-model factories, so that the simulator, the benchmark
 harness and the examples can select a model from a configuration string —
 this mirrors the "definition of the kind of model" input of the paper's
 simulator (§VI.A).
+
+Importing the registry loads no model: each shipped model's module is
+imported when that model is first built.
 """
 
 from __future__ import annotations
 
+import importlib
 from typing import Callable, Dict, List
 
 from ..exceptions import ModelError
-from .baselines import FairShareModel, KimLeeModel, NoContentionModel
-from .ethernet_model import GigabitEthernetModel
-from .infiniband_model import InfinibandModel
-from .myrinet_model import MyrinetModel
 from .penalty import ContentionModel
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "available_models",
     "available_networks",
     "model_for_network",
+    "resolve_model",
 ]
 
 
@@ -100,11 +101,28 @@ def model_for_network(network: str, **kwargs) -> ContentionModel:
     return get_model(_NETWORK_ALIASES[key], **kwargs)
 
 
+def resolve_model(name: str, network: str) -> ContentionModel:
+    """Model axis entry → model instance (``"auto"`` = the network's model)."""
+    if name in ("auto", "paper"):
+        return model_for_network(network)
+    try:
+        return model_for_network(name)
+    except ModelError:
+        return get_model(name)
+
+
+def _shipped(module: str, name: str) -> ModelFactory:
+    """Factory of the model class ``name`` of ``module``, imported on first use."""
+    def build(**kwargs) -> ContentionModel:
+        return getattr(importlib.import_module(module, __package__), name)(**kwargs)
+    return build
+
+
 # ---------------------------------------------------------------------------
 # built-in registrations
-register_model("ethernet", GigabitEthernetModel)
-register_model("myrinet", MyrinetModel)
-register_model("infiniband", InfinibandModel)
-register_model("no-contention", NoContentionModel)
-register_model("fair-share", FairShareModel)
-register_model("kim-lee", KimLeeModel)
+register_model("ethernet", _shipped(".ethernet_model", "GigabitEthernetModel"))
+register_model("myrinet", _shipped(".myrinet_model", "MyrinetModel"))
+register_model("infiniband", _shipped(".infiniband_model", "InfinibandModel"))
+register_model("no-contention", _shipped(".baselines", "NoContentionModel"))
+register_model("fair-share", _shipped(".baselines", "FairShareModel"))
+register_model("kim-lee", _shipped(".baselines", "KimLeeModel"))

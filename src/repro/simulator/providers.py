@@ -19,10 +19,18 @@ event-calendar loops only re-time what actually changed; ``reset()`` drops
 the tracked set.
 
 By default the model side is *incremental*: the provider hands each arrival
-and departure to an :class:`~repro.core.incremental.IncrementalPenaltyEngine`,
-which keeps one record per transfer id, re-prices only the conflict
-components a delta dirtied, and serves repeated contention situations from a
-memoized snapshot cache.  A cache hit builds no graph; only a miss prices a
+and departure to an :class:`~repro.core.incremental.IncrementalPenaltyEngine`
+and prices a flush in one pass: it validates the delta against the engine's
+record mapping, applies it, refreshes, and turns each re-priced penalty into
+a rate with the hosts read from that transfer's record.  The engine keeps
+one record per transfer, the occupancy set of each conflict resource and the
+set of dirty transfers (arrivals, and the transfers a departure leaves on its
+resources).  Its refresh walks the conflict component of each dirty transfer
+over the occupancy sets, which finds every component the delta changed
+(each piece a departure leaves holds one of its neighbours), and prices each
+once.  Repeated contention situations come from a memoized snapshot cache,
+looked up once per component shape per refresh.  A cache hit builds no
+graph; only a miss prices a
 :class:`~repro.core.graph.CommunicationGraph`.  Pass ``incremental=False`` to
 force the historical rebuild-everything behaviour, the reference the
 incremental path is checked against: the two are bit-exact, which
@@ -34,7 +42,7 @@ asserts.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Sequence, Tuple
+from typing import Dict, Hashable, Sequence
 
 from ..core.graph import CommunicationGraph
 from ..core.incremental import (
@@ -135,30 +143,6 @@ class ModelRateProvider:
         else:
             self._active.clear()
 
-    def _apply_delta(
-        self, added: Sequence[Transfer], removed: Sequence[Hashable]
-    ) -> None:
-        """Validate the whole delta in O(delta), then apply it to the tracked set."""
-        engine = self._engine
-        if engine is None:
-            active = self._active
-            validate_delta(active, added, removed)
-            for tid in removed:
-                del active[tid]
-            for transfer in added:
-                active[transfer.transfer_id] = transfer
-            return
-        validate_delta(engine, added, removed)
-        for tid in removed:
-            engine.remove(tid)
-        for transfer in added:
-            engine.add(transfer.transfer_id, transfer.src, transfer.dst, transfer.size)
-
-    def _endpoints(self, tid: Hashable) -> Tuple[int, int]:
-        """The ``(src, dst)`` hosts of a transfer the full-recompute mode tracks."""
-        transfer = self._active[tid]
-        return transfer.src, transfer.dst
-
     def update(
         self, added: Sequence[Transfer], removed: Sequence[Hashable]
     ) -> Dict[Hashable, float]:
@@ -174,29 +158,40 @@ class ModelRateProvider:
         :class:`~repro.network.fluid.TransferCalendar` holding its pending
         queues) can retry.
         """
-        self._apply_delta(added, removed)
-
-        if self._engine is not None:
-            penalties = self._engine.refresh()
-            endpoints = self._engine.endpoints
-        elif self._active:
-            active_list = list(self._active.values())
-            graph = self._graph_from_transfers(active_list)
-            self._full_stats.events += 1
-            self._full_stats.component_evaluations += 1
-            self._full_stats.comm_evaluations += len(active_list)
-            by_name = self.model.penalties(graph)
-            penalties = {transfer.transfer_id: by_name[str(transfer.transfer_id)]
-                         for transfer in active_list}
-            endpoints = self._endpoints
-        else:
-            return {}
         # a rate is the path's bandwidth over the penalty (at least 1): the
         # memory path within a node, the single-stream bandwidth across nodes
         memory = self.technology.memory_bandwidth
         stream = self.technology.single_stream_bandwidth
         changed: Dict[Hashable, float] = {}
-        for tid, penalty in penalties.items():
-            src, dst = endpoints(tid)
-            changed[tid] = (memory if src == dst else stream) / max(1.0, penalty)
+        engine = self._engine
+        if engine is not None:
+            records = engine.records
+            validate_delta(records, added, removed)
+            for tid in removed:
+                engine.remove(tid)
+            for transfer in added:
+                engine.add(transfer.transfer_id, transfer.src, transfer.dst, transfer.size)
+            for tid, penalty in engine.refresh().items():
+                record = records[tid]
+                changed[tid] = ((memory if record.src == record.dst else stream)
+                                / max(1.0, penalty))
+            return changed
+        active = self._active
+        validate_delta(active, added, removed)
+        for tid in removed:
+            del active[tid]
+        for transfer in added:
+            active[transfer.transfer_id] = transfer
+        if not active:
+            return changed
+        active_list = list(active.values())
+        graph = self._graph_from_transfers(active_list)
+        self._full_stats.events += 1
+        self._full_stats.component_evaluations += 1
+        self._full_stats.comm_evaluations += len(active_list)
+        by_name = self.model.penalties(graph)
+        for transfer in active_list:
+            penalty = by_name[str(transfer.transfer_id)]
+            changed[transfer.transfer_id] = (
+                (memory if transfer.src == transfer.dst else stream) / max(1.0, penalty))
         return changed

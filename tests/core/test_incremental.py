@@ -191,7 +191,97 @@ class TestIncrementalPenaltyEngine:
         }
 
 
+class CountingCache(PenaltyCache):
+    """A penalty cache that records every lookup key."""
+
+    def __init__(self, max_entries=4096):
+        super().__init__(max_entries)
+        self.looked_up = []
+
+    def get(self, key):
+        self.looked_up.append(key)
+        return super().get(key)
+
+
+def fresh_penalties(model, *comms):
+    """Penalties of ``comms`` priced by a new engine that tracks nothing else."""
+    engine = IncrementalPenaltyEngine(model)
+    track(engine, *comms)
+    return engine.penalties()
+
+
+class TestDirtyTransfers:
+    """A refresh prices exactly the components that hold a dirty transfer."""
+
+    def test_a_split_reprices_exactly_its_remnants(self):
+        model = GigabitEthernetModel()
+        engine = IncrementalPenaltyEngine(model)
+        # "bridge" shares destination 1 with a/a2's side and source 2 with
+        # c/c2's side: its departure leaves two pieces
+        left = [comm("a", 0, 1), comm("a2", 0, 4)]
+        right = [comm("c", 2, 3), comm("c2", 5, 3)]
+        track(engine, left[0], comm("bridge", 2, 1), left[1], *right, comm("far", 7, 8))
+        engine.refresh()
+        assert engine.components == [("a", "a2", "bridge", "c", "c2"), ("far",)]
+        engine.remove("bridge")
+        repriced = engine.refresh()
+        assert list(repriced) == ["a", "a2", "c", "c2"]  # arrival order
+        assert engine.components == [("a", "a2"), ("c", "c2"), ("far",)]
+        for piece in (left, right):
+            assert {c.name: repriced[c.name] for c in piece} == fresh_penalties(model, *piece)
+
+    def test_a_departure_and_an_arrival_reprice_the_components_they_touch(self):
+        model = GigabitEthernetModel()
+        engine = IncrementalPenaltyEngine(model)
+        comms = [comm("a", 0, 1), comm("b", 0, 2), comm("c", 3, 4), comm("d", 5, 4),
+                 comm("e", 6, 7), comm("f", 8, 9)]
+        track(engine, *comms)
+        engine.refresh()
+        priced = engine.stats.cache_hits + engine.stats.cache_misses
+        engine.remove("b")           # leaves a alone
+        track(engine, comm("g", 6, 10))  # joins e on source 6
+        repriced = engine.refresh()
+        assert list(repriced) == ["a", "e", "g"]
+        live = [c for c in comms if c.name != "b"] + [comm("g", 6, 10)]
+        whole = model.penalties(CommunicationGraph(live))
+        assert repriced == {name: whole[name] for name in ("a", "e", "g")}
+        assert engine.penalties() == whole
+        # two components priced, {a} and {e, g}: shapes the first refresh saw
+        assert engine.stats.cache_hits + engine.stats.cache_misses - priced == 2
+        assert engine.stats.cache_misses == 3
+
+    @pytest.mark.parametrize("max_entries", [4096, 0], ids=["memo", "memo-off"])
+    def test_one_lookup_per_shape_per_refresh(self, max_entries):
+        model = GigabitEthernetModel()
+        cache = CountingCache(max_entries)
+        engine = IncrementalPenaltyEngine(model, cache=cache)
+        comms = [comm("lone", 100, 101)]
+        for k in range(4):  # four isomorphic two-flow fan-outs on disjoint hosts
+            hub = 10 * k
+            comms += [comm(f"f{k}a", hub, hub + 1), comm(f"f{k}b", hub, hub + 2)]
+        track(engine, *comms)
+        before = engine.stats.cache_hits + engine.stats.cache_misses
+        assert engine.penalties() == model.penalties(CommunicationGraph(comms))
+        # one lookup per shape; every component still counts one hit or miss
+        assert len(cache.looked_up) == len(set(cache.looked_up)) == 2
+        assert engine.stats.cache_hits + engine.stats.cache_misses - before == 5
+        if max_entries:
+            assert (engine.stats.cache_hits, engine.stats.cache_misses) == (3, 2)
+            assert engine.stats.component_evaluations == 2
+        else:  # a cache that keeps nothing: every component is priced by the model
+            assert (engine.stats.cache_hits, engine.stats.cache_misses) == (0, 5)
+            assert engine.stats.component_evaluations == 5
+
+
 class TestPenaltyCache:
+    def test_store_returns_what_a_lookup_returns(self):
+        cache = PenaltyCache()
+        stored = cache.store("k", {"a": (0, 1), "b": (1, 0)}, {"a": 1.5, "b": 2.0})
+        assert stored == {(0, 1): 1.5, (1, 0): 2.0}
+        assert cache.get("k") is stored
+        assert cache.store("u", {"a": (0, 1), "b": (0, 1)}, {"a": 1.0, "b": 2.0}) is None
+        assert PenaltyCache(max_entries=0).store("k", {"a": (0, 1)}, {"a": 1.0}) is None
+
     def test_lru_eviction(self):
         cache = PenaltyCache(max_entries=2)
         cache.store("k1", {"a": (0, 1)}, {"a": 1.0})

@@ -1,12 +1,13 @@
 """Pricing work does not depend on the hash seed.
 
 Injected background flows carry string ids (``background#N``), whose set
-order follows ``PYTHONHASHSEED``.  When a departure splits a conflict
-component, :class:`~repro.core.incremental.IncrementalPenaltyEngine`
-re-partitions the remnants into new components whose ids decide the order
-they are priced in, and so the order of the penalty-cache lookups and,
-with a bounded cache, which entries are evicted and how many lookups miss.
-Each run prices in its own interpreter, the only way to vary the hash seed.
+order follows ``PYTHONHASHSEED``.  A departure dirties the transfers it
+leaves on its resources, a set, and
+:class:`~repro.core.incremental.IncrementalPenaltyEngine` prices their
+components in the arrival order of their earliest dirty transfer.  That
+order decides the order of the penalty-cache lookups and, with a bounded
+cache, which entries are evicted and how many lookups miss.  Each run
+prices in its own interpreter, the only way to vary the hash seed.
 """
 
 from __future__ import annotations
@@ -62,14 +63,62 @@ print(json.dumps(outcome))
 """
 
 
-def price_loaded_run(hash_seed: int) -> dict:
+#: two departures in one flush, each leaving a fan-out piece on its source
+#: and a fan-in piece on its destination, all four of different sizes and
+#: held by string ids; prints the lookups of that flush and its report order
+SPLIT_PROBE = """
+import json
+from repro.core import GigabitEthernetModel, IncrementalPenaltyEngine, PenaltyCache
+
+
+class RecordingCache(PenaltyCache):
+    def __init__(self):
+        super().__init__()
+        self.keys = []
+
+    def get(self, key):
+        self.keys.append(key[1])
+        return super().get(key)
+
+
+engine = IncrementalPenaltyEngine(GigabitEthernetModel(), cache=RecordingCache())
+flows = []
+for hub_src, hub_dst, fan_out, fan_in in ((0, 1, 2, 3), (10, 11, 4, 5)):
+    flows.append((hub_src, hub_dst))
+    flows += [(hub_src, 30 + 10 * hub_src + k) for k in range(fan_out)]
+    flows += [(40 + 10 * hub_src + k, hub_dst) for k in range(fan_in)]
+for index, (src, dst) in enumerate(flows):
+    engine.add(f"background#{index}", src, dst, 1000)
+engine.refresh()
+engine.cache.keys.clear()
+engine.remove("background#0")
+engine.remove("background#6")
+repriced = engine.refresh()
+print(json.dumps({"lookups": engine.cache.keys, "repriced": list(repriced)}))
+"""
+
+
+def run_probe(probe: str, hash_seed: int) -> dict:
     env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
     src_root = str(Path(repro.__file__).parents[1])
     env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-c", PROBE], env=env,
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def price_loaded_run(hash_seed: int) -> dict:
+    return run_probe(PROBE, hash_seed)
+
+
+def test_a_split_prices_its_pieces_in_arrival_order_whatever_the_hash_seed():
+    first = run_probe(SPLIT_PROBE, 0)
+    assert first == run_probe(SPLIT_PROBE, 1)
+    # one lookup per piece, in the arrival order of its earliest flow: the
+    # fan-out of 2, the fan-in of 3, the fan-out of 4, the fan-in of 5
+    assert [len(shape) for shape in first["lookups"]] == [2, 3, 4, 5]
+    assert first["repriced"] == [f"background#{i}" for i in range(1, 16) if i != 6]
 
 
 def test_cache_lookups_and_counters_do_not_depend_on_the_hash_seed():

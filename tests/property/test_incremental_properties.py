@@ -100,6 +100,37 @@ def step_deltas(steps, max_live=8):
     return out
 
 
+#: one flush: up to four steps applied as one ``update(added, removed)``
+batch_strategy = st.lists(st.lists(step_strategy, min_size=1, max_size=4),
+                          min_size=1, max_size=15)
+
+
+def batch_deltas(batches, max_live=8):
+    """One ``(added, removed)`` delta per batch of steps.
+
+    Ids alternate between ints and strings like ``background#N`` (the
+    injected flows' ids, whose set order follows the hash seed).  A removal
+    names a transfer live before the delta, so one delta can carry
+    departures and arrivals together.
+    """
+    live = []
+    counter = 0
+    out = []
+    for steps in batches:
+        added, removed = [], []
+        for kind, x, y in steps:
+            if kind == "add" and len(live) + len(added) < max_live:
+                tid = counter if counter % 2 else f"background#{counter}"
+                added.append(Transfer(transfer_id=tid, src=x, dst=y, size=1000.0))
+                counter += 1
+            elif kind == "del" and live:
+                removed.append(live.pop(x % len(live)).transfer_id)
+        live.extend(added)
+        if added or removed:
+            out.append((added, removed))
+    return out
+
+
 class TestIncrementalEqualsFullRecompute:
     @pytest.mark.parametrize("factory", MODEL_FACTORIES + RULELESS_FACTORIES, ids=factory_id)
     @common_settings
@@ -114,6 +145,46 @@ class TestIncrementalEqualsFullRecompute:
                     del current[tid]
                 current.update(provider.update(added, removed))
             assert rates[0] == rates[1]
+
+    @pytest.mark.parametrize("factory", MODEL_FACTORIES + RULELESS_FACTORIES, ids=factory_id)
+    @common_settings
+    @given(batches=batch_strategy)
+    def test_rates_bit_exact_across_multi_transfer_deltas(self, factory, batches):
+        providers = (ModelRateProvider(factory(), "ethernet", incremental=True),
+                     ModelRateProvider(factory(), "ethernet", incremental=False))
+        rates = ({}, {})
+        for added, removed in batch_deltas(batches):
+            for provider, current in zip(providers, rates):
+                for tid in removed:
+                    del current[tid]
+                current.update(provider.update(added, removed))
+            assert rates[0] == rates[1]
+
+    @pytest.mark.parametrize("factory", [GigabitEthernetModel, MyrinetModel, InfinibandModel],
+                             ids=lambda f: f().name)
+    @common_settings
+    @given(batches=batch_strategy)
+    def test_partition_and_penalties_after_multi_transfer_deltas(self, factory, batches):
+        """The walked partition equals the batch one, and every refresh
+        reports each changed penalty with its full-recomputation value."""
+        model = factory()
+        engine = IncrementalPenaltyEngine(factory())
+        live = {}
+        penalties = {}
+        for added, removed in batch_deltas(batches):
+            for tid in removed:
+                engine.remove(str(tid))
+                del live[str(tid)]
+                del penalties[str(tid)]
+            for t in added:  # string ids, so the partition's tuples sort
+                engine.add(str(t.transfer_id), t.src, t.dst, t.size)
+                live[str(t.transfer_id)] = Communication(str(t.transfer_id), t.src, t.dst, 1000)
+            graph = CommunicationGraph(live.values())
+            whole = model.penalties(graph)
+            penalties.update(engine.refresh())
+            assert penalties == whole
+            assert engine.components == sorted(
+                graph.conflict_components(engine.model.component_rule))
 
     @pytest.mark.parametrize("factory", [InfinibandModel, GigabitEthernetModel],
                              ids=lambda f: f().name)

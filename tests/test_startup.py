@@ -54,6 +54,18 @@ def one_point_campaign(workload: dict) -> str:
     )
 
 
+def cli_run(*argv: str) -> str:
+    """Source of ``python -m repro <argv>`` that must exit with status 0."""
+    return (
+        "import runpy\n"
+        f"sys.argv = ['repro', *{list(argv)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as stop:\n"
+        "    assert stop.code == 0, stop.code\n"
+    )
+
+
 def matching(modules, prefixes):
     """The ``modules`` that are one of ``prefixes`` or lie below one."""
     return [m for m in modules if any(m == p or m.startswith(p + ".") for p in prefixes)]
@@ -83,17 +95,16 @@ class TestStartup:
                                  "concurrent.futures.process")) == []
 
     def test_help_loads_neither_the_simulator_nor_numpy(self):
-        source = (
-            "import runpy\n"
-            "sys.argv = ['repro', '--help']\n"
-            "try:\n"
-            "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
-            "except SystemExit as stop:\n"
-            "    assert stop.code == 0, stop.code\n"
-        )
-        loaded = loaded_after_running(source, "repro", "numpy")
+        loaded = loaded_after_running(cli_run("--help"), "repro", "numpy")
         assert "repro.cli" in loaded
         assert matching(loaded, ("repro.simulator", "numpy")) == []
+
+    def test_predict_loads_no_simulator_campaign_or_calendar(self):
+        """Pricing one static scheme needs the model, not the simulation stack."""
+        loaded = loaded_after_running(cli_run("predict", "--scheme", "0->1 0->2"), "repro")
+        assert "repro.core.registry" in loaded
+        assert matching(loaded, ("repro.simulator", "repro.campaign",
+                                 "repro.network.fluid")) == []
 
 
 def declared_exports(package: str):
