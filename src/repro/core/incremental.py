@@ -21,13 +21,20 @@ re-pricing proportional to what actually changed:
   and every piece a departure leaves of its component holds one of the
   departed transfer's neighbours, because the component was connected
   through it;
-* a dirty component's cache key is built straight from its records, with
-  the relabelling of
-  :meth:`~repro.core.graph.CommunicationGraph.canonical_component` (a lone
-  transfer's two possible keys are built once per engine), so a cache hit
-  costs one key build and at most one lookup: within one refresh,
-  components with the same key share one :meth:`PenaltyCache.get`.  Only a
-  miss builds the component's :class:`CommunicationGraph`
+* a transfer **alone** on its conflict resources (the commonest component)
+  has one of two canonical shapes, told apart by ``src < dst``, and one
+  penalty per shape.  The engine keeps that penalty in a **lone-penalty
+  slot** per orientation, filled the first time the cache answers the
+  shape (a hit, or a miss whose entry :meth:`PenaltyCache.store` kept), and
+  prices every later lone transfer from it: no key, no lookup.  The slots
+  survive :meth:`~IncrementalPenaltyEngine.reset` and a later eviction of
+  the cache entry, and hold the very float that entry held;
+* any other dirty component's cache key is built straight from its
+  records, with the relabelling of
+  :meth:`~repro.core.graph.CommunicationGraph.canonical_component`, so a
+  cache hit costs one key build and at most one lookup: within one
+  refresh, components with the same key share one :meth:`PenaltyCache.get`.
+  Only a miss builds the component's :class:`CommunicationGraph`
   (:func:`in_flight_graph`) and calls
   :meth:`~repro.core.penalty.ContentionModel.component_penalties`;
 * :class:`PenaltyCache` memoizes component evaluations keyed by the model
@@ -35,7 +42,8 @@ re-pricing proportional to what actually changed:
   situations of iterative workloads (LINPACK panels, collectives) are cache
   hits that cost no model evaluation at all;
 * :class:`EngineStats` counts events, component/communication evaluations
-  and cache traffic (one hit or miss per priced component), which is how
+  and cache traffic (one hit or miss per priced component, a lone transfer
+  priced from its slot counting one hit), which is how
   ``benchmarks/bench_scale_engine.py`` demonstrates the speedup.
 
 Exactness: for a model that is component-local under its declared rule,
@@ -123,9 +131,13 @@ class PenaltyCache:
     ``entries_never_hit`` share means the cache is over-provisioned.  These
     count calls of :meth:`get`: an :class:`IncrementalPenaltyEngine` makes
     one per component *shape* (canonical key) per refresh, however many
-    components of that shape the refresh prices, so they count fewer
-    lookups and hits than the engine's :class:`EngineStats`, which counts
-    one hit or miss per component.
+    components of that shape the refresh prices, and for a lone transfer
+    one per orientation over its whole life (then it prices lone transfers
+    from its own slots).  So they count fewer lookups and hits than the
+    engine's :class:`EngineStats`, which counts one hit or miss per
+    component; ``entries_never_hit`` may list a lone entry that an engine
+    filled its slot from, and evicting a lone entry costs no engine that
+    holds it in a slot a miss.
     """
 
     def __init__(self, max_entries: int = 4096) -> None:
@@ -263,6 +275,11 @@ _WHOLE_GRAPH = (("all",),)
 _UNSEEN = object()
 
 
+def _id_order(tid: Hashable) -> Tuple[str, Hashable]:
+    """Sort key of a transfer id that also orders ids of different types."""
+    return type(tid).__name__, tid
+
+
 class IncrementalPenaltyEngine:
     """Maintain model penalties of a changing set of transfers.
 
@@ -288,6 +305,16 @@ class IncrementalPenaltyEngine:
     departed transfer's neighbours, since the component was connected
     through it.
 
+    A component of one transfer alone on its resources is priced from the
+    lone-penalty slot of its orientation (``src < dst``) once the cache has
+    answered that shape: the first lone pricing of each orientation that
+    hits, or misses and has its entry kept by :meth:`PenaltyCache.store`,
+    fills the slot.  A slot-priced transfer counts one cache hit in
+    :attr:`stats` but calls no :meth:`PenaltyCache.get`.  Without a cache,
+    or with one that keeps nothing (``max_entries=0``), no slot fills and
+    the model prices every lone transfer.  The slots survive :meth:`reset`,
+    as the cache does.
+
     Parameters
     ----------
     model:
@@ -301,7 +328,8 @@ class IncrementalPenaltyEngine:
         engines to share memoized situations across simulations.  ``None``
         creates a private cache when the model is structural, and disables
         memoization otherwise.  Within one :meth:`refresh`, components with
-        the same canonical key share one lookup.
+        the same canonical key share one lookup; a lone transfer is looked
+        up at most once per orientation per engine.
     """
 
     def __init__(self, model: ContentionModel, cache: Optional[PenaltyCache] = None) -> None:
@@ -313,8 +341,10 @@ class IncrementalPenaltyEngine:
         # a cache may be shared between engines wrapping *different* models
         # (or differently parameterized ones): namespace every entry
         self._model_key = model.memo_key()
-        #: the cache keys of a lone transfer, indexed by ``src < dst``
-        self._lone_keys = ((self._model_key, ((1, 0),)), (self._model_key, ((0, 1),)))
+        #: the penalty of a transfer alone on its resources, indexed by
+        #: ``src < dst``: the float the cache answered for that shape, or
+        #: ``None`` until it has
+        self._lone_penalties: List[Optional[float]] = [None, None]
         self.stats = EngineStats()
         #: one record per tracked transfer id, in arrival order; a rate
         #: provider validates its deltas against it and reads hosts from it
@@ -449,14 +479,18 @@ class IncrementalPenaltyEngine:
         this refresh, components with one canonical key share one cache
         lookup: ``shapes`` keeps what the cache returned for the key, or
         what a miss stored under it (``None`` when the cache kept nothing,
-        so the next such component is priced by the model too).  Every
-        component still counts one hit or one miss in :attr:`stats`.
+        so the next such component is priced by the model too).  A transfer
+        alone on its resources is priced from its orientation's slot when
+        the slot is filled, and otherwise fills it from what the cache
+        answered.  Every component still counts one hit or one miss in
+        :attr:`stats`.
         """
         records = self.records
         by_resource = self._by_resource
         dirty = self._dirty
         cache = self.cache
         stats = self.stats
+        lone = self._lone_penalties
         shapes: Dict[Hashable, Optional[Dict[Tuple[int, int], float]]] = {}
         order = sorted(dirty, key=lambda tid: records[tid].seq) if len(dirty) > 1 else dirty
         for tid in order:
@@ -471,6 +505,11 @@ class IncrementalPenaltyEngine:
                     members: Sequence[Hashable] = self._component(tid)
                     break
             else:  # the common case: a transfer alone on its resources
+                penalty = lone[record.src < record.dst]
+                if penalty is not None:  # the cache answered this shape before
+                    stats.cache_hits += 1
+                    record.penalty = changed[tid] = penalty
+                    continue
                 members = (tid,)
             if cache is None:
                 penalties = self._evaluate(members)
@@ -479,16 +518,20 @@ class IncrementalPenaltyEngine:
                 cached = shapes.get(key, _UNSEEN)
                 if cached is _UNSEEN:
                     cached = shapes[key] = cache.get(key)
-                if cached is not None:
+                if cached is None:
+                    stats.cache_misses += 1
+                    penalties = self._evaluate(members)
+                    cached = shapes[key] = cache.store(key, endpoint_ranks, penalties)
+                else:
                     stats.cache_hits += 1
+                if cached is not None:
+                    if len(members) == 1:  # alone on its resources: fill its slot
+                        lone[record.src < record.dst] = cached[endpoint_ranks[tid]]
                     for member in members:
                         penalty = cached[endpoint_ranks[member]]
                         records[member].penalty = penalty
                         changed[member] = penalty
                     continue
-                stats.cache_misses += 1
-                penalties = self._evaluate(members)
-                shapes[key] = cache.store(key, endpoint_ranks, penalties)
             for member in members:
                 penalty = penalties[member]
                 records[member].penalty = penalty
@@ -506,11 +549,6 @@ class IncrementalPenaltyEngine:
         caches and the campaign runner's pre-priced components.
         """
         records = self.records
-        if len(members) == 1:  # the common case: a transfer alone on its hosts
-            (tid,) = members
-            record = records[tid]
-            key = self._lone_keys[record.src < record.dst]
-            return key, {tid: key[1][0]}
         hosts = set()
         for tid in members:
             record = records[tid]
@@ -548,15 +586,20 @@ class IncrementalPenaltyEngine:
     @property
     def components(self) -> List[Tuple[Hashable, ...]]:
         """Current component partition (sorted tuples, for inspection/tests),
-        walked from the records on each call."""
+        walked from the records on each call.
+
+        Ids sort by type name, then value, so int foreground ids and
+        ``background#N`` strings may share a component; ids of one type keep
+        their natural order.
+        """
         walked: Set[Hashable] = set()
         partition = []
         for tid, record in self.records.items():
             if record.resources and tid not in walked:
                 members = self._component(tid)
                 walked.update(members)
-                partition.append(tuple(sorted(members)))
-        return sorted(partition)
+                partition.append(tuple(sorted(members, key=_id_order)))
+        return sorted(partition, key=lambda ids: [_id_order(tid) for tid in ids])
 
     def __len__(self) -> int:
         return len(self.records)

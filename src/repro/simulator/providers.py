@@ -29,7 +29,9 @@ resources).  Its refresh walks the conflict component of each dirty transfer
 over the occupancy sets, which finds every component the delta changed
 (each piece a departure leaves holds one of its neighbours), and prices each
 once.  Repeated contention situations come from a memoized snapshot cache,
-looked up once per component shape per refresh.  A cache hit builds no
+looked up once per component shape per refresh; a transfer alone on its
+resources is looked up once per orientation per engine, then priced from
+the engine's own slot.  A cache hit builds no
 graph; only a miss prices a
 :class:`~repro.core.graph.CommunicationGraph`.  Pass ``incremental=False`` to
 force the historical rebuild-everything behaviour, the reference the

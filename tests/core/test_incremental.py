@@ -11,6 +11,7 @@ from repro.core import (
     GigabitEthernetModel,
     IncrementalPenaltyEngine,
     InfinibandModel,
+    KimLeeModel,
     MyrinetModel,
     PenaltyCache,
     cached_penalties,
@@ -147,6 +148,15 @@ class TestIncrementalPenaltyEngine:
         assert set(pens) == {7, ("bg", 3)}
         assert pens[7] == pens[("bg", 3)] > 1.0
 
+    def test_components_order_int_and_string_ids_together(self):
+        engine = IncrementalPenaltyEngine(GigabitEthernetModel())
+        engine.add(1, 0, 1, 1000)
+        engine.add("background#2", 0, 2, 1000)  # shares source 0 with transfer 1
+        engine.add(11, 5, 6, 1000)
+        engine.add(3, 7, 6, 1000)  # shares destination 6 with transfer 11
+        engine.add("background#0", 8, 9, 1000)
+        assert engine.components == [(1, "background#2"), (3, 11), ("background#0",)]
+
     def test_tracked_ids_are_unique(self):
         engine = IncrementalPenaltyEngine(GigabitEthernetModel())
         engine.add("a", 0, 1, 1000)
@@ -271,6 +281,101 @@ class TestDirtyTransfers:
         else:  # a cache that keeps nothing: every component is priced by the model
             assert (engine.stats.cache_hits, engine.stats.cache_misses) == (0, 5)
             assert engine.stats.component_evaluations == 5
+
+
+class OrientedModel(ContentionModel):
+    """A structural toy model whose penalties tell a transfer's orientation
+    apart, so a lone penalty served for the wrong one shows."""
+
+    name = "oriented"
+    component_rule = ConflictRule.ENDPOINT
+    structural_penalties = True
+
+    def penalties(self, graph):
+        out = {}
+        for c in graph:
+            if c.is_intra_node:
+                out[c.name] = 1.0
+                continue
+            sharing = sum(1 for o in graph if o.src == c.src or o.dst == c.dst)
+            out[c.name] = sharing + (1 / 3 if c.src < c.dst else 1 / 7)
+        return out
+
+
+def lone_penalty(model, src, dst):
+    return model.penalties(CommunicationGraph([comm("t", src, dst)]))["t"]
+
+
+class TestLonePenaltySlots:
+    """A transfer alone on its conflict resources is priced from the slot of
+    its orientation once the engine's cache has answered that shape."""
+
+    def test_one_lookup_per_orientation_per_engine(self):
+        model = OrientedModel()
+        up, down = lone_penalty(model, 0, 1), lone_penalty(model, 1, 0)
+        assert up != down
+        cache = CountingCache()
+        engines = [IncrementalPenaltyEngine(model, cache=cache) for _ in range(2)]
+        for engine in engines:
+            for step in range(3):
+                names = []
+                for k in range(3):  # disjoint hosts: every transfer is alone
+                    hub = 10 * k
+                    track(engine, comm(f"up{step}.{k}", hub, hub + 1),
+                          comm(f"down{step}.{k}", hub + 3, hub + 2))
+                    names += [f"up{step}.{k}", f"down{step}.{k}"]
+                assert engine.refresh() == {
+                    name: up if name.startswith("up") else down for name in names}
+                if step == 1:
+                    engine.reset()  # the slots survive, as the cache does
+                else:
+                    for name in names:
+                        engine.remove(name)
+                    assert engine.refresh() == {}
+            # every lone pricing still counts one hit or one miss
+            assert engine.stats.cache_hits + engine.stats.cache_misses == 18
+        forward, backward = ((model.memo_key(), (pair,)) for pair in ((0, 1), (1, 0)))
+        assert cache.looked_up == [forward, backward] * 2
+        assert (engines[0].stats.cache_misses, engines[1].stats.cache_misses) == (2, 0)
+        assert engines[0].stats.component_evaluations == 2
+        assert engines[1].stats.component_evaluations == 0
+
+    @pytest.mark.parametrize("model, cache", [
+        (OrientedModel(), PenaltyCache(max_entries=0)),
+        (KimLeeModel(path_provider=lambda c: ((c.src, 0), (c.dst, 1))), None),
+    ], ids=["memo-off", "cache-less"])
+    def test_without_a_kept_entry_the_model_prices_every_lone_arrival(self, model, cache):
+        engine = IncrementalPenaltyEngine(model, cache=cache)
+        for k in range(6):
+            src, dst = (0, 1) if k % 2 else (3, 2)
+            engine.add(k, src, dst, 1000)
+            assert engine.refresh() == {k: lone_penalty(model, src, dst)}
+            assert engine.stats.component_evaluations == k + 1
+            engine.remove(k)
+            engine.refresh()
+
+    def test_an_evicted_lone_entry_keeps_its_penalty(self):
+        model = OrientedModel()
+        cache = CountingCache(max_entries=1)
+        engine = IncrementalPenaltyEngine(model, cache=cache)
+        track(engine, comm("a", 0, 1))
+        first = engine.refresh()  # a miss whose stored entry fills the slot
+        track(engine, comm("b", 0, 2))
+        engine.refresh()  # the fan-out's entry evicts the lone one
+        lone_key = (model.memo_key(), ((0, 1),))
+        fan_out_key = (model.memo_key(), ((0, 1), (0, 2)))
+        assert [key for key, _ in cache.items()] == [fan_out_key]
+        assert cache.evictions == 1
+        evaluations = engine.stats.component_evaluations
+        engine.remove("b")
+        assert engine.refresh() == first  # a is alone again
+        track(engine, comm("c", 5, 6))
+        assert engine.refresh() == {"c": first["a"]}
+        assert first["a"] == lone_penalty(model, 0, 1)
+        assert engine.stats.component_evaluations == evaluations
+        assert cache.looked_up == [lone_key, fan_out_key]
+        assert engine.penalties() == model.penalties(
+            CommunicationGraph([comm("a", 0, 1), comm("c", 5, 6)]))
 
 
 class TestPenaltyCache:

@@ -20,6 +20,7 @@ from repro.core import (
     KimLeeModel,
     MyrinetModel,
     NoContentionModel,
+    PenaltyCache,
 )
 from repro.core.baselines import LogGPContentionAdapter, LogGPCostModel
 from repro.core.graph import Communication, CommunicationGraph, ConflictRule
@@ -146,11 +147,16 @@ class TestIncrementalEqualsFullRecompute:
                 current.update(provider.update(added, removed))
             assert rates[0] == rates[1]
 
+    @pytest.mark.parametrize("max_entries", [None, 1], ids=["default-cache", "one-entry-cache"])
     @pytest.mark.parametrize("factory", MODEL_FACTORIES + RULELESS_FACTORIES, ids=factory_id)
     @common_settings
     @given(batches=batch_strategy)
-    def test_rates_bit_exact_across_multi_transfer_deltas(self, factory, batches):
-        providers = (ModelRateProvider(factory(), "ethernet", incremental=True),
+    def test_rates_bit_exact_across_multi_transfer_deltas(self, factory, max_entries, batches):
+        """Also with a one-entry cache, which evicts a lone transfer's entry
+        as soon as another shape is stored while the engine's lone-penalty
+        slots keep serving it."""
+        cache = None if max_entries is None else PenaltyCache(max_entries=max_entries)
+        providers = (ModelRateProvider(factory(), "ethernet", cache=cache),
                      ModelRateProvider(factory(), "ethernet", incremental=False))
         rates = ({}, {})
         for added, removed in batch_deltas(batches):
@@ -173,18 +179,18 @@ class TestIncrementalEqualsFullRecompute:
         penalties = {}
         for added, removed in batch_deltas(batches):
             for tid in removed:
-                engine.remove(str(tid))
-                del live[str(tid)]
-                del penalties[str(tid)]
-            for t in added:  # string ids, so the partition's tuples sort
-                engine.add(str(t.transfer_id), t.src, t.dst, t.size)
-                live[str(t.transfer_id)] = Communication(str(t.transfer_id), t.src, t.dst, 1000)
+                engine.remove(tid)
+                del live[tid]
+                del penalties[tid]
+            for t in added:  # int and ``background#N`` ids, as the engine gets them
+                engine.add(t.transfer_id, t.src, t.dst, t.size)
+                live[t.transfer_id] = Communication(str(t.transfer_id), t.src, t.dst, 1000)
             graph = CommunicationGraph(live.values())
             whole = model.penalties(graph)
             penalties.update(engine.refresh())
-            assert penalties == whole
-            assert engine.components == sorted(
-                graph.conflict_components(engine.model.component_rule))
+            assert penalties == {tid: whole[str(tid)] for tid in live}
+            walked = sorted(tuple(sorted(map(str, ids))) for ids in engine.components)
+            assert walked == sorted(graph.conflict_components(engine.model.component_rule))
 
     @pytest.mark.parametrize("factory", [InfinibandModel, GigabitEthernetModel],
                              ids=lambda f: f().name)
