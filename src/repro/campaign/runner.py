@@ -4,26 +4,24 @@
 and prices them all through one
 :class:`~repro.core.incremental.PenaltyCache`.  ``max_workers <= 1`` runs
 every scenario inline, in spec order; that is the reference path.
-``max_workers > 1`` runs a :class:`~concurrent.futures.ProcessPoolExecutor`,
-because pricing is pure Python and only processes run it in parallel:
+``max_workers > 1`` runs the application scenarios on a
+:class:`~concurrent.futures.ProcessPoolExecutor`, because simulation is pure
+Python and only processes run it in parallel:
 
-* **graph scenarios** are decomposed into conflict components first; the
-  distinct cache-miss components of the *whole campaign* are evaluated in
-  the workers (they are independent by construction and deduplicated across
-  scenarios, so an isomorphic contention situation is priced exactly once —
-  the biggest win for the Myrinet model's exponential state-set
-  enumeration), then the parent assembles every scenario from the warm
-  cache;
+* **graph scenarios** are priced in the parent first, in scenario order,
+  exactly as inline (:func:`~repro.core.incremental.cached_predict` prices
+  each conflict component shape of a graph once); on every campaign spec
+  in this repository a pool cost more to start and feed than it saved;
 * **application scenarios** are independent simulations, one job each.  A
-  job carries only its scenario and run settings: the application phase's
-  pool starts after the graph phase, and its initializer hands every worker
-  the cache snapshot taken then, once per worker rather than once per job.
+  job carries only its scenario and run settings: the pool starts after the
+  graph scenarios are priced, and its initializer hands every worker the
+  cache snapshot taken then, once per worker rather than once per job.
   Each job prices through a private cache seeded from that snapshot and
   sends its fresh entries back; the parent stores them in scenario order.
   Workers build applications through the per-process memo of
   :meth:`ScenarioSpec.build_application`, so no application is shipped.
 
-A pool is started only for a phase that has jobs.
+A campaign without application scenarios starts no pool.
 
 Every application scenario, inline or in a worker, runs through
 :func:`run_scenario`, which ``repro simulate``, ``repro trace record`` and
@@ -31,16 +29,16 @@ Every application scenario, inline or in a worker, runs through
 :class:`~repro.exceptions.ReproError` (a Myrinet conflict component over
 the enumeration cap, say) is recorded with its error in
 :attr:`CampaignResultStore.failures` and the sweep goes on; any other
-exception propagates.  In the pool, a job returns its failure, and a graph
-component whose pricing raised is not stored, so its scenario fails in
-assembly with the error an inline run gives.
+exception propagates.  In the pool, a job returns its failure.
 
 Pool execution is **bit-exact** with inline execution: a component
 evaluation is a deterministic function of its canonical snapshot, and a
 cache hit replays the stored floats unchanged, so the penalties of a
 scenario do not depend on which worker (or which earlier scenario) priced
-its components.  The work *counters* may differ from an inline run (a job
-cannot hit what another job priced); the results never do —
+its components.  With application scenarios the work *counters* may differ
+from an inline run (a job cannot hit what another job priced, and every
+graph scenario is priced before the first job); a graph-only campaign's
+counters, and every campaign's results, never do —
 ``tests/campaign/test_campaign_runner.py`` asserts this over random
 campaigns.
 
@@ -51,7 +49,6 @@ the workers.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -67,13 +64,8 @@ from typing import (
 )
 
 from ..cluster.spec import custom_cluster
-from ..core.incremental import (
-    EngineStats,
-    PenaltyCache,
-    _evaluate_component,
-    cached_predict,
-)
-from ..core.penalty import ContentionModel, LinearCostModel
+from ..core.incremental import EngineStats, PenaltyCache, cached_predict
+from ..core.penalty import LinearCostModel
 from ..core.registry import resolve_model
 from ..exceptions import ReproError
 from ..network.technologies import get_technology
@@ -90,7 +82,7 @@ if TYPE_CHECKING:
 
 __all__ = ["CampaignRunner", "run_scenario"]
 
-#: the pool class, imported by the first pooled phase (:func:`_process_pool`)
+#: the pool class, imported when the first pool starts (:func:`_process_pool`)
 #: so that inline runs never load it; a test may replace it here
 ProcessPoolExecutor: Any = None
 
@@ -170,15 +162,11 @@ def _execute_graph_scenario(
     scenario: ScenarioSpec,
     cache: Optional[PenaltyCache],
     stats: EngineStats,
-    graph=None,
-    model: Optional[ContentionModel] = None,
 ) -> Outcome:
     """Price one static-graph scenario through the component cache."""
     try:
-        if graph is None:
-            graph = scenario.build_graph()
-        if model is None:
-            model = resolve_model(scenario.model, scenario.network)
+        graph = scenario.build_graph()
+        model = resolve_model(scenario.model, scenario.network)
         prediction = cached_predict(
             model, graph, LinearCostModel.for_technology(get_technology(scenario.network)),
             cache=cache, stats=stats,
@@ -301,18 +289,6 @@ def _app_scenario_job(
     return outcome, stats, fresh
 
 
-def _price_component(job: Tuple) -> Optional[Dict[str, float]]:
-    """Process-pool job: :func:`_evaluate_component`, ``None`` if it raised.
-
-    A component that cannot be priced is not stored; its scenario then
-    fails in assembly with the same error, as it would inline.
-    """
-    try:
-        return _evaluate_component(job)
-    except ReproError:
-        return None
-
-
 class CampaignRunner:
     """Execute a campaign, pricing every scenario through one penalty cache.
 
@@ -326,7 +302,8 @@ class CampaignRunner:
         warm across repeated campaigns).  ``None`` creates a private
         in-memory cache.
     max_workers:
-        Worker processes; ``<= 1`` runs every scenario inline.
+        Worker processes for the application scenarios; ``<= 1`` runs every
+        scenario inline.  Graph scenarios are always priced inline, first.
     trace_dir:
         Per-scenario trace directory (overrides ``spec.trace_dir``); every
         application scenario writes ``<trace_dir>/<scenario_id>.jsonl``.
@@ -399,38 +376,12 @@ class CampaignRunner:
 
     # ---------------------------------------------------------- process pool
     def _run_parallel(self, scenarios: Sequence[ScenarioSpec]) -> List[Outcome]:
-        outcomes: List[Optional[Outcome]] = [None] * len(scenarios)
-        graph_indices = [i for i, s in enumerate(scenarios) if not s.is_application]
-        app_indices = [i for i, s in enumerate(scenarios) if s.is_application]
-        built = {}
-        for index in graph_indices:
-            scenario = scenarios[index]
-            try:
-                built[index] = (scenario.build_graph(),
-                                resolve_model(scenario.model, scenario.network))
-            except ReproError:
-                continue  # fails again, and is recorded, in assembly
-        stored, stored_comms = self._price_graph_components(
-            [(scenarios[i], *built[i]) for i in built]
-        )
-        self.stats.cache_misses += stored
-        self.stats.component_evaluations += stored
-        self.stats.comm_evaluations += stored_comms
-        hits_before = self.stats.cache_hits
-        for index in graph_indices:
-            # every component is warm now: assembly is pure cache transport
-            graph, model = built.get(index, (None, None))
-            outcomes[index] = _execute_graph_scenario(
-                scenarios[index], self.cache, self.stats,
-                graph=graph, model=model,
-            )
-        # a pre-priced component is a first-encounter miss in the inline
-        # run but a hit during assembly: shift the counters so the totals
-        # line up with a cold inline execution.  Under LRU eviction
-        # pressure some pre-priced entries never get hit (they are
-        # genuinely re-evaluated), hence the bound on the shift.
-        assembly_hits = self.stats.cache_hits - hits_before
-        self.stats.cache_hits -= min(stored, assembly_hits)
+        outcomes: List[Optional[Outcome]] = [
+            None if scenario.is_application
+            else _execute_graph_scenario(scenario, self.cache, self.stats)
+            for scenario in scenarios
+        ]
+        app_indices = [i for i, outcome in enumerate(outcomes) if outcome is None]
         if app_indices:
             payloads = [
                 (scenarios[i], self.spec.cores_per_node, self.trace_dir,
@@ -449,47 +400,3 @@ class CampaignRunner:
                     for key, mapping in entries:
                         PenaltyCache.put(self.cache, key, mapping)
         return [o for o in outcomes if o is not None]
-
-    def _price_graph_components(
-        self, graph_scenarios: Sequence[Tuple[ScenarioSpec, Any, ContentionModel]],
-    ) -> Tuple[int, int]:
-        """Evaluate the distinct cache-miss components of every graph scenario.
-
-        Takes ``(scenario, graph, model)`` triples (graphs/models are built
-        once by the caller and reused for assembly).  Components are
-        deduplicated campaign-wide by their cache key, then fanned out over
-        a pool started for them (none when every component is cached);
-        afterwards the per-scenario assembly in the caller is (almost) pure
-        cache transport.  Returns the number of components
-        stored and their communication count, which the caller folds into
-        the work counters.
-        """
-        jobs: "OrderedDict[Hashable, Tuple[ContentionModel, Any, Tuple[str, ...], Dict[str, Tuple[int, int]]]]" = OrderedDict()
-        for scenario, graph, model in graph_scenarios:
-            rule = model.component_rule
-            if rule is None or not model.structural_penalties:
-                continue  # priced whole during assembly, exactly like inline
-            model_key = model.memo_key()
-            for names in graph.conflict_components(rule):
-                component_key, endpoint_ranks = graph.canonical_component(names)
-                key = (model_key, component_key)
-                if key in jobs or self.cache.get(key) is not None:
-                    continue
-                jobs[key] = (model, graph.subgraph(names), tuple(names), endpoint_ranks)
-        if not jobs:
-            return 0, 0
-        job_list = list(jobs.items())
-        with _process_pool(max_workers=min(self.max_workers, len(job_list))) as executor:
-            evaluations = list(executor.map(
-                _price_component, [(m, g, n) for _, (m, g, n, _) in job_list]
-            ))
-        stored = 0
-        stored_comms = 0
-        for (key, (_, _, names, endpoint_ranks)), evaluated in zip(job_list, evaluations):
-            if evaluated is None:
-                continue
-            self.cache.store(key, endpoint_ranks, evaluated)
-            if self.cache.get(key) is not None:
-                stored += 1
-                stored_comms += len(names)
-        return stored, stored_comms

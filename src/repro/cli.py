@@ -11,9 +11,9 @@ Gives shell access to the three everyday operations of the library:
 * ``campaign`` — expand a declarative JSON campaign spec (sweeps over
   workloads × networks × models × host counts × placements, see
   :mod:`repro.campaign.spec`) and execute every scenario inline or, with
-  ``--workers N``, on N worker processes, pricing through one — optionally
-  disk-persistent — penalty cache; scenarios that fail are listed, the
-  others written out, and the command exits 1;
+  ``--workers N``, the application scenarios on N worker processes, pricing
+  through one — optionally disk-persistent — penalty cache; scenarios that
+  fail are listed, the others written out, and the command exits 1;
 * ``trace`` — the structured-trace pipeline (:mod:`repro.trace`):
   ``trace record`` runs one workload and writes its per-event JSONL trace,
   ``trace summarize`` prints the timeline report of a trace file (``--json``
@@ -184,6 +184,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     )
     if args.cache:
         cache_stats = cache.stats()
+        # pooled application scenarios look up in their workers' private
+        # caches, so this cache's traffic is the parent's alone
+        pooled = args.workers > 1 and any(s.is_application for s in spec.scenarios())
         print(
             "persistent cache: "
             f"entries: {cache_stats['entries']} "
@@ -192,6 +195,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             f"(rate: {cache_stats['hit_rate']:.3f}) | "
             f"evictions: {cache_stats['evictions']}  "
             f"never hit: {cache_stats['entries_never_hit']}"
+            + (" | application jobs' lookups happen in their workers and are not counted"
+               if pooled else "")
         )
         saved = cache.save(args.cache)
         print(f"penalty cache: {saved} entries saved to {args.cache}")
@@ -621,7 +626,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--spec", required=True,
                           help="path to the campaign spec (JSON)")
     campaign.add_argument("--workers", type=int, default=1,
-                          help="worker processes; 1 = inline")
+                          help="worker processes for the application scenarios; "
+                               "1 = inline")
     campaign.add_argument("--cache", default=None,
                           help="persistent penalty-cache file (created when missing)")
     campaign.add_argument("--out", default=None,

@@ -84,7 +84,8 @@ __all__ = [
 class EngineStats:
     """Counters describing how much work the incremental engine performed."""
 
-    #: flow arrivals + departures applied to the live graph
+    #: flow arrivals + departures applied to the live graph (a static graph
+    #: priced by :func:`cached_penalties` counts one arrival per communication)
     events: int = 0
     #: calls into the model (one per dirty component that missed the cache)
     component_evaluations: int = 0
@@ -133,11 +134,12 @@ class PenaltyCache:
     one per component *shape* (canonical key) per refresh, however many
     components of that shape the refresh prices, and for a lone transfer
     one per orientation over its whole life (then it prices lone transfers
-    from its own slots).  So they count fewer lookups and hits than the
-    engine's :class:`EngineStats`, which counts one hit or miss per
-    component; ``entries_never_hit`` may list a lone entry that an engine
-    filled its slot from, and evicting a lone entry costs no engine that
-    holds it in a slot a miss.
+    from its own slots); a static graph is priced by a fresh engine in one
+    refresh (:func:`cached_penalties`).  So they count fewer lookups and
+    hits than the engine's :class:`EngineStats`, which counts one hit or
+    miss per component; ``entries_never_hit`` may list a lone entry that an
+    engine filled its slot from, and evicting a lone entry costs no engine
+    that holds it in a slot a miss.
     """
 
     def __init__(self, max_entries: int = 4096) -> None:
@@ -545,8 +547,7 @@ class IncrementalPenaltyEngine:
 
         Built straight from the records with the relabelling of
         :meth:`CommunicationGraph.canonical_component` (hosts ranked in
-        sorted order), so keys match those of static graphs, persisted
-        caches and the campaign runner's pre-priced components.
+        sorted order), which defines the key format of persisted caches.
         """
         records = self.records
         hosts = set()
@@ -631,80 +632,30 @@ def in_flight_graph(
     return graph
 
 
-def _evaluate_component(job: Tuple) -> Dict[str, float]:
-    """Evaluate one conflict component (module-level so process pools can pickle it).
-
-    ``job`` is ``(model, component_subgraph, names)``; for a component-local
-    model, pricing the component's subgraph is exactly equivalent to pricing
-    it inside the full graph.
-    """
-    model, graph, names = job
-    return model.component_penalties(graph, list(names))
-
-
 def cached_penalties(
     model: ContentionModel,
     graph: CommunicationGraph,
     cache: Optional[PenaltyCache] = None,
     stats: Optional[EngineStats] = None,
 ) -> Dict[str, float]:
-    """Penalties of a static graph through the component/cache machinery.
+    """Penalties of a static graph, priced by a fresh :class:`IncrementalPenaltyEngine`.
 
-    One-shot counterpart of :class:`IncrementalPenaltyEngine` for callers
-    holding a fixed :class:`CommunicationGraph` (experiment sweeps, campaign
-    scenarios): the graph is partitioned into conflict components under the
-    model's rule, isomorphic components are served from ``cache``, and the
-    cache misses are evaluated one component at a time.  Bit-exact with
-    ``model.penalties(graph)`` for every shipped model (component locality
-    and snapshot replay are both exact).
+    For callers holding a fixed :class:`CommunicationGraph` (experiment
+    sweeps, campaign scenarios): every communication arrives, in graph
+    order and keyed by its name, at an engine over ``cache``, and one
+    refresh prices each conflict component once.  The result is in graph
+    order, so aggregates summed over it do not depend on the hit/miss
+    pattern, and bit-exact with ``model.penalties(graph)`` for every
+    shipped model (component locality and snapshot replay are both exact).
+    The engine counts into ``stats``: one event per communication, and one
+    cache hit or miss per component.
     """
-    if stats is None:
-        stats = EngineStats()
-    stats.events += 1
-    result: Dict[str, float] = {}
-    inter_names: List[str] = []
+    engine = IncrementalPenaltyEngine(model, cache=cache)
+    if stats is not None:
+        engine.stats = stats
     for comm in graph:
-        if comm.is_intra_node:
-            result[comm.name] = 1.0
-        else:
-            inter_names.append(comm.name)
-    if not inter_names:
-        return result
-    rule = model.component_rule
-    if rule is None:
-        components = [tuple(sorted(inter_names))]
-    else:
-        components = graph.conflict_components(rule)
-    use_cache = cache is not None and model.structural_penalties
-    model_key = model.memo_key() if use_cache else None
-    # every lookup precedes every evaluation: two isomorphic components of
-    # one graph are both misses, which is what the work counters record
-    pending: List[Tuple[Tuple[str, ...], Optional[Hashable], Optional[Dict[str, Tuple[int, int]]]]] = []
-    for names in components:
-        if use_cache:
-            component_key, endpoint_ranks = graph.canonical_component(names)
-            key = (model_key, component_key)
-            cached = cache.get(key)
-            if cached is not None:
-                stats.cache_hits += 1
-                for name in names:
-                    result[name] = cached[endpoint_ranks[name]]
-                continue
-            stats.cache_misses += 1
-            pending.append((names, key, endpoint_ranks))
-        else:
-            pending.append((names, None, None))
-    for names, key, endpoint_ranks in pending:
-        evaluated = model.component_penalties(graph, list(names))
-        stats.component_evaluations += 1
-        stats.comm_evaluations += len(names)
-        if key is not None and cache is not None:
-            cache.store(key, endpoint_ranks, evaluated)
-        for name in names:
-            result[name] = evaluated[name]
-    # graph insertion order, so aggregates summed over the dict do not depend
-    # on the hit/miss pattern (floating-point addition is order-sensitive)
-    return {comm.name: result[comm.name] for comm in graph}
+        engine.add(comm.name, comm.src, comm.dst, comm.size)
+    return engine.penalties()
 
 
 def cached_predict(

@@ -38,6 +38,26 @@ def random_campaign(seed: int) -> CampaignSpec:
     })
 
 
+def graph_sweep_campaign() -> CampaignSpec:
+    """The graph scenarios of ``examples/campaign_sweep.json``: 24 scenarios
+    on three networks, some of whose graphs repeat a component shape."""
+    return CampaignSpec.from_dict({
+        "name": "graph-sweep",
+        "workloads": [
+            {"kind": "scheme", "name": "fig2-s4"},
+            {"kind": "scheme", "name": "fig5"},
+            {"kind": "synthetic", "name": "random-tree", "params": {"size": "4M"}},
+            {"kind": "synthetic", "name": "random",
+             "params": {"size": "4M", "num_communications": 20}},
+            {"kind": "synthetic", "name": "hotspot", "params": {"size": "4M"}},
+        ],
+        "networks": ["ethernet", "myrinet", "infiniband"],
+        "host_counts": [12],
+        "placements": ["RRP", "RRN"],
+        "seeds": [0, 1],
+    })
+
+
 def dumps(store: CampaignResultStore):
     return [result.to_dict() for result in store.results]
 
@@ -96,12 +116,16 @@ class TestBitExactness:
 
 
 class InlinePool:
-    """A stand-in pool that runs its jobs in this process and records the
-    pickled size of every application job's arguments."""
+    """A stand-in pool that runs its jobs in this process.  It counts the
+    pools started, records the function and job count of every ``map``, and
+    the pickled size of every application job's arguments."""
 
+    started: int = 0
+    maps: list = []
     job_bytes: list = []
 
     def __init__(self, max_workers, initializer=None, initargs=()):
+        InlinePool.started += 1
         if initializer is not None:
             initializer(*initargs)
 
@@ -113,16 +137,45 @@ class InlinePool:
 
     def map(self, fn, payloads):
         payloads = list(payloads)
+        InlinePool.maps.append((fn, len(payloads)))
         if fn is campaign_runner._app_scenario_job:
             InlinePool.job_bytes.append([len(pickle.dumps(p)) for p in payloads])
         return [fn(p) for p in payloads]
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    monkeypatch.setattr(campaign_runner, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(campaign_runner, "_worker_seed", None)
+    monkeypatch.setattr(InlinePool, "started", 0)
+    monkeypatch.setattr(InlinePool, "maps", [])
+    monkeypatch.setattr(InlinePool, "job_bytes", [])
+    return InlinePool
+
+
 class TestPoolJobs:
-    def test_app_job_arguments_do_not_grow_with_the_cache(self, monkeypatch):
-        monkeypatch.setattr(campaign_runner, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(campaign_runner, "_worker_seed", None)
-        monkeypatch.setattr(InlinePool, "job_bytes", [])
+    def test_a_graph_only_campaign_starts_no_pool(self, inline_pool):
+        CampaignRunner(graph_sweep_campaign(), max_workers=2).run()
+        assert inline_pool.started == 0
+
+    def test_a_mixed_campaign_pools_its_application_scenarios_only(self, inline_pool):
+        spec = random_campaign(3)
+        applications = sum(s.is_application for s in spec.scenarios())
+        assert 0 < applications < len(spec.scenarios())
+        CampaignRunner(spec, max_workers=2).run()
+        assert inline_pool.started == 1
+        assert inline_pool.maps == [(campaign_runner._app_scenario_job, applications)]
+
+    def test_a_graph_only_campaign_reports_the_inline_stats(self, inline_pool):
+        """Graph scenarios are priced inline in the pooled run too, so the
+        work counters of a cold run match, not only the results."""
+        spec = graph_sweep_campaign()
+        inline = CampaignRunner(spec, cache=PenaltyCache(), max_workers=1).run()
+        pooled = CampaignRunner(spec, cache=PenaltyCache(), max_workers=2).run()
+        assert dumps(pooled) == dumps(inline)
+        assert pooled.stats == inline.stats
+
+    def test_app_job_arguments_do_not_grow_with_the_cache(self, inline_pool):
         spec = CampaignSpec.from_dict({
             "name": "apps-only",
             "workloads": [{"kind": "collective", "name": "ring-allgather",
@@ -135,7 +188,7 @@ class TestPoolJobs:
         assert len(warm) > 20
         cold_store = CampaignRunner(spec, cache=PenaltyCache(), max_workers=2).run()
         warm_store = CampaignRunner(spec, cache=warm, max_workers=2).run()
-        cold_bytes, warm_bytes = InlinePool.job_bytes
+        cold_bytes, warm_bytes = inline_pool.job_bytes
         assert len(cold_bytes) == 2
         assert warm_bytes == cold_bytes
         assert dumps(warm_store) == dumps(cold_store)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import (
     ContentionModel,
-    EngineStats,
     FairShareModel,
     GigabitEthernetModel,
     IncrementalPenaltyEngine,
@@ -14,7 +13,6 @@ from repro.core import (
     KimLeeModel,
     MyrinetModel,
     PenaltyCache,
-    cached_penalties,
 )
 from repro.core.graph import Communication, CommunicationGraph, ConflictRule
 from repro.exceptions import GraphError
@@ -460,32 +458,50 @@ class TestCacheModelNamespacing:
         assert second.stats.cache_hits == 1
 
 
-class TestKeysMatchStaticGraphs:
-    """Engine keys equal ``CommunicationGraph.canonical_component`` keys, so
-    entries priced from static graphs (campaign pre-pricing, persisted
-    caches) and from live transfers serve each other."""
+class KeyRecordingCache(PenaltyCache):
+    """A penalty cache that records every key passed to ``get``, and every
+    key and endpoint-rank mapping passed to ``store``."""
 
-    def test_engine_replays_entries_priced_from_a_static_graph(self):
-        model = MyrinetModel()
-        graph = random_graph_scheme(10, 14, seed=3)
-        cache = PenaltyCache()
-        cached_penalties(model, graph, cache=cache)
+    def __init__(self):
+        super().__init__()
+        self.looked_up = []
+        self.stored = []
+
+    def get(self, key):
+        self.looked_up.append(key)
+        return super().get(key)
+
+    def store(self, key, endpoint_ranks, penalties):
+        self.stored.append((key, dict(endpoint_ranks)))
+        return super().store(key, endpoint_ranks, penalties)
+
+
+class TestKeysMatchStaticGraphs:
+    """The engine's keys equal ``CommunicationGraph.canonical_component``
+    keys, the format of persisted caches, so entries written from static
+    graphs by earlier versions serve live transfers and static graphs alike."""
+
+    @pytest.mark.parametrize("model", [GigabitEthernetModel(), MyrinetModel(),
+                                       InfinibandModel()], ids=lambda m: m.name)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_key_is_the_canonical_component_key(self, model, seed):
+        graph = random_graph_scheme(10, 14, seed=seed)
+        first = next(iter(graph))
+        graph.add(comm("parallel", first.src, first.dst))  # a parallel edge
+        cache = KeyRecordingCache()
         engine = IncrementalPenaltyEngine(model, cache=cache)
         track(engine, *graph)
         assert engine.penalties() == model.penalties(graph)
-        assert engine.stats.cache_misses == 0
-        assert engine.stats.cache_hits == len(graph.conflict_components(model.component_rule))
-
-    def test_static_graph_replays_entries_priced_by_the_engine(self):
-        model = InfinibandModel()
-        graph = random_graph_scheme(10, 14, seed=4)
-        cache = PenaltyCache()
-        engine = IncrementalPenaltyEngine(model, cache=cache)
-        track(engine, *graph)
-        engine.penalties()
-        stats = EngineStats()
-        assert cached_penalties(model, graph, cache=cache, stats=stats) == model.penalties(graph)
-        assert stats.cache_misses == 0
+        reference = {}
+        for names in graph.conflict_components(model.component_rule):
+            key, endpoint_ranks = graph.canonical_component(names)
+            reference[frozenset(names)] = ((model.memo_key(), key), endpoint_ranks)
+        # one lookup per shape: a lone transfer priced from its slot has the
+        # key the lookup that filled the slot used
+        assert set(cache.looked_up) == {key for key, _ in reference.values()}
+        assert cache.stored
+        for key, endpoint_ranks in cache.stored:
+            assert (key, endpoint_ranks) == reference[frozenset(endpoint_ranks)]
 
 
 class TestMyrinetDecomposeContract:

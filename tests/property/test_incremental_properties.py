@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 
 from repro.core import (
+    EngineStats,
     FairShareModel,
     GigabitEthernetModel,
     IncrementalPenaltyEngine,
@@ -21,6 +22,7 @@ from repro.core import (
     MyrinetModel,
     NoContentionModel,
     PenaltyCache,
+    cached_penalties,
 )
 from repro.core.baselines import LogGPContentionAdapter, LogGPCostModel
 from repro.core.graph import Communication, CommunicationGraph, ConflictRule
@@ -238,6 +240,60 @@ class TestIncrementalEqualsFullRecompute:
                 engine.model.component_rule
             )
             assert engine.components == sorted(batch)
+
+
+#: a static graph: a pattern of (src, dst) pairs on four hosts (parallel
+#: edges and intra-node pairs are common), laid down once or twice; the
+#: second copy, on four other hosts, repeats every component isomorphically
+static_graph_strategy = st.tuples(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=7),
+    st.integers(1, 2),
+)
+
+
+def static_graph(pattern, copies) -> CommunicationGraph:
+    graph = CommunicationGraph(name="static-prop")
+    for copy in range(copies):
+        for index, (src, dst) in enumerate(pattern):
+            graph.add(Communication(f"c{copy}.{index}", src + 4 * copy, dst + 4 * copy,
+                                    size=1000 + index))
+    return graph
+
+
+def component_count(model, graph) -> int:
+    """Conflict components of ``graph`` under the model's rule; without a
+    rule, the whole inter-node set is one."""
+    if model.component_rule is None:
+        return int(any(not comm.is_intra_node for comm in graph))
+    return len(graph.conflict_components(model.component_rule))
+
+
+class TestStaticGraphPricing:
+    @pytest.mark.parametrize("factory", MODEL_FACTORIES + RULELESS_FACTORIES, ids=factory_id)
+    @common_settings
+    @given(patterns=st.lists(static_graph_strategy, min_size=1, max_size=4))
+    def test_cached_penalties_equal_the_model_in_graph_order(self, factory, patterns):
+        """Graphs priced one after another through one shared cache, then
+        through a one-entry cache, give the model's penalties in graph
+        order; every communication counts one event, and every component
+        one cache hit or miss (one model call when nothing is cached)."""
+        model = factory()
+        graphs = [static_graph(*pattern) for pattern in patterns]
+        for cache in (PenaltyCache(), PenaltyCache(max_entries=1)):
+            stats = EngineStats()
+            for graph in graphs:
+                before = stats.snapshot()
+                priced = cached_penalties(model, graph, cache=cache, stats=stats)
+                assert list(priced.items()) == list(model.penalties(graph).items())
+                assert stats.events - before["events"] == len(graph)
+                lookups = (stats.cache_hits + stats.cache_misses
+                           - before["cache_hits"] - before["cache_misses"])
+                if model.structural_penalties:
+                    assert lookups == component_count(model, graph)
+                else:
+                    assert lookups == 0
+                    assert (stats.component_evaluations - before["component_evaluations"]
+                            == component_count(model, graph))
 
 
 PRICED_FACTORIES = MODEL_FACTORIES + [

@@ -291,6 +291,35 @@ class TestCampaignCli:
         assert [f["axes"]["network"] for f in written["failures"]] == ["myrinet"]
         assert len(csv_path.read_text().splitlines()) == 2  # header + one row
 
+    @pytest.mark.parametrize("workers, lookups, pooled", [(1, 12, False), (2, 8, True)])
+    def test_the_cache_line_counts_the_lookups_of_this_process(
+            self, tmp_path, capsys, workers, lookups, pooled):
+        """Inline, the cache sees every lookup; pooled, only the graph
+        scenarios' (priced in this process), and the line says so."""
+        import json
+
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "name": "smoke",
+            "workloads": [
+                {"kind": "scheme", "name": "fig2-s4"},
+                {"kind": "synthetic", "name": "random-tree", "params": {"size": "4M"}},
+                {"kind": "collective", "name": "broadcast", "params": {"size": "1M"}},
+            ],
+            "networks": ["ethernet", "myrinet"],
+            "host_counts": [8],
+        }))
+        code = main(["campaign", "--spec", str(spec_path), "--workers", str(workers),
+                     "--cache", str(tmp_path / "cache.json")])
+        out = capsys.readouterr().out
+        assert code == 0
+        (line,) = [line for line in out.splitlines()
+                   if line.startswith("persistent cache:")]
+        assert f"lookups: {lookups} " in line
+        assert line.endswith(
+            "application jobs' lookups happen in their workers and are not counted"
+        ) == pooled
+
     def test_a_failed_scenarios_partial_trace_is_marked(self, tmp_path, capsys):
         import json
 
